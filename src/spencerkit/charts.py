@@ -14,21 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import defaults
-from .crsolve import cr_residual, independence_rank
+from .crsolve import cr_residual, independence_rank, jacobian_rows
 from .errors import (ChartError, ConfigurationError, FitError,
                      IndependenceError, OverlapError)
 from .jfield import SampleGrid
 from .poly import PolyMap, Polynomial, monomials_upto
-
-
-def _field_rows(fields, points):
-    """Stacked real Jacobian rows of complex fields: (P, 2m, 2n)."""
-    blocks = []
-    for f in fields:
-        grad = f.gradient(points)
-        blocks.append(grad.real)
-        blocks.append(grad.imag)
-    return np.stack(blocks, axis=1)
 
 
 def _min_volume(rows):
@@ -76,9 +66,7 @@ def build_spencer_chart(structure, fields, box=None,
     """
     if box is None:
         box = structure.box
-    if structure.box.intersect(box) is None or \
-       not structure.box.contains(np.array(box.lo), slack=1e-9) or \
-       not structure.box.contains(np.array(box.hi), slack=1e-9):
+    if not structure.box.contains_box(box):
         raise ChartError("chart box is not contained in the structure's box")
     fields = tuple(fields)
     n = structure.n
@@ -97,7 +85,7 @@ def build_spencer_chart(structure, fields, box=None,
         raise IndependenceError(
             f"chart fields have Jacobian rank {rank} < {2 * m}; not independent")
 
-    rows = _field_rows(fields, grid.points)
+    rows = jacobian_rows(fields, grid.points)
     available = list(range(n))
     chosen = []
     while len(chosen) < n - m:

@@ -16,7 +16,7 @@ import numpy as np
 from . import defaults
 from .errors import ConfigurationError, NumericalError
 from .jfield import SampleGrid, eval_j
-from .poly import Polynomial, monomial_key, monomials_upto
+from .poly import Polynomial, monomials_upto
 from .report import make_report
 
 
@@ -208,6 +208,16 @@ def solve_ah_polynomials(structure, degree, grid_k=None,
 # functional independence and the type estimate
 # ---------------------------------------------------------------------------
 
+def jacobian_rows(fields, points):
+    """Stacked real Jacobian rows (P, 2m, 2n): Re, then Im, of each field's gradient."""
+    blocks = []
+    for f in fields:
+        grad = f.gradient(points)
+        blocks.append(grad.real)
+        blocks.append(grad.imag)
+    return np.stack(blocks, axis=1)
+
+
 def independence_rank(fields, points, svd_rel_tol=defaults.SVD_REL_TOL):
     """Largest pointwise rank of the stacked real Jacobian of the fields.
 
@@ -221,13 +231,7 @@ def independence_rank(fields, points, svd_rel_tol=defaults.SVD_REL_TOL):
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
-    blocks = []
-    for f in fields:
-        grad = f.gradient(pts)
-        blocks.append(grad.real)
-        blocks.append(grad.imag)
-    jac = np.stack(blocks, axis=1)  # (P, 2m, 2n)
-    sigma = np.linalg.svd(jac, compute_uv=False)
+    sigma = np.linalg.svd(jacobian_rows(fields, pts), compute_uv=False)
     lead = sigma[:, 0]
     cutoff = np.where(lead > 0, svd_rel_tol * lead, svd_rel_tol)
     ranks = np.sum(sigma > cutoff[:, None], axis=1)
@@ -288,11 +292,3 @@ def estimate_spencer_type(structure, degree=2, grid_k=None,
         svd_rel_tol=float(svd_rel_tol),
         notes=notes,
     )
-
-
-def sorted_fields(fields):
-    """Stable ordering of polynomial fields by their leading monomial."""
-    def key(f):
-        items = f.terms_sorted()
-        return monomial_key(items[0][0]) if items else ((-1, ()))
-    return tuple(sorted(fields, key=key))

@@ -24,6 +24,11 @@ SVD_REL_TOL = 1e-8     # relative singular-value cutoff (rank / nullspace)
 CLUSTER_TOL_FACTOR = 1e-6   # fiber clustering resolution
 DEDUP_TOL_FACTOR = 1e-9     # map-equality tolerance inside a family
 
+# Containment slack of a box, relative to max(diameter, 1) (``Box.slack``);
+# ``compose`` alone tests against the tighter COMPOSE_MARGIN.
+CONTAINMENT_SLACK = 1e-9
+COMPOSE_MARGIN = 1e-12
+
 # Fit and grid defaults.
 FIT_DEGREE = 4
 GRID_PER_AXIS = 5           # lattice density for map/axiom checks

@@ -55,8 +55,15 @@ class Box:
         """Longest side; the scale against which relative tolerances resolve."""
         return max(self.widths)
 
-    def contains(self, points, slack=0.0):
-        """Membership mask for a point (d,) or batch (P, d)."""
+    @property
+    def slack(self):
+        """How far outside the box a point may lie and still count as inside."""
+        return defaults.CONTAINMENT_SLACK * max(self.diameter, 1.0)
+
+    def contains(self, points, slack=None):
+        """Membership mask for a point (d,) or batch (P, d), up to ``slack``."""
+        if slack is None:
+            slack = self.slack
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
         if single:
@@ -68,6 +75,10 @@ class Box:
         mask = np.all((pts >= lo) & (pts <= hi), axis=1)
         return bool(mask[0]) if single else mask
 
+    def contains_box(self, other):
+        """True when both corners of ``other`` are inside this box."""
+        return bool(np.all(self.contains(np.array([other.lo, other.hi]))))
+
     def intersect(self, other):
         """Intersection box, or None when the interiors do not meet."""
         if self.dim != other.dim:
@@ -78,11 +89,12 @@ class Box:
             return None
         return Box(lo, hi)
 
-    def almost_equal(self, other, rtol=1e-9):
-        scale = max(self.diameter, other.diameter) if self.dim == other.dim else 0.0
-        return (self.dim == other.dim
-                and all(abs(a - b) <= rtol * scale for a, b in zip(self.lo, other.lo))
-                and all(abs(a - b) <= rtol * scale for a, b in zip(self.hi, other.hi)))
+
+def lattice_points(lo, hi, k):
+    """k points per axis from ``lo`` to ``hi``, in lexicographic order, as a
+    (k^d, d) array.  An axis with lo == hi contributes k copies of its value."""
+    axes = [np.linspace(a, b, k) for a, b in zip(lo, hi)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(lo))
 
 
 class SampleGrid:
@@ -93,8 +105,7 @@ class SampleGrid:
     def __init__(self, box, k=defaults.GRID_PER_AXIS):
         if k < 2:
             raise ConfigurationError(f"grid needs at least 2 points per axis, got {k}")
-        axes = [np.linspace(a, b, k) for a, b in zip(box.lo, box.hi)]
-        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, box.dim)
+        pts = lattice_points(box.lo, box.hi, k)
         pts.flags.writeable = False
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "k", int(k))

@@ -27,7 +27,7 @@ import numpy as np
 from . import defaults
 from .errors import (CompositionError, DomainError, InversionError,
                      NumericalError)
-from .jfield import Box, SampleGrid, eval_j
+from .jfield import Box, SampleGrid, eval_j, lattice_points
 from .poly import PolyMap, Polynomial
 from .report import make_report
 
@@ -81,16 +81,13 @@ class LocalMap:
 
     # -- evaluation ------------------------------------------------------
 
-    def _domain_slack(self):
-        return 1e-9 * max(self.domain.diameter, 1.0)
-
     def evaluate(self, points, check_domain=True):
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
         if single:
             pts = pts[None, :]
         if check_domain:
-            inside = self.domain.contains(pts, slack=self._domain_slack())
+            inside = self.domain.contains(pts)
             if not np.all(inside):
                 bad = pts[~inside][0]
                 raise DomainError(
@@ -247,11 +244,6 @@ def _steps_of(map_):
     return map_.steps if map_.kind == LocalMap.CHAIN else (map_,)
 
 
-def _mesh_points(lo, hi, k):
-    axes = [np.linspace(a, b, k) for a, b in zip(lo, hi)]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(lo))
-
-
 def compose(first, second, grid_k=defaults.GRID_PER_AXIS):
     """The composite "apply ``first``, then ``second``" on its effective domain.
 
@@ -264,7 +256,10 @@ def compose(first, second, grid_k=defaults.GRID_PER_AXIS):
         raise CompositionError("maps act on spaces of different dimension")
     lattice = SampleGrid(first.domain, grid_k).points
     images, evaluable = first.try_evaluate(lattice)
-    slack = 1e-12 * max(second.domain.diameter, 1.0)
+    # Tighter than ``Box.slack``: a composite's domain must sit strictly inside
+    # what the general containment rule accepts, or closure members stop
+    # covering each other.
+    slack = defaults.COMPOSE_MARGIN * max(second.domain.diameter, 1.0)
     ok = evaluable & second.domain.contains(images, slack=slack)
     if not np.any(ok):
         raise CompositionError(
@@ -272,7 +267,7 @@ def compose(first, second, grid_k=defaults.GRID_PER_AXIS):
             f"{second.label}")
 
     def passes(lo, hi):
-        pts = _mesh_points(lo, hi, grid_k)
+        pts = lattice_points(lo, hi, grid_k)
         img, good = first.try_evaluate(pts)
         if not np.all(good):
             return False
@@ -348,8 +343,7 @@ def invert(map_, grid_k=defaults.GRID_PER_AXIS, tol_invert=defaults.TOL_INVERT,
     lattice, images = lattice[evaluable], images[evaluable]
     if map_.declared_inverse is not None:
         inv = map_.declared_inverse
-        inside = inv.domain.contains(images, slack=1e-9 * max(inv.domain.diameter, 1.0))
-        if not np.all(inside):
+        if not np.all(inv.domain.contains(images)):
             raise InversionError(
                 f"declared inverse of {map_.label} does not cover its image")
         back, back_ok = inv.try_evaluate(images)
@@ -385,12 +379,7 @@ def invert(map_, grid_k=defaults.GRID_PER_AXIS, tol_invert=defaults.TOL_INVERT,
 def covers(member, candidate, tol, grid_k=defaults.GRID_PER_AXIS):
     """True when ``member`` contains ``candidate``: domain containment plus
     agreement on the candidate's lattice."""
-    if member.dim != candidate.dim:
-        return False
-    slack = 1e-9 * max(member.domain.diameter, candidate.domain.diameter, 1.0)
-    if any(ml > cl + slack for ml, cl in zip(member.domain.lo, candidate.domain.lo)):
-        return False
-    if any(mh < ch - slack for mh, ch in zip(member.domain.hi, candidate.domain.hi)):
+    if member.dim != candidate.dim or not member.domain.contains_box(candidate.domain):
         return False
     pts = SampleGrid(candidate.domain, grid_k).points
     a, ok_a = member.try_evaluate(pts)
@@ -453,9 +442,7 @@ def generate(seeds, ambient, depth=2, grid_k=defaults.GRID_PER_AXIS,
         if len(members) >= MAX_FAMILY_SIZE:
             raise NumericalError(
                 f"family exceeded the safety cap of {MAX_FAMILY_SIZE} members")
-        slack = 1e-9 * max(ambient.diameter, 1.0)
-        if not ambient.contains(np.array(candidate.domain.lo), slack=slack) or \
-           not ambient.contains(np.array(candidate.domain.hi), slack=slack):
+        if not ambient.contains_box(candidate.domain):
             notes.append(f"dropped {candidate.label}: domain leaves the ambient box")
             return False
         for m in members:
@@ -601,7 +588,7 @@ def _check_glue(family, test, grid_k):
     target_pts = SampleGrid(test.target, grid_k).points
     covered_mask = np.zeros(len(target_pts), dtype=bool)
     for piece in pieces:
-        covered_mask |= piece.domain.contains(target_pts, slack=1e-9)
+        covered_mask |= piece.domain.contains(target_pts)
     if not np.all(covered_mask):
         failures.append(
             f"{int(np.sum(~covered_mask))} target lattice points not covered "
@@ -609,9 +596,7 @@ def _check_glue(family, test, grid_k):
         return failures
     glued = None
     for m in family.members:
-        slack = 1e-9 * max(m.domain.diameter, 1.0)
-        if all(ml <= tl + slack for ml, tl in zip(m.domain.lo, test.target.lo)) and \
-           all(mh >= th - slack for mh, th in zip(m.domain.hi, test.target.hi)):
+        if m.domain.contains_box(test.target):
             agrees = all(
                 float(np.max(np.abs(
                     m.evaluate(SampleGrid(p.domain, grid_k).points, check_domain=False)
@@ -645,12 +630,12 @@ def check_ah_map(map_, structure, target_structure=None,
             f"map dimension {map_.dim} does not match the structure dimension "
             f"{structure.real_dim}")
     pts = SampleGrid(map_.domain, grid_k).points
-    src_ok = structure.box.contains(pts, slack=1e-12)
+    src_ok = structure.box.contains(pts)
     pts = pts[src_ok]
     skipped = int(np.sum(~src_ok))
     if len(pts):
         images, evaluable = map_.try_evaluate(pts)
-        dst_ok = evaluable & target_structure.box.contains(images, slack=1e-12)
+        dst_ok = evaluable & target_structure.box.contains(images)
         skipped += int(np.sum(~dst_ok))
         pts, images = pts[dst_ok], images[dst_ok]
     if not len(pts):
@@ -692,14 +677,12 @@ def check_over_diagram(diagram, grid_k=defaults.GRID_PER_AXIS,
     """
     pts = SampleGrid(diagram.phi.domain, grid_k).points
     total = len(pts)
-    slack = 1e-9
-    ok = diagram.f_src.domain.contains(pts, slack=slack)
-    pts = pts[ok]
+    pts = pts[diagram.f_src.domain.contains(pts)]
     up = diagram.phi.evaluate(pts, check_domain=False)
-    ok = diagram.f_dst.domain.contains(up, slack=slack)
+    ok = diagram.f_dst.domain.contains(up)
     pts, up = pts[ok], up[ok]
     down = diagram.f_src.evaluate(pts, check_domain=False)
-    ok = diagram.psi.domain.contains(down, slack=slack)
+    ok = diagram.psi.domain.contains(down)
     pts, up, down = pts[ok], up[ok], down[ok]
     skipped = total - len(pts)
     if skipped > 0.2 * total:

@@ -6,7 +6,10 @@ comparison direction is recorded per metric so reports are self-describing.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+from .errors import NumericalError
 
 
 @dataclass
@@ -35,8 +38,10 @@ def make_report(task, metrics, tolerances, comparisons=None, notes=None,
     Every metric named in ``tolerances`` is compared; direction defaults to
     "le" (metric must not exceed the tolerance) and can be flipped to "ge"
     per metric via ``comparisons``.  ``extra_pass`` folds in conditions that
-    are not simple threshold checks.
+    are not simple threshold checks.  A non-finite metric raises NumericalError.
     """
+    if not all(math.isfinite(v) for v in metrics.values()):
+        raise NumericalError(f"{task}: metrics are not all finite: {metrics}")
     comparisons = dict(comparisons or {})
     ok = bool(extra_pass)
     for name, bound in tolerances.items():

@@ -13,6 +13,7 @@ text summary that includes the wall-clock time.
 from __future__ import annotations
 
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
@@ -140,10 +141,9 @@ def parse_scenario(data):
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a JSON object")
     name = str(_require(data, "name", "scenario"))
-    try:
-        n = int(_require(data, "n", "scenario"))
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f'scenario: "n" must be an integer: {exc}') from exc
+    n = _require(data, "n", "scenario")
+    if not _is_int(n):
+        raise ScenarioError(f'scenario: "n" must be an integer, got {n!r}')
     box = _parse_box(_require(data, "box", "scenario"), "scenario box", 2 * n)
     if "J" in data:
         structure = _parse_structure(data, n, box, f"scenario {name}")
@@ -214,29 +214,19 @@ def parse_scenario(data):
         family_specs[gname] = FamilySpec(gname, member_names, depth, dedup_tol,
                                          targets, tuple(glue_tests))
 
-    tolerances = dict(defaults.DEFAULT_TOLERANCES)
-    for tname, tval in (data.get("tolerances") or {}).items():
-        if tname not in tolerances:
-            raise ScenarioError(f"unknown tolerance {tname!r}")
-        tval = float(tval)
-        if tval <= 0:
-            raise ScenarioError(f"tolerance {tname!r} must be positive")
-        tolerances[tname] = tval
+    tolerances = _with_tolerances(defaults.DEFAULT_TOLERANCES,
+                                  data.get("tolerances"))
 
-    tasks = []
-    for i, spec in enumerate(data.get("tasks") or ()):
-        where = f"task {i}"
-        kind = _require(spec, "task", where)
-        if kind not in TASK_RUNNERS:
-            raise ScenarioError(f"{where}: unknown task {kind!r}")
-        expect = spec.get("expect", "pass")
-        if expect not in ("pass", "fail"):
-            raise ScenarioError(f'{where}: expect must be "pass" or "fail"')
-        _validate_task_refs(kind, spec, functions, maps, chart_specs,
-                            family_specs, where)
-        tasks.append(dict(spec))
-    if not tasks:
+    task_specs = data.get("tasks") or []
+    if not isinstance(task_specs, list):
+        raise ScenarioError('scenario: "tasks" must be a list of task objects')
+    if not task_specs:
         raise ScenarioError("scenario declares no tasks")
+    tables = {"function": functions, "map": maps, "chart": chart_specs,
+              "family": family_specs}
+    for i, spec in enumerate(task_specs):
+        _validate_task(spec, tables, f"task {i}")
+    tasks = [dict(spec) for spec in task_specs]
 
     return Scenario(name=name, n=n, box=box, structure=structure,
                     functions=functions, maps=maps, chart_specs=chart_specs,
@@ -255,54 +245,61 @@ def load_scenario(path):
     return parse_scenario(data)
 
 
-def _validate_task_refs(kind, spec, functions, maps, chart_specs,
-                        family_specs, where):
-    def need_function(key):
-        fn = _require(spec, key, where)
-        if fn not in functions:
-            raise ScenarioError(f"{where}: unknown function {fn!r}")
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
 
-    def need_chart(label):
-        if label not in chart_specs:
-            raise ScenarioError(f"{where}: unknown chart {label!r}")
 
-    if kind == "cr_check":
-        need_function("function")
-    elif kind == "chart":
-        need_chart(_require(spec, "chart", where))
-    elif kind == "factorize":
-        need_chart(_require(spec, "chart", where))
-        need_function("function")
-    elif kind == "transition":
-        labels = _require(spec, "charts", where)
-        if len(labels) != 2:
-            raise ScenarioError(f"{where}: transition takes two charts")
-        for lbl in labels:
-            need_chart(lbl)
-    elif kind == "cocycle":
-        labels = _require(spec, "charts", where)
-        if len(labels) != 3:
-            raise ScenarioError(f"{where}: cocycle takes three charts")
-        for lbl in labels:
-            need_chart(lbl)
-    elif kind == "axioms":
-        fam = _require(spec, "family", where)
-        if fam not in family_specs:
-            raise ScenarioError(f"{where}: unknown family {fam!r}")
-    elif kind == "ah_map":
-        if "family" in spec:
-            if spec["family"] not in family_specs:
-                raise ScenarioError(f"{where}: unknown family {spec['family']!r}")
-        elif "map" in spec:
-            if spec["map"] not in maps:
-                raise ScenarioError(f"{where}: unknown map {spec['map']!r}")
-        else:
-            raise ScenarioError(f'{where}: ah_map needs "map" or "family"')
-    elif kind == "over_diagram":
-        for key in ("phi", "f_src", "f_dst", "psi"):
-            mn = _require(spec, key, where)
-            if mn not in maps:
-                raise ScenarioError(f"{where}: unknown map {mn!r}")
+def _with_tolerances(tolerances, overrides):
+    """``tolerances`` with ``overrides`` applied; each override must name a
+    known tolerance and be a finite positive number."""
+    overrides = {} if overrides is None else overrides
+    if not isinstance(overrides, dict):
+        raise ScenarioError("tolerances must map names to numbers")
+    out = dict(tolerances)
+    for tname, tval in overrides.items():
+        if tname not in out:
+            raise ScenarioError(f"unknown tolerance {tname!r}")
+        if not isinstance(tval, (int, float)) or isinstance(tval, bool) \
+                or not math.isfinite(tval) or tval <= 0:
+            raise ScenarioError(f"tolerance {tname!r} must be a finite "
+                                f"positive number, got {tval!r}")
+        out[tname] = float(tval)
+    return out
+
+
+def _validate_task(spec, tables, where):
+    """Check one task object's keys, integers and references against TASKS."""
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"{where}: a task must be a JSON object")
+    kind = _require(spec, "task", where)
+    if not isinstance(kind, str) or kind not in TASKS:
+        raise ScenarioError(f"{where}: unknown task {kind!r}")
+    keys = TASKS[kind][1]
+    unknown = sorted(set(spec) - set(keys) - {"task", "label", "expect"})
+    if unknown:
+        raise ScenarioError(f"{where}: {kind} takes none of {unknown}; "
+                            f"its keys are {list(keys)}")
+    if spec.get("expect", "pass") not in ("pass", "fail"):
+        raise ScenarioError(f'{where}: expect must be "pass" or "fail"')
+    refs = [key for key, ref in keys.items() if ref != "int"]
+    if kind == "ah_map":
+        refs = [key for key in refs if key in spec]
+        if len(refs) != 1:
+            raise ScenarioError(f'{where}: ah_map needs one of "map" and "family"')
+    for key, ref in keys.items():
+        if ref == "int" and key in spec and not _is_int(spec[key]):
+            raise ScenarioError(f"{where}: {key!r} must be an integer, "
+                                f"got {spec[key]!r}")
+    for key in refs:
+        table, count = keys[key] if isinstance(keys[key], tuple) else (keys[key], 0)
+        labels = _require(spec, key, where)
+        if not count:
+            labels = [labels]
+        elif not isinstance(labels, list) or len(labels) != count:
+            raise ScenarioError(f"{where}: {key!r} must list {count} {table} labels")
+        for label in labels:
+            if not isinstance(label, str) or label not in tables[table]:
+                raise ScenarioError(f"{where}: unknown {table} {label!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +307,7 @@ def _validate_task_refs(kind, spec, functions, maps, chart_specs,
 # ---------------------------------------------------------------------------
 
 def _grid_of(scenario, spec, default_k=defaults.GRID_PER_AXIS):
-    k = int(spec.get("grid", default_k))
-    return SampleGrid(scenario.structure.box, k)
+    return SampleGrid(scenario.structure.box, spec.get("grid", default_k))
 
 
 def _build_chart(scenario, label, tols, grid_override=None):
@@ -526,21 +522,34 @@ def _run_over_diagram(scenario, spec, tols):
                               tol=tols["tol_diagram"])
 
 
-TASK_RUNNERS = {
-    "check_acs": _run_check_acs,
-    "split_type": _run_split_type,
-    "integrability": _run_integrability,
-    "cr_check": _run_cr_check,
-    "solve_ah": _run_solve_ah,
-    "spencer_type": _run_spencer_type,
-    "chart": _run_chart,
-    "factorize": _run_factorize,
-    "transition": _run_transition,
-    "cocycle": _run_cocycle,
-    "axioms": _run_axioms,
-    "ah_map": _run_ah_map,
-    "over_diagram": _run_over_diagram,
+# Per task kind: its runner and the keys it takes besides "task", "label" and
+# "expect", as in the README table.  "int" marks an optional integer.  Any
+# other entry is a required reference: the scenario table its label must be
+# declared in, or (table, count) for a list of count labels.  ``ah_map``
+# takes exactly one of its two references.
+TASKS = {
+    "check_acs": (_run_check_acs, {"grid": "int"}),
+    "split_type": (_run_split_type, {"grid": "int"}),
+    "integrability": (_run_integrability, {"grid": "int"}),
+    "cr_check": (_run_cr_check, {"function": "function", "grid": "int"}),
+    "solve_ah": (_run_solve_ah, {"degree": "int", "grid": "int",
+                                 "expect_dim": "int"}),
+    "spencer_type": (_run_spencer_type, {"degree": "int", "grid": "int",
+                                         "expect_m": "int"}),
+    "chart": (_run_chart, {"chart": "chart", "grid": "int"}),
+    "factorize": (_run_factorize, {"chart": "chart", "function": "function",
+                                   "grid": "int", "fit_degree": "int"}),
+    "transition": (_run_transition, {"charts": ("chart", 2), "grid": "int",
+                                     "fit_degree": "int"}),
+    "cocycle": (_run_cocycle, {"charts": ("chart", 3), "grid": "int",
+                               "fit_degree": "int"}),
+    "axioms": (_run_axioms, {"family": "family"}),
+    "ah_map": (_run_ah_map, {"map": "map", "family": "family", "grid": "int"}),
+    "over_diagram": (_run_over_diagram, {"phi": "map", "f_src": "map",
+                                         "f_dst": "map", "psi": "map",
+                                         "grid": "int"}),
 }
+TASK_RUNNERS = {kind: runner for kind, (runner, _) in TASKS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -577,11 +586,7 @@ def run_scenario(scenario, tol_overrides=None, grid_override=None,
     """
     import time
     started = time.perf_counter()
-    tols = dict(scenario.tolerances)
-    for tname, tval in (tol_overrides or {}).items():
-        if tname not in tols:
-            raise ScenarioError(f"unknown tolerance {tname!r}")
-        tols[tname] = float(tval)
+    tols = _with_tolerances(scenario.tolerances, tol_overrides)
     specs = []
     for spec in scenario.tasks:
         if task_filter and spec["task"] != task_filter \

@@ -18,6 +18,7 @@ from spencerkit import (
     standard_structure,
 )
 from spencerkit.errors import ConfigurationError, DegenerateStructureError
+from spencerkit.jfield import lattice_points
 
 
 def test_box_validation():
@@ -42,6 +43,30 @@ def test_box_contains_and_intersect():
     assert inter.hi == pytest.approx((1.0, 1.0))
     assert b.intersect(Box((5.0, 5.0), (6.0, 6.0))) is None
     assert b.intersect(Box((1.0, 0.0), (2.0, 1.0))) is None
+
+
+def test_box_default_slack_and_contains_box():
+    b = Box((0.0, 0.0), (3.0, 1.0))
+    assert b.slack == pytest.approx(3e-9)
+    assert Box((0.0, 0.0), (0.5, 0.5)).slack == pytest.approx(1e-9)
+    for factor, inside in ((0.5, True), (2.0, False)):
+        edge = 3.0 + factor * b.slack
+        assert b.contains(np.array([edge, 0.5])) is inside
+        assert b.contains(np.array([[0.0 - factor * b.slack, 0.5]])).tolist() == [inside]
+        assert b.contains_box(Box((0.0, 0.0), (edge, 1.0))) is inside
+    assert b.contains_box(b)
+    assert b.contains_box(Box((1.0, 0.2), (2.0, 0.8)))
+    assert not b.contains_box(Box((1.0, 0.2), (4.0, 0.8)))
+    assert not b.contains_box(Box((-1.0, 0.2), (2.0, 0.8)))
+
+
+def test_lattice_points_match_sample_grid_and_allow_flat_axes():
+    box = Box((-1.0, 0.0, 2.0), (1.0, 0.5, 3.0))
+    assert np.array_equal(lattice_points(box.lo, box.hi, 4), SampleGrid(box, 4).points)
+    flat = lattice_points((0.2, 0.3), (0.2, 0.7), 3)
+    assert flat.shape == (9, 2)
+    assert np.all(flat[:, 0] == 0.2)
+    assert np.allclose(flat[:3, 1], [0.3, 0.5, 0.7])
 
 
 def test_sample_grid_is_lexicographic_and_frozen():

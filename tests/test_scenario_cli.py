@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from spencerkit import cli
@@ -211,6 +212,59 @@ def test_cli_exit_three_on_numerical_error(monkeypatch, scenario_file, capsys):
     code = cli.main(["run", path])
     assert code == 3
     assert "numerical error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tolerances", [
+    {"tol_cr": "abc"}, {"tol_cr": float("nan")}, {"tol_cr": float("inf")},
+    {"tol_cr": True}, ["tol_cr", 1e-9],
+])
+def test_parse_rejects_non_numeric_and_non_finite_tolerances(tolerances):
+    with pytest.raises(ScenarioError):
+        parse_scenario(minimal_scenario(tolerances=tolerances))
+
+
+@pytest.mark.parametrize("override", [
+    "tol_cr=inf", "tol_cr=-1", "tol_cr=nan", "svd_rel_tol=0",
+])
+def test_cli_tol_override_must_be_finite_and_positive(scenario_file, capsys,
+                                                       override):
+    path = scenario_file(minimal_scenario())
+    assert cli.main(["run", path, "--tol", override]) == 2
+    assert "finite positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides", [
+    {"tasks": [{"task": "solve_ah", "degree": 2, "expect_dims": 5}]},
+    {"tasks": [{"task": "solve_ah", "degree": "x"}]},
+    {"tasks": [{"task": "cr_check", "function": "z", "grid": 5.0}]},
+    {"tasks": {"task": "cr_check", "function": "z"}},
+    {"tasks": ["cr_check"]},
+    {"tasks": [{"task": "transition", "charts": "c"}]},
+    {"tasks": [{"task": "ah_map", "map": "m", "family": "f"}]},
+    {"n": True},
+])
+def test_cli_rejects_malformed_scenarios_with_exit_two(scenario_file, capsys,
+                                                        overrides):
+    data = minimal_scenario(
+        maps={"m": {"components": ["x1", "x2"]}},
+        families={"f": {"members": ["m"]}},
+        charts={"c": {"functions": ["z"]}})
+    data.update(overrides)
+    assert cli.main(["run", scenario_file(data)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_exit_three_on_non_finite_metric(scenario_file, capsys):
+    data = minimal_scenario(
+        J=[["1e300*x1^2", "-1"], ["1", "0"]],
+        box={"lo": [-1.0, -1.0], "hi": [1e200, 1.0]},
+        tasks=[{"task": "check_acs"}])
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["run", scenario_file(data)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "not all finite" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_json_byte_identity_across_processes(scenario_file):
