@@ -92,9 +92,35 @@ class Box:
 
 def lattice_points(lo, hi, k):
     """k points per axis from ``lo`` to ``hi``, in lexicographic order, as a
-    (k^d, d) array.  An axis with lo == hi contributes k copies of its value."""
-    axes = [np.linspace(a, b, k) for a, b in zip(lo, hi)]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(lo))
+    (k^d, d) array.  An axis with lo == hi contributes k copies of its value.
+
+    Bounds of shape (C, d) give C lattices stacked as (C, k^d, d), each bit
+    for bit the lattice of its own row of bounds."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    if lo.ndim == 1:
+        axes = [np.linspace(a, b, k) for a, b in zip(lo, hi)]
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(lo))
+    count, dim = lo.shape
+    out = np.empty((count,) + (k,) * dim + (dim,))
+    for e in range(dim):
+        values = _linspace_rows(lo[:, e], hi[:, e], k)
+        shape = [len(values)] + [1] * dim
+        shape[e + 1] = k
+        out[..., e] = values.reshape(shape)
+    return out.reshape(count, -1, dim)
+
+
+def _linspace_rows(a, b, k):
+    """``np.linspace(a[i], b[i], k)`` for every row i, bit for bit; a single
+    row when all rows agree."""
+    if np.all(a == a[0]) and np.all(b == b[0]):
+        return np.linspace(a[0], b[0], k)[None, :]
+    if np.any((b - a) / (k - 1) == 0):
+        # Over arrays, linspace takes its zero-step branch for every row as
+        # soon as one row has a zero step, which changes the other rows' bits.
+        return np.array([np.linspace(x, y, k) for x, y in zip(a, b)])
+    return np.linspace(a, b, k, axis=-1)
 
 
 class SampleGrid:

@@ -20,13 +20,14 @@ many boxes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from . import defaults
-from .errors import (CompositionError, DomainError, InversionError,
-                     NumericalError)
+from .errors import (CompositionError, ConfigurationError, DomainError,
+                     InversionError, NumericalError)
 from .jfield import Box, SampleGrid, eval_j, lattice_points
 from .poly import PolyMap, Polynomial
 from .report import make_report
@@ -244,13 +245,55 @@ def _steps_of(map_):
     return map_.steps if map_.kind == LocalMap.CHAIN else (map_,)
 
 
+# Each side of a composite's domain is found by BISECTION_STEPS halvings;
+# one batched evaluation decides BISECTION_LEVELS of them (a divisor of
+# BISECTION_STEPS).  Deeper batches cost more Newton work than they save
+# in calls.
+BISECTION_STEPS = 60
+BISECTION_LEVELS = 3
+
+
+def _bisect_stretch(passes, avail):
+    """The stretch in [0, avail] that the sequential search would keep.
+
+    That search takes ``avail`` when it passes, and otherwise the last
+    passing midpoint of BISECTION_STEPS halvings of (0, avail).  Here
+    ``passes`` maps an array of stretches to an array of verdicts, and each
+    call decides BISECTION_LEVELS halvings at once: it gets every midpoint
+    they could visit, in heap order and with the same ``0.5 * (a + b)``
+    arithmetic, and the verdicts pick the path.  The full stretch rides in
+    the first call.
+    """
+    t_ok, t_bad = 0.0, avail
+    full = [avail]
+    for _ in range(BISECTION_STEPS // BISECTION_LEVELS):
+        bounds, mids = [(t_ok, t_bad)], []
+        for node in range(2 ** BISECTION_LEVELS - 1):
+            a, b = bounds[node]
+            mid = 0.5 * (a + b)
+            mids.append(mid)
+            bounds += [(a, mid), (mid, b)]
+        verdicts = passes(np.array(full + mids))
+        if full:
+            if verdicts[0]:
+                return avail
+            full, verdicts = [], verdicts[1:]
+        node = 0
+        for _ in range(BISECTION_LEVELS):
+            if verdicts[node]:
+                t_ok, node = mids[node], 2 * node + 2
+            else:
+                t_bad, node = mids[node], 2 * node + 1
+    return t_ok
+
+
 def compose(first, second, grid_k=defaults.GRID_PER_AXIS):
     """The composite "apply ``first``, then ``second``" on its effective domain.
 
     The effective domain is the largest sub-box of the first map's domain
-    (found by seeded per-side bisection) whose lattice lands inside the
-    second map's domain.  Raises CompositionError when no lattice point of
-    the first domain does.
+    (found by seeded per-side bisection, see ``_bisect_stretch``) whose
+    lattice lands inside the second map's domain.  Raises CompositionError
+    when no lattice point of the first domain does.
     """
     if first.dim != second.dim:
         raise CompositionError("maps act on spaces of different dimension")
@@ -265,13 +308,6 @@ def compose(first, second, grid_k=defaults.GRID_PER_AXIS):
         raise CompositionError(
             f"no lattice point of {first.label} maps into the domain of "
             f"{second.label}")
-
-    def passes(lo, hi):
-        pts = lattice_points(lo, hi, grid_k)
-        img, good = first.try_evaluate(pts)
-        if not np.all(good):
-            return False
-        return bool(np.all(second.domain.contains(img, slack=slack)))
 
     seed = lattice[int(np.argmax(ok))]
     lo = np.array(seed, dtype=float)
@@ -291,26 +327,25 @@ def compose(first, second, grid_k=defaults.GRID_PER_AXIS):
                     continue
 
                 def stretched(t):
-                    l2, h2 = lo.copy(), hi.copy()
+                    l2 = np.repeat(lo[None, :], np.size(t), axis=0)
+                    h2 = np.repeat(hi[None, :], np.size(t), axis=0)
                     if side == "lo":
-                        l2[d] -= t
+                        l2[:, d] = lo[d] - t
                     else:
-                        h2[d] += t
+                        h2[:, d] = hi[d] + t
                     return l2, h2
 
-                if passes(*stretched(avail)):
-                    best = avail
-                else:
-                    t_ok, t_bad = 0.0, avail
-                    for _ in range(60):
-                        mid = 0.5 * (t_ok + t_bad)
-                        if passes(*stretched(mid)):
-                            t_ok = mid
-                        else:
-                            t_bad = mid
-                    best = t_ok
+                def passes(ts):
+                    l2, h2 = stretched(ts)
+                    pts = lattice_points(l2, h2, grid_k)
+                    img, good = first.try_evaluate(pts.reshape(-1, first.dim))
+                    good &= second.domain.contains(img, slack=slack)
+                    return good.reshape(len(ts), -1).all(axis=1)
+
+                best = _bisect_stretch(passes, avail)
                 if best > growth_tol:
-                    lo, hi = stretched(best)
+                    l2, h2 = stretched(best)
+                    lo, hi = l2[0], h2[0]
                     grew = True
         if not grew:
             break
@@ -409,6 +444,9 @@ class PseudogroupFamily:
     grid_k: int
     depth: int
     notes: list = dc_field(default_factory=list)
+    # (f, g, grid_k) -> compose(f, g) or the CompositionError it raised;
+    # filled by ``generate`` and reused by ``validate_axioms``.
+    composites: dict = dc_field(default_factory=dict, repr=False)
 
     def labels(self):
         return [m.label for m in self.members]
@@ -423,6 +461,21 @@ class PseudogroupFamily:
 MAX_FAMILY_SIZE = 500
 
 
+def _composite(cache, f, g, grid_k):
+    """``compose(f, g)`` or the CompositionError it raises, computed once per
+    pair.  Keys hold the maps themselves: LocalMap compares by identity, and
+    a key keeps its maps alive, so no other map can take its place."""
+    key = (f, g, grid_k)
+    if key not in cache:
+        try:
+            cache[key] = compose(f, g, grid_k=grid_k)
+        except CompositionError as exc:
+            # Without its traceback the error does not keep compose's
+            # lattices alive.
+            cache[key] = exc.with_traceback(None)
+    return cache[key]
+
+
 def generate(seeds, ambient, depth=2, grid_k=defaults.GRID_PER_AXIS,
              dedup_tol=None, restriction_targets=()):
     """Breadth-first closure of seed maps under composition and inversion.
@@ -431,12 +484,19 @@ def generate(seeds, ambient, depth=2, grid_k=defaults.GRID_PER_AXIS,
     restrictions of current members are formed; candidates already contained
     in a member are dropped.  Identities are added for every seed up front
     and for every member domain at the end.  Insertion order is
-    deterministic, so repeated runs agree exactly.
+    deterministic, so repeated runs agree exactly.  Each ordered pair is
+    composed once; the family keeps the composites for ``validate_axioms``.
     """
     if dedup_tol is None:
         dedup_tol = defaults.DEDUP_TOL_FACTOR * ambient.diameter
+    if not (math.isfinite(dedup_tol) and dedup_tol > 0):
+        # With NaN no candidate is ever covered, and the family grows to
+        # MAX_FAMILY_SIZE before anything fails.
+        raise ConfigurationError(
+            f"dedup_tol must be a finite positive number, got {dedup_tol!r}")
     members = []
     notes = []
+    composites = {}
 
     def add(candidate):
         if len(members) >= MAX_FAMILY_SIZE:
@@ -460,10 +520,9 @@ def generate(seeds, ambient, depth=2, grid_k=defaults.GRID_PER_AXIS,
         current = list(members)
         for f in current:
             for g in current:
-                try:
-                    add(compose(f, g, grid_k=grid_k))
-                except CompositionError:
-                    continue
+                c = _composite(composites, f, g, grid_k)
+                if not isinstance(c, CompositionError):
+                    add(c)
         for f in current:
             try:
                 add(invert(f, grid_k=grid_k))
@@ -483,7 +542,8 @@ def generate(seeds, ambient, depth=2, grid_k=defaults.GRID_PER_AXIS,
 
     return PseudogroupFamily(ambient=ambient, members=members,
                              dedup_tol=float(dedup_tol), grid_k=int(grid_k),
-                             depth=int(depth), notes=notes)
+                             depth=int(depth), notes=notes,
+                             composites=composites)
 
 
 def _contained(family, candidate):
@@ -504,9 +564,8 @@ def validate_axioms(family, glue_tests=(), grid_k=None):
     failures = []
     for f in family.members:
         for g in family.members:
-            try:
-                c = compose(f, g, grid_k=grid_k)
-            except CompositionError:
+            c = _composite(family.composites, f, g, grid_k)
+            if isinstance(c, CompositionError):
                 continue
             if not _contained(family, c):
                 failures.append(f"{f.label}>>{g.label}")

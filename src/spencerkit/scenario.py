@@ -45,6 +45,10 @@ class ChartSpec:
     box: object  # Box or None for the structure box
 
 
+FAMILY_KEYS = ("members", "depth", "dedup_tol", "restriction_targets",
+               "glue_tests")
+
+
 @dataclass
 class FamilySpec:
     label: str
@@ -86,6 +90,15 @@ def _require(data, key, where):
     if key not in data:
         raise ScenarioError(f"{where}: missing required key {key!r}")
     return data[key]
+
+
+def _require_list(data, key, where, default=None):
+    """``data[key]``, which must be a JSON list; ``default`` when absent,
+    or required when no default is given."""
+    value = _require(data, key, where) if default is None else data.get(key, default)
+    if not isinstance(value, list):
+        raise ScenarioError(f"{where}: {key!r} must be a list, got {value!r}")
+    return value
 
 
 def _parse_box(data, where, dim=None):
@@ -186,25 +199,38 @@ def parse_scenario(data):
     for gname, gdata in (data.get("families") or {}).items():
         gname = str(gname)
         where = f"family {gname!r}"
-        member_names = tuple(_require(gdata, "members", where))
+        if not isinstance(gdata, dict):
+            raise ScenarioError(f"{where}: a family must be a JSON object")
+        unknown = sorted(set(gdata) - set(FAMILY_KEYS))
+        if unknown:
+            raise ScenarioError(f"{where} takes none of {unknown}; "
+                                f"its keys are {list(FAMILY_KEYS)}")
+        member_names = tuple(_require_list(gdata, "members", where))
         for mn in member_names:
-            if mn not in maps:
+            if not isinstance(mn, str) or mn not in maps:
                 raise ScenarioError(f"{where} references unknown map {mn!r}")
-        depth = int(gdata.get("depth", 2))
-        if depth < 0:
-            raise ScenarioError(f"{where}: depth must be nonnegative")
+        depth = gdata.get("depth", 2)
+        if not _is_int(depth) or depth < 0:
+            raise ScenarioError(f"{where}: depth must be a nonnegative "
+                                f"integer, got {depth!r}")
         dedup_tol = gdata.get("dedup_tol")
+        if dedup_tol is not None and not _is_positive_number(dedup_tol):
+            raise ScenarioError(f"{where}: dedup_tol must be a finite positive "
+                                f"number, got {dedup_tol!r}")
         targets = tuple(_parse_box(b, f"{where} restriction target", 2 * n)
-                        for b in gdata.get("restriction_targets", ()))
+                        for b in _require_list(gdata, "restriction_targets",
+                                               where, []))
         glue_tests = []
-        for t, gt in enumerate(gdata.get("glue_tests", ())):
-            labels = tuple(_require(gt, "members", f"{where} glue test {t}"))
+        for t, gt in enumerate(_require_list(gdata, "glue_tests", where, [])):
+            if not isinstance(gt, dict):
+                raise ScenarioError(f"{where} glue test {t} must be a JSON object")
+            labels = tuple(_require_list(gt, "members", f"{where} glue test {t}"))
             for lbl in labels:
                 if lbl not in member_names:
                     raise ScenarioError(
                         f"{where} glue test {t} references non-member {lbl!r}")
             boxes = tuple(_parse_box(b, f"{where} glue test {t} box", 2 * n)
-                          for b in _require(gt, "boxes", f"{where} glue test {t}"))
+                          for b in _require_list(gt, "boxes", f"{where} glue test {t}"))
             if len(boxes) != len(labels):
                 raise ScenarioError(
                     f"{where} glue test {t}: one box per member is required")
@@ -249,6 +275,11 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_positive_number(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0)
+
+
 def _with_tolerances(tolerances, overrides):
     """``tolerances`` with ``overrides`` applied; each override must name a
     known tolerance and be a finite positive number."""
@@ -259,8 +290,7 @@ def _with_tolerances(tolerances, overrides):
     for tname, tval in overrides.items():
         if tname not in out:
             raise ScenarioError(f"unknown tolerance {tname!r}")
-        if not isinstance(tval, (int, float)) or isinstance(tval, bool) \
-                or not math.isfinite(tval) or tval <= 0:
+        if not _is_positive_number(tval):
             raise ScenarioError(f"tolerance {tname!r} must be a finite "
                                 f"positive number, got {tval!r}")
         out[tname] = float(tval)

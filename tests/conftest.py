@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 
+import spencerkit
 from spencerkit import (
     ACStructure,
     Box,
@@ -95,3 +98,13 @@ def minimal_scenario(**overrides):
     }
     data.update(overrides)
     return data
+
+
+def cli_env(**extra):
+    """Environment for a ``python -m spencerkit`` child process that imports
+    the same package as this test session."""
+    env = dict(os.environ, **extra)
+    src = str(Path(spencerkit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env

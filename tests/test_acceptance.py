@@ -41,6 +41,8 @@ from spencerkit.poly import Polynomial, monomials_upto
 from spencerkit.pseudogroup import OverDiagram
 from spencerkit.scenario import builtin_scenarios
 
+from conftest import cli_env
+
 
 def _passed(number, text):
     print(f"[PASS] acceptance {number}: {text}")
@@ -273,7 +275,7 @@ def test_acceptance_11_determinism(tmp_path):
         for _ in range(2):
             proc = subprocess.run(
                 [sys.executable, "-m", "spencerkit", "run", str(path)],
-                capture_output=True, timeout=600)
+                capture_output=True, timeout=600, env=cli_env())
             assert proc.returncode == 0, proc.stderr.decode()
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]

@@ -69,6 +69,22 @@ def test_lattice_points_match_sample_grid_and_allow_flat_axes():
     assert np.allclose(flat[:3, 1], [0.3, 0.5, 0.7])
 
 
+@pytest.mark.parametrize("lo, hi, k", [
+    # one stretched axis
+    ([[0.1, 0.3], [0.05, 0.3], [-0.7, 0.3]], [[0.4, 0.7], [0.4, 0.7], [0.4, 0.7]], 5),
+    # a zero step in one row: linspace over the whole column would switch
+    # the other rows to its zero-step branch, whose bits differ for k = 4
+    ([[-0.93, 0.3], [0.71, 0.3], [0.2, 0.3]], [[0.71, 0.3], [0.71, 0.3], [0.71, 0.3]], 4),
+    # every axis varies
+    ([[0.0, 0.0, 0.0], [0.1, -0.2, 0.3]], [[1.0, 0.5, 0.7], [0.9, 0.8, 1.3]], 4),
+])
+def test_lattice_points_stacked_rows_are_bit_identical(lo, hi, k):
+    stacked = lattice_points(lo, hi, k)
+    assert stacked.shape == (len(lo), k ** len(lo[0]), len(lo[0]))
+    for row, (a, b) in enumerate(zip(lo, hi)):
+        assert np.array_equal(stacked[row], lattice_points(a, b, k))
+
+
 def test_sample_grid_is_lexicographic_and_frozen():
     grid = SampleGrid(Box((0.0, 0.0), (1.0, 1.0)), k=2)
     assert np.allclose(grid.points,

@@ -5,6 +5,7 @@ import pytest
 
 from spencerkit import (
     Box,
+    SampleGrid,
     GlueTest,
     LocalMap,
     check_ah_map,
@@ -18,7 +19,10 @@ from spencerkit import (
     restrict,
     validate_axioms,
 )
-from spencerkit.errors import CompositionError, DomainError, InversionError
+from spencerkit import defaults, pseudogroup
+from spencerkit.errors import (CompositionError, ConfigurationError,
+                               DomainError, InversionError)
+from spencerkit.jfield import lattice_points
 from spencerkit.pseudogroup import OverDiagram
 
 
@@ -101,6 +105,99 @@ def test_compose_switches_to_chain_over_degree_cap():
     pt = np.array([0.2, 0.1])
     direct = cubic2.evaluate(cubic.evaluate(pt), check_domain=False)
     assert np.allclose(c.evaluate(pt), direct)
+
+
+def sequential_compose_domain(first, second, grid_k=defaults.GRID_PER_AXIS):
+    """Reference: the composite domain found by one bisection midpoint per
+    evaluation, 60 halvings per side, as ``compose`` searched originally."""
+    lattice = SampleGrid(first.domain, grid_k).points
+    images, evaluable = first.try_evaluate(lattice)
+    slack = defaults.COMPOSE_MARGIN * max(second.domain.diameter, 1.0)
+    ok = evaluable & second.domain.contains(images, slack=slack)
+
+    def passes(lo, hi):
+        img, good = first.try_evaluate(lattice_points(lo, hi, grid_k))
+        if not np.all(good):
+            return False
+        return bool(np.all(second.domain.contains(img, slack=slack)))
+
+    lo = np.array(lattice[int(np.argmax(ok))], dtype=float)
+    hi = lo.copy()
+    dom_lo, dom_hi = np.array(first.domain.lo), np.array(first.domain.hi)
+    growth_tol = 1e-12 * max(first.domain.diameter, 1.0)
+    for _ in range(6):
+        grew = False
+        for d in range(first.dim):
+            for side in ("lo", "hi"):
+                avail = lo[d] - dom_lo[d] if side == "lo" else dom_hi[d] - hi[d]
+                if avail <= 0:
+                    continue
+
+                def stretched(t):
+                    l2, h2 = lo.copy(), hi.copy()
+                    if side == "lo":
+                        l2[d] -= t
+                    else:
+                        h2[d] += t
+                    return l2, h2
+
+                if passes(*stretched(avail)):
+                    best = avail
+                else:
+                    t_ok, t_bad = 0.0, avail
+                    for _ in range(60):
+                        mid = 0.5 * (t_ok + t_bad)
+                        if passes(*stretched(mid)):
+                            t_ok = mid
+                        else:
+                            t_bad = mid
+                    best = t_ok
+                if best > growth_tol:
+                    lo, hi = stretched(best)
+                    grew = True
+        if not grew:
+            break
+    return Box(tuple(lo), tuple(hi))
+
+
+def test_compose_domain_is_bit_identical_to_sequential_bisection(doubling,
+                                                                 squaring):
+    cubic = pmap(["x1^3 + 0.5", "x2"], (0.0, 0.0), (0.4, 0.4), "c1")
+    cubic2 = pmap(["0.2*x1^3 + 0.1*x1", "x2"], (0.3, 0.0), (0.55, 0.4), "c2")
+    newton = invert(squaring)
+    cases = [(doubling, doubling, LocalMap.POLY),
+             (cubic, cubic2, LocalMap.CHAIN),
+             (newton, squaring, LocalMap.CHAIN)]
+    for first, second, kind in cases:
+        c = compose(first, second)
+        assert c.kind == kind
+        assert c.domain != first.domain
+        assert c.domain == sequential_compose_domain(first, second)
+
+
+def test_generate_and_axioms_compose_each_pair_once(monkeypatch, translation,
+                                                    doubling):
+    calls = {}
+    original = pseudogroup.compose
+
+    def counting(first, second, grid_k=defaults.GRID_PER_AXIS):
+        key = (id(first), id(second), grid_k)
+        calls[key] = calls.get(key, 0) + 1
+        return original(first, second, grid_k=grid_k)
+
+    monkeypatch.setattr(pseudogroup, "compose", counting)
+    ambient = Box((-1.0, -1.0), (1.0, 1.0))
+    fam = generate([translation, doubling], ambient, depth=2)
+    reports = validate_axioms(fam)
+    assert reports[0].task == "axiom1_composition"
+    assert len(calls) >= len(fam.members) ** 2
+    assert max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("dedup_tol", [float("nan"), float("inf"), 0.0, -1e-9])
+def test_generate_refuses_bad_dedup_tol(doubling, dedup_tol):
+    with pytest.raises(ConfigurationError):
+        generate([doubling], Box((0.0, 0.0), (1.0, 1.0)), dedup_tol=dedup_tol)
 
 
 def test_invert_declared_round_trip(translation):

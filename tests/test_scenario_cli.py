@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -18,13 +19,13 @@ from spencerkit.scenario import (
     run_scenario,
 )
 
-from conftest import minimal_scenario
+from conftest import cli_env, minimal_scenario
 
 
 def run_cli(*argv):
     proc = subprocess.run(
         [sys.executable, "-m", "spencerkit", *argv],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=300, env=cli_env())
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -254,6 +255,46 @@ def test_cli_rejects_malformed_scenarios_with_exit_two(scenario_file, capsys,
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family", [
+    {"members": ["m"], "restriction_target": []},
+    {"members": ["m"], "depth": "x"},
+    {"members": ["m"], "depth": 2.0},
+    {"members": ["m"], "depth": True},
+    {"members": ["m"], "depth": -1},
+    {"members": ["m"], "dedup_tol": "abc"},
+    {"members": ["m"], "dedup_tol": True},
+    {"members": ["m"], "dedup_tol": float("inf")},
+    {"members": ["m"], "dedup_tol": 0},
+    ["m"],
+    {"members": 5},
+    {"members": [["m"]]},
+    {"members": ["m"], "restriction_targets": 5},
+    {"members": ["m"], "glue_tests": 5},
+    {"members": ["m"], "glue_tests": [5]},
+])
+def test_cli_rejects_malformed_families_with_exit_two(scenario_file, capsys,
+                                                      family):
+    data = minimal_scenario(
+        maps={"m": {"components": ["x1", "x2"]}},
+        families={"f": family},
+        tasks=[{"task": "axioms", "family": "f"}])
+    assert cli.main(["run", scenario_file(data)]) == 2
+    assert "family 'f'" in capsys.readouterr().err
+
+
+def test_cli_refuses_nan_dedup_tol_before_any_closure(scenario_file, capsys):
+    # With NaN, no candidate is ever covered and the closure grows toward
+    # MAX_FAMILY_SIZE; parsing must stop it first.
+    data = minimal_scenario(
+        maps={"m": {"components": ["x1", "x2"]}},
+        families={"f": {"members": ["m"], "dedup_tol": float("nan")}},
+        tasks=[{"task": "axioms", "family": "f"}])
+    start = time.perf_counter()
+    assert cli.main(["run", scenario_file(data)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "dedup_tol" in capsys.readouterr().err
+
+
 def test_cli_exit_three_on_non_finite_metric(scenario_file, capsys):
     data = minimal_scenario(
         J=[["1e300*x1^2", "-1"], ["1", "0"]],
@@ -286,11 +327,7 @@ def test_threads_env_variable(scenario_file, monkeypatch):
 
 
 def run_cli_with_env(path, extra_env):
-    import os
-
-    env = dict(os.environ)
-    env.update(extra_env)
     proc = subprocess.run(
         [sys.executable, "-m", "spencerkit", "run", path],
-        capture_output=True, text=True, timeout=300, env=env)
+        capture_output=True, text=True, timeout=300, env=cli_env(**extra_env))
     return proc.returncode, proc.stdout, proc.stderr
