@@ -171,8 +171,7 @@ class Factorization:
     n_points: int
 
 
-def factorize(chart, h, grid_k=None, fit_degree=defaults.FIT_DEGREE,
-              cluster_tol=None):
+def factorize(chart, h, grid_k=None, fit_degree=defaults.FIT_DEGREE):
     """Fit h as a holomorphic polynomial of the chart coordinates.
 
     Two diagnostics come back: the fiber variance (how far h is from being
@@ -181,8 +180,7 @@ def factorize(chart, h, grid_k=None, fit_degree=defaults.FIT_DEGREE,
     """
     cloud = project(chart, grid_k)
     h_vals = h.evaluate(cloud.points)
-    if cluster_tol is None:
-        cluster_tol = defaults.CLUSTER_TOL_FACTOR * chart.box.diameter
+    cluster_tol = defaults.CLUSTER_TOL_FACTOR * chart.box.diameter
     keys = np.floor(
         np.concatenate([cloud.w.real, cloud.w.imag], axis=1) / cluster_tol
     ).astype(np.int64)

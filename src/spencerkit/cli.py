@@ -19,7 +19,7 @@ def _add_run_flags(parser):
     parser.add_argument("--format", choices=("json", "text"), default="json",
                         help="report format (default json)")
     parser.add_argument("--grid", type=int, default=None,
-                        help="override the lattice density for every task")
+                        help="override the lattice density of gridded tasks")
     parser.add_argument("--degree", type=int, default=None,
                         help="override the ansatz degree for solver tasks")
     parser.add_argument("--tol", action="append", default=[],
@@ -27,8 +27,6 @@ def _add_run_flags(parser):
                         help="override a named tolerance (repeatable)")
     parser.add_argument("--task", default=None,
                         help="run only tasks with this name or label")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default SPENCERKIT_THREADS or 1)")
 
 
 def build_parser():
@@ -79,8 +77,7 @@ def main(argv=None):
                               tol_overrides=_parse_tols(args.tol),
                               grid_override=args.grid,
                               degree_override=args.degree,
-                              task_filter=args.task,
-                              threads=args.threads)
+                              task_filter=args.task)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,8 +2,7 @@
 
 All symbolic objects in the toolkit are built from :class:`Polynomial`:
 structure matrix entries, scalar fields, local map components and fitted
-transition maps.  Coefficients are complex; variables are x1..xN (real
-coordinates) or w1..wM (complex chart coordinates) depending on context.
+transition maps.  Coefficients are complex; variables are x1..xN.
 Differentiation is exact term manipulation, never finite differences.
 
 Monomial grammar for scenario files: terms separated by '+'/'-', each term an
@@ -239,8 +238,8 @@ class Polynomial:
             result = result + term
         return result
 
-    def to_string(self, var_prefix="x"):
-        return format_polynomial(self, var_prefix)
+    def to_string(self):
+        return format_polynomial(self)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +286,7 @@ def _split_terms(text):
     return terms
 
 
-def _parse_factor(factor, offset, nvars, var_prefix):
+def _parse_factor(factor, offset, nvars):
     """Return (coef, exponent_list) contribution of one '*'-joined factor."""
     body = factor.strip()
     if not body:
@@ -301,9 +300,9 @@ def _parse_factor(factor, offset, nvars, var_prefix):
     m = _VAR_RE.fullmatch(body)
     if m:
         prefix, idx, power = m.group(1), int(m.group(2)), m.group(3)
-        if prefix != var_prefix:
+        if prefix != "x":
             raise PolynomialParseError(
-                f"unknown variable prefix {prefix!r} (expected {var_prefix!r})", offset)
+                f"unknown variable prefix {prefix!r} (expected 'x')", offset)
         if not 1 <= idx <= nvars:
             raise PolynomialParseError(
                 f"variable {prefix}{idx} out of range 1..{nvars}", offset)
@@ -311,7 +310,7 @@ def _parse_factor(factor, offset, nvars, var_prefix):
     raise PolynomialParseError(f"cannot parse factor {body!r}", offset)
 
 
-def parse_polynomial(text, nvars, var_prefix="x", max_degree=None):
+def parse_polynomial(text, nvars, max_degree=None):
     """Parse the term grammar into a Polynomial.
 
     Raises PolynomialParseError with an offset on malformed input, and when
@@ -342,7 +341,7 @@ def parse_polynomial(text, nvars, var_prefix="x", max_degree=None):
                 piece_start = i + 1
         pieces.append((stripped[piece_start:], t_off + piece_start))
         for piece, offset in pieces:
-            c, var = _parse_factor(piece, offset, nvars, var_prefix)
+            c, var = _parse_factor(piece, offset, nvars)
             if c is not None:
                 coef *= c
             else:
@@ -356,14 +355,14 @@ def parse_polynomial(text, nvars, var_prefix="x", max_degree=None):
     return Polynomial(nvars, terms)
 
 
-def format_polynomial(p, var_prefix="x"):
+def format_polynomial(p):
     """Canonical text form: graded term order, 17-significant-digit coefficients."""
     if p.is_zero:
         return "0"
     rendered = []
     for exps, coef in p.terms_sorted():
         mono = "*".join(
-            f"{var_prefix}{k + 1}" + (f"^{e}" if e > 1 else "")
+            f"x{k + 1}" + (f"^{e}" if e > 1 else "")
             for k, e in enumerate(exps) if e)
         if coef.imag == 0.0:
             sign = "-" if coef.real < 0 else "+"
@@ -450,8 +449,8 @@ class PolyMap:
     def __hash__(self):
         return hash(self.components)
 
-    def to_strings(self, var_prefix="x"):
-        return tuple(format_polynomial(c, var_prefix) for c in self.components)
+    def to_strings(self):
+        return tuple(format_polynomial(c) for c in self.components)
 
     def __repr__(self):
         return f"PolyMap({list(self.to_strings())})"

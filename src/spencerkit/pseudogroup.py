@@ -33,6 +33,9 @@ from .poly import PolyMap, Polynomial
 from .report import make_report
 
 
+NEWTON_MAX_ITER = 50
+
+
 def _box_label(box):
     parts = "x".join(f"[{lo:g},{hi:g}]" for lo, hi in zip(box.lo, box.hi))
     return parts
@@ -159,7 +162,7 @@ class LocalMap:
             return current, valid
         return self._newton_solve_batch(pts)
 
-    def _newton_solve_batch(self, ys, max_iter=50):
+    def _newton_solve_batch(self, ys):
         """Solve forward(x) = y by damped Newton, one target per row.
 
         Each point starts at the nearest precomputed seed, takes full Newton
@@ -176,7 +179,7 @@ class LocalMap:
         res = self.forward.evaluate(x, check_domain=False) - ys
         norm = np.max(np.abs(res), axis=1)
         stalled = np.zeros(len(ys), dtype=bool)
-        for _ in range(max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             active = ~stalled & (norm > 1e-13 * scale)
             if not np.any(active):
                 break
@@ -217,28 +220,25 @@ class LocalMap:
         return x, ok
 
 
-def identity_map(box, label=None):
+def identity_map(box):
     """Identity on a box; it is its own declared inverse."""
-    if label is None:
-        label = f"id{_box_label(box)}"
     m = LocalMap.from_polynomials(
-        [Polynomial.variable(box.dim, k) for k in range(box.dim)], box, label)
+        [Polynomial.variable(box.dim, k) for k in range(box.dim)], box,
+        f"id{_box_label(box)}")
     m.declared_inverse = m
     return m
 
 
-def restrict(map_, box, label=None):
+def restrict(map_, box):
     """The same map on the intersection of its domain with ``box``."""
     new_domain = map_.domain.intersect(box)
     if new_domain is None:
         raise DomainError(
             f"restriction box does not meet the domain of {map_.label}")
-    if label is None:
-        label = f"{map_.label}|{_box_label(new_domain)}"
-    out = LocalMap(map_.kind, new_domain, label, poly=map_.poly,
-                   steps=map_.steps, forward=map_.forward,
-                   seeds_x=map_.seeds_x, seeds_y=map_.seeds_y)
-    return out
+    label = f"{map_.label}|{_box_label(new_domain)}"
+    return LocalMap(map_.kind, new_domain, label, poly=map_.poly,
+                    steps=map_.steps, forward=map_.forward,
+                    seeds_x=map_.seeds_x, seeds_y=map_.seeds_y)
 
 
 def _steps_of(map_):
@@ -262,7 +262,8 @@ def _bisect_stretch(passes, avail):
     call decides BISECTION_LEVELS halvings at once: it gets every midpoint
     they could visit, in heap order and with the same ``0.5 * (a + b)``
     arithmetic, and the verdicts pick the path.  The full stretch rides in
-    the first call.
+    the first call.  It stops once no float lies strictly between t_ok and
+    t_bad, where every later midpoint would repeat a known verdict.
     """
     t_ok, t_bad = 0.0, avail
     full = [avail]
@@ -284,6 +285,8 @@ def _bisect_stretch(passes, avail):
                 t_ok, node = mids[node], 2 * node + 2
             else:
                 t_bad, node = mids[node], 2 * node + 1
+        if 0.5 * (t_ok + t_bad) in (t_ok, t_bad):
+            break
     return t_ok
 
 
@@ -442,9 +445,10 @@ class PseudogroupFamily:
     members: list
     dedup_tol: float
     grid_k: int
+    tol_invert: float
     depth: int
     notes: list = dc_field(default_factory=list)
-    # (f, g, grid_k) -> compose(f, g) or the CompositionError it raised;
+    # (f, g) -> compose(f, g) or the CompositionError it raised;
     # filled by ``generate`` and reused by ``validate_axioms``.
     composites: dict = dc_field(default_factory=dict, repr=False)
 
@@ -465,7 +469,7 @@ def _composite(cache, f, g, grid_k):
     """``compose(f, g)`` or the CompositionError it raises, computed once per
     pair.  Keys hold the maps themselves: LocalMap compares by identity, and
     a key keeps its maps alive, so no other map can take its place."""
-    key = (f, g, grid_k)
+    key = (f, g)
     if key not in cache:
         try:
             cache[key] = compose(f, g, grid_k=grid_k)
@@ -477,7 +481,8 @@ def _composite(cache, f, g, grid_k):
 
 
 def generate(seeds, ambient, depth=2, grid_k=defaults.GRID_PER_AXIS,
-             dedup_tol=None, restriction_targets=()):
+             dedup_tol=None, restriction_targets=(),
+             tol_invert=defaults.TOL_INVERT):
     """Breadth-first closure of seed maps under composition and inversion.
 
     Level by level, all ordered composites, all inverses and all declared
@@ -525,7 +530,7 @@ def generate(seeds, ambient, depth=2, grid_k=defaults.GRID_PER_AXIS,
                     add(c)
         for f in current:
             try:
-                add(invert(f, grid_k=grid_k))
+                add(invert(f, grid_k=grid_k, tol_invert=tol_invert))
             except InversionError as exc:
                 notes.append(f"inversion skipped: {exc}")
         for f in current:
@@ -542,8 +547,8 @@ def generate(seeds, ambient, depth=2, grid_k=defaults.GRID_PER_AXIS,
 
     return PseudogroupFamily(ambient=ambient, members=members,
                              dedup_tol=float(dedup_tol), grid_k=int(grid_k),
-                             depth=int(depth), notes=notes,
-                             composites=composites)
+                             tol_invert=float(tol_invert), depth=int(depth),
+                             notes=notes, composites=composites)
 
 
 def _contained(family, candidate):
@@ -551,14 +556,15 @@ def _contained(family, candidate):
                for m in family.members)
 
 
-def validate_axioms(family, glue_tests=(), grid_k=None):
+def validate_axioms(family, glue_tests=()):
     """Check the five closure axioms; one report per axiom.
 
     Failures are counted and the first few offenders are named in the notes.
     Composition is checked over ordered pairs with a nonempty composable
-    region; pairs with none are vacuous.
+    region; pairs with none are vacuous.  Lattices and the inversion
+    round trip use the family's own ``grid_k`` and ``tol_invert``.
     """
-    grid_k = family.grid_k if grid_k is None else grid_k
+    grid_k = family.grid_k
     reports = []
 
     failures = []
@@ -574,7 +580,7 @@ def validate_axioms(family, glue_tests=(), grid_k=None):
     failures = []
     for f in family.members:
         try:
-            inv = invert(f, grid_k=grid_k)
+            inv = invert(f, grid_k=grid_k, tol_invert=family.tol_invert)
         except InversionError as exc:
             failures.append(f"{f.label}: {exc}")
             continue
@@ -600,7 +606,7 @@ def validate_axioms(family, glue_tests=(), grid_k=None):
 
     failures = []
     for test in glue_tests:
-        failures.extend(_check_glue(family, test, grid_k))
+        failures.extend(_check_glue(family, test))
     report = _axiom_report("axiom5_gluing", failures)
     if not glue_tests:
         report.add_note("no glue tests declared; vacuous")
@@ -622,7 +628,8 @@ def _axiom_report(name, failures):
     return report
 
 
-def _check_glue(family, test, grid_k):
+def _check_glue(family, test):
+    grid_k = family.grid_k
     failures = []
     pieces = []
     for label, box in zip(test.member_labels, test.boxes):
@@ -675,15 +682,13 @@ def _check_glue(family, test, grid_k):
 # structure compatibility and diagrams
 # ---------------------------------------------------------------------------
 
-def check_ah_map(map_, structure, target_structure=None,
-                 grid_k=defaults.GRID_PER_AXIS, tol=defaults.TOL_MAP):
-    """Compatibility of a local map with the structure: DPhi J = J' DPhi.
+def check_ah_map(map_, structure, grid_k=defaults.GRID_PER_AXIS,
+                 tol=defaults.TOL_MAP):
+    """Compatibility of a local map with the structure: DPhi J = J DPhi.
 
-    Sampled on the lattice of the map's domain; points that leave either
+    Sampled on the lattice of the map's domain; points or images outside the
     structure's box are skipped and counted.  All points invalid is an error.
     """
-    if target_structure is None:
-        target_structure = structure
     if map_.dim != structure.real_dim:
         raise DomainError(
             f"map dimension {map_.dim} does not match the structure dimension "
@@ -694,7 +699,7 @@ def check_ah_map(map_, structure, target_structure=None,
     skipped = int(np.sum(~src_ok))
     if len(pts):
         images, evaluable = map_.try_evaluate(pts)
-        dst_ok = evaluable & target_structure.box.contains(images)
+        dst_ok = evaluable & structure.box.contains(images)
         skipped += int(np.sum(~dst_ok))
         pts, images = pts[dst_ok], images[dst_ok]
     if not len(pts):
@@ -702,7 +707,7 @@ def check_ah_map(map_, structure, target_structure=None,
             f"no lattice point of {map_.label} stays inside both structure boxes")
     dphi = map_.jacobian(pts)
     j_src = eval_j(structure, pts)
-    j_dst = eval_j(target_structure, images)
+    j_dst = eval_j(structure, images)
     defect = (np.einsum("pij,pjk->pik", dphi, j_src)
               - np.einsum("pij,pjk->pik", j_dst, dphi))
     residual = float(np.max(np.abs(defect)))

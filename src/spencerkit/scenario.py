@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+import time
 from dataclasses import dataclass, field as dc_field
 
 from . import defaults
@@ -45,6 +44,10 @@ class ChartSpec:
     box: object  # Box or None for the structure box
 
 
+# The keys each JSON object of a scenario may carry, as in the README tables.
+SCENARIO_KEYS = ("name", "n", "box", "J", "functions", "maps", "charts",
+                 "families", "tolerances", "tasks")
+MAP_KEYS = ("components", "domain", "inverse")
 FAMILY_KEYS = ("members", "depth", "dedup_tol", "restriction_targets",
                "glue_tests")
 
@@ -101,14 +104,26 @@ def _require_list(data, key, where, default=None):
     return value
 
 
-def _parse_box(data, where, dim=None):
-    if not isinstance(data, dict) or "lo" not in data or "hi" not in data:
-        raise ScenarioError(f'{where}: a box needs "lo" and "hi" lists')
+def _json_object(data, where, keys=None):
+    """``data``, which must be a JSON object with keys from ``keys`` when
+    given: a misspelled key would otherwise be ignored and its default used."""
+    if not isinstance(data, dict):
+        raise ScenarioError(f"{where} must be a JSON object, got {data!r}")
+    unknown = sorted(set(data) - set(keys or data), key=str)
+    if unknown:
+        raise ScenarioError(f"{where} takes none of {unknown}; "
+                            f"its keys are {list(keys)}")
+    return data
+
+
+def _parse_box(data, where, dim):
+    _json_object(data, where, ("lo", "hi"))
     try:
-        box = Box(tuple(data["lo"]), tuple(data["hi"]))
+        box = Box(tuple(_require(data, "lo", where)),
+                  tuple(_require(data, "hi", where)))
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{where}: bad box: {exc}") from exc
-    if dim is not None and box.dim != dim:
+    if box.dim != dim:
         raise ScenarioError(f"{where}: box dimension {box.dim}, expected {dim}")
     return box
 
@@ -116,7 +131,8 @@ def _parse_box(data, where, dim=None):
 def _parse_structure(data, n, box, where):
     size = 2 * n
     rows = _require(data, "J", where)
-    if len(rows) != size or any(len(r) != size for r in rows):
+    if (not isinstance(rows, list) or len(rows) != size
+            or any(not isinstance(r, list) or len(r) != size for r in rows)):
         raise ScenarioError(f"{where}: J must be a {size}x{size} string matrix")
     matrix = []
     for i, row in enumerate(rows):
@@ -131,8 +147,9 @@ def _parse_structure(data, n, box, where):
     return ACStructure(n, box, matrix)
 
 
-def _parse_map(name, data, dim, ambient, where):
-    components = _require(data, "components", where)
+def _parse_map(name, data, keys, dim, ambient, where):
+    _json_object(data, where, keys)
+    components = _require_list(data, "components", where)
     if len(components) != dim:
         raise ScenarioError(f"{where}: needs {dim} components")
     polys = []
@@ -151,8 +168,7 @@ def _parse_map(name, data, dim, ambient, where):
 
 def parse_scenario(data):
     """Validate a scenario dictionary and resolve it into toolkit objects."""
-    if not isinstance(data, dict):
-        raise ScenarioError("scenario must be a JSON object")
+    _json_object(data, "scenario", SCENARIO_KEYS)
     name = str(_require(data, "name", "scenario"))
     n = _require(data, "n", "scenario")
     if not _is_int(n):
@@ -164,7 +180,7 @@ def parse_scenario(data):
         structure = standard_structure(n, box)
 
     functions = {}
-    for fname, text in (data.get("functions") or {}).items():
+    for fname, text in _json_object(data.get("functions", {}), "functions").items():
         try:
             functions[str(fname)] = parse_polynomial(
                 text, 2 * n, max_degree=defaults.DEGREE_CAP)
@@ -172,12 +188,13 @@ def parse_scenario(data):
             raise ScenarioError(f"function {fname!r}: {exc}") from exc
 
     maps = {}
-    for mname, mdata in (data.get("maps") or {}).items():
+    for mname, mdata in _json_object(data.get("maps", {}), "maps").items():
         mname = str(mname)
         where = f"map {mname!r}"
-        m = _parse_map(mname, mdata, 2 * n, box, where)
+        m = _parse_map(mname, mdata, MAP_KEYS, 2 * n, box, where)
         if "inverse" in mdata:
-            inv = _parse_map(f"{mname}_inv", mdata["inverse"], 2 * n, box,
+            inv = _parse_map(f"{mname}_inv", mdata["inverse"],
+                             ("components", "domain"), 2 * n, box,
                              f"{where} inverse")
             m.declared_inverse = inv
             inv.declared_inverse = m
@@ -185,26 +202,23 @@ def parse_scenario(data):
         maps[mname] = m
 
     chart_specs = {}
-    for cname, cdata in (data.get("charts") or {}).items():
+    for cname, cdata in _json_object(data.get("charts", {}), "charts").items():
         cname = str(cname)
-        fnames = tuple(_require(cdata, "functions", f"chart {cname!r}"))
+        where = f"chart {cname!r}"
+        _json_object(cdata, where, ("functions", "box"))
+        fnames = tuple(_require_list(cdata, "functions", where))
         for fn in fnames:
-            if fn not in functions:
+            if not isinstance(fn, str) or fn not in functions:
                 raise ScenarioError(f"chart {cname!r} references unknown function {fn!r}")
         cbox = (_parse_box(cdata["box"], f"chart {cname!r} box", 2 * n)
                 if "box" in cdata else None)
         chart_specs[cname] = ChartSpec(cname, fnames, cbox)
 
     family_specs = {}
-    for gname, gdata in (data.get("families") or {}).items():
+    for gname, gdata in _json_object(data.get("families", {}), "families").items():
         gname = str(gname)
         where = f"family {gname!r}"
-        if not isinstance(gdata, dict):
-            raise ScenarioError(f"{where}: a family must be a JSON object")
-        unknown = sorted(set(gdata) - set(FAMILY_KEYS))
-        if unknown:
-            raise ScenarioError(f"{where} takes none of {unknown}; "
-                                f"its keys are {list(FAMILY_KEYS)}")
+        _json_object(gdata, where, FAMILY_KEYS)
         member_names = tuple(_require_list(gdata, "members", where))
         for mn in member_names:
             if not isinstance(mn, str) or mn not in maps:
@@ -222,8 +236,8 @@ def parse_scenario(data):
                                                where, []))
         glue_tests = []
         for t, gt in enumerate(_require_list(gdata, "glue_tests", where, [])):
-            if not isinstance(gt, dict):
-                raise ScenarioError(f"{where} glue test {t} must be a JSON object")
+            _json_object(gt, f"{where} glue test {t}",
+                         ("members", "boxes", "target"))
             labels = tuple(_require_list(gt, "members", f"{where} glue test {t}"))
             for lbl in labels:
                 if lbl not in member_names:
@@ -299,16 +313,11 @@ def _with_tolerances(tolerances, overrides):
 
 def _validate_task(spec, tables, where):
     """Check one task object's keys, integers and references against TASKS."""
-    if not isinstance(spec, dict):
-        raise ScenarioError(f"{where}: a task must be a JSON object")
-    kind = _require(spec, "task", where)
+    kind = _require(_json_object(spec, where), "task", where)
     if not isinstance(kind, str) or kind not in TASKS:
         raise ScenarioError(f"{where}: unknown task {kind!r}")
     keys = TASKS[kind][1]
-    unknown = sorted(set(spec) - set(keys) - {"task", "label", "expect"})
-    if unknown:
-        raise ScenarioError(f"{where}: {kind} takes none of {unknown}; "
-                            f"its keys are {list(keys)}")
+    _json_object(spec, f"{where} ({kind})", ("task", "label", "expect", *keys))
     if spec.get("expect", "pass") not in ("pass", "fail"):
         raise ScenarioError(f'{where}: expect must be "pass" or "fail"')
     refs = [key for key, ref in keys.items() if ref != "int"]
@@ -336,26 +345,26 @@ def _validate_task(spec, tables, where):
 # task runners
 # ---------------------------------------------------------------------------
 
-def _grid_of(scenario, spec, default_k=defaults.GRID_PER_AXIS):
-    return SampleGrid(scenario.structure.box, spec.get("grid", default_k))
+def _grid_of(scenario, spec):
+    return SampleGrid(scenario.structure.box, spec.get("grid", defaults.GRID_PER_AXIS))
 
 
-def _build_chart(scenario, label, tols, grid_override=None):
+def _build_chart(scenario, label, tols, grid_k=defaults.GRID_PER_AXIS):
     spec = scenario.chart_specs[label]
     fields = [scenario.functions[fn] for fn in spec.function_names]
-    grid_k = grid_override if grid_override else defaults.GRID_PER_AXIS
     return build_spencer_chart(
         scenario.structure, fields, box=spec.box, grid_k=grid_k,
         tol_cr=tols["tol_cr"], tol_det=tols["tol_det"],
         svd_rel_tol=tols["svd_rel_tol"], label=label)
 
 
-def _build_family(scenario, label):
+def _build_family(scenario, label, tols):
     spec = scenario.family_specs[label]
     seeds = [scenario.maps[mn] for mn in spec.member_names]
     family = generate(seeds, scenario.box, depth=spec.depth,
                       dedup_tol=spec.dedup_tol,
-                      restriction_targets=spec.restriction_targets)
+                      restriction_targets=spec.restriction_targets,
+                      tol_invert=tols["tol_invert"])
     return family, spec
 
 
@@ -431,7 +440,7 @@ def _run_spencer_type(scenario, spec, tols):
 
 def _run_chart(scenario, spec, tols):
     chart = _build_chart(scenario, spec["chart"], tols,
-                         grid_override=spec.get("grid"))
+                         grid_k=spec.get("grid", defaults.GRID_PER_AXIS))
     return make_report(
         task="chart",
         metrics={"certificate": chart.certificate, "m": float(chart.m)},
@@ -495,7 +504,7 @@ def _run_cocycle(scenario, spec, tols):
 
 
 def _run_axioms(scenario, spec, tols):
-    family, fam_spec = _build_family(scenario, spec["family"])
+    family, fam_spec = _build_family(scenario, spec["family"], tols)
     reports = validate_axioms(family, glue_tests=fam_spec.glue_tests)
     metrics = {"members": float(len(family.members))}
     notes = []
@@ -515,7 +524,7 @@ def _run_ah_map(scenario, spec, tols):
                               grid_k=grid_k, tol=tols["tol_map"])
         report.task = "ah_map"
         return report
-    family, _ = _build_family(scenario, spec["family"])
+    family, _ = _build_family(scenario, spec["family"], tols)
     worst = 0.0
     failures = []
     checked = 0
@@ -607,14 +616,12 @@ def _run_one_task(scenario, spec, tols):
 
 
 def run_scenario(scenario, tol_overrides=None, grid_override=None,
-                 degree_override=None, task_filter=None, threads=None):
-    """Run the scenario's tasks and collect reports in declaration order.
+                 degree_override=None, task_filter=None):
+    """Run the scenario's tasks one after another, in declaration order.
 
-    ``threads`` (or the SPENCERKIT_THREADS environment variable) sets the
-    worker count; results are ordered by declaration regardless.  Overrides
-    replace the grid density, solver degree and named tolerances everywhere.
+    Overrides replace the named tolerances everywhere, the grid density of
+    every task that takes a ``grid`` key and the degree of the solver tasks.
     """
-    import time
     started = time.perf_counter()
     tols = _with_tolerances(scenario.tolerances, tol_overrides)
     specs = []
@@ -623,24 +630,16 @@ def run_scenario(scenario, tol_overrides=None, grid_override=None,
                 and spec.get("label") != task_filter:
             continue
         spec = dict(spec)
-        if grid_override:
+        if grid_override is not None and "grid" in TASKS[spec["task"]][1]:
             spec["grid"] = int(grid_override)
-        if degree_override and spec["task"] in ("solve_ah", "spencer_type"):
+        if degree_override is not None and "degree" in TASKS[spec["task"]][1]:
             spec["degree"] = int(degree_override)
         specs.append(spec)
     if not specs:
         raise ScenarioError(
             f"task filter {task_filter!r} matches no task in {scenario.name!r}")
 
-    if threads is None:
-        threads = int(os.environ.get("SPENCERKIT_THREADS", "1") or "1")
-    threads = max(1, threads)
-    if threads == 1:
-        reports = [_run_one_task(scenario, spec, tols) for spec in specs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(
-                lambda spec: _run_one_task(scenario, spec, tols), specs))
+    reports = [_run_one_task(scenario, spec, tols) for spec in specs]
     overall = "pass" if all(r.passed for r in reports) else "fail"
     return RunResult(scenario=scenario.name,
                      version=defaults.TOOLKIT_VERSION,

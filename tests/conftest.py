@@ -100,10 +100,10 @@ def minimal_scenario(**overrides):
     return data
 
 
-def cli_env(**extra):
+def cli_env():
     """Environment for a ``python -m spencerkit`` child process that imports
     the same package as this test session."""
-    env = dict(os.environ, **extra)
+    env = dict(os.environ)
     src = str(Path(spencerkit.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)

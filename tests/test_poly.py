@@ -68,6 +68,8 @@ def test_parse_error_reports_offset():
         parse_polynomial("x1 + ", 2)
     with pytest.raises(PolynomialParseError):
         parse_polynomial("", 2)
+    with pytest.raises(PolynomialParseError, match="prefix 'w'"):
+        parse_polynomial("x1 + w1", 2)
 
 
 def test_parse_degree_cap():

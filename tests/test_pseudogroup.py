@@ -175,6 +175,27 @@ def test_compose_domain_is_bit_identical_to_sequential_bisection(doubling,
         assert c.domain == sequential_compose_domain(first, second)
 
 
+@pytest.mark.parametrize("threshold", [0.3, 0.7, 0.9])
+def test_bisect_stretch_stops_once_the_interval_cannot_shrink(threshold):
+    calls = []
+
+    def passes(ts):
+        calls.append(len(ts))
+        return ts <= threshold
+
+    # Reference: one midpoint per evaluation, all BISECTION_STEPS halvings.
+    t_ok, t_bad = 0.0, 1.0
+    for _ in range(pseudogroup.BISECTION_STEPS):
+        mid = 0.5 * (t_ok + t_bad)
+        if mid <= threshold:
+            t_ok = mid
+        else:
+            t_bad = mid
+    assert pseudogroup._bisect_stretch(passes, 1.0) == t_ok
+    assert len(calls) < (pseudogroup.BISECTION_STEPS
+                         // pseudogroup.BISECTION_LEVELS)
+
+
 def test_generate_and_axioms_compose_each_pair_once(monkeypatch, translation,
                                                     doubling):
     calls = {}

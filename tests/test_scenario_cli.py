@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import argparse
 import json
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spencerkit import cli
+from spencerkit import cli, defaults
+from spencerkit import scenario as scenario_module
 from spencerkit.errors import NumericalError, ScenarioError
 from spencerkit.scenario import (
     TASK_RUNNERS,
@@ -140,13 +144,6 @@ def test_emit_json_is_canonical_and_parses():
     assert blob == blob2
 
 
-def test_threads_do_not_change_results():
-    scenario = parse_scenario(builtin_scenarios()["std_c2"])
-    single = emit_json(run_scenario(scenario, threads=1))
-    multi = emit_json(run_scenario(scenario, threads=4))
-    assert single == multi
-
-
 def test_cli_version_and_help():
     code, out, _ = run_cli("version")
     assert code == 0
@@ -188,6 +185,31 @@ def test_cli_rejects_bad_inputs(tmp_path):
 
     code, out, err = run_cli("builtin", "std_c2", "--tol", "tol_fit")
     assert code == 2
+
+    code, out, err = run_cli("builtin", "std_c2", "--grid", "0")
+    assert code == 2
+    assert "at least 2 points" in err
+
+    code, out, err = run_cli("builtin", "std_c2", "--task", "solve_ah_linear",
+                             "--degree", "0")
+    assert code == 2
+    assert "solver degree 0" in err
+
+    code, out, err = run_cli("builtin", "std_c2", "--threads", "2")
+    assert code == 2
+    assert "unrecognized arguments: --threads" in err
+
+
+def test_readme_flag_table_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("### CLI flags", 1)[1].split("\n\n")[1]
+    documented = set(re.findall(r"^\| `(--[a-z-]+)", table, flags=re.M))
+    commands = next(action for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    for command in ("run", "builtin"):
+        flags = {flag for action in commands[command]._actions
+                 for flag in action.option_strings} - {"-h", "--help"}
+        assert flags == documented, command
 
 
 def test_cli_task_filter_and_text_format():
@@ -243,6 +265,23 @@ def test_cli_tol_override_must_be_finite_and_positive(scenario_file, capsys,
     {"tasks": [{"task": "transition", "charts": "c"}]},
     {"tasks": [{"task": "ah_map", "map": "m", "family": "f"}]},
     {"n": True},
+    {"familes": {}},
+    {"J": 5},
+    {"J": [1, 2]},
+    {"functions": ["x1"]},
+    {"maps": {"m": 5}},
+    {"maps": {"m": {"components": ["x1", "x2"], "inverse": 5}}},
+    {"maps": {"m": {"components": ["x1", "x2"],
+                    "inverse": {"components": ["x1", "x2"], "inverse": {}}}}},
+    {"maps": {"m": {"components": ["x1", "x2"],
+                    "domian": {"lo": [0.0, 0.0], "hi": [0.5, 0.5]}}}},
+    {"maps": {"m": {"components": ["x1", "x2"],
+                    "domain": {"lo": [0.0, 0.0], "hi": [0.5, 0.5], "h": 1}}}},
+    {"charts": {"c": 5}},
+    {"charts": {"c": {"functions": "z"}}},
+    {"charts": {"c": {"functions": [["z"]]}}},
+    {"charts": {"c": {"functions": ["z"],
+                      "bx": {"lo": [0.0, 0.0], "hi": [0.5, 0.5]}}}},
 ])
 def test_cli_rejects_malformed_scenarios_with_exit_two(scenario_file, capsys,
                                                         overrides):
@@ -253,6 +292,9 @@ def test_cli_rejects_malformed_scenarios_with_exit_two(scenario_file, capsys,
     data.update(overrides)
     assert cli.main(["run", scenario_file(data)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+UNIT = {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}
 
 
 @pytest.mark.parametrize("family", [
@@ -271,6 +313,8 @@ def test_cli_rejects_malformed_scenarios_with_exit_two(scenario_file, capsys,
     {"members": ["m"], "restriction_targets": 5},
     {"members": ["m"], "glue_tests": 5},
     {"members": ["m"], "glue_tests": [5]},
+    {"members": ["m"], "glue_tests": [{"members": ["m"], "boxes": [UNIT],
+                                       "target": UNIT, "box": UNIT}]},
 ])
 def test_cli_rejects_malformed_families_with_exit_two(scenario_file, capsys,
                                                       family):
@@ -280,6 +324,43 @@ def test_cli_rejects_malformed_families_with_exit_two(scenario_file, capsys,
         tasks=[{"task": "axioms", "family": "f"}])
     assert cli.main(["run", scenario_file(data)]) == 2
     assert "family 'f'" in capsys.readouterr().err
+
+
+def test_tol_invert_reaches_the_round_trip_check(scenario_file, capsys):
+    # The declared inverse misses the inverse of t by up to 9e-7 inside its
+    # domain and not at all on its edges, so each map's image stays in the
+    # other's domain.  dedup_tol lets the identities cover t>>t_inv and
+    # t_inv>>t, which miss the identity by as much.
+    data = minimal_scenario(
+        maps={"t": {"components": ["x1 + 0.8", "x2"],
+                    "domain": {"lo": [-1.0, -1.0], "hi": [-0.7, 1.0]},
+                    "inverse": {
+                        "components": ["0.999996*x1 - 0.7999992 - 4e-5*x1^2",
+                                       "x2"],
+                        "domain": {"lo": [-0.2, -1.0], "hi": [0.1, 1.0]}}}},
+        families={"f": {"members": ["t", "t_inv"], "depth": 0,
+                        "dedup_tol": 1e-5}},
+        tasks=[{"task": "axioms", "family": "f"}])
+    path = scenario_file(data)
+    assert cli.main(["run", path]) == 1
+    assert "defect 9.000e-07 > 1e-09" in capsys.readouterr().out
+    assert cli.main(["run", path, "--tol", "tol_invert=1e-6"]) == 0
+
+
+def test_builtins_read_every_named_tolerance(monkeypatch):
+    read = set()
+
+    class RecordingTolerances(dict):
+        def __getitem__(self, name):
+            read.add(name)
+            return super().__getitem__(name)
+
+    original = scenario_module._with_tolerances
+    monkeypatch.setattr(scenario_module, "_with_tolerances",
+                        lambda *args: RecordingTolerances(original(*args)))
+    for data in builtin_scenarios().values():
+        run_scenario(parse_scenario(data))
+    assert read == set(defaults.DEFAULT_TOLERANCES)
 
 
 def test_cli_refuses_nan_dedup_tol_before_any_closure(scenario_file, capsys):
@@ -316,18 +397,3 @@ def test_cli_json_byte_identity_across_processes(scenario_file):
     assert code1 == code2 == 0
     assert out1 == out2
 
-
-def test_threads_env_variable(scenario_file, monkeypatch):
-    data = builtin_scenarios()["std_c2"]
-    path = scenario_file(data, name="std2.json")
-    code, out_env, _ = run_cli_with_env(path, {"SPENCERKIT_THREADS": "3"})
-    code2, out_plain, _ = run_cli("run", path)
-    assert code == code2 == 0
-    assert out_env == out_plain
-
-
-def run_cli_with_env(path, extra_env):
-    proc = subprocess.run(
-        [sys.executable, "-m", "spencerkit", "run", path],
-        capture_output=True, text=True, timeout=300, env=cli_env(**extra_env))
-    return proc.returncode, proc.stdout, proc.stderr
