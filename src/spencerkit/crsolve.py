@@ -15,7 +15,7 @@ import numpy as np
 
 from . import defaults
 from .errors import ConfigurationError, NumericalError
-from .jfield import SampleGrid, eval_j
+from .jfield import SampleGrid, eval_j, numerical_rank
 from .poly import Polynomial, monomials_upto
 from .report import make_report
 
@@ -175,8 +175,7 @@ def solve_ah_polynomials(structure, degree, grid_k=None,
         raise NumericalError(f"SVD of the CR system failed: {exc}") from exc
     if not np.all(np.isfinite(sigma)):
         raise NumericalError("CR system produced non-finite singular values")
-    cutoff = svd_rel_tol * sigma[0] if sigma[0] > 0 else svd_rel_tol
-    rank = int(np.sum(sigma > cutoff))
+    rank = int(numerical_rank(sigma, svd_rel_tol))
     null_rows = [np.conj(v) for v in vh[rank:]]
     if null_rows:
         reduced = _reduce_rows(null_rows, monomials)
@@ -232,10 +231,7 @@ def independence_rank(fields, points, svd_rel_tol=defaults.SVD_REL_TOL):
     if pts.ndim == 1:
         pts = pts[None, :]
     sigma = np.linalg.svd(jacobian_rows(fields, pts), compute_uv=False)
-    lead = sigma[:, 0]
-    cutoff = np.where(lead > 0, svd_rel_tol * lead, svd_rel_tol)
-    ranks = np.sum(sigma > cutoff[:, None], axis=1)
-    return int(np.max(ranks))
+    return int(np.max(numerical_rank(sigma, svd_rel_tol)))
 
 
 @dataclass

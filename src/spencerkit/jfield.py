@@ -300,11 +300,23 @@ def _canonical_vector(v):
     return v
 
 
+def numerical_rank(sigma, svd_rel_tol):
+    """Count of singular values above the rank cutoff, over the last axis.
+
+    ``sigma`` is sorted in descending order along that axis, as
+    ``np.linalg.svd`` returns it.  The cutoff is ``svd_rel_tol`` times the
+    largest singular value, or ``svd_rel_tol`` itself when that is not
+    positive.
+    """
+    lead = sigma[..., :1]
+    cutoff = np.where(lead > 0, svd_rel_tol * lead, svd_rel_tol)
+    return (sigma > cutoff).sum(axis=-1)
+
+
 def _eigenspace_basis(j_matrix, eigenvalue, svd_rel_tol):
     a = j_matrix.astype(complex) - eigenvalue * np.eye(j_matrix.shape[0])
     _, sigma, vh = np.linalg.svd(a)
-    cutoff = svd_rel_tol * sigma[0] if sigma[0] > 0 else svd_rel_tol
-    rank = int(np.sum(sigma > cutoff))
+    rank = int(numerical_rank(sigma, svd_rel_tol))
     basis = [_canonical_vector(v) for v in np.conj(vh[rank:])]
     basis.sort(key=lambda v: tuple(x for c in v for x in (round(c.real, 9), round(c.imag, 9))))
     return basis

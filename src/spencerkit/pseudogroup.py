@@ -103,12 +103,7 @@ class LocalMap:
             for step in self.steps:
                 out = step.evaluate(out, check_domain=False)
         else:
-            out, ok = self._newton_solve_batch(pts)
-            if not np.all(ok):
-                bad = pts[~ok][0]
-                raise InversionError(
-                    f"Newton iteration for {self.label} failed to converge "
-                    f"for target {tuple(bad)}")
+            out = self._newton_solve(pts)
         return out[0] if single else out
 
     __call__ = evaluate
@@ -127,13 +122,7 @@ class LocalMap:
                 out = np.einsum("pij,pjk->pik", step.jacobian(current), out)
                 current = step.evaluate(current, check_domain=False)
         else:
-            xs, ok = self._newton_solve_batch(pts)
-            if not np.all(ok):
-                bad = pts[~ok][0]
-                raise InversionError(
-                    f"Newton iteration for {self.label} failed to converge "
-                    f"for target {tuple(bad)}")
-            fwd = self.forward.jacobian(xs)
+            fwd = self.forward.jacobian(self._newton_solve(pts))
             try:
                 out = np.linalg.inv(fwd)
             except np.linalg.LinAlgError as exc:
@@ -161,6 +150,16 @@ class LocalMap:
                 valid &= ok
             return current, valid
         return self._newton_solve_batch(pts)
+
+    def _newton_solve(self, ys):
+        """Newton-inverse values at ``ys``; InversionError where one stalls."""
+        xs, ok = self._newton_solve_batch(ys)
+        if not np.all(ok):
+            bad = ys[~ok][0]
+            raise InversionError(
+                f"Newton iteration for {self.label} failed to converge "
+                f"for target {tuple(bad)}")
+        return xs
 
     def _newton_solve_batch(self, ys):
         """Solve forward(x) = y by damped Newton, one target per row.
@@ -446,8 +445,8 @@ class PseudogroupFamily:
     dedup_tol: float
     grid_k: int
     tol_invert: float
+    tol_det: float
     depth: int
-    notes: list = dc_field(default_factory=list)
     # (f, g) -> compose(f, g) or the CompositionError it raised;
     # filled by ``generate`` and reused by ``validate_axioms``.
     composites: dict = dc_field(default_factory=dict, repr=False)
@@ -482,7 +481,7 @@ def _composite(cache, f, g, grid_k):
 
 def generate(seeds, ambient, depth=2, grid_k=defaults.GRID_PER_AXIS,
              dedup_tol=None, restriction_targets=(),
-             tol_invert=defaults.TOL_INVERT):
+             tol_invert=defaults.TOL_INVERT, tol_det=defaults.TOL_DET):
     """Breadth-first closure of seed maps under composition and inversion.
 
     Level by level, all ordered composites, all inverses and all declared
@@ -500,7 +499,6 @@ def generate(seeds, ambient, depth=2, grid_k=defaults.GRID_PER_AXIS,
         raise ConfigurationError(
             f"dedup_tol must be a finite positive number, got {dedup_tol!r}")
     members = []
-    notes = []
     composites = {}
 
     def add(candidate):
@@ -508,7 +506,6 @@ def generate(seeds, ambient, depth=2, grid_k=defaults.GRID_PER_AXIS,
             raise NumericalError(
                 f"family exceeded the safety cap of {MAX_FAMILY_SIZE} members")
         if not ambient.contains_box(candidate.domain):
-            notes.append(f"dropped {candidate.label}: domain leaves the ambient box")
             return False
         for m in members:
             if covers(m, candidate, dedup_tol, grid_k):
@@ -530,9 +527,10 @@ def generate(seeds, ambient, depth=2, grid_k=defaults.GRID_PER_AXIS,
                     add(c)
         for f in current:
             try:
-                add(invert(f, grid_k=grid_k, tol_invert=tol_invert))
-            except InversionError as exc:
-                notes.append(f"inversion skipped: {exc}")
+                add(invert(f, grid_k=grid_k, tol_invert=tol_invert,
+                           tol_det=tol_det))
+            except InversionError:
+                continue
         for f in current:
             for target in restriction_targets:
                 try:
@@ -547,8 +545,8 @@ def generate(seeds, ambient, depth=2, grid_k=defaults.GRID_PER_AXIS,
 
     return PseudogroupFamily(ambient=ambient, members=members,
                              dedup_tol=float(dedup_tol), grid_k=int(grid_k),
-                             tol_invert=float(tol_invert), depth=int(depth),
-                             notes=notes, composites=composites)
+                             tol_invert=float(tol_invert), tol_det=float(tol_det),
+                             depth=int(depth), composites=composites)
 
 
 def _contained(family, candidate):
@@ -562,7 +560,8 @@ def validate_axioms(family, glue_tests=()):
     Failures are counted and the first few offenders are named in the notes.
     Composition is checked over ordered pairs with a nonempty composable
     region; pairs with none are vacuous.  Lattices and the inversion
-    round trip use the family's own ``grid_k`` and ``tol_invert``.
+    round trip and the inverses use the family's own ``grid_k``,
+    ``tol_invert`` and ``tol_det``.
     """
     grid_k = family.grid_k
     reports = []
@@ -580,7 +579,8 @@ def validate_axioms(family, glue_tests=()):
     failures = []
     for f in family.members:
         try:
-            inv = invert(f, grid_k=grid_k, tol_invert=family.tol_invert)
+            inv = invert(f, grid_k=grid_k, tol_invert=family.tol_invert,
+                         tol_det=family.tol_det)
         except InversionError as exc:
             failures.append(f"{f.label}: {exc}")
             continue
@@ -661,14 +661,14 @@ def _check_glue(family, test):
             f"by any glue piece")
         return failures
     glued = None
+    piece_points = [SampleGrid(p.domain, grid_k).points for p in pieces]
     for m in family.members:
         if m.domain.contains_box(test.target):
             agrees = all(
-                float(np.max(np.abs(
-                    m.evaluate(SampleGrid(p.domain, grid_k).points, check_domain=False)
-                    - p.evaluate(SampleGrid(p.domain, grid_k).points, check_domain=False)
-                ))) <= family.dedup_tol
-                for p in pieces)
+                float(np.max(np.abs(m.evaluate(pts, check_domain=False)
+                                    - p.evaluate(pts, check_domain=False))))
+                <= family.dedup_tol
+                for p, pts in zip(pieces, piece_points))
             if agrees:
                 glued = m
                 break

@@ -6,16 +6,16 @@ Each task is one check; a task may declare ``"expect": "fail"`` when the
 failure itself is the point (obstructed integrability, a non-factoring
 function, a family that is not closed).
 
-Reports are emitted either as canonical JSON (stable ordering, 17-digit
-floats, no timing) so that repeated runs are byte-identical, or as a human
-text summary that includes the wall-clock time.
+Reports are emitted either as canonical JSON (fixed key order, shortest
+round-trip floats, no timing) so that repeated runs are byte-identical, or
+as a human text summary that includes the wall-clock time.
 """
 from __future__ import annotations
 
 import json
 import math
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from . import defaults
 from .charts import build_spencer_chart, cocycle_check, factorize, transition_map
@@ -27,7 +27,7 @@ from .errors import (ChartError, CompositionError, ConfigurationError,
                      ScenarioError)
 from .jfield import (ACStructure, Box, SampleGrid, check_acs,
                      integrability_report, split_type, standard_structure)
-from .poly import Polynomial, fmt_float, parse_polynomial
+from .poly import parse_polynomial
 from .pseudogroup import (GlueTest, LocalMap, OverDiagram, check_ah_map,
                           check_over_diagram, generate, validate_axioms)
 from .report import Report, make_report
@@ -116,6 +116,24 @@ def _json_object(data, where, keys=None):
     return data
 
 
+def _check_encodable(data):
+    """Reject a string, key or value, that UTF-8 cannot encode, such as a lone
+    surrogate from a ``\\ud800`` escape: no report could print it."""
+    if isinstance(data, str):
+        try:
+            data.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ScenarioError(f"string {data!r} is not valid Unicode: "
+                                f"{exc.reason}") from exc
+    elif isinstance(data, dict):
+        for key, value in data.items():
+            _check_encodable(key)
+            _check_encodable(value)
+    elif isinstance(data, list):
+        for item in data:
+            _check_encodable(item)
+
+
 def _parse_box(data, where, dim):
     _json_object(data, where, ("lo", "hi"))
     try:
@@ -169,6 +187,7 @@ def _parse_map(name, data, keys, dim, ambient, where):
 def parse_scenario(data):
     """Validate a scenario dictionary and resolve it into toolkit objects."""
     _json_object(data, "scenario", SCENARIO_KEYS)
+    _check_encodable(data)
     name = str(_require(data, "name", "scenario"))
     n = _require(data, "n", "scenario")
     if not _is_int(n):
@@ -280,6 +299,8 @@ def load_scenario(path):
             data = json.load(fh)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario file is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
     return parse_scenario(data)
@@ -364,7 +385,7 @@ def _build_family(scenario, label, tols):
     family = generate(seeds, scenario.box, depth=spec.depth,
                       dedup_tol=spec.dedup_tol,
                       restriction_targets=spec.restriction_targets,
-                      tol_invert=tols["tol_invert"])
+                      tol_invert=tols["tol_invert"], tol_det=tols["tol_det"])
     return family, spec
 
 
@@ -651,60 +672,22 @@ def run_scenario(scenario, tol_overrides=None, grid_override=None,
 # emission
 # ---------------------------------------------------------------------------
 
-def _json_escape(text):
-    out = []
-    for ch in text:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append({"\n": "\\n", "\t": "\\t", "\r": "\\r"}.get(
-                ch, f"\\u{ord(ch):04x}"))
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
-def _emit_number(value):
-    return fmt_float(value)
-
-
 def emit_json(result):
-    """Canonical JSON: sorted metric keys, 17-digit floats, no timing."""
-    lines = ["{"]
-    lines.append(f'  "scenario": "{_json_escape(result.scenario)}",')
-    lines.append(f'  "version": "{_json_escape(result.version)}",')
-    lines.append(f'  "overall": "{result.overall}",')
-    lines.append('  "tasks": [')
-    for t, rep in enumerate(result.reports):
-        lines.append("    {")
-        lines.append(f'      "task": "{_json_escape(rep.task)}",')
-        lines.append(f'      "status": "{rep.status}",')
-        for key, mapping in (("metrics", rep.metrics),
-                             ("tolerances", rep.tolerances)):
-            if mapping:
-                lines.append(f'      "{key}": {{')
-                items = sorted(mapping.items())
-                for i, (k, v) in enumerate(items):
-                    comma = "," if i + 1 < len(items) else ""
-                    lines.append(f'        "{_json_escape(k)}": '
-                                 f"{_emit_number(v)}{comma}")
-                lines.append("      },")
-            else:
-                lines.append(f'      "{key}": {{}},')
-        if rep.notes:
-            lines.append('      "notes": [')
-            for i, note in enumerate(rep.notes):
-                comma = "," if i + 1 < len(rep.notes) else ""
-                lines.append(f'        "{_json_escape(note)}"{comma}')
-            lines.append("      ]")
-        else:
-            lines.append('      "notes": []')
-        lines.append("    }," if t + 1 < len(result.reports) else "    }")
-    lines.append("  ]")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """Canonical JSON: fixed key order, sorted metric and tolerance keys,
+    floats in Python's shortest round-trip form, no timing."""
+    doc = {
+        "scenario": result.scenario,
+        "version": result.version,
+        "overall": result.overall,
+        "tasks": [{"task": rep.task,
+                   "status": rep.status,
+                   "metrics": {k: float(v) for k, v in sorted(rep.metrics.items())},
+                   "tolerances": {k: float(v)
+                                  for k, v in sorted(rep.tolerances.items())},
+                   "notes": list(rep.notes)}
+                  for rep in result.reports],
+    }
+    return json.dumps(doc, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
 
 def emit_text(result):

@@ -18,7 +18,7 @@ from spencerkit import (
     standard_structure,
 )
 from spencerkit.errors import ConfigurationError, DegenerateStructureError
-from spencerkit.jfield import lattice_points
+from spencerkit.jfield import lattice_points, numerical_rank
 
 
 def test_box_validation():
@@ -243,3 +243,12 @@ def test_structure_validation_rejects_bad_input():
     complex_entry = [[parse_polynomial("(0+1i)*x1", 2), good[0][1]], good[1]]
     with pytest.raises(ConfigurationError):
         ACStructure(1, box, complex_entry)
+
+
+def test_numerical_rank_counts_above_the_cutoff_per_row():
+    # Relative cutoff 1e-3 * 2 on the first row; an all-zero row falls back
+    # to the absolute 1e-3, which nothing exceeds.
+    sigma = np.array([[2.0, 2.1e-3, 1.9e-3], [0.0, 0.0, 0.0],
+                      [5e-4, 1e-7, 0.0]])
+    assert numerical_rank(sigma, 1e-3).tolist() == [2, 0, 1]
+    assert [int(numerical_rank(row, 1e-3)) for row in sigma] == [2, 0, 1]

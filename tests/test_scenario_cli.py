@@ -142,6 +142,8 @@ def test_emit_json_is_canonical_and_parses():
         assert "duration" not in task
     blob2 = emit_json(run_scenario(scenario))
     assert blob == blob2
+    assert blob == json.dumps(json.loads(blob), indent=2,
+                              ensure_ascii=False) + "\n"
 
 
 def test_cli_version_and_help():
@@ -175,6 +177,12 @@ def test_cli_rejects_bad_inputs(tmp_path):
 
     code, out, err = run_cli("run", str(tmp_path / "missing.json"))
     assert code == 2
+
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"name": "caf\xe9"}')
+    code, out, err = run_cli("run", str(latin1))
+    assert code == 2
+    assert "not UTF-8" in err
 
     code, out, err = run_cli("builtin", "not_a_builtin")
     assert code == 2
@@ -282,6 +290,8 @@ def test_cli_tol_override_must_be_finite_and_positive(scenario_file, capsys,
     {"charts": {"c": {"functions": [["z"]]}}},
     {"charts": {"c": {"functions": ["z"],
                       "bx": {"lo": [0.0, 0.0], "hi": [0.5, 0.5]}}}},
+    {"name": "bad\ud800name"},
+    {"tasks": [{"task": "cr_check", "function": "z", "label": "\ud800"}]},
 ])
 def test_cli_rejects_malformed_scenarios_with_exit_two(scenario_file, capsys,
                                                         overrides):
@@ -345,6 +355,23 @@ def test_tol_invert_reaches_the_round_trip_check(scenario_file, capsys):
     assert cli.main(["run", path]) == 1
     assert "defect 9.000e-07 > 1e-09" in capsys.readouterr().out
     assert cli.main(["run", path, "--tol", "tol_invert=1e-6"]) == 0
+
+
+def test_tol_det_reaches_the_family_closure(scenario_file, capsys):
+    # c scales by 0.002: |det| is 4e-6 on c and 1.6e-11 on c>>c.
+    data = minimal_scenario(
+        maps={"c": {"components": ["0.002*x1", "0.002*x2"]}},
+        families={"f": {"members": ["c"], "depth": 1}},
+        tasks=[{"task": "axioms", "family": "f"}])
+    path = scenario_file(data)
+    assert cli.main(["run", path]) == 1
+    out = capsys.readouterr().out
+    assert "(c>>c) has |det| = 1.600e-11 <= 1e-06" in out
+    assert json.loads(out)["tasks"][0]["metrics"]["members"] == 4.0
+    assert cli.main(["run", path, "--tol", "tol_det=1e-3"]) == 1
+    out = capsys.readouterr().out
+    assert "c has |det| = 4.000e-06 <= 0.001" in out
+    assert json.loads(out)["tasks"][0]["metrics"]["members"] == 3.0
 
 
 def test_builtins_read_every_named_tolerance(monkeypatch):
