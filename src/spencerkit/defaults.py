@@ -20,6 +20,10 @@ TOL_DIAGRAM = 1e-8     # commutation residual for defined-over diagrams
 TOL_INVERT = 1e-9      # round-trip residual for local-map inverses
 SVD_REL_TOL = 1e-8     # relative singular-value cutoff (rank / nullspace)
 
+# Canonical eigenvector phase: the first component of a unit max-norm vector
+# whose modulus exceeds this is rotated to the positive real axis.
+PHASE_THRESHOLD = 1e-9
+
 # Relative factors resolved against a box diameter at call time.
 CLUSTER_TOL_FACTOR = 1e-6   # fiber clustering resolution
 DEDUP_TOL_FACTOR = 1e-9     # map-equality tolerance inside a family

@@ -289,17 +289,6 @@ class SplitTypeResult:
     points: np.ndarray
 
 
-def _canonical_vector(v):
-    """Unit max-norm, first significant component rotated to positive real."""
-    scale = np.max(np.abs(v))
-    v = v / scale
-    for c in v:
-        if abs(c) > 1e-9:
-            v = v * (abs(c) / c)
-            break
-    return v
-
-
 def numerical_rank(sigma, svd_rel_tol):
     """Count of singular values above the rank cutoff, over the last axis.
 
@@ -313,13 +302,27 @@ def numerical_rank(sigma, svd_rel_tol):
     return (sigma > cutoff).sum(axis=-1)
 
 
-def _eigenspace_basis(j_matrix, eigenvalue, svd_rel_tol):
-    a = j_matrix.astype(complex) - eigenvalue * np.eye(j_matrix.shape[0])
-    _, sigma, vh = np.linalg.svd(a)
-    rank = int(numerical_rank(sigma, svd_rel_tol))
-    basis = [_canonical_vector(v) for v in np.conj(vh[rank:])]
-    basis.sort(key=lambda v: tuple(x for c in v for x in (round(c.real, 9), round(c.imag, 9))))
-    return basis
+def _canonical_bases(vh):
+    """Canonical kernel bases from stacked SVD rows ``vh`` (P, k, 2n).
+
+    Each vector is scaled to unit max-norm and its first component above
+    ``defaults.PHASE_THRESHOLD`` is rotated to the positive real axis; each
+    point's vectors are then sorted by their components rounded to 9 digits.
+    Magnitudes that decide a phase come from ``np.hypot``, which gives the
+    bits of the scalar ``abs``; ``np.abs`` over a complex array does not.
+    """
+    v = np.conj(vh)
+    v = v / np.max(np.abs(v), axis=-1, keepdims=True)
+    first = np.argmax(np.hypot(v.real, v.imag) > defaults.PHASE_THRESHOLD, axis=-1)
+    lead = np.take_along_axis(v, first[..., None], axis=-1)
+    v = v * (np.hypot(lead.real, lead.imag) / lead)
+    count, k, size = v.shape
+    flat = v.reshape(count * k, size)
+    # lexsort reads its last key first: the point, then the rounded real and
+    # imaginary parts of component 0, component 1 and so on.
+    keys = np.round(flat.view(float), 9).T[::-1]
+    order = np.lexsort(np.vstack([keys, np.repeat(np.arange(count), k)]))
+    return flat[order].reshape(count, k, size)
 
 
 def split_type(structure, points=None, svd_rel_tol=defaults.SVD_REL_TOL):
@@ -327,7 +330,8 @@ def split_type(structure, points=None, svd_rel_tol=defaults.SVD_REL_TOL):
 
     Raises DegenerateStructureError unless both spaces have dimension n
     everywhere.  Basis vectors are canonically normalized and sorted, so the
-    result is deterministic.
+    result is deterministic.  Each eigenspace takes one SVD over the stack
+    of all points.
     """
     if points is None:
         points = structure.default_grid().points
@@ -335,20 +339,21 @@ def split_type(structure, points=None, svd_rel_tol=defaults.SVD_REL_TOL):
     if pts.ndim == 1:
         pts = pts[None, :]
     n, size = structure.n, structure.real_dim
-    j = eval_j(structure, pts)
-    plus = np.zeros((pts.shape[0], n, size), dtype=complex)
-    minus = np.zeros((pts.shape[0], n, size), dtype=complex)
-    for p in range(pts.shape[0]):
-        b_plus = _eigenspace_basis(j[p], 1j, svd_rel_tol)
-        b_minus = _eigenspace_basis(j[p], -1j, svd_rel_tol)
-        if len(b_plus) != n or len(b_minus) != n:
-            raise DegenerateStructureError(
-                f"eigenspace dimensions ({len(b_plus)}, {len(b_minus)}) != ({n}, {n}) "
-                f"at point {tuple(pts[p])}")
-        plus[p] = np.array(b_plus)
-        minus[p] = np.array(b_minus)
-    res_plus = np.einsum("pij,pkj->pki", j.astype(complex), plus) - 1j * plus
-    res_minus = np.einsum("pij,pkj->pki", j.astype(complex), minus) + 1j * minus
+    j = eval_j(structure, pts).astype(complex)
+    dims, kernels = [], []
+    for eigenvalue in (1j, -1j):
+        _, sigma, vh = np.linalg.svd(j - eigenvalue * np.eye(size))
+        dims.append(size - numerical_rank(sigma, svd_rel_tol))
+        kernels.append(vh[:, n:])
+    bad = np.flatnonzero((dims[0] != n) | (dims[1] != n))
+    if bad.size:
+        p = bad[0]
+        raise DegenerateStructureError(
+            f"eigenspace dimensions ({dims[0][p]}, {dims[1][p]}) != ({n}, {n}) "
+            f"at point {tuple(map(float, pts[p]))}")
+    plus, minus = (_canonical_bases(vh) for vh in kernels)
+    res_plus = np.einsum("pij,pkj->pki", j, plus) - 1j * plus
+    res_minus = np.einsum("pij,pkj->pki", j, minus) + 1j * minus
     residual = float(max(np.max(np.abs(res_plus)), np.max(np.abs(res_minus))))
     return SplitTypeResult(
         dims=(n, n),

@@ -95,7 +95,7 @@ class LocalMap:
             if not np.all(inside):
                 bad = pts[~inside][0]
                 raise DomainError(
-                    f"point {tuple(bad)} outside the domain of {self.label}")
+                    f"point {tuple(map(float, bad))} outside the domain of {self.label}")
         if self.kind == self.POLY:
             out = self.poly.evaluate(pts).real
         elif self.kind == self.CHAIN:
@@ -158,7 +158,7 @@ class LocalMap:
             bad = ys[~ok][0]
             raise InversionError(
                 f"Newton iteration for {self.label} failed to converge "
-                f"for target {tuple(bad)}")
+                f"for target {tuple(map(float, bad))}")
         return xs
 
     def _newton_solve_batch(self, ys):

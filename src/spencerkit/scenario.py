@@ -188,7 +188,9 @@ def parse_scenario(data):
     """Validate a scenario dictionary and resolve it into toolkit objects."""
     _json_object(data, "scenario", SCENARIO_KEYS)
     _check_encodable(data)
-    name = str(_require(data, "name", "scenario"))
+    name = _require(data, "name", "scenario")
+    if not isinstance(name, str):
+        raise ScenarioError(f'scenario: "name" must be a string, got {name!r}')
     n = _require(data, "n", "scenario")
     if not _is_int(n):
         raise ScenarioError(f'scenario: "n" must be an integer, got {n!r}')

@@ -19,6 +19,8 @@ from spencerkit import (
 )
 from spencerkit.errors import ConfigurationError, DegenerateStructureError
 from spencerkit.jfield import lattice_points, numerical_rank
+from spencerkit.poly import Polynomial, poly_identity_matrix, poly_matmul
+from spencerkit.scenario import builtin_scenarios, parse_scenario
 
 
 def test_box_validation():
@@ -252,3 +254,126 @@ def test_numerical_rank_counts_above_the_cutoff_per_row():
                       [5e-4, 1e-7, 0.0]])
     assert numerical_rank(sigma, 1e-3).tolist() == [2, 0, 1]
     assert [int(numerical_rank(row, 1e-3)) for row in sigma] == [2, 0, 1]
+
+
+# The per-point split_type loop that the stacked version replaced, kept
+# verbatim as the bit-identity reference.
+def _reference_canonical_vector(v):
+    scale = np.max(np.abs(v))
+    v = v / scale
+    for c in v:
+        if abs(c) > 1e-9:
+            v = v * (abs(c) / c)
+            break
+    return v
+
+
+def _reference_eigenspace_basis(j_matrix, eigenvalue, svd_rel_tol):
+    a = j_matrix.astype(complex) - eigenvalue * np.eye(j_matrix.shape[0])
+    _, sigma, vh = np.linalg.svd(a)
+    rank = int(numerical_rank(sigma, svd_rel_tol))
+    basis = [_reference_canonical_vector(v) for v in np.conj(vh[rank:])]
+    basis.sort(key=lambda v: tuple(x for c in v for x in (round(c.real, 9), round(c.imag, 9))))
+    return basis
+
+
+def _reference_split_type(structure, pts, svd_rel_tol=1e-8):
+    n, size = structure.n, structure.real_dim
+    j = eval_j(structure, pts)
+    plus = np.zeros((pts.shape[0], n, size), dtype=complex)
+    minus = np.zeros((pts.shape[0], n, size), dtype=complex)
+    for p in range(pts.shape[0]):
+        b_plus = _reference_eigenspace_basis(j[p], 1j, svd_rel_tol)
+        b_minus = _reference_eigenspace_basis(j[p], -1j, svd_rel_tol)
+        if len(b_plus) != n or len(b_minus) != n:
+            raise DegenerateStructureError(
+                f"eigenspace dimensions ({len(b_plus)}, {len(b_minus)}) != ({n}, {n}) "
+                f"at point {tuple(pts[p])}")
+        plus[p] = np.array(b_plus)
+        minus[p] = np.array(b_minus)
+    res_plus = np.einsum("pij,pkj->pki", j.astype(complex), plus) - 1j * plus
+    res_minus = np.einsum("pij,pkj->pki", j.astype(complex), minus) + 1j * minus
+    residual = float(max(np.max(np.abs(res_plus)), np.max(np.abs(res_minus))))
+    return plus, minus, residual
+
+
+def _sheared_n3():
+    """S^-1 J0 S for the shear S = I + N with polynomial N, N^2 = 0: the
+    rows {2, 4, 5} that N fills are disjoint from its columns {0, 1, 3}."""
+    size = 6
+    x = [Polynomial.variable(size, k) for k in range(size)]
+    shear = poly_identity_matrix(size, size)
+    shear_inv = poly_identity_matrix(size, size)
+    for (row, col), entry in {(2, 1): x[0] * 0.7 + x[3] * x[3],
+                              (4, 0): x[1] * x[2] - x[5] * 0.3,
+                              (5, 3): x[0] * x[4] + 0.25,
+                              (5, 1): x[2] * -1.3}.items():
+        shear[row][col] = shear[row][col] + entry
+        shear_inv[row][col] = shear_inv[row][col] - entry
+    base = standard_structure(3)
+    return ACStructure(3, base.box,
+                       poly_matmul(poly_matmul(shear_inv, base.matrix), shear))
+
+
+@pytest.mark.parametrize("case", ["std1", "std2", "std3", "twisted", "sheared3"])
+def test_split_type_is_bit_identical_to_the_per_point_loop(case, std1, std2, twisted):
+    # The standard structures put exact zeros and ties into the sort keys.
+    # On the sheared lattice at k = 4, some leading components get a phase
+    # factor whose bits differ when their modulus comes from np.abs over an
+    # array instead of the scalar abs.
+    structure, k = {
+        "std1": (std1, 5),
+        "std2": (std2, 5),
+        "std3": (standard_structure(3), 3),
+        "twisted": (twisted, 5),
+        "sheared3": (_sheared_n3(), 4),
+    }[case]
+    pts = structure.default_grid(k).points
+    res = split_type(structure, pts)
+    plus, minus, residual = _reference_split_type(structure, pts)
+    assert np.array_equal(res.bases_plus, plus)
+    assert np.array_equal(res.bases_minus, minus)
+    assert res.eigen_residual == residual
+    assert res.bases_plus.view(float).tobytes() == plus.view(float).tobytes()
+    assert res.bases_minus.view(float).tobytes() == minus.view(float).tobytes()
+
+
+def test_split_type_reports_the_first_degenerate_point_as_the_loop_does():
+    # J = [[0, -1], [x1, 0]] squares to -I only where x1 = 1.
+    box = Box((-1.0, -1.0), (1.0, 1.0))
+    matrix = [[parse_polynomial(e, 2) for e in row]
+              for row in [["0", "-1"], ["x1", "0"]]]
+    s = ACStructure(1, box, matrix)
+    pts = np.array([[1.0, 0.5], [1.0, -0.25], [-1.0, -1.0], [0.5, 0.0]])
+    with pytest.raises(DegenerateStructureError) as ref:
+        _reference_split_type(s, pts)
+    with pytest.raises(DegenerateStructureError) as new:
+        split_type(s, pts)
+    assert str(ref.value).endswith(f"at point {tuple(pts[2])}")
+    assert str(new.value) == (
+        "eigenspace dimensions (0, 0) != (1, 1) at point (-1.0, -1.0)")
+
+
+def test_split_type_bases_span_the_exact_projector_images():
+    # With J^2 = -I, the columns of (I -/+ iJ)/2 span the +/-i eigenspace.
+    data = builtin_scenarios()["twisted_r4"]
+    structure = parse_scenario(data).structure
+    xs = sympy.symbols("x1:5")
+    j_sym = sympy.Matrix([[sympy.sympify(e, locals=dict(zip(map(str, xs), xs)))
+                           for e in row] for row in data["J"]])
+    rational_points = [
+        (sympy.Rational(1, 4), sympy.Rational(-1, 3), 0, sympy.Rational(1, 2)),
+        (sympy.Rational(-2, 5), sympy.Rational(1, 7), sympy.Rational(3, 8), 0),
+        (sympy.Rational(1, 2), 0, sympy.Rational(-1, 2), sympy.Rational(5, 16)),
+    ]
+    pts = np.array([[float(c) for c in pt] for pt in rational_points])
+    res = split_type(structure, pts)
+    for p, pt in enumerate(rational_points):
+        j_at = j_sym.subs(dict(zip(xs, pt)))
+        for sign, bases in ((1, res.bases_plus), (-1, res.bases_minus)):
+            projector = (sympy.eye(4) - sign * sympy.I * j_at) / 2
+            assert projector.rank() == 2
+            columns = np.array(projector.T.evalf(), dtype=complex)
+            stacked = np.vstack([columns, bases[p]])
+            assert np.linalg.matrix_rank(bases[p], tol=1e-9) == 2
+            assert np.linalg.matrix_rank(stacked, tol=1e-9) == 2

@@ -243,6 +243,17 @@ def test_invert_newton_path(squaring):
                        np.broadcast_to(np.eye(2), (3, 2, 2)), atol=1e-9)
 
 
+def test_error_messages_print_points_as_plain_floats():
+    fold = pmap(["x1^2 + x2", "x2"], (0.5, -1.0), (1.0, 1.0), "q")
+    with pytest.raises(DomainError) as exc:
+        fold.evaluate(np.array([0.25, 0.0]))
+    assert str(exc.value) == "point (0.25, 0.0) outside the domain of q"
+    with pytest.raises(InversionError) as exc:
+        invert(fold).evaluate(np.array([-1.0, 0.0]), check_domain=False)
+    assert str(exc.value) == (
+        "Newton iteration for inv(q) failed to converge for target (-1.0, 0.0)")
+
+
 def test_invert_rejects_degenerate_jacobian():
     fold = pmap(["x1^2", "x2"], (-1.0, -1.0), (1.0, 1.0), "fold")
     with pytest.raises(InversionError):

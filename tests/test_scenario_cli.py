@@ -292,6 +292,7 @@ def test_cli_tol_override_must_be_finite_and_positive(scenario_file, capsys,
                       "bx": {"lo": [0.0, 0.0], "hi": [0.5, 0.5]}}}},
     {"name": "bad\ud800name"},
     {"tasks": [{"task": "cr_check", "function": "z", "label": "\ud800"}]},
+    {"name": 5},
 ])
 def test_cli_rejects_malformed_scenarios_with_exit_two(scenario_file, capsys,
                                                         overrides):
@@ -414,6 +415,16 @@ def test_cli_exit_three_on_non_finite_metric(scenario_file, capsys):
     assert code == 3
     assert "not all finite" in captured.err
     assert captured.out == ""
+
+
+def test_degenerate_point_note_prints_plain_floats(scenario_file, capsys):
+    data = minimal_scenario(J=[["0", "-1"], ["x1", "0"]],
+                            tasks=[{"task": "split_type"}])
+    assert cli.main(["run", scenario_file(data)]) == 1
+    task = json.loads(capsys.readouterr().out)["tasks"][0]
+    assert task["notes"] == [
+        "DegenerateStructureError: eigenspace dimensions (0, 0) != (1, 1) "
+        "at point (-1.0, -1.0)"]
 
 
 def test_cli_json_byte_identity_across_processes(scenario_file):
