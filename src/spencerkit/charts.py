@@ -148,9 +148,9 @@ def _vandermonde(w, fit_degree):
 
 def _lstsq_checked(matrix, rhs, what):
     sigma = np.linalg.svd(matrix, compute_uv=False)
-    if sigma[-1] == 0 or sigma[0] / sigma[-1] > 1e12:
+    if sigma[-1] == 0 or sigma[0] / sigma[-1] > defaults.FIT_COND_CAP:
         raise FitError(f"{what} is too ill-conditioned to fit "
-                       f"(condition number above 1e12)")
+                       f"(condition number above {defaults.FIT_COND_CAP:g})")
     solution, _, _, _ = np.linalg.lstsq(matrix, rhs, rcond=None)
     return solution, float(sigma[0] / sigma[-1])
 

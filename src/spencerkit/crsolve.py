@@ -3,9 +3,10 @@
 A scalar function f is almost holomorphic for a structure J when the pulled
 back differential satisfies J* df = i df; equivalently, writing f = u + i v,
 the real pair du o J + dv = 0 and dv o J - du = 0 holds.  The solver looks
-for all polynomial solutions up to a degree by sampling the linear system on
-a lattice and extracting the numerical nullspace, and the type estimate
-counts how many functionally independent solutions exist.
+for all polynomial solutions up to a degree as the numerical nullspace of the
+exact linear map the CR operator induces between coefficient spaces (J is
+polynomial, so no sampling is involved), and the type estimate counts how many
+functionally independent solutions exist.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 from . import defaults
 from .errors import ConfigurationError, NumericalError
 from .jfield import SampleGrid, eval_j, numerical_rank
-from .poly import Polynomial, monomials_upto
+from .poly import Polynomial, monomial_key, monomials_upto
 from .report import make_report
 
 
@@ -84,7 +85,7 @@ class AHSolutionSet:
     monomials: tuple            # exponent tuples, graded order; no constant
     coefficients: np.ndarray    # (nullity, len(monomials)) complex, reduced rows
     fields: tuple               # Polynomial per row of ``coefficients``
-    residual: float             # worst |A c| / |c|_inf over the basis
+    residual: float             # worst lattice CR defect / |c|_inf over the basis
     singular_values: np.ndarray
     grid_k: int
     svd_rel_tol: float
@@ -94,18 +95,31 @@ class AHSolutionSet:
         return len(self.fields)
 
 
-def _cr_system_matrix(structure, monomials, points):
-    """Rows (point, coordinate) of the sampled linear system A c = 0."""
-    pts = np.asarray(points, dtype=float)
+def _cr_system_matrix(structure, monomials):
+    """Exact coefficient map of f -> sum_i d_i f J_ij - i d_j f.
+
+    Each monomial of the ansatz gives one column; the rows are (component j,
+    output monomial e), sorted by (j, monomial_key(e)).
+    A polynomial that vanishes on the box vanishes identically, so the
+    nullspace is that of the CR operator on the box, whatever the box.
+    """
     size = structure.real_dim
-    j = eval_j(structure, pts)
-    cols = []
+    j_entries = structure.matrix
+    images = []
     for exps in monomials:
-        mono = Polynomial(size, {exps: 1.0})
-        grad = mono.gradient(pts)
-        col = np.einsum("pi,pij->pj", grad, j.astype(complex)) - 1j * grad
-        cols.append(col.reshape(-1))
-    return np.stack(cols, axis=1)
+        grad = [Polynomial(size, {exps: 1.0}).diff(i) for i in range(size)]
+        images.append([
+            sum((grad[i] * j_entries[i][j] for i in range(size)), -1j * grad[j])
+            for j in range(size)])
+    keys = sorted({(j, monomial_key(e)) for image in images
+                   for j, comp in enumerate(image) for e in comp.terms})
+    row_of = {key: r for r, key in enumerate(keys)}
+    a = np.zeros((len(keys), len(monomials)), dtype=complex)
+    for col, image in enumerate(images):
+        for j, comp in enumerate(image):
+            for e, coef in comp.terms.items():
+                a[row_of[j, monomial_key(e)], col] = coef
+    return a
 
 
 def _reduce_rows(rows, monomials):
@@ -125,7 +139,7 @@ def _reduce_rows(rows, monomials):
             break
         scores = [abs(r[pos]) for r in remaining]
         best = int(np.argmax(scores))
-        if scores[best] <= 1e-10:
+        if scores[best] <= defaults.REDUCE_PIVOT_TOL:
             continue
         row = remaining.pop(best)
         row = row / row[pos]
@@ -138,11 +152,11 @@ def _reduce_rows(rows, monomials):
     out = []
     for idx in order:
         row = reduced[idx].copy()
-        scale = np.max(np.abs(row))
-        row[np.abs(row) <= 1e-12 * scale] = 0.0
+        snap = defaults.REDUCE_SNAP_TOL * np.max(np.abs(row))
+        row[np.abs(row) <= snap] = 0.0
         # drop negligible imaginary or real parts left over from elimination
-        row.real[np.abs(row.real) <= 1e-12 * scale] = 0.0
-        row.imag[np.abs(row.imag) <= 1e-12 * scale] = 0.0
+        row.real[np.abs(row.real) <= snap] = 0.0
+        row.imag[np.abs(row.imag) <= snap] = 0.0
         out.append(row)
     return out
 
@@ -152,23 +166,19 @@ def solve_ah_polynomials(structure, degree, grid_k=None,
     """All polynomial almost-holomorphic functions up to total degree.
 
     Constants are trivially almost holomorphic and are excluded from the
-    ansatz.  The sampled system must have at least as many rows as unknowns,
-    otherwise the configuration is rejected.
+    ansatz.  ``grid_k`` sets only the lattice of the independent residual
+    check: the worst CR defect of each basis field over that lattice,
+    relative to its largest coefficient.
     """
     if not 1 <= degree <= defaults.DEGREE_CAP:
         raise ConfigurationError(
             f"solver degree {degree} outside 1..{defaults.DEGREE_CAP}")
     if grid_k is None:
         grid_k = defaults.default_solver_grid(degree)
+    grid = SampleGrid(structure.box, grid_k)
     size = structure.real_dim
     monomials = tuple(monomials_upto(size, degree))
-    grid = SampleGrid(structure.box, grid_k)
-    rows = len(grid) * size
-    if rows < len(monomials):
-        raise ConfigurationError(
-            f"{rows} sample rows cannot determine {len(monomials)} coefficients; "
-            f"increase the grid density")
-    a = _cr_system_matrix(structure, monomials, grid.points)
+    a = _cr_system_matrix(structure, monomials)
     try:
         _, sigma, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -176,21 +186,13 @@ def solve_ah_polynomials(structure, degree, grid_k=None,
     if not np.all(np.isfinite(sigma)):
         raise NumericalError("CR system produced non-finite singular values")
     rank = int(numerical_rank(sigma, svd_rel_tol))
-    null_rows = [np.conj(v) for v in vh[rank:]]
-    if null_rows:
-        reduced = _reduce_rows(null_rows, monomials)
-    else:
-        reduced = []
+    reduced = _reduce_rows([np.conj(v) for v in vh[rank:]], monomials)
     coeffs = (np.array(reduced) if reduced
               else np.zeros((0, len(monomials)), dtype=complex))
     fields = tuple(
         Polynomial(size, dict(zip(monomials, row))) for row in coeffs)
-    if len(coeffs):
-        defect = a @ coeffs.T
-        scales = np.max(np.abs(coeffs), axis=1)
-        residual = float(np.max(np.max(np.abs(defect), axis=0) / scales))
-    else:
-        residual = 0.0
+    residual = max((cr_residual(structure, f, grid.points) / f.max_abs_coeff()
+                    for f in fields), default=0.0)
     return AHSolutionSet(
         degree=int(degree),
         monomials=monomials,

@@ -20,6 +20,16 @@ TOL_DIAGRAM = 1e-8     # commutation residual for defined-over diagrams
 TOL_INVERT = 1e-9      # round-trip residual for local-map inverses
 SVD_REL_TOL = 1e-8     # relative singular-value cutoff (rank / nullspace)
 
+# Internal decision thresholds (module constants, not --tol names).  The
+# snap, Newton and growth values are relative to a row maximum, a point's
+# scale and max(domain diameter, 1) respectively.
+REDUCE_PIVOT_TOL = 1e-10    # smallest pivot when reducing a nullspace basis
+REDUCE_SNAP_TOL = 1e-12     # reduced coefficients at or below this become 0
+NEWTON_STOP_TOL = 1e-13     # Newton residual at which a point stops iterating
+NEWTON_ACCEPT_TOL = 1e-9    # Newton residual up to which a point is accepted
+GROWTH_TOL = 1e-12          # smallest domain growth ``compose`` still pursues
+FIT_COND_CAP = 1e12         # largest condition number of a fit matrix
+
 # Canonical eigenvector phase: the first component of a unit max-norm vector
 # whose modulus exceeds this is rotated to the positive real axis.
 PHASE_THRESHOLD = 1e-9
@@ -39,7 +49,7 @@ GRID_PER_AXIS = 5           # lattice density for map/axiom checks
 
 
 def default_solver_grid(degree):
-    """Lattice density used by the CR solver when none is given."""
+    """Lattice density of the CR solver's residual check when none is given."""
     return 2 * degree + 1
 
 

@@ -166,9 +166,9 @@ class LocalMap:
 
         Each point starts at the nearest precomputed seed, takes full Newton
         steps with halving until the residual drops, and is accepted once the
-        residual falls below 1e-9 of its scale.  Points that stall come back
-        with a False mask entry; garbage rows (NaN propagation) mask
-        themselves out as well.
+        residual falls below ``defaults.NEWTON_ACCEPT_TOL`` of its scale.
+        Points that stall come back with a False mask entry; garbage rows
+        (NaN propagation) mask themselves out as well.
         """
         ys = np.asarray(ys, dtype=float)
         scale = np.maximum(1.0, np.max(np.abs(ys), axis=1))
@@ -179,7 +179,7 @@ class LocalMap:
         norm = np.max(np.abs(res), axis=1)
         stalled = np.zeros(len(ys), dtype=bool)
         for _ in range(NEWTON_MAX_ITER):
-            active = ~stalled & (norm > 1e-13 * scale)
+            active = ~stalled & (norm > defaults.NEWTON_STOP_TOL * scale)
             if not np.any(active):
                 break
             idx = np.flatnonzero(active)
@@ -215,7 +215,7 @@ class LocalMap:
                 t[rows[~better]] *= 0.5
             stalled[idx[pending]] = True
         with np.errstate(invalid="ignore"):
-            ok = norm <= 1e-9 * scale
+            ok = norm <= defaults.NEWTON_ACCEPT_TOL * scale
         return x, ok
 
 
@@ -316,7 +316,7 @@ def compose(first, second, grid_k=defaults.GRID_PER_AXIS):
     hi = np.array(seed, dtype=float)
     dom_lo = np.array(first.domain.lo)
     dom_hi = np.array(first.domain.hi)
-    growth_tol = 1e-12 * max(first.domain.diameter, 1.0)
+    growth_tol = defaults.GROWTH_TOL * max(first.domain.diameter, 1.0)
     for _ in range(6):
         grew = False
         for d in range(first.dim):

@@ -13,7 +13,30 @@ from spencerkit import (
     parse_polynomial,
     standard_structure,
 )
-from spencerkit.poly import Polynomial, poly_identity_matrix, poly_matmul
+from spencerkit.poly import Polynomial
+
+
+def poly_matmul(a, b):
+    """Product of two matrices with Polynomial entries (lists of rows)."""
+    rows, inner, cols = len(a), len(b), len(b[0])
+    if any(len(r) != inner for r in a):
+        raise ValueError("matrix shapes do not match")
+    nvars = a[0][0].nvars
+    out = []
+    for i in range(rows):
+        row = []
+        for j in range(cols):
+            acc = Polynomial.zero(nvars)
+            for k in range(inner):
+                acc = acc + a[i][k] * b[k][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def poly_identity_matrix(size, nvars):
+    return [[Polynomial.constant(nvars, 1.0 if i == j else 0.0)
+             for j in range(size)] for i in range(size)]
 
 
 def _poly_matrix(rows, nvars):

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 import pytest
+import sympy
 
 from spencerkit import (
+    ACStructure,
+    Box,
     cr_equations_check,
     cr_real_residual,
     cr_residual,
@@ -11,9 +17,12 @@ from spencerkit import (
     independence_rank,
     parse_polynomial,
     solve_ah_polynomials,
+    standard_structure,
 )
 from spencerkit.errors import ConfigurationError
 from spencerkit.poly import Polynomial, monomials_upto
+
+from conftest import TWISTED_ROWS, _poly_matrix
 
 
 def random_field(rng, nvars, degree):
@@ -107,10 +116,86 @@ def test_solution_space_is_linear(std1):
 
 def test_solver_residuals_stable_on_finer_grids(std1):
     base = solve_ah_polynomials(std1, degree=2)
-    finer = solve_ah_polynomials(std1, degree=2, grid_k=9)
-    assert finer.nullity == base.nullity
-    for a, b in zip(base.coefficients, finer.coefficients):
-        assert np.allclose(a, b, atol=1e-9)
+    for grid_k in (2, 5, 9):
+        other = solve_ah_polynomials(std1, degree=2, grid_k=grid_k)
+        assert other.nullity == base.nullity
+        assert np.array_equal(other.coefficients, base.coefficients)
+
+
+def test_solver_off_centre_box_finds_the_exact_nullity():
+    # The operator does not depend on the box: off centre the nullity is the
+    # one found on the centred box.
+    box = Box((9.5,) * 4, (10.5,) * 4)
+    shifted = ACStructure(2, box, _poly_matrix(TWISTED_ROWS, 4))
+    sol = solve_ah_polynomials(shifted, degree=3)
+    assert sol.nullity == 3
+    bound = 10 * sol.svd_rel_tol * max(float(sol.singular_values[0]), 1.0)
+    assert sol.residual <= bound
+
+
+def _exact_cr_nullspace(structure, degree):
+    """Exponent tuples and the exact nullspace of the CR system, in sympy.
+
+    The unknowns are the coefficients of a generic polynomial of degree 1 to
+    ``degree``; each x-coefficient of sum_i d_i f J_ij - i d_j f is one
+    linear equation.
+    """
+    size = structure.real_dim
+    xs = sympy.symbols(f"x1:{size + 1}")
+
+    def monomial(exps):
+        return sympy.Mul(*[x ** k for x, k in zip(xs, exps)])
+
+    j = [[sum((sympy.Rational(c.real) * monomial(e)
+               for e, c in entry.terms.items()), sympy.Integer(0))
+          for entry in row] for row in structure.matrix]
+    exps = [e for e in itertools.product(range(degree + 1), repeat=size)
+            if 1 <= sum(e) <= degree]
+    cs = sympy.symbols(f"c0:{len(exps)}")
+    f = sum(c * monomial(e) for c, e in zip(cs, exps))
+    grad = [sympy.diff(f, x) for x in xs]
+    equations = []
+    for col in range(size):
+        image = sum(grad[i] * j[i][col] for i in range(size)) - sympy.I * grad[col]
+        equations.extend(sympy.Poly(sympy.expand(image), *xs).coeffs())
+    matrix, _ = sympy.linear_eq_to_matrix(equations, cs)
+    return exps, matrix.nullspace()
+
+
+def _oracle_nullity(structure, degree):
+    """Exact nullity, after checking that the solver's basis spans the exact
+    nullspace: both have that dimension and so has their stack."""
+    exps, exact = _exact_cr_nullspace(structure, degree)
+    nullity = len(exact)
+    sol = solve_ah_polynomials(structure, degree=degree)
+    assert sol.nullity == nullity
+    position = {e: k for k, e in enumerate(exps)}
+    order = [position[e] for e in sol.monomials]
+    exact_rows = np.array([[complex(v[k]) for k in order] for v in exact])
+    exact_rows /= np.max(np.abs(exact_rows), axis=1, keepdims=True)
+    sigma = np.linalg.svd(np.vstack([exact_rows, sol.coefficients]),
+                          compute_uv=False)
+    assert int(np.sum(sigma > 1e-8 * sigma[0])) == nullity
+    return nullity
+
+
+@pytest.mark.parametrize("n, degree", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2),
+                                       (3, 1), (3, 2)])
+def test_solver_matches_sympy_oracle_standard(n, degree):
+    assert (_oracle_nullity(standard_structure(n), degree)
+            == math.comb(n + degree, degree) - 1)
+
+
+@pytest.mark.parametrize("degree, nullity", [(1, 1), (2, 2), (3, 3)])
+def test_solver_matches_sympy_oracle_twisted(twisted, degree, nullity):
+    assert _oracle_nullity(twisted, degree) == nullity
+
+
+def test_solver_matches_sympy_oracle_conjugated(conjugated_integrable):
+    # The shear makes the holomorphic coordinates polynomials of degree 2,
+    # so only three of the five quadratic-or-lower solutions of the standard
+    # structure survive at degree 2.
+    assert _oracle_nullity(conjugated_integrable, 2) == 3
 
 
 def test_solver_is_deterministic(std2):
@@ -124,8 +209,6 @@ def test_solver_rejects_bad_configurations(std1):
         solve_ah_polynomials(std1, degree=0)
     with pytest.raises(ConfigurationError):
         solve_ah_polynomials(std1, degree=7)
-    with pytest.raises(ConfigurationError):
-        solve_ah_polynomials(std1, degree=3, grid_k=2)
 
 
 def test_independence_rank_counts_complex_pairs(std1, z_field):

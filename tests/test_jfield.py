@@ -19,8 +19,10 @@ from spencerkit import (
 )
 from spencerkit.errors import ConfigurationError, DegenerateStructureError
 from spencerkit.jfield import lattice_points, numerical_rank
-from spencerkit.poly import Polynomial, poly_identity_matrix, poly_matmul
+from spencerkit.poly import Polynomial
 from spencerkit.scenario import builtin_scenarios, parse_scenario
+
+from conftest import poly_identity_matrix, poly_matmul
 
 
 def test_box_validation():
