@@ -21,6 +21,15 @@ from .jfield import SampleGrid
 from .poly import PolyMap, Polynomial, monomials_upto
 
 
+def _pair_rows(count, n, j):
+    """Jacobian rows (count, 2, 2n) of passive pair j: the real coordinates
+    2j and 2j + 1, counted from 0."""
+    rows = np.zeros((count, 2, 2 * n))
+    rows[:, 0, 2 * j] = 1.0
+    rows[:, 1, 2 * j + 1] = 1.0
+    return rows
+
+
 def _min_volume(rows):
     """Smallest over points of the product of singular values of the rows."""
     sigma = np.linalg.svd(rows, compute_uv=False)
@@ -44,13 +53,9 @@ class SpencerChart:
         return len(self.fields)
 
     def evaluate(self, points):
-        """Chart coordinates w in C^m at a point or batch."""
+        """Chart coordinates w in C^m at a batch (P, 2n), shape (P, m)."""
         pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
-        w = np.stack([f.evaluate(pts) for f in self.fields], axis=-1)
-        return w[0] if single else w
+        return np.stack([f.evaluate(pts) for f in self.fields], axis=-1)
 
 
 def build_spencer_chart(structure, fields, box=None,
@@ -89,18 +94,11 @@ def build_spencer_chart(structure, fields, box=None,
     available = list(range(n))
     chosen = []
     while len(chosen) < n - m:
-        best, best_score = None, -1.0
-        for j in available:
-            pair_rows = np.zeros((len(grid), 2, 2 * n))
-            pair_rows[:, 0, 2 * j] = 1.0
-            pair_rows[:, 1, 2 * j + 1] = 1.0
-            score = _min_volume(np.concatenate([rows, pair_rows], axis=1))
-            if score > best_score:
-                best, best_score = j, score
-        pair_rows = np.zeros((len(grid), 2, 2 * n))
-        pair_rows[:, 0, 2 * best] = 1.0
-        pair_rows[:, 1, 2 * best + 1] = 1.0
-        rows = np.concatenate([rows, pair_rows], axis=1)
+        trials = {j: np.concatenate([rows, _pair_rows(len(grid), n, j)], axis=1)
+                  for j in available}
+        # On equal scores max keeps the first, the lowest pair index.
+        best = max(available, key=lambda j: _min_volume(trials[j]))
+        rows = trials[best]
         chosen.append(best)
         available.remove(best)
 

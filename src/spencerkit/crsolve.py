@@ -21,14 +21,16 @@ from .poly import Polynomial, monomial_key, monomials_upto
 from .report import make_report
 
 
+def _cr_defect(grad, j):
+    """(J* df - i df) from gradients (P, 2n) and complex J values (P, 2n, 2n)."""
+    return np.einsum("pi,pij->pj", grad, j) - 1j * grad
+
+
 def cr_residual_vectors(structure, field, points):
-    """Componentwise defect (J* df - i df)(p), shape (P, 2n) complex."""
+    """Componentwise defect (J* df - i df)(p) at a batch of points (P, 2n);
+    shape (P, 2n), complex."""
     pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    grad = field.gradient(pts)
-    j = eval_j(structure, pts)
-    return np.einsum("pi,pij->pj", grad, j.astype(complex)) - 1j * grad
+    return _cr_defect(field.gradient(pts), eval_j(structure, pts).astype(complex))
 
 
 def cr_residual(structure, field, points=None):
@@ -43,8 +45,6 @@ def cr_real_residual(structure, field, points=None):
     if points is None:
         points = SampleGrid(structure.box).points
     pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
     grad = field.gradient(pts)
     du = grad.real
     dv = grad.imag
@@ -191,8 +191,9 @@ def solve_ah_polynomials(structure, degree, grid_k=None,
               else np.zeros((0, len(monomials)), dtype=complex))
     fields = tuple(
         Polynomial(size, dict(zip(monomials, row))) for row in coeffs)
-    residual = max((cr_residual(structure, f, grid.points) / f.max_abs_coeff()
-                    for f in fields), default=0.0)
+    j = eval_j(structure, grid.points).astype(complex)
+    residual = max((float(np.max(np.abs(_cr_defect(f.gradient(grid.points), j))))
+                    / f.max_abs_coeff() for f in fields), default=0.0)
     return AHSolutionSet(
         degree=int(degree),
         monomials=monomials,
@@ -230,8 +231,6 @@ def independence_rank(fields, points, svd_rel_tol=defaults.SVD_REL_TOL):
     if not fields:
         return 0
     pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
     sigma = np.linalg.svd(jacobian_rows(fields, pts), compute_uv=False)
     return int(np.max(numerical_rank(sigma, svd_rel_tol)))
 

@@ -61,19 +61,16 @@ class Box:
         return defaults.CONTAINMENT_SLACK * max(self.diameter, 1.0)
 
     def contains(self, points, slack=None):
-        """Membership mask for a point (d,) or batch (P, d), up to ``slack``."""
+        """Membership mask (P,) for a batch (P, d), up to ``slack``."""
         if slack is None:
             slack = self.slack
         pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
-        if pts.shape[1] != self.dim:
-            raise DomainError(f"point dimension {pts.shape[1]} != box dimension {self.dim}")
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise DomainError(
+                f"points must be a (P, {self.dim}) array, got shape {pts.shape}")
         lo = np.asarray(self.lo) - slack
         hi = np.asarray(self.hi) + slack
-        mask = np.all((pts >= lo) & (pts <= hi), axis=1)
-        return bool(mask[0]) if single else mask
+        return np.all((pts >= lo) & (pts <= hi), axis=1)
 
     def contains_box(self, other):
         """True when both corners of ``other`` are inside this box."""
@@ -150,7 +147,7 @@ class SampleGrid:
 class ACStructure:
     """Polynomial matrix field J on a box in R^{2n}."""
 
-    __slots__ = ("n", "box", "matrix", "_deriv")
+    __slots__ = ("n", "box", "matrix")
 
     def __init__(self, n, box, matrix):
         n = int(n)
@@ -175,7 +172,6 @@ class ACStructure:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "matrix", tuple(tuple(row) for row in matrix))
-        object.__setattr__(self, "_deriv", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ACStructure is immutable")
@@ -187,44 +183,26 @@ class ACStructure:
     def default_grid(self, k=defaults.GRID_PER_AXIS):
         return SampleGrid(self.box, k)
 
-    def _deriv_matrix(self):
-        """Exact partials of every entry: _deriv[k][i][j] = d(matrix[i][j])/dx^k."""
-        if self._deriv is None:
-            size = self.real_dim
-            deriv = tuple(
-                tuple(tuple(self.matrix[i][j].diff(k) for j in range(size))
-                      for i in range(size))
-                for k in range(size))
-            object.__setattr__(self, "_deriv", deriv)
-        return self._deriv
-
 
 def eval_j(structure, points):
-    """Evaluate J at a point (2n,) or batch (P, 2n); real output (..., 2n, 2n)."""
+    """Evaluate J at a batch (P, 2n); real output (P, 2n, 2n)."""
     pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
     size = structure.real_dim
-    out = np.empty((pts.shape[0], size, size))
+    out = np.empty((len(pts), size, size))
     for i in range(size):
         for j in range(size):
             out[:, i, j] = structure.matrix[i][j].evaluate(pts).real
-    return out[0] if single else out
+    return out
 
 
 def eval_j_derivatives(structure, points):
-    """Exact entry partials at a batch: DJ[p, k, i, j] = d J_{ij} / dx^k at p."""
+    """Exact entry partials at a batch (P, 2n): DJ[p, k, i, j] = d J_{ij} / dx^k at p."""
     pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
     size = structure.real_dim
-    deriv = structure._deriv_matrix()
-    out = np.zeros((pts.shape[0], size, size, size))
-    for k in range(size):
-        for i in range(size):
-            for j in range(size):
-                entry = deriv[k][i][j]
+    out = np.zeros((len(pts), size, size, size))
+    for i in range(size):
+        for j in range(size):
+            for k, entry in enumerate(structure.matrix[i][j].partials()):
                 if not entry.is_zero:
                     out[:, k, i, j] = entry.evaluate(pts).real
     return out
@@ -260,13 +238,11 @@ def check_acs(structure, grid=None, tol=defaults.TOL_ACS):
 def pullback(structure, omega, points):
     """Pull a covector field back through J: (J* omega)(X) = omega(J X).
 
-    ``omega`` is a constant covector (2n,) or a pointwise batch (P, 2n);
-    the result has components (J* omega)_j = sum_i omega_i J_{ij}.
+    ``points`` is a batch (P, 2n) and ``omega`` a constant covector (2n,)
+    or a pointwise batch (P, 2n); the result (P, 2n) has components
+    (J* omega)_j = sum_i omega_i J_{ij}.
     """
     pts = np.asarray(points)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
     j = eval_j(structure, pts)
     om = np.asarray(omega)
     if om.ndim == 1:
@@ -274,8 +250,7 @@ def pullback(structure, omega, points):
     if om.shape != (pts.shape[0], structure.real_dim):
         raise DomainError(
             f"covector batch shape {om.shape} does not match points and dimension")
-    out = np.einsum("pi,pij->pj", om, j)
-    return out[0] if single else out
+    return np.einsum("pi,pij->pj", om, j)
 
 
 @dataclass
@@ -336,8 +311,6 @@ def split_type(structure, points=None, svd_rel_tol=defaults.SVD_REL_TOL):
     if points is None:
         points = structure.default_grid().points
     pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
     n, size = structure.n, structure.real_dim
     j = eval_j(structure, pts).astype(complex)
     dims, kernels = [], []
@@ -367,21 +340,16 @@ def split_type(structure, points=None, svd_rel_tol=defaults.SVD_REL_TOL):
 def nijenhuis(structure, points):
     """Nijenhuis tensor on coordinate fields, exact derivatives throughout.
 
-    Returns N with shape (P, 2n, 2n, 2n): N[p, i, a, b] is component i of
-    N(d/dx^a, d/dx^b) at point p.  Antisymmetry in (a, b) is exact because
-    the two halves are computed once and subtracted.
+    At a batch (P, 2n), returns N with shape (P, 2n, 2n, 2n): N[p, i, a, b]
+    is component i of N(d/dx^a, d/dx^b) at point p.  Antisymmetry in (a, b)
+    is exact because the two halves are computed once and subtracted.
     """
-    pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
-    j = eval_j(structure, pts)
-    dj = eval_j_derivatives(structure, pts)
+    j = eval_j(structure, points)
+    dj = eval_j_derivatives(structure, points)
     # half[p, i, a, b] = sum_k J_{ka} d_k J_{ib} + sum_k J_{ik} d_b J_{ka}
     half = (np.einsum("pka,pkib->piab", j, dj)
             + np.einsum("pik,pbka->piab", j, dj))
-    out = half - half.transpose(0, 1, 3, 2)
-    return out[0] if single else out
+    return half - half.transpose(0, 1, 3, 2)
 
 
 def integrability_report(structure, grid=None, tol=defaults.TOL_INTEGRABILITY):

@@ -53,7 +53,7 @@ class Polynomial:
     and equality is structural.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_partials")
 
     def __init__(self, nvars, terms=None):
         if nvars < 1:
@@ -68,6 +68,7 @@ class Polynomial:
                 clean[exps] = clean.get(exps, 0j) + c
         object.__setattr__(self, "nvars", int(nvars))
         object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c != 0})
+        object.__setattr__(self, "_partials", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -188,16 +189,27 @@ class Polynomial:
             terms[tuple(e2)] = c * e[axis]
         return Polynomial(self.nvars, terms)
 
+    def partials(self):
+        """Every exact partial, ``partials()[k] == diff(k)``; built on first
+        use and kept."""
+        if self._partials is None:
+            object.__setattr__(self, "_partials",
+                               tuple(self.diff(k) for k in range(self.nvars)))
+        return self._partials
+
     # -- evaluation --------------------------------------------------------
 
-    def evaluate(self, points):
-        """Evaluate at one point (nvars,) or a batch (P, nvars); complex output."""
+    def _batch(self, points):
+        """``points`` as an array, which must have shape (P, nvars)."""
         pts = np.asarray(points)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
-        if pts.shape[1] != self.nvars:
-            raise ValueError(f"points have {pts.shape[1]} coordinates, expected {self.nvars}")
+        if pts.ndim != 2 or pts.shape[1] != self.nvars:
+            raise ValueError(
+                f"points must be a (P, {self.nvars}) array, got shape {pts.shape}")
+        return pts
+
+    def evaluate(self, points):
+        """Evaluate at a batch of points (P, nvars); complex output (P,)."""
+        pts = self._batch(points)
         out = np.zeros(pts.shape[0], dtype=complex)
         for e, c in self.terms.items():
             term = np.full(pts.shape[0], c, dtype=complex)
@@ -205,22 +217,18 @@ class Polynomial:
                 if power:
                     term = term * pts[:, k] ** power
             out += term
-        return out[0] if single else out
+        return out
 
     __call__ = evaluate
 
     def gradient(self, points):
-        """All partials at a batch of points: shape (P, nvars), complex."""
-        pts = np.asarray(points)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
+        """All partials at a batch of points (P, nvars): shape (P, nvars), complex."""
+        pts = self._batch(points)
         out = np.zeros((pts.shape[0], self.nvars), dtype=complex)
-        for k in range(self.nvars):
-            dk = self.diff(k)
+        for k, dk in enumerate(self.partials()):
             if not dk.is_zero:
                 out[:, k] = dk.evaluate(pts)
-        return out[0] if single else out
+        return out
 
     def compose(self, inner):
         """Substitute ``inner`` (a sequence of nvars polynomials) for the variables."""
@@ -421,23 +429,14 @@ class PolyMap:
         return max(c.degree for c in self.components)
 
     def evaluate(self, points):
-        pts = np.asarray(points)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
-        out = np.stack([c.evaluate(pts) for c in self.components], axis=-1)
-        return out[0] if single else out
+        """Values at a batch (P, nvars), shape (P, ncomponents)."""
+        return np.stack([c.evaluate(points) for c in self.components], axis=-1)
 
     __call__ = evaluate
 
     def jacobian(self, points):
-        """Exact Jacobian, shape (P, ncomponents, nvars) (or unbatched)."""
-        pts = np.asarray(points)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
-        out = np.stack([c.gradient(pts) for c in self.components], axis=1)
-        return out[0] if single else out
+        """Exact Jacobian at a batch (P, nvars), shape (P, ncomponents, nvars)."""
+        return np.stack([c.gradient(points) for c in self.components], axis=1)
 
     def compose(self, inner):
         """Symbolic composition self o inner."""

@@ -34,6 +34,8 @@ from .report import make_report
 
 
 NEWTON_MAX_ITER = 50
+# Step-length halvings a Newton step may take before its point stalls.
+NEWTON_HALVINGS = 11
 
 
 def _box_label(box):
@@ -86,10 +88,9 @@ class LocalMap:
     # -- evaluation ------------------------------------------------------
 
     def evaluate(self, points, check_domain=True):
+        """Values (P, d) at a batch (P, d); DomainError for points outside
+        the domain unless ``check_domain`` is False."""
         pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
         if check_domain:
             inside = self.domain.contains(pts)
             if not np.all(inside):
@@ -104,15 +105,13 @@ class LocalMap:
                 out = step.evaluate(out, check_domain=False)
         else:
             out = self._newton_solve(pts)
-        return out[0] if single else out
+        return out
 
     __call__ = evaluate
 
     def jacobian(self, points):
+        """Jacobians (P, d, d) at a batch (P, d)."""
         pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
         if self.kind == self.POLY:
             out = self.poly.jacobian(pts).real
         elif self.kind == self.CHAIN:
@@ -128,18 +127,16 @@ class LocalMap:
             except np.linalg.LinAlgError as exc:
                 raise InversionError(
                     f"forward Jacobian of {self.label} is singular") from exc
-        return out[0] if single else out
+        return out
 
     def try_evaluate(self, points):
-        """Evaluate where possible: (values, valid mask).
+        """Evaluate a batch (P, d) where possible: (values, valid mask).
 
         Polynomial maps are total.  Newton inverses (and chains through them)
         can fail on bounding-box points outside the true image; those points
         come back masked instead of raising.
         """
         pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[None, :]
         if self.kind == self.POLY:
             return self.evaluate(pts, check_domain=False), np.ones(len(pts), dtype=bool)
         if self.kind == self.CHAIN:
@@ -199,7 +196,7 @@ class LocalMap:
                     continue
             t = np.ones(len(idx))
             pending = np.ones(len(idx), dtype=bool)
-            for _ in range(11):
+            for _ in range(NEWTON_HALVINGS):
                 rows = np.flatnonzero(pending)
                 if rows.size == 0:
                     break
@@ -250,6 +247,9 @@ def _steps_of(map_):
 # in calls.
 BISECTION_STEPS = 60
 BISECTION_LEVELS = 3
+# Sweeps over every side of a composite's domain; the growth stops earlier
+# once a sweep grows no side.
+COMPOSE_GROWTH_ROUNDS = 6
 
 
 def _bisect_stretch(passes, avail):
@@ -317,7 +317,7 @@ def compose(first, second, grid_k=defaults.GRID_PER_AXIS):
     dom_lo = np.array(first.domain.lo)
     dom_hi = np.array(first.domain.hi)
     growth_tol = defaults.GROWTH_TOL * max(first.domain.diameter, 1.0)
-    for _ in range(6):
+    for _ in range(COMPOSE_GROWTH_ROUNDS):
         grew = False
         for d in range(first.dim):
             for side in ("lo", "hi"):

@@ -543,10 +543,8 @@ def _run_axioms(scenario, spec, tols):
 def _run_ah_map(scenario, spec, tols):
     grid_k = int(spec.get("grid", defaults.GRID_PER_AXIS))
     if "map" in spec:
-        report = check_ah_map(scenario.maps[spec["map"]], scenario.structure,
-                              grid_k=grid_k, tol=tols["tol_map"])
-        report.task = "ah_map"
-        return report
+        return check_ah_map(scenario.maps[spec["map"]], scenario.structure,
+                            grid_k=grid_k, tol=tols["tol_map"])
     family, _ = _build_family(scenario, spec["family"], tols)
     worst = 0.0
     failures = []

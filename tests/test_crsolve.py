@@ -19,7 +19,9 @@ from spencerkit import (
     solve_ah_polynomials,
     standard_structure,
 )
+from spencerkit import crsolve
 from spencerkit.errors import ConfigurationError
+from spencerkit.jfield import SampleGrid
 from spencerkit.poly import Polynomial, monomials_upto
 
 from conftest import TWISTED_ROWS, _poly_matrix
@@ -106,6 +108,24 @@ def test_solver_twisted_degree2_basis_is_w_span(twisted, w_field):
     w2 = sol.fields[1] * (-1.0)
     target = w_field * w_field
     assert (w2 - target).max_abs_coeff() < 1e-12
+
+
+def test_solver_evaluates_j_once_per_solve(monkeypatch, std2):
+    calls = []
+    original = crsolve.eval_j
+
+    def counting(structure, points):
+        calls.append(len(points))
+        return original(structure, points)
+
+    monkeypatch.setattr(crsolve, "eval_j", counting)
+    sol = solve_ah_polynomials(std2, degree=2)
+    assert sol.nullity >= 2
+    assert len(calls) == 1
+    # The shared J gives the bits of one cr_residual call per field.
+    grid = SampleGrid(std2.box, sol.grid_k).points
+    assert sol.residual == max(cr_residual(std2, f, grid) / f.max_abs_coeff()
+                               for f in sol.fields)
 
 
 def test_solution_space_is_linear(std1):

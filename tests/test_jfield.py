@@ -55,7 +55,7 @@ def test_box_default_slack_and_contains_box():
     assert Box((0.0, 0.0), (0.5, 0.5)).slack == pytest.approx(1e-9)
     for factor, inside in ((0.5, True), (2.0, False)):
         edge = 3.0 + factor * b.slack
-        assert b.contains(np.array([edge, 0.5])) is inside
+        assert b.contains(np.array([[edge, 0.5]])).tolist() == [inside]
         assert b.contains(np.array([[0.0 - factor * b.slack, 0.5]])).tolist() == [inside]
         assert b.contains_box(Box((0.0, 0.0), (edge, 1.0))) is inside
     assert b.contains_box(b)
@@ -100,8 +100,8 @@ def test_sample_grid_is_lexicographic_and_frozen():
 
 
 def test_standard_structure_matrix_value(std1):
-    j = eval_j(std1, np.array([0.3, -0.4]))
-    assert np.array_equal(j, np.array([[0.0, -1.0], [1.0, 0.0]]))
+    j = eval_j(std1, np.array([[0.3, -0.4]]))
+    assert np.array_equal(j[0], np.array([[0.0, -1.0], [1.0, 0.0]]))
 
 
 def test_check_acs_standard_is_exact(std1, std2):

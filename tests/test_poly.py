@@ -47,13 +47,13 @@ def test_parse_basic_arithmetic():
 
 def test_parse_complex_literal_and_scientific():
     p = parse_polynomial("(0+1i)*x2 + 2.5e-1*x1", 2)
-    val = p.evaluate(np.array([4.0, 3.0]))
-    assert val == pytest.approx(1.0 + 3.0j)
+    val = p.evaluate(np.array([[4.0, 3.0]]))
+    assert val[0] == pytest.approx(1.0 + 3.0j)
 
 
 def test_parse_unary_signs():
     p = parse_polynomial("-x1 - 2*x2", 2)
-    assert p.evaluate(np.array([5.0, 1.0])) == pytest.approx(-7.0)
+    assert p.evaluate(np.array([[5.0, 1.0]]))[0] == pytest.approx(-7.0)
     with pytest.raises(PolynomialParseError):
         parse_polynomial("x1 + -x2", 2)
 
@@ -112,7 +112,8 @@ def test_arithmetic_matches_sympy():
         sq = sympy.expand(sp * sp - sp + 2)
         pt = rng.uniform(-1, 1, size=3)
         subs = dict(zip(x, pt))
-        assert complex(q.evaluate(pt)) == pytest.approx(complex(sq.subs(subs)), abs=1e-10)
+        assert complex(q.evaluate(pt[None, :])[0]) == pytest.approx(
+            complex(sq.subs(subs)), abs=1e-10)
 
 
 def test_diff_is_exact_against_sympy():
@@ -127,7 +128,8 @@ def test_diff_is_exact_against_sympy():
         for _ in range(5):
             pt = rng.uniform(-2, 2, size=2)
             subs = dict(zip(x, pt))
-            assert complex(d.evaluate(pt)) == pytest.approx(complex(sd.subs(subs)), abs=1e-12)
+            assert complex(d.evaluate(pt[None, :])[0]) == pytest.approx(
+                complex(sd.subs(subs)), abs=1e-12)
 
 
 def test_gradient_matches_componentwise_diff():
@@ -138,11 +140,22 @@ def test_gradient_matches_componentwise_diff():
         assert np.allclose(grad[:, axis], p.diff(axis).evaluate(pts))
 
 
+def test_gradient_reuses_cached_partials(monkeypatch):
+    p = parse_polynomial("x1^2*x2 + x2^3", 2)
+    pts = np.array([[0.3, -0.7], [1.0, 2.0]])
+    first = p.gradient(pts)
+    assert p.partials() == (p.diff(0), p.diff(1))
+    calls = []
+    monkeypatch.setattr(Polynomial, "diff", lambda self, axis: calls.append(axis))
+    assert np.array_equal(p.gradient(pts), first)
+    assert calls == []
+
+
 def test_conjugate_and_is_real():
     p = parse_polynomial("x1 + (0+1i)*x2", 2)
     q = p.conjugate()
-    pt = np.array([0.25, -0.75])
-    assert q.evaluate(pt) == pytest.approx(np.conj(p.evaluate(pt)))
+    pt = np.array([[0.25, -0.75]])
+    assert q.evaluate(pt)[0] == pytest.approx(np.conj(p.evaluate(pt)[0]))
     assert not p.is_real()
     assert (p * q).is_real(tol=0.0) or (p * q).is_real(tol=1e-15)
 

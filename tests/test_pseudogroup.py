@@ -56,12 +56,23 @@ def squaring():
 
 
 def test_evaluate_checks_domain(translation):
-    inside = np.array([-0.8, 0.0])
-    assert np.allclose(translation.evaluate(inside), [0.0, 0.0])
+    inside = np.array([[-0.8, 0.0]])
+    assert np.allclose(translation.evaluate(inside)[0], [0.0, 0.0])
     with pytest.raises(DomainError):
-        translation.evaluate(np.array([0.5, 0.0]))
-    out = translation.evaluate(np.array([0.5, 0.0]), check_domain=False)
-    assert np.allclose(out, [1.3, 0.0])
+        translation.evaluate(np.array([[0.5, 0.0]]))
+    out = translation.evaluate(np.array([[0.5, 0.0]]), check_domain=False)
+    assert np.allclose(out[0], [1.3, 0.0])
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda pt: parse_polynomial("x1 + x2", 2).evaluate(pt), ValueError),
+    (lambda pt: pmap(["x1", "x2"], (-1.0, -1.0), (1.0, 1.0), "m").evaluate(
+        pt, check_domain=False), ValueError),
+    (lambda pt: Box((-1.0, -1.0), (1.0, 1.0)).contains(pt), DomainError),
+], ids=["Polynomial.evaluate", "LocalMap.evaluate", "Box.contains"])
+def test_a_single_point_is_refused_not_promoted(call, error):
+    with pytest.raises(error, match=r"must be a \(P, 2\) array, got shape \(2,\)"):
+        call(np.array([0.5, 0.25]))
 
 
 def test_identity_map_is_self_inverse():
@@ -88,8 +99,8 @@ def test_compose_symbolic_and_boundary(doubling):
     assert c.domain.lo == pytest.approx((0.2, 0.2))
     assert c.domain.hi[0] == pytest.approx(0.225, abs=1e-11)
     assert c.domain.hi[0] >= 0.225
-    pt = np.array([0.21, 0.22])
-    assert np.allclose(c.evaluate(pt), 4.0 * pt)
+    pt = np.array([[0.21, 0.22]])
+    assert np.allclose(c.evaluate(pt)[0], 4.0 * pt[0])
 
 
 def test_compose_raises_when_images_miss(translation):
@@ -102,9 +113,9 @@ def test_compose_switches_to_chain_over_degree_cap():
     cubic2 = pmap(["0.2*x1^3 + 0.1*x1", "x2"], (0.3, 0.0), (0.9, 0.4), "c2")
     c = compose(cubic, cubic2)
     assert c.kind == LocalMap.CHAIN
-    pt = np.array([0.2, 0.1])
+    pt = np.array([[0.2, 0.1]])
     direct = cubic2.evaluate(cubic.evaluate(pt), check_domain=False)
-    assert np.allclose(c.evaluate(pt), direct)
+    assert np.allclose(c.evaluate(pt)[0], direct[0])
 
 
 def sequential_compose_domain(first, second, grid_k=defaults.GRID_PER_AXIS):
@@ -246,10 +257,10 @@ def test_invert_newton_path(squaring):
 def test_error_messages_print_points_as_plain_floats():
     fold = pmap(["x1^2 + x2", "x2"], (0.5, -1.0), (1.0, 1.0), "q")
     with pytest.raises(DomainError) as exc:
-        fold.evaluate(np.array([0.25, 0.0]))
+        fold.evaluate(np.array([[0.25, 0.0]]))
     assert str(exc.value) == "point (0.25, 0.0) outside the domain of q"
     with pytest.raises(InversionError) as exc:
-        invert(fold).evaluate(np.array([-1.0, 0.0]), check_domain=False)
+        invert(fold).evaluate(np.array([[-1.0, 0.0]]), check_domain=False)
     assert str(exc.value) == (
         "Newton iteration for inv(q) failed to converge for target (-1.0, 0.0)")
 
