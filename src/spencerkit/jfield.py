@@ -96,28 +96,30 @@ def lattice_points(lo, hi, k):
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if lo.ndim == 1:
-        axes = [np.linspace(a, b, k) for a, b in zip(lo, hi)]
-        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(lo))
+        return lattice_points(lo[None, :], hi[None, :], k)[0]
     count, dim = lo.shape
     out = np.empty((count,) + (k,) * dim + (dim,))
     for e in range(dim):
-        values = _linspace_rows(lo[:, e], hi[:, e], k)
-        shape = [len(values)] + [1] * dim
+        shape = [count] + [1] * dim
         shape[e + 1] = k
-        out[..., e] = values.reshape(shape)
+        out[..., e] = _linspace_rows(lo[:, e], hi[:, e], k).reshape(shape)
     return out.reshape(count, -1, dim)
 
 
 def _linspace_rows(a, b, k):
-    """``np.linspace(a[i], b[i], k)`` for every row i, bit for bit; a single
-    row when all rows agree."""
-    if np.all(a == a[0]) and np.all(b == b[0]):
-        return np.linspace(a[0], b[0], k)[None, :]
-    if np.any((b - a) / (k - 1) == 0):
-        # Over arrays, linspace takes its zero-step branch for every row as
-        # soon as one row has a zero step, which changes the other rows' bits.
-        return np.array([np.linspace(x, y, k) for x, y in zip(a, b)])
-    return np.linspace(a, b, k, axis=-1)
+    """``np.linspace(a[i], b[i], k)`` for every row i, bit for bit.
+
+    Over arrays, linspace takes its zero-step branch for every row as soon
+    as one row has a zero step, which changes the other rows' bits; here
+    each row takes the branch linspace takes for that row alone."""
+    div = max(k - 1, 1)
+    delta = (b - a)[:, None]
+    step = delta / div
+    i = np.arange(k, dtype=float)
+    out = np.where(step == 0, (i / div) * delta, i * step) + a[:, None]
+    if k > 1:
+        out[:, -1] = b
+    return out
 
 
 class SampleGrid:

@@ -36,6 +36,8 @@ from .report import make_report
 NEWTON_MAX_ITER = 50
 # Step-length halvings a Newton step may take before its point stalls.
 NEWTON_HALVINGS = 11
+# Entries of the (rows, seeds) distance block a Newton batch holds at once.
+NEWTON_SEED_BLOCK = 2 ** 16
 
 
 def _box_label(box):
@@ -168,10 +170,24 @@ class LocalMap:
         (NaN propagation) mask themselves out as well.
         """
         ys = np.asarray(ys, dtype=float)
+        if ys.ndim != 2 or ys.shape[1] != self.dim:
+            raise ValueError(
+                f"points must be a (P, {self.dim}) array, got shape {ys.shape}")
         scale = np.maximum(1.0, np.max(np.abs(ys), axis=1))
         scale = np.maximum(scale, self.domain.diameter)
-        dist = np.max(np.abs(self.seeds_y[None, :, :] - ys[:, None, :]), axis=2)
-        x = self.seeds_x[np.argmin(dist, axis=1)].astype(float).copy()
+        # The nearest seed of each row in the max norm, in blocks of rows so
+        # the (rows, seeds) distances stay near NEWTON_SEED_BLOCK entries
+        # however large the batch.
+        nearest = np.empty(len(ys), dtype=int)
+        block = max(1, NEWTON_SEED_BLOCK // len(self.seeds_y))
+        for start in range(0, len(ys), block):
+            chunk = ys[start:start + block]
+            dist = np.abs(self.seeds_y[:, 0] - chunk[:, 0, None])
+            for e in range(1, self.dim):
+                np.maximum(dist, np.abs(self.seeds_y[:, e] - chunk[:, e, None]),
+                           out=dist)
+            nearest[start:start + block] = np.argmin(dist, axis=1)
+        x = self.seeds_x[nearest].astype(float).copy()
         res = self.forward.evaluate(x, check_domain=False) - ys
         norm = np.max(np.abs(res), axis=1)
         stalled = np.zeros(len(ys), dtype=bool)
@@ -252,16 +268,17 @@ BISECTION_LEVELS = 3
 COMPOSE_GROWTH_ROUNDS = 6
 
 
-def _bisect_stretch(passes, avail):
-    """The stretch in [0, avail] that the sequential search would keep.
+def _bisect_stretch(avail, probe):
+    """Generator of the stretch in [0, avail] the sequential search would keep.
 
     That search takes ``avail`` when it passes, and otherwise the last
     passing midpoint of BISECTION_STEPS halvings of (0, avail).  Here
-    ``passes`` maps an array of stretches to an array of verdicts, and each
-    call decides BISECTION_LEVELS halvings at once: it gets every midpoint
-    they could visit, in heap order and with the same ``0.5 * (a + b)``
+    ``probe`` is a generator function that maps an array of stretches to
+    an array of verdicts, yielding the evaluations it needs; each probe
+    decides BISECTION_LEVELS halvings at once: it gets every midpoint they
+    could visit, in heap order and with the same ``0.5 * (a + b)``
     arithmetic, and the verdicts pick the path.  The full stretch rides in
-    the first call.  It stops once no float lies strictly between t_ok and
+    the first probe.  It stops once no float lies strictly between t_ok and
     t_bad, where every later midpoint would repeat a known verdict.
     """
     t_ok, t_bad = 0.0, avail
@@ -273,7 +290,7 @@ def _bisect_stretch(passes, avail):
             mid = 0.5 * (a + b)
             mids.append(mid)
             bounds += [(a, mid), (mid, b)]
-        verdicts = passes(np.array(full + mids))
+        verdicts = yield from probe(np.array(full + mids))
         if full:
             if verdicts[0]:
                 return avail
@@ -289,18 +306,20 @@ def _bisect_stretch(passes, avail):
     return t_ok
 
 
-def compose(first, second, grid_k=defaults.GRID_PER_AXIS):
-    """The composite "apply ``first``, then ``second``" on its effective domain.
+def _compose_search(first, second, lattice, images, evaluable):
+    """Generator of the composite "apply ``first``, then ``second``".
 
-    The effective domain is the largest sub-box of the first map's domain
-    (found by seeded per-side bisection, see ``_bisect_stretch``) whose
-    lattice lands inside the second map's domain.  Raises CompositionError
-    when no lattice point of the first domain does.
+    ``images`` and ``evaluable`` are ``first.try_evaluate(lattice)`` on the
+    lattice of the first domain.  The search grows a box from one lattice
+    point that maps into the second domain, one side at a time (see
+    ``_bisect_stretch``).  Each yield is the (C, d) pair ``(lo, hi)`` of the
+    candidate boxes it needs; it expects back ``first.try_evaluate`` on
+    their stacked lattices, flattened to (C * k^d, d) and (C * k^d,).
+    Returns the composite; raises CompositionError when no lattice point
+    maps into the second domain or the region found has no interior.
     """
     if first.dim != second.dim:
         raise CompositionError("maps act on spaces of different dimension")
-    lattice = SampleGrid(first.domain, grid_k).points
-    images, evaluable = first.try_evaluate(lattice)
     # Tighter than ``Box.slack``: a composite's domain must sit strictly inside
     # what the general containment rule accepts, or closure members stop
     # covering each other.
@@ -337,14 +356,12 @@ def compose(first, second, grid_k=defaults.GRID_PER_AXIS):
                         h2[:, d] = hi[d] + t
                     return l2, h2
 
-                def passes(ts):
-                    l2, h2 = stretched(ts)
-                    pts = lattice_points(l2, h2, grid_k)
-                    img, good = first.try_evaluate(pts.reshape(-1, first.dim))
-                    good &= second.domain.contains(img, slack=slack)
+                def probe(ts):
+                    img, good = yield stretched(ts)
+                    good = good & second.domain.contains(img, slack=slack)
                     return good.reshape(len(ts), -1).all(axis=1)
 
-                best = _bisect_stretch(passes, avail)
+                best = yield from _bisect_stretch(avail, probe)
                 if best > growth_tol:
                     l2, h2 = stretched(best)
                     lo, hi = l2[0], h2[0]
@@ -363,6 +380,61 @@ def compose(first, second, grid_k=defaults.GRID_PER_AXIS):
                         poly=second.poly.compose(first.poly))
     return LocalMap(LocalMap.CHAIN, domain, label,
                     steps=_steps_of(first) + _steps_of(second))
+
+
+def _compose_lockstep(first, seconds, grid_k):
+    """``compose(first, g)`` for every g in ``seconds``: a list holding each
+    composite or the CompositionError its search raised.
+
+    The searches share the first map, so they run in lock-step: each round
+    stacks the candidate boxes of every live search into one lattice and
+    one ``first.try_evaluate`` call, then hands each search its rows.  Every
+    evaluator is row-independent, so each search sees the bits it would
+    see alone, and the composites are those of one search at a time.
+    """
+    lattice = SampleGrid(first.domain, grid_k).points
+    images, evaluable = first.try_evaluate(lattice)
+    results = [None] * len(seconds)
+    pending = []  # (index, search, (lo, hi)) of every live search
+
+    def advance(i, search, reply):
+        try:
+            pending.append((i, search, search.send(reply)))
+        except StopIteration as done:
+            results[i] = done.value
+        except CompositionError as exc:
+            # Without its traceback the error does not keep the search's
+            # frame, and the lattices in it, alive.
+            results[i] = exc.with_traceback(None)
+
+    for i, second in enumerate(seconds):
+        advance(i, _compose_search(first, second, lattice, images, evaluable),
+                None)
+    while pending:
+        live = pending[:]
+        pending.clear()
+        pts = lattice_points(np.concatenate([b[0] for _, _, b in live]),
+                             np.concatenate([b[1] for _, _, b in live]), grid_k)
+        img, good = first.try_evaluate(pts.reshape(-1, first.dim))
+        cuts = np.cumsum([len(b[0]) for _, _, b in live])[:-1] * pts.shape[1]
+        for (i, search, _), rows_img, rows_good in zip(
+                live, np.split(img, cuts), np.split(good, cuts)):
+            advance(i, search, (rows_img, rows_good))
+    return results
+
+
+def compose(first, second, grid_k=defaults.GRID_PER_AXIS):
+    """The composite "apply ``first``, then ``second``" on its effective domain.
+
+    The effective domain is the largest sub-box of the first map's domain
+    (found by seeded per-side bisection, see ``_compose_search``) whose
+    lattice lands inside the second map's domain.  Raises CompositionError
+    when no lattice point of the first domain does.
+    """
+    result, = _compose_lockstep(first, [second], grid_k)
+    if isinstance(result, CompositionError):
+        raise result
+    return result
 
 
 def invert(map_, grid_k=defaults.GRID_PER_AXIS, tol_invert=defaults.TOL_INVERT,
@@ -464,19 +536,17 @@ class PseudogroupFamily:
 MAX_FAMILY_SIZE = 500
 
 
-def _composite(cache, f, g, grid_k):
-    """``compose(f, g)`` or the CompositionError it raises, computed once per
-    pair.  Keys hold the maps themselves: LocalMap compares by identity, and
-    a key keeps its maps alive, so no other map can take its place."""
-    key = (f, g)
-    if key not in cache:
-        try:
-            cache[key] = compose(f, g, grid_k=grid_k)
-        except CompositionError as exc:
-            # Without its traceback the error does not keep compose's
-            # lattices alive.
-            cache[key] = exc.with_traceback(None)
-    return cache[key]
+def _composites(cache, f, seconds, grid_k):
+    """``compose(f, g)`` or the CompositionError it raises, for each g in
+    ``seconds``; pairs not yet in ``cache`` are searched together, so each
+    pair is searched once.  Keys hold the maps themselves: LocalMap
+    compares by identity, and a key keeps its maps alive, so no other map
+    can take its place."""
+    missing = [g for g in seconds if (f, g) not in cache]
+    if missing:
+        for g, c in zip(missing, _compose_lockstep(f, missing, grid_k)):
+            cache[(f, g)] = c
+    return [cache[(f, g)] for g in seconds]
 
 
 def generate(seeds, ambient, depth=2, grid_k=defaults.GRID_PER_AXIS,
@@ -489,7 +559,9 @@ def generate(seeds, ambient, depth=2, grid_k=defaults.GRID_PER_AXIS,
     in a member are dropped.  Identities are added for every seed up front
     and for every member domain at the end.  Insertion order is
     deterministic, so repeated runs agree exactly.  Each ordered pair is
-    composed once; the family keeps the composites for ``validate_axioms``.
+    composed once, the pairs of one first map in lock-step (see
+    ``_compose_lockstep``); the family keeps the composites for
+    ``validate_axioms``.
     """
     if dedup_tol is None:
         dedup_tol = defaults.DEDUP_TOL_FACTOR * ambient.diameter
@@ -521,8 +593,7 @@ def generate(seeds, ambient, depth=2, grid_k=defaults.GRID_PER_AXIS,
     for _level in range(depth):
         current = list(members)
         for f in current:
-            for g in current:
-                c = _composite(composites, f, g, grid_k)
+            for c in _composites(composites, f, current, grid_k):
                 if not isinstance(c, CompositionError):
                     add(c)
         for f in current:
@@ -568,8 +639,8 @@ def validate_axioms(family, glue_tests=()):
 
     failures = []
     for f in family.members:
-        for g in family.members:
-            c = _composite(family.composites, f, g, grid_k)
+        for g, c in zip(family.members, _composites(
+                family.composites, f, family.members, grid_k)):
             if isinstance(c, CompositionError):
                 continue
             if not _contained(family, c):

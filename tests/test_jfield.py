@@ -73,6 +73,15 @@ def test_lattice_points_match_sample_grid_and_allow_flat_axes():
     assert np.allclose(flat[:3, 1], [0.3, 0.5, 0.7])
 
 
+def linspace_lattice(lo, hi, k):
+    """Reference: the lexicographic lattice of per-axis ``np.linspace``."""
+    axes = [np.linspace(a, b, k) for a, b in zip(lo, hi)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(lo))
+
+
+TINY = np.nextafter(0.0, np.inf)
+
+
 @pytest.mark.parametrize("lo, hi, k", [
     # one stretched axis
     ([[0.1, 0.3], [0.05, 0.3], [-0.7, 0.3]], [[0.4, 0.7], [0.4, 0.7], [0.4, 0.7]], 5),
@@ -81,12 +90,21 @@ def test_lattice_points_match_sample_grid_and_allow_flat_axes():
     ([[-0.93, 0.3], [0.71, 0.3], [0.2, 0.3]], [[0.71, 0.3], [0.71, 0.3], [0.71, 0.3]], 4),
     # every axis varies
     ([[0.0, 0.0, 0.0], [0.1, -0.2, 0.3]], [[1.0, 0.5, 0.7], [0.9, 0.8, 1.3]], 4),
+    # lo == hi, a step that underflows to zero while lo < hi, a one-ulp
+    # interval and ordinary rows, in one call
+    ([[0.2, 0.0], [0.2, -0.4], [0.0, 0.3], [-0.5, 0.1]],
+     [[0.2, TINY], [0.2, np.nextafter(-0.4, np.inf)], [0.9, 0.3], [0.6, 0.35]], 4),
+    ([[0.0, 1.0], [-1.0, 1.0], [0.3, 0.3]], [[TINY, 1.0], [2.0, 3.0], [0.8, 0.3]], 7),
 ])
 def test_lattice_points_stacked_rows_are_bit_identical(lo, hi, k):
     stacked = lattice_points(lo, hi, k)
     assert stacked.shape == (len(lo), k ** len(lo[0]), len(lo[0]))
     for row, (a, b) in enumerate(zip(lo, hi)):
-        assert np.array_equal(stacked[row], lattice_points(a, b, k))
+        expected = linspace_lattice(a, b, k)
+        assert np.array_equal(stacked[row].view(np.uint64),
+                              expected.view(np.uint64))
+        alone = lattice_points(a, b, k)
+        assert np.array_equal(alone.view(np.uint64), expected.view(np.uint64))
 
 
 def test_sample_grid_is_lexicographic_and_frozen():

@@ -64,12 +64,28 @@ def test_evaluate_checks_domain(translation):
     assert np.allclose(out[0], [1.3, 0.0])
 
 
+def fold_inverse():
+    """A Newton inverse: the inverse of (x1^2 + x2, x2) on [0.5, 1] x [-1, 1]."""
+    return invert(pmap(["x1^2 + x2", "x2"], (0.5, -1.0), (1.0, 1.0), "q"))
+
+
+def through_newton():
+    """A chain whose first step is a Newton inverse."""
+    inv = fold_inverse()
+    return LocalMap(LocalMap.CHAIN, inv.domain, "chain",
+                    steps=(inv, identity_map(inv.domain)))
+
+
 @pytest.mark.parametrize("call, error", [
     (lambda pt: parse_polynomial("x1 + x2", 2).evaluate(pt), ValueError),
     (lambda pt: pmap(["x1", "x2"], (-1.0, -1.0), (1.0, 1.0), "m").evaluate(
         pt, check_domain=False), ValueError),
     (lambda pt: Box((-1.0, -1.0), (1.0, 1.0)).contains(pt), DomainError),
-], ids=["Polynomial.evaluate", "LocalMap.evaluate", "Box.contains"])
+    (lambda pt: fold_inverse().evaluate(pt, check_domain=False), ValueError),
+    (lambda pt: fold_inverse().try_evaluate(pt), ValueError),
+    (lambda pt: through_newton().try_evaluate(pt), ValueError),
+], ids=["Polynomial.evaluate", "LocalMap.evaluate", "Box.contains",
+        "Newton.evaluate", "Newton.try_evaluate", "Chain.try_evaluate"])
 def test_a_single_point_is_refused_not_promoted(call, error):
     with pytest.raises(error, match=r"must be a \(P, 2\) array, got shape \(2,\)"):
         call(np.array([0.5, 0.25]))
@@ -120,11 +136,16 @@ def test_compose_switches_to_chain_over_degree_cap():
 
 def sequential_compose_domain(first, second, grid_k=defaults.GRID_PER_AXIS):
     """Reference: the composite domain found by one bisection midpoint per
-    evaluation, 60 halvings per side, as ``compose`` searched originally."""
+    evaluation, 60 halvings per side, as ``compose`` searched originally,
+    with the CompositionError it raised."""
     lattice = SampleGrid(first.domain, grid_k).points
     images, evaluable = first.try_evaluate(lattice)
     slack = defaults.COMPOSE_MARGIN * max(second.domain.diameter, 1.0)
     ok = evaluable & second.domain.contains(images, slack=slack)
+    if not np.any(ok):
+        raise CompositionError(
+            f"no lattice point of {first.label} maps into the domain of "
+            f"{second.label}")
 
     def passes(lo, hi):
         img, good = first.try_evaluate(lattice_points(lo, hi, grid_k))
@@ -168,6 +189,10 @@ def sequential_compose_domain(first, second, grid_k=defaults.GRID_PER_AXIS):
                     grew = True
         if not grew:
             break
+    if np.any(hi - lo <= 0):
+        raise CompositionError(
+            f"composable region of {first.label} then {second.label} has no "
+            f"interior")
     return Box(tuple(lo), tuple(hi))
 
 
@@ -186,6 +211,83 @@ def test_compose_domain_is_bit_identical_to_sequential_bisection(doubling,
         assert c.domain == sequential_compose_domain(first, second)
 
 
+def _reach_test_maps(doubling, squaring):
+    """First maps of each kind, and seconds that reach or miss them."""
+    cubic = pmap(["x1^3 + 0.5", "x2"], (0.0, 0.0), (0.4, 0.4), "c1")
+    cubic2 = pmap(["0.2*x1^3 + 0.1*x1", "x2"], (0.3, 0.0), (0.55, 0.4), "c2")
+    chain = compose(cubic, cubic2)
+    assert chain.kind == LocalMap.CHAIN
+    newton = invert(squaring)
+    far = pmap(["x1 - 3", "x2"], (-1.0, -1.0), (-0.5, 1.0), "far")
+    return {
+        "poly": (doubling, [doubling, doubling.declared_inverse, squaring,
+                            cubic2, far]),
+        "newton": (newton, [squaring, doubling, newton, cubic, far]),
+        "chain": (chain, [doubling, squaring, newton, cubic2, far]),
+    }
+
+
+@pytest.mark.parametrize("kind", ["poly", "newton", "chain"])
+def test_lockstep_searches_match_one_pair_at_a_time(kind, doubling, squaring):
+    first, seconds = _reach_test_maps(doubling, squaring)[kind]
+    results = pseudogroup._compose_lockstep(first, seconds,
+                                            defaults.GRID_PER_AXIS)
+    assert len(results) == len(seconds)
+    found = failed = 0
+    for second, result in zip(seconds, results):
+        try:
+            expected = sequential_compose_domain(first, second)
+        except CompositionError as exc:
+            assert isinstance(result, CompositionError)
+            assert str(result) == str(exc)
+            failed += 1
+            continue
+        assert result.domain == expected
+        assert result.label == f"({first.label}>>{second.label})"
+        found += 1
+    assert found >= 2 and failed >= 1
+    assert isinstance(results[-1], CompositionError)
+
+
+def test_lockstep_evaluates_as_often_as_the_longest_search(monkeypatch,
+                                                          doubling, squaring):
+    first, seconds = _reach_test_maps(doubling, squaring)["newton"]
+    calls = []
+    original = first.try_evaluate
+
+    def counting(points):
+        calls.append(len(points))
+        return original(points)
+
+    monkeypatch.setattr(first, "try_evaluate", counting)
+    alone = []
+    for second in seconds:
+        calls.clear()
+        try:
+            compose(first, second)
+        except CompositionError:
+            pass
+        alone.append(len(calls))
+    calls.clear()
+    pseudogroup._compose_lockstep(first, seconds, defaults.GRID_PER_AXIS)
+    assert len(calls) == max(alone)
+    assert len(calls) < sum(alone)
+
+
+def drive_bisect_stretch(passes, avail):
+    """Run the ``_bisect_stretch`` generator with a synthetic verdict rule."""
+    def probe(ts):
+        return (yield ts)
+
+    search = pseudogroup._bisect_stretch(avail, probe)
+    ts = next(search)
+    try:
+        while True:
+            ts = search.send(passes(ts))
+    except StopIteration as done:
+        return done.value
+
+
 @pytest.mark.parametrize("threshold", [0.3, 0.7, 0.9])
 def test_bisect_stretch_stops_once_the_interval_cannot_shrink(threshold):
     calls = []
@@ -202,7 +304,7 @@ def test_bisect_stretch_stops_once_the_interval_cannot_shrink(threshold):
             t_ok = mid
         else:
             t_bad = mid
-    assert pseudogroup._bisect_stretch(passes, 1.0) == t_ok
+    assert drive_bisect_stretch(passes, 1.0) == t_ok
     assert len(calls) < (pseudogroup.BISECTION_STEPS
                          // pseudogroup.BISECTION_LEVELS)
 
@@ -210,20 +312,34 @@ def test_bisect_stretch_stops_once_the_interval_cannot_shrink(threshold):
 def test_generate_and_axioms_compose_each_pair_once(monkeypatch, translation,
                                                     doubling):
     calls = {}
-    original = pseudogroup.compose
+    original = pseudogroup._compose_search
 
-    def counting(first, second, grid_k=defaults.GRID_PER_AXIS):
-        key = (id(first), id(second), grid_k)
+    def counting(first, second, *args):
+        key = (id(first), id(second))
         calls[key] = calls.get(key, 0) + 1
-        return original(first, second, grid_k=grid_k)
+        return original(first, second, *args)
 
-    monkeypatch.setattr(pseudogroup, "compose", counting)
+    monkeypatch.setattr(pseudogroup, "_compose_search", counting)
     ambient = Box((-1.0, -1.0), (1.0, 1.0))
     fam = generate([translation, doubling], ambient, depth=2)
     reports = validate_axioms(fam)
     assert reports[0].task == "axiom1_composition"
     assert len(calls) >= len(fam.members) ** 2
     assert max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("levels", [1, 5])
+def test_closure_does_not_depend_on_bisection_levels(monkeypatch, levels,
+                                                     translation, doubling,
+                                                     squaring):
+    ambient = Box((-1.0, -1.0), (1.0, 1.0))
+    seeds = [translation, doubling, squaring]
+    reference = generate(seeds, ambient, depth=1)
+    monkeypatch.setattr(pseudogroup, "BISECTION_LEVELS", levels)
+    fam = generate(seeds, ambient, depth=1)
+    assert fam.labels() == reference.labels()
+    assert [m.domain for m in fam.members] == [
+        m.domain for m in reference.members]
 
 
 @pytest.mark.parametrize("dedup_tol", [float("nan"), float("inf"), 0.0, -1e-9])
