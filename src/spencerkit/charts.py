@@ -16,7 +16,7 @@ import numpy as np
 from . import defaults
 from .crsolve import cr_residual, independence_rank, jacobian_rows
 from .errors import (ChartError, ConfigurationError, FitError,
-                     IndependenceError, OverlapError)
+                     IndependenceError, NumericalError, OverlapError)
 from .jfield import SampleGrid
 from .poly import PolyMap, Polynomial, monomials_upto
 
@@ -67,7 +67,9 @@ def build_spencer_chart(structure, fields, box=None,
     The fields must be almost holomorphic and functionally independent on the
     box.  Passive coordinate pairs are chosen greedily to maximize the worst
     Gram volume of the growing Jacobian; the completed Jacobian must have a
-    determinant that is bounded away from zero with constant sign.
+    determinant that is bounded away from zero with constant sign.  A
+    non-finite CR residual, Jacobian row or determinant raises
+    NumericalError: no comparison against a tolerance can judge it.
     """
     if box is None:
         box = structure.box
@@ -80,6 +82,9 @@ def build_spencer_chart(structure, fields, box=None,
     grid = SampleGrid(box, grid_k)
     for i, f in enumerate(fields):
         res = cr_residual(structure, f, grid.points)
+        if not np.isfinite(res):
+            raise NumericalError(
+                f"field {i} has a non-finite CR residual on the chart box")
         if res > tol_cr:
             raise ChartError(
                 f"field {i} is not almost holomorphic on the chart box: "
@@ -103,6 +108,9 @@ def build_spencer_chart(structure, fields, box=None,
         available.remove(best)
 
     dets = np.linalg.det(rows)
+    if not np.all(np.isfinite(dets)):
+        raise NumericalError("completed chart Jacobian has a non-finite "
+                             "determinant on the chart box")
     min_abs = float(np.min(np.abs(dets)))
     if min_abs <= tol_det:
         raise ChartError(

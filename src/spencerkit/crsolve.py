@@ -225,14 +225,24 @@ def independence_rank(fields, points, svd_rel_tol=defaults.SVD_REL_TOL):
 
     Each complex function contributes two real rows (real and imaginary part
     of its gradient); the returned rank is the maximum over the sample
-    points, so it counts functions that are independent somewhere.
+    points, so it counts functions that are independent somewhere.  When
+    the first point already has full rank no point can exceed it, and the
+    other points are not decomposed.  The stacked SVD works matrix by
+    matrix, so this gives the same integer as one SVD of every point.
+    Raises NumericalError on non-finite rows.
     """
     fields = list(fields)
     if not fields:
         return 0
-    pts = np.asarray(points, dtype=float)
-    sigma = np.linalg.svd(jacobian_rows(fields, pts), compute_uv=False)
-    return int(np.max(numerical_rank(sigma, svd_rel_tol)))
+    rows = jacobian_rows(fields, np.asarray(points, dtype=float))
+    if not np.all(np.isfinite(rows)):
+        raise NumericalError("field gradients are not all finite on the points")
+    rank = int(numerical_rank(
+        np.linalg.svd(rows[:1], compute_uv=False), svd_rel_tol)[0])
+    if rank == min(rows.shape[1:]) or len(rows) == 1:
+        return rank
+    sigma = np.linalg.svd(rows[1:], compute_uv=False)
+    return max(rank, int(np.max(numerical_rank(sigma, svd_rel_tol))))
 
 
 @dataclass

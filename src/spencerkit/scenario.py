@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from . import defaults
 from .charts import build_spencer_chart, cocycle_check, factorize, transition_map
@@ -372,13 +372,39 @@ def _grid_of(scenario, spec):
     return SampleGrid(scenario.structure.box, spec.get("grid", defaults.GRID_PER_AXIS))
 
 
-def _build_chart(scenario, label, tols, grid_k=defaults.GRID_PER_AXIS):
-    spec = scenario.chart_specs[label]
-    fields = [scenario.functions[fn] for fn in spec.function_names]
-    return build_spencer_chart(
-        scenario.structure, fields, box=spec.box, grid_k=grid_k,
-        tol_cr=tols["tol_cr"], tol_det=tols["tol_det"],
-        svd_rel_tol=tols["svd_rel_tol"], label=label)
+@dataclass
+class _Run:
+    """What the tasks of one ``run_scenario`` call share: the tolerances in
+    force and the charts built so far.  Each runner gets it as ``run``."""
+
+    scenario: Scenario
+    tols: dict
+    # (chart label, grid_k) -> SpencerChart or the check failure its build
+    # raised.  The tolerances are fixed within a run, so they are no part
+    # of the key.
+    charts: dict = dc_field(default_factory=dict)
+
+    def chart(self, label, grid_k=defaults.GRID_PER_AXIS):
+        """The chart ``label`` validated at density ``grid_k``, built once per
+        run; a failed build raises the same error to every task naming it."""
+        key = (label, int(grid_k))
+        if key not in self.charts:
+            spec = self.scenario.chart_specs[label]
+            fields = [self.scenario.functions[fn] for fn in spec.function_names]
+            try:
+                self.charts[key] = build_spencer_chart(
+                    self.scenario.structure, fields, box=spec.box,
+                    grid_k=grid_k, tol_cr=self.tols["tol_cr"],
+                    tol_det=self.tols["tol_det"],
+                    svd_rel_tol=self.tols["svd_rel_tol"], label=label)
+            except CHECK_FAILURES as exc:
+                # Without its traceback the error keeps no frame, and no
+                # sample lattice, alive for the rest of the run.
+                self.charts[key] = exc.with_traceback(None)
+        chart = self.charts[key]
+        if isinstance(chart, CHECK_FAILURES):
+            raise chart.with_traceback(None)
+        return chart
 
 
 def _build_family(scenario, label, tols):
@@ -391,44 +417,44 @@ def _build_family(scenario, label, tols):
     return family, spec
 
 
-def _run_check_acs(scenario, spec, tols):
+def _run_check_acs(scenario, spec, run):
     return check_acs(scenario.structure, grid=_grid_of(scenario, spec),
-                     tol=tols["tol_acs"])
+                     tol=run.tols["tol_acs"])
 
 
-def _run_split_type(scenario, spec, tols):
+def _run_split_type(scenario, spec, run):
     grid = _grid_of(scenario, spec)
     result = split_type(scenario.structure, grid.points,
-                        svd_rel_tol=tols["svd_rel_tol"])
+                        svd_rel_tol=run.tols["svd_rel_tol"])
     return make_report(
         task="split_type",
         metrics={"eigen_residual": result.eigen_residual,
                  "dim_plus": float(result.dims[0]),
                  "dim_minus": float(result.dims[1])},
-        tolerances={"eigen_residual": tols["tol_eigen"]},
+        tolerances={"eigen_residual": run.tols["tol_eigen"]},
     )
 
 
-def _run_integrability(scenario, spec, tols):
+def _run_integrability(scenario, spec, run):
     return integrability_report(scenario.structure,
                                 grid=_grid_of(scenario, spec),
-                                tol=tols["tol_integrability"])
+                                tol=run.tols["tol_integrability"])
 
 
-def _run_cr_check(scenario, spec, tols):
+def _run_cr_check(scenario, spec, run):
     field = scenario.functions[spec["function"]]
     return cr_equations_check(scenario.structure, field,
                               grid=_grid_of(scenario, spec),
-                              tol=tols["tol_cr"])
+                              tol=run.tols["tol_cr"])
 
 
-def _run_solve_ah(scenario, spec, tols):
+def _run_solve_ah(scenario, spec, run):
     degree = int(spec.get("degree", 2))
     grid_k = int(spec["grid"]) if "grid" in spec else None
     solution = solve_ah_polynomials(scenario.structure, degree, grid_k=grid_k,
-                                    svd_rel_tol=tols["svd_rel_tol"])
+                                    svd_rel_tol=run.tols["svd_rel_tol"])
     sigma_max = float(solution.singular_values[0])
-    bound = 10.0 * tols["svd_rel_tol"] * max(sigma_max, 1.0)
+    bound = 10.0 * run.tols["svd_rel_tol"] * max(sigma_max, 1.0)
     metrics = {"nullity": float(solution.nullity),
                "solver_residual": solution.residual,
                "sigma_max": sigma_max}
@@ -444,12 +470,12 @@ def _run_solve_ah(scenario, spec, tols):
                        notes=notes, extra_pass=extra)
 
 
-def _run_spencer_type(scenario, spec, tols):
+def _run_spencer_type(scenario, spec, run):
     degree = int(spec.get("degree", 2))
     grid_k = int(spec["grid"]) if "grid" in spec else None
     estimate = estimate_spencer_type(scenario.structure, degree=degree,
                                      grid_k=grid_k,
-                                     svd_rel_tol=tols["svd_rel_tol"])
+                                     svd_rel_tol=run.tols["svd_rel_tol"])
     expected = int(spec.get("expect_m", scenario.n))
     return make_report(
         task="spencer_type",
@@ -461,20 +487,20 @@ def _run_spencer_type(scenario, spec, tols):
     )
 
 
-def _run_chart(scenario, spec, tols):
-    chart = _build_chart(scenario, spec["chart"], tols,
-                         grid_k=spec.get("grid", defaults.GRID_PER_AXIS))
+def _run_chart(scenario, spec, run):
+    chart = run.chart(spec["chart"],
+                      grid_k=spec.get("grid", defaults.GRID_PER_AXIS))
     return make_report(
         task="chart",
         metrics={"certificate": chart.certificate, "m": float(chart.m)},
-        tolerances={"certificate": tols["tol_det"]},
+        tolerances={"certificate": run.tols["tol_det"]},
         comparisons={"certificate": "ge"},
         notes=[f"passive pairs {list(chart.passive_pairs)}"],
     )
 
 
-def _run_factorize(scenario, spec, tols):
-    chart = _build_chart(scenario, spec["chart"], tols)
+def _run_factorize(scenario, spec, run):
+    chart = run.chart(spec["chart"])
     h = scenario.functions[spec["function"]]
     result = factorize(chart, h, grid_k=spec.get("grid"),
                        fit_degree=int(spec.get("fit_degree", defaults.FIT_DEGREE)))
@@ -483,15 +509,15 @@ def _run_factorize(scenario, spec, tols):
         metrics={"fit_residual": result.fit_residual,
                  "fiber_variance": result.fiber_variance,
                  "cond": result.cond},
-        tolerances={"fit_residual": tols["tol_fit"],
-                    "fiber_variance": tols["tol_fit"]},
+        tolerances={"fit_residual": run.tols["tol_fit"],
+                    "fiber_variance": run.tols["tol_fit"]},
     )
 
 
-def _run_transition(scenario, spec, tols):
+def _run_transition(scenario, spec, run):
     label_a, label_b = spec["charts"]
-    chart_a = _build_chart(scenario, label_a, tols)
-    chart_b = _build_chart(scenario, label_b, tols)
+    chart_a = run.chart(label_a)
+    chart_b = run.chart(label_b)
     result = transition_map(chart_a, chart_b, grid_k=spec.get("grid"),
                             fit_degree=int(spec.get("fit_degree",
                                                     defaults.FIT_DEGREE)))
@@ -501,17 +527,17 @@ def _run_transition(scenario, spec, tols):
                  "holo_residual": result.holo_residual,
                  "jacobian_min_det": result.jacobian_min_det,
                  "cond": result.cond},
-        tolerances={"fit_residual": tols["tol_fit"],
-                    "holo_residual": tols["tol_holo"],
-                    "jacobian_min_det": tols["tol_det"]},
+        tolerances={"fit_residual": run.tols["tol_fit"],
+                    "holo_residual": run.tols["tol_holo"],
+                    "jacobian_min_det": run.tols["tol_det"]},
         comparisons={"jacobian_min_det": "ge"},
         notes=[f"{label_a} to {label_b} on overlap"],
     )
 
 
-def _run_cocycle(scenario, spec, tols):
+def _run_cocycle(scenario, spec, run):
     labels = spec["charts"]
-    charts = [_build_chart(scenario, lbl, tols) for lbl in labels]
+    charts = [run.chart(lbl) for lbl in labels]
     result = cocycle_check(*charts, grid_k=spec.get("grid"),
                            fit_degree=int(spec.get("fit_degree",
                                                    defaults.FIT_DEGREE)))
@@ -521,13 +547,13 @@ def _run_cocycle(scenario, spec, tols):
         task="cocycle",
         metrics={"cocycle_defect": result.defect,
                  "holo_residual": worst_holo},
-        tolerances={"cocycle_defect": tols["tol_cocycle"]},
+        tolerances={"cocycle_defect": run.tols["tol_cocycle"]},
         notes=[f"charts {labels[0]}, {labels[1]}, {labels[2]}"],
     )
 
 
-def _run_axioms(scenario, spec, tols):
-    family, fam_spec = _build_family(scenario, spec["family"], tols)
+def _run_axioms(scenario, spec, run):
+    family, fam_spec = _build_family(scenario, spec["family"], run.tols)
     reports = validate_axioms(family, glue_tests=fam_spec.glue_tests)
     metrics = {"members": float(len(family.members))}
     notes = []
@@ -540,19 +566,19 @@ def _run_axioms(scenario, spec, tols):
                        notes=notes, extra_pass=ok)
 
 
-def _run_ah_map(scenario, spec, tols):
+def _run_ah_map(scenario, spec, run):
     grid_k = int(spec.get("grid", defaults.GRID_PER_AXIS))
     if "map" in spec:
         return check_ah_map(scenario.maps[spec["map"]], scenario.structure,
-                            grid_k=grid_k, tol=tols["tol_map"])
-    family, _ = _build_family(scenario, spec["family"], tols)
+                            grid_k=grid_k, tol=run.tols["tol_map"])
+    family, _ = _build_family(scenario, spec["family"], run.tols)
     worst = 0.0
     failures = []
     checked = 0
     for member in family.members:
         try:
             rep = check_ah_map(member, scenario.structure, grid_k=grid_k,
-                               tol=tols["tol_map"])
+                               tol=run.tols["tol_map"])
         except DomainError as exc:
             failures.append(f"{member.label}: {exc}")
             continue
@@ -565,13 +591,13 @@ def _run_ah_map(scenario, spec, tols):
     return make_report(
         task="ah_map",
         metrics={"ah_map_residual": worst, "members": float(len(family.members))},
-        tolerances={"ah_map_residual": tols["tol_map"]},
+        tolerances={"ah_map_residual": run.tols["tol_map"]},
         notes=notes,
         extra_pass=not failures,
     )
 
 
-def _run_over_diagram(scenario, spec, tols):
+def _run_over_diagram(scenario, spec, run):
     diagram = OverDiagram(
         phi=scenario.maps[spec["phi"]],
         f_src=scenario.maps[spec["f_src"]],
@@ -579,7 +605,7 @@ def _run_over_diagram(scenario, spec, tols):
         psi=scenario.maps[spec["psi"]])
     return check_over_diagram(diagram,
                               grid_k=int(spec.get("grid", defaults.GRID_PER_AXIS)),
-                              tol=tols["tol_diagram"])
+                              tol=run.tols["tol_diagram"])
 
 
 # Per task kind: its runner and the keys it takes besides "task", "label" and
@@ -616,11 +642,11 @@ TASK_RUNNERS = {kind: runner for kind, (runner, _) in TASKS.items()}
 # running
 # ---------------------------------------------------------------------------
 
-def _run_one_task(scenario, spec, tols):
+def _run_one_task(scenario, spec, run):
     kind = spec["task"]
     label = str(spec.get("label", kind))
     try:
-        report = TASK_RUNNERS[kind](scenario, spec, tols)
+        report = TASK_RUNNERS[kind](scenario, spec, run)
     except CHECK_FAILURES as exc:
         report = Report(task=label, status="fail",
                         notes=[f"{type(exc).__name__}: {exc}"])
@@ -642,6 +668,8 @@ def run_scenario(scenario, tol_overrides=None, grid_override=None,
 
     Overrides replace the named tolerances everywhere, the grid density of
     every task that takes a ``grid`` key and the degree of the solver tasks.
+    Each chart is built once per run, at each density a task asks for, and
+    shared by every task that names it.
     """
     started = time.perf_counter()
     tols = _with_tolerances(scenario.tolerances, tol_overrides)
@@ -660,7 +688,8 @@ def run_scenario(scenario, tol_overrides=None, grid_override=None,
         raise ScenarioError(
             f"task filter {task_filter!r} matches no task in {scenario.name!r}")
 
-    reports = [_run_one_task(scenario, spec, tols) for spec in specs]
+    run = _Run(scenario, tols)
+    reports = [_run_one_task(scenario, spec, run) for spec in specs]
     overall = "pass" if all(r.passed for r in reports) else "fail"
     return RunResult(scenario=scenario.name,
                      version=defaults.TOOLKIT_VERSION,

@@ -10,9 +10,11 @@ from spencerkit import (
     factorize,
     parse_polynomial,
     project,
+    standard_structure,
     transition_map,
 )
-from spencerkit.errors import ChartError, ConfigurationError, OverlapError
+from spencerkit.errors import (ChartError, ConfigurationError, NumericalError,
+                               OverlapError)
 from spencerkit.poly import Polynomial, monomials_upto
 
 
@@ -45,6 +47,29 @@ def test_chart_rejects_degenerate_fields(std1, z_field):
     off_origin = Box((0.2, 0.2), (0.45, 0.45))
     chart = build_spencer_chart(std1, [zsq], box=off_origin)
     assert chart.certificate > 0
+
+
+def test_chart_degenerate_at_the_first_lattice_point(std1, z_field):
+    # The first lattice point of [0, 1]^2 is the origin, where z^2 has rank
+    # 0; the rank test must still look further, and the determinant fails.
+    with pytest.raises(ChartError, match=r"^completed chart Jacobian "
+                       r"degenerates: min \|det\| = 0\.000e\+00 <= 1e-06$"):
+        build_spencer_chart(std1, [z_field * z_field],
+                            box=Box((0.0, 0.0), (1.0, 1.0)))
+
+
+def test_chart_refuses_non_finite_data(std1, z_field):
+    # Exactly holomorphic with finite rows, but |det| = 1e400 overflows.
+    huge = z_field * 1e200
+    with np.errstate(over="ignore"), \
+            pytest.raises(NumericalError, match="non-finite determinant"):
+        build_spencer_chart(std1, [huge])
+    # The gradient overflows at x1 = 1.2, so the CR residual is not finite.
+    wide = standard_structure(1, Box((0.0, 0.0), (1.2, 1.0)))
+    overflowing = parse_polynomial("x1 + (0+1i)*x2 + 5e307*x1^3", 2)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match="non-finite CR residual"):
+        build_spencer_chart(wide, [overflowing])
 
 
 def test_chart_rejects_non_holomorphic_fields(std1, zbar_field):

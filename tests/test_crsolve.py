@@ -19,9 +19,9 @@ from spencerkit import (
     solve_ah_polynomials,
     standard_structure,
 )
-from spencerkit import crsolve
-from spencerkit.errors import ConfigurationError
-from spencerkit.jfield import SampleGrid
+from spencerkit import crsolve, defaults
+from spencerkit.errors import ConfigurationError, NumericalError
+from spencerkit.jfield import SampleGrid, numerical_rank
 from spencerkit.poly import Polynomial, monomials_upto
 
 from conftest import TWISTED_ROWS, _poly_matrix
@@ -237,6 +237,108 @@ def test_independence_rank_counts_complex_pairs(std1, z_field):
     assert independence_rank([z_field], grid) == 2
     assert independence_rank([z_field, zsq], grid) == 2
     assert independence_rank([], grid) == 0
+
+
+def _rank_by_one_svd(rows, svd_rel_tol=defaults.SVD_REL_TOL):
+    """The rank rule as one SVD of every point's rows."""
+    sigma = np.linalg.svd(rows, compute_uv=False)
+    return int(np.max(numerical_rank(sigma, svd_rel_tol)))
+
+
+_RNG_POINTS = np.random.default_rng(3).uniform(-1.0, 1.0, size=(40, 4))
+
+# name: (variables, fields, points, rank).  The rows of each point are
+# (2 * fields, variables): square, wide or tall.
+RANK_STACKS = {
+    "every_point_full": (4, ["x1 + (0+1i)*x2 + 0.3*x3^2",
+                             "x3 + (0+1i)*x4 - 0.2*x1*x2"], _RNG_POINTS, 4),
+    "only_last_full": (2, ["x1^2 + (0+1i)*x2^2"],
+                       [[0.0, 0.0], [0.0, 0.3], [0.4, 0.0], [0.5, 0.7]], 2),
+    "deficient_everywhere": (4, ["x1 + (0+1i)*x2",
+                                 "x1^2 - x2^2 + (0+2i)*x1*x2"],
+                             _RNG_POINTS, 2),
+    "one_point_deficient": (2, ["x1^2 + (0+1i)*x2^2"], [[0.0, 0.3]], 1),
+    "one_point_full": (2, ["x1^2 + (0+1i)*x2^2"], [[0.5, 0.7]], 2),
+    "wide": (4, ["x1^2 + (0+1i)*x3^2"],
+             [[0.0, 0.2, 0.3, 0.4], [0.0, 0.1, 0.0, 0.3],
+              [0.5, 0.1, 0.2, 0.3]], 2),
+    "tall": (2, ["x1 + (0+1i)*x2", "x1^2 - x2^2 + (0+2i)*x1*x2"],
+             _RNG_POINTS[:, :2], 2),
+    "tall_deficient": (2, ["x1^2", "x1^3"],
+                       [[0.0, 0.5], [0.3, 0.5], [-0.2, 0.1]], 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANK_STACKS))
+def test_independence_rank_matches_one_svd_of_every_point(name):
+    nvars, texts, points, rank = RANK_STACKS[name]
+    fields = [parse_polynomial(t, nvars) for t in texts]
+    points = np.asarray(points, dtype=float)
+    rows = crsolve.jacobian_rows(fields, points)
+    assert independence_rank(fields, points) == _rank_by_one_svd(rows) == rank
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 6), (6, 6), (6, 4), (4, 6)])
+def test_independence_rank_matches_one_svd_on_random_low_rank_stacks(
+        monkeypatch, shape):
+    # Products of (rows, r) and (r, cols) factors have rank r; each stack
+    # draws r per point, and the last stack reaches full rank only at its
+    # last point.
+    rng = np.random.default_rng(sum(shape))
+    full = min(shape)
+    stacks = [rng.integers(0, full + 1, size=500) for _ in range(20)]
+    stacks.append(np.r_[np.full(499, full - 1), full])
+    for ranks in stacks:
+        rows = np.zeros((len(ranks), *shape))
+        for p, r in enumerate(ranks):
+            rows[p] = (rng.standard_normal((shape[0], r))
+                       @ rng.standard_normal((r, shape[1])))
+        rows *= rng.uniform(1e-3, 1e3, size=(len(ranks), 1, 1))
+        monkeypatch.setattr(crsolve, "jacobian_rows", lambda f, p: rows)
+        points = np.zeros((len(ranks), 2))
+        for tol in (defaults.SVD_REL_TOL, 1e-3):
+            assert (independence_rank([None], points, svd_rel_tol=tol)
+                    == _rank_by_one_svd(rows, tol))
+
+
+def test_independence_rank_stops_at_a_full_rank_first_point(
+        monkeypatch, std1, std2, z_field):
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    z1, z2 = (parse_polynomial(t, 4) for t in ("x1 + (0+1i)*x2",
+                                               "x3 + (0+1i)*x4"))
+    points = std2.default_grid().points
+    assert independence_rank([z1, z2], points) == 4
+    assert shapes == [(1, 4, 4)]
+    shapes.clear()
+    assert independence_rank([z1], points) == 2
+    assert shapes == [(1, 2, 4)]
+    shapes.clear()
+    zsq = z1 * z1
+    assert independence_rank([zsq, z2], points) == 4
+    assert shapes == [(1, 4, 4)]
+    shapes.clear()
+    assert independence_rank([z1, zsq], points) == 2
+    assert shapes == [(1, 4, 4), (len(points) - 1, 4, 4)]
+    shapes.clear()
+    # Tall rows: rank 2 is full for four rows of two columns.
+    assert independence_rank([z_field, z_field * z_field],
+                             std1.default_grid().points) == 2
+    assert shapes == [(1, 4, 2)]
+
+
+def test_independence_rank_refuses_non_finite_rows(z_field):
+    zsq = z_field * z_field
+    points = np.array([[0.5, 0.5], [np.inf, 0.0]])
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericalError, match="not all finite"):
+            independence_rank([zsq], points)
 
 
 def test_independence_rank_invariant_under_recombination(std2):

@@ -417,6 +417,109 @@ def test_cli_exit_three_on_non_finite_metric(scenario_file, capsys):
     assert captured.out == ""
 
 
+def test_cli_exit_three_on_non_finite_chart_residual(scenario_file, capsys):
+    # The gradient of 5e307*x1^3 overflows at x1 = 1.2: the CR residual is
+    # not finite, and no comparison with tol_cr can judge it.
+    data = minimal_scenario(
+        box={"lo": [0.0, 0.0], "hi": [1.2, 1.0]},
+        functions={"z": "x1 + (0+1i)*x2 + 5e307*x1^3"},
+        charts={"c": {"functions": ["z"]}},
+        tasks=[{"task": "chart", "chart": "c"}])
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["run", scenario_file(data)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "field 0 has a non-finite CR residual" in captured.err
+    assert captured.out == ""
+
+
+# J is the pullback of the flat structure by the shear
+# (x1, x2, x3 + 0.3*x1^2, x4 + 0.2*x1*x2), so w1 and w2 are holomorphic
+# coordinates; v2 = w2 + 0.5*w1^2, and chart "bad" is not holomorphic.
+SHEARED_N2 = {
+    "name": "sheared_n2",
+    "n": 2,
+    "box": {"lo": [-0.5] * 4, "hi": [0.5] * 4},
+    "J": [["0", "-1", "0", "0"], ["1", "0", "0", "0"],
+          ["-0.2*x2", "0.4*x1", "0", "-1"], ["0.4*x1", "0.2*x2", "1", "0"]],
+    "functions": {
+        "w1": "x1 + (0+1i)*x2",
+        "w2": "x3 + 0.3*x1^2 + (0+1i)*x4 + (0+0.2i)*x1*x2",
+        "v2": "x3 + 0.8*x1^2 - 0.5*x2^2 + (0+1i)*x4 + (0+1.2i)*x1*x2",
+        "w1_bar": "x1 - (0+1i)*x2",
+    },
+    "charts": {"ca": {"functions": ["w1", "w2"]},
+               "cb": {"functions": ["w1", "v2"]},
+               "bad": {"functions": ["w1", "w1_bar"]}},
+    "tasks": [
+        {"task": "chart", "chart": "ca"},
+        {"task": "chart", "chart": "ca", "grid": 4, "label": "chart_coarse"},
+        {"task": "factorize", "chart": "ca", "function": "v2",
+         "fit_degree": 2},
+        {"task": "transition", "charts": ["ca", "cb"], "fit_degree": 2},
+        {"task": "chart", "chart": "bad", "expect": "fail",
+         "label": "chart_bad"},
+        {"task": "factorize", "chart": "bad", "function": "w1",
+         "expect": "fail", "label": "factorize_bad"},
+    ],
+}
+
+
+GRID = defaults.GRID_PER_AXIS
+
+
+def _count_chart_builds(monkeypatch):
+    """(label, grid_k) of every chart build from now on."""
+    builds = []
+    build = scenario_module.build_spencer_chart
+
+    def counting(*args, **kwargs):
+        builds.append((kwargs["label"], kwargs["grid_k"]))
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(scenario_module, "build_spencer_chart", counting)
+    return builds
+
+
+@pytest.mark.parametrize("data, charts", [
+    (builtin_scenarios()["std_c2"], [("cc", GRID), ("cc_mix", GRID)]),
+    (SHEARED_N2, [("ca", GRID), ("ca", 4), ("cb", GRID), ("bad", GRID)]),
+], ids=["std_c2", "sheared_n2"])
+def test_each_chart_is_built_once_per_run(monkeypatch, data, charts):
+    builds = _count_chart_builds(monkeypatch)
+    scenario = parse_scenario(data)
+    first = run_scenario(scenario)
+    assert first.overall == "pass"
+    assert builds == charts
+    builds.clear()
+    assert emit_json(run_scenario(scenario)) == emit_json(first)
+    assert builds == charts
+
+
+def test_a_failed_chart_gives_every_task_naming_it_the_same_note(
+        monkeypatch):
+    builds = _count_chart_builds(monkeypatch)
+    result = run_scenario(parse_scenario(SHEARED_N2))
+    chart, factorize = result.reports[-2:]
+    assert chart.notes[0] == factorize.notes[0] == (
+        "ChartError: field 1 is not almost holomorphic on the chart box: "
+        "residual 2.000e+00 > 1e-10")
+    assert builds.count(("bad", GRID)) == 1
+
+
+def test_tol_det_reaches_the_shared_chart(capsys):
+    # cc has certificate 1.0, so tol_det = 2 fails its build, and every
+    # task that names it reports that one failure.
+    assert cli.main(["builtin", "std_c2", "--tol", "tol_det=2"]) == 1
+    tasks = {t["task"]: t for t in json.loads(capsys.readouterr().out)["tasks"]}
+    note = ("ChartError: completed chart Jacobian degenerates: "
+            "min |det| = 1.000e+00 <= 2")
+    for label in ("chart", "factorize", "transition"):
+        assert tasks[label]["status"] == "fail"
+        assert tasks[label]["notes"] == [note]
+    assert tasks["solve_ah_linear"]["status"] == "pass"
+
+
 def test_degenerate_point_note_prints_plain_floats(scenario_file, capsys):
     data = minimal_scenario(J=[["0", "-1"], ["x1", "0"]],
                             tasks=[{"task": "split_type"}])
