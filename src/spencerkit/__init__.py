@@ -6,12 +6,12 @@ independent solutions exist, builds and compares charts, and validates
 pseudogroup families of local maps.  Scenario JSON files drive batches of
 checks through the ``spencerkit`` command.
 """
-from .charts import (CocycleResult, Factorization, ProjectedCloud,
-                     SpencerChart, TransitionMap, build_spencer_chart,
-                     cocycle_check, factorize, project, transition_map)
+from .charts import (CocycleResult, Factorization, SpencerChart,
+                     TransitionMap, build_spencer_chart, cocycle_check,
+                     factorize, transition_map)
 from .crsolve import (AHSolutionSet, TypeEstimate, cr_equations_check,
-                      cr_real_residual, cr_residual, estimate_spencer_type,
-                      independence_rank, solve_ah_polynomials)
+                      cr_residual, estimate_spencer_type, independence_rank,
+                      solve_ah_polynomials)
 from .defaults import TOOLKIT_VERSION
 from .errors import (ChartError, CompositionError, ConfigurationError,
                      DegenerateStructureError, DomainError, FitError,
@@ -19,8 +19,8 @@ from .errors import (ChartError, CompositionError, ConfigurationError,
                      OverlapError, PolynomialParseError, ScenarioError,
                      SpencerKitError)
 from .jfield import (ACStructure, Box, SampleGrid, SplitTypeResult, check_acs,
-                     eval_j, integrability_report, nijenhuis, pullback,
-                     split_type, standard_structure)
+                     eval_j, integrability_report, nijenhuis, split_type,
+                     standard_structure)
 from .poly import (PolyMap, Polynomial, format_polynomial, monomials_upto,
                    parse_polynomial)
 from .pseudogroup import (GlueTest, LocalMap, OverDiagram, PseudogroupFamily,
@@ -39,17 +39,17 @@ __all__ = [
     "DomainError", "Factorization", "FitError", "GlueTest",
     "IndependenceError", "InversionError", "LocalMap", "NumericalError",
     "OverDiagram", "OverlapError", "PolyMap", "Polynomial",
-    "PolynomialParseError", "ProjectedCloud", "PseudogroupFamily", "Report",
+    "PolynomialParseError", "PseudogroupFamily", "Report",
     "RunResult", "SampleGrid", "Scenario", "ScenarioError", "SpencerChart",
     "SpencerKitError", "SplitTypeResult", "TOOLKIT_VERSION", "TransitionMap",
     "TypeEstimate", "build_spencer_chart", "builtin_scenarios", "check_acs",
     "check_ah_map", "check_over_diagram", "cocycle_check", "compose",
-    "covers", "cr_equations_check", "cr_real_residual", "cr_residual",
+    "covers", "cr_equations_check", "cr_residual",
     "emit_json", "emit_text", "estimate_spencer_type", "eval_j", "factorize",
     "format_polynomial", "generate", "identity_map", "independence_rank",
     "integrability_report", "invert", "load_scenario", "make_report",
     "monomials_upto", "nijenhuis", "parse_polynomial", "parse_scenario",
-    "project", "pullback", "restrict", "run_scenario",
+    "restrict", "run_scenario",
     "solve_ah_polynomials", "split_type", "standard_structure",
     "transition_map", "validate_axioms",
 ]

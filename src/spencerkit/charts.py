@@ -80,8 +80,7 @@ def build_spencer_chart(structure, fields, box=None,
     if not 1 <= len(fields) <= n:
         raise ChartError(f"chart needs between 1 and {n} fields, got {len(fields)}")
     grid = SampleGrid(box, grid_k)
-    for i, f in enumerate(fields):
-        res = cr_residual(structure, f, grid.points)
+    for i, res in enumerate(cr_residual(structure, fields, grid.points)):
         if not np.isfinite(res):
             raise NumericalError(
                 f"field {i} has a non-finite CR residual on the chart box")
@@ -90,12 +89,12 @@ def build_spencer_chart(structure, fields, box=None,
                 f"field {i} is not almost holomorphic on the chart box: "
                 f"residual {res:.3e} > {tol_cr:g}")
     m = len(fields)
-    rank = independence_rank(fields, grid.points, svd_rel_tol=svd_rel_tol)
+    rows = jacobian_rows(fields, grid.points)
+    rank = independence_rank(rows, svd_rel_tol)
     if rank < 2 * m:
         raise IndependenceError(
             f"chart fields have Jacobian rank {rank} < {2 * m}; not independent")
 
-    rows = jacobian_rows(fields, grid.points)
     available = list(range(n))
     chosen = []
     while len(chosen) < n - m:
@@ -121,21 +120,6 @@ def build_spencer_chart(structure, fields, box=None,
     return SpencerChart(structure=structure, fields=fields, box=box,
                         passive_pairs=tuple(chosen), certificate=min_abs,
                         grid_k=int(grid_k), label=str(label))
-
-
-@dataclass
-class ProjectedCloud:
-    """Sample points of a chart box together with their images in C^m."""
-
-    chart: SpencerChart
-    points: np.ndarray          # (P, 2n)
-    w: np.ndarray               # (P, m) complex
-
-
-def project(chart, grid_k=None):
-    grid = SampleGrid(chart.box, chart.grid_k if grid_k is None else grid_k)
-    return ProjectedCloud(chart=chart, points=grid.points,
-                          w=chart.evaluate(grid.points))
 
 
 def _vandermonde(w, fit_degree):
@@ -184,12 +168,12 @@ def factorize(chart, h, grid_k=None, fit_degree=defaults.FIT_DEGREE):
     constant on the fibers of the projection, measured by clustering the
     cloud) and the max-norm residual of the fit itself.
     """
-    cloud = project(chart, grid_k)
-    h_vals = h.evaluate(cloud.points)
+    grid = SampleGrid(chart.box, chart.grid_k if grid_k is None else grid_k)
+    w = chart.evaluate(grid.points)
+    h_vals = h.evaluate(grid.points)
     cluster_tol = defaults.CLUSTER_TOL_FACTOR * chart.box.diameter
-    keys = np.floor(
-        np.concatenate([cloud.w.real, cloud.w.imag], axis=1) / cluster_tol
-    ).astype(np.int64)
+    keys = np.floor(np.concatenate([w.real, w.imag], axis=1)
+                    / cluster_tol).astype(np.int64)
     buckets = {}
     for row, key in enumerate(map(tuple, keys)):
         buckets.setdefault(key, []).append(row)
@@ -200,7 +184,7 @@ def factorize(chart, h, grid_k=None, fit_degree=defaults.FIT_DEGREE):
         vals = h_vals[rows]
         spread = float(np.max(np.abs(vals[:, None] - vals[None, :])))
         fiber_variance = max(fiber_variance, spread)
-    matrix, monomials = _vandermonde(cloud.w, fit_degree)
+    matrix, monomials = _vandermonde(w, fit_degree)
     coeffs, cond = _lstsq_checked(matrix, h_vals, "chart Vandermonde system")
     fit_residual = float(np.max(np.abs(matrix @ coeffs - h_vals)))
     factor = Polynomial(chart.m, dict(zip(monomials, coeffs)))
@@ -209,7 +193,7 @@ def factorize(chart, h, grid_k=None, fit_degree=defaults.FIT_DEGREE):
                          fiber_variance=float(fiber_variance), cond=cond,
                          fit_degree=int(fit_degree),
                          cluster_tol=float(cluster_tol),
-                         n_points=len(cloud.points))
+                         n_points=len(grid))
 
 
 @dataclass

@@ -21,54 +21,33 @@ from .poly import Polynomial, monomial_key, monomials_upto
 from .report import make_report
 
 
-def _cr_defect(grad, j):
-    """(J* df - i df) from gradients (P, 2n) and complex J values (P, 2n, 2n)."""
-    return np.einsum("pi,pij->pj", grad, j) - 1j * grad
+def cr_residual(structure, fields, points=None):
+    """Max-norm of J* df - i df over a lattice (default grid of the box),
+    one float per field.
 
-
-def cr_residual_vectors(structure, field, points):
-    """Componentwise defect (J* df - i df)(p) at a batch of points (P, 2n);
-    shape (P, 2n), complex."""
-    pts = np.asarray(points, dtype=float)
-    return _cr_defect(field.gradient(pts), eval_j(structure, pts).astype(complex))
-
-
-def cr_residual(structure, field, points=None):
-    """Max-norm of J* df - i df over a lattice (default grid of the box)."""
-    if points is None:
-        points = SampleGrid(structure.box).points
-    return float(np.max(np.abs(cr_residual_vectors(structure, field, points))))
-
-
-def cr_real_residual(structure, field, points=None):
-    """Max-norm of the real-pair form: du o J + dv and dv o J - du."""
+    J is evaluated and made complex once for all fields; the gradients are
+    taken one field at a time, so memory does not grow with the field count.
+    """
     if points is None:
         points = SampleGrid(structure.box).points
     pts = np.asarray(points, dtype=float)
-    grad = field.gradient(pts)
-    du = grad.real
-    dv = grad.imag
-    j = eval_j(structure, pts)
-    first = np.einsum("pi,pij->pj", du, j) + dv
-    second = np.einsum("pi,pij->pj", dv, j) - du
-    return float(max(np.max(np.abs(first)), np.max(np.abs(second))))
+    j = eval_j(structure, pts).astype(complex)
+    out = []
+    for f in fields:
+        grad = f.gradient(pts)
+        out.append(float(np.max(np.abs(
+            np.einsum("pi,pij->pj", grad, j) - 1j * grad))))
+    return out
 
 
 def cr_equations_check(structure, field, grid=None, tol=defaults.TOL_CR):
-    """Report on almost-holomorphicity of one scalar function.
-
-    Both the complex-form residual and the real-pair residual are recorded;
-    the complex form is the gate.  The two agree up to a factor sqrt(2) by
-    construction, which the metrics expose for cross-checking.
-    """
+    """Report on almost-holomorphicity of one scalar function."""
     if grid is None:
         grid = structure.default_grid()
-    complex_res = cr_residual(structure, field, grid.points)
-    real_res = cr_real_residual(structure, field, grid.points)
+    residual, = cr_residual(structure, [field], grid.points)
     return make_report(
         task="cr_check",
-        metrics={"cr_residual": complex_res, "cr_real_residual": real_res,
-                 "grid_points": float(len(grid))},
+        metrics={"cr_residual": residual, "grid_points": float(len(grid))},
         tolerances={"cr_residual": tol},
     )
 
@@ -191,9 +170,9 @@ def solve_ah_polynomials(structure, degree, grid_k=None,
               else np.zeros((0, len(monomials)), dtype=complex))
     fields = tuple(
         Polynomial(size, dict(zip(monomials, row))) for row in coeffs)
-    j = eval_j(structure, grid.points).astype(complex)
-    residual = max((float(np.max(np.abs(_cr_defect(f.gradient(grid.points), j))))
-                    / f.max_abs_coeff() for f in fields), default=0.0)
+    residual = max((r / f.max_abs_coeff() for r, f in
+                    zip(cr_residual(structure, fields, grid.points), fields)),
+                   default=0.0)
     return AHSolutionSet(
         degree=int(degree),
         monomials=monomials,
@@ -220,21 +199,17 @@ def jacobian_rows(fields, points):
     return np.stack(blocks, axis=1)
 
 
-def independence_rank(fields, points, svd_rel_tol=defaults.SVD_REL_TOL):
-    """Largest pointwise rank of the stacked real Jacobian of the fields.
+def independence_rank(rows, svd_rel_tol=defaults.SVD_REL_TOL):
+    """Largest pointwise rank of stacked real Jacobian rows (P, 2m, 2n).
 
     Each complex function contributes two real rows (real and imaginary part
-    of its gradient); the returned rank is the maximum over the sample
-    points, so it counts functions that are independent somewhere.  When
-    the first point already has full rank no point can exceed it, and the
-    other points are not decomposed.  The stacked SVD works matrix by
-    matrix, so this gives the same integer as one SVD of every point.
-    Raises NumericalError on non-finite rows.
+    of its gradient, see ``jacobian_rows``); the returned rank is the
+    maximum over the sample points, so it counts functions that are
+    independent somewhere.  When the first point already has full rank no
+    point can exceed it, and the other points are not decomposed.  The
+    stacked SVD works matrix by matrix, so this gives the same integer as
+    one SVD of every point.  Raises NumericalError on non-finite rows.
     """
-    fields = list(fields)
-    if not fields:
-        return 0
-    rows = jacobian_rows(fields, np.asarray(points, dtype=float))
     if not np.all(np.isfinite(rows)):
         raise NumericalError("field gradients are not all finite on the points")
     rank = int(numerical_rank(
@@ -271,15 +246,18 @@ def estimate_spencer_type(structure, degree=2, grid_k=None,
     grid = SampleGrid(structure.box, solution.grid_k)
     notes = [f"solution space dimension {solution.nullity} at degree {degree}"]
     selected = []
+    rows = np.zeros((len(grid), 0, structure.real_dim))
     rank = 0
     for candidate in solution.fields:
         if rank >= 2 * structure.n:
             break
-        trial = independence_rank(selected + [candidate], grid.points,
-                                  svd_rel_tol=svd_rel_tol)
+        trial_rows = np.concatenate(
+            [rows, jacobian_rows([candidate], grid.points)], axis=1)
+        trial = independence_rank(trial_rows, svd_rel_tol)
         gain = trial - rank
         if gain == 2:
             selected.append(candidate)
+            rows = trial_rows
             rank = trial
         elif gain > 0:
             notes.append(

@@ -33,6 +33,8 @@ class Box:
         if len(lo) > 2 * defaults.DIM_CAP:
             raise ConfigurationError(
                 f"box dimension {len(lo)} exceeds cap {2 * defaults.DIM_CAP}")
+        if not np.all(np.isfinite(lo + hi)):
+            raise ConfigurationError(f"box bounds must be finite: lo={lo}, hi={hi}")
         if any(a >= b for a, b in zip(lo, hi)):
             raise ConfigurationError(f"box has empty interior: lo={lo}, hi={hi}")
         object.__setattr__(self, "lo", lo)
@@ -235,24 +237,6 @@ def check_acs(structure, grid=None, tol=defaults.TOL_ACS):
         metrics={"acs_residual": residual, "grid_points": float(len(grid))},
         tolerances={"acs_residual": tol},
     )
-
-
-def pullback(structure, omega, points):
-    """Pull a covector field back through J: (J* omega)(X) = omega(J X).
-
-    ``points`` is a batch (P, 2n) and ``omega`` a constant covector (2n,)
-    or a pointwise batch (P, 2n); the result (P, 2n) has components
-    (J* omega)_j = sum_i omega_i J_{ij}.
-    """
-    pts = np.asarray(points)
-    j = eval_j(structure, pts)
-    om = np.asarray(omega)
-    if om.ndim == 1:
-        om = np.broadcast_to(om, (pts.shape[0], om.shape[0]))
-    if om.shape != (pts.shape[0], structure.real_dim):
-        raise DomainError(
-            f"covector batch shape {om.shape} does not match points and dimension")
-    return np.einsum("pi,pij->pj", om, j)
 
 
 @dataclass

@@ -299,12 +299,14 @@ def _parse_factor(factor, offset, nvars):
     body = factor.strip()
     if not body:
         raise PolynomialParseError("empty factor", offset)
-    m = _COMPLEX_RE.fullmatch(body)
-    if m:
-        return complex(float(m.group(1)), float(m.group(2))), None
-    m = _NUM_RE.fullmatch(body)
-    if m:
-        return complex(float(body)), None
+    offset += factor.index(body)
+    pair = _COMPLEX_RE.fullmatch(body)
+    if pair or _NUM_RE.fullmatch(body):
+        value = (complex(float(pair.group(1)), float(pair.group(2))) if pair
+                 else complex(float(body)))
+        if not np.isfinite(value):
+            raise PolynomialParseError(f"literal {body!r} is not finite", offset)
+        return value, None
     m = _VAR_RE.fullmatch(body)
     if m:
         prefix, idx, power = m.group(1), int(m.group(2)), m.group(3)
@@ -335,6 +337,7 @@ def parse_polynomial(text, nvars, max_degree=None):
             stripped = stripped[1:].lstrip()
         if not stripped:
             raise PolynomialParseError("sign without a term", t_off)
+        t_off += body.index(stripped)
         coef = complex(sign)
         exps = [0] * nvars
         depth = 0
@@ -360,6 +363,8 @@ def parse_polynomial(text, nvars, max_degree=None):
                 f"term degree {sum(exps)} exceeds cap {max_degree}", t_off)
         key = tuple(exps)
         terms[key] = terms.get(key, 0j) + coef
+        if not np.isfinite(terms[key]):
+            raise PolynomialParseError("coefficient is not finite", t_off)
     return Polynomial(nvars, terms)
 
 

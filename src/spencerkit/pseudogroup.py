@@ -471,6 +471,8 @@ def invert(map_, grid_k=defaults.GRID_PER_AXIS, tol_invert=defaults.TOL_INVERT,
         raise InversionError(
             f"{map_.label} has |det| = {min_det:.3e} <= {tol_det:g} on its "
             f"lattice; not invertible")
+    if not np.all(np.isfinite(images)):
+        raise InversionError(f"image of {map_.label} is not finite on its lattice")
     lo = tuple(np.min(images, axis=0))
     hi = tuple(np.max(images, axis=0))
     if any(a >= b for a, b in zip(lo, hi)):

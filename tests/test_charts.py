@@ -9,10 +9,10 @@ from spencerkit import (
     cocycle_check,
     factorize,
     parse_polynomial,
-    project,
     standard_structure,
     transition_map,
 )
+from spencerkit import charts, crsolve
 from spencerkit.errors import (ChartError, ConfigurationError, NumericalError,
                                OverlapError)
 from spencerkit.poly import Polynomial, monomials_upto
@@ -94,12 +94,33 @@ def test_chart_field_count_bounds(std1, std2, z_field):
     assert chart.passive_pairs == ()
 
 
-def test_project_cloud_shapes(chart_z):
-    cloud = project(chart_z, grid_k=4)
-    assert cloud.points.shape == (16, 2)
-    assert cloud.w.shape == (16, 1)
-    assert np.allclose(cloud.w[:, 0],
-                       cloud.points[:, 0] + 1j * cloud.points[:, 1])
+def test_chart_build_evaluates_j_and_jacobian_rows_once(monkeypatch, std2):
+    j_calls, row_calls = [], []
+    eval_j, jacobian_rows = crsolve.eval_j, crsolve.jacobian_rows
+
+    def counting_j(structure, points):
+        j_calls.append(len(points))
+        return eval_j(structure, points)
+
+    def counting_rows(fields, points):
+        row_calls.append(len(fields))
+        return jacobian_rows(fields, points)
+
+    monkeypatch.setattr(crsolve, "eval_j", counting_j)
+    monkeypatch.setattr(crsolve, "jacobian_rows", counting_rows)
+    monkeypatch.setattr(charts, "jacobian_rows", counting_rows)
+    z1 = parse_polynomial("x1 + (0+1i)*x2", 4)
+    z2 = parse_polynomial("x3 + (0+1i)*x4", 4)
+    chart = build_spencer_chart(std2, [z1, z2], grid_k=4)
+    assert chart.m == 2
+    assert j_calls == [4 ** 4]
+    assert row_calls == [2]
+    # The passive completion extends the same rows.
+    j_calls.clear()
+    row_calls.clear()
+    assert build_spencer_chart(std2, [z1], grid_k=4).passive_pairs == (1,)
+    assert j_calls == [4 ** 4]
+    assert row_calls == [1]
 
 
 def test_factorize_recovers_exact_polynomial(chart_z, z_field):

@@ -13,7 +13,6 @@ from spencerkit import (
     integrability_report,
     nijenhuis,
     parse_polynomial,
-    pullback,
     split_type,
     standard_structure,
 )
@@ -143,25 +142,6 @@ def test_check_acs_flags_non_structure():
     rep = check_acs(s)
     assert rep.status == "fail"
     assert rep.metrics["acs_residual"] > 0.1
-
-
-def test_pullback_standard_rotates_covectors(std1):
-    pts = np.array([[0.0, 0.0], [0.5, -0.5]])
-    dx = np.array([[1.0, 0.0], [1.0, 0.0]])
-    pulled = pullback(std1, dx, pts)
-    assert np.allclose(pulled, [[0.0, -1.0], [0.0, -1.0]])
-
-
-def test_pullback_is_linear_and_squares_to_minus_one(twisted):
-    rng = np.random.default_rng(3)
-    pts = rng.uniform(-0.5, 0.5, size=(6, 4))
-    a = rng.standard_normal((6, 4))
-    b = rng.standard_normal((6, 4))
-    left = pullback(twisted, 2.0 * a + b, pts)
-    right = 2.0 * pullback(twisted, a, pts) + pullback(twisted, b, pts)
-    assert np.allclose(left, right, atol=1e-13)
-    twice = pullback(twisted, pullback(twisted, a, pts), pts)
-    assert np.allclose(twice, -a, atol=1e-12)
 
 
 def test_split_type_dimensions_and_bases(std1, std2, twisted):

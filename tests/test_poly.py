@@ -61,7 +61,7 @@ def test_parse_unary_signs():
 def test_parse_error_reports_offset():
     with pytest.raises(PolynomialParseError) as err:
         parse_polynomial("x1 + x9", 2)
-    assert err.value.position is not None
+    assert err.value.position == 5
     assert "offset" in str(err.value)
 
     with pytest.raises(PolynomialParseError):
@@ -70,6 +70,16 @@ def test_parse_error_reports_offset():
         parse_polynomial("", 2)
     with pytest.raises(PolynomialParseError, match="prefix 'w'"):
         parse_polynomial("x1 + w1", 2)
+
+
+@pytest.mark.parametrize("text, offset", [
+    ("1e999*x1", 0), ("x2 + (1e999+0i)*x1", 5), ("x1 - 2*(0-1e400i)", 7),
+    ("1e200*1e200*x1", 0), ("x1 + 1e308*x2 + 1e308*x2", 16),
+])
+def test_parse_refuses_non_finite_coefficients(text, offset):
+    with pytest.raises(PolynomialParseError, match="not finite") as err:
+        parse_polynomial(text, 2)
+    assert err.value.position == offset
 
 
 def test_parse_degree_cap():

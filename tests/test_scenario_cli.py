@@ -220,6 +220,16 @@ def test_readme_flag_table_matches_the_parser():
         assert flags == documented, command
 
 
+def test_readme_library_quick_start_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Quick start (library)", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```python\n(.*?)^```", section, flags=re.M | re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+
+
 def test_cli_task_filter_and_text_format():
     code, out, err = run_cli("builtin", "std_c2", "--task", "chart",
                              "--format", "text")
@@ -303,6 +313,36 @@ def test_cli_rejects_malformed_scenarios_with_exit_two(scenario_file, capsys,
     data.update(overrides)
     assert cli.main(["run", scenario_file(data)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides", [
+    {"box": {"lo": [float("nan"), -1.0], "hi": [1.0, 1.0]}},
+    {"box": {"lo": [-1.0, -1.0], "hi": [1.0, float("inf")]}},
+    {"maps": {"m": {"components": ["x1", "x2"],
+                    "domain": {"lo": [-0.5, float("nan")], "hi": [0.5, 0.5]}}}},
+    {"charts": {"c": {"functions": ["z"],
+                      "box": {"lo": [-0.5, -0.5], "hi": [float("nan"), 0.5]}}}},
+])
+def test_cli_rejects_non_finite_box_bounds(scenario_file, capsys, overrides):
+    # NaN fails no ordering test, so without the check every lattice point
+    # would carry a NaN coordinate and the checks would pass vacuously.
+    data = minimal_scenario(tasks=[{"task": "check_acs"},
+                                   {"task": "cr_check", "function": "z"}])
+    data.update(overrides)
+    assert cli.main(["run", scenario_file(data)]) == 2
+    assert "box bounds must be finite" in capsys.readouterr().err
+
+
+def test_cli_rejects_overflowing_json_bound_and_literal(tmp_path, capsys):
+    # JSON numbers beyond the float range parse to infinity.
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(minimal_scenario()).replace("-1.0", "-1e999", 1))
+    assert cli.main(["run", str(path)]) == 2
+    assert "box bounds must be finite" in capsys.readouterr().err
+    for text in ("1e999*x1", "(1e999+0i)"):
+        path.write_text(json.dumps(minimal_scenario(functions={"z": text})))
+        assert cli.main(["run", str(path)]) == 2
+        assert "is not finite (at offset 0)" in capsys.readouterr().err
 
 
 UNIT = {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}
