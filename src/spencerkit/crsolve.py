@@ -234,17 +234,18 @@ class TypeEstimate:
 
 
 def estimate_spencer_type(structure, degree=2, grid_k=None,
-                          svd_rel_tol=defaults.SVD_REL_TOL):
+                          svd_rel_tol=defaults.SVD_REL_TOL, solution=None):
     """Estimate the number of independent almost-holomorphic coordinates.
 
-    Solves for all polynomial solutions up to ``degree`` and greedily keeps
-    canonical basis fields while each one raises the real Jacobian rank by
-    two.  The count is capped by the complex dimension.
+    Solves for all polynomial solutions up to ``degree``, unless given that
+    ``solution``, and greedily keeps canonical basis fields while each one
+    raises the real Jacobian rank by two.  Capped by the complex dimension.
     """
-    solution = solve_ah_polynomials(structure, degree, grid_k=grid_k,
-                                    svd_rel_tol=svd_rel_tol)
+    if solution is None:
+        solution = solve_ah_polynomials(structure, degree, grid_k=grid_k,
+                                        svd_rel_tol=svd_rel_tol)
     grid = SampleGrid(structure.box, solution.grid_k)
-    notes = [f"solution space dimension {solution.nullity} at degree {degree}"]
+    notes = [f"solution space dimension {solution.nullity} at degree {solution.degree}"]
     selected = []
     rows = np.zeros((len(grid), 0, structure.real_dim))
     rank = 0

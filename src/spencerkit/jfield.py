@@ -75,8 +75,12 @@ class Box:
         return np.all((pts >= lo) & (pts <= hi), axis=1)
 
     def contains_box(self, other):
-        """True when both corners of ``other`` are inside this box."""
-        return bool(np.all(self.contains(np.array([other.lo, other.hi]))))
+        """True when both corners of ``other`` are inside this box, up to ``slack``."""
+        if other.dim != self.dim:
+            raise DomainError(f"a {other.dim}-box is not inside a {self.dim}-box")
+        slack = self.slack
+        return all(lo - slack <= a and b <= hi + slack
+                   for lo, hi, a, b in zip(self.lo, self.hi, other.lo, other.hi))
 
     def intersect(self, other):
         """Intersection box, or None when the interiors do not meet."""

@@ -443,6 +443,15 @@ class PolyMap:
         """Exact Jacobian at a batch (P, nvars), shape (P, ncomponents, nvars)."""
         return np.stack([c.gradient(points) for c in self.components], axis=1)
 
+    def evaluate_real(self, points):
+        """``evaluate(points).real`` in float64 (see ``_real_values``)."""
+        return _real_values(self.components, points)
+
+    def jacobian_real(self, points):
+        """``jacobian(points).real`` in float64 (see ``_real_values``)."""
+        out = _real_values([d for c in self.components for d in c.partials()], points)
+        return out.reshape(len(out), self.ncomponents, self.nvars)
+
     def compose(self, inner):
         """Symbolic composition self o inner."""
         return PolyMap([c.compose(inner.components) for c in self.components])
@@ -459,3 +468,24 @@ class PolyMap:
     def __repr__(self):
         return f"PolyMap({list(self.to_strings())})"
 
+
+def _real_values(polys, points):
+    """Values (P, len(polys)) of real-coefficient polynomials at real points
+    (P, nvars), in float64.  Terms and factors go in the order of
+    ``Polynomial.evaluate`` and each x**p is computed once, so every finite
+    value has the bits of the complex path's real part; where that is not
+    finite this is not either (inf may stand where it reads nan).
+    """
+    pts = polys[0]._batch(points)
+    powers = {}
+    out = np.zeros((pts.shape[0], len(polys)))
+    for j, p in enumerate(polys):
+        for e, c in p.terms.items():
+            term = c.real
+            for k, power in enumerate(e):
+                if power:
+                    if (k, power) not in powers:
+                        powers[k, power] = pts[:, k] ** power
+                    term = term * powers[k, power]
+            out[:, j] += term
+    return out

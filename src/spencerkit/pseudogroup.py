@@ -100,7 +100,7 @@ class LocalMap:
                 raise DomainError(
                     f"point {tuple(map(float, bad))} outside the domain of {self.label}")
         if self.kind == self.POLY:
-            out = self.poly.evaluate(pts).real
+            out = self.poly.evaluate_real(pts)
         elif self.kind == self.CHAIN:
             out = pts
             for step in self.steps:
@@ -115,7 +115,7 @@ class LocalMap:
         """Jacobians (P, d, d) at a batch (P, d)."""
         pts = np.asarray(points, dtype=float)
         if self.kind == self.POLY:
-            out = self.poly.jacobian(pts).real
+            out = self.poly.jacobian_real(pts)
         elif self.kind == self.CHAIN:
             out = np.broadcast_to(np.eye(self.dim), (pts.shape[0], self.dim, self.dim)).copy()
             current = pts
@@ -187,46 +187,56 @@ class LocalMap:
                 np.maximum(dist, np.abs(self.seeds_y[:, e] - chunk[:, e, None]),
                            out=dist)
             nearest[start:start + block] = np.argmin(dist, axis=1)
-        x = self.seeds_x[nearest].astype(float).copy()
+        x = self.seeds_x[nearest].astype(float)
         res = self.forward.evaluate(x, check_domain=False) - ys
         norm = np.max(np.abs(res), axis=1)
-        stalled = np.zeros(len(ys), dtype=bool)
+        # The rows still iterating: (row, x, res, norm, y, scale).  A row that
+        # converges, stalls or turns NaN never iterates again, so it leaves
+        # for good, and its x and norm go back to the full arrays.
+        live = [np.arange(len(ys)), x, res, norm, ys, scale]
+
+        def drop(gone):
+            if gone.any():
+                x[live[0][gone]], norm[live[0][gone]] = live[1][gone], live[3][gone]
+                live[:] = [a[~gone] for a in live]
+
         for _ in range(NEWTON_MAX_ITER):
-            active = ~stalled & (norm > defaults.NEWTON_STOP_TOL * scale)
-            if not np.any(active):
+            drop(~(live[3] > defaults.NEWTON_STOP_TOL * live[5]))
+            if not live[0].size:
                 break
-            idx = np.flatnonzero(active)
-            jac = self.forward.jacobian(x[idx])
+            jac = self.forward.jacobian(live[1])
             try:
-                step = np.linalg.solve(jac, res[idx][:, :, None])[:, :, 0]
+                step = np.linalg.solve(jac, live[2][:, :, None])[:, :, 0]
             except np.linalg.LinAlgError:
-                step = np.zeros_like(res[idx])
-                for row, j in enumerate(idx):
+                step = np.zeros_like(live[2])
+                singular = np.zeros(len(step), dtype=bool)
+                for row in range(len(step)):
                     try:
-                        step[row] = np.linalg.solve(jac[row], res[j])
+                        step[row] = np.linalg.solve(jac[row], live[2][row])
                     except np.linalg.LinAlgError:
-                        stalled[j] = True
-                keep = ~stalled[idx]
-                idx, step = idx[keep], step[keep]
-                if idx.size == 0:
-                    continue
-            t = np.ones(len(idx))
-            pending = np.ones(len(idx), dtype=bool)
+                        singular[row] = True
+                drop(singular)
+                step = step[~singular]
+            _, lx, lres, lnorm, lys, _ = live
+            # Halvings of (live index, t, x, step, y, norm) not yet improved.
+            pending = [np.arange(len(lx)), np.ones(len(lx)), lx, step, lys, lnorm]
             for _ in range(NEWTON_HALVINGS):
-                rows = np.flatnonzero(pending)
-                if rows.size == 0:
+                rows, t, px, pstep, pys, pnorm = pending
+                if not rows.size:
                     break
-                trial = x[idx[rows]] - t[rows, None] * step[rows]
-                trial_res = self.forward.evaluate(trial, check_domain=False) - ys[idx[rows]]
+                trial = px - t[:, None] * pstep
+                trial_res = self.forward.evaluate(trial, check_domain=False) - pys
                 trial_norm = np.max(np.abs(trial_res), axis=1)
-                better = trial_norm < norm[idx[rows]]
+                better = trial_norm < pnorm
                 good = rows[better]
-                x[idx[good]] = trial[better]
-                res[idx[good]] = trial_res[better]
-                norm[idx[good]] = trial_norm[better]
-                pending[good] = False
-                t[rows[~better]] *= 0.5
-            stalled[idx[pending]] = True
+                lx[good], lres[good], lnorm[good] = (
+                    trial[better], trial_res[better], trial_norm[better])
+                pending = [a[~better] for a in pending]
+                pending[1] *= 0.5
+            stalled = np.zeros(len(lx), dtype=bool)
+            stalled[pending[0]] = True
+            drop(stalled)
+        drop(np.ones(len(live[0]), dtype=bool))
         with np.errstate(invalid="ignore"):
             ok = norm <= defaults.NEWTON_ACCEPT_TOL * scale
         return x, ok
@@ -306,6 +316,12 @@ def _bisect_stretch(avail, probe):
     return t_ok
 
 
+def _compose_slack(second):
+    # Tighter than ``Box.slack``: a composite's domain must sit strictly inside
+    # what the general containment rule accepts, or members stop covering.
+    return defaults.COMPOSE_MARGIN * max(second.domain.diameter, 1.0)
+
+
 def _compose_search(first, second, lattice, images, evaluable):
     """Generator of the composite "apply ``first``, then ``second``".
 
@@ -313,18 +329,15 @@ def _compose_search(first, second, lattice, images, evaluable):
     lattice of the first domain.  The search grows a box from one lattice
     point that maps into the second domain, one side at a time (see
     ``_bisect_stretch``).  Each yield is the (C, d) pair ``(lo, hi)`` of the
-    candidate boxes it needs; it expects back ``first.try_evaluate`` on
-    their stacked lattices, flattened to (C * k^d, d) and (C * k^d,).
+    candidate boxes it needs; it expects back their (C,) verdicts: True
+    where ``first`` evaluates the box's whole lattice into the second
+    domain, up to ``_compose_slack(second)``.
     Returns the composite; raises CompositionError when no lattice point
     maps into the second domain or the region found has no interior.
     """
     if first.dim != second.dim:
         raise CompositionError("maps act on spaces of different dimension")
-    # Tighter than ``Box.slack``: a composite's domain must sit strictly inside
-    # what the general containment rule accepts, or closure members stop
-    # covering each other.
-    slack = defaults.COMPOSE_MARGIN * max(second.domain.diameter, 1.0)
-    ok = evaluable & second.domain.contains(images, slack=slack)
+    ok = evaluable & second.domain.contains(images, slack=_compose_slack(second))
     if not np.any(ok):
         raise CompositionError(
             f"no lattice point of {first.label} maps into the domain of "
@@ -357,9 +370,7 @@ def _compose_search(first, second, lattice, images, evaluable):
                     return l2, h2
 
                 def probe(ts):
-                    img, good = yield stretched(ts)
-                    good = good & second.domain.contains(img, slack=slack)
-                    return good.reshape(len(ts), -1).all(axis=1)
+                    return (yield stretched(ts))
 
                 best = yield from _bisect_stretch(avail, probe)
                 if best > growth_tol:
@@ -387,13 +398,16 @@ def _compose_lockstep(first, seconds, grid_k):
     composite or the CompositionError its search raised.
 
     The searches share the first map, so they run in lock-step: each round
-    stacks the candidate boxes of every live search into one lattice and
-    one ``first.try_evaluate`` call, then hands each search its rows.  Every
+    stacks the candidate boxes of every live search into one lattice, one
+    ``first.try_evaluate`` call and one comparison with each box's second
+    domain, then hands each search the verdicts on its boxes.  Every
     evaluator is row-independent, so each search sees the bits it would
     see alone, and the composites are those of one search at a time.
     """
     lattice = SampleGrid(first.domain, grid_k).points
     images, evaluable = first.try_evaluate(lattice)
+    bounds = [(np.asarray(g.domain.lo) - _compose_slack(g),  # as Box.contains
+               np.asarray(g.domain.hi) + _compose_slack(g)) for g in seconds]
     results = [None] * len(seconds)
     pending = []  # (index, search, (lo, hi)) of every live search
 
@@ -413,13 +427,17 @@ def _compose_lockstep(first, seconds, grid_k):
     while pending:
         live = pending[:]
         pending.clear()
+        counts = [len(b[0]) for _, _, b in live]
         pts = lattice_points(np.concatenate([b[0] for _, _, b in live]),
                              np.concatenate([b[1] for _, _, b in live]), grid_k)
         img, good = first.try_evaluate(pts.reshape(-1, first.dim))
-        cuts = np.cumsum([len(b[0]) for _, _, b in live])[:-1] * pts.shape[1]
-        for (i, search, _), rows_img, rows_good in zip(
-                live, np.split(img, cuts), np.split(good, cuts)):
-            advance(i, search, (rows_img, rows_good))
+        img = img.reshape(pts.shape)
+        lo = np.repeat([bounds[i][0] for i, _, _ in live], counts, axis=0)
+        hi = np.repeat([bounds[i][1] for i, _, _ in live], counts, axis=0)
+        inside = (img >= lo[:, None]) & (img <= hi[:, None])
+        verdicts = (good.reshape(pts.shape[:2]) & inside.all(axis=2)).all(axis=1)
+        for (i, search, _), end, count in zip(live, np.cumsum(counts), counts):
+            advance(i, search, verdicts[end - count:end])
     return results
 
 
@@ -473,6 +491,8 @@ def invert(map_, grid_k=defaults.GRID_PER_AXIS, tol_invert=defaults.TOL_INVERT,
             f"lattice; not invertible")
     if not np.all(np.isfinite(images)):
         raise InversionError(f"image of {map_.label} is not finite on its lattice")
+    if not np.all(np.isfinite(dets)):  # a NaN det passes the |det| test
+        raise InversionError(f"Jacobian of {map_.label} is not finite on its lattice")
     lo = tuple(np.min(images, axis=0))
     hi = tuple(np.max(images, axis=0))
     if any(a >= b for a, b in zip(lo, hi)):
@@ -487,14 +507,18 @@ def invert(map_, grid_k=defaults.GRID_PER_AXIS, tol_invert=defaults.TOL_INVERT,
 # families
 # ---------------------------------------------------------------------------
 
-def covers(member, candidate, tol, grid_k=defaults.GRID_PER_AXIS):
+def covers(member, candidate, tol, grid_k=defaults.GRID_PER_AXIS, sample=None):
     """True when ``member`` contains ``candidate``: domain containment plus
-    agreement on the candidate's lattice."""
+    agreement on the candidate's lattice.  A dict ``sample`` shared by the
+    tests of one candidate keeps its lattice and values once built."""
     if member.dim != candidate.dim or not member.domain.contains_box(candidate.domain):
         return False
-    pts = SampleGrid(candidate.domain, grid_k).points
-    a, ok_a = member.try_evaluate(pts)
-    b, ok_b = candidate.try_evaluate(pts)
+    sample = {} if sample is None else sample
+    if not sample:
+        sample["pts"] = SampleGrid(candidate.domain, grid_k).points
+        sample["values"] = candidate.try_evaluate(sample["pts"])
+    b, ok_b = sample["values"]
+    a, ok_a = member.try_evaluate(sample["pts"])
     ok = ok_a & ok_b
     if not np.all(ok):
         return False
@@ -581,8 +605,9 @@ def generate(seeds, ambient, depth=2, grid_k=defaults.GRID_PER_AXIS,
                 f"family exceeded the safety cap of {MAX_FAMILY_SIZE} members")
         if not ambient.contains_box(candidate.domain):
             return False
+        sample = {}
         for m in members:
-            if covers(m, candidate, dedup_tol, grid_k):
+            if covers(m, candidate, dedup_tol, grid_k, sample):
                 return False
         members.append(candidate)
         return True
@@ -623,7 +648,8 @@ def generate(seeds, ambient, depth=2, grid_k=defaults.GRID_PER_AXIS,
 
 
 def _contained(family, candidate):
-    return any(covers(m, candidate, family.dedup_tol, family.grid_k)
+    sample = {}
+    return any(covers(m, candidate, family.dedup_tol, family.grid_k, sample)
                for m in family.members)
 
 

@@ -374,8 +374,8 @@ def _grid_of(scenario, spec):
 
 @dataclass
 class _Run:
-    """What the tasks of one ``run_scenario`` call share: the tolerances in
-    force and the charts built so far.  Each runner gets it as ``run``."""
+    """What the tasks of one ``run_scenario`` call share, as ``run``: the
+    tolerances in force and the charts and CR solves done so far."""
 
     scenario: Scenario
     tols: dict
@@ -383,6 +383,19 @@ class _Run:
     # raised.  The tolerances are fixed within a run, so they are no part
     # of the key.
     charts: dict = dc_field(default_factory=dict)
+    # (degree, grid_k) -> the AHSolutionSet solved at them.
+    solutions: dict = dc_field(default_factory=dict)
+
+    def solution(self, spec):
+        """The CR solve a ``solve_ah`` or ``spencer_type`` task asks for,
+        done once per run."""
+        degree = int(spec.get("degree", 2))
+        key = (degree, int(spec.get("grid", defaults.default_solver_grid(degree))))
+        if key not in self.solutions:
+            self.solutions[key] = solve_ah_polynomials(
+                self.scenario.structure, degree, grid_k=key[1],
+                svd_rel_tol=self.tols["svd_rel_tol"])
+        return self.solutions[key]
 
     def chart(self, label, grid_k=defaults.GRID_PER_AXIS):
         """The chart ``label`` validated at density ``grid_k``, built once per
@@ -449,10 +462,7 @@ def _run_cr_check(scenario, spec, run):
 
 
 def _run_solve_ah(scenario, spec, run):
-    degree = int(spec.get("degree", 2))
-    grid_k = int(spec["grid"]) if "grid" in spec else None
-    solution = solve_ah_polynomials(scenario.structure, degree, grid_k=grid_k,
-                                    svd_rel_tol=run.tols["svd_rel_tol"])
+    solution = run.solution(spec)
     sigma_max = float(solution.singular_values[0])
     bound = 10.0 * run.tols["svd_rel_tol"] * max(sigma_max, 1.0)
     metrics = {"nullity": float(solution.nullity),
@@ -471,11 +481,9 @@ def _run_solve_ah(scenario, spec, run):
 
 
 def _run_spencer_type(scenario, spec, run):
-    degree = int(spec.get("degree", 2))
-    grid_k = int(spec["grid"]) if "grid" in spec else None
-    estimate = estimate_spencer_type(scenario.structure, degree=degree,
-                                     grid_k=grid_k,
-                                     svd_rel_tol=run.tols["svd_rel_tol"])
+    estimate = estimate_spencer_type(scenario.structure,
+                                     svd_rel_tol=run.tols["svd_rel_tol"],
+                                     solution=run.solution(spec))
     expected = int(spec.get("expect_m", scenario.n))
     return make_report(
         task="spencer_type",

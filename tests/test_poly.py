@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import sympy
 
-from spencerkit import parse_polynomial
+from spencerkit import defaults, parse_polynomial
 from spencerkit.errors import PolynomialParseError
 from spencerkit.poly import (
     PolyMap,
@@ -209,3 +209,45 @@ def test_polynomial_immutable_and_hashable():
     with pytest.raises(AttributeError):
         p.nvars = 3
     assert hash(p) == hash(parse_polynomial("x1", 2))
+
+
+def _random_real_polynomial(rng, nvars):
+    """Up to six real terms of total degree <= DEGREE_CAP in a random subset
+    of the variables, so some partials are zero; some coefficients are
+    large enough to overflow on large points."""
+    used = rng.random(nvars) < 0.7
+    terms = {}
+    for _ in range(rng.integers(1, 7)):
+        exps = np.zeros(nvars, dtype=int)
+        for _ in range(rng.integers(0, defaults.DEGREE_CAP + 1)):
+            axis = rng.integers(nvars)
+            if used[axis]:
+                exps[axis] += 1
+        scale = 1e300 if rng.random() < 0.1 else 10.0 ** rng.integers(-3, 4)
+        terms[tuple(exps)] = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 2.0) * scale
+    p = Polynomial(nvars, terms)
+    # Negation gives coefficients whose imaginary part is -0.0.
+    return -p if rng.random() < 0.5 else p
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_real_path_has_the_bits_of_the_complex_path(nvars):
+    rng = np.random.default_rng(100 + nvars)
+    finite_entries = non_finite_entries = 0
+    for _ in range(60):
+        pmap = PolyMap([_random_real_polynomial(rng, nvars) for _ in range(nvars)])
+        pts = rng.uniform(-3.0, 3.0, size=(50, nvars))
+        pts[rng.random(pts.shape) < 0.1] = -0.0
+        pts[rng.random(pts.shape) < 0.05] *= 1e60
+        with np.errstate(all="ignore"):
+            pairs = [(pmap.evaluate_real(pts), pmap.evaluate(pts).real),
+                     (pmap.jacobian_real(pts), pmap.jacobian(pts).real)]
+        for real, reference in pairs:
+            assert real.dtype == np.float64 and real.shape == reference.shape
+            finite = np.isfinite(reference)
+            assert np.array_equal(np.isfinite(real), finite)
+            assert real[finite].tobytes() == reference[finite].tobytes()
+            finite_entries += int(finite.sum())
+            non_finite_entries += int((~finite).sum())
+    assert finite_entries > 4000 and non_finite_entries > 40
+

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import sympy
 
 from spencerkit import (
     Box,
@@ -23,7 +24,9 @@ from spencerkit import defaults, pseudogroup
 from spencerkit.errors import (CompositionError, ConfigurationError,
                                DomainError, InversionError)
 from spencerkit.jfield import lattice_points
-from spencerkit.pseudogroup import OverDiagram
+from spencerkit.pseudogroup import (NEWTON_HALVINGS, NEWTON_MAX_ITER,
+                                    NEWTON_SEED_BLOCK, OverDiagram)
+from spencerkit.scenario import builtin_scenarios, parse_scenario
 
 
 def pmap(strs, lo, hi, name, inv=None):
@@ -80,12 +83,14 @@ def through_newton():
     (lambda pt: parse_polynomial("x1 + x2", 2).evaluate(pt), ValueError),
     (lambda pt: pmap(["x1", "x2"], (-1.0, -1.0), (1.0, 1.0), "m").evaluate(
         pt, check_domain=False), ValueError),
+    (lambda pt: pmap(["x1", "x2"], (-1.0, -1.0), (1.0, 1.0), "m").jacobian(pt),
+     ValueError),
     (lambda pt: Box((-1.0, -1.0), (1.0, 1.0)).contains(pt), DomainError),
     (lambda pt: fold_inverse().evaluate(pt, check_domain=False), ValueError),
     (lambda pt: fold_inverse().try_evaluate(pt), ValueError),
     (lambda pt: through_newton().try_evaluate(pt), ValueError),
-], ids=["Polynomial.evaluate", "LocalMap.evaluate", "Box.contains",
-        "Newton.evaluate", "Newton.try_evaluate", "Chain.try_evaluate"])
+], ids=["Polynomial.evaluate", "LocalMap.evaluate", "LocalMap.jacobian",
+        "Box.contains", "Newton.evaluate", "Newton.try_evaluate", "Chain.try_evaluate"])
 def test_a_single_point_is_refused_not_promoted(call, error):
     with pytest.raises(error, match=r"must be a \(P, 2\) array, got shape \(2,\)"):
         call(np.array([0.5, 0.25]))
@@ -515,3 +520,146 @@ def test_over_diagram_rejects_escaping_points():
     diagram = OverDiagram(phi=far, f_src=ident, f_dst=ident_tiny, psi=ident)
     with pytest.raises(DomainError):
         check_over_diagram(diagram)
+
+
+def test_invert_refuses_a_non_finite_jacobian_determinant():
+    # The partial 1.8e308*x1 overflows to inf*x1, so the determinant is NaN
+    # on the lattice column x1 = 0, while every image is finite.
+    m = pmap(["0.9e308*x1^2 + x1", "x2"], (-0.5, -0.5), (0.5, 0.5), "m")
+    pts = SampleGrid(m.domain).points
+    with np.errstate(all="ignore"):
+        assert np.all(np.isfinite(m.evaluate(pts)))
+        assert np.sum(np.isnan(np.linalg.det(m.jacobian(pts)))) == 5
+        with pytest.raises(InversionError) as exc:
+            invert(m)
+    assert str(exc.value) == "Jacobian of m is not finite on its lattice"
+
+
+# The Newton loop that gathered and scattered every live row on every step
+# and halving, before the live rows were compacted; kept verbatim as the
+# bit-identity reference.
+def _reference_newton_solve_batch(self, ys):
+    ys = np.asarray(ys, dtype=float)
+    if ys.ndim != 2 or ys.shape[1] != self.dim:
+        raise ValueError(
+            f"points must be a (P, {self.dim}) array, got shape {ys.shape}")
+    scale = np.maximum(1.0, np.max(np.abs(ys), axis=1))
+    scale = np.maximum(scale, self.domain.diameter)
+    nearest = np.empty(len(ys), dtype=int)
+    block = max(1, NEWTON_SEED_BLOCK // len(self.seeds_y))
+    for start in range(0, len(ys), block):
+        chunk = ys[start:start + block]
+        dist = np.abs(self.seeds_y[:, 0] - chunk[:, 0, None])
+        for e in range(1, self.dim):
+            np.maximum(dist, np.abs(self.seeds_y[:, e] - chunk[:, e, None]),
+                       out=dist)
+        nearest[start:start + block] = np.argmin(dist, axis=1)
+    x = self.seeds_x[nearest].astype(float).copy()
+    res = self.forward.evaluate(x, check_domain=False) - ys
+    norm = np.max(np.abs(res), axis=1)
+    stalled = np.zeros(len(ys), dtype=bool)
+    for _ in range(NEWTON_MAX_ITER):
+        active = ~stalled & (norm > defaults.NEWTON_STOP_TOL * scale)
+        if not np.any(active):
+            break
+        idx = np.flatnonzero(active)
+        jac = self.forward.jacobian(x[idx])
+        try:
+            step = np.linalg.solve(jac, res[idx][:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            step = np.zeros_like(res[idx])
+            for row, j in enumerate(idx):
+                try:
+                    step[row] = np.linalg.solve(jac[row], res[j])
+                except np.linalg.LinAlgError:
+                    stalled[j] = True
+            keep = ~stalled[idx]
+            idx, step = idx[keep], step[keep]
+            if idx.size == 0:
+                continue
+        t = np.ones(len(idx))
+        pending = np.ones(len(idx), dtype=bool)
+        for _ in range(NEWTON_HALVINGS):
+            rows = np.flatnonzero(pending)
+            if rows.size == 0:
+                break
+            trial = x[idx[rows]] - t[rows, None] * step[rows]
+            trial_res = self.forward.evaluate(trial, check_domain=False) - ys[idx[rows]]
+            trial_norm = np.max(np.abs(trial_res), axis=1)
+            better = trial_norm < norm[idx[rows]]
+            good = rows[better]
+            x[idx[good]] = trial[better]
+            res[idx[good]] = trial_res[better]
+            norm[idx[good]] = trial_norm[better]
+            pending[good] = False
+            t[rows[~better]] *= 0.5
+        stalled[idx[pending]] = True
+    with np.errstate(invalid="ignore"):
+        ok = norm <= defaults.NEWTON_ACCEPT_TOL * scale
+    return x, ok
+
+
+def _newton_batches(squaring):
+    """(Newton inverse, targets) batches: converging rows, targets that
+    stall, NaN targets, and seeds on a singular Jacobian."""
+    inv_sq = invert(squaring)
+    reachable = squaring.evaluate(SampleGrid(squaring.domain, 13).points)
+    fold = pmap(["x1^2 + x2", "x2"], (0.5, -1.0), (1.0, 1.0), "q")
+    inv_fold = invert(fold)
+    unreachable = np.array([[-1.0, 0.0], [-0.5, 0.3], [0.2, -0.9], [0.5, 0.2]])
+    nan_rows = reachable[:6].copy()
+    nan_rows[::2, 0] = np.nan
+    nan_rows[1::2, 1] = np.nan
+    # A seed at the fold line x1 = 0 of x1^2 has a singular Jacobian, so
+    # the batched solve raises and the rows are solved one at a time.
+    flat = pmap(["x1^2", "x2"], (-1.0, -1.0), (1.0, 1.0), "flat")
+    seeds = np.array([[0.0, 0.0], [0.5, 0.0], [0.5, 0.5]])
+    on_fold = LocalMap(LocalMap.NEWTON, Box((0.0, -1.0), (1.0, 1.0)), "inv(flat)",
+                       forward=flat, seeds_x=seeds, seeds_y=flat.evaluate(seeds))
+    singular = np.array([[0.01, 0.0], [0.3, 0.1], [0.02, 0.4], [0.25, 0.5]])
+    mixed = np.concatenate([reachable[:20], nan_rows, reachable[-30:]])
+    return [("converging", inv_sq, reachable), ("stalling", inv_fold, unreachable),
+            ("nan", inv_sq, nan_rows), ("singular", on_fold, singular),
+            ("mixed", inv_sq, mixed)]
+
+
+def test_compacted_newton_loop_is_bit_identical_to_the_gathering_loop(squaring):
+    outcomes = {}
+    for name, inverse, ys in _newton_batches(squaring):
+        with np.errstate(all="ignore"):
+            x, ok = inverse._newton_solve_batch(ys)
+            x_ref, ok_ref = _reference_newton_solve_batch(inverse, ys)
+        assert x.tobytes() == x_ref.tobytes(), name
+        assert ok.tolist() == ok_ref.tolist(), name
+        outcomes[name] = (int(ok.sum()), len(ok))
+    assert outcomes["converging"] == (169, 169)
+    assert outcomes["stalling"][0] < 4
+    assert outcomes["nan"] == (0, 6)
+    assert 0 < outcomes["singular"][0] < 4
+
+
+def test_singular_seed_batch_takes_the_per_row_fallback(monkeypatch, squaring):
+    _, inverse, ys = _newton_batches(squaring)[3]
+    calls = []
+    solve = np.linalg.solve
+
+    def counting(a, b):
+        calls.append(np.shape(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    inverse._newton_solve_batch(ys)
+    # The last target is a seed's image and needs no step; the batched
+    # solve of the other three raises, and each row is solved alone.
+    assert calls[:4] == [(3, 2, 2), (2, 2), (2, 2), (2, 2)]
+
+
+def test_newton_inverse_of_sq_is_the_principal_square_root():
+    scen = parse_scenario(builtin_scenarios()["std_c1"])
+    inv = invert(scen.maps["sq"])
+    ys = SampleGrid(inv.domain, 9).points
+    xs, ok = inv.try_evaluate(ys)
+    assert ok.all()
+    for y, x in zip(ys, xs):
+        root = complex(sympy.sqrt(sympy.Float(y[0], 30) + sympy.I * sympy.Float(y[1], 30)))
+        assert abs(x[0] - root.real) <= 1e-12 and abs(x[1] - root.imag) <= 1e-12

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spencerkit import cli, defaults
+from spencerkit import cli, crsolve, defaults
 from spencerkit import scenario as scenario_module
 from spencerkit.errors import NumericalError, ScenarioError
 from spencerkit.scenario import (
@@ -593,3 +593,50 @@ def test_builtin_report_bytes_do_not_depend_on_blas_threads(name):
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+def test_overflowing_family_member_keeps_its_verdicts(scenario_file, capsys):
+    # big overflows on most of its lattice; the real-arithmetic evaluation
+    # of polynomial maps must keep the verdicts and the notes of the
+    # complex one.
+    data = minimal_scenario(
+        box={"lo": [-10.0, -10.0], "hi": [10.0, 10.0]},
+        maps={"big": {"components": ["1e308*x1^6 + x1", "x2"]}},
+        families={"f": {"members": ["big"], "depth": 1}},
+        tasks=[{"task": "axioms", "family": "f"}])
+    with np.errstate(all="ignore"):
+        code = cli.main(["run", scenario_file(data)])
+    assert code == 1
+    task = json.loads(capsys.readouterr().out)["tasks"][0]
+    assert task["metrics"] == {
+        "axiom1_composition_failures": 2.0, "axiom2_inversion_failures": 2.0,
+        "axiom3_identity_failures": 0.0, "axiom4_restriction_failures": 4.0,
+        "axiom5_gluing_failures": 0.0, "members": 3.0}
+    ident = "id[-10,10]x[-10,10]"
+    assert task["notes"][2:4] == [
+        "axiom2_inversion: not represented: big: image of big is not finite "
+        "on its lattice",
+        f"axiom2_inversion: not represented: ({ident}>>big): image of "
+        f"({ident}>>big) is not finite on its lattice"]
+
+
+def test_spencer_type_reuses_the_solve_of_a_solve_ah_task(monkeypatch):
+    solves = []
+    solve = crsolve.solve_ah_polynomials
+
+    def counting(structure, degree, **kwargs):
+        solves.append(degree)
+        return solve(structure, degree, **kwargs)
+
+    monkeypatch.setattr(crsolve, "solve_ah_polynomials", counting)
+    monkeypatch.setattr(scenario_module, "solve_ah_polynomials", counting)
+    data = minimal_scenario(tasks=[
+        {"task": "solve_ah", "degree": 2, "expect_dim": 2},
+        {"task": "spencer_type", "degree": 2, "expect_m": 1},
+        {"task": "spencer_type", "degree": 2, "grid": 4, "expect_m": 1},
+        {"task": "spencer_type", "degree": 1, "expect_m": 1}])
+    result = run_scenario(parse_scenario(data))
+    assert result.overall == "pass"
+    # The default solver grid at degree 2 is 5; grid 4 is another solve.
+    assert solves == [2, 2, 1]
+    assert result.reports[-1].notes[0] == "solution space dimension 1 at degree 1"
