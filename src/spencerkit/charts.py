@@ -54,8 +54,7 @@ class SpencerChart:
 
     def evaluate(self, points):
         """Chart coordinates w in C^m at a batch (P, 2n), shape (P, m)."""
-        pts = np.asarray(points, dtype=float)
-        return np.stack([f.evaluate(pts) for f in self.fields], axis=-1)
+        return PolyMap(self.fields).evaluate(np.asarray(points, dtype=float))
 
 
 def build_spencer_chart(structure, fields, box=None,
@@ -126,14 +125,7 @@ def _vandermonde(w, fit_degree):
     """Columns of holomorphic monomials of w up to fit_degree, constant first."""
     m = w.shape[1]
     monomials = monomials_upto(m, fit_degree, include_constant=True)
-    cols = []
-    for exps in monomials:
-        col = np.ones(w.shape[0], dtype=complex)
-        for j, e in enumerate(exps):
-            if e:
-                col = col * w[:, j] ** e
-        cols.append(col)
-    return np.stack(cols, axis=1), monomials
+    return PolyMap([Polynomial(m, {e: 1.0}) for e in monomials]).evaluate(w), monomials
 
 
 def _lstsq_checked(matrix, rhs, what):

@@ -233,17 +233,13 @@ class TypeEstimate:
     notes: list = dc_field(default_factory=list)
 
 
-def estimate_spencer_type(structure, degree=2, grid_k=None,
-                          svd_rel_tol=defaults.SVD_REL_TOL, solution=None):
+def estimate_spencer_type(structure, solution, svd_rel_tol=defaults.SVD_REL_TOL):
     """Estimate the number of independent almost-holomorphic coordinates.
 
-    Solves for all polynomial solutions up to ``degree``, unless given that
-    ``solution``, and greedily keeps canonical basis fields while each one
-    raises the real Jacobian rank by two.  Capped by the complex dimension.
+    Greedily keeps the canonical basis fields of ``solution`` (an
+    ``AHSolutionSet`` of ``structure``) while each one raises the real
+    Jacobian rank by two.  Capped by the complex dimension.
     """
-    if solution is None:
-        solution = solve_ah_polynomials(structure, degree, grid_k=grid_k,
-                                        svd_rel_tol=svd_rel_tol)
     grid = SampleGrid(structure.box, solution.grid_k)
     notes = [f"solution space dimension {solution.nullity} at degree {solution.degree}"]
     selected = []

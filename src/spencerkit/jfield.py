@@ -171,7 +171,7 @@ class ACStructure:
                 if not isinstance(entry, Polynomial) or entry.nvars != size:
                     raise ConfigurationError(
                         f"entry ({i},{j}) is not a polynomial in {size} variables")
-                if not entry.is_real():
+                if not entry.is_real:
                     raise ConfigurationError(f"entry ({i},{j}) has complex coefficients")
                 if entry.degree > defaults.DEGREE_CAP:
                     raise ConfigurationError(
@@ -199,7 +199,7 @@ def eval_j(structure, points):
     out = np.empty((len(pts), size, size))
     for i in range(size):
         for j in range(size):
-            out[:, i, j] = structure.matrix[i][j].evaluate(pts).real
+            out[:, i, j] = structure.matrix[i][j].evaluate(pts)
     return out
 
 
@@ -212,7 +212,7 @@ def eval_j_derivatives(structure, points):
         for j in range(size):
             for k, entry in enumerate(structure.matrix[i][j].partials()):
                 if not entry.is_zero:
-                    out[:, k, i, j] = entry.evaluate(pts).real
+                    out[:, k, i, j] = entry.evaluate(pts)
     return out
 
 

@@ -53,7 +53,7 @@ class Polynomial:
     and equality is structural.
     """
 
-    __slots__ = ("nvars", "terms", "_partials")
+    __slots__ = ("nvars", "terms", "is_real", "_partials")
 
     def __init__(self, nvars, terms=None):
         if nvars < 1:
@@ -66,8 +66,11 @@ class Polynomial:
             c = complex(coef)
             if c != 0:
                 clean[exps] = clean.get(exps, 0j) + c
+        terms = {e: c for e, c in clean.items() if c != 0}
         object.__setattr__(self, "nvars", int(nvars))
-        object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c != 0})
+        object.__setattr__(self, "terms", terms)
+        # Every imaginary part is zero (either sign); decided once, here.
+        object.__setattr__(self, "is_real", all(c.imag == 0 for c in terms.values()))
         object.__setattr__(self, "_partials", None)
 
     def __setattr__(self, name, value):
@@ -104,9 +107,6 @@ class Polynomial:
 
     def terms_sorted(self):
         return sorted(self.terms.items(), key=lambda item: monomial_key(item[0]))
-
-    def is_real(self, tol=0.0):
-        return all(abs(c.imag) <= tol for c in self.terms.values())
 
     def max_abs_coeff(self):
         return max((abs(c) for c in self.terms.values()), default=0.0)
@@ -199,36 +199,15 @@ class Polynomial:
 
     # -- evaluation --------------------------------------------------------
 
-    def _batch(self, points):
-        """``points`` as an array, which must have shape (P, nvars)."""
-        pts = np.asarray(points)
-        if pts.ndim != 2 or pts.shape[1] != self.nvars:
-            raise ValueError(
-                f"points must be a (P, {self.nvars}) array, got shape {pts.shape}")
-        return pts
-
     def evaluate(self, points):
-        """Evaluate at a batch of points (P, nvars); complex output (P,)."""
-        pts = self._batch(points)
-        out = np.zeros(pts.shape[0], dtype=complex)
-        for e, c in self.terms.items():
-            term = np.full(pts.shape[0], c, dtype=complex)
-            for k, power in enumerate(e):
-                if power:
-                    term = term * pts[:, k] ** power
-            out += term
-        return out
+        """Values (P,) at a batch (P, nvars); dtype as in ``_values``."""
+        return _values([self], points)[:, 0]
 
     __call__ = evaluate
 
     def gradient(self, points):
-        """All partials at a batch of points (P, nvars): shape (P, nvars), complex."""
-        pts = self._batch(points)
-        out = np.zeros((pts.shape[0], self.nvars), dtype=complex)
-        for k, dk in enumerate(self.partials()):
-            if not dk.is_zero:
-                out[:, k] = dk.evaluate(pts)
-        return out
+        """All partials at a batch (P, nvars): shape (P, nvars)."""
+        return _values(self.partials(), points)
 
     def compose(self, inner):
         """Substitute ``inner`` (a sequence of nvars polynomials) for the variables."""
@@ -435,21 +414,13 @@ class PolyMap:
 
     def evaluate(self, points):
         """Values at a batch (P, nvars), shape (P, ncomponents)."""
-        return np.stack([c.evaluate(points) for c in self.components], axis=-1)
+        return _values(self.components, points)
 
     __call__ = evaluate
 
     def jacobian(self, points):
         """Exact Jacobian at a batch (P, nvars), shape (P, ncomponents, nvars)."""
-        return np.stack([c.gradient(points) for c in self.components], axis=1)
-
-    def evaluate_real(self, points):
-        """``evaluate(points).real`` in float64 (see ``_real_values``)."""
-        return _real_values(self.components, points)
-
-    def jacobian_real(self, points):
-        """``jacobian(points).real`` in float64 (see ``_real_values``)."""
-        out = _real_values([d for c in self.components for d in c.partials()], points)
+        out = _values([d for c in self.components for d in c.partials()], points)
         return out.reshape(len(out), self.ncomponents, self.nvars)
 
     def compose(self, inner):
@@ -469,19 +440,28 @@ class PolyMap:
         return f"PolyMap({list(self.to_strings())})"
 
 
-def _real_values(polys, points):
-    """Values (P, len(polys)) of real-coefficient polynomials at real points
-    (P, nvars), in float64.  Terms and factors go in the order of
-    ``Polynomial.evaluate`` and each x**p is computed once, so every finite
-    value has the bits of the complex path's real part; where that is not
-    finite this is not either (inf may stand where it reads nan).
+def _values(polys, points):
+    """Values (P, len(polys)) of polynomials in nvars variables at a batch
+    (P, nvars), which must have that shape; the one evaluation loop.
+
+    float64 when every coefficient and every point is real, complex
+    otherwise.  Each x**p is computed once and shared by all terms and
+    polynomials; each term multiplies its coefficient by its factors in
+    exponent order and is added to a zero start.  So a complex value has the
+    bits of the term-by-term complex loop, and a real one has the bits of
+    that loop's real part wherever that is finite; where it is not, the
+    real value is not finite either (inf may stand where it reads nan).
     """
-    pts = polys[0]._batch(points)
+    nvars = polys[0].nvars
+    pts = np.asarray(points)
+    if pts.ndim != 2 or pts.shape[1] != nvars:
+        raise ValueError(f"points must be a (P, {nvars}) array, got shape {pts.shape}")
+    real = pts.dtype.kind != "c" and all(p.is_real for p in polys)
+    out = np.zeros((pts.shape[0], len(polys)), dtype=float if real else complex)
     powers = {}
-    out = np.zeros((pts.shape[0], len(polys)))
     for j, p in enumerate(polys):
         for e, c in p.terms.items():
-            term = c.real
+            term = c.real if real else c
             for k, power in enumerate(e):
                 if power:
                     if (k, power) not in powers:

@@ -2,10 +2,11 @@
 
 A local map is a smooth map defined on a box.  Three representations cover
 everything the toolkit builds: explicit polynomial maps, chains (step-by-step
-composites kept numeric once symbolic degrees would blow up), and Newton
-inverses (evaluation-only root finding against a forward map).  Families are
-generated by breadth-first closure under composition, inversion and declared
-restrictions, and validated against the pseudogroup axioms:
+composites kept numeric once symbolic degrees or coefficients would blow
+up), and Newton inverses (evaluation-only root finding against a forward
+map).  Families are generated by breadth-first closure under composition,
+inversion and declared restrictions, and validated against the pseudogroup
+axioms:
 
   1. composition: composable pairs stay in the family,
   2. inversion: inverses stay in the family,
@@ -20,6 +21,7 @@ many boxes.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -70,7 +72,7 @@ class LocalMap:
             if poly is None or poly.nvars != domain.dim:
                 raise ValueError("polynomial map does not match its domain dimension")
             for comp in poly.components:
-                if not comp.is_real():
+                if not comp.is_real:
                     raise ValueError("local map components must have real coefficients")
 
     # -- constructors --------------------------------------------------
@@ -100,7 +102,7 @@ class LocalMap:
                 raise DomainError(
                     f"point {tuple(map(float, bad))} outside the domain of {self.label}")
         if self.kind == self.POLY:
-            out = self.poly.evaluate_real(pts)
+            out = self.poly.evaluate(pts)
         elif self.kind == self.CHAIN:
             out = pts
             for step in self.steps:
@@ -115,7 +117,7 @@ class LocalMap:
         """Jacobians (P, d, d) at a batch (P, d)."""
         pts = np.asarray(points, dtype=float)
         if self.kind == self.POLY:
-            out = self.poly.jacobian_real(pts)
+            out = self.poly.jacobian(pts)
         elif self.kind == self.CHAIN:
             out = np.broadcast_to(np.eye(self.dim), (pts.shape[0], self.dim, self.dim)).copy()
             current = pts
@@ -387,8 +389,10 @@ def _compose_search(first, second, lattice, images, evaluable):
     label = f"({first.label}>>{second.label})"
     if (first.kind == LocalMap.POLY and second.kind == LocalMap.POLY
             and first.poly.degree * max(second.poly.degree, 1) <= defaults.DEGREE_CAP):
-        return LocalMap(LocalMap.POLY, domain, label,
-                        poly=second.poly.compose(first.poly))
+        poly = second.poly.compose(first.poly)
+        if all(c.is_real and all(map(cmath.isfinite, c.terms.values()))
+               for c in poly.components):
+            return LocalMap(LocalMap.POLY, domain, label, poly=poly)
     return LocalMap(LocalMap.CHAIN, domain, label,
                     steps=_steps_of(first) + _steps_of(second))
 

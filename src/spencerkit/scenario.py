@@ -176,7 +176,7 @@ def _parse_map(name, data, keys, dim, ambient, where):
             p = parse_polynomial(text, dim, max_degree=defaults.DEGREE_CAP)
         except ScenarioError as exc:
             raise ScenarioError(f"{where}: component {k}: {exc}") from exc
-        if not p.is_real():
+        if not p.is_real:
             raise ScenarioError(f"{where}: component {k} has complex coefficients")
         polys.append(p)
     domain = (_parse_box(data["domain"], f"{where}: domain", dim)
@@ -481,9 +481,8 @@ def _run_solve_ah(scenario, spec, run):
 
 
 def _run_spencer_type(scenario, spec, run):
-    estimate = estimate_spencer_type(scenario.structure,
-                                     svd_rel_tol=run.tols["svd_rel_tol"],
-                                     solution=run.solution(spec))
+    estimate = estimate_spencer_type(scenario.structure, run.solution(spec),
+                                     svd_rel_tol=run.tols["svd_rel_tol"])
     expected = int(spec.get("expect_m", scenario.n))
     return make_report(
         task="spencer_type",
@@ -643,7 +642,6 @@ TASKS = {
                                          "f_dst": "map", "psi": "map",
                                          "grid": "int"}),
 }
-TASK_RUNNERS = {kind: runner for kind, (runner, _) in TASKS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +652,7 @@ def _run_one_task(scenario, spec, run):
     kind = spec["task"]
     label = str(spec.get("label", kind))
     try:
-        report = TASK_RUNNERS[kind](scenario, spec, run)
+        report = TASKS[kind][0](scenario, spec, run)
     except CHECK_FAILURES as exc:
         report = Report(task=label, status="fail",
                         notes=[f"{type(exc).__name__}: {exc}"])

@@ -332,10 +332,10 @@ def test_independence_rank_invariant_under_recombination(std2):
 
 
 def test_estimate_spencer_type_values(std1, std2, twisted):
-    assert estimate_spencer_type(std1).m == 1
-    assert estimate_spencer_type(std2).m == 2
+    assert estimate_spencer_type(std1, solve_ah_polynomials(std1, 2)).m == 1
+    assert estimate_spencer_type(std2, solve_ah_polynomials(std2, 2)).m == 2
     for degree in (1, 2, 3):
-        est = estimate_spencer_type(twisted, degree=degree)
+        est = estimate_spencer_type(twisted, solve_ah_polynomials(twisted, degree))
         assert est.m == 1
         assert est.m < 2
 
@@ -343,13 +343,13 @@ def test_estimate_spencer_type_values(std1, std2, twisted):
 def test_estimate_type_monotone_and_capped(std2):
     prev = 0
     for degree in (1, 2, 3):
-        m = estimate_spencer_type(std2, degree=degree).m
+        m = estimate_spencer_type(std2, solve_ah_polynomials(std2, degree)).m
         assert m >= prev
         assert m <= std2.n
         prev = m
 
 
 def test_estimate_reports_rank_evidence(std2):
-    est = estimate_spencer_type(std2)
+    est = estimate_spencer_type(std2, solve_ah_polynomials(std2, 2))
     assert est.rank_evidence == 2 * est.m
     assert len(est.selected) == est.m

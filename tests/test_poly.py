@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import sympy
 
-from spencerkit import defaults, parse_polynomial
+from spencerkit import charts, defaults, parse_polynomial
 from spencerkit.errors import PolynomialParseError
 from spencerkit.poly import (
     PolyMap,
@@ -166,8 +166,8 @@ def test_conjugate_and_is_real():
     q = p.conjugate()
     pt = np.array([[0.25, -0.75]])
     assert q.evaluate(pt)[0] == pytest.approx(np.conj(p.evaluate(pt)[0]))
-    assert not p.is_real()
-    assert (p * q).is_real(tol=0.0) or (p * q).is_real(tol=1e-15)
+    assert not p.is_real
+    assert (p * q).is_real
 
 
 def test_evaluate_accepts_complex_points():
@@ -226,12 +226,84 @@ def _random_real_polynomial(rng, nvars):
         scale = 1e300 if rng.random() < 0.1 else 10.0 ** rng.integers(-3, 4)
         terms[tuple(exps)] = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 2.0) * scale
     p = Polynomial(nvars, terms)
-    # Negation gives coefficients whose imaginary part is -0.0.
+    # Negation hands the constructor coefficients whose imaginary part is -0.0.
     return -p if rng.random() < 0.5 else p
 
 
+def _reference_evaluate(poly, points):
+    """The complex term loop of ``Polynomial.evaluate`` before the shared
+    kernel, verbatim."""
+    pts = np.asarray(points)
+    out = np.zeros(pts.shape[0], dtype=complex)
+    for e, c in poly.terms.items():
+        term = np.full(pts.shape[0], c, dtype=complex)
+        for k, power in enumerate(e):
+            if power:
+                term = term * pts[:, k] ** power
+        out += term
+    return out
+
+
+def _reference_vandermonde(w, fit_degree):
+    """The monomial loop of ``charts._vandermonde`` before the shared
+    kernel, verbatim."""
+    m = w.shape[1]
+    monomials = monomials_upto(m, fit_degree, include_constant=True)
+    cols = []
+    for exps in monomials:
+        col = np.ones(w.shape[0], dtype=complex)
+        for j, e in enumerate(exps):
+            if e:
+                col = col * w[:, j] ** e
+        cols.append(col)
+    return np.stack(cols, axis=1), monomials
+
+
+def _reference_map(pmap, points):
+    """Reference values (P, c) and Jacobians (P, c, d) of a PolyMap."""
+    values = np.stack([_reference_evaluate(c, points) for c in pmap.components],
+                      axis=-1)
+    jac = np.stack([np.stack([_reference_evaluate(d, points) for d in c.partials()],
+                             axis=-1) for c in pmap.components], axis=1)
+    return values, jac
+
+
+def _kernel_outputs(pmap, points):
+    """Every evaluator's output on a PolyMap, its reference, and the dtype
+    the rule gives: float64 when every coefficient evaluated and every point
+    is real, complex otherwise."""
+    values, jac = _reference_map(pmap, points)
+    first = pmap.components[0]
+    partials = [d for c in pmap.components for d in c.partials()]
+
+    def dtype(polys):
+        real = np.isrealobj(points) and all(
+            c.imag == 0 for p in polys for c in p.terms.values())
+        return np.float64 if real else np.complex128
+
+    return [(pmap.evaluate(points), values, dtype(pmap.components)),
+            (pmap.jacobian(points), jac, dtype(partials)),
+            (first.evaluate(points), values[:, 0], dtype([first])),
+            (first.gradient(points), jac[:, 0], dtype(first.partials()))]
+
+
+def _assert_same_bits(values, reference):
+    """Complex values: both parts bit for bit.  Real values: the bits of the
+    reference's real part wherever that is finite, non-finite where it is
+    not.  Returns the (finite, non-finite) entry counts."""
+    assert values.shape == reference.shape
+    if values.dtype == np.complex128:
+        assert values.tobytes() == reference.tobytes()
+        return values.size, 0
+    reference = reference.real
+    finite = np.isfinite(reference)
+    assert np.array_equal(np.isfinite(values), finite)
+    assert values[finite].tobytes() == reference[finite].tobytes()
+    return int(finite.sum()), int((~finite).sum())
+
+
 @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
-def test_real_path_has_the_bits_of_the_complex_path(nvars):
+def test_one_kernel_keeps_the_bits_of_the_parent_loops(nvars):
     rng = np.random.default_rng(100 + nvars)
     finite_entries = non_finite_entries = 0
     for _ in range(60):
@@ -240,14 +312,60 @@ def test_real_path_has_the_bits_of_the_complex_path(nvars):
         pts[rng.random(pts.shape) < 0.1] = -0.0
         pts[rng.random(pts.shape) < 0.05] *= 1e60
         with np.errstate(all="ignore"):
-            pairs = [(pmap.evaluate_real(pts), pmap.evaluate(pts).real),
-                     (pmap.jacobian_real(pts), pmap.jacobian(pts).real)]
-        for real, reference in pairs:
-            assert real.dtype == np.float64 and real.shape == reference.shape
-            finite = np.isfinite(reference)
-            assert np.array_equal(np.isfinite(real), finite)
-            assert real[finite].tobytes() == reference[finite].tobytes()
-            finite_entries += int(finite.sum())
-            non_finite_entries += int((~finite).sum())
+            outputs = _kernel_outputs(pmap, pts)
+        for values, reference, dtype in outputs:
+            assert dtype == values.dtype == np.float64
+            finite, non_finite = _assert_same_bits(values, reference)
+            finite_entries += finite
+            non_finite_entries += non_finite
     assert finite_entries > 4000 and non_finite_entries > 40
 
+    for _ in range(20):
+        real_map = PolyMap([_random_real_polynomial(rng, nvars) for _ in range(nvars)])
+        twist = PolyMap([_random_real_polynomial(rng, nvars) for _ in range(nvars)])
+        complex_map = PolyMap([a + b * (0.5 - 2j) for a, b in
+                               zip(real_map.components, twist.components)])
+        pts = rng.uniform(-3.0, 3.0, size=(30, nvars))
+        pts[rng.random(pts.shape) < 0.1] = -0.0
+        zs = pts + 1j * rng.uniform(-3.0, 3.0, size=pts.shape)
+        for pmap, points in ((complex_map, pts), (complex_map, zs), (real_map, zs)):
+            with np.errstate(all="ignore"):
+                outputs = _kernel_outputs(pmap, points)
+            for values, reference, dtype in outputs:
+                assert values.dtype == dtype
+                _assert_same_bits(values, reference)
+            assert outputs[0][0].dtype == np.complex128
+
+    # Chart coordinates on a lattice can have exactly zero parts.
+    shape = (40, nvars)
+    w = rng.uniform(-2.0, 2.0, size=shape) + 1j * rng.uniform(-2.0, 2.0, size=shape)
+    w.real[rng.random(w.shape) < 0.1] = 0.0
+    w.imag[rng.random(w.shape) < 0.1] = 0.0
+    for points in (w, np.concatenate([w, np.conj(w)], axis=1)):
+        matrix, monomials = charts._vandermonde(points, 3)
+        reference, ref_monomials = _reference_vandermonde(points, 3)
+        assert monomials == ref_monomials
+        assert matrix.dtype == np.complex128
+        # Bit for bit, except that the kernel adds each column to a zero
+        # start, as Polynomial.evaluate always did: a zero part the column
+        # loop left as -0.0 reads +0.0.
+        assert matrix.tobytes() == (reference + 0.0).tobytes()
+
+
+def test_kernel_dtype_rule():
+    pts = np.array([[0.5, -0.0], [-2.0, 3.0]])
+    real = parse_polynomial("x1^2 - 3*x2 + 1", 2)
+    # A negated real coefficient arrives with imaginary part -0.0.
+    negated = Polynomial(2, {(1, 0): complex(-2.0, -0.0)})
+    for p in (real, -real, negated, Polynomial.zero(2)):
+        assert p.is_real
+        assert p.evaluate(pts).dtype == np.float64
+        assert p.gradient(pts).dtype == np.float64
+    cplx = parse_polynomial("x1 + (0+1i)*x2", 2)
+    assert not cplx.is_real
+    assert cplx.evaluate(pts).dtype == np.complex128
+    assert real.evaluate(pts.astype(complex)).dtype == np.complex128
+    assert cplx.gradient(pts).dtype == np.complex128
+    # One complex component makes the whole map complex.
+    assert PolyMap([real, cplx]).evaluate(pts).dtype == np.complex128
+    assert PolyMap([real, negated]).jacobian(pts).dtype == np.float64

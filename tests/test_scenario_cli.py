@@ -15,7 +15,7 @@ from spencerkit import cli, crsolve, defaults
 from spencerkit import scenario as scenario_module
 from spencerkit.errors import NumericalError, ScenarioError
 from spencerkit.scenario import (
-    TASK_RUNNERS,
+    TASKS,
     builtin_scenarios,
     emit_json,
     load_scenario,
@@ -248,7 +248,7 @@ def test_cli_exit_three_on_numerical_error(monkeypatch, scenario_file, capsys):
     def blow_up(scenario, spec, tols):
         raise NumericalError("synthetic breakdown")
 
-    monkeypatch.setitem(TASK_RUNNERS, "cr_check", blow_up)
+    monkeypatch.setitem(TASKS, "cr_check", (blow_up, TASKS["cr_check"][1]))
     path = scenario_file(minimal_scenario())
     code = cli.main(["run", path])
     assert code == 3
@@ -618,6 +618,28 @@ def test_overflowing_family_member_keeps_its_verdicts(scenario_file, capsys):
         "on its lattice",
         f"axiom2_inversion: not represented: ({ident}>>big): image of "
         f"({ident}>>big) is not finite on its lattice"]
+
+
+def test_overflowing_symbolic_composite_is_kept_as_a_chain(scenario_file, capsys):
+    # big composed with t has coefficients that overflow; the composite
+    # must stay numeric instead of ending the run with exit 3.
+    data = minimal_scenario(
+        box={"lo": [-10.0, -10.0], "hi": [10.0, 10.0]},
+        maps={"big": {"components": ["1e308*x1^6 + x1", "x2"]},
+              "t": {"components": ["x1 + 0.5", "x2"],
+                    "domain": {"lo": [-10.0, -10.0], "hi": [9.0, 10.0]}}},
+        families={"f": {"members": ["big", "t"], "depth": 1}},
+        tasks=[{"task": "axioms", "family": "f"}])
+    with np.errstate(all="ignore"):
+        code = cli.main(["run", scenario_file(data)])
+    assert code == 1
+    task = json.loads(capsys.readouterr().out)["tasks"][0]
+    assert task["metrics"] == {
+        "axiom1_composition_failures": 16.0, "axiom2_inversion_failures": 4.0,
+        "axiom3_identity_failures": 0.0, "axiom4_restriction_failures": 6.0,
+        "axiom5_gluing_failures": 0.0, "members": 7.0}
+    assert ("axiom2_inversion: not represented: (t>>big): image of (t>>big) "
+            "is not finite on its lattice") in task["notes"]
 
 
 def test_spencer_type_reuses_the_solve_of_a_solve_ah_task(monkeypatch):

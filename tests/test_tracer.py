@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy.linalg  # noqa: F401  (a tracer target)
 
 import spencerkit.scenario  # noqa: F401  (loads every package module)
+from spencerkit import cli
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -51,3 +52,21 @@ def test_tracer_installs_and_restores_every_binding():
         t.uninstall()
     for path in paths:
         assert _lookup(path) is originals[path], path
+
+
+def test_builtin_run_reaches_the_layers_the_benchmark_predicts(capsys):
+    """A refactor that routes evaluation around a traced name fails here,
+    not in a full ``bench/selfcheck.py`` run."""
+    t = _load_tracer().Tracer()
+    t.install()
+    try:
+        with t.root(0):
+            code = cli.main(["builtin", "std_c2"])
+    finally:
+        t.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    metrics = t.metrics()
+    for name in ("poly.evaluate.points", "jfield.eval_j.points",
+                 "crsolve.cr_residual.calls"):
+        assert metrics[name] > 0, name
