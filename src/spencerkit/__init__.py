@@ -18,8 +18,8 @@ from .errors import (ChartError, CompositionError, ConfigurationError,
                      IndependenceError, InversionError, NumericalError,
                      OverlapError, PolynomialParseError, ScenarioError,
                      SpencerKitError)
-from .jfield import (ACStructure, Box, SampleGrid, SplitTypeResult, check_acs,
-                     eval_j, integrability_report, nijenhuis, split_type,
+from .jfield import (ACStructure, Box, SplitTypeResult, check_acs, eval_j,
+                     integrability_report, nijenhuis, split_type,
                      standard_structure)
 from .poly import (PolyMap, Polynomial, format_polynomial, monomials_upto,
                    parse_polynomial)
@@ -40,7 +40,7 @@ __all__ = [
     "IndependenceError", "InversionError", "LocalMap", "NumericalError",
     "OverDiagram", "OverlapError", "PolyMap", "Polynomial",
     "PolynomialParseError", "PseudogroupFamily", "Report",
-    "RunResult", "SampleGrid", "Scenario", "ScenarioError", "SpencerChart",
+    "RunResult", "Scenario", "ScenarioError", "SpencerChart",
     "SpencerKitError", "SplitTypeResult", "TOOLKIT_VERSION", "TransitionMap",
     "TypeEstimate", "build_spencer_chart", "builtin_scenarios", "check_acs",
     "check_ah_map", "check_over_diagram", "cocycle_check", "compose",

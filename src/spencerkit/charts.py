@@ -17,7 +17,6 @@ from . import defaults
 from .crsolve import cr_residual, independence_rank, jacobian_rows
 from .errors import (ChartError, ConfigurationError, FitError,
                      IndependenceError, NumericalError, OverlapError)
-from .jfield import SampleGrid
 from .poly import PolyMap, Polynomial, monomials_upto
 
 
@@ -78,8 +77,8 @@ def build_spencer_chart(structure, fields, box=None,
     n = structure.n
     if not 1 <= len(fields) <= n:
         raise ChartError(f"chart needs between 1 and {n} fields, got {len(fields)}")
-    grid = SampleGrid(box, grid_k)
-    for i, res in enumerate(cr_residual(structure, fields, grid.points)):
+    pts = box.lattice(grid_k)
+    for i, res in enumerate(cr_residual(structure, fields, pts)):
         if not np.isfinite(res):
             raise NumericalError(
                 f"field {i} has a non-finite CR residual on the chart box")
@@ -88,7 +87,7 @@ def build_spencer_chart(structure, fields, box=None,
                 f"field {i} is not almost holomorphic on the chart box: "
                 f"residual {res:.3e} > {tol_cr:g}")
     m = len(fields)
-    rows = jacobian_rows(fields, grid.points)
+    rows = jacobian_rows(fields, pts)
     rank = independence_rank(rows, svd_rel_tol)
     if rank < 2 * m:
         raise IndependenceError(
@@ -97,7 +96,7 @@ def build_spencer_chart(structure, fields, box=None,
     available = list(range(n))
     chosen = []
     while len(chosen) < n - m:
-        trials = {j: np.concatenate([rows, _pair_rows(len(grid), n, j)], axis=1)
+        trials = {j: np.concatenate([rows, _pair_rows(len(pts), n, j)], axis=1)
                   for j in available}
         # On equal scores max keeps the first, the lowest pair index.
         best = max(available, key=lambda j: _min_volume(trials[j]))
@@ -141,16 +140,11 @@ def _lstsq_checked(matrix, rhs, what):
 class Factorization:
     """Least-squares factorization h = H(w) through a chart projection."""
 
-    chart: SpencerChart
-    factor: Polynomial          # H, a polynomial in the m chart variables
-    coefficients: np.ndarray
+    coefficients: np.ndarray    # of H, one per monomial of the m chart variables
     monomials: tuple
     fit_residual: float
     fiber_variance: float
     cond: float
-    fit_degree: int
-    cluster_tol: float
-    n_points: int
 
 
 def factorize(chart, h, grid_k=None, fit_degree=defaults.FIT_DEGREE):
@@ -160,9 +154,9 @@ def factorize(chart, h, grid_k=None, fit_degree=defaults.FIT_DEGREE):
     constant on the fibers of the projection, measured by clustering the
     cloud) and the max-norm residual of the fit itself.
     """
-    grid = SampleGrid(chart.box, chart.grid_k if grid_k is None else grid_k)
-    w = chart.evaluate(grid.points)
-    h_vals = h.evaluate(grid.points)
+    pts = chart.box.lattice(chart.grid_k if grid_k is None else grid_k)
+    w = chart.evaluate(pts)
+    h_vals = h.evaluate(pts)
     cluster_tol = defaults.CLUSTER_TOL_FACTOR * chart.box.diameter
     keys = np.floor(np.concatenate([w.real, w.imag], axis=1)
                     / cluster_tol).astype(np.int64)
@@ -179,29 +173,20 @@ def factorize(chart, h, grid_k=None, fit_degree=defaults.FIT_DEGREE):
     matrix, monomials = _vandermonde(w, fit_degree)
     coeffs, cond = _lstsq_checked(matrix, h_vals, "chart Vandermonde system")
     fit_residual = float(np.max(np.abs(matrix @ coeffs - h_vals)))
-    factor = Polynomial(chart.m, dict(zip(monomials, coeffs)))
-    return Factorization(chart=chart, factor=factor, coefficients=coeffs,
-                         monomials=tuple(monomials), fit_residual=fit_residual,
-                         fiber_variance=float(fiber_variance), cond=cond,
-                         fit_degree=int(fit_degree),
-                         cluster_tol=float(cluster_tol),
-                         n_points=len(grid))
+    return Factorization(coefficients=coeffs, monomials=tuple(monomials),
+                         fit_residual=fit_residual,
+                         fiber_variance=float(fiber_variance), cond=cond)
 
 
 @dataclass
 class TransitionMap:
     """Fitted change of chart coordinates on an overlap."""
 
-    source: str
-    target: str
     map: PolyMap                # holomorphic polynomial fit in w
-    overlap: object
     fit_residual: float         # max-norm defect of the holomorphic fit
     holo_residual: float        # largest conjugate-monomial coefficient
     jacobian_min_det: float     # min |det| of the fitted map over the cloud
     cond: float
-    fit_degree: int
-    grid_k: int
 
 
 def transition_map(chart_a, chart_b, grid_k=None,
@@ -218,9 +203,9 @@ def transition_map(chart_a, chart_b, grid_k=None,
     if overlap is None:
         raise OverlapError(
             f"charts {chart_a.label} and {chart_b.label} do not overlap")
-    grid = SampleGrid(overlap, chart_a.grid_k if grid_k is None else grid_k)
-    wa = chart_a.evaluate(grid.points)
-    wb = chart_b.evaluate(grid.points)
+    pts = overlap.lattice(chart_a.grid_k if grid_k is None else grid_k)
+    wa = chart_a.evaluate(pts)
+    wb = chart_b.evaluate(pts)
     matrix, monomials = _vandermonde(wa, fit_degree)
     coeffs, cond = _lstsq_checked(matrix, wb, "transition Vandermonde system")
     fit_residual = float(np.max(np.abs(matrix @ coeffs - wb)))
@@ -237,12 +222,9 @@ def transition_map(chart_a, chart_b, grid_k=None,
     jac = fitted.jacobian(wa)
     dets = np.linalg.det(jac)
     return TransitionMap(
-        source=chart_a.label, target=chart_b.label, map=fitted,
-        overlap=overlap, fit_residual=fit_residual,
+        map=fitted, fit_residual=fit_residual,
         holo_residual=float(holo_residual),
-        jacobian_min_det=float(np.min(np.abs(dets))), cond=cond,
-        fit_degree=int(fit_degree),
-        grid_k=int(chart_a.grid_k if grid_k is None else grid_k))
+        jacobian_min_det=float(np.min(np.abs(dets))), cond=cond)
 
 
 @dataclass
@@ -252,7 +234,6 @@ class CocycleResult:
     ab: TransitionMap
     bc: TransitionMap
     ac: TransitionMap
-    triple_overlap: object
     defect: float
 
 
@@ -267,10 +248,9 @@ def cocycle_check(chart_a, chart_b, chart_c, grid_k=None,
     triple = triple.intersect(chart_c.box) if triple is not None else None
     if triple is None:
         raise OverlapError("charts have no common triple overlap")
-    grid = SampleGrid(triple, chart_a.grid_k if grid_k is None else grid_k)
-    wa = chart_a.evaluate(grid.points)
+    wa = chart_a.evaluate(
+        triple.lattice(chart_a.grid_k if grid_k is None else grid_k))
     via_b = bc.map.evaluate(ab.map.evaluate(wa))
     direct = ac.map.evaluate(wa)
     defect = float(np.max(np.abs(via_b - direct)))
-    return CocycleResult(ab=ab, bc=bc, ac=ac, triple_overlap=triple,
-                         defect=defect)
+    return CocycleResult(ab=ab, bc=bc, ac=ac, defect=defect)

@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from . import defaults
 from .errors import NumericalError, ScenarioError
 from .scenario import (builtin_scenarios, emit_json, emit_text, load_scenario,
@@ -63,21 +65,24 @@ def main(argv=None):
     if args.command == "version":
         print(defaults.TOOLKIT_VERSION)
         return 0
+    # Non-finite values are judged by the reports and the finiteness checks
+    # (exit 3), so numpy's floating-point warnings are kept off stderr.
     try:
-        if args.command == "run":
-            scenario = load_scenario(args.scenario)
-        else:
-            catalog = builtin_scenarios()
-            if args.name not in catalog:
-                raise ScenarioError(
-                    f"unknown builtin {args.name!r}; available: "
-                    f"{', '.join(sorted(catalog))}")
-            scenario = parse_scenario(catalog[args.name])
-        result = run_scenario(scenario,
-                              tol_overrides=_parse_tols(args.tol),
-                              grid_override=args.grid,
-                              degree_override=args.degree,
-                              task_filter=args.task)
+        with np.errstate(all="ignore"):
+            if args.command == "run":
+                scenario = load_scenario(args.scenario)
+            else:
+                catalog = builtin_scenarios()
+                if args.name not in catalog:
+                    raise ScenarioError(
+                        f"unknown builtin {args.name!r}; available: "
+                        f"{', '.join(sorted(catalog))}")
+                scenario = parse_scenario(catalog[args.name])
+            result = run_scenario(scenario,
+                                  tol_overrides=_parse_tols(args.tol),
+                                  grid_override=args.grid,
+                                  degree_override=args.degree,
+                                  task_filter=args.task)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

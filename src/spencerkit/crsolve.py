@@ -16,20 +16,17 @@ import numpy as np
 
 from . import defaults
 from .errors import ConfigurationError, NumericalError
-from .jfield import SampleGrid, eval_j, numerical_rank
+from .jfield import eval_j, numerical_rank
 from .poly import Polynomial, monomial_key, monomials_upto
 from .report import make_report
 
 
-def cr_residual(structure, fields, points=None):
-    """Max-norm of J* df - i df over a lattice (default grid of the box),
-    one float per field.
+def cr_residual(structure, fields, points):
+    """Max-norm of J* df - i df over a batch of points, one float per field.
 
     J is evaluated and made complex once for all fields; the gradients are
     taken one field at a time, so memory does not grow with the field count.
     """
-    if points is None:
-        points = SampleGrid(structure.box).points
     pts = np.asarray(points, dtype=float)
     j = eval_j(structure, pts).astype(complex)
     out = []
@@ -40,14 +37,14 @@ def cr_residual(structure, fields, points=None):
     return out
 
 
-def cr_equations_check(structure, field, grid=None, tol=defaults.TOL_CR):
+def cr_equations_check(structure, field, grid_k=defaults.GRID_PER_AXIS,
+                       tol=defaults.TOL_CR):
     """Report on almost-holomorphicity of one scalar function."""
-    if grid is None:
-        grid = structure.default_grid()
-    residual, = cr_residual(structure, [field], grid.points)
+    pts = structure.box.lattice(grid_k)
+    residual, = cr_residual(structure, [field], pts)
     return make_report(
         task="cr_check",
-        metrics={"cr_residual": residual, "grid_points": float(len(grid))},
+        metrics={"cr_residual": residual, "grid_points": float(len(pts))},
         tolerances={"cr_residual": tol},
     )
 
@@ -154,7 +151,7 @@ def solve_ah_polynomials(structure, degree, grid_k=None,
             f"solver degree {degree} outside 1..{defaults.DEGREE_CAP}")
     if grid_k is None:
         grid_k = defaults.default_solver_grid(degree)
-    grid = SampleGrid(structure.box, grid_k)
+    pts = structure.box.lattice(grid_k)
     size = structure.real_dim
     monomials = tuple(monomials_upto(size, degree))
     a = _cr_system_matrix(structure, monomials)
@@ -171,7 +168,7 @@ def solve_ah_polynomials(structure, degree, grid_k=None,
     fields = tuple(
         Polynomial(size, dict(zip(monomials, row))) for row in coeffs)
     residual = max((r / f.max_abs_coeff() for r, f in
-                    zip(cr_residual(structure, fields, grid.points), fields)),
+                    zip(cr_residual(structure, fields, pts), fields)),
                    default=0.0)
     return AHSolutionSet(
         degree=int(degree),
@@ -227,9 +224,6 @@ class TypeEstimate:
     m: int
     selected: tuple             # Polynomial fields realizing the count
     rank_evidence: int          # real Jacobian rank achieved by the selection
-    degree: int
-    grid_k: int
-    svd_rel_tol: float
     notes: list = dc_field(default_factory=list)
 
 
@@ -240,16 +234,16 @@ def estimate_spencer_type(structure, solution, svd_rel_tol=defaults.SVD_REL_TOL)
     ``AHSolutionSet`` of ``structure``) while each one raises the real
     Jacobian rank by two.  Capped by the complex dimension.
     """
-    grid = SampleGrid(structure.box, solution.grid_k)
+    pts = structure.box.lattice(solution.grid_k)
     notes = [f"solution space dimension {solution.nullity} at degree {solution.degree}"]
     selected = []
-    rows = np.zeros((len(grid), 0, structure.real_dim))
+    rows = np.zeros((len(pts), 0, structure.real_dim))
     rank = 0
     for candidate in solution.fields:
         if rank >= 2 * structure.n:
             break
         trial_rows = np.concatenate(
-            [rows, jacobian_rows([candidate], grid.points)], axis=1)
+            [rows, jacobian_rows([candidate], pts)], axis=1)
         trial = independence_rank(trial_rows, svd_rel_tol)
         gain = trial - rank
         if gain == 2:
@@ -269,8 +263,5 @@ def estimate_spencer_type(structure, solution, svd_rel_tol=defaults.SVD_REL_TOL)
         m=m,
         selected=tuple(selected),
         rank_evidence=rank,
-        degree=solution.degree,
-        grid_k=solution.grid_k,
-        svd_rel_tol=float(svd_rel_tol),
         notes=notes,
     )

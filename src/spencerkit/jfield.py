@@ -92,6 +92,12 @@ class Box:
             return None
         return Box(lo, hi)
 
+    def lattice(self, k=defaults.GRID_PER_AXIS):
+        """The box's read-only lattice, k points per axis (``lattice_points``)."""
+        pts = lattice_points(self.lo, self.hi, k)
+        pts.flags.writeable = False
+        return pts
+
 
 def lattice_points(lo, hi, k):
     """k points per axis from ``lo`` to ``hi``, in lexicographic order, as a
@@ -99,6 +105,8 @@ def lattice_points(lo, hi, k):
 
     Bounds of shape (C, d) give C lattices stacked as (C, k^d, d), each bit
     for bit the lattice of its own row of bounds."""
+    if k < 2:
+        raise ConfigurationError(f"grid needs at least 2 points per axis, got {k}")
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if lo.ndim == 1:
@@ -118,38 +126,13 @@ def _linspace_rows(a, b, k):
     Over arrays, linspace takes its zero-step branch for every row as soon
     as one row has a zero step, which changes the other rows' bits; here
     each row takes the branch linspace takes for that row alone."""
-    div = max(k - 1, 1)
+    div = k - 1
     delta = (b - a)[:, None]
     step = delta / div
     i = np.arange(k, dtype=float)
     out = np.where(step == 0, (i / div) * delta, i * step) + a[:, None]
-    if k > 1:
-        out[:, -1] = b
+    out[:, -1] = b
     return out
-
-
-class SampleGrid:
-    """Uniform lattice on a box, k points per axis, in lexicographic order."""
-
-    __slots__ = ("box", "k", "points")
-
-    def __init__(self, box, k=defaults.GRID_PER_AXIS):
-        if k < 2:
-            raise ConfigurationError(f"grid needs at least 2 points per axis, got {k}")
-        pts = lattice_points(box.lo, box.hi, k)
-        pts.flags.writeable = False
-        object.__setattr__(self, "box", box)
-        object.__setattr__(self, "k", int(k))
-        object.__setattr__(self, "points", pts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SampleGrid is immutable")
-
-    def __len__(self):
-        return self.points.shape[0]
-
-    def __repr__(self):
-        return f"SampleGrid(k={self.k}, dim={self.box.dim}, points={len(self)})"
 
 
 class ACStructure:
@@ -188,9 +171,6 @@ class ACStructure:
     def real_dim(self):
         return 2 * self.n
 
-    def default_grid(self, k=defaults.GRID_PER_AXIS):
-        return SampleGrid(self.box, k)
-
 
 def eval_j(structure, points):
     """Evaluate J at a batch (P, 2n); real output (P, 2n, 2n)."""
@@ -228,17 +208,16 @@ def standard_structure(n, box=None):
     return ACStructure(n, box, matrix)
 
 
-def check_acs(structure, grid=None, tol=defaults.TOL_ACS):
+def check_acs(structure, grid_k=defaults.GRID_PER_AXIS, tol=defaults.TOL_ACS):
     """Verify J(p)^2 = -I over a lattice; metric is the worst max-norm defect."""
-    if grid is None:
-        grid = structure.default_grid()
-    j = eval_j(structure, grid.points)
+    pts = structure.box.lattice(grid_k)
+    j = eval_j(structure, pts)
     eye = np.eye(structure.real_dim)
     defect = np.einsum("pik,pkj->pij", j, j) + eye
     residual = float(np.max(np.abs(defect)))
     return make_report(
         task="check_acs",
-        metrics={"acs_residual": residual, "grid_points": float(len(grid))},
+        metrics={"acs_residual": residual, "grid_points": float(len(pts))},
         tolerances={"acs_residual": tol},
     )
 
@@ -290,7 +269,7 @@ def _canonical_bases(vh):
     return flat[order].reshape(count, k, size)
 
 
-def split_type(structure, points=None, svd_rel_tol=defaults.SVD_REL_TOL):
+def split_type(structure, points, svd_rel_tol=defaults.SVD_REL_TOL):
     """Split C^{2n} into the i and -i eigenspaces of J at each point.
 
     Raises DegenerateStructureError unless both spaces have dimension n
@@ -298,8 +277,6 @@ def split_type(structure, points=None, svd_rel_tol=defaults.SVD_REL_TOL):
     result is deterministic.  Each eigenspace takes one SVD over the stack
     of all points.
     """
-    if points is None:
-        points = structure.default_grid().points
     pts = np.asarray(points, dtype=float)
     n, size = structure.n, structure.real_dim
     j = eval_j(structure, pts).astype(complex)
@@ -342,18 +319,18 @@ def nijenhuis(structure, points):
     return half - half.transpose(0, 1, 3, 2)
 
 
-def integrability_report(structure, grid=None, tol=defaults.TOL_INTEGRABILITY):
+def integrability_report(structure, grid_k=defaults.GRID_PER_AXIS,
+                         tol=defaults.TOL_INTEGRABILITY):
     """Largest Nijenhuis component over a lattice, compared against ``tol``.
 
     The check passes when the tensor vanishes to tolerance (an integrable
     structure); scenarios that expect obstruction flip the expectation.
     """
-    if grid is None:
-        grid = structure.default_grid()
-    n_tensor = nijenhuis(structure, grid.points)
+    pts = structure.box.lattice(grid_k)
+    n_tensor = nijenhuis(structure, pts)
     residual = float(np.max(np.abs(n_tensor)))
     return make_report(
         task="integrability",
-        metrics={"integrability_residual": residual, "grid_points": float(len(grid))},
+        metrics={"integrability_residual": residual, "grid_points": float(len(pts))},
         tolerances={"integrability_residual": tol},
     )

@@ -30,7 +30,7 @@ import numpy as np
 from . import defaults
 from .errors import (CompositionError, ConfigurationError, DomainError,
                      InversionError, NumericalError)
-from .jfield import Box, SampleGrid, eval_j, lattice_points
+from .jfield import Box, eval_j, lattice_points
 from .poly import PolyMap, Polynomial
 from .report import make_report
 
@@ -397,7 +397,7 @@ def _compose_search(first, second, lattice, images, evaluable):
                     steps=_steps_of(first) + _steps_of(second))
 
 
-def _compose_lockstep(first, seconds, grid_k):
+def _compose_lockstep(first, seconds):
     """``compose(first, g)`` for every g in ``seconds``: a list holding each
     composite or the CompositionError its search raised.
 
@@ -408,7 +408,7 @@ def _compose_lockstep(first, seconds, grid_k):
     evaluator is row-independent, so each search sees the bits it would
     see alone, and the composites are those of one search at a time.
     """
-    lattice = SampleGrid(first.domain, grid_k).points
+    lattice = first.domain.lattice()
     images, evaluable = first.try_evaluate(lattice)
     bounds = [(np.asarray(g.domain.lo) - _compose_slack(g),  # as Box.contains
                np.asarray(g.domain.hi) + _compose_slack(g)) for g in seconds]
@@ -433,7 +433,8 @@ def _compose_lockstep(first, seconds, grid_k):
         pending.clear()
         counts = [len(b[0]) for _, _, b in live]
         pts = lattice_points(np.concatenate([b[0] for _, _, b in live]),
-                             np.concatenate([b[1] for _, _, b in live]), grid_k)
+                             np.concatenate([b[1] for _, _, b in live]),
+                             defaults.GRID_PER_AXIS)
         img, good = first.try_evaluate(pts.reshape(-1, first.dim))
         img = img.reshape(pts.shape)
         lo = np.repeat([bounds[i][0] for i, _, _ in live], counts, axis=0)
@@ -445,7 +446,7 @@ def _compose_lockstep(first, seconds, grid_k):
     return results
 
 
-def compose(first, second, grid_k=defaults.GRID_PER_AXIS):
+def compose(first, second):
     """The composite "apply ``first``, then ``second``" on its effective domain.
 
     The effective domain is the largest sub-box of the first map's domain
@@ -453,21 +454,20 @@ def compose(first, second, grid_k=defaults.GRID_PER_AXIS):
     lattice lands inside the second map's domain.  Raises CompositionError
     when no lattice point of the first domain does.
     """
-    result, = _compose_lockstep(first, [second], grid_k)
+    result, = _compose_lockstep(first, [second])
     if isinstance(result, CompositionError):
         raise result
     return result
 
 
-def invert(map_, grid_k=defaults.GRID_PER_AXIS, tol_invert=defaults.TOL_INVERT,
-           tol_det=defaults.TOL_DET):
+def invert(map_, tol_invert=defaults.TOL_INVERT, tol_det=defaults.TOL_DET):
     """Inverse of a local map.
 
     A declared inverse is validated by the round trip on the domain lattice.
     Otherwise the Jacobian must be uniformly nondegenerate on the lattice and
     a Newton inverse is built on the bounding box of the image.
     """
-    lattice = SampleGrid(map_.domain, grid_k).points
+    lattice = map_.domain.lattice()
     images, evaluable = map_.try_evaluate(lattice)
     if not np.any(evaluable):
         raise InversionError(f"{map_.label} is not evaluable on its lattice")
@@ -511,7 +511,7 @@ def invert(map_, grid_k=defaults.GRID_PER_AXIS, tol_invert=defaults.TOL_INVERT,
 # families
 # ---------------------------------------------------------------------------
 
-def covers(member, candidate, tol, grid_k=defaults.GRID_PER_AXIS, sample=None):
+def covers(member, candidate, tol, sample=None):
     """True when ``member`` contains ``candidate``: domain containment plus
     agreement on the candidate's lattice.  A dict ``sample`` shared by the
     tests of one candidate keeps its lattice and values once built."""
@@ -519,7 +519,7 @@ def covers(member, candidate, tol, grid_k=defaults.GRID_PER_AXIS, sample=None):
         return False
     sample = {} if sample is None else sample
     if not sample:
-        sample["pts"] = SampleGrid(candidate.domain, grid_k).points
+        sample["pts"] = candidate.domain.lattice()
         sample["values"] = candidate.try_evaluate(sample["pts"])
     b, ok_b = sample["values"]
     a, ok_a = member.try_evaluate(sample["pts"])
@@ -545,10 +545,8 @@ class PseudogroupFamily:
     ambient: Box
     members: list
     dedup_tol: float
-    grid_k: int
     tol_invert: float
     tol_det: float
-    depth: int
     # (f, g) -> compose(f, g) or the CompositionError it raised;
     # filled by ``generate`` and reused by ``validate_axioms``.
     composites: dict = dc_field(default_factory=dict, repr=False)
@@ -566,7 +564,7 @@ class PseudogroupFamily:
 MAX_FAMILY_SIZE = 500
 
 
-def _composites(cache, f, seconds, grid_k):
+def _composites(cache, f, seconds):
     """``compose(f, g)`` or the CompositionError it raises, for each g in
     ``seconds``; pairs not yet in ``cache`` are searched together, so each
     pair is searched once.  Keys hold the maps themselves: LocalMap
@@ -574,13 +572,12 @@ def _composites(cache, f, seconds, grid_k):
     can take its place."""
     missing = [g for g in seconds if (f, g) not in cache]
     if missing:
-        for g, c in zip(missing, _compose_lockstep(f, missing, grid_k)):
+        for g, c in zip(missing, _compose_lockstep(f, missing)):
             cache[(f, g)] = c
     return [cache[(f, g)] for g in seconds]
 
 
-def generate(seeds, ambient, depth=2, grid_k=defaults.GRID_PER_AXIS,
-             dedup_tol=None, restriction_targets=(),
+def generate(seeds, ambient, depth=2, dedup_tol=None, restriction_targets=(),
              tol_invert=defaults.TOL_INVERT, tol_det=defaults.TOL_DET):
     """Breadth-first closure of seed maps under composition and inversion.
 
@@ -611,7 +608,7 @@ def generate(seeds, ambient, depth=2, grid_k=defaults.GRID_PER_AXIS,
             return False
         sample = {}
         for m in members:
-            if covers(m, candidate, dedup_tol, grid_k, sample):
+            if covers(m, candidate, dedup_tol, sample):
                 return False
         members.append(candidate)
         return True
@@ -624,13 +621,12 @@ def generate(seeds, ambient, depth=2, grid_k=defaults.GRID_PER_AXIS,
     for _level in range(depth):
         current = list(members)
         for f in current:
-            for c in _composites(composites, f, current, grid_k):
+            for c in _composites(composites, f, current):
                 if not isinstance(c, CompositionError):
                     add(c)
         for f in current:
             try:
-                add(invert(f, grid_k=grid_k, tol_invert=tol_invert,
-                           tol_det=tol_det))
+                add(invert(f, tol_invert=tol_invert, tol_det=tol_det))
             except InversionError:
                 continue
         for f in current:
@@ -646,14 +642,14 @@ def generate(seeds, ambient, depth=2, grid_k=defaults.GRID_PER_AXIS,
         add(identity_map(m.domain))
 
     return PseudogroupFamily(ambient=ambient, members=members,
-                             dedup_tol=float(dedup_tol), grid_k=int(grid_k),
+                             dedup_tol=float(dedup_tol),
                              tol_invert=float(tol_invert), tol_det=float(tol_det),
-                             depth=int(depth), composites=composites)
+                             composites=composites)
 
 
 def _contained(family, candidate):
     sample = {}
-    return any(covers(m, candidate, family.dedup_tol, family.grid_k, sample)
+    return any(covers(m, candidate, family.dedup_tol, sample)
                for m in family.members)
 
 
@@ -662,17 +658,15 @@ def validate_axioms(family, glue_tests=()):
 
     Failures are counted and the first few offenders are named in the notes.
     Composition is checked over ordered pairs with a nonempty composable
-    region; pairs with none are vacuous.  Lattices and the inversion
-    round trip and the inverses use the family's own ``grid_k``,
-    ``tol_invert`` and ``tol_det``.
+    region; pairs with none are vacuous.  The inversion round trip and
+    the inverses use the family's own ``tol_invert`` and ``tol_det``.
     """
-    grid_k = family.grid_k
     reports = []
 
     failures = []
     for f in family.members:
         for g, c in zip(family.members, _composites(
-                family.composites, f, family.members, grid_k)):
+                family.composites, f, family.members)):
             if isinstance(c, CompositionError):
                 continue
             if not _contained(family, c):
@@ -682,7 +676,7 @@ def validate_axioms(family, glue_tests=()):
     failures = []
     for f in family.members:
         try:
-            inv = invert(f, grid_k=grid_k, tol_invert=family.tol_invert,
+            inv = invert(f, tol_invert=family.tol_invert,
                          tol_det=family.tol_det)
         except InversionError as exc:
             failures.append(f"{f.label}: {exc}")
@@ -732,7 +726,6 @@ def _axiom_report(name, failures):
 
 
 def _check_glue(family, test):
-    grid_k = family.grid_k
     failures = []
     pieces = []
     for label, box in zip(test.member_labels, test.boxes):
@@ -747,14 +740,14 @@ def _check_glue(family, test):
             overlap = pieces[i].domain.intersect(pieces[j].domain)
             if overlap is None:
                 continue
-            pts = SampleGrid(overlap, grid_k).points
+            pts = overlap.lattice()
             gap = float(np.max(np.abs(pieces[i].evaluate(pts, check_domain=False)
                                       - pieces[j].evaluate(pts, check_domain=False))))
             if gap > family.dedup_tol:
                 failures.append(
                     f"pieces {pieces[i].label} and {pieces[j].label} disagree "
                     f"by {gap:.3e}")
-    target_pts = SampleGrid(test.target, grid_k).points
+    target_pts = test.target.lattice()
     covered_mask = np.zeros(len(target_pts), dtype=bool)
     for piece in pieces:
         covered_mask |= piece.domain.contains(target_pts)
@@ -764,7 +757,7 @@ def _check_glue(family, test):
             f"by any glue piece")
         return failures
     glued = None
-    piece_points = [SampleGrid(p.domain, grid_k).points for p in pieces]
+    piece_points = [p.domain.lattice() for p in pieces]
     for m in family.members:
         if m.domain.contains_box(test.target):
             agrees = all(
@@ -796,7 +789,7 @@ def check_ah_map(map_, structure, grid_k=defaults.GRID_PER_AXIS,
         raise DomainError(
             f"map dimension {map_.dim} does not match the structure dimension "
             f"{structure.real_dim}")
-    pts = SampleGrid(map_.domain, grid_k).points
+    pts = map_.domain.lattice(grid_k)
     src_ok = structure.box.contains(pts)
     pts = pts[src_ok]
     skipped = int(np.sum(~src_ok))
@@ -842,7 +835,7 @@ def check_over_diagram(diagram, grid_k=defaults.GRID_PER_AXIS,
     Lattice points must thread all four domains; more than a fifth falling
     out is treated as a mis-declared diagram.
     """
-    pts = SampleGrid(diagram.phi.domain, grid_k).points
+    pts = diagram.phi.domain.lattice(grid_k)
     total = len(pts)
     pts = pts[diagram.f_src.domain.contains(pts)]
     up = diagram.phi.evaluate(pts, check_domain=False)

@@ -25,7 +25,7 @@ from .errors import (ChartError, CompositionError, ConfigurationError,
                      DegenerateStructureError, DomainError, FitError,
                      IndependenceError, InversionError, OverlapError,
                      ScenarioError)
-from .jfield import (ACStructure, Box, SampleGrid, check_acs,
+from .jfield import (ACStructure, Box, check_acs,
                      integrability_report, split_type, standard_structure)
 from .poly import parse_polynomial
 from .pseudogroup import (GlueTest, LocalMap, OverDiagram, check_ah_map,
@@ -368,10 +368,6 @@ def _validate_task(spec, tables, where):
 # task runners
 # ---------------------------------------------------------------------------
 
-def _grid_of(scenario, spec):
-    return SampleGrid(scenario.structure.box, spec.get("grid", defaults.GRID_PER_AXIS))
-
-
 @dataclass
 class _Run:
     """What the tasks of one ``run_scenario`` call share, as ``run``: the
@@ -431,13 +427,14 @@ def _build_family(scenario, label, tols):
 
 
 def _run_check_acs(scenario, spec, run):
-    return check_acs(scenario.structure, grid=_grid_of(scenario, spec),
+    return check_acs(scenario.structure,
+                     grid_k=spec.get("grid", defaults.GRID_PER_AXIS),
                      tol=run.tols["tol_acs"])
 
 
 def _run_split_type(scenario, spec, run):
-    grid = _grid_of(scenario, spec)
-    result = split_type(scenario.structure, grid.points,
+    pts = scenario.structure.box.lattice(spec.get("grid", defaults.GRID_PER_AXIS))
+    result = split_type(scenario.structure, pts,
                         svd_rel_tol=run.tols["svd_rel_tol"])
     return make_report(
         task="split_type",
@@ -450,14 +447,14 @@ def _run_split_type(scenario, spec, run):
 
 def _run_integrability(scenario, spec, run):
     return integrability_report(scenario.structure,
-                                grid=_grid_of(scenario, spec),
+                                grid_k=spec.get("grid", defaults.GRID_PER_AXIS),
                                 tol=run.tols["tol_integrability"])
 
 
 def _run_cr_check(scenario, spec, run):
     field = scenario.functions[spec["function"]]
     return cr_equations_check(scenario.structure, field,
-                              grid=_grid_of(scenario, spec),
+                              grid_k=spec.get("grid", defaults.GRID_PER_AXIS),
                               tol=run.tols["tol_cr"])
 
 

@@ -58,7 +58,7 @@ def pmap(strs, lo, hi, name, inv=None):
 def test_acceptance_01_structure_validity(std1, std2, twisted):
     for structure, exact in ((std1, True), (std2, True), (twisted, False)):
         start = time.perf_counter()
-        rep = check_acs(structure, grid=structure.default_grid(7))
+        rep = check_acs(structure, grid_k=7)
         elapsed = time.perf_counter() - start
         assert rep.status == "pass"
         if exact:
@@ -71,7 +71,7 @@ def test_acceptance_01_structure_validity(std1, std2, twisted):
 
 def test_acceptance_02_type_splitting(std1, std2, twisted):
     for structure in (std1, std2, twisted):
-        res = split_type(structure)
+        res = split_type(structure, structure.box.lattice())
         n = structure.n
         assert res.dims == (n, n)
         assert res.bases_plus.shape == (len(res.points), n, 2 * n)
@@ -92,18 +92,18 @@ def _real_pair_residual(structure, field, points):
 
 
 def test_acceptance_03_cr_definition(std1, z_field, zbar_field):
-    z_res, zbar_res = cr_residual(std1, [z_field, zbar_field])
+    points = std1.box.lattice()
+    z_res, zbar_res = cr_residual(std1, [z_field, zbar_field], points)
     assert z_res == 0.0
     assert abs(zbar_res - 2.0) <= 1e-12
     rng = np.random.default_rng(123)
     monos = monomials_upto(2, 3, include_constant=True)
-    points = std1.default_grid().points
     for _ in range(100):
         coefs = rng.standard_normal(len(monos)) + 1j * rng.standard_normal(len(monos))
         f = Polynomial(2, dict(zip(monos, coefs)))
         rep = cr_equations_check(std1, f)
         rc = rep.metrics["cr_residual"]
-        assert rc == cr_residual(std1, [f])[0]
+        assert rc == cr_residual(std1, [f], points)[0]
         rr = _real_pair_residual(std1, f, points)
         assert rr <= rc <= 2.0 * rr
     _passed(3, "cr_residual(z) = 0, cr_residual(conj z) = 2, and the real "
@@ -114,7 +114,7 @@ def test_acceptance_04_solver_correctness(std1, std2):
     sol = solve_ah_polynomials(std2, degree=1)
     assert sol.nullity == 2
     assert sol.residual <= 1e-12
-    grid = std2.default_grid().points
+    grid = std2.box.lattice()
     assert independence_rank(jacobian_rows(sol.fields, grid)) == 4
     z1 = parse_polynomial("x1 + (0+1i)*x2", 4)
     z2 = parse_polynomial("x3 + (0+1i)*x4", 4)

@@ -20,19 +20,21 @@ from spencerkit import (
 )
 from spencerkit import crsolve, defaults
 from spencerkit.errors import ConfigurationError, NumericalError
-from spencerkit.jfield import SampleGrid, numerical_rank
+from spencerkit.jfield import numerical_rank
 
 from conftest import TWISTED_ROWS, _poly_matrix
 
 
 def test_cr_residual_standard_values(std1, z_field, zbar_field):
-    assert cr_residual(std1, [z_field, zbar_field]) == [0.0, 2.0]
-    assert cr_residual(std1, []) == []
+    points = std1.box.lattice()
+    assert cr_residual(std1, [z_field, zbar_field], points) == [0.0, 2.0]
+    assert cr_residual(std1, [], points) == []
 
 
 def test_cr_residual_twisted_values(twisted, w_field):
     zfirst = parse_polynomial("x1 + (0+1i)*x2", 4)
-    w_res, z_res = cr_residual(twisted, [w_field, zfirst])
+    w_res, z_res = cr_residual(twisted, [w_field, zfirst],
+                               twisted.box.lattice())
     assert w_res == 0.0
     assert z_res == pytest.approx(0.5)
 
@@ -72,7 +74,7 @@ def test_solver_std2_degree1_spans_coordinates(std2):
     assert f2[(0, 1, 0, 0)] == pytest.approx(1.0)
     assert f2[(1, 0, 0, 0)] == pytest.approx(-1.0j)
     assert sol.residual <= 1e-12
-    rows = crsolve.jacobian_rows(sol.fields, std2.default_grid().points)
+    rows = crsolve.jacobian_rows(sol.fields, std2.box.lattice())
     assert independence_rank(rows) == 4
 
 
@@ -106,7 +108,7 @@ def test_solver_evaluates_j_once_per_solve(monkeypatch, std2):
     assert sol.nullity >= 2
     assert len(calls) == 1
     # The shared J gives the bits of one cr_residual call per field.
-    grid = SampleGrid(std2.box, sol.grid_k).points
+    grid = std2.box.lattice(sol.grid_k)
     assert sol.residual == max(cr_residual(std2, [f], grid)[0]
                                / f.max_abs_coeff() for f in sol.fields)
 
@@ -114,7 +116,7 @@ def test_solver_evaluates_j_once_per_solve(monkeypatch, std2):
 def test_solution_space_is_linear(std1):
     sol = solve_ah_polynomials(std1, degree=2)
     combo = sol.fields[0] * (0.3 - 0.7j) + sol.fields[1] * 2.5
-    assert cr_residual(std1, [combo])[0] < 1e-12
+    assert cr_residual(std1, [combo], std1.box.lattice())[0] < 1e-12
 
 
 def test_solver_residuals_stable_on_finer_grids(std1):
@@ -219,7 +221,7 @@ def _rank(fields, points, svd_rel_tol=defaults.SVD_REL_TOL):
 
 
 def test_independence_rank_counts_complex_pairs(std1, z_field):
-    grid = std1.default_grid().points
+    grid = std1.box.lattice()
     zsq = z_field * z_field
     assert _rank([z_field], grid) == 2
     assert _rank([z_field, zsq], grid) == 2
@@ -295,7 +297,7 @@ def test_independence_rank_stops_at_a_full_rank_first_point(
     monkeypatch.setattr(np.linalg, "svd", recording)
     z1, z2 = (parse_polynomial(t, 4) for t in ("x1 + (0+1i)*x2",
                                                "x3 + (0+1i)*x4"))
-    points = std2.default_grid().points
+    points = std2.box.lattice()
     assert _rank([z1, z2], points) == 4
     assert shapes == [(1, 4, 4)]
     shapes.clear()
@@ -311,7 +313,7 @@ def test_independence_rank_stops_at_a_full_rank_first_point(
     shapes.clear()
     # Tall rows: rank 2 is full for four rows of two columns.
     assert _rank([z_field, z_field * z_field],
-                 std1.default_grid().points) == 2
+                 std1.box.lattice()) == 2
     assert shapes == [(1, 4, 2)]
 
 
@@ -325,7 +327,7 @@ def test_independence_rank_refuses_non_finite_rows(z_field):
 
 def test_independence_rank_invariant_under_recombination(std2):
     sol = solve_ah_polynomials(std2, degree=1)
-    grid = std2.default_grid().points
+    grid = std2.box.lattice()
     f1, f2 = sol.fields
     mixed = [f1 + f2 * (2.0 - 1.0j), f2]
     assert _rank(mixed, grid) == _rank([f1, f2], grid)

@@ -7,7 +7,6 @@ import sympy
 from spencerkit import (
     ACStructure,
     Box,
-    SampleGrid,
     check_acs,
     eval_j,
     integrability_report,
@@ -63,9 +62,9 @@ def test_box_default_slack_and_contains_box():
     assert not b.contains_box(Box((-1.0, 0.2), (2.0, 0.8)))
 
 
-def test_lattice_points_match_sample_grid_and_allow_flat_axes():
+def test_lattice_points_match_box_lattice_and_allow_flat_axes():
     box = Box((-1.0, 0.0, 2.0), (1.0, 0.5, 3.0))
-    assert np.array_equal(lattice_points(box.lo, box.hi, 4), SampleGrid(box, 4).points)
+    assert np.array_equal(lattice_points(box.lo, box.hi, 4), box.lattice(4))
     flat = lattice_points((0.2, 0.3), (0.2, 0.7), 3)
     assert flat.shape == (9, 2)
     assert np.all(flat[:, 0] == 0.2)
@@ -106,14 +105,20 @@ def test_lattice_points_stacked_rows_are_bit_identical(lo, hi, k):
         assert np.array_equal(alone.view(np.uint64), expected.view(np.uint64))
 
 
-def test_sample_grid_is_lexicographic_and_frozen():
-    grid = SampleGrid(Box((0.0, 0.0), (1.0, 1.0)), k=2)
-    assert np.allclose(grid.points,
-                       [[0, 0], [0, 1], [1, 0], [1, 1]])
+def test_box_lattice_is_lexicographic_and_frozen():
+    box = Box((0.0, 0.0), (1.0, 1.0))
+    points = box.lattice(2)
+    assert np.allclose(points, [[0, 0], [0, 1], [1, 0], [1, 1]])
     with pytest.raises(ValueError):
-        grid.points[0, 0] = 5.0
-    with pytest.raises(ConfigurationError):
-        SampleGrid(Box((0.0, 0.0), (1.0, 1.0)), k=1)
+        points[0, 0] = 5.0
+    assert box.lattice().shape == (25, 2)
+    for k in (1, 0):
+        with pytest.raises(ConfigurationError,
+                           match="grid needs at least 2 points per axis"):
+            box.lattice(k)
+        with pytest.raises(ConfigurationError,
+                           match="grid needs at least 2 points per axis"):
+            lattice_points([[0.0], [0.5]], [[1.0], [1.0]], k)
 
 
 def test_standard_structure_matrix_value(std1):
@@ -129,7 +134,7 @@ def test_check_acs_standard_is_exact(std1, std2):
 
 
 def test_check_acs_twisted_exact(twisted):
-    rep = check_acs(twisted, grid=twisted.default_grid(7))
+    rep = check_acs(twisted, grid_k=7)
     assert rep.status == "pass"
     assert rep.metrics["acs_residual"] == 0.0
 
@@ -146,7 +151,7 @@ def test_check_acs_flags_non_structure():
 
 def test_split_type_dimensions_and_bases(std1, std2, twisted):
     for s, n in ((std1, 1), (std2, 2), (twisted, 2)):
-        res = split_type(s)
+        res = split_type(s, s.box.lattice())
         assert res.dims == (n, n)
         assert res.eigen_residual <= 1e-8
 
@@ -165,7 +170,7 @@ def test_split_type_rejects_non_structure():
               for row in [["1", "0"], ["0", "1"]]]
     s = ACStructure(1, box, matrix)
     with pytest.raises(DegenerateStructureError):
-        split_type(s)
+        split_type(s, box.lattice())
 
 
 def test_nijenhuis_standard_vanishes(std2):
@@ -328,7 +333,7 @@ def test_split_type_is_bit_identical_to_the_per_point_loop(case, std1, std2, twi
         "twisted": (twisted, 5),
         "sheared3": (_sheared_n3(), 4),
     }[case]
-    pts = structure.default_grid(k).points
+    pts = structure.box.lattice(k)
     res = split_type(structure, pts)
     plus, minus, residual = _reference_split_type(structure, pts)
     assert np.array_equal(res.bases_plus, plus)

@@ -204,6 +204,42 @@ def test_polymap_compose_is_symbolic():
     assert np.allclose(h.evaluate(pts), f.evaluate(g.evaluate(pts)))
 
 
+def _random_real_map(rng, nvars, degree):
+    """A PolyMap of nvars components in nvars variables, each with a few
+    quarter-integer coefficients and total degree at most ``degree``."""
+    monos = monomials_upto(nvars, degree, include_constant=True)
+    return PolyMap([
+        Polynomial(nvars, {monos[i]: rng.integers(-8, 9) / 4
+                           for i in rng.choice(len(monos), size=min(4, len(monos)),
+                                               replace=False)})
+        for _ in range(nvars)])
+
+
+def _sympy_of(p, x):
+    return sum(sympy.Rational(c.real) * sympy.Mul(*(v ** k for v, k in zip(x, e)))
+               for e, c in p.terms.items())
+
+
+@pytest.mark.parametrize("nvars", [2, 3, 4])
+def test_polymap_compose_matches_sympy_substitution(nvars):
+    rng = np.random.default_rng(nvars)
+    x = sympy.symbols(f"x1:{nvars + 1}")
+    for outer_degree, inner_degree in ((1, 3), (2, 2), (2, 3), (3, 2), (6, 1)):
+        assert outer_degree * inner_degree <= defaults.DEGREE_CAP
+        outer = _random_real_map(rng, nvars, outer_degree)
+        inner = _random_real_map(rng, nvars, inner_degree)
+        composite = outer.compose(inner)
+        substitution = dict(zip(x, (_sympy_of(q, x) for q in inner.components)))
+        for ours, component in zip(composite.components, outer.components):
+            exact = sympy.Poly(sympy.expand(
+                _sympy_of(component, x).xreplace(substitution)), *x)
+            expected = {e: float(c) for e, c in exact.terms() if c != 0}
+            assert ours.is_real
+            assert set(ours.terms) == set(expected)
+            for e, c in expected.items():
+                assert ours.terms[e].real == pytest.approx(c, rel=1e-12, abs=1e-12)
+
+
 def test_polynomial_immutable_and_hashable():
     p = parse_polynomial("x1", 2)
     with pytest.raises(AttributeError):

@@ -6,7 +6,6 @@ import sympy
 
 from spencerkit import (
     Box,
-    SampleGrid,
     GlueTest,
     LocalMap,
     check_ah_map,
@@ -143,7 +142,7 @@ def sequential_compose_domain(first, second, grid_k=defaults.GRID_PER_AXIS):
     """Reference: the composite domain found by one bisection midpoint per
     evaluation, 60 halvings per side, as ``compose`` searched originally,
     with the CompositionError it raised."""
-    lattice = SampleGrid(first.domain, grid_k).points
+    lattice = first.domain.lattice(grid_k)
     images, evaluable = first.try_evaluate(lattice)
     slack = defaults.COMPOSE_MARGIN * max(second.domain.diameter, 1.0)
     ok = evaluable & second.domain.contains(images, slack=slack)
@@ -235,8 +234,7 @@ def _reach_test_maps(doubling, squaring):
 @pytest.mark.parametrize("kind", ["poly", "newton", "chain"])
 def test_lockstep_searches_match_one_pair_at_a_time(kind, doubling, squaring):
     first, seconds = _reach_test_maps(doubling, squaring)[kind]
-    results = pseudogroup._compose_lockstep(first, seconds,
-                                            defaults.GRID_PER_AXIS)
+    results = pseudogroup._compose_lockstep(first, seconds)
     assert len(results) == len(seconds)
     found = failed = 0
     for second, result in zip(seconds, results):
@@ -274,7 +272,7 @@ def test_lockstep_evaluates_as_often_as_the_longest_search(monkeypatch,
             pass
         alone.append(len(calls))
     calls.clear()
-    pseudogroup._compose_lockstep(first, seconds, defaults.GRID_PER_AXIS)
+    pseudogroup._compose_lockstep(first, seconds)
     assert len(calls) == max(alone)
     assert len(calls) < sum(alone)
 
@@ -526,7 +524,7 @@ def test_invert_refuses_a_non_finite_jacobian_determinant():
     # The partial 1.8e308*x1 overflows to inf*x1, so the determinant is NaN
     # on the lattice column x1 = 0, while every image is finite.
     m = pmap(["0.9e308*x1^2 + x1", "x2"], (-0.5, -0.5), (0.5, 0.5), "m")
-    pts = SampleGrid(m.domain).points
+    pts = m.domain.lattice()
     with np.errstate(all="ignore"):
         assert np.all(np.isfinite(m.evaluate(pts)))
         assert np.sum(np.isnan(np.linalg.det(m.jacobian(pts)))) == 5
@@ -603,7 +601,7 @@ def _newton_batches(squaring):
     """(Newton inverse, targets) batches: converging rows, targets that
     stall, NaN targets, and seeds on a singular Jacobian."""
     inv_sq = invert(squaring)
-    reachable = squaring.evaluate(SampleGrid(squaring.domain, 13).points)
+    reachable = squaring.evaluate(squaring.domain.lattice(13))
     fold = pmap(["x1^2 + x2", "x2"], (0.5, -1.0), (1.0, 1.0), "q")
     inv_fold = invert(fold)
     unreachable = np.array([[-1.0, 0.0], [-0.5, 0.3], [0.2, -0.9], [0.5, 0.2]])
@@ -657,7 +655,7 @@ def test_singular_seed_batch_takes_the_per_row_fallback(monkeypatch, squaring):
 def test_newton_inverse_of_sq_is_the_principal_square_root():
     scen = parse_scenario(builtin_scenarios()["std_c1"])
     inv = invert(scen.maps["sq"])
-    ys = SampleGrid(inv.domain, 9).points
+    ys = inv.domain.lattice(9)
     xs, ok = inv.try_evaluate(ys)
     assert ok.all()
     for y, x in zip(ys, xs):

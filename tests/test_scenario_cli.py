@@ -6,11 +6,13 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spencerkit
 from spencerkit import cli, crsolve, defaults
 from spencerkit import scenario as scenario_module
 from spencerkit.errors import NumericalError, ScenarioError
@@ -228,6 +230,12 @@ def test_readme_library_quick_start_runs():
     namespace = {}
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
+
+
+def test_package_exports_resolve_once():
+    names = spencerkit.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(spencerkit, n)] == []
 
 
 def test_cli_task_filter_and_text_format():
@@ -604,10 +612,14 @@ def test_overflowing_family_member_keeps_its_verdicts(scenario_file, capsys):
         maps={"big": {"components": ["1e308*x1^6 + x1", "x2"]}},
         families={"f": {"members": ["big"], "depth": 1}},
         tasks=[{"task": "axioms", "family": "f"}])
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        # A floating-point warning that left the CLI would end the run.
+        warnings.simplefilter("error")
         code = cli.main(["run", scenario_file(data)])
     assert code == 1
-    task = json.loads(capsys.readouterr().out)["tasks"][0]
+    out, err = capsys.readouterr()
+    assert err == ""
+    task = json.loads(out)["tasks"][0]
     assert task["metrics"] == {
         "axiom1_composition_failures": 2.0, "axiom2_inversion_failures": 2.0,
         "axiom3_identity_failures": 0.0, "axiom4_restriction_failures": 4.0,
@@ -630,10 +642,14 @@ def test_overflowing_symbolic_composite_is_kept_as_a_chain(scenario_file, capsys
                     "domain": {"lo": [-10.0, -10.0], "hi": [9.0, 10.0]}}},
         families={"f": {"members": ["big", "t"], "depth": 1}},
         tasks=[{"task": "axioms", "family": "f"}])
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        # A floating-point warning that left the CLI would end the run.
+        warnings.simplefilter("error")
         code = cli.main(["run", scenario_file(data)])
     assert code == 1
-    task = json.loads(capsys.readouterr().out)["tasks"][0]
+    out, err = capsys.readouterr()
+    assert err == ""
+    task = json.loads(out)["tasks"][0]
     assert task["metrics"] == {
         "axiom1_composition_failures": 16.0, "axiom2_inversion_failures": 4.0,
         "axiom3_identity_failures": 0.0, "axiom4_restriction_failures": 6.0,
