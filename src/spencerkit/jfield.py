@@ -112,11 +112,12 @@ def lattice_points(lo, hi, k):
     if lo.ndim == 1:
         return lattice_points(lo[None, :], hi[None, :], k)[0]
     count, dim = lo.shape
+    axes = _linspace_rows(lo.ravel(), hi.ravel(), k).reshape(count, dim, k)
     out = np.empty((count,) + (k,) * dim + (dim,))
     for e in range(dim):
         shape = [count] + [1] * dim
         shape[e + 1] = k
-        out[..., e] = _linspace_rows(lo[:, e], hi[:, e], k).reshape(shape)
+        out[..., e] = axes[:, e].reshape(shape)
     return out.reshape(count, -1, dim)
 
 

@@ -170,11 +170,22 @@ class LocalMap:
         residual falls below ``defaults.NEWTON_ACCEPT_TOL`` of its scale.
         Points that stall come back with a False mask entry; garbage rows
         (NaN propagation) mask themselves out as well.
+
+        Every row is solved on its own, so each distinct target is solved
+        once and its result copied to its repeats.  Rows are equal only when
+        their bits are: +0.0 and -0.0, or two NaN payloads, stay apart.
         """
-        ys = np.asarray(ys, dtype=float)
+        ys = np.ascontiguousarray(ys, dtype=float)
         if ys.ndim != 2 or ys.shape[1] != self.dim:
             raise ValueError(
                 f"points must be a (P, {self.dim}) array, got shape {ys.shape}")
+        bits = ys.view(np.int64)
+        order = np.lexsort(bits.T)
+        repeat = np.zeros(len(ys), dtype=bool)
+        repeat[1:] = (bits[order[1:]] == bits[order[:-1]]).all(axis=1)
+        inverse = np.empty(len(ys), dtype=np.intp)
+        inverse[order] = np.cumsum(~repeat) - 1
+        ys = ys[order[~repeat]]
         scale = np.maximum(1.0, np.max(np.abs(ys), axis=1))
         scale = np.maximum(scale, self.domain.diameter)
         # The nearest seed of each row in the max norm, in blocks of rows so
@@ -241,7 +252,7 @@ class LocalMap:
         drop(np.ones(len(live[0]), dtype=bool))
         with np.errstate(invalid="ignore"):
             ok = norm <= defaults.NEWTON_ACCEPT_TOL * scale
-        return x, ok
+        return x[inverse], ok[inverse]
 
 
 def identity_map(box):
@@ -330,10 +341,10 @@ def _compose_search(first, second, lattice, images, evaluable):
     ``images`` and ``evaluable`` are ``first.try_evaluate(lattice)`` on the
     lattice of the first domain.  The search grows a box from one lattice
     point that maps into the second domain, one side at a time (see
-    ``_bisect_stretch``).  Each yield is the (C, d) pair ``(lo, hi)`` of the
-    candidate boxes it needs; it expects back their (C,) verdicts: True
-    where ``first`` evaluates the box's whole lattice into the second
-    domain, up to ``_compose_slack(second)``.
+    ``_bisect_stretch``).  Each yield is the (C, 2, d) array of the lo and
+    hi corners of the candidate boxes it needs; it expects back their (C,)
+    verdicts: True where ``first`` evaluates the box's whole lattice into
+    the second domain, up to ``_compose_slack(second)``.
     Returns the composite; raises CompositionError when no lattice point
     maps into the second domain or the region found has no interior.
     """
@@ -346,41 +357,42 @@ def _compose_search(first, second, lattice, images, evaluable):
             f"{second.label}")
 
     seed = lattice[int(np.argmax(ok))]
-    lo = np.array(seed, dtype=float)
-    hi = np.array(seed, dtype=float)
+    box = np.array([seed, seed], dtype=float)  # rows: the lo and hi corner
     dom_lo = np.array(first.domain.lo)
     dom_hi = np.array(first.domain.hi)
     growth_tol = defaults.GROWTH_TOL * max(first.domain.diameter, 1.0)
     for _ in range(COMPOSE_GROWTH_ROUNDS):
         grew = False
         for d in range(first.dim):
-            for side in ("lo", "hi"):
-                if side == "lo":
-                    avail = lo[d] - dom_lo[d]
+            for side in (0, 1):
+                if side == 0:
+                    avail = box[0, d] - dom_lo[d]
                 else:
-                    avail = dom_hi[d] - hi[d]
+                    avail = dom_hi[d] - box[1, d]
                 if avail <= 0:
                     continue
 
                 def stretched(t):
-                    l2 = np.repeat(lo[None, :], np.size(t), axis=0)
-                    h2 = np.repeat(hi[None, :], np.size(t), axis=0)
-                    if side == "lo":
-                        l2[:, d] = lo[d] - t
+                    # Copies of the box that differ in one coordinate of
+                    # the moving corner.
+                    boxes = np.empty((np.size(t),) + box.shape)
+                    boxes[:] = box
+                    if side == 0:
+                        boxes[:, 0, d] = box[0, d] - t
                     else:
-                        h2[:, d] = hi[d] + t
-                    return l2, h2
+                        boxes[:, 1, d] = box[1, d] + t
+                    return boxes
 
                 def probe(ts):
                     return (yield stretched(ts))
 
                 best = yield from _bisect_stretch(avail, probe)
                 if best > growth_tol:
-                    l2, h2 = stretched(best)
-                    lo, hi = l2[0], h2[0]
+                    box = stretched(best)[0]
                     grew = True
         if not grew:
             break
+    lo, hi = box
     if np.any(hi - lo <= 0):
         raise CompositionError(
             f"composable region of {first.label} then {second.label} has no "
@@ -413,7 +425,7 @@ def _compose_lockstep(first, seconds):
     bounds = [(np.asarray(g.domain.lo) - _compose_slack(g),  # as Box.contains
                np.asarray(g.domain.hi) + _compose_slack(g)) for g in seconds]
     results = [None] * len(seconds)
-    pending = []  # (index, search, (lo, hi)) of every live search
+    pending = []  # (index, search, candidate boxes) of every live search
 
     def advance(i, search, reply):
         try:
@@ -431,10 +443,9 @@ def _compose_lockstep(first, seconds):
     while pending:
         live = pending[:]
         pending.clear()
-        counts = [len(b[0]) for _, _, b in live]
-        pts = lattice_points(np.concatenate([b[0] for _, _, b in live]),
-                             np.concatenate([b[1] for _, _, b in live]),
-                             defaults.GRID_PER_AXIS)
+        counts = [len(b) for _, _, b in live]
+        boxes = np.concatenate([b for _, _, b in live])
+        pts = lattice_points(boxes[:, 0], boxes[:, 1], defaults.GRID_PER_AXIS)
         img, good = first.try_evaluate(pts.reshape(-1, first.dim))
         img = img.reshape(pts.shape)
         lo = np.repeat([bounds[i][0] for i, _, _ in live], counts, axis=0)

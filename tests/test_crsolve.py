@@ -20,9 +20,11 @@ from spencerkit import (
 )
 from spencerkit import crsolve, defaults
 from spencerkit.errors import ConfigurationError, NumericalError
-from spencerkit.jfield import numerical_rank
+from spencerkit.jfield import eval_j, numerical_rank
+from spencerkit.poly import Polynomial
 
-from conftest import TWISTED_ROWS, _poly_matrix
+from conftest import (TWISTED_ROWS, _poly_matrix, poly_identity_matrix,
+                      poly_matmul)
 
 
 def test_cr_residual_standard_values(std1, z_field, zbar_field):
@@ -201,6 +203,53 @@ def test_solver_matches_sympy_oracle_conjugated(conjugated_integrable):
     # so only three of the five quadratic-or-lower solutions of the standard
     # structure survive at degree 2.
     assert _oracle_nullity(conjugated_integrable, 2) == 3
+
+
+# The fixed unipotent shear Phi = (x1, x2, x3 + q3, x4 + q4), with q3 and q4
+# quadratic polynomials in x1 and x2 (dyadic coefficients, so sympy reads
+# them exactly).
+SHEAR_TAILS = ["0.25*x1 - 0.125*x2 + 0.5*x1^2 - 0.25*x1*x2 + 0.375*x2^2",
+               "-0.5*x1 + 0.375*x2 - 0.25*x1^2 + 0.125*x1*x2 + 0.5*x2^2"]
+
+
+def _sheared_structure():
+    """Pullback J = DPhi^-1 J0 DPhi of the standard n=2 structure.
+
+    DPhi = I + N, where N is nonzero only in rows 3-4 and columns 1-2, so
+    N^2 = 0 and DPhi^-1 = I - N.  The holomorphic coordinates z o Phi are
+    w1 = x1 + i x2 and w2 = x3 + q3 + i (x4 + q4), of degree 1 and 2.
+    """
+    tails = [parse_polynomial(t, 4) for t in SHEAR_TAILS]
+    dphi = poly_identity_matrix(4, 4)
+    dphi_inv = poly_identity_matrix(4, 4)
+    for row, tail in zip((2, 3), tails):
+        for col in (0, 1):
+            dphi[row][col] = tail.diff(col)
+            dphi_inv[row][col] = -tail.diff(col)
+    base = standard_structure(2)
+    return ACStructure(2, base.box,
+                       poly_matmul(poly_matmul(dphi_inv, base.matrix), dphi))
+
+
+def test_sheared_structure_has_the_sheared_coordinates():
+    s = _sheared_structure()
+    q3, q4 = (parse_polynomial(t, 4) for t in SHEAR_TAILS)
+    w2 = (Polynomial.variable(4, 2) + q3
+          + (Polynomial.variable(4, 3) + q4) * Polynomial.constant(4, 1j))
+    pts = s.box.lattice()
+    j = eval_j(s, pts)
+    assert np.max(np.abs(j @ j + np.eye(4))) == 0.0
+    assert max(e.degree for row in s.matrix for e in row) == 1  # N J0 N = 0
+    assert max(cr_residual(s, [parse_polynomial("x1 + (0+1i)*x2", 4), w2],
+                           pts)) <= 1e-14
+
+
+@pytest.mark.parametrize("degree, nullity", [(1, 1), (2, 3)])
+def test_solver_matches_sympy_oracle_sheared(degree, nullity):
+    # The polynomials in w1 (weight 1) and w2 (weight 2) of weighted degree
+    # 1 to D: w1, then w1^2 and w2 (the standard structure has 5 at D = 2).
+    # Degree 3 (nullity 5) takes the exact nullspace about 6 s.
+    assert _oracle_nullity(_sheared_structure(), degree) == nullity
 
 
 def test_solver_is_deterministic(std2):

@@ -616,9 +616,17 @@ def _newton_batches(squaring):
                        forward=flat, seeds_x=seeds, seeds_y=flat.evaluate(seeds))
     singular = np.array([[0.01, 0.0], [0.3, 0.1], [0.02, 0.4], [0.25, 0.5]])
     mixed = np.concatenate([reachable[:20], nan_rows, reachable[-30:]])
+    # Shuffled copies of reachable rows, a +0.0/-0.0 pair, two NaN payloads
+    # and repeated stalling rows: equal bits are one target, nothing else is.
+    signed_zeros = np.array([[0.5, 0.0], [0.5, -0.0]])
+    payloads = np.array([[0x7FF8000000000001, 0], [0x7FF8000000000002, 0]],
+                        dtype=np.int64).view(float)
+    repeated = np.concatenate([np.tile(fold.evaluate(fold.domain.lattice()), (3, 1)),
+                               signed_zeros, payloads, np.tile(unreachable, (4, 1))])
+    repeated = repeated[np.random.default_rng(5).permutation(len(repeated))]
     return [("converging", inv_sq, reachable), ("stalling", inv_fold, unreachable),
             ("nan", inv_sq, nan_rows), ("singular", on_fold, singular),
-            ("mixed", inv_sq, mixed)]
+            ("mixed", inv_sq, mixed), ("repeated", inv_fold, repeated)]
 
 
 def test_compacted_newton_loop_is_bit_identical_to_the_gathering_loop(squaring):
@@ -634,6 +642,58 @@ def test_compacted_newton_loop_is_bit_identical_to_the_gathering_loop(squaring):
     assert outcomes["stalling"][0] < 4
     assert outcomes["nan"] == (0, 6)
     assert 0 < outcomes["singular"][0] < 4
+    # 77 reachable rows, 2 NaN rows, and 4 copies of each stalling row
+    assert outcomes["repeated"] == (77 + 4 * outcomes["stalling"][0], 95)
+
+
+def test_newton_batch_solves_each_distinct_target_once(monkeypatch, squaring):
+    _, inverse, ys = _newton_batches(squaring)[5]
+    distinct = len({row.tobytes() for row in ys})
+    assert distinct == 25 + 2 + 2 + 4 < len(ys)
+    with np.errstate(all="ignore"):
+        x_ref, ok_ref = _reference_newton_solve_batch(inverse, ys)
+        alone = [inverse._newton_solve_batch(ys[i:i + 1]) for i in range(len(ys))]
+        sizes = []
+        evaluate = inverse.forward.evaluate
+
+        def counting(points, check_domain=True):
+            sizes.append(len(points))
+            return evaluate(points, check_domain)
+
+        monkeypatch.setattr(inverse.forward, "evaluate", counting)
+        x, ok = inverse._newton_solve_batch(ys)
+    assert sizes[0] == distinct
+    assert x.tobytes() == x_ref.tobytes()
+    assert ok.tolist() == ok_ref.tolist()
+    assert x.tobytes() == b"".join(xa.tobytes() for xa, _ in alone)
+    assert ok.tolist() == [bool(oa[0]) for _, oa in alone]
+
+
+def test_closure_matches_the_undeduplicated_newton_loop(monkeypatch):
+    # The axioms of the depth-2 family take about 20 s (44 members), so
+    # they are checked on the depth-1 closure of the same seeds.
+    scen = parse_scenario(builtin_scenarios()["std_c1"])
+    spec = scen.family_specs["fam_ah"]
+    seeds = [scen.maps[name] for name in spec.member_names]
+
+    def closure():
+        fam, shallow = (generate(seeds, scen.box, depth=depth,
+                                 dedup_tol=spec.dedup_tol,
+                                 restriction_targets=spec.restriction_targets)
+                        for depth in (spec.depth, 1))
+        return fam, shallow, validate_axioms(shallow)
+
+    fam, shallow, reports = closure()
+    monkeypatch.setattr(LocalMap, "_newton_solve_batch",
+                        _reference_newton_solve_batch)
+    ref_fam, ref_shallow, ref_reports = closure()
+    assert len(fam.members) > len(shallow.members) > 10
+    assert any(m.kind == LocalMap.NEWTON for m in shallow.members)
+    for a, b in ((fam, ref_fam), (shallow, ref_shallow)):
+        assert a.labels() == b.labels()
+        assert [m.domain for m in a.members] == [m.domain for m in b.members]
+    assert reports == ref_reports  # metrics, tolerances, notes and status
+    assert reports[0].metrics["failures"] > 0
 
 
 def test_singular_seed_batch_takes_the_per_row_fallback(monkeypatch, squaring):
