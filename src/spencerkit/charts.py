@@ -2,10 +2,12 @@
 
 A chart on a sub-box consists of m almost-holomorphic functions whose real
 Jacobian, completed by passively chosen coordinate pairs, is uniformly
-nondegenerate.  Charts project the box to a cloud in C^m; functions constant
-on fibers factor through the projection, overlapping charts are compared by
-fitted transition maps, and triples of charts are checked for the cocycle
-identity.
+nondegenerate.  Charts project the box to a cloud in C^m; a function factors
+through the projection when a holomorphic polynomial of the chart coordinates
+fits it, overlapping charts are compared by fitted transition maps, and
+triples of charts are checked for the cocycle identity.  Each fit is its own
+holomorphy witness: a conjugate component, or a value that differs between
+two points of one fiber, cannot be fitted away and stays in the residual.
 """
 from __future__ import annotations
 
@@ -44,7 +46,6 @@ class SpencerChart:
     box: object
     passive_pairs: tuple        # complex coordinate pair indices appended
     certificate: float          # min |det| of the completed real Jacobian
-    grid_k: int
     label: str = "chart"
 
     @property
@@ -117,7 +118,7 @@ def build_spencer_chart(structure, fields, box=None,
         raise ChartError("completed chart Jacobian changes orientation on the box")
     return SpencerChart(structure=structure, fields=fields, box=box,
                         passive_pairs=tuple(chosen), certificate=min_abs,
-                        grid_k=int(grid_k), label=str(label))
+                        label=str(label))
 
 
 def _vandermonde(w, fit_degree):
@@ -143,39 +144,24 @@ class Factorization:
     coefficients: np.ndarray    # of H, one per monomial of the m chart variables
     monomials: tuple
     fit_residual: float
-    fiber_variance: float
     cond: float
 
 
-def factorize(chart, h, grid_k=None, fit_degree=defaults.FIT_DEGREE):
+def factorize(chart, h, grid_k=defaults.GRID_PER_AXIS,
+              fit_degree=defaults.FIT_DEGREE):
     """Fit h as a holomorphic polynomial of the chart coordinates.
 
-    Two diagnostics come back: the fiber variance (how far h is from being
-    constant on the fibers of the projection, measured by clustering the
-    cloud) and the max-norm residual of the fit itself.
+    The max-norm residual of the fit is the verdict: where two lattice
+    points share a fiber, it is at least half the spread of h there.
     """
-    pts = chart.box.lattice(chart.grid_k if grid_k is None else grid_k)
+    pts = chart.box.lattice(grid_k)
     w = chart.evaluate(pts)
     h_vals = h.evaluate(pts)
-    cluster_tol = defaults.CLUSTER_TOL_FACTOR * chart.box.diameter
-    keys = np.floor(np.concatenate([w.real, w.imag], axis=1)
-                    / cluster_tol).astype(np.int64)
-    buckets = {}
-    for row, key in enumerate(map(tuple, keys)):
-        buckets.setdefault(key, []).append(row)
-    fiber_variance = 0.0
-    for rows in buckets.values():
-        if len(rows) < 2:
-            continue
-        vals = h_vals[rows]
-        spread = float(np.max(np.abs(vals[:, None] - vals[None, :])))
-        fiber_variance = max(fiber_variance, spread)
     matrix, monomials = _vandermonde(w, fit_degree)
     coeffs, cond = _lstsq_checked(matrix, h_vals, "chart Vandermonde system")
     fit_residual = float(np.max(np.abs(matrix @ coeffs - h_vals)))
     return Factorization(coefficients=coeffs, monomials=tuple(monomials),
-                         fit_residual=fit_residual,
-                         fiber_variance=float(fiber_variance), cond=cond)
+                         fit_residual=fit_residual, cond=cond)
 
 
 @dataclass
@@ -184,17 +170,16 @@ class TransitionMap:
 
     map: PolyMap                # holomorphic polynomial fit in w
     fit_residual: float         # max-norm defect of the holomorphic fit
-    holo_residual: float        # largest conjugate-monomial coefficient
     jacobian_min_det: float     # min |det| of the fitted map over the cloud
     cond: float
 
 
-def transition_map(chart_a, chart_b, grid_k=None,
+def transition_map(chart_a, chart_b, grid_k=defaults.GRID_PER_AXIS,
                    fit_degree=defaults.FIT_DEGREE):
     """Fit the map taking chart_a coordinates to chart_b coordinates.
 
-    Holomorphy is measured by refitting with conjugate monomials admitted:
-    on a genuine transition all conjugate coefficients vanish.
+    The fit is holomorphic in chart_a's coordinates, so a conjugate
+    component of the true transition stays in its residual.
     """
     if chart_a.m != chart_b.m:
         raise ConfigurationError(
@@ -203,19 +188,13 @@ def transition_map(chart_a, chart_b, grid_k=None,
     if overlap is None:
         raise OverlapError(
             f"charts {chart_a.label} and {chart_b.label} do not overlap")
-    pts = overlap.lattice(chart_a.grid_k if grid_k is None else grid_k)
+    pts = overlap.lattice(grid_k)
     wa = chart_a.evaluate(pts)
     wb = chart_b.evaluate(pts)
     matrix, monomials = _vandermonde(wa, fit_degree)
     coeffs, cond = _lstsq_checked(matrix, wb, "transition Vandermonde system")
     fit_residual = float(np.max(np.abs(matrix @ coeffs - wb)))
-    full_matrix, full_monomials = _vandermonde(
-        np.concatenate([wa, np.conj(wa)], axis=1), fit_degree)
-    full_coeffs, _ = _lstsq_checked(full_matrix, wb, "augmented transition system")
     m = chart_a.m
-    conj_rows = [any(e[m:]) for e in full_monomials]
-    holo_residual = (float(np.max(np.abs(full_coeffs[conj_rows])))
-                     if any(conj_rows) else 0.0)
     components = [Polynomial(m, dict(zip(monomials, coeffs[:, j])))
                   for j in range(m)]
     fitted = PolyMap(components)
@@ -223,7 +202,6 @@ def transition_map(chart_a, chart_b, grid_k=None,
     dets = np.linalg.det(jac)
     return TransitionMap(
         map=fitted, fit_residual=fit_residual,
-        holo_residual=float(holo_residual),
         jacobian_min_det=float(np.min(np.abs(dets))), cond=cond)
 
 
@@ -237,7 +215,7 @@ class CocycleResult:
     defect: float
 
 
-def cocycle_check(chart_a, chart_b, chart_c, grid_k=None,
+def cocycle_check(chart_a, chart_b, chart_c, grid_k=defaults.GRID_PER_AXIS,
                   fit_degree=defaults.FIT_DEGREE):
     """Composition defect of the three pairwise transitions on the triple
     overlap: max |t_bc(t_ab(w)) - t_ac(w)|."""
@@ -248,8 +226,7 @@ def cocycle_check(chart_a, chart_b, chart_c, grid_k=None,
     triple = triple.intersect(chart_c.box) if triple is not None else None
     if triple is None:
         raise OverlapError("charts have no common triple overlap")
-    wa = chart_a.evaluate(
-        triple.lattice(chart_a.grid_k if grid_k is None else grid_k))
+    wa = chart_a.evaluate(triple.lattice(grid_k))
     via_b = bc.map.evaluate(ab.map.evaluate(wa))
     direct = ac.map.evaluate(wa)
     defect = float(np.max(np.abs(via_b - direct)))

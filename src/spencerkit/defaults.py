@@ -13,7 +13,6 @@ TOL_CR = 1e-10         # Cauchy-Riemann residual for pass/fail checks
 TOL_INTEGRABILITY = 1e-6   # max-norm of the Nijenhuis tensor over a grid
 TOL_DET = 1e-6         # smallest acceptable |det| of a chart Jacobian
 TOL_FIT = 1e-8         # max residual of a polynomial least-squares fit
-TOL_HOLO = 1e-9        # max |conjugate-monomial coefficient| in a full fit
 TOL_COCYCLE = 1e-8     # max cocycle defect on a triple overlap
 TOL_MAP = 1e-9         # structure-compatibility residual for local maps
 TOL_DIAGRAM = 1e-8     # commutation residual for defined-over diagrams
@@ -29,13 +28,15 @@ NEWTON_STOP_TOL = 1e-13     # Newton residual at which a point stops iterating
 NEWTON_ACCEPT_TOL = 1e-9    # Newton residual up to which a point is accepted
 GROWTH_TOL = 1e-12          # smallest domain growth ``compose`` still pursues
 FIT_COND_CAP = 1e12         # largest condition number of a fit matrix
+# solve_ah's solver_residual bound is this * svd_rel_tol * max(sigma_max, 1).
+SOLVER_RESIDUAL_FACTOR = 10.0
+DIAGRAM_SKIP_SHARE = 0.2    # largest share of diagram points off its domains
 
 # Canonical eigenvector phase: the first component of a unit max-norm vector
 # whose modulus exceeds this is rotated to the positive real axis.
 PHASE_THRESHOLD = 1e-9
 
 # Relative factors resolved against a box diameter at call time.
-CLUSTER_TOL_FACTOR = 1e-6   # fiber clustering resolution
 DEDUP_TOL_FACTOR = 1e-9     # map-equality tolerance inside a family
 
 # Containment slack of a box, relative to max(diameter, 1) (``Box.slack``);
@@ -60,7 +61,6 @@ DEFAULT_TOLERANCES = {
     "tol_integrability": TOL_INTEGRABILITY,
     "tol_det": TOL_DET,
     "tol_fit": TOL_FIT,
-    "tol_holo": TOL_HOLO,
     "tol_cocycle": TOL_COCYCLE,
     "tol_map": TOL_MAP,
     "tol_diagram": TOL_DIAGRAM,

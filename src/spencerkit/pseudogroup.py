@@ -843,8 +843,9 @@ def check_over_diagram(diagram, grid_k=defaults.GRID_PER_AXIS,
                        tol=defaults.TOL_DIAGRAM):
     """Commutation residual max |f_dst(phi(p)) - psi(f_src(p))| on a lattice.
 
-    Lattice points must thread all four domains; more than a fifth falling
-    out is treated as a mis-declared diagram.
+    Lattice points must thread all four domains; more than a
+    ``DIAGRAM_SKIP_SHARE`` of them falling out is treated as a mis-declared
+    diagram.
     """
     pts = diagram.phi.domain.lattice(grid_k)
     total = len(pts)
@@ -856,7 +857,7 @@ def check_over_diagram(diagram, grid_k=defaults.GRID_PER_AXIS,
     ok = diagram.psi.domain.contains(down)
     pts, up, down = pts[ok], up[ok], down[ok]
     skipped = total - len(pts)
-    if skipped > 0.2 * total:
+    if skipped > defaults.DIAGRAM_SKIP_SHARE * total:
         raise DomainError(
             f"{skipped} of {total} lattice points leave the diagram's domains")
     left = diagram.f_dst.evaluate(up, check_domain=False)

@@ -461,7 +461,8 @@ def _run_cr_check(scenario, spec, run):
 def _run_solve_ah(scenario, spec, run):
     solution = run.solution(spec)
     sigma_max = float(solution.singular_values[0])
-    bound = 10.0 * run.tols["svd_rel_tol"] * max(sigma_max, 1.0)
+    bound = (defaults.SOLVER_RESIDUAL_FACTOR * run.tols["svd_rel_tol"]
+             * max(sigma_max, 1.0))
     metrics = {"nullity": float(solution.nullity),
                "solver_residual": solution.residual,
                "sigma_max": sigma_max}
@@ -506,15 +507,13 @@ def _run_chart(scenario, spec, run):
 def _run_factorize(scenario, spec, run):
     chart = run.chart(spec["chart"])
     h = scenario.functions[spec["function"]]
-    result = factorize(chart, h, grid_k=spec.get("grid"),
+    result = factorize(chart, h,
+                       grid_k=spec.get("grid", defaults.GRID_PER_AXIS),
                        fit_degree=int(spec.get("fit_degree", defaults.FIT_DEGREE)))
     return make_report(
         task="factorize",
-        metrics={"fit_residual": result.fit_residual,
-                 "fiber_variance": result.fiber_variance,
-                 "cond": result.cond},
-        tolerances={"fit_residual": run.tols["tol_fit"],
-                    "fiber_variance": run.tols["tol_fit"]},
+        metrics={"fit_residual": result.fit_residual, "cond": result.cond},
+        tolerances={"fit_residual": run.tols["tol_fit"]},
     )
 
 
@@ -522,17 +521,16 @@ def _run_transition(scenario, spec, run):
     label_a, label_b = spec["charts"]
     chart_a = run.chart(label_a)
     chart_b = run.chart(label_b)
-    result = transition_map(chart_a, chart_b, grid_k=spec.get("grid"),
+    result = transition_map(chart_a, chart_b,
+                            grid_k=spec.get("grid", defaults.GRID_PER_AXIS),
                             fit_degree=int(spec.get("fit_degree",
                                                     defaults.FIT_DEGREE)))
     return make_report(
         task="transition",
         metrics={"fit_residual": result.fit_residual,
-                 "holo_residual": result.holo_residual,
                  "jacobian_min_det": result.jacobian_min_det,
                  "cond": result.cond},
         tolerances={"fit_residual": run.tols["tol_fit"],
-                    "holo_residual": run.tols["tol_holo"],
                     "jacobian_min_det": run.tols["tol_det"]},
         comparisons={"jacobian_min_det": "ge"},
         notes=[f"{label_a} to {label_b} on overlap"],
@@ -542,15 +540,13 @@ def _run_transition(scenario, spec, run):
 def _run_cocycle(scenario, spec, run):
     labels = spec["charts"]
     charts = [run.chart(lbl) for lbl in labels]
-    result = cocycle_check(*charts, grid_k=spec.get("grid"),
+    result = cocycle_check(*charts,
+                           grid_k=spec.get("grid", defaults.GRID_PER_AXIS),
                            fit_degree=int(spec.get("fit_degree",
                                                    defaults.FIT_DEGREE)))
-    worst_holo = max(result.ab.holo_residual, result.bc.holo_residual,
-                     result.ac.holo_residual)
     return make_report(
         task="cocycle",
-        metrics={"cocycle_defect": result.defect,
-                 "holo_residual": worst_holo},
+        metrics={"cocycle_defect": result.defect},
         tolerances={"cocycle_defect": run.tols["tol_cocycle"]},
         notes=[f"charts {labels[0]}, {labels[1]}, {labels[2]}"],
     )

@@ -180,7 +180,7 @@ def test_acceptance_07_transition_theorem(std1, z_field):
     chart_a = build_spencer_chart(std1, [z_field], grid_k=7, label="a")
     chart_b = build_spencer_chart(std1, [cubic], grid_k=7, label="b")
     trans = transition_map(chart_a, chart_b, grid_k=7, fit_degree=4)
-    assert trans.holo_residual <= 1e-9
+    assert trans.fit_residual <= 1e-9
     coeffs = dict(trans.map.components[0].terms_sorted())
     assert abs(coeffs[(3,)] - 0.1) <= 1e-8
 

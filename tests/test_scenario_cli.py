@@ -72,6 +72,8 @@ def test_parse_rejects_bad_tolerances_and_shapes():
     with pytest.raises(ScenarioError):
         parse_scenario(minimal_scenario(tolerances={"tol_nope": 1e-9}))
     with pytest.raises(ScenarioError):
+        parse_scenario(minimal_scenario(tolerances={"tol_holo": 1e-9}))
+    with pytest.raises(ScenarioError):
         parse_scenario(minimal_scenario(tolerances={"tol_cr": -1.0}))
     with pytest.raises(ScenarioError):
         parse_scenario(minimal_scenario(tasks=[]))
@@ -220,6 +222,14 @@ def test_readme_flag_table_matches_the_parser():
         flags = {flag for action in commands[command]._actions
                  for flag in action.option_strings} - {"-h", "--help"}
         assert flags == documented, command
+
+
+def test_readme_named_tolerances_match_the_registry():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme.split("## Named tolerances", 1)[1].split("\n\n")[1]
+    documented = {name: float(value) for name, value in
+                  re.findall(r"`(\w+)` \(([0-9.e+-]+)\)", paragraph)}
+    assert documented == defaults.DEFAULT_TOLERANCES
 
 
 def test_readme_library_quick_start_runs():
@@ -423,6 +433,20 @@ def test_tol_det_reaches_the_family_closure(scenario_file, capsys):
     assert json.loads(out)["tasks"][0]["metrics"]["members"] == 3.0
 
 
+def test_holomorphic_transition_passes_on_its_fit_alone():
+    # c_b -> c_c is w -> 2 q^-1(w) with q the z_quad polynomial: holomorphic,
+    # and its truncated degree-6 fit is within tol_fit.  Conjugate
+    # monomials fitted to that truncation error read about 1.5e-05.
+    data = builtin_scenarios()["std_c1"]
+    data["tasks"] = [{"task": "transition", "charts": ["c_b", "c_c"],
+                      "grid": 9, "fit_degree": 6}]
+    result = run_scenario(parse_scenario(data))
+    [report] = result.reports
+    assert report.status == "pass"
+    assert report.metrics["fit_residual"] == pytest.approx(1.62e-10, rel=0.01)
+    assert set(report.metrics) == {"fit_residual", "jacobian_min_det", "cond"}
+
+
 def test_builtins_read_every_named_tolerance(monkeypatch):
     read = set()
 
@@ -587,10 +611,8 @@ def test_cli_json_byte_identity_across_processes(scenario_file):
     assert out1 == out2
 
 
-@pytest.mark.parametrize("name", ["twisted_r4", "std_c1"])
+@pytest.mark.parametrize("name", ["twisted_r4", "std_c1", "std_c2"])
 def test_builtin_report_bytes_do_not_depend_on_blas_threads(name):
-    # std_c2 is left out: one transition fit's lstsq still moves in its
-    # last digits with the BLAS thread count.
     outputs = []
     for threads in ("1", "2"):
         env = dict(cli_env(), OPENBLAS_NUM_THREADS=threads,
