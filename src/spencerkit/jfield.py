@@ -8,12 +8,14 @@ j-th coordinate field.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import defaults
-from .errors import ConfigurationError, DegenerateStructureError, DomainError
+from .errors import (ConfigurationError, DegenerateStructureError, DomainError,
+                     NumericalError)
 from .poly import Polynomial
 from .report import make_report
 
@@ -184,19 +186,6 @@ def eval_j(structure, points):
     return out
 
 
-def eval_j_derivatives(structure, points):
-    """Exact entry partials at a batch (P, 2n): DJ[p, k, i, j] = d J_{ij} / dx^k at p."""
-    pts = np.asarray(points, dtype=float)
-    size = structure.real_dim
-    out = np.zeros((len(pts), size, size, size))
-    for i in range(size):
-        for j in range(size):
-            for k, entry in enumerate(structure.matrix[i][j].partials()):
-                if not entry.is_zero:
-                    out[:, k, i, j] = entry.evaluate(pts)
-    return out
-
-
 def standard_structure(n, box=None):
     """The flat structure: each adjacent pair (x^{2j-1}, x^{2j}) is one z^j."""
     if box is None:
@@ -309,15 +298,47 @@ def nijenhuis(structure, points):
     """Nijenhuis tensor on coordinate fields, exact derivatives throughout.
 
     At a batch (P, 2n), returns N with shape (P, 2n, 2n, 2n): N[p, i, a, b]
-    is component i of N(d/dx^a, d/dx^b) at point p.  Antisymmetry in (a, b)
-    is exact because the two halves are computed once and subtracted.
+    is component i of N(d/dx^a, d/dx^b) at point p.  With
+
+        h[i, a, b] = sum_k J_{ka} d_k J_{ib} + sum_k J_{ik} d_b J_{ka},
+
+    N[i, a, b] = h[i, a, b] - h[i, b, a], so antisymmetry in (a, b) is exact.
+    Each sum starts from zero and adds, over ascending k, only the products
+    whose J entry and whose partial are nonzero polynomials.  A skipped
+    product of finite values is an exact zero, so N has the bits of the
+    full contraction.  Raises NumericalError where J or a nonzero partial is
+    not finite, which a skipped product would otherwise hide.  N is a view
+    of component-major (2n, 2n, 2n, P) storage.
     """
-    j = eval_j(structure, points)
-    dj = eval_j_derivatives(structure, points)
-    # half[p, i, a, b] = sum_k J_{ka} d_k J_{ib} + sum_k J_{ik} d_b J_{ka}
-    half = (np.einsum("pka,pkib->piab", j, dj)
-            + np.einsum("pik,pbka->piab", j, dj))
-    return half - half.transpose(0, 1, 3, 2)
+    pts = np.asarray(points, dtype=float)
+    size, m = structure.real_dim, structure.matrix
+    # Component-major storage: j[k, a] and half[i, a, b] are (P,) rows.
+    j = np.ascontiguousarray(eval_j(structure, pts).transpose(1, 2, 0))
+    dj = {}         # (k, i, b) -> d_k J_{ib} at the points, nonzero only
+    for i, row in enumerate(m):
+        for b, entry in enumerate(row):
+            for k, partial in enumerate(entry.partials()):
+                if not partial.is_zero:
+                    dj[k, i, b] = partial.evaluate(pts)
+    bad = ~np.isfinite(j).all(axis=(0, 1))
+    for values in dj.values():
+        bad |= ~np.isfinite(values)
+    if bad.any():
+        raise NumericalError(
+            "J or one of its partials is not finite at point "
+            f"{tuple(map(float, pts[np.argmax(bad)]))}")
+    half = np.empty((size, size, size, len(pts)))
+    for i, a, b in itertools.product(range(size), repeat=3):
+        h1 = h2 = 0.0
+        for k in range(size):
+            if not m[k][a].is_zero and (k, i, b) in dj:
+                h1 = h1 + j[k, a] * dj[k, i, b]
+            if not m[i][k].is_zero and (b, k, a) in dj:
+                h2 = h2 + j[i, k] * dj[b, k, a]
+        half[i, a, b] = h1 + h2
+    for h in half:
+        h[...] = h - h.transpose(1, 0, 2)
+    return half.transpose(3, 0, 1, 2)
 
 
 def integrability_report(structure, grid_k=defaults.GRID_PER_AXIS,

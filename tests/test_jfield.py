@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import sympy
@@ -15,9 +17,10 @@ from spencerkit import (
     split_type,
     standard_structure,
 )
-from spencerkit.errors import ConfigurationError, DegenerateStructureError
+from spencerkit.errors import (ConfigurationError, DegenerateStructureError,
+                               NumericalError)
 from spencerkit.jfield import lattice_points, numerical_rank
-from spencerkit.poly import Polynomial
+from spencerkit.poly import Polynomial, monomials_upto
 from spencerkit.scenario import builtin_scenarios, parse_scenario
 
 from conftest import poly_identity_matrix, poly_matmul
@@ -194,15 +197,76 @@ def test_nijenhuis_is_antisymmetric(twisted):
     assert np.array_equal(n, -n.transpose(0, 1, 3, 2))
 
 
+def _sheared(n, fill):
+    """S^-1 J0 S for the shear S = I + N with polynomial N, N^2 = 0: the
+    rows that ``fill`` gives N are disjoint from its columns."""
+    size = 2 * n
+    x = [Polynomial.variable(size, k) for k in range(size)]
+    shear = poly_identity_matrix(size, size)
+    shear_inv = poly_identity_matrix(size, size)
+    for (row, col), entry in fill(x).items():
+        shear[row][col] = shear[row][col] + entry
+        shear_inv[row][col] = shear_inv[row][col] - entry
+    base = standard_structure(n)
+    return ACStructure(n, base.box,
+                       poly_matmul(poly_matmul(shear_inv, base.matrix), shear))
+
+
+def _sheared_n2():
+    """Rows {2, 3} of N against its columns {0, 1}."""
+    return _sheared(2, lambda x: {(2, 0): x[0] * x[1] * 0.6 - x[3],
+                                  (3, 1): x[2] * x[2] + 0.2,
+                                  (2, 1): x[0] * -1.1})
+
+
+def _sheared_n3():
+    """Rows {2, 4, 5} of N against its columns {0, 1, 3}."""
+    return _sheared(3, lambda x: {(2, 1): x[0] * 0.7 + x[3] * x[3],
+                                  (4, 0): x[1] * x[2] - x[5] * 0.3,
+                                  (5, 3): x[0] * x[4] + 0.25,
+                                  (5, 1): x[2] * -1.3})
+
+
+def _random_dense_structure(n, seed):
+    """Every entry of J a polynomial with all monomials of degree <= 2 and
+    nonzero dyadic coefficients (exact in sympy).  J^2 != -I, which the
+    Nijenhuis formula does not need."""
+    rng = np.random.default_rng(seed)
+    size = 2 * n
+    monomials = monomials_upto(size, 2, include_constant=True)
+
+    def entry():
+        coefs = rng.integers(1, 9, len(monomials)) * rng.choice([-1, 1], len(monomials))
+        return Polynomial(size, dict(zip(monomials, coefs / 8.0)))
+
+    matrix = [[entry() for _ in range(size)] for _ in range(size)]
+    return ACStructure(n, Box((-1.0,) * size, (1.0,) * size), matrix)
+
+
+def _sympy_matrix(structure, xs):
+    return sympy.Matrix([
+        [sum((sympy.Rational(c.real) * sympy.prod([x ** e for x, e in zip(xs, exps)])
+              for exps, c in entry.terms.items()), sympy.Integer(0))
+         for entry in row]
+        for row in structure.matrix])
+
+
 def test_nijenhuis_matches_symbolic_brackets(twisted):
     xs = sympy.symbols("x1:5")
-    j = sympy.Matrix([
+    j_twisted = sympy.Matrix([
         [0, -1, -xs[0], 0],
         [1, 0, 0, xs[0]],
         [0, 0, 0, -1],
         [0, 0, 1, 0],
     ])
+    # The bracket formula holds for any matrix field, and a dense J gives
+    # every term of both sums a nonzero product.
+    dense = _random_dense_structure(2, seed=11)
+    for structure, j in ((twisted, j_twisted), (dense, _sympy_matrix(dense, xs))):
+        _assert_matches_symbolic_brackets(structure, j, xs)
 
+
+def _assert_matches_symbolic_brackets(structure, j, xs):
     def bracket(u, v):
         return sympy.Matrix([
             sum(u[k] * sympy.diff(v[i], xs[k]) - v[k] * sympy.diff(u[i], xs[k])
@@ -212,16 +276,91 @@ def test_nijenhuis_matches_symbolic_brackets(twisted):
 
     e = [sympy.Matrix([1 if i == k else 0 for i in range(4)]) for k in range(4)]
     pts = np.random.default_rng(6).uniform(-0.5, 0.5, size=(3, 4))
-    num = nijenhuis(twisted, pts)
+    num = nijenhuis(structure, pts)
     for a in range(4):
         for b in range(4):
             ja, jb = j * e[a], j * e[b]
             n_ab = (bracket(ja, jb) - j * bracket(ja, e[b])
                     - j * bracket(e[a], jb) - bracket(e[a], e[b]))
             for p, pt in enumerate(pts):
-                subs = dict(zip(xs, pt))
-                sym = np.array([complex(c.subs(subs)) for c in n_ab])
-                assert np.allclose(num[p, :, a, b], sym, atol=1e-12)
+                exact = n_ab.xreplace(dict(zip(xs, map(sympy.Rational, pt))))
+                sym = np.array([float(c) for c in exact])
+                assert np.allclose(num[p, :, a, b], sym, rtol=1e-12, atol=1e-12)
+
+
+# The dense einsum contraction that the sparse slot loop replaced, kept
+# verbatim as the bit-identity reference.
+def _reference_eval_j_derivatives(structure, points):
+    """Exact entry partials at a batch (P, 2n): DJ[p, k, i, j] = d J_{ij} / dx^k at p."""
+    pts = np.asarray(points, dtype=float)
+    size = structure.real_dim
+    out = np.zeros((len(pts), size, size, size))
+    for i in range(size):
+        for j in range(size):
+            for k, entry in enumerate(structure.matrix[i][j].partials()):
+                if not entry.is_zero:
+                    out[:, k, i, j] = entry.evaluate(pts)
+    return out
+
+
+def _reference_nijenhuis(structure, points):
+    j = eval_j(structure, points)
+    dj = _reference_eval_j_derivatives(structure, points)
+    # half[p, i, a, b] = sum_k J_{ka} d_k J_{ib} + sum_k J_{ik} d_b J_{ka}
+    half = (np.einsum("pka,pkib->piab", j, dj)
+            + np.einsum("pik,pbka->piab", j, dj))
+    return half - half.transpose(0, 1, 3, 2)
+
+
+@pytest.mark.parametrize("case", ["std1", "std2", "std3", "twisted", "sheared2",
+                                  "sheared3", "dense2", "dense3"])
+def test_nijenhuis_is_bit_identical_to_the_dense_contraction(case, std1, std2, twisted):
+    structure = {
+        "std1": std1,
+        "std2": std2,
+        "std3": standard_structure(3),
+        "twisted": twisted,
+        "sheared2": _sheared_n2(),
+        "sheared3": _sheared_n3(),
+        "dense2": _random_dense_structure(2, seed=12),
+        "dense3": _random_dense_structure(3, seed=13),
+    }[case]
+    pts = structure.box.lattice(5)
+    new = nijenhuis(structure, pts)
+    ref = _reference_nijenhuis(structure, pts)
+    assert new.shape == ref.shape
+    assert np.array_equal(new, ref)
+    assert np.abs(new).tobytes() == np.abs(ref).tobytes()
+
+
+def test_nijenhuis_peak_memory_stays_below_twice_its_output():
+    structure = _sheared_n3()
+    pts = structure.box.lattice(5)
+    nijenhuis(structure, pts[:1])       # builds the cached partials
+    tracemalloc.start()
+    try:
+        out = nijenhuis(structure, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * out.nbytes
+
+
+@pytest.mark.parametrize("entry, point", [
+    # J itself overflows at x2 = -100; its partial -6e297*x2^5 stays finite.
+    ("-1 - 1e297*x2^6", (-100.0, -100.0)),
+    # J stays finite at x2 = 1.5, its partial -6e307*x2^5 does not.
+    ("-1 - 1e307*x2^6", (0.0, 1.5)),
+])
+def test_nijenhuis_refuses_non_finite_j_or_partials(entry, point):
+    box = Box((-100.0, -100.0), (100.0, 100.0))
+    matrix = [[parse_polynomial(e, 2) for e in row] for row in [["0", entry], ["1", "0"]]]
+    s = ACStructure(1, box, matrix)
+    pts = np.array([[0.5, 0.0], point, [1.0, -1.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError) as exc:
+            nijenhuis(s, pts)
+    assert str(exc.value).endswith(f"not finite at point {point}")
 
 
 def test_integrability_reports(std2, twisted):
@@ -300,24 +439,6 @@ def _reference_split_type(structure, pts, svd_rel_tol=1e-8):
     res_minus = np.einsum("pij,pkj->pki", j.astype(complex), minus) + 1j * minus
     residual = float(max(np.max(np.abs(res_plus)), np.max(np.abs(res_minus))))
     return plus, minus, residual
-
-
-def _sheared_n3():
-    """S^-1 J0 S for the shear S = I + N with polynomial N, N^2 = 0: the
-    rows {2, 4, 5} that N fills are disjoint from its columns {0, 1, 3}."""
-    size = 6
-    x = [Polynomial.variable(size, k) for k in range(size)]
-    shear = poly_identity_matrix(size, size)
-    shear_inv = poly_identity_matrix(size, size)
-    for (row, col), entry in {(2, 1): x[0] * 0.7 + x[3] * x[3],
-                              (4, 0): x[1] * x[2] - x[5] * 0.3,
-                              (5, 3): x[0] * x[4] + 0.25,
-                              (5, 1): x[2] * -1.3}.items():
-        shear[row][col] = shear[row][col] + entry
-        shear_inv[row][col] = shear_inv[row][col] - entry
-    base = standard_structure(3)
-    return ACStructure(3, base.box,
-                       poly_matmul(poly_matmul(shear_inv, base.matrix), shear))
 
 
 @pytest.mark.parametrize("case", ["std1", "std2", "std3", "twisted", "sheared3"])

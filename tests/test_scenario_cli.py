@@ -489,6 +489,23 @@ def test_cli_exit_three_on_non_finite_metric(scenario_file, capsys):
     assert captured.out == ""
 
 
+def test_cli_exit_three_on_non_finite_j_in_integrability(scenario_file, capsys):
+    # J_01 overflows to -inf at x2 = -100 while its partial stays finite.
+    # No nonzero product of the Nijenhuis sums meets the infinite entry, so
+    # the kernel must refuse it itself; otherwise the report reads a finite
+    # 6.000000000000001e+307 and the run exits 1.
+    data = {"name": "overflow_j", "n": 1,
+            "box": {"lo": [-100, -100], "hi": [100, 100]},
+            "J": [["0", "-1 - 1e297*x2^6"], ["1", "0"]],
+            "tasks": [{"task": "integrability"}]}
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["run", scenario_file(data)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "J or one of its partials is not finite at point" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_exit_three_on_non_finite_chart_residual(scenario_file, capsys):
     # The gradient of 5e307*x1^3 overflows at x1 = 1.2: the CR residual is
     # not finite, and no comparison with tol_cr can judge it.

@@ -68,5 +68,5 @@ def test_builtin_run_reaches_the_layers_the_benchmark_predicts(capsys):
     assert code == 0
     metrics = t.metrics()
     for name in ("poly.evaluate.points", "jfield.eval_j.points",
-                 "crsolve.cr_residual.calls"):
+                 "jfield.nijenhuis.calls", "crsolve.cr_residual.calls"):
         assert metrics[name] > 0, name
