@@ -335,7 +335,42 @@ def _compose_slack(second):
     return defaults.COMPOSE_MARGIN * max(second.domain.diameter, 1.0)
 
 
-def _compose_search(first, second, lattice, images, evaluable):
+def _is_diagonal_affine(map_):
+    """True for a polynomial map x -> (a_k x_k + b_k)_k: every term of
+    component k is a constant or a multiple of x_k."""
+    if map_.kind != LocalMap.POLY or map_.poly.ncomponents != map_.dim:
+        return False
+    return all(all(power == 0 or (j == k and power == 1)
+                   for j, power in enumerate(e))
+               for k, comp in enumerate(map_.poly.components)
+               for e in comp.terms)
+
+
+def _corner_verdicts(first, second, box, d, side, ts):
+    """The lattice verdicts on stretching side (d, side) of ``box`` by each
+    of ``ts``, for a diagonal-affine ``first``, from the moved corner alone.
+
+    Component d of ``first`` depends on x_d alone, and monotonically, also
+    in float64: fl(a*x) and fl(y + b) are monotone in x.  The lattice puts
+    the two ends of axis d exactly at its ends and the other points
+    between them, so component d's images lie between the images of the
+    ends.  The fixed end and every other axis are those of ``box``, which
+    passed (or is the seed point, which passed the same test).  So a
+    stretch passes when component d maps the moved corner coordinate
+    into the second domain widened by ``_compose_slack(second)``.  The
+    image is summed as ``poly._values`` sums it, from 0.0 in term order,
+    so the verdict is the lattice verdict bit for bit; a NaN fails both.
+    """
+    corner = box[0, d] - ts if side == 0 else box[1, d] + ts
+    image = np.zeros(len(ts))
+    for e, c in first.poly.components[d].terms.items():
+        image += c.real * corner if e[d] else c.real
+    slack = _compose_slack(second)
+    return ((image >= second.domain.lo[d] - slack)
+            & (image <= second.domain.hi[d] + slack))
+
+
+def _compose_search(first, second, lattice, images, evaluable, affine):
     """Generator of the composite "apply ``first``, then ``second``".
 
     ``images`` and ``evaluable`` are ``first.try_evaluate(lattice)`` on the
@@ -344,7 +379,9 @@ def _compose_search(first, second, lattice, images, evaluable):
     ``_bisect_stretch``).  Each yield is the (C, 2, d) array of the lo and
     hi corners of the candidate boxes it needs; it expects back their (C,)
     verdicts: True where ``first`` evaluates the box's whole lattice into
-    the second domain, up to ``_compose_slack(second)``.
+    the second domain, up to ``_compose_slack(second)``.  When ``affine``
+    (``first`` is diagonal affine), the search decides its candidates by
+    ``_corner_verdicts`` and never yields.
     Returns the composite; raises CompositionError when no lattice point
     maps into the second domain or the region found has no interior.
     """
@@ -384,6 +421,8 @@ def _compose_search(first, second, lattice, images, evaluable):
                     return boxes
 
                 def probe(ts):
+                    if affine:
+                        return _corner_verdicts(first, second, box, d, side, ts)
                     return (yield stretched(ts))
 
                 best = yield from _bisect_stretch(avail, probe)
@@ -419,9 +458,12 @@ def _compose_lockstep(first, seconds):
     domain, then hands each search the verdicts on its boxes.  Every
     evaluator is row-independent, so each search sees the bits it would
     see alone, and the composites are those of one search at a time.
+    After a diagonal-affine first map every search decides its own
+    candidates, so it ends at its first step and no round is run.
     """
     lattice = first.domain.lattice()
     images, evaluable = first.try_evaluate(lattice)
+    affine = _is_diagonal_affine(first)
     bounds = [(np.asarray(g.domain.lo) - _compose_slack(g),  # as Box.contains
                np.asarray(g.domain.hi) + _compose_slack(g)) for g in seconds]
     results = [None] * len(seconds)
@@ -438,8 +480,8 @@ def _compose_lockstep(first, seconds):
             results[i] = exc.with_traceback(None)
 
     for i, second in enumerate(seconds):
-        advance(i, _compose_search(first, second, lattice, images, evaluable),
-                None)
+        advance(i, _compose_search(first, second, lattice, images, evaluable,
+                                   affine), None)
     while pending:
         live = pending[:]
         pending.clear()
@@ -769,13 +811,14 @@ def _check_glue(family, test):
         return failures
     glued = None
     piece_points = [p.domain.lattice() for p in pieces]
+    piece_values = [p.evaluate(pts, check_domain=False)
+                    for p, pts in zip(pieces, piece_points)]
     for m in family.members:
         if m.domain.contains_box(test.target):
             agrees = all(
-                float(np.max(np.abs(m.evaluate(pts, check_domain=False)
-                                    - p.evaluate(pts, check_domain=False))))
+                float(np.max(np.abs(m.evaluate(pts, check_domain=False) - values)))
                 <= family.dedup_tol
-                for p, pts in zip(pieces, piece_points))
+                for pts, values in zip(piece_points, piece_values))
             if agrees:
                 glued = m
                 break

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
+import random
+from pathlib import Path
+
 import numpy as np
 import pytest
 import sympy
@@ -8,6 +12,7 @@ from spencerkit import (
     Box,
     GlueTest,
     LocalMap,
+    Polynomial,
     check_ah_map,
     check_over_diagram,
     compose,
@@ -26,6 +31,8 @@ from spencerkit.jfield import lattice_points
 from spencerkit.pseudogroup import (NEWTON_HALVINGS, NEWTON_MAX_ITER,
                                     NEWTON_SEED_BLOCK, OverDiagram)
 from spencerkit.scenario import builtin_scenarios, parse_scenario
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def pmap(strs, lo, hi, name, inv=None):
@@ -275,6 +282,272 @@ def test_lockstep_evaluates_as_often_as_the_longest_search(monkeypatch,
     pseudogroup._compose_lockstep(first, seconds)
     assert len(calls) == max(alone)
     assert len(calls) < sum(alone)
+
+
+def test_lockstep_after_an_affine_map_evaluates_only_the_first_lattice(
+        monkeypatch, doubling, squaring):
+    first, seconds = _reach_test_maps(doubling, squaring)["poly"]
+    calls = []
+    original = first.try_evaluate
+
+    def counting(points):
+        calls.append(len(points))
+        return original(points)
+
+    monkeypatch.setattr(first, "try_evaluate", counting)
+    results = pseudogroup._compose_lockstep(first, seconds)
+    assert len(seconds) == 5
+    assert calls == [defaults.GRID_PER_AXIS ** first.dim]
+    assert sum(not isinstance(r, CompositionError) for r in results) >= 2
+
+
+@pytest.mark.parametrize("components, affine", [
+    (["2*x1", "2*x2"], True),
+    (["x1 - 0.8", "x2"], True),
+    (["x1", "-x2"], True),
+    (["0.5", "x2"], True),
+    (["x2", "x1"], False),
+    (["x1 + 0.1*x2", "x2"], False),
+    (["x1^2 - x2^2", "2*x1*x2"], False),
+])
+def test_diagonal_affine_detector(components, affine):
+    m = pmap(components, (-1.0, -1.0), (1.0, 1.0), "m")
+    assert pseudogroup._is_diagonal_affine(m) is affine
+
+
+def test_diagonal_affine_detector_refuses_chains_and_newton_inverses(doubling,
+                                                                     squaring):
+    maps = _reach_test_maps(doubling, squaring)
+    for kind in ("chain", "newton"):
+        assert not pseudogroup._is_diagonal_affine(maps[kind][0])
+
+
+def _nudge(x, ulps):
+    """``x`` moved by ``ulps`` units in the last place."""
+    x = float(x)
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, np.inf if ulps > 0 else -np.inf))
+    return x
+
+
+def _random_affine_map(rng, lo, hi, wild):
+    """A seeded map x -> (a_k x_k + b_k)_k on Box(lo, hi), its terms in a
+    random order.  ``wild`` adds reflections, constant and zero components,
+    -0.0 constants (dropped) and 1e300 coefficients that overflow."""
+    dim = len(lo)
+    zero = (0,) * dim
+    components = []
+    for k in range(dim):
+        e_k = tuple(int(j == k) for j in range(dim))
+        terms = [(e_k, float(rng.uniform(-3, 3))),
+                 (zero, float(rng.uniform(-2, 2)))]
+        kind = int(rng.integers(7 if wild else 3))  # 0 and 6: a x_k + b
+        if kind == 1:  # reflection
+            terms = [(e_k, -1.0)] + terms[1:] * int(rng.integers(2))
+        elif kind == 2:  # constant
+            terms = terms[1:]
+        elif kind == 3:  # zero
+            terms = [(zero, -0.0)] * int(rng.integers(2))
+        elif kind == 4:  # inf once |x_k| > 1.8e8
+            terms = [(e_k, float(rng.choice([1e300, -1e300])))] + terms[1:]
+        elif kind == 5:  # linear
+            terms = [(zero, -0.0), terms[0]]
+        if rng.integers(2):
+            terms = terms[::-1]
+        components.append(Polynomial(dim, dict(terms)))
+    return LocalMap.from_polynomials(components, Box(lo, hi), "a")
+
+
+def _lattice_verdict(first, second, lo, hi):
+    """The sampled verdict: ``first`` maps the whole lattice of [lo, hi]
+    into the second domain, widened by the compose margin."""
+    with np.errstate(all="ignore"):
+        img, good = first.try_evaluate(
+            lattice_points(lo, hi, defaults.GRID_PER_AXIS))
+    slack = defaults.COMPOSE_MARGIN * max(second.domain.diameter, 1.0)
+    return bool(good.all() and second.domain.contains(img, slack=slack).all())
+
+
+def _domain_reaching(reach_lo, reach_hi):
+    """A box whose bounds, widened by the compose margin, land on
+    ``reach_lo`` and ``reach_hi`` (to the ulp where floats allow), or None."""
+    lo, hi = list(reach_lo), list(reach_hi)
+    for _ in range(2):  # the margin depends on the box it widens
+        slack = defaults.COMPOSE_MARGIN * max(max(b - a for a, b in zip(lo, hi)), 1.0)
+        for k, (target_lo, target_hi) in enumerate(zip(reach_lo, reach_hi)):
+            lo[k], hi[k] = target_lo + slack, target_hi - slack
+            for _ in range(8):
+                if lo[k] - slack != target_lo:
+                    lo[k] = _nudge(lo[k], 1 if lo[k] - slack < target_lo else -1)
+                if hi[k] + slack != target_hi:
+                    hi[k] = _nudge(hi[k], 1 if hi[k] + slack < target_hi else -1)
+            if lo[k] >= hi[k]:  # flat images: reach past them on both sides
+                lo[k], hi[k] = target_lo - slack, target_hi + slack
+        if not all(np.isfinite(lo + hi)) or any(a >= b for a, b in zip(lo, hi)):
+            return None
+    return Box(tuple(lo), tuple(hi))
+
+
+def test_moved_corner_decides_like_the_whole_lattice():
+    """For a diagonal-affine first map, ``_corner_verdicts`` on a stretch of
+    a box that passed equals the verdict on the stretched box's full 5^d
+    lattice, bit for bit, down to bounds a few ulps off the corner images."""
+    rng = np.random.default_rng(20260)
+    verdicts = []
+    for _ in range(2500):
+        dim = int(rng.integers(1, 5))
+        scale = float(rng.choice([1e-3, 1.0, 1e10]))
+        lo = rng.uniform(-2, 2, dim) * scale
+        hi = np.array([[v, _nudge(v, 1), v + rng.uniform(0, 1) * scale][
+            int(rng.integers(3))] for v in lo])  # flat, one ulp or wide
+        if rng.integers(4) == 0:
+            hi = lo.copy()  # the seed point
+        first = _random_affine_map(rng, tuple(lo - scale), tuple(hi + scale),
+                                   wild=True)
+        d, side = int(rng.integers(dim)), int(rng.integers(2))
+        moved = lo[d] if side == 0 else hi[d]
+        t = float(rng.choice([rng.uniform(0, 1) * scale, np.spacing(moved),
+                              rng.uniform(0, 1e-12) * scale,
+                              rng.uniform(0, 1e12)]))
+        cand_lo, cand_hi = lo.copy(), hi.copy()
+        if side == 0:
+            cand_lo[d] = lo[d] - t
+        else:
+            cand_hi[d] = hi[d] + t
+        with np.errstate(all="ignore"):
+            img, cand = (first.evaluate(lattice_points(a, b, defaults.GRID_PER_AXIS),
+                                        check_domain=False)
+                         for a, b in ((lo, hi), (cand_lo, cand_hi)))
+        # Bounds a few ulps outside the box's images on the other axes, and
+        # a few ulps either side of two end images on axis d.
+        ends = [v for v in (img[:, d].min(), img[:, d].max(),
+                            cand[:, d].min(), cand[:, d].max()) if np.isfinite(v)]
+        if not ends or not np.all(np.isfinite(img)):
+            continue
+        reach_lo = [_nudge(v, -int(rng.integers(4))) for v in img.min(axis=0)]
+        reach_hi = [_nudge(v, int(rng.integers(4))) for v in img.max(axis=0)]
+        reach_lo[d], reach_hi[d] = (_nudge(v, int(rng.integers(-3, 4)))
+                                    for v in sorted(rng.choice(ends, 2)))
+        domain = _domain_reaching(reach_lo, reach_hi)
+        if domain is None:
+            continue
+        second = identity_map(domain)
+        if not _lattice_verdict(first, second, lo, hi):
+            continue  # the rule speaks only of stretches of a passing box
+        with np.errstate(all="ignore"):
+            got = pseudogroup._corner_verdicts(
+                first, second, np.array([lo, hi]), d, side, np.array([t]))
+        expected = _lattice_verdict(first, second, cand_lo, cand_hi)
+        assert got.shape == (1,)
+        assert bool(got[0]) == expected, (first.poly, lo, hi, d, side, t, domain)
+        verdicts.append(expected)
+    assert len(verdicts) >= 1000
+    assert 0.2 < np.mean(verdicts) < 0.8
+
+
+def test_affine_lockstep_matches_the_sequential_search():
+    rng = np.random.default_rng(7)
+    found = failed = 0
+    for _ in range(8):
+        dim = int(rng.integers(1, 4))
+        lo = rng.uniform(-1, 0, dim)
+        first = _random_affine_map(rng, tuple(lo),
+                                   tuple(lo + rng.uniform(0.2, 1.0, dim)),
+                                   wild=False)
+        assert pseudogroup._is_diagonal_affine(first)
+        seconds = []
+        for _ in range(3):
+            centre = first.evaluate(first.domain.lattice()[
+                [int(rng.integers(defaults.GRID_PER_AXIS ** dim))]])[0]
+            half = rng.uniform(0.05, 0.8, dim)
+            seconds.append(identity_map(Box(tuple(centre - half),
+                                            tuple(centre + half))))
+        seconds.append(identity_map(Box((50.0,) * dim, (51.0,) * dim)))
+        results = pseudogroup._compose_lockstep(first, seconds)
+        for second, result in zip(seconds, results):
+            try:
+                expected = sequential_compose_domain(first, second)
+            except CompositionError as exc:
+                assert isinstance(result, CompositionError)
+                assert str(result) == str(exc)
+                failed += 1
+                continue
+            assert result.domain == expected
+            found += 1
+    assert found >= 12 and failed >= 8
+
+
+def _closure_fingerprint(family):
+    """Labels, domains and composites of a family, comparable across runs."""
+    composites = []
+    for (f, g), c in family.composites.items():
+        if isinstance(c, CompositionError):
+            composites.append((f.label, g.label, str(c)))
+        else:
+            composites.append((f.label, g.label, c.label, c.kind, c.domain,
+                               c.poly, [s.label for s in c.steps]))
+    return (family.labels(), [m.domain for m in family.members],
+            [m.kind for m in family.members], composites)
+
+
+def test_affine_closure_matches_the_lattice_verdicts(monkeypatch):
+    """``generate`` and ``validate_axioms`` give the same members, domains,
+    composites and reports as with every search sampling lattices, on the
+    ``std_c1`` families and on a conjugated copy of them."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import scenarios
+    variant = scenarios.closure_variant(random.Random("closure:7"))
+    scens = [parse_scenario(builtin_scenarios()["std_c1"]),
+             parse_scenario(variant)]
+
+    def closures():
+        out = []
+        for scen in scens:
+            for name, spec in scen.family_specs.items():
+                def closure(depth):
+                    return generate([scen.maps[m] for m in spec.member_names],
+                                    scen.box, depth=depth,
+                                    dedup_tol=spec.dedup_tol,
+                                    restriction_targets=spec.restriction_targets)
+                fam = closure(spec.depth)
+                out.append(_closure_fingerprint(fam))
+                # The axioms of the depth-2 fam_ah take long to check; its
+                # depth-1 closure has members of every kind.
+                if name == "fam_ah":
+                    fam = closure(1)
+                    out.append(_closure_fingerprint(fam))
+                out.append(validate_axioms(fam, glue_tests=spec.glue_tests))
+        return out
+
+    fast = closures()
+    monkeypatch.setattr(pseudogroup, "_is_diagonal_affine", lambda map_: False)
+    assert closures() == fast
+    assert len(fast) == 14
+
+
+def test_glue_check_evaluates_each_piece_once(monkeypatch):
+    scen = parse_scenario(builtin_scenarios()["std_c1"])
+    spec = scen.family_specs["fam"]
+    fam = generate([scen.maps[m] for m in spec.member_names], scen.box,
+                   depth=spec.depth, dedup_tol=spec.dedup_tol)
+    test, = spec.glue_tests
+    calls = []
+    original = LocalMap.evaluate
+
+    def counting(self, points, check_domain=True):
+        calls.append(self.label)
+        return original(self, points, check_domain)
+
+    monkeypatch.setattr(LocalMap, "evaluate", counting)
+    # Reversed, the identity on the target's box comes before s: the check
+    # tries a member that disagrees before the one that represents the map.
+    for family in (fam, dataclasses.replace(fam, members=fam.members[::-1])):
+        calls.clear()
+        assert pseudogroup._check_glue(family, test) == []
+        pieces = [label for label in calls if "|" in label]
+        # Once each on the overlap of the pair, once each on its own lattice.
+        assert len(pieces) == 2 * len(test.boxes)
+    assert len({label for label in calls if "|" not in label}) >= 2
 
 
 def drive_bisect_stretch(passes, avail):

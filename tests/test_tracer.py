@@ -70,3 +70,24 @@ def test_builtin_run_reaches_the_layers_the_benchmark_predicts(capsys):
     for name in ("poly.evaluate.points", "jfield.eval_j.points",
                  "jfield.nijenhuis.calls", "crsolve.cr_residual.calls"):
         assert metrics[name] > 0, name
+
+
+def test_builtin_closure_reaches_the_pseudogroup_layers(capsys):
+    """``builtin std_c1`` builds and validates families; a refactor that
+    routes the closure around a traced name fails here."""
+    t = _load_tracer().Tracer()
+    t.install()
+    try:
+        with t.root(0):
+            code = cli.main(["builtin", "std_c1"])
+    finally:
+        t.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    metrics = t.metrics()
+    # ``pseudogroup.compose.calls`` reads 0 here: ``generate`` and
+    # ``validate_axioms`` compose by lock-step searches over all second
+    # maps of a first map, not through ``compose``.
+    for name in ("pseudogroup.try_evaluate.calls", "pseudogroup.covers.calls",
+                 "pseudogroup.generate.calls", "pseudogroup.invert.calls"):
+        assert metrics[name] > 0, name
