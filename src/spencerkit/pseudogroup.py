@@ -287,12 +287,14 @@ def _steps_of(map_):
 BISECTION_STEPS = 60
 BISECTION_LEVELS = 3
 # Sweeps over every side of a composite's domain; the growth stops earlier
-# once a sweep grows no side.
+# once every side in a row has failed to grow the same box.
 COMPOSE_GROWTH_ROUNDS = 6
 
 
-def _bisect_stretch(avail, probe):
-    """Generator of the stretch in [0, avail] the sequential search would keep.
+def _bisect_stretch(avail, probe, floor):
+    """Generator of the stretch in [0, avail] the sequential search would
+    keep, wherever that stretch exceeds ``floor``; otherwise of some
+    stretch at most ``floor``.
 
     That search takes ``avail`` when it passes, and otherwise the last
     passing midpoint of BISECTION_STEPS halvings of (0, avail).  Here
@@ -302,7 +304,9 @@ def _bisect_stretch(avail, probe):
     could visit, in heap order and with the same ``0.5 * (a + b)``
     arithmetic, and the verdicts pick the path.  The full stretch rides in
     the first probe.  It stops once no float lies strictly between t_ok and
-    t_bad, where every later midpoint would repeat a known verdict.
+    t_bad, where every later midpoint would repeat a known verdict, and
+    once t_bad <= floor: t_ok never passes t_bad and t_bad only falls, so
+    the sequential search would end at or below ``floor`` too.
     """
     t_ok, t_bad = 0.0, avail
     full = [avail]
@@ -324,7 +328,7 @@ def _bisect_stretch(avail, probe):
                 t_ok, node = mids[node], 2 * node + 2
             else:
                 t_bad, node = mids[node], 2 * node + 1
-        if 0.5 * (t_ok + t_bad) in (t_ok, t_bad):
+        if t_bad <= floor or 0.5 * (t_ok + t_bad) in (t_ok, t_bad):
             break
     return t_ok
 
@@ -398,39 +402,44 @@ def _compose_search(first, second, lattice, images, evaluable, affine):
     dom_lo = np.array(first.domain.lo)
     dom_hi = np.array(first.domain.hi)
     growth_tol = defaults.GROWTH_TOL * max(first.domain.diameter, 1.0)
-    for _ in range(COMPOSE_GROWTH_ROUNDS):
-        grew = False
-        for d in range(first.dim):
-            for side in (0, 1):
-                if side == 0:
-                    avail = box[0, d] - dom_lo[d]
-                else:
-                    avail = dom_hi[d] - box[1, d]
-                if avail <= 0:
-                    continue
-
-                def stretched(t):
-                    # Copies of the box that differ in one coordinate of
-                    # the moving corner.
-                    boxes = np.empty((np.size(t),) + box.shape)
-                    boxes[:] = box
-                    if side == 0:
-                        boxes[:, 0, d] = box[0, d] - t
-                    else:
-                        boxes[:, 1, d] = box[1, d] + t
-                    return boxes
-
-                def probe(ts):
-                    if affine:
-                        return _corner_verdicts(first, second, box, d, side, ts)
-                    return (yield stretched(ts))
-
-                best = yield from _bisect_stretch(avail, probe)
-                if best > growth_tol:
-                    box = stretched(best)[0]
-                    grew = True
-        if not grew:
+    # A side grows the box only by a stretch above growth_tol, and its
+    # verdicts depend on the box and the side alone.  So a side with no
+    # more than growth_tol to go is not searched, and once every side in
+    # a row has failed on the same box, the sweeps would only repeat
+    # those failures.
+    sides = [(d, side) for d in range(first.dim) for side in (0, 1)]
+    idle = 0  # sides in a row that failed to grow the current box
+    for d, side in sides * COMPOSE_GROWTH_ROUNDS:
+        if idle == len(sides):
             break
+        idle += 1
+        if side == 0:
+            avail = box[0, d] - dom_lo[d]
+        else:
+            avail = dom_hi[d] - box[1, d]
+        if avail <= growth_tol:
+            continue
+
+        def stretched(t):
+            # Copies of the box that differ in one coordinate of the moving
+            # corner.
+            boxes = np.empty((np.size(t),) + box.shape)
+            boxes[:] = box
+            if side == 0:
+                boxes[:, 0, d] = box[0, d] - t
+            else:
+                boxes[:, 1, d] = box[1, d] + t
+            return boxes
+
+        def probe(ts):
+            if affine:
+                return _corner_verdicts(first, second, box, d, side, ts)
+            return (yield stretched(ts))
+
+        best = yield from _bisect_stretch(avail, probe, growth_tol)
+        if best > growth_tol:
+            box = stretched(best)[0]
+            idle = 0
     lo, hi = box
     if np.any(hi - lo <= 0):
         raise CompositionError(

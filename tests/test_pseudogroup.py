@@ -230,15 +230,29 @@ def _reach_test_maps(doubling, squaring):
     assert chain.kind == LocalMap.CHAIN
     newton = invert(squaring)
     far = pmap(["x1 - 3", "x2"], (-1.0, -1.0), (-0.5, 1.0), "far")
+    std = parse_scenario(builtin_scenarios()["std_c1"]).maps
+    # After its x2 sides grow, the lattice no longer samples x2 = 0, where
+    # x1 - x2^2 is largest, so the x1 hi side grows again in the second
+    # sweep, to 0.305 past the 0.3 it reached in the first.
+    bend = pmap(["x1 - x2^2", "x2"], (-0.3, -1.0), (1.0, 1.0), "bend")
     return {
         "poly": (doubling, [doubling, doubling.declared_inverse, squaring,
                             cubic2, far]),
         "newton": (newton, [squaring, doubling, newton, cubic, far]),
         "chain": (chain, [doubling, squaring, newton, cubic2, far]),
+        "nonlinear": (squaring, [squaring, doubling, newton, cubic2, far]),
+        # inv(sq) then tr has no interior: every side of that search fails.
+        "std_c1": (invert(std["sq"]), [std["sq"], std["s"], std["tr"],
+                                       std["t"]]),
+        "second_sweep": (bend, [
+            identity_map(Box((-0.5, -0.3), (0.3, 0.5))),
+            identity_map(Box((-0.6, -0.2), (0.25, 0.6))),
+            identity_map(Box((5.0, 5.0), (6.0, 6.0)))]),
     }
 
 
-@pytest.mark.parametrize("kind", ["poly", "newton", "chain"])
+@pytest.mark.parametrize("kind", ["poly", "newton", "chain", "nonlinear",
+                                  "std_c1", "second_sweep"])
 def test_lockstep_searches_match_one_pair_at_a_time(kind, doubling, squaring):
     first, seconds = _reach_test_maps(doubling, squaring)[kind]
     results = pseudogroup._compose_lockstep(first, seconds)
@@ -257,6 +271,11 @@ def test_lockstep_searches_match_one_pair_at_a_time(kind, doubling, squaring):
         found += 1
     assert found >= 2 and failed >= 1
     assert isinstance(results[-1], CompositionError)
+    if kind == "std_c1":
+        assert str(results[2]) == ("composable region of inv(sq) then tr has "
+                                   "no interior")
+    if kind == "second_sweep":
+        assert results[0].domain.hi[0] > 0.305
 
 
 def test_lockstep_evaluates_as_often_as_the_longest_search(monkeypatch,
@@ -550,12 +569,12 @@ def test_glue_check_evaluates_each_piece_once(monkeypatch):
     assert len({label for label in calls if "|" not in label}) >= 2
 
 
-def drive_bisect_stretch(passes, avail):
+def drive_bisect_stretch(passes, avail, floor=0.0):
     """Run the ``_bisect_stretch`` generator with a synthetic verdict rule."""
     def probe(ts):
         return (yield ts)
 
-    search = pseudogroup._bisect_stretch(avail, probe)
+    search = pseudogroup._bisect_stretch(avail, probe, floor)
     ts = next(search)
     try:
         while True:
@@ -583,6 +602,100 @@ def test_bisect_stretch_stops_once_the_interval_cannot_shrink(threshold):
     assert drive_bisect_stretch(passes, 1.0) == t_ok
     assert len(calls) < (pseudogroup.BISECTION_STEPS
                          // pseudogroup.BISECTION_LEVELS)
+
+
+def reference_stretch(passes, avail):
+    """The sequential search's stretch: ``avail`` when it passes, else the
+    last passing midpoint of all BISECTION_STEPS halvings, one midpoint per
+    evaluation."""
+    if passes(np.array([avail]))[0]:
+        return avail
+    t_ok, t_bad = 0.0, avail
+    for _ in range(pseudogroup.BISECTION_STEPS):
+        mid = 0.5 * (t_ok + t_bad)
+        if passes(np.array([mid]))[0]:
+            t_ok = mid
+        else:
+            t_bad = mid
+    return t_ok
+
+
+def test_bisect_stretch_above_its_floor_is_the_sequential_stretch():
+    """With a floor, the stretch is the sequential one wherever that one
+    exceeds the floor, and at most the floor otherwise; the search stops
+    once its failing bound is at most the floor, not once the interval is
+    narrower than it."""
+    rng = np.random.default_rng(19)
+    above = below = 0
+    probes = {"floor": 0, "none": 0}
+    for case in range(600):
+        rule = ("threshold", "never", "wiggle")[case % 3]
+        avail = float(10.0 ** rng.uniform(-13, 0.5))
+        floor = 0.0 if case % 4 == 0 else float(10.0 ** rng.uniform(-16, 0.5))
+        if rule == "threshold":
+            threshold = avail * rng.uniform(0, 1.2)
+
+            def passes(ts, threshold=threshold):
+                return ts <= threshold
+        elif rule == "never":
+            def passes(ts):
+                return np.zeros(len(ts), dtype=bool)
+        else:  # non-monotone in the stretch
+            freq = rng.uniform(1, 50) / avail
+            phase, bias = rng.uniform(0, 6), rng.uniform(-0.5, 0.5)
+
+            def passes(ts, freq=freq, phase=phase, bias=bias):
+                return np.sin(ts * freq + phase) > bias
+        expected = reference_stretch(passes, avail)
+
+        def counted(key, passes=passes):
+            def rule(ts):
+                probes[key] += 1
+                return passes(ts)
+            return rule
+
+        got = drive_bisect_stretch(counted("floor"), avail, floor)
+        drive_bisect_stretch(counted("none"), avail)
+        if expected > floor:
+            assert got == expected, (rule, avail, floor)
+            above += 1
+        else:
+            assert got <= floor, (rule, avail, floor, got)
+            below += 1
+    assert above >= 150 and below >= 150
+    assert probes["floor"] < 0.8 * probes["none"]
+
+
+def test_growth_exits_cut_the_rounds_of_a_lockstep_call(monkeypatch):
+    """``inv(sq)`` against its 10 level-2 seconds in the depth-2 closure of
+    ``std_c1``'s ``fam_ah``: 2 searches find a composite and most of the
+    others have no interior.  Bisecting every side down to its last float
+    and running every sweep to its end, the call takes 154 rounds."""
+    scen = parse_scenario(builtin_scenarios()["std_c1"])
+    spec = scen.family_specs["fam_ah"]
+    calls = []
+    lockstep = pseudogroup._compose_lockstep
+
+    def recording(first, seconds):
+        calls.append((first, seconds))
+        return lockstep(first, seconds)
+
+    monkeypatch.setattr(pseudogroup, "_compose_lockstep", recording)
+    generate([scen.maps[m] for m in spec.member_names], scen.box,
+             depth=spec.depth, dedup_tol=spec.dedup_tol)
+    (first, seconds), = [c for c in calls if c[0].label == "inv(sq)"]
+    rounds = []
+    lattice = pseudogroup.lattice_points
+
+    def counting(*args):
+        rounds.append(1)
+        return lattice(*args)
+
+    monkeypatch.setattr(pseudogroup, "lattice_points", counting)
+    results = lockstep(first, seconds)
+    assert len(seconds) == 10
+    assert sum(not isinstance(r, CompositionError) for r in results) == 2
+    assert len(rounds) == 103
 
 
 def test_generate_and_axioms_compose_each_pair_once(monkeypatch, translation,
