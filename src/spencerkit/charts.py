@@ -123,6 +123,8 @@ def build_spencer_chart(structure, fields, box=None,
 
 def _vandermonde(w, fit_degree):
     """Columns of holomorphic monomials of w up to fit_degree, constant first."""
+    if fit_degree < 0:
+        raise ConfigurationError(f"fit_degree must be nonnegative, got {fit_degree}")
     m = w.shape[1]
     monomials = monomials_upto(m, fit_degree, include_constant=True)
     return PolyMap([Polynomial(m, {e: 1.0}) for e in monomials]).evaluate(w), monomials

@@ -232,7 +232,8 @@ def estimate_spencer_type(structure, solution, svd_rel_tol=defaults.SVD_REL_TOL)
 
     Greedily keeps the canonical basis fields of ``solution`` (an
     ``AHSolutionSet`` of ``structure``) while each one raises the real
-    Jacobian rank by two.  Capped by the complex dimension.
+    Jacobian rank by two.  At most the complex dimension n: the rank of
+    rows with 2n columns is at most 2n, and the search stops there.
     """
     pts = structure.box.lattice(solution.grid_k)
     notes = [f"solution space dimension {solution.nullity} at degree {solution.degree}"]
@@ -254,13 +255,8 @@ def estimate_spencer_type(structure, solution, svd_rel_tol=defaults.SVD_REL_TOL)
             notes.append(
                 f"candidate raised the Jacobian rank by {gain}; skipped as "
                 f"numerically marginal")
-    m = len(selected)
-    if m > structure.n:
-        notes.append(f"estimate {m} exceeds the dimension cap {structure.n}")
-        selected = selected[:structure.n]
-        m = structure.n
     return TypeEstimate(
-        m=m,
+        m=len(selected),
         selected=tuple(selected),
         rank_evidence=rank,
         notes=notes,

@@ -93,7 +93,8 @@ class LocalMap:
 
     def evaluate(self, points, check_domain=True):
         """Values (P, d) at a batch (P, d); DomainError for points outside
-        the domain unless ``check_domain`` is False."""
+        the domain unless ``check_domain`` is False, and InversionError at
+        the first point ``try_evaluate`` masks."""
         pts = np.asarray(points, dtype=float)
         if check_domain:
             inside = self.domain.contains(pts)
@@ -101,14 +102,13 @@ class LocalMap:
                 bad = pts[~inside][0]
                 raise DomainError(
                     f"point {tuple(map(float, bad))} outside the domain of {self.label}")
-        if self.kind == self.POLY:
-            out = self.poly.evaluate(pts)
-        elif self.kind == self.CHAIN:
-            out = pts
-            for step in self.steps:
-                out = step.evaluate(out, check_domain=False)
-        else:
-            out = self._newton_solve(pts)
+        out, ok = self.try_evaluate(pts)
+        if not np.all(ok):
+            bad = tuple(map(float, pts[~ok][0]))
+            raise InversionError(
+                f"Newton iteration for {self.label} failed to converge for target {bad}"
+                if self.kind == self.NEWTON else
+                f"Newton iteration inside {self.label} failed to converge for input {bad}")
         return out
 
     __call__ = evaluate
@@ -125,7 +125,7 @@ class LocalMap:
                 out = np.einsum("pij,pjk->pik", step.jacobian(current), out)
                 current = step.evaluate(current, check_domain=False)
         else:
-            fwd = self.forward.jacobian(self._newton_solve(pts))
+            fwd = self.forward.jacobian(self.evaluate(pts, check_domain=False))
             try:
                 out = np.linalg.inv(fwd)
             except np.linalg.LinAlgError as exc:
@@ -138,11 +138,12 @@ class LocalMap:
 
         Polynomial maps are total.  Newton inverses (and chains through them)
         can fail on bounding-box points outside the true image; those points
-        come back masked instead of raising.
+        come back masked instead of raising.  This is the one place that
+        evaluates by kind; ``evaluate`` raises where it masks.
         """
         pts = np.asarray(points, dtype=float)
         if self.kind == self.POLY:
-            return self.evaluate(pts, check_domain=False), np.ones(len(pts), dtype=bool)
+            return self.poly.evaluate(pts), np.ones(len(pts), dtype=bool)
         if self.kind == self.CHAIN:
             current = pts
             valid = np.ones(len(pts), dtype=bool)
@@ -151,16 +152,6 @@ class LocalMap:
                 valid &= ok
             return current, valid
         return self._newton_solve_batch(pts)
-
-    def _newton_solve(self, ys):
-        """Newton-inverse values at ``ys``; InversionError where one stalls."""
-        xs, ok = self._newton_solve_batch(ys)
-        if not np.all(ok):
-            bad = ys[~ok][0]
-            raise InversionError(
-                f"Newton iteration for {self.label} failed to converge "
-                f"for target {tuple(map(float, bad))}")
-        return xs
 
     def _newton_solve_batch(self, ys):
         """Solve forward(x) = y by damped Newton, one target per row.

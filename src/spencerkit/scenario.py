@@ -212,11 +212,18 @@ def parse_scenario(data):
     for mname, mdata in _json_object(data.get("maps", {}), "maps").items():
         mname = str(mname)
         where = f"map {mname!r}"
+        # A map m with an inverse also registers that inverse as m_inv.
+        if mname in maps:
+            raise ScenarioError(f"{where} is also the declared inverse of "
+                                f"map {maps[mname].declared_inverse.label!r}")
         m = _parse_map(mname, mdata, MAP_KEYS, 2 * n, box, where)
         if "inverse" in mdata:
             inv = _parse_map(f"{mname}_inv", mdata["inverse"],
                              ("components", "domain"), 2 * n, box,
                              f"{where} inverse")
+            if inv.label in maps:
+                raise ScenarioError(f"{where}: its inverse is named "
+                                    f"{inv.label!r}, a map already declared")
             m.declared_inverse = inv
             inv.declared_inverse = m
             maps[inv.label] = inv
@@ -341,6 +348,9 @@ def _validate_task(spec, tables, where):
         raise ScenarioError(f"{where}: unknown task {kind!r}")
     keys = TASKS[kind][1]
     _json_object(spec, f"{where} ({kind})", ("task", "label", "expect", *keys))
+    if not isinstance(spec.get("label", kind), str):
+        raise ScenarioError(f'{where}: "label" must be a string, '
+                            f'got {spec["label"]!r}')
     if spec.get("expect", "pass") not in ("pass", "fail"):
         raise ScenarioError(f'{where}: expect must be "pass" or "fail"')
     refs = [key for key, ref in keys.items() if ref != "int"]
@@ -643,7 +653,7 @@ TASKS = {
 
 def _run_one_task(scenario, spec, run):
     kind = spec["task"]
-    label = str(spec.get("label", kind))
+    label = spec.get("label", kind)
     try:
         report = TASKS[kind][0](scenario, spec, run)
     except CHECK_FAILURES as exc:

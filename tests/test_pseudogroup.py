@@ -102,6 +102,37 @@ def test_a_single_point_is_refused_not_promoted(call, error):
         call(np.array([0.5, 0.25]))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: pmap(["x1^2 - x2", "x1*x2 + 0.5"], (-1.0, -1.0), (1.0, 1.0), "m"),
+    fold_inverse, through_newton], ids=["polynomial", "newton", "chain"])
+def test_evaluate_is_try_evaluate_raising_where_it_masks(make):
+    map_ = make()
+    lo, hi = map_.domain.lo, map_.domain.hi
+    pts = np.concatenate([map_.domain.lattice(7), np.random.default_rng(5)
+                          .uniform(lo, hi, size=(40, 2))])
+    values, ok = map_.try_evaluate(pts)
+    assert ok.all() if map_.kind == LocalMap.POLY else 0 < ok.sum() < len(ok)
+    valid = map_.evaluate(pts[ok])
+    assert valid.tobytes() == map_.try_evaluate(pts[ok])[0].tobytes()
+    assert valid.tobytes() == values[ok].tobytes()
+    for row, good in enumerate(ok):
+        if good:
+            assert map_.evaluate(pts[row:row + 1]).tobytes() == values[row].tobytes()
+        else:
+            with pytest.raises(InversionError):
+                map_.evaluate(pts[row:row + 1])
+    if not ok.all():
+        first = tuple(map(float, pts[~ok][0]))
+        expected = {
+            LocalMap.NEWTON: f"Newton iteration for inv(q) failed to converge "
+                             f"for target {first}",
+            LocalMap.CHAIN: f"Newton iteration inside chain failed to converge "
+                            f"for input {first}"}[map_.kind]
+        with pytest.raises(InversionError) as exc:
+            map_.evaluate(pts)
+        assert str(exc.value) == expected
+
+
 def test_identity_map_is_self_inverse():
     box = Box((0.0, 0.0), (1.0, 1.0))
     ident = identity_map(box)

@@ -321,6 +321,9 @@ def test_cli_tol_override_must_be_finite_and_positive(scenario_file, capsys,
     {"name": "bad\ud800name"},
     {"tasks": [{"task": "cr_check", "function": "z", "label": "\ud800"}]},
     {"name": 5},
+    {"tasks": [{"task": "check_acs", "label": None}]},
+    {"tasks": [{"task": "check_acs", "label": 5}]},
+    {"tasks": [{"task": "check_acs", "label": ["a"]}]},
 ])
 def test_cli_rejects_malformed_scenarios_with_exit_two(scenario_file, capsys,
                                                         overrides):
@@ -361,6 +364,44 @@ def test_cli_rejects_overflowing_json_bound_and_literal(tmp_path, capsys):
         path.write_text(json.dumps(minimal_scenario(functions={"z": text})))
         assert cli.main(["run", str(path)]) == 2
         assert "is not finite (at offset 0)" in capsys.readouterr().err
+
+
+T_WITH_INVERSE = {"components": ["x1 + 0.1", "x2"],
+                  "domain": {"lo": [-0.5, -0.5], "hi": [0.5, 0.5]},
+                  "inverse": {"components": ["x1 - 0.1", "x2"],
+                              "domain": {"lo": [-0.4, -0.5], "hi": [0.6, 0.5]}}}
+T_INV = {"components": ["x1 + 0.5", "x2"]}
+
+
+def test_cli_refuses_a_map_declared_before_an_inverse_of_its_name(
+        scenario_file, capsys):
+    # Registering t's inverse as t_inv would replace the declared t_inv.
+    data = minimal_scenario(maps={"t_inv": T_INV, "t": T_WITH_INVERSE})
+    with pytest.raises(ScenarioError, match="its inverse is named 't_inv'"):
+        parse_scenario(data)
+    assert cli.main(["run", scenario_file(data)]) == 2
+    assert "a map already declared" in capsys.readouterr().err
+
+
+def test_cli_refuses_a_map_declared_after_an_inverse_of_its_name(
+        scenario_file, capsys):
+    # The declared t_inv would replace t's inverse in the map table.
+    data = minimal_scenario(maps={"t": T_WITH_INVERSE, "t_inv": T_INV})
+    with pytest.raises(ScenarioError, match="map 't_inv' is also the declared "
+                                            "inverse of map 't'"):
+        parse_scenario(data)
+    assert cli.main(["run", scenario_file(data)]) == 2
+    assert "error: map 't_inv'" in capsys.readouterr().err
+
+
+def test_cli_refuses_a_negative_fit_degree(scenario_file, capsys):
+    data = minimal_scenario(
+        charts={"c": {"functions": ["z"]}},
+        tasks=[{"task": "factorize", "chart": "c", "function": "z",
+                "fit_degree": -1}])
+    assert cli.main(["run", scenario_file(data)]) == 2
+    assert capsys.readouterr().err == (
+        "error: fit_degree must be nonnegative, got -1\n")
 
 
 UNIT = {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}
