@@ -4,9 +4,9 @@ A local map is a smooth map defined on a box.  Three representations cover
 everything the toolkit builds: explicit polynomial maps, chains (step-by-step
 composites kept numeric once symbolic degrees or coefficients would blow
 up), and Newton inverses (evaluation-only root finding against a forward
-map).  Families are generated by breadth-first closure under composition,
-inversion and declared restrictions, and validated against the pseudogroup
-axioms:
+map; an affine map's inverse is polynomial instead).  Families are
+generated by breadth-first closure under composition, inversion and
+declared restrictions, and validated against the pseudogroup axioms:
 
   1. composition: composable pairs stay in the family,
   2. inversion: inverses stay in the family,
@@ -113,8 +113,13 @@ class LocalMap:
 
     __call__ = evaluate
 
-    def jacobian(self, points):
-        """Jacobians (P, d, d) at a batch (P, d)."""
+    def jacobian(self, points, values=None):
+        """Jacobians (P, d, d) at a batch (P, d).
+
+        ``values``, the map's values at ``points`` where the caller has
+        them already, spare a Newton inverse its solve; a chain hands each
+        step the values it computes anyway.
+        """
         pts = np.asarray(points, dtype=float)
         if self.kind == self.POLY:
             out = self.poly.jacobian(pts)
@@ -122,10 +127,13 @@ class LocalMap:
             out = np.broadcast_to(np.eye(self.dim), (pts.shape[0], self.dim, self.dim)).copy()
             current = pts
             for step in self.steps:
-                out = np.einsum("pij,pjk->pik", step.jacobian(current), out)
-                current = step.evaluate(current, check_domain=False)
+                image = step.evaluate(current, check_domain=False)
+                out = np.einsum("pij,pjk->pik", step.jacobian(current, image), out)
+                current = image
         else:
-            fwd = self.forward.jacobian(self.evaluate(pts, check_domain=False))
+            if values is None:
+                values = self.evaluate(pts, check_domain=False)
+            fwd = self.forward.jacobian(values)
             try:
                 out = np.linalg.inv(fwd)
             except np.linalg.LinAlgError as exc:
@@ -160,7 +168,10 @@ class LocalMap:
         steps with halving until the residual drops, and is accepted once the
         residual falls below ``defaults.NEWTON_ACCEPT_TOL`` of its scale.
         Points that stall come back with a False mask entry; garbage rows
-        (NaN propagation) mask themselves out as well.
+        (NaN propagation) mask themselves out as well.  The forward map is
+        evaluated through ``try_evaluate``, and a masked forward value reads
+        as a NaN residual: a row whose seed masks stops as failed, and a
+        trial step that masks does not improve its row.
 
         Every row is solved on its own, so each distinct target is solved
         once and its result copied to its repeats.  Rows are equal only when
@@ -192,8 +203,7 @@ class LocalMap:
                            out=dist)
             nearest[start:start + block] = np.argmin(dist, axis=1)
         x = self.seeds_x[nearest].astype(float)
-        res = self.forward.evaluate(x, check_domain=False) - ys
-        norm = np.max(np.abs(res), axis=1)
+        res, norm = self._residuals(x, ys)
         # The rows still iterating: (row, x, res, norm, y, scale).  A row that
         # converges, stalls or turns NaN never iterates again, so it leaves
         # for good, and its x and norm go back to the full arrays.
@@ -229,8 +239,7 @@ class LocalMap:
                 if not rows.size:
                     break
                 trial = px - t[:, None] * pstep
-                trial_res = self.forward.evaluate(trial, check_domain=False) - pys
-                trial_norm = np.max(np.abs(trial_res), axis=1)
+                trial_res, trial_norm = self._residuals(trial, pys)
                 better = trial_norm < pnorm
                 good = rows[better]
                 lx[good], lres[good], lnorm[good] = (
@@ -244,6 +253,13 @@ class LocalMap:
         with np.errstate(invalid="ignore"):
             ok = norm <= defaults.NEWTON_ACCEPT_TOL * scale
         return x[inverse], ok[inverse]
+
+    def _residuals(self, x, ys):
+        """forward(x) - y and its max norm per row; the norm is NaN where
+        the forward map masks."""
+        values, ok = self.forward.try_evaluate(x)
+        res = values - ys
+        return res, np.where(ok, np.max(np.abs(res), axis=1), np.nan)
 
 
 def identity_map(box):
@@ -517,8 +533,9 @@ def invert(map_, tol_invert=defaults.TOL_INVERT, tol_det=defaults.TOL_DET):
     """Inverse of a local map.
 
     A declared inverse is validated by the round trip on the domain lattice.
-    Otherwise the Jacobian must be uniformly nondegenerate on the lattice and
-    a Newton inverse is built on the bounding box of the image.
+    Otherwise the Jacobian must be uniformly nondegenerate on the lattice,
+    and the inverse lives on the bounding box of the image: exact for an
+    affine map whose round trip passes, a Newton inverse for any other.
     """
     lattice = map_.domain.lattice()
     images, evaluable = map_.try_evaluate(lattice)
@@ -540,7 +557,8 @@ def invert(map_, tol_invert=defaults.TOL_INVERT, tol_det=defaults.TOL_DET):
                 f"declared inverse of {map_.label} fails the round trip: "
                 f"defect {defect:.3e} > {tol_invert:g}")
         return inv
-    dets = np.linalg.det(map_.jacobian(lattice))
+    jac = map_.jacobian(lattice)
+    dets = np.linalg.det(jac)
     min_det = float(np.min(np.abs(dets)))
     if min_det <= tol_det:
         raise InversionError(
@@ -554,10 +572,24 @@ def invert(map_, tol_invert=defaults.TOL_INVERT, tol_det=defaults.TOL_DET):
     hi = tuple(np.max(images, axis=0))
     if any(a >= b for a, b in zip(lo, hi)):
         raise InversionError(f"image of {map_.label} has no interior")
-    out = LocalMap(LocalMap.NEWTON, Box(lo, hi), f"inv({map_.label})",
-                   forward=map_, seeds_x=np.array(lattice),
-                   seeds_y=np.array(images), declared_inverse=map_)
-    return out
+    domain, label = Box(lo, hi), f"inv({map_.label})"
+    if map_.kind == LocalMap.POLY and map_.poly.degree <= 1:
+        # y = A x + b with A nonsingular is a bijection of R^d, inverted by
+        # x = A^-1 y - A^-1 b; A is the (constant) Jacobian.  One solve
+        # gives [A^-1 | -A^-1 b], and the round trip on the lattice guards
+        # it; should the round trip fail, the Newton inverse stands in.
+        d = map_.dim
+        b = [c.terms.get((0,) * d, 0.0).real for c in map_.poly.components]
+        coef = np.linalg.solve(jac[0], np.column_stack([np.eye(d), np.negative(b)]))
+        exponents = [tuple(e) for e in np.eye(d, dtype=int)] + [(0,) * d]
+        exact = LocalMap.from_polynomials(
+            [Polynomial(d, dict(zip(exponents, row))) for row in coef],
+            domain, label, declared_inverse=map_)
+        if float(np.max(np.abs(exact.poly.evaluate(images) - lattice))) <= tol_invert:
+            return exact
+    return LocalMap(LocalMap.NEWTON, domain, label, forward=map_,
+                    seeds_x=np.array(lattice), seeds_y=np.array(images),
+                    declared_inverse=map_)
 
 
 # ---------------------------------------------------------------------------
@@ -679,9 +711,10 @@ def generate(seeds, ambient, depth=2, dedup_tol=None, restriction_targets=(),
                     add(c)
         for f in current:
             try:
-                add(invert(f, tol_invert=tol_invert, tol_det=tol_det))
+                inverse = invert(f, tol_invert=tol_invert, tol_det=tol_det)
             except InversionError:
                 continue
+            add(inverse)
         for f in current:
             for target in restriction_targets:
                 try:
@@ -855,7 +888,7 @@ def check_ah_map(map_, structure, grid_k=defaults.GRID_PER_AXIS,
     if not len(pts):
         raise DomainError(
             f"no lattice point of {map_.label} stays inside both structure boxes")
-    dphi = map_.jacobian(pts)
+    dphi = map_.jacobian(pts, values=images)
     j_src = eval_j(structure, pts)
     j_dst = eval_j(structure, images)
     defect = (np.einsum("pij,pjk->pik", dphi, j_src)

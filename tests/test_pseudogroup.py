@@ -30,7 +30,8 @@ from spencerkit.errors import (CompositionError, ConfigurationError,
 from spencerkit.jfield import lattice_points
 from spencerkit.pseudogroup import (NEWTON_HALVINGS, NEWTON_MAX_ITER,
                                     NEWTON_SEED_BLOCK, OverDiagram)
-from spencerkit.scenario import builtin_scenarios, parse_scenario
+from spencerkit.scenario import (builtin_scenarios, emit_json, parse_scenario,
+                                 run_scenario)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -950,6 +951,102 @@ def test_invert_refuses_a_non_finite_jacobian_determinant():
     assert str(exc.value) == "Jacobian of m is not finite on its lattice"
 
 
+def _newton_inverse(map_):
+    """The Newton inverse ``invert`` builds for a map with no exact one."""
+    lattice = map_.domain.lattice()
+    images = map_.evaluate(lattice)
+    return LocalMap(LocalMap.NEWTON,
+                    Box(tuple(images.min(axis=0)), tuple(images.max(axis=0))),
+                    f"inv({map_.label})", forward=map_, seeds_x=lattice,
+                    seeds_y=images, declared_inverse=map_)
+
+
+def test_affine_inverse_is_polynomial_and_matches_the_newton_inverse():
+    tr = pmap(["x1 + 0.1", "x2 + 0.05"], (-0.5, -0.5), (0.5, 0.5), "tr")
+    inv = invert(tr)
+    newton = _newton_inverse(tr)
+    assert inv.kind == LocalMap.POLY and inv.label == "inv(tr)"
+    assert inv.declared_inverse is tr
+    assert inv.domain == newton.domain
+    assert pseudogroup._is_diagonal_affine(inv)
+    pts = newton.domain.lattice()
+    values, ok = newton.try_evaluate(pts)
+    assert ok.all()
+    assert np.max(np.abs(inv.evaluate(pts) - values)) <= defaults.TOL_INVERT
+
+
+def test_non_diagonal_affine_inverse_round_trips():
+    # 1.5 times a rotation, plus a shift
+    m = pmap(["0.9*x1 - 1.2*x2 + 0.3", "1.2*x1 + 0.9*x2 - 0.2"],
+             (-0.5, -0.4), (0.6, 0.5), "rs")
+    inv = invert(m)
+    assert inv.kind == LocalMap.POLY and inv.poly.degree == 1
+    assert not pseudogroup._is_diagonal_affine(inv)
+    pts = m.domain.lattice(9)
+    assert np.max(np.abs(inv.evaluate(m.evaluate(pts)) - pts)) <= defaults.TOL_INVERT
+    assert inv.domain.contains(m.evaluate(pts)).all()
+
+
+def test_affine_inverse_coefficients_match_exact_arithmetic():
+    m = pmap(["2*x1 + x2 + 0.5", "x1 + 3*x2 - 0.25"], (-1.0, -1.0), (1.0, 1.0), "m")
+    a = sympy.Matrix([[2, 1], [1, 3]])
+    b = sympy.Matrix([sympy.Rational(1, 2), sympy.Rational(-1, 4)])
+    linear, shift = a.inv(), -a.inv() * b
+    inv = invert(m)
+    assert inv.kind == LocalMap.POLY
+    for k, comp in enumerate(inv.poly.components):
+        expected = {(1, 0): linear[k, 0], (0, 1): linear[k, 1], (0, 0): shift[k]}
+        assert set(comp.terms) == {e for e, c in expected.items() if c != 0}
+        for e, c in comp.terms.items():
+            assert c.imag == 0
+            assert abs(c.real - float(expected[e])) <= 1e-15, (k, e)
+
+
+def test_ill_conditioned_affine_map_falls_back_to_newton():
+    # det 1, but the condition number is about 1e16: the exact inverse's
+    # round trip misses tol_invert, so the Newton inverse stands in.
+    m = pmap(["1e8*x1 + 99999999*x2", "x1 + x2"], (-1.0, -1.0), (1.0, 1.0), "ill")
+    assert invert(m).kind == LocalMap.NEWTON
+
+
+@pytest.mark.parametrize("components, text", [
+    (["x1 + x2", "2*x1 + 2*x2 + 1"], "has |det| = 0.000e+00 <= 1e-06"),
+    (["x1 - 0.5", "1e-7*x2"], "has |det| = 1.000e-07 <= 1e-06"),
+])
+def test_affine_map_with_small_determinant_is_still_refused(components, text):
+    m = pmap(components, (-1.0, -1.0), (1.0, 1.0), "flat")
+    with pytest.raises(InversionError) as exc:
+        invert(m)
+    assert str(exc.value) == f"flat {text} on its lattice; not invertible"
+
+
+def test_fam_ah_members_by_kind():
+    scen = parse_scenario(builtin_scenarios()["std_c1"])
+    spec = scen.family_specs["fam_ah"]
+    fam = generate([scen.maps[m] for m in spec.member_names], scen.box,
+                   depth=spec.depth, dedup_tol=spec.dedup_tol)
+    kinds = [m.kind for m in fam.members]
+    assert len(kinds) == 44
+    assert [kinds.count(k) for k in (LocalMap.POLY, LocalMap.CHAIN,
+                                     LocalMap.NEWTON)] == [34, 7, 3]
+    assert fam.find("inv(tr)").kind == LocalMap.POLY
+
+
+def test_generate_does_not_swallow_errors_from_covers(monkeypatch, squaring):
+    # Only the inverse's add raises: at depth 1 the composites and the
+    # seeds come first, and their adds must pass.
+    covers_ = pseudogroup.covers
+
+    def failing(member, candidate, tol, sample=None):
+        if candidate.label.startswith("inv("):
+            raise InversionError("covers failed")
+        return covers_(member, candidate, tol, sample)
+
+    monkeypatch.setattr(pseudogroup, "covers", failing)
+    with pytest.raises(InversionError, match="covers failed"):
+        generate([squaring], Box((-1.0, -1.0), (1.0, 1.0)), depth=1)
+
+
 # The Newton loop that gathered and scattered every live row on every step
 # and halving, before the live rows were compacted; kept verbatim as the
 # bit-identity reference.
@@ -1071,13 +1168,13 @@ def test_newton_batch_solves_each_distinct_target_once(monkeypatch, squaring):
         x_ref, ok_ref = _reference_newton_solve_batch(inverse, ys)
         alone = [inverse._newton_solve_batch(ys[i:i + 1]) for i in range(len(ys))]
         sizes = []
-        evaluate = inverse.forward.evaluate
+        try_evaluate = inverse.forward.try_evaluate
 
-        def counting(points, check_domain=True):
+        def counting(points):
             sizes.append(len(points))
-            return evaluate(points, check_domain)
+            return try_evaluate(points)
 
-        monkeypatch.setattr(inverse.forward, "evaluate", counting)
+        monkeypatch.setattr(inverse.forward, "try_evaluate", counting)
         x, ok = inverse._newton_solve_batch(ys)
     assert sizes[0] == distinct
     assert x.tobytes() == x_ref.tobytes()
@@ -1138,3 +1235,80 @@ def test_newton_inverse_of_sq_is_the_principal_square_root():
     for y, x in zip(ys, xs):
         root = complex(sympy.sqrt(sympy.Float(y[0], 30) + sympy.I * sympy.Float(y[1], 30)))
         assert abs(x[0] - root.real) <= 1e-12 and abs(x[1] - root.imag) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def fam_ah():
+    scen = parse_scenario(builtin_scenarios()["std_c1"])
+    spec = scen.family_specs["fam_ah"]
+    return scen, generate([scen.maps[m] for m in spec.member_names], scen.box,
+                          depth=spec.depth, dedup_tol=spec.dedup_tol)
+
+
+@pytest.mark.parametrize("label", ["(tr>>inv(sq))", "(inv(tr)>>inv(sq))"])
+def test_newton_inverse_of_a_chain_through_newton_masks(fam_ah, label):
+    """The forward chain's inner Newton solve fails on some trial steps; the
+    outer solve masks where it used to raise.  Targets in the third quadrant
+    have no preimage under the principal square root."""
+    member = fam_ah[1].find(label)
+    assert member.kind == LocalMap.CHAIN
+    inv = invert(member)
+    assert inv.kind == LocalMap.NEWTON
+    unreachable = np.array([[-0.3, -0.2], [-0.25, -0.35]])
+    ys = np.concatenate([inv.domain.lattice(), unreachable])
+    with np.errstate(all="ignore"):
+        xs, ok = inv.try_evaluate(ys)
+    assert ok[:-2].all() and not ok[-2:].any()
+    values, forward_ok = member.try_evaluate(xs[ok])
+    assert forward_ok.all()
+    assert np.max(np.abs(values - ys[ok])) <= defaults.NEWTON_ACCEPT_TOL
+    # Row by row, the raising loop of old solves some rows without a mask
+    # on the way; those keep their bits.
+    kept = 0
+    for row in np.flatnonzero(ok):
+        try:
+            x_ref, ok_ref = _reference_newton_solve_batch(inv, ys[row:row + 1])
+        except InversionError:
+            continue
+        assert ok_ref[0] and x_ref[0].tobytes() == xs[row].tobytes()
+        kept += 1
+    assert 0 < kept < ok.sum()
+
+
+def _rows_solved(monkeypatch):
+    rows = []
+    solve = LocalMap._newton_solve_batch
+
+    def counting(self, ys):
+        rows.append(len(ys))
+        return solve(self, ys)
+
+    monkeypatch.setattr(LocalMap, "_newton_solve_batch", counting)
+    return rows
+
+
+def test_ah_map_check_solves_each_newton_lattice_once(monkeypatch, fam_ah, std1):
+    scen, fam = fam_ah
+    rows = _rows_solved(monkeypatch)
+    newton = [m for m in fam.members if m.kind == LocalMap.NEWTON]
+    assert len(newton) == 3
+    for member in newton:
+        rows.clear()
+        rep = check_ah_map(member, std1)
+        # The forward maps are polynomial, so one batch of distinct rows.
+        assert rows == [int(std1.box.contains(member.domain.lattice()).sum())]
+        assert rep.metrics["checked_points"] > 0
+
+    def ah_map_bytes():
+        rows.clear()
+        out = emit_json(run_scenario(scen, task_filter="ah_map_family"))
+        return out, sum(rows)
+
+    new, new_rows = ah_map_bytes()
+    jacobian = LocalMap.jacobian
+    # Without the values each Jacobian solves its points again.
+    monkeypatch.setattr(LocalMap, "jacobian",
+                        lambda self, points, values=None: jacobian(self, points))
+    old, old_rows = ah_map_bytes()
+    assert new == old
+    assert new_rows < old_rows
