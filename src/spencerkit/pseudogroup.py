@@ -204,52 +204,42 @@ class LocalMap:
             nearest[start:start + block] = np.argmin(dist, axis=1)
         x = self.seeds_x[nearest].astype(float)
         res, norm = self._residuals(x, ys)
-        # The rows still iterating: (row, x, res, norm, y, scale).  A row that
-        # converges, stalls or turns NaN never iterates again, so it leaves
-        # for good, and its x and norm go back to the full arrays.
-        live = [np.arange(len(ys)), x, res, norm, ys, scale]
-
-        def drop(gone):
-            if gone.any():
-                x[live[0][gone]], norm[live[0][gone]] = live[1][gone], live[3][gone]
-                live[:] = [a[~gone] for a in live]
-
+        # The rows still iterating.  A row that converges, stalls or turns
+        # NaN never iterates again, so it leaves for good.
+        live = np.arange(len(ys))
         for _ in range(NEWTON_MAX_ITER):
-            drop(~(live[3] > defaults.NEWTON_STOP_TOL * live[5]))
-            if not live[0].size:
+            live = live[norm[live] > defaults.NEWTON_STOP_TOL * scale[live]]
+            if not live.size:
                 break
-            jac = self.forward.jacobian(live[1])
+            jac, rhs = self.forward.jacobian(x[live]), res[live]
             try:
-                step = np.linalg.solve(jac, live[2][:, :, None])[:, :, 0]
+                step = np.linalg.solve(jac, rhs[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError:
-                step = np.zeros_like(live[2])
-                singular = np.zeros(len(step), dtype=bool)
-                for row in range(len(step)):
+                step = np.zeros_like(rhs)
+                solved = np.ones(len(live), dtype=bool)
+                for row in range(len(live)):
                     try:
-                        step[row] = np.linalg.solve(jac[row], live[2][row])
+                        step[row] = np.linalg.solve(jac[row], rhs[row])
                     except np.linalg.LinAlgError:
-                        singular[row] = True
-                drop(singular)
-                step = step[~singular]
-            _, lx, lres, lnorm, lys, _ = live
-            # Halvings of (live index, t, x, step, y, norm) not yet improved.
-            pending = [np.arange(len(lx)), np.ones(len(lx)), lx, step, lys, lnorm]
+                        solved[row] = False
+                live, step = live[solved], step[solved]
+            # Positions in ``live`` of the rows whose step, at length t, has
+            # not yet improved them; they all halve together.
+            pending = np.arange(len(live))
+            t = 1.0
             for _ in range(NEWTON_HALVINGS):
-                rows, t, px, pstep, pys, pnorm = pending
-                if not rows.size:
+                if not pending.size:
                     break
-                trial = px - t[:, None] * pstep
-                trial_res, trial_norm = self._residuals(trial, pys)
-                better = trial_norm < pnorm
+                rows = live[pending]
+                trial = x[rows] - t * step[pending]
+                trial_res, trial_norm = self._residuals(trial, ys[rows])
+                better = trial_norm < norm[rows]
                 good = rows[better]
-                lx[good], lres[good], lnorm[good] = (
+                x[good], res[good], norm[good] = (
                     trial[better], trial_res[better], trial_norm[better])
-                pending = [a[~better] for a in pending]
-                pending[1] *= 0.5
-            stalled = np.zeros(len(lx), dtype=bool)
-            stalled[pending[0]] = True
-            drop(stalled)
-        drop(np.ones(len(live[0]), dtype=bool))
+                pending = pending[~better]
+                t *= 0.5
+            live = np.delete(live, pending)
         with np.errstate(invalid="ignore"):
             ok = norm <= defaults.NEWTON_ACCEPT_TOL * scale
         return x[inverse], ok[inverse]
@@ -340,12 +330,6 @@ def _bisect_stretch(avail, probe, floor):
     return t_ok
 
 
-def _compose_slack(second):
-    # Tighter than ``Box.slack``: a composite's domain must sit strictly inside
-    # what the general containment rule accepts, or members stop covering.
-    return defaults.COMPOSE_MARGIN * max(second.domain.diameter, 1.0)
-
-
 def _is_diagonal_affine(map_):
     """True for a polynomial map x -> (a_k x_k + b_k)_k: every term of
     component k is a constant or a multiple of x_k."""
@@ -357,7 +341,7 @@ def _is_diagonal_affine(map_):
                for e in comp.terms)
 
 
-def _corner_verdicts(first, second, box, d, side, ts):
+def _corner_verdicts(first, bounds, box, d, side, ts):
     """The lattice verdicts on stretching side (d, side) of ``box`` by each
     of ``ts``, for a diagonal-affine ``first``, from the moved corner alone.
 
@@ -367,38 +351,38 @@ def _corner_verdicts(first, second, box, d, side, ts):
     between them, so component d's images lie between the images of the
     ends.  The fixed end and every other axis are those of ``box``, which
     passed (or is the seed point, which passed the same test).  So a
-    stretch passes when component d maps the moved corner coordinate
-    into the second domain widened by ``_compose_slack(second)``.  The
-    image is summed as ``poly._values`` sums it, from 0.0 in term order,
-    so the verdict is the lattice verdict bit for bit; a NaN fails both.
+    stretch passes when component d maps the moved corner coordinate into
+    ``bounds`` = (lo, hi), the second domain widened by the compose margin.
+    The image is summed as ``poly._values`` sums it, from 0.0 in term
+    order, so the verdict is the lattice verdict bit for bit; a NaN fails
+    both.
     """
     corner = box[0, d] - ts if side == 0 else box[1, d] + ts
     image = np.zeros(len(ts))
     for e, c in first.poly.components[d].terms.items():
         image += c.real * corner if e[d] else c.real
-    slack = _compose_slack(second)
-    return ((image >= second.domain.lo[d] - slack)
-            & (image <= second.domain.hi[d] + slack))
+    lo, hi = bounds
+    return (image >= lo[d]) & (image <= hi[d])
 
 
-def _compose_search(first, second, lattice, images, evaluable, affine):
+def _compose_search(first, second, bounds, lattice, images, evaluable, affine):
     """Generator of the composite "apply ``first``, then ``second``".
 
-    ``images`` and ``evaluable`` are ``first.try_evaluate(lattice)`` on the
-    lattice of the first domain.  The search grows a box from one lattice
-    point that maps into the second domain, one side at a time (see
+    ``bounds`` = (lo, hi) is the second domain widened by the compose
+    margin.  ``images`` and ``evaluable`` are ``first.try_evaluate(lattice)``
+    on the lattice of the first domain.  The search grows a box from one
+    lattice point that maps into ``bounds``, one side at a time (see
     ``_bisect_stretch``).  Each yield is the (C, 2, d) array of the lo and
     hi corners of the candidate boxes it needs; it expects back their (C,)
     verdicts: True where ``first`` evaluates the box's whole lattice into
-    the second domain, up to ``_compose_slack(second)``.  When ``affine``
-    (``first`` is diagonal affine), the search decides its candidates by
-    ``_corner_verdicts`` and never yields.
+    ``bounds``.  When ``affine`` (``first`` is diagonal affine), the search
+    decides its candidates by ``_corner_verdicts`` and never yields.
     Returns the composite; raises CompositionError when no lattice point
     maps into the second domain or the region found has no interior.
     """
     if first.dim != second.dim:
         raise CompositionError("maps act on spaces of different dimension")
-    ok = evaluable & second.domain.contains(images, slack=_compose_slack(second))
+    ok = evaluable & np.all((images >= bounds[0]) & (images <= bounds[1]), axis=1)
     if not np.any(ok):
         raise CompositionError(
             f"no lattice point of {first.label} maps into the domain of "
@@ -440,7 +424,7 @@ def _compose_search(first, second, lattice, images, evaluable, affine):
 
         def probe(ts):
             if affine:
-                return _corner_verdicts(first, second, box, d, side, ts)
+                return _corner_verdicts(first, bounds, box, d, side, ts)
             return (yield stretched(ts))
 
         best = yield from _bisect_stretch(avail, probe, growth_tol)
@@ -480,8 +464,14 @@ def _compose_lockstep(first, seconds):
     lattice = first.domain.lattice()
     images, evaluable = first.try_evaluate(lattice)
     affine = _is_diagonal_affine(first)
-    bounds = [(np.asarray(g.domain.lo) - _compose_slack(g),  # as Box.contains
-               np.asarray(g.domain.hi) + _compose_slack(g)) for g in seconds]
+    # Each second domain, widened as ``Box.contains`` widens it but by the
+    # tighter COMPOSE_MARGIN: a composite's domain must sit strictly inside
+    # what the general containment rule accepts, or members stop covering.
+    bounds = []
+    for g in seconds:
+        slack = defaults.COMPOSE_MARGIN * max(g.domain.diameter, 1.0)
+        bounds.append((np.asarray(g.domain.lo) - slack,
+                       np.asarray(g.domain.hi) + slack))
     results = [None] * len(seconds)
     pending = []  # (index, search, candidate boxes) of every live search
 
@@ -496,8 +486,8 @@ def _compose_lockstep(first, seconds):
             results[i] = exc.with_traceback(None)
 
     for i, second in enumerate(seconds):
-        advance(i, _compose_search(first, second, lattice, images, evaluable,
-                                   affine), None)
+        advance(i, _compose_search(first, second, bounds[i], lattice, images,
+                                   evaluable, affine), None)
     while pending:
         live = pending[:]
         pending.clear()

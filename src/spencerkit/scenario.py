@@ -248,9 +248,15 @@ def parse_scenario(data):
         where = f"family {gname!r}"
         _json_object(gdata, where, FAMILY_KEYS)
         member_names = tuple(_require_list(gdata, "members", where))
+        if not member_names:
+            raise ScenarioError(f"{where}: members must name at least one map")
         for mn in member_names:
             if not isinstance(mn, str) or mn not in maps:
                 raise ScenarioError(f"{where} references unknown map {mn!r}")
+            # The closure keeps only maps whose domain lies in the box.
+            if not box.contains_box(maps[mn].domain):
+                raise ScenarioError(f"{where}: member {mn!r} has a domain "
+                                    f"outside the scenario box")
         depth = gdata.get("depth", 2)
         if not _is_int(depth) or depth < 0:
             raise ScenarioError(f"{where}: depth must be a nonnegative "

@@ -485,9 +485,11 @@ def test_moved_corner_decides_like_the_whole_lattice():
         second = identity_map(domain)
         if not _lattice_verdict(first, second, lo, hi):
             continue  # the rule speaks only of stretches of a passing box
+        slack = defaults.COMPOSE_MARGIN * max(domain.diameter, 1.0)
+        bounds = (np.asarray(domain.lo) - slack, np.asarray(domain.hi) + slack)
         with np.errstate(all="ignore"):
             got = pseudogroup._corner_verdicts(
-                first, second, np.array([lo, hi]), d, side, np.array([t]))
+                first, bounds, np.array([lo, hi]), d, side, np.array([t]))
         expected = _lattice_verdict(first, second, cand_lo, cand_hi)
         assert got.shape == (1,)
         assert bool(got[0]) == expected, (first.poly, lo, hi, d, side, t, domain)
@@ -1113,7 +1115,7 @@ def _reference_newton_solve_batch(self, ys):
 
 def _newton_batches(squaring):
     """(Newton inverse, targets) batches: converging rows, targets that
-    stall, NaN targets, and seeds on a singular Jacobian."""
+    stall, NaN targets, seeds on a singular Jacobian, and mixtures."""
     inv_sq = invert(squaring)
     reachable = squaring.evaluate(squaring.domain.lattice(13))
     fold = pmap(["x1^2 + x2", "x2"], (0.5, -1.0), (1.0, 1.0), "q")
@@ -1129,6 +1131,15 @@ def _newton_batches(squaring):
     on_fold = LocalMap(LocalMap.NEWTON, Box((0.0, -1.0), (1.0, 1.0)), "inv(flat)",
                        forward=flat, seeds_x=seeds, seeds_y=flat.evaluate(seeds))
     singular = np.array([[0.01, 0.0], [0.3, 0.1], [0.02, 0.4], [0.25, 0.5]])
+    # Rows on a singular seed (y near (0, 0)) between rows that converge
+    # and rows with y1 < 0 that stall, in the bit order the batch sorts
+    # its targets into: the per-row fallback drops rows from the middle.
+    # A seed's image, (0.25, 0), leaves before the first step, so the
+    # positions in the live rows are not the row numbers.
+    mixed_singular = np.array([[0.05, -0.1], [0.6, -0.4], [0.01, 0.0],
+                               [0.25, 0.0], [-0.02, 0.03], [0.0, 0.08],
+                               [0.3, 0.1], [-0.05, 0.5], [0.2, 0.6],
+                               [-0.02, 0.7], [-0.1, 0.9]])
     mixed = np.concatenate([reachable[:20], nan_rows, reachable[-30:]])
     # Shuffled copies of reachable rows, a +0.0/-0.0 pair, two NaN payloads
     # and repeated stalling rows: equal bits are one target, nothing else is.
@@ -1140,7 +1151,8 @@ def _newton_batches(squaring):
     repeated = repeated[np.random.default_rng(5).permutation(len(repeated))]
     return [("converging", inv_sq, reachable), ("stalling", inv_fold, unreachable),
             ("nan", inv_sq, nan_rows), ("singular", on_fold, singular),
-            ("mixed", inv_sq, mixed), ("repeated", inv_fold, repeated)]
+            ("mixed", inv_sq, mixed), ("repeated", inv_fold, repeated),
+            ("mixed singular", on_fold, mixed_singular)]
 
 
 def test_compacted_newton_loop_is_bit_identical_to_the_gathering_loop(squaring):
@@ -1158,6 +1170,7 @@ def test_compacted_newton_loop_is_bit_identical_to_the_gathering_loop(squaring):
     assert 0 < outcomes["singular"][0] < 4
     # 77 reachable rows, 2 NaN rows, and 4 copies of each stalling row
     assert outcomes["repeated"] == (77 + 4 * outcomes["stalling"][0], 95)
+    assert outcomes["mixed singular"] == (4, 11)  # the seed image, 3 converging
 
 
 def test_newton_batch_solves_each_distinct_target_once(monkeypatch, squaring):

@@ -425,11 +425,17 @@ UNIT = {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}
     {"members": ["m"], "glue_tests": [5]},
     {"members": ["m"], "glue_tests": [{"members": ["m"], "boxes": [UNIT],
                                        "target": UNIT, "box": UNIT}]},
+    {"members": []},
+    {"members": ["wide"]},
+    {"members": ["m", "wide"]},
 ])
 def test_cli_rejects_malformed_families_with_exit_two(scenario_file, capsys,
                                                       family):
+    # The scenario box is UNIT; "wide" is defined on [-2, 2]^2.
     data = minimal_scenario(
-        maps={"m": {"components": ["x1", "x2"]}},
+        maps={"m": {"components": ["x1", "x2"]},
+              "wide": {"components": ["x1", "x2"],
+                       "domain": {"lo": [-2.0, -2.0], "hi": [2.0, 2.0]}}},
         families={"f": family},
         tasks=[{"task": "axioms", "family": "f"}])
     assert cli.main(["run", scenario_file(data)]) == 2
