@@ -448,9 +448,13 @@ def _compose_search(first, second, bounds, lattice, images, evaluable, affine):
                     steps=_steps_of(first) + _steps_of(second))
 
 
-def _compose_lockstep(first, seconds):
-    """``compose(first, g)`` for every g in ``seconds``: a list holding each
-    composite or the CompositionError its search raised.
+def compose(first, seconds):
+    """The composites "apply ``first``, then g" for every g in ``seconds``:
+    a list holding each composite or the CompositionError its search raised.
+
+    A composite lives on its effective domain: the largest sub-box of the
+    first map's domain (found by seeded per-side bisection, see
+    ``_compose_search``) whose lattice lands inside g's domain.
 
     The searches share the first map, so they run in lock-step: each round
     stacks the candidate boxes of every live search into one lattice, one
@@ -503,20 +507,6 @@ def _compose_lockstep(first, seconds):
         for (i, search, _), end, count in zip(live, np.cumsum(counts), counts):
             advance(i, search, verdicts[end - count:end])
     return results
-
-
-def compose(first, second):
-    """The composite "apply ``first``, then ``second``" on its effective domain.
-
-    The effective domain is the largest sub-box of the first map's domain
-    (found by seeded per-side bisection, see ``_compose_search``) whose
-    lattice lands inside the second map's domain.  Raises CompositionError
-    when no lattice point of the first domain does.
-    """
-    result, = _compose_lockstep(first, [second])
-    if isinstance(result, CompositionError):
-        raise result
-    return result
 
 
 def invert(map_, tol_invert=defaults.TOL_INVERT, tol_det=defaults.TOL_DET):
@@ -586,22 +576,22 @@ def invert(map_, tol_invert=defaults.TOL_INVERT, tol_det=defaults.TOL_DET):
 # families
 # ---------------------------------------------------------------------------
 
-def covers(member, candidate, tol, sample=None):
-    """True when ``member`` contains ``candidate``: domain containment plus
-    agreement on the candidate's lattice.  A dict ``sample`` shared by the
-    tests of one candidate keeps its lattice and values once built."""
-    if member.dim != candidate.dim or not member.domain.contains_box(candidate.domain):
-        return False
-    sample = {} if sample is None else sample
-    if not sample:
-        sample["pts"] = candidate.domain.lattice()
-        sample["values"] = candidate.try_evaluate(sample["pts"])
-    b, ok_b = sample["values"]
-    a, ok_a = member.try_evaluate(sample["pts"])
-    ok = ok_a & ok_b
-    if not np.all(ok):
-        return False
-    return float(np.max(np.abs(a - b))) <= tol
+def covers(members, candidate, tol):
+    """True when some member contains ``candidate``: domain containment plus
+    agreement on the candidate's lattice.  Members are tested in order; the
+    candidate is evaluated once, at the first member whose domain contains
+    it, and not at all when none does."""
+    values = None
+    for m in members:
+        if m.dim != candidate.dim or not m.domain.contains_box(candidate.domain):
+            continue
+        if values is None:
+            pts = candidate.domain.lattice()
+            values, ok_c = candidate.try_evaluate(pts)
+        a, ok_a = m.try_evaluate(pts)
+        if np.all(ok_a & ok_c) and float(np.max(np.abs(a - values))) <= tol:
+            return True
+    return False
 
 
 @dataclass
@@ -622,7 +612,7 @@ class PseudogroupFamily:
     dedup_tol: float
     tol_invert: float
     tol_det: float
-    # (f, g) -> compose(f, g) or the CompositionError it raised;
+    # (f, g) -> compose(f, [g])[0], the composite or its CompositionError;
     # filled by ``generate`` and reused by ``validate_axioms``.
     composites: dict = dc_field(default_factory=dict, repr=False)
 
@@ -640,14 +630,13 @@ MAX_FAMILY_SIZE = 500
 
 
 def _composites(cache, f, seconds):
-    """``compose(f, g)`` or the CompositionError it raises, for each g in
-    ``seconds``; pairs not yet in ``cache`` are searched together, so each
-    pair is searched once.  Keys hold the maps themselves: LocalMap
-    compares by identity, and a key keeps its maps alive, so no other map
-    can take its place."""
+    """``compose(f, [g])[0]`` for each g in ``seconds``; pairs not yet in
+    ``cache`` are searched together, so each pair is searched once.  Keys
+    hold the maps themselves: LocalMap compares by identity, and a key
+    keeps its maps alive, so no other map can take its place."""
     missing = [g for g in seconds if (f, g) not in cache]
     if missing:
-        for g, c in zip(missing, _compose_lockstep(f, missing)):
+        for g, c in zip(missing, compose(f, missing)):
             cache[(f, g)] = c
     return [cache[(f, g)] for g in seconds]
 
@@ -661,9 +650,8 @@ def generate(seeds, ambient, depth=2, dedup_tol=None, restriction_targets=(),
     in a member are dropped.  Identities are added for every seed up front
     and for every member domain at the end.  Insertion order is
     deterministic, so repeated runs agree exactly.  Each ordered pair is
-    composed once, the pairs of one first map in lock-step (see
-    ``_compose_lockstep``); the family keeps the composites for
-    ``validate_axioms``.
+    composed once, the pairs of one first map in one ``compose`` call; the
+    family keeps the composites for ``validate_axioms``.
     """
     if dedup_tol is None:
         dedup_tol = defaults.DEDUP_TOL_FACTOR * ambient.diameter
@@ -681,10 +669,8 @@ def generate(seeds, ambient, depth=2, dedup_tol=None, restriction_targets=(),
                 f"family exceeded the safety cap of {MAX_FAMILY_SIZE} members")
         if not ambient.contains_box(candidate.domain):
             return False
-        sample = {}
-        for m in members:
-            if covers(m, candidate, dedup_tol, sample):
-                return False
+        if covers(members, candidate, dedup_tol):
+            return False
         members.append(candidate)
         return True
 
@@ -723,12 +709,6 @@ def generate(seeds, ambient, depth=2, dedup_tol=None, restriction_targets=(),
                              composites=composites)
 
 
-def _contained(family, candidate):
-    sample = {}
-    return any(covers(m, candidate, family.dedup_tol, sample)
-               for m in family.members)
-
-
 def validate_axioms(family, glue_tests=()):
     """Check the five closure axioms; one report per axiom.
 
@@ -745,7 +725,7 @@ def validate_axioms(family, glue_tests=()):
                 family.composites, f, family.members)):
             if isinstance(c, CompositionError):
                 continue
-            if not _contained(family, c):
+            if not covers(family.members, c, family.dedup_tol):
                 failures.append(f"{f.label}>>{g.label}")
     reports.append(_axiom_report("axiom1_composition", failures))
 
@@ -757,13 +737,13 @@ def validate_axioms(family, glue_tests=()):
         except InversionError as exc:
             failures.append(f"{f.label}: {exc}")
             continue
-        if not _contained(family, inv):
+        if not covers(family.members, inv, family.dedup_tol):
             failures.append(f"inv({f.label})")
     reports.append(_axiom_report("axiom2_inversion", failures))
 
     failures = []
     for f in family.members:
-        if not _contained(family, identity_map(f.domain)):
+        if not covers(family.members, identity_map(f.domain), family.dedup_tol):
             failures.append(f"id on {_box_label(f.domain)}")
     reports.append(_axiom_report("axiom3_identity", failures))
 
@@ -773,7 +753,7 @@ def validate_axioms(family, glue_tests=()):
         for piece_box in (Box((mid,) + f.domain.lo[1:], f.domain.hi),
                           Box(f.domain.lo, (mid,) + f.domain.hi[1:])):
             piece = restrict(f, piece_box)
-            if not _contained(family, piece):
+            if not covers(family.members, piece, family.dedup_tol):
                 failures.append(piece.label)
     reports.append(_axiom_report("axiom4_restriction", failures))
 

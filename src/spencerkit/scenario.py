@@ -235,6 +235,11 @@ def parse_scenario(data):
         where = f"chart {cname!r}"
         _json_object(cdata, where, ("functions", "box"))
         fnames = tuple(_require_list(cdata, "functions", where))
+        # A chart that cannot be built fails its tasks, and a task that
+        # expects failure would then pass whatever the structure is.
+        if not 1 <= len(fnames) <= n:
+            raise ScenarioError(f"{where}: functions must name between 1 and "
+                                f"{n} functions, got {len(fnames)}")
         for fn in fnames:
             if not isinstance(fn, str) or fn not in functions:
                 raise ScenarioError(f"chart {cname!r} references unknown function {fn!r}")
@@ -308,10 +313,22 @@ def parse_scenario(data):
                     tolerances=tolerances)
 
 
+def _unique_keys(pairs):
+    """One JSON object as a dict; ``json.load`` alone would keep the last
+    copy of a repeated key and drop the others unseen."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ScenarioError(f"scenario file repeats the key {key!r} "
+                                f"in one object")
+        data[key] = value
+    return data
+
+
 def load_scenario(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -152,7 +152,7 @@ def test_restrict_intersects_domain(translation):
 
 
 def test_compose_symbolic_and_boundary(doubling):
-    c = compose(doubling, doubling)
+    c = compose(doubling, [doubling])[0]
     assert c.kind == LocalMap.POLY
     assert c.label == "(s>>s)"
     assert c.domain.lo == pytest.approx((0.2, 0.2))
@@ -163,14 +163,14 @@ def test_compose_symbolic_and_boundary(doubling):
 
 
 def test_compose_raises_when_images_miss(translation):
-    with pytest.raises(CompositionError):
-        compose(translation, translation)
+    c, = compose(translation, [translation])
+    assert isinstance(c, CompositionError)
 
 
 def test_compose_switches_to_chain_over_degree_cap():
     cubic = pmap(["x1^3 + 0.5", "x2"], (0.0, 0.0), (0.4, 0.4), "c1")
     cubic2 = pmap(["0.2*x1^3 + 0.1*x1", "x2"], (0.3, 0.0), (0.9, 0.4), "c2")
-    c = compose(cubic, cubic2)
+    c = compose(cubic, [cubic2])[0]
     assert c.kind == LocalMap.CHAIN
     pt = np.array([[0.2, 0.1]])
     direct = cubic2.evaluate(cubic.evaluate(pt), check_domain=False)
@@ -248,7 +248,7 @@ def test_compose_domain_is_bit_identical_to_sequential_bisection(doubling,
              (cubic, cubic2, LocalMap.CHAIN),
              (newton, squaring, LocalMap.CHAIN)]
     for first, second, kind in cases:
-        c = compose(first, second)
+        c = compose(first, [second])[0]
         assert c.kind == kind
         assert c.domain != first.domain
         assert c.domain == sequential_compose_domain(first, second)
@@ -258,7 +258,7 @@ def _reach_test_maps(doubling, squaring):
     """First maps of each kind, and seconds that reach or miss them."""
     cubic = pmap(["x1^3 + 0.5", "x2"], (0.0, 0.0), (0.4, 0.4), "c1")
     cubic2 = pmap(["0.2*x1^3 + 0.1*x1", "x2"], (0.3, 0.0), (0.55, 0.4), "c2")
-    chain = compose(cubic, cubic2)
+    chain = compose(cubic, [cubic2])[0]
     assert chain.kind == LocalMap.CHAIN
     newton = invert(squaring)
     far = pmap(["x1 - 3", "x2"], (-1.0, -1.0), (-0.5, 1.0), "far")
@@ -287,7 +287,7 @@ def _reach_test_maps(doubling, squaring):
                                   "std_c1", "second_sweep"])
 def test_lockstep_searches_match_one_pair_at_a_time(kind, doubling, squaring):
     first, seconds = _reach_test_maps(doubling, squaring)[kind]
-    results = pseudogroup._compose_lockstep(first, seconds)
+    results = compose(first, seconds)
     assert len(results) == len(seconds)
     found = failed = 0
     for second, result in zip(seconds, results):
@@ -324,13 +324,10 @@ def test_lockstep_evaluates_as_often_as_the_longest_search(monkeypatch,
     alone = []
     for second in seconds:
         calls.clear()
-        try:
-            compose(first, second)
-        except CompositionError:
-            pass
+        compose(first, [second])
         alone.append(len(calls))
     calls.clear()
-    pseudogroup._compose_lockstep(first, seconds)
+    compose(first, seconds)
     assert len(calls) == max(alone)
     assert len(calls) < sum(alone)
 
@@ -346,7 +343,7 @@ def test_lockstep_after_an_affine_map_evaluates_only_the_first_lattice(
         return original(points)
 
     monkeypatch.setattr(first, "try_evaluate", counting)
-    results = pseudogroup._compose_lockstep(first, seconds)
+    results = compose(first, seconds)
     assert len(seconds) == 5
     assert calls == [defaults.GRID_PER_AXIS ** first.dim]
     assert sum(not isinstance(r, CompositionError) for r in results) >= 2
@@ -516,7 +513,7 @@ def test_affine_lockstep_matches_the_sequential_search():
             seconds.append(identity_map(Box(tuple(centre - half),
                                             tuple(centre + half))))
         seconds.append(identity_map(Box((50.0,) * dim, (51.0,) * dim)))
-        results = pseudogroup._compose_lockstep(first, seconds)
+        results = compose(first, seconds)
         for second, result in zip(seconds, results):
             try:
                 expected = sequential_compose_domain(first, second)
@@ -708,13 +705,13 @@ def test_growth_exits_cut_the_rounds_of_a_lockstep_call(monkeypatch):
     scen = parse_scenario(builtin_scenarios()["std_c1"])
     spec = scen.family_specs["fam_ah"]
     calls = []
-    lockstep = pseudogroup._compose_lockstep
+    lockstep = pseudogroup.compose
 
     def recording(first, seconds):
         calls.append((first, seconds))
         return lockstep(first, seconds)
 
-    monkeypatch.setattr(pseudogroup, "_compose_lockstep", recording)
+    monkeypatch.setattr(pseudogroup, "compose", recording)
     generate([scen.maps[m] for m in spec.member_names], scen.box,
              depth=spec.depth, dedup_tol=spec.dedup_tol)
     (first, seconds), = [c for c in calls if c[0].label == "inv(sq)"]
@@ -821,15 +818,37 @@ def test_try_evaluate_masks_unreachable_points(squaring):
     assert np.allclose(vals2, [[0.05, 0.05], [0.6, 0.6]], atol=1e-9)
 
 
-def test_covers_requires_containment_and_agreement(translation, doubling):
+def test_covers_requires_containment_and_agreement(monkeypatch, translation,
+                                                   doubling):
     big = identity_map(Box((-1.0, -1.0), (1.0, 1.0)))
     small = identity_map(Box((0.0, 0.0), (0.5, 0.5)))
-    assert covers(big, small, tol=1e-9)
-    assert not covers(small, big, tol=1e-9)
-    assert not covers(translation, doubling, tol=1e-9)
+    assert covers([big], small, tol=1e-9)
+    assert not covers([small], big, tol=1e-9)
+    assert not covers([translation], doubling, tol=1e-9)
     shifted = pmap(["x1 + 1e-6", "x2"], (0.0, 0.0), (0.5, 0.5), "near_id")
-    assert not covers(big, shifted, tol=1e-9)
-    assert covers(big, shifted, tol=1e-5)
+    assert not covers([big], shifted, tol=1e-9)
+    assert covers([big], shifted, tol=1e-5)
+    assert not covers([], shifted, tol=1e-5)
+
+    # The candidate's lattice is evaluated once, at the first member whose
+    # domain contains it, and never when no member's domain does.
+    calls = []
+    original = shifted.try_evaluate
+
+    def counting(points):
+        calls.append(len(points))
+        return original(points)
+
+    monkeypatch.setattr(shifted, "try_evaluate", counting)
+    inner = identity_map(Box((0.1, 0.1), (0.4, 0.4)))
+    assert not covers([inner, translation, doubling], shifted, tol=1e-5)
+    assert calls == []
+    also_big = identity_map(Box((-0.5, -0.5), (0.8, 0.8)))
+    assert not covers([translation, big, also_big, small], shifted, tol=1e-9)
+    assert calls == [defaults.GRID_PER_AXIS ** 2]
+    calls.clear()
+    assert covers([translation, big, also_big], shifted, tol=1e-5)
+    assert calls == [defaults.GRID_PER_AXIS ** 2]
 
 
 def test_generate_reaches_fixpoint(translation, doubling):
@@ -1039,10 +1058,10 @@ def test_generate_does_not_swallow_errors_from_covers(monkeypatch, squaring):
     # seeds come first, and their adds must pass.
     covers_ = pseudogroup.covers
 
-    def failing(member, candidate, tol, sample=None):
+    def failing(members, candidate, tol):
         if candidate.label.startswith("inv("):
             raise InversionError("covers failed")
-        return covers_(member, candidate, tol, sample)
+        return covers_(members, candidate, tol)
 
     monkeypatch.setattr(pseudogroup, "covers", failing)
     with pytest.raises(InversionError, match="covers failed"):

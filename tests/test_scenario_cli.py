@@ -324,6 +324,12 @@ def test_cli_tol_override_must_be_finite_and_positive(scenario_file, capsys,
     {"tasks": [{"task": "check_acs", "label": None}]},
     {"tasks": [{"task": "check_acs", "label": 5}]},
     {"tasks": [{"task": "check_acs", "label": ["a"]}]},
+    # A chart that cannot be built would make expect: fail pass vacuously.
+    {"charts": {"c": {"functions": []}},
+     "tasks": [{"task": "chart", "chart": "c", "expect": "fail"}]},
+    {"charts": {"c": {"functions": ["z", "z"]}},
+     "tasks": [{"task": "factorize", "chart": "c", "function": "z",
+                "expect": "fail"}]},
 ])
 def test_cli_rejects_malformed_scenarios_with_exit_two(scenario_file, capsys,
                                                         overrides):
@@ -364,6 +370,19 @@ def test_cli_rejects_overflowing_json_bound_and_literal(tmp_path, capsys):
         path.write_text(json.dumps(minimal_scenario(functions={"z": text})))
         assert cli.main(["run", str(path)]) == 2
         assert "is not finite (at offset 0)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("repeated, key", [
+    ('"tolerances": {"tol_cr": 1e-10, "tol_cr": 10}', "tol_cr"),
+    ('"functions": {"z": "x1 - (0+1i)*x2"}', "functions"),
+])
+def test_cli_refuses_a_repeated_json_key(tmp_path, capsys, repeated, key):
+    # Plain json.load keeps the last copy of a key, so the second copy
+    # would silently replace the first; json.dumps cannot write one.
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(minimal_scenario())[:-1] + ", " + repeated + "}")
+    assert cli.main(["run", str(path)]) == 2
+    assert f"repeats the key {key!r}" in capsys.readouterr().err
 
 
 T_WITH_INVERSE = {"components": ["x1 + 0.1", "x2"],
