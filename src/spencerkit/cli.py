@@ -26,7 +26,8 @@ def _add_run_flags(parser):
                         help="override the ansatz degree for solver tasks")
     parser.add_argument("--tol", action="append", default=[],
                         metavar="NAME=VALUE",
-                        help="override a named tolerance (repeatable)")
+                        help="override a named tolerance (repeatable, once "
+                             "per name)")
     parser.add_argument("--task", default=None,
                         help="run only tasks with this name or label")
 
@@ -53,8 +54,11 @@ def _parse_tols(pairs):
         if "=" not in pair:
             raise ScenarioError(f"--tol takes NAME=VALUE, got {pair!r}")
         name, _, value = pair.partition("=")
+        name = name.strip()
+        if name in out:
+            raise ScenarioError(f"--tol names {name!r} more than once")
         try:
-            out[name.strip()] = float(value)
+            out[name] = float(value)
         except ValueError as exc:
             raise ScenarioError(f"bad tolerance value in {pair!r}: {exc}") from exc
     return out

@@ -264,27 +264,26 @@ def split_type(structure, points, svd_rel_tol=defaults.SVD_REL_TOL):
 
     Raises DegenerateStructureError unless both spaces have dimension n
     everywhere.  Basis vectors are canonically normalized and sorted, so the
-    result is deterministic.  Each eigenspace takes one SVD over the stack
-    of all points.
+    result is deterministic.  One SVD over the stack of all points finds
+    the i eigenspace; J is real, so J v = iv exactly when J conj(v) =
+    -i conj(v), and the -i eigenspace is its conjugate, of the same
+    dimension and with the conjugate residual.
     """
     pts = np.asarray(points, dtype=float)
     n, size = structure.n, structure.real_dim
     j = eval_j(structure, pts).astype(complex)
-    dims, kernels = [], []
-    for eigenvalue in (1j, -1j):
-        _, sigma, vh = np.linalg.svd(j - eigenvalue * np.eye(size))
-        dims.append(size - numerical_rank(sigma, svd_rel_tol))
-        kernels.append(vh[:, n:])
-    bad = np.flatnonzero((dims[0] != n) | (dims[1] != n))
+    _, sigma, vh = np.linalg.svd(j - 1j * np.eye(size))
+    dims = size - numerical_rank(sigma, svd_rel_tol)
+    bad = np.flatnonzero(dims != n)
     if bad.size:
         p = bad[0]
         raise DegenerateStructureError(
-            f"eigenspace dimensions ({dims[0][p]}, {dims[1][p]}) != ({n}, {n}) "
+            f"eigenspace dimensions ({dims[p]}, {dims[p]}) != ({n}, {n}) "
             f"at point {tuple(map(float, pts[p]))}")
-    plus, minus = (_canonical_bases(vh) for vh in kernels)
+    plus = _canonical_bases(vh[:, n:])
+    minus = _canonical_bases(np.conj(vh[:, n:]))
     res_plus = np.einsum("pij,pkj->pki", j, plus) - 1j * plus
-    res_minus = np.einsum("pij,pkj->pki", j, minus) + 1j * minus
-    residual = float(max(np.max(np.abs(res_plus)), np.max(np.abs(res_minus))))
+    residual = float(np.max(np.abs(res_plus)))
     return SplitTypeResult(
         dims=(n, n),
         eigen_residual=residual,

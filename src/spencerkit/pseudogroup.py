@@ -5,8 +5,8 @@ everything the toolkit builds: explicit polynomial maps, chains (step-by-step
 composites kept numeric once symbolic degrees or coefficients would blow
 up), and Newton inverses (evaluation-only root finding against a forward
 map; an affine map's inverse is polynomial instead).  Families are
-generated by breadth-first closure under composition, inversion and
-declared restrictions, and validated against the pseudogroup axioms:
+generated by breadth-first closure under composition and inversion, and
+validated against the pseudogroup axioms:
 
   1. composition: composable pairs stay in the family,
   2. inversion: inverses stay in the family,
@@ -641,17 +641,18 @@ def _composites(cache, f, seconds):
     return [cache[(f, g)] for g in seconds]
 
 
-def generate(seeds, ambient, depth=2, dedup_tol=None, restriction_targets=(),
+def generate(seeds, ambient, depth=2, dedup_tol=None,
              tol_invert=defaults.TOL_INVERT, tol_det=defaults.TOL_DET):
     """Breadth-first closure of seed maps under composition and inversion.
 
-    Level by level, all ordered composites, all inverses and all declared
-    restrictions of current members are formed; candidates already contained
-    in a member are dropped.  Identities are added for every seed up front
-    and for every member domain at the end.  Insertion order is
-    deterministic, so repeated runs agree exactly.  Each ordered pair is
-    composed once, the pairs of one first map in one ``compose`` call; the
-    family keeps the composites for ``validate_axioms``.
+    Level by level, all ordered composites and all inverses of current
+    members are formed; candidates already contained in a member are
+    dropped.  A member covers its own restrictions, so none are formed.
+    Identities are added for every seed up front and for every member
+    domain at the end.  Insertion order is deterministic, so repeated runs
+    agree exactly.  Each ordered pair is composed once, the pairs of one
+    first map in one ``compose`` call; the family keeps the composites for
+    ``validate_axioms``.
     """
     if dedup_tol is None:
         dedup_tol = defaults.DEDUP_TOL_FACTOR * ambient.diameter
@@ -691,12 +692,6 @@ def generate(seeds, ambient, depth=2, dedup_tol=None, restriction_targets=(),
             except InversionError:
                 continue
             add(inverse)
-        for f in current:
-            for target in restriction_targets:
-                try:
-                    add(restrict(f, target))
-                except DomainError:
-                    continue
         if len(members) == len(current):
             break
 

@@ -48,8 +48,7 @@ class ChartSpec:
 SCENARIO_KEYS = ("name", "n", "box", "J", "functions", "maps", "charts",
                  "families", "tolerances", "tasks")
 MAP_KEYS = ("components", "domain", "inverse")
-FAMILY_KEYS = ("members", "depth", "dedup_tol", "restriction_targets",
-               "glue_tests")
+FAMILY_KEYS = ("members", "depth", "dedup_tol", "glue_tests")
 
 
 @dataclass
@@ -58,7 +57,6 @@ class FamilySpec:
     member_names: tuple
     depth: int
     dedup_tol: object  # float or None
-    restriction_targets: tuple
     glue_tests: tuple
 
 
@@ -270,9 +268,6 @@ def parse_scenario(data):
         if dedup_tol is not None and not _is_positive_number(dedup_tol):
             raise ScenarioError(f"{where}: dedup_tol must be a finite positive "
                                 f"number, got {dedup_tol!r}")
-        targets = tuple(_parse_box(b, f"{where} restriction target", 2 * n)
-                        for b in _require_list(gdata, "restriction_targets",
-                                               where, []))
         glue_tests = []
         for t, gt in enumerate(_require_list(gdata, "glue_tests", where, [])):
             _json_object(gt, f"{where} glue test {t}",
@@ -291,7 +286,7 @@ def parse_scenario(data):
                                 f"{where} glue test {t} target", 2 * n)
             glue_tests.append(GlueTest(labels, boxes, target))
         family_specs[gname] = FamilySpec(gname, member_names, depth, dedup_tol,
-                                         targets, tuple(glue_tests))
+                                         tuple(glue_tests))
 
     tolerances = _with_tolerances(defaults.DEFAULT_TOLERANCES,
                                   data.get("tolerances"))
@@ -454,7 +449,6 @@ def _build_family(scenario, label, tols):
     seeds = [scenario.maps[mn] for mn in spec.member_names]
     family = generate(seeds, scenario.box, depth=spec.depth,
                       dedup_tol=spec.dedup_tol,
-                      restriction_targets=spec.restriction_targets,
                       tol_invert=tols["tol_invert"], tol_det=tols["tol_det"])
     return family, spec
 

@@ -461,7 +461,22 @@ def test_split_type_is_bit_identical_to_the_per_point_loop(case, std1, std2, twi
     assert np.array_equal(res.bases_minus, minus)
     assert res.eigen_residual == residual
     assert res.bases_plus.view(float).tobytes() == plus.view(float).tobytes()
-    assert res.bases_minus.view(float).tobytes() == minus.view(float).tobytes()
+    # The reference takes the -i kernel from an SVD of J + iI, split_type
+    # conjugates the +i kernel: only the sign of a zero component may differ.
+    assert ((res.bases_minus + 0.0).view(float).tobytes()
+            == (minus + 0.0).view(float).tobytes())
+
+
+def test_split_type_takes_one_svd(monkeypatch, std2):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    split_type(std2, std2.box.lattice(3))
+    assert len(calls) == 1
 
 
 def test_split_type_reports_the_first_degenerate_point_as_the_loop_does():
@@ -482,24 +497,34 @@ def test_split_type_reports_the_first_degenerate_point_as_the_loop_does():
 
 def test_split_type_bases_span_the_exact_projector_images():
     # With J^2 = -I, the columns of (I -/+ iJ)/2 span the +/-i eigenspace.
+    # The sheared n = 3 structure squares to -I exactly in sympy, and its
+    # 3-dimensional eigenspaces move from point to point.
+    r = sympy.Rational
     data = builtin_scenarios()["twisted_r4"]
-    structure = parse_scenario(data).structure
-    xs = sympy.symbols("x1:5")
-    j_sym = sympy.Matrix([[sympy.sympify(e, locals=dict(zip(map(str, xs), xs)))
-                           for e in row] for row in data["J"]])
-    rational_points = [
-        (sympy.Rational(1, 4), sympy.Rational(-1, 3), 0, sympy.Rational(1, 2)),
-        (sympy.Rational(-2, 5), sympy.Rational(1, 7), sympy.Rational(3, 8), 0),
-        (sympy.Rational(1, 2), 0, sympy.Rational(-1, 2), sympy.Rational(5, 16)),
+    xs4, xs6 = sympy.symbols("x1:5"), sympy.symbols("x1:7")
+    sheared = _sheared_n3()
+    cases = [
+        (parse_scenario(data).structure, xs4, sympy.Matrix(
+            [[sympy.sympify(e, locals=dict(zip(map(str, xs4), xs4)))
+              for e in row] for row in data["J"]]),
+         [(r(1, 4), r(-1, 3), 0, r(1, 2)),
+          (r(-2, 5), r(1, 7), r(3, 8), 0),
+          (r(1, 2), 0, r(-1, 2), r(5, 16))]),
+        (sheared, xs6, _sympy_matrix(sheared, xs6),
+         [(r(1, 4), r(-1, 3), 0, r(1, 2), r(-3, 5), r(2, 7)),
+          (r(-2, 5), r(6, 7), r(3, 8), r(-7, 9), 0, r(1, 3)),
+          (r(-1, 2), r(2, 3), r(-5, 8), 0, r(9, 10), r(-1, 6))]),
     ]
-    pts = np.array([[float(c) for c in pt] for pt in rational_points])
-    res = split_type(structure, pts)
-    for p, pt in enumerate(rational_points):
-        j_at = j_sym.subs(dict(zip(xs, pt)))
-        for sign, bases in ((1, res.bases_plus), (-1, res.bases_minus)):
-            projector = (sympy.eye(4) - sign * sympy.I * j_at) / 2
-            assert projector.rank() == 2
-            columns = np.array(projector.T.evalf(), dtype=complex)
-            stacked = np.vstack([columns, bases[p]])
-            assert np.linalg.matrix_rank(bases[p], tol=1e-9) == 2
-            assert np.linalg.matrix_rank(stacked, tol=1e-9) == 2
+    for structure, xs, j_sym, rational_points in cases:
+        n, size = structure.n, structure.real_dim
+        pts = np.array([[float(c) for c in pt] for pt in rational_points])
+        res = split_type(structure, pts)
+        for p, pt in enumerate(rational_points):
+            j_at = j_sym.subs(dict(zip(xs, pt)))
+            for sign, bases in ((1, res.bases_plus), (-1, res.bases_minus)):
+                projector = (sympy.eye(size) - sign * sympy.I * j_at) / 2
+                assert projector.rank() == n
+                columns = np.array(projector.T.evalf(), dtype=complex)
+                stacked = np.vstack([columns, bases[p]])
+                assert np.linalg.matrix_rank(bases[p], tol=1e-9) == n
+                assert np.linalg.matrix_rank(stacked, tol=1e-9) == n

@@ -557,8 +557,7 @@ def test_affine_closure_matches_the_lattice_verdicts(monkeypatch):
                 def closure(depth):
                     return generate([scen.maps[m] for m in spec.member_names],
                                     scen.box, depth=depth,
-                                    dedup_tol=spec.dedup_tol,
-                                    restriction_targets=spec.restriction_targets)
+                                    dedup_tol=spec.dedup_tol)
                 fam = closure(spec.depth)
                 out.append(_closure_fingerprint(fam))
                 # The axioms of the depth-2 fam_ah take long to check; its
@@ -1224,8 +1223,7 @@ def test_closure_matches_the_undeduplicated_newton_loop(monkeypatch):
 
     def closure():
         fam, shallow = (generate(seeds, scen.box, depth=depth,
-                                 dedup_tol=spec.dedup_tol,
-                                 restriction_targets=spec.restriction_targets)
+                                 dedup_tol=spec.dedup_tol)
                         for depth in (spec.depth, 1))
         return fam, shallow, validate_axioms(shallow)
 

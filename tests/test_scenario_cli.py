@@ -198,6 +198,19 @@ def test_cli_rejects_bad_inputs(tmp_path):
     code, out, err = run_cli("builtin", "std_c2", "--tol", "tol_fit")
     assert code == 2
 
+    # The first override alone fails the zbar task; a second one for the
+    # same name must not silently replace it.
+    zbar = tmp_path / "zbar.json"
+    zbar.write_text(json.dumps(minimal_scenario(
+        functions={"zbar": "x1 - (0+1i)*x2"},
+        tasks=[{"task": "cr_check", "function": "zbar"}])))
+    code, out, err = run_cli("run", str(zbar), "--tol", "tol_cr=1e-10")
+    assert code == 1
+    code, out, err = run_cli("run", str(zbar), "--tol", "tol_cr=1e-10",
+                             "--tol", "tol_cr=10")
+    assert code == 2
+    assert err == "error: --tol names 'tol_cr' more than once\n"
+
     code, out, err = run_cli("builtin", "std_c2", "--grid", "0")
     assert code == 2
     assert "at least 2 points" in err
@@ -447,6 +460,7 @@ UNIT = {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}
     {"members": []},
     {"members": ["wide"]},
     {"members": ["m", "wide"]},
+    {"members": ["m"], "restriction_targets": []},
 ])
 def test_cli_rejects_malformed_families_with_exit_two(scenario_file, capsys,
                                                       family):
