@@ -17,7 +17,7 @@ import numpy as np
 from . import defaults
 from .errors import ConfigurationError, NumericalError
 from .jfield import eval_j, numerical_rank
-from .poly import Polynomial, monomial_key, monomials_upto
+from .poly import Polynomial, monomials_upto
 from .report import make_report
 
 
@@ -78,24 +78,37 @@ def _cr_system_matrix(structure, monomials):
     output monomial e), sorted by (j, monomial_key(e)).
     A polynomial that vanishes on the box vanishes identically, so the
     nullspace is that of the CR operator on the box, whatever the box.
+
+    The monomial x^e contributes -i e_j at (j, e - u_j) and, for each i and
+    each term c x^t of J_ij, e_i c at (j, e - u_i + t).  The contributions
+    are gathered for all columns from exponent arrays and summed into each
+    entry in one fixed order: the -i e_j term first, then i ascending, each
+    J_ij in its term order.  Rows whose entries all cancel are dropped.
     """
     size = structure.real_dim
-    j_entries = structure.matrix
-    images = []
-    for exps in monomials:
-        grad = [Polynomial(size, {exps: 1.0}).diff(i) for i in range(size)]
-        images.append([
-            sum((grad[i] * j_entries[i][j] for i in range(size)), -1j * grad[j])
-            for j in range(size)])
-    keys = sorted({(j, monomial_key(e)) for image in images
-                   for j, comp in enumerate(image) for e in comp.terms})
-    row_of = {key: r for r, key in enumerate(keys)}
+    exps = np.array(monomials, dtype=np.int64).reshape(len(monomials), size)
+    shifts = np.eye(size, dtype=np.int64)
+    comps, targets, cols, values = [], [], [], []
+
+    def gather(axis, j, offset, coef):
+        live = np.flatnonzero(exps[:, axis])
+        comps.append(np.full(len(live), j))
+        targets.append(exps[live] + (offset - shifts[axis]))
+        cols.append(live)
+        values.append(exps[live, axis].astype(complex) * coef)
+
+    for j in range(size):
+        gather(j, j, 0, -1j)
+    for i in range(size):
+        for j in range(size):
+            for t, coef in structure.matrix[i][j].terms.items():
+                gather(i, j, np.array(t), coef)
+    targets = np.concatenate(targets)
+    keys = np.column_stack([np.concatenate(comps), targets.sum(axis=1), targets])
+    keys, rows = np.unique(keys, axis=0, return_inverse=True)
     a = np.zeros((len(keys), len(monomials)), dtype=complex)
-    for col, image in enumerate(images):
-        for j, comp in enumerate(image):
-            for e, coef in comp.terms.items():
-                a[row_of[j, monomial_key(e)], col] = coef
-    return a
+    np.add.at(a, (rows.ravel(), np.concatenate(cols)), np.concatenate(values))
+    return a[np.any(a != 0, axis=1)]
 
 
 def _reduce_rows(rows, monomials):

@@ -299,7 +299,7 @@ def parse_scenario(data):
     tables = {"function": functions, "map": maps, "chart": chart_specs,
               "family": family_specs}
     for i, spec in enumerate(task_specs):
-        _validate_task(spec, tables, f"task {i}")
+        _validate_task(spec, tables, n, f"task {i}")
     tasks = [dict(spec) for spec in task_specs]
 
     return Scenario(name=name, n=n, box=box, structure=structure,
@@ -359,8 +359,12 @@ def _with_tolerances(tolerances, overrides):
     return out
 
 
-def _validate_task(spec, tables, where):
-    """Check one task object's keys, integers and references against TASKS."""
+def _validate_task(spec, tables, n, where):
+    """Check one task object's keys, integers and references against TASKS.
+
+    An expectation no result can meet is refused: with ``expect: fail`` it
+    would pass whatever the structure is.
+    """
     kind = _require(_json_object(spec, where), "task", where)
     if not isinstance(kind, str) or kind not in TASKS:
         raise ScenarioError(f"{where}: unknown task {kind!r}")
@@ -380,6 +384,12 @@ def _validate_task(spec, tables, where):
         if ref == "int" and key in spec and not _is_int(spec[key]):
             raise ScenarioError(f"{where}: {key!r} must be an integer, "
                                 f"got {spec[key]!r}")
+    if not 0 <= spec.get("expect_m", 0) <= n:
+        raise ScenarioError(f"{where}: expect_m must lie in 0..{n}, "
+                            f"got {spec['expect_m']!r}")
+    if spec.get("expect_dim", 0) < 0:
+        raise ScenarioError(f"{where}: expect_dim must be nonnegative, "
+                            f"got {spec['expect_dim']!r}")
     for key in refs:
         table, count = keys[key] if isinstance(keys[key], tuple) else (keys[key], 0)
         labels = _require(spec, key, where)

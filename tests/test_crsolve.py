@@ -21,7 +21,8 @@ from spencerkit import (
 from spencerkit import crsolve, defaults
 from spencerkit.errors import ConfigurationError, NumericalError
 from spencerkit.jfield import eval_j, numerical_rank
-from spencerkit.poly import Polynomial
+from spencerkit.poly import Polynomial, monomial_key, monomials_upto
+from spencerkit.scenario import builtin_scenarios, parse_scenario
 
 from conftest import (TWISTED_ROWS, _poly_matrix, poly_identity_matrix,
                       poly_matmul)
@@ -140,12 +141,12 @@ def test_solver_off_centre_box_finds_the_exact_nullity():
     assert sol.residual <= bound
 
 
-def _exact_cr_nullspace(structure, degree):
-    """Exponent tuples and the exact nullspace of the CR system, in sympy.
+def _exact_cr_system(structure, degree):
+    """Exponent tuples, row keys and the exact CR coefficient matrix, in sympy.
 
     The unknowns are the coefficients of a generic polynomial of degree 1 to
     ``degree``; each x-coefficient of sum_i d_i f J_ij - i d_j f is one
-    linear equation.
+    linear equation, keyed by (component j, exponent tuple of the x-monomial).
     """
     size = structure.real_dim
     xs = sympy.symbols(f"x1:{size + 1}")
@@ -161,11 +162,19 @@ def _exact_cr_nullspace(structure, degree):
     cs = sympy.symbols(f"c0:{len(exps)}")
     f = sum(c * monomial(e) for c, e in zip(cs, exps))
     grad = [sympy.diff(f, x) for x in xs]
-    equations = []
+    keys, equations = [], []
     for col in range(size):
         image = sum(grad[i] * j[i][col] for i in range(size)) - sympy.I * grad[col]
-        equations.extend(sympy.Poly(sympy.expand(image), *xs).coeffs())
+        for monom, coef in sympy.Poly(sympy.expand(image), *xs).terms():
+            keys.append((col, monom))
+            equations.append(coef)
     matrix, _ = sympy.linear_eq_to_matrix(equations, cs)
+    return exps, keys, matrix
+
+
+def _exact_cr_nullspace(structure, degree):
+    """Exponent tuples and the exact nullspace of the CR system, in sympy."""
+    exps, _, matrix = _exact_cr_system(structure, degree)
     return exps, matrix.nullspace()
 
 
@@ -250,6 +259,103 @@ def test_solver_matches_sympy_oracle_sheared(degree, nullity):
     # 1 to D: w1, then w1^2 and w2 (the standard structure has 5 at D = 2).
     # Degree 3 (nullity 5) takes the exact nullspace about 6 s.
     assert _oracle_nullity(_sheared_structure(), degree) == nullity
+
+
+@pytest.mark.parametrize("name", ["sheared", "twisted"])
+def test_cr_system_matrix_matches_the_sympy_matrix_entry_by_entry(name, twisted):
+    # Dyadic and integer coefficients: every float entry is exact.
+    structure = _sheared_structure() if name == "sheared" else twisted
+    exps, keys, exact = _exact_cr_system(structure, 2)
+    monomials = tuple(monomials_upto(structure.real_dim, 2))
+    a = crsolve._cr_system_matrix(structure, monomials)
+    order = sorted(range(len(keys)),
+                   key=lambda r: (keys[r][0], monomial_key(keys[r][1])))
+    position = {e: k for k, e in enumerate(exps)}
+    cols = [position[e] for e in monomials]
+    expected = np.array([[complex(exact[r, c]) for c in cols] for r in order])
+    assert a.shape == expected.shape
+    assert np.array_equal(a, expected)
+
+
+# The assembly that multiplied and added Polynomial objects column by column,
+# before the contributions were gathered from exponent arrays; kept verbatim
+# as the bit-identity reference.
+def _reference_cr_system_matrix(structure, monomials):
+    size = structure.real_dim
+    j_entries = structure.matrix
+    images = []
+    for exps in monomials:
+        grad = [Polynomial(size, {exps: 1.0}).diff(i) for i in range(size)]
+        images.append([
+            sum((grad[i] * j_entries[i][j] for i in range(size)), -1j * grad[j])
+            for j in range(size)])
+    keys = sorted({(j, monomial_key(e)) for image in images
+                   for j, comp in enumerate(image) for e in comp.terms})
+    row_of = {key: r for r, key in enumerate(keys)}
+    a = np.zeros((len(keys), len(monomials)), dtype=complex)
+    for col, image in enumerate(images):
+        for j, comp in enumerate(image):
+            for e, coef in comp.terms.items():
+                a[row_of[j, monomial_key(e)], col] = coef
+    return a
+
+
+SHEAR_TAILS_N3 = ["0.3*x1 - 0.7*x2 + 0.1*x1^2 - 0.6*x1*x2 + 0.9*x2^2",
+                  "-0.2*x1 + 0.4*x2 - 0.8*x1^2 + 0.3*x1*x2 + 0.7*x2^2",
+                  "0.6*x3 - 0.1*x4 + 0.2*x1*x3 - 0.3*x2*x4 + 0.7*x3^2",
+                  "-0.4*x1 + 0.9*x4 + 0.5*x2*x3 - 0.2*x3*x4 + 0.1*x4^2"]
+
+
+def _sheared_n3_structure():
+    """Pullback of the standard n=3 structure by the unipotent shear
+    (x1, x2, x3 + q3, x4 + q4, x5 + q5, x6 + q6): q3, q4 in x1, x2 and q5, q6
+    in x1..x4.  DPhi = I + N with N^3 = 0, so DPhi^-1 = I - N + N^2."""
+    tails = [parse_polynomial(t, 6) for t in SHEAR_TAILS_N3]
+    eye = poly_identity_matrix(6, 6)
+    zero = Polynomial.zero(6)
+    n_part = [[zero] * 6 for _ in range(6)]
+    for row, tail in zip((2, 3, 4, 5), tails):
+        for col in range(row - row % 2):
+            n_part[row][col] = tail.diff(col)
+    n_squared = poly_matmul(n_part, n_part)
+    dphi = [[eye[r][c] + n_part[r][c] for c in range(6)] for r in range(6)]
+    dphi_inv = [[eye[r][c] - n_part[r][c] + n_squared[r][c] for c in range(6)]
+                for r in range(6)]
+    base = standard_structure(3)
+    return ACStructure(3, base.box,
+                       poly_matmul(poly_matmul(dphi_inv, base.matrix), dphi))
+
+
+def _dense_structure(seed):
+    """Seeded n=2 matrix with every entry a full quadratic with coefficients
+    in (-1, 1): the contributions to one entry round differently in another
+    order.  The assembly does not need J^2 = -I."""
+    rng = np.random.default_rng(seed)
+    exps = monomials_upto(4, 2, include_constant=True)
+    return ACStructure(2, standard_structure(2).box, [
+        [Polynomial(4, dict(zip(exps, rng.uniform(-1.0, 1.0, len(exps)))))
+         for _ in range(4)] for _ in range(4)])
+
+
+ASSEMBLY_STRUCTURES = {
+    **{name: lambda name=name: parse_scenario(builtin_scenarios()[name]).structure
+       for name in ("std_c1", "std_c2", "twisted_r4")},
+    **{f"standard_n{n}": lambda n=n: standard_structure(n) for n in (1, 2, 3)},
+    "sheared_n2": _sheared_structure,
+    "sheared_n3": _sheared_n3_structure,
+    "dense_n2": lambda: _dense_structure(25),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ASSEMBLY_STRUCTURES))
+def test_cr_system_matrix_matches_the_polynomial_reference_bit_for_bit(name):
+    structure = ASSEMBLY_STRUCTURES[name]()
+    for degree in range(1, 4 if structure.n == 3 else 5):
+        monomials = tuple(monomials_upto(structure.real_dim, degree))
+        a = crsolve._cr_system_matrix(structure, monomials)
+        ref = _reference_cr_system_matrix(structure, monomials)
+        assert a.shape == ref.shape, (name, degree)
+        assert a.tobytes() == ref.tobytes(), (name, degree)
 
 
 def test_solver_is_deterministic(std2):

@@ -337,6 +337,13 @@ def test_cli_tol_override_must_be_finite_and_positive(scenario_file, capsys,
     {"tasks": [{"task": "check_acs", "label": None}]},
     {"tasks": [{"task": "check_acs", "label": 5}]},
     {"tasks": [{"task": "check_acs", "label": ["a"]}]},
+    # No result meets these expectations, so expect: fail would pass.
+    {"tasks": [{"task": "spencer_type", "degree": 2, "expect_m": 2,
+                "expect": "fail"}]},
+    {"tasks": [{"task": "spencer_type", "degree": 2, "expect_m": -1,
+                "expect": "fail"}]},
+    {"tasks": [{"task": "solve_ah", "degree": 2, "expect_dim": -1,
+                "expect": "fail"}]},
     # A chart that cannot be built would make expect: fail pass vacuously.
     {"charts": {"c": {"functions": []}},
      "tasks": [{"task": "chart", "chart": "c", "expect": "fail"}]},
