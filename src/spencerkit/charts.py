@@ -130,13 +130,29 @@ def _vandermonde(w, fit_degree):
     return PolyMap([Polynomial(m, {e: 1.0}) for e in monomials]).evaluate(w), monomials
 
 
-def _lstsq_checked(matrix, rhs, what):
+def _fit(w, rhs, fit_degree, what):
+    """Least-squares fit of rhs by the holomorphic monomials of w up to
+    fit_degree: the Vandermonde matrix, its monomials, the coefficients and
+    the condition number.
+
+    A fit with at least as many monomials as distinct rows of w (distinct
+    by bits) could interpolate any target, so its residual would witness
+    nothing; it is refused, and so is an ill-conditioned fit.
+    """
+    matrix, monomials = _vandermonde(w, fit_degree)
+    bits = np.ascontiguousarray(w).view(np.int64)
+    bits = bits[np.lexsort(bits.T)]
+    distinct = 1 + int(np.count_nonzero((bits[1:] != bits[:-1]).any(axis=1)))
+    if distinct <= len(monomials):
+        raise ConfigurationError(
+            f"fit_degree {fit_degree} gives {len(monomials)} monomials for "
+            f"{distinct} distinct chart values; the fit could interpolate")
     sigma = np.linalg.svd(matrix, compute_uv=False)
     if sigma[-1] == 0 or sigma[0] / sigma[-1] > defaults.FIT_COND_CAP:
         raise FitError(f"{what} is too ill-conditioned to fit "
                        f"(condition number above {defaults.FIT_COND_CAP:g})")
     solution, _, _, _ = np.linalg.lstsq(matrix, rhs, rcond=None)
-    return solution, float(sigma[0] / sigma[-1])
+    return matrix, monomials, solution, float(sigma[0] / sigma[-1])
 
 
 @dataclass
@@ -159,8 +175,8 @@ def factorize(chart, h, grid_k=defaults.GRID_PER_AXIS,
     pts = chart.box.lattice(grid_k)
     w = chart.evaluate(pts)
     h_vals = h.evaluate(pts)
-    matrix, monomials = _vandermonde(w, fit_degree)
-    coeffs, cond = _lstsq_checked(matrix, h_vals, "chart Vandermonde system")
+    matrix, monomials, coeffs, cond = _fit(w, h_vals, fit_degree,
+                                           "chart Vandermonde system")
     fit_residual = float(np.max(np.abs(matrix @ coeffs - h_vals)))
     return Factorization(coefficients=coeffs, monomials=tuple(monomials),
                          fit_residual=fit_residual, cond=cond)
@@ -193,8 +209,8 @@ def transition_map(chart_a, chart_b, grid_k=defaults.GRID_PER_AXIS,
     pts = overlap.lattice(grid_k)
     wa = chart_a.evaluate(pts)
     wb = chart_b.evaluate(pts)
-    matrix, monomials = _vandermonde(wa, fit_degree)
-    coeffs, cond = _lstsq_checked(matrix, wb, "transition Vandermonde system")
+    matrix, monomials, coeffs, cond = _fit(wa, wb, fit_degree,
+                                           "transition Vandermonde system")
     fit_residual = float(np.max(np.abs(matrix @ coeffs - wb)))
     m = chart_a.m
     components = [Polynomial(m, dict(zip(monomials, coeffs[:, j])))

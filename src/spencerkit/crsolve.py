@@ -61,9 +61,8 @@ class AHSolutionSet:
     monomials: tuple            # exponent tuples, graded order; no constant
     coefficients: np.ndarray    # (nullity, len(monomials)) complex, reduced rows
     fields: tuple               # Polynomial per row of ``coefficients``
-    residual: float             # worst lattice CR defect / |c|_inf over the basis
+    residual: float             # worst bound of the CR defect on the box / |c|_inf
     singular_values: np.ndarray
-    grid_k: int
     svd_rel_tol: float
 
     @property
@@ -75,7 +74,8 @@ def _cr_system_matrix(structure, monomials):
     """Exact coefficient map of f -> sum_i d_i f J_ij - i d_j f.
 
     Each monomial of the ansatz gives one column; the rows are (component j,
-    output monomial e), sorted by (j, monomial_key(e)).
+    output monomial e), sorted by (j, monomial_key(e)).  Returns the matrix
+    and the key of each row kept, as an integer array of rows (j, *e).
     A polynomial that vanishes on the box vanishes identically, so the
     nullspace is that of the CR operator on the box, whatever the box.
 
@@ -108,16 +108,35 @@ def _cr_system_matrix(structure, monomials):
     keys, rows = np.unique(keys, axis=0, return_inverse=True)
     a = np.zeros((len(keys), len(monomials)), dtype=complex)
     np.add.at(a, (rows.ravel(), np.concatenate(cols)), np.concatenate(values))
-    return a[np.any(a != 0, axis=1)]
+    kept = np.any(a != 0, axis=1)
+    return a[kept], np.delete(keys[kept], 1, axis=1)
 
 
-def _reduce_rows(rows, monomials):
+def _defect_bound(a, keys, coefficients, box):
+    """Per basis field, a bound of its CR defect over the box, relative to
+    its largest coefficient.
+
+    The defect of the field with coefficients c is the polynomial with
+    coefficients A c, keyed by (component j, monomial e).  On the box
+    |x^e| <= r^e with r_k = max(|lo_k|, |hi_k|), so the largest component
+    is at most max_j sum_e |(A c)_{j,e}| r^e, up to rounding.
+    """
+    radius = np.maximum(np.abs(box.lo), np.abs(box.hi))
+    weights = np.prod(radius ** keys[:, 1:], axis=1)
+    terms = np.abs(a @ coefficients.T) * weights[:, None]
+    per_component = np.zeros((box.dim, len(coefficients)))
+    np.add.at(per_component, keys[:, 0], terms)
+    return np.max(per_component, axis=0) / np.max(np.abs(coefficients), axis=1)
+
+
+def _reduce_rows(rows, monomials, pivot_tol):
     """Deterministic reduced form of a nullspace basis.
 
     Pivots are chosen scanning monomial positions in graded order, taking the
-    row with the largest entry at each position; pivots are normalized to a
-    unit leading coefficient and eliminated from every other row.  Small
-    coefficients are snapped to zero so bases are reproducible.
+    row with the largest entry at each position; an entry at or below
+    ``pivot_tol`` is no pivot.  Pivots are normalized to a unit leading
+    coefficient and eliminated from every other row.  Small coefficients are
+    snapped to zero so bases are reproducible.
     """
     rows = [r / np.max(np.abs(r)) for r in rows]
     reduced = []
@@ -128,7 +147,7 @@ def _reduce_rows(rows, monomials):
             break
         scores = [abs(r[pos]) for r in remaining]
         best = int(np.argmax(scores))
-        if scores[best] <= defaults.REDUCE_PIVOT_TOL:
+        if scores[best] <= pivot_tol:
             continue
         row = remaining.pop(best)
         row = row / row[pos]
@@ -150,24 +169,20 @@ def _reduce_rows(rows, monomials):
     return out
 
 
-def solve_ah_polynomials(structure, degree, grid_k=None,
+def solve_ah_polynomials(structure, degree, *,
                          svd_rel_tol=defaults.SVD_REL_TOL):
     """All polynomial almost-holomorphic functions up to total degree.
 
     Constants are trivially almost holomorphic and are excluded from the
-    ansatz.  ``grid_k`` sets only the lattice of the independent residual
-    check: the worst CR defect of each basis field over that lattice,
-    relative to its largest coefficient.
+    ansatz.  Nothing is sampled: the residual is the worst
+    ``_defect_bound`` over the basis, from the coefficient map itself.
     """
     if not 1 <= degree <= defaults.DEGREE_CAP:
         raise ConfigurationError(
             f"solver degree {degree} outside 1..{defaults.DEGREE_CAP}")
-    if grid_k is None:
-        grid_k = defaults.default_solver_grid(degree)
-    pts = structure.box.lattice(grid_k)
     size = structure.real_dim
     monomials = tuple(monomials_upto(size, degree))
-    a = _cr_system_matrix(structure, monomials)
+    a, keys = _cr_system_matrix(structure, monomials)
     try:
         _, sigma, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -175,14 +190,19 @@ def solve_ah_polynomials(structure, degree, grid_k=None,
     if not np.all(np.isfinite(sigma)):
         raise NumericalError("CR system produced non-finite singular values")
     rank = int(numerical_rank(sigma, svd_rel_tol))
-    reduced = _reduce_rows([np.conj(v) for v in vh[rank:]], monomials)
+    # The kernel rows are accurate to about eps * sigma_1 / sigma_rank
+    # (Wedin), so a smaller pivot would divide by noise.
+    gap = sigma[0] / sigma[rank - 1] if rank else 1.0
+    pivot_tol = max(defaults.REDUCE_PIVOT_TOL,
+                    defaults.REDUCE_GAP_FACTOR * np.finfo(float).eps * gap)
+    reduced = _reduce_rows([np.conj(v) for v in vh[rank:]], monomials,
+                           pivot_tol)
     coeffs = (np.array(reduced) if reduced
               else np.zeros((0, len(monomials)), dtype=complex))
     fields = tuple(
         Polynomial(size, dict(zip(monomials, row))) for row in coeffs)
-    residual = max((r / f.max_abs_coeff() for r, f in
-                    zip(cr_residual(structure, fields, pts), fields)),
-                   default=0.0)
+    residual = float(max(_defect_bound(a, keys, coeffs, structure.box),
+                         default=0.0))
     return AHSolutionSet(
         degree=int(degree),
         monomials=monomials,
@@ -190,7 +210,6 @@ def solve_ah_polynomials(structure, degree, grid_k=None,
         fields=fields,
         residual=residual,
         singular_values=sigma,
-        grid_k=int(grid_k),
         svd_rel_tol=float(svd_rel_tol),
     )
 
@@ -240,15 +259,20 @@ class TypeEstimate:
     notes: list = dc_field(default_factory=list)
 
 
-def estimate_spencer_type(structure, solution, svd_rel_tol=defaults.SVD_REL_TOL):
+def estimate_spencer_type(structure, solution, grid_k=None,
+                          svd_rel_tol=defaults.SVD_REL_TOL):
     """Estimate the number of independent almost-holomorphic coordinates.
 
     Greedily keeps the canonical basis fields of ``solution`` (an
     ``AHSolutionSet`` of ``structure``) while each one raises the real
-    Jacobian rank by two.  At most the complex dimension n: the rank of
-    rows with 2n columns is at most 2n, and the search stops there.
+    Jacobian rank by two, at some point of the box's lattice of density
+    ``grid_k`` (by default ``defaults.default_solver_grid(degree)``).  At
+    most the complex dimension n: the rank of rows with 2n columns is at
+    most 2n, and the search stops there.
     """
-    pts = structure.box.lattice(solution.grid_k)
+    if grid_k is None:
+        grid_k = defaults.default_solver_grid(solution.degree)
+    pts = structure.box.lattice(grid_k)
     notes = [f"solution space dimension {solution.nullity} at degree {solution.degree}"]
     selected = []
     rows = np.zeros((len(pts), 0, structure.real_dim))

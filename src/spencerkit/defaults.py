@@ -23,6 +23,7 @@ SVD_REL_TOL = 1e-8     # relative singular-value cutoff (rank / nullspace)
 # snap, Newton and growth values are relative to a row maximum, a point's
 # scale and max(domain diameter, 1) respectively.
 REDUCE_PIVOT_TOL = 1e-10    # smallest pivot when reducing a nullspace basis
+REDUCE_GAP_FACTOR = 1e3     # ... or this * eps * sigma_1 / sigma_r if larger
 REDUCE_SNAP_TOL = 1e-12     # reduced coefficients at or below this become 0
 NEWTON_STOP_TOL = 1e-13     # Newton residual at which a point stops iterating
 NEWTON_ACCEPT_TOL = 1e-9    # Newton residual up to which a point is accepted
@@ -50,7 +51,7 @@ GRID_PER_AXIS = 5           # lattice density for map/axiom checks
 
 
 def default_solver_grid(degree):
-    """Lattice density of the CR solver's residual check when none is given."""
+    """Lattice density of the type estimate's rank check when none is given."""
     return 2 * degree + 1
 
 

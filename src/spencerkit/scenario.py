@@ -417,19 +417,18 @@ class _Run:
     # raised.  The tolerances are fixed within a run, so they are no part
     # of the key.
     charts: dict = dc_field(default_factory=dict)
-    # (degree, grid_k) -> the AHSolutionSet solved at them.
+    # degree -> the AHSolutionSet solved at it.
     solutions: dict = dc_field(default_factory=dict)
 
     def solution(self, spec):
         """The CR solve a ``solve_ah`` or ``spencer_type`` task asks for,
         done once per run."""
         degree = int(spec.get("degree", 2))
-        key = (degree, int(spec.get("grid", defaults.default_solver_grid(degree))))
-        if key not in self.solutions:
-            self.solutions[key] = solve_ah_polynomials(
-                self.scenario.structure, degree, grid_k=key[1],
+        if degree not in self.solutions:
+            self.solutions[degree] = solve_ah_polynomials(
+                self.scenario.structure, degree,
                 svd_rel_tol=self.tols["svd_rel_tol"])
-        return self.solutions[key]
+        return self.solutions[degree]
 
     def chart(self, label, grid_k=defaults.GRID_PER_AXIS):
         """The chart ``label`` validated at density ``grid_k``, built once per
@@ -517,6 +516,7 @@ def _run_solve_ah(scenario, spec, run):
 
 def _run_spencer_type(scenario, spec, run):
     estimate = estimate_spencer_type(scenario.structure, run.solution(spec),
+                                     grid_k=spec.get("grid"),
                                      svd_rel_tol=run.tols["svd_rel_tol"])
     expected = int(spec.get("expect_m", scenario.n))
     return make_report(
@@ -655,8 +655,7 @@ TASKS = {
     "split_type": (_run_split_type, {"grid": "int"}),
     "integrability": (_run_integrability, {"grid": "int"}),
     "cr_check": (_run_cr_check, {"function": "function", "grid": "int"}),
-    "solve_ah": (_run_solve_ah, {"degree": "int", "grid": "int",
-                                 "expect_dim": "int"}),
+    "solve_ah": (_run_solve_ah, {"degree": "int", "expect_dim": "int"}),
     "spencer_type": (_run_spencer_type, {"degree": "int", "grid": "int",
                                          "expect_m": "int"}),
     "chart": (_run_chart, {"chart": "chart", "grid": "int"}),
@@ -895,7 +894,7 @@ def _builtin_std_c2():
             {"task": "cr_check", "function": "z1", "label": "cr_check_z1"},
             {"task": "solve_ah", "degree": 1, "expect_dim": 2,
              "label": "solve_ah_linear"},
-            {"task": "solve_ah", "degree": 3, "grid": 7, "expect_dim": 9,
+            {"task": "solve_ah", "degree": 3, "expect_dim": 9,
              "label": "solve_ah_cubic"},
             {"task": "spencer_type", "degree": 2, "expect_m": 2},
             {"task": "chart", "chart": "cc"},

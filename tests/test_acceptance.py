@@ -128,7 +128,7 @@ def test_acceptance_04_solver_correctness(std1, std2):
     assert estimate_spencer_type(std2, solve_ah_polynomials(std2, 2)).m == 2
     assert estimate_spencer_type(std1, solve_ah_polynomials(std1, 2)).m == 1
     start = time.perf_counter()
-    solve_ah_polynomials(std2, degree=3, grid_k=7)
+    solve_ah_polynomials(std2, degree=3)
     assert time.perf_counter() - start < 5.0
     _passed(4, "degree-1 solutions on C^2 span {z1, z2} with rank 4, "
                "types are 2 and 1, degree-3 solve takes < 5 s")

@@ -308,6 +308,8 @@ def test_cli_tol_override_must_be_finite_and_positive(scenario_file, capsys,
 @pytest.mark.parametrize("overrides", [
     {"tasks": [{"task": "solve_ah", "degree": 2, "expect_dims": 5}]},
     {"tasks": [{"task": "solve_ah", "degree": "x"}]},
+    # The solve samples nothing, so solve_ah takes no grid.
+    {"tasks": [{"task": "solve_ah", "degree": 2, "grid": 5}]},
     {"tasks": [{"task": "cr_check", "function": "z", "grid": 5.0}]},
     {"tasks": {"task": "cr_check", "function": "z"}},
     {"tasks": ["cr_check"]},
@@ -441,6 +443,59 @@ def test_cli_refuses_a_negative_fit_degree(scenario_file, capsys):
     assert cli.main(["run", scenario_file(data)]) == 2
     assert capsys.readouterr().err == (
         "error: fit_degree must be nonnegative, got -1\n")
+
+
+TWISTED_R4 = builtin_scenarios()["twisted_r4"]
+
+
+def _factorize_conjugate(data, **task):
+    """``data`` with a chart on its one function and a task factorizing the
+    conjugate of that function through it."""
+    (name, text), = data["functions"].items()
+    return dict(data, functions={name: text,
+                                 "bar": text.replace("+ (0+1i)", "- (0+1i)")},
+                charts={"c": {"functions": [name]}},
+                tasks=[dict(task="factorize", chart="c", function="bar",
+                            **task)])
+
+
+TWISTED_W = minimal_scenario(n=2, box=TWISTED_R4["box"], J=TWISTED_R4["J"],
+                             functions={"w": "x3 + (0+1i)*x4"})
+
+
+@pytest.mark.parametrize("data, task, message", [
+    (minimal_scenario(), {"grid": 2, "fit_degree": 3},
+     "fit_degree 3 gives 4 monomials for 4 distinct chart values"),
+    (minimal_scenario(), {"grid": 5, "fit_degree": 24},
+     "fit_degree 24 gives 25 monomials for 25 distinct chart values"),
+    # 625 lattice points, but only 25 distinct values of w = x3 + i x4.
+    (TWISTED_W, {"fit_degree": 24},
+     "fit_degree 24 gives 25 monomials for 25 distinct chart values"),
+], ids=["unit_grid2", "unit_grid5", "twisted_w"])
+def test_cli_refuses_a_fit_that_can_interpolate(scenario_file, capsys, data,
+                                                task, message):
+    # Each of these fits of a conjugate passed, with fit_residual below 1e-11.
+    assert cli.main(["run", scenario_file(_factorize_conjugate(data, **task))]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {message}; the fit could interpolate\n")
+
+
+def test_a_fit_with_fewer_monomials_than_chart_values_runs():
+    data = _factorize_conjugate(TWISTED_W, fit_degree=20)
+    result = run_scenario(parse_scenario(data))
+    assert result.reports[0].status == "fail"
+    assert result.reports[0].metrics["fit_residual"] > 0.3
+
+
+def test_cli_refuses_transitions_and_cocycles_that_can_interpolate(
+        scenario_file, capsys):
+    data = minimal_scenario(
+        charts={"a": {"functions": ["z"]}, "b": {"functions": ["z"]}})
+    for task in ({"task": "transition", "charts": ["a", "b"]},
+                 {"task": "cocycle", "charts": ["a", "b", "a"]}):
+        data["tasks"] = [dict(task, grid=2, fit_degree=3)]
+        assert cli.main(["run", scenario_file(data)]) == 2
+        assert "the fit could interpolate" in capsys.readouterr().err
 
 
 UNIT = {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}
@@ -801,6 +856,20 @@ def test_spencer_type_reuses_the_solve_of_a_solve_ah_task(monkeypatch):
         {"task": "spencer_type", "degree": 1, "expect_m": 1}])
     result = run_scenario(parse_scenario(data))
     assert result.overall == "pass"
-    # The default solver grid at degree 2 is 5; grid 4 is another solve.
-    assert solves == [2, 2, 1]
+    # grid sets only the rank lattice of spencer_type: one solve per degree.
+    assert solves == [2, 1]
     assert result.reports[-1].notes[0] == "solution space dimension 1 at degree 1"
+
+
+def test_small_twist_keeps_type_one(scenario_file, capsys):
+    # twisted_r4 with its twist scaled by 1e-6: the singular-value gap of the
+    # CR system is about 1.4e-7, and a nullspace basis reduced with pivots
+    # below its noise counted z1 as a second coordinate (m = 2, exit 1).
+    data = {"name": "twist_eps", "n": 2, "box": TWISTED_R4["box"],
+            "J": [["0", "-1", "-1e-6*x1", "0"], ["1", "0", "0", "1e-6*x1"],
+                  ["0", "0", "0", "-1"], ["0", "0", "1", "0"]],
+            "tasks": [{"task": "solve_ah", "degree": 2, "expect_dim": 2},
+                      {"task": "spencer_type", "degree": 2, "expect_m": 1}]}
+    assert cli.main(["run", scenario_file(data)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [t["metrics"].get("m") for t in report["tasks"]] == [None, 1.0]
