@@ -278,9 +278,8 @@ def _steps_of(map_):
 
 
 # Each side of a composite's domain is found by BISECTION_STEPS halvings;
-# one batched evaluation decides BISECTION_LEVELS of them (a divisor of
-# BISECTION_STEPS).  Deeper batches cost more Newton work than they save
-# in calls.
+# one batched evaluation decides up to BISECTION_LEVELS of them.  Deeper
+# batches cost more Newton work than they save in calls.
 BISECTION_STEPS = 60
 BISECTION_LEVELS = 3
 # Sweeps over every side of a composite's domain; the growth stops earlier
@@ -288,43 +287,54 @@ BISECTION_LEVELS = 3
 COMPOSE_GROWTH_ROUNDS = 6
 
 
-def _bisect_stretch(avail, probe, floor):
+def _bisect_stretch(avail, candidates, floor):
     """Generator of the stretch in [0, avail] the sequential search would
     keep, wherever that stretch exceeds ``floor``; otherwise of some
     stretch at most ``floor``.
 
     That search takes ``avail`` when it passes, and otherwise the last
-    passing midpoint of BISECTION_STEPS halvings of (0, avail).  Here
-    ``probe`` is a generator function that maps an array of stretches to
-    an array of verdicts, yielding the evaluations it needs; each probe
-    decides BISECTION_LEVELS halvings at once: it gets every midpoint they
-    could visit, in heap order and with the same ``0.5 * (a + b)``
-    arithmetic, and the verdicts pick the path.  The full stretch rides in
-    the first probe.  It stops once no float lies strictly between t_ok and
-    t_bad, where every later midpoint would repeat a known verdict, and
-    once t_bad <= floor: t_ok never passes t_bad and t_bad only falls, so
-    the sequential search would end at or below ``floor`` too.
+    passing midpoint of BISECTION_STEPS halvings of (0, avail).  Each yield
+    is ``candidates`` of an array of stretches, answered by their verdicts.
+    A heap probe holds every midpoint of the next BISECTION_LEVELS halvings
+    (or of those left), in heap order and with the same ``0.5 * (a + b)``
+    arithmetic; the verdicts pick the path.  The first one also holds the
+    full stretch.  If it fails throughout, the next probe is the rest of
+    the left spine, t_bad halved down to its first value <= floor, walked
+    to its first pass.  The search stops once no float lies strictly
+    between t_ok and t_bad, where every later midpoint repeats a known
+    verdict, and once t_bad <= floor: t_ok never passes t_bad and t_bad
+    only falls, so the sequential search would end at or below ``floor``.
     """
     t_ok, t_bad = 0.0, avail
     full = [avail]
-    for _ in range(BISECTION_STEPS // BISECTION_LEVELS):
-        bounds, mids = [(t_ok, t_bad)], []
-        for node in range(2 ** BISECTION_LEVELS - 1):
-            a, b = bounds[node]
-            mid = 0.5 * (a + b)
-            mids.append(mid)
-            bounds += [(a, mid), (mid, b)]
-        verdicts = yield from probe(np.array(full + mids))
+    steps = 0  # halvings decided so far
+    while steps < BISECTION_STEPS:
+        spine = steps > 0 and not t_ok
+        if spine:
+            mids = [0.5 * (t_ok + t_bad)]
+            while len(mids) < BISECTION_STEPS - steps and mids[-1] > floor:
+                mids.append(0.5 * (t_ok + mids[-1]))
+        else:
+            levels = min(BISECTION_LEVELS, BISECTION_STEPS - steps)
+            bounds, mids = [(t_ok, t_bad)], []
+            for node in range(2 ** levels - 1):
+                a, b = bounds[node]
+                mid = 0.5 * (a + b)
+                mids.append(mid)
+                bounds += [(a, mid), (mid, b)]
+        verdicts = yield candidates(np.array(full + mids))
         if full:
             if verdicts[0]:
                 return avail
             full, verdicts = [], verdicts[1:]
+        # A spine's path ends at its first pass; a heap's goes to a child.
         node = 0
-        for _ in range(BISECTION_LEVELS):
+        while node < len(mids):
+            steps += 1
             if verdicts[node]:
-                t_ok, node = mids[node], 2 * node + 2
+                t_ok, node = mids[node], len(mids) if spine else 2 * node + 2
             else:
-                t_bad, node = mids[node], 2 * node + 1
+                t_bad, node = mids[node], node + 1 if spine else 2 * node + 1
         if t_bad <= floor or 0.5 * (t_ok + t_bad) in (t_ok, t_bad):
             break
     return t_ok
@@ -341,28 +351,39 @@ def _is_diagonal_affine(map_):
                for e in comp.terms)
 
 
-def _corner_verdicts(first, bounds, box, d, side, ts):
-    """The lattice verdicts on stretching side (d, side) of ``box`` by each
-    of ``ts``, for a diagonal-affine ``first``, from the moved corner alone.
+def _corner_passes(first, bounds, box, d, side, t):
+    """The lattice verdict on stretching side (d, side) of ``box`` by the
+    float ``t``, for a diagonal-affine ``first``: that of the moved corner.
 
-    Component d of ``first`` depends on x_d alone, and monotonically, also
-    in float64: fl(a*x) and fl(y + b) are monotone in x.  The lattice puts
-    the two ends of axis d exactly at its ends and the other points
-    between them, so component d's images lie between the images of the
-    ends.  The fixed end and every other axis are those of ``box``, which
-    passed (or is the seed point, which passed the same test).  So a
-    stretch passes when component d maps the moved corner coordinate into
-    ``bounds`` = (lo, hi), the second domain widened by the compose margin.
-    The image is summed as ``poly._values`` sums it, from 0.0 in term
-    order, so the verdict is the lattice verdict bit for bit; a NaN fails
-    both.
+    Component d of ``first`` depends on x_d alone, monotonically, also in
+    float64 (fl(a*x) and fl(y + b) are monotone in x), and the lattice puts
+    the ends of axis d exactly at its ends, so component d's images lie
+    between those of the ends.  The fixed end and every other axis are
+    those of ``box``, which passed (or is the seed point, which passed the
+    same test).  So a stretch passes when component d maps the moved corner
+    into ``bounds`` = (lo, hi), the second domain widened by the compose
+    margin.  The image is summed as ``poly._values`` sums it, from 0.0 in
+    term order, so the verdict is the lattice verdict bit for bit; a NaN
+    fails both.
     """
-    corner = box[0, d] - ts if side == 0 else box[1, d] + ts
-    image = np.zeros(len(ts))
+    corner = float(box[0, d]) - t if side == 0 else float(box[1, d]) + t
+    image = 0.0
     for e, c in first.poly.components[d].terms.items():
         image += c.real * corner if e[d] else c.real
-    lo, hi = bounds
-    return (image >= lo[d]) & (image <= hi[d])
+    return float(bounds[0][d]) <= image <= float(bounds[1][d])
+
+
+def _sequential_stretch(avail, passes, floor):
+    """``_bisect_stretch``'s stretch, one float midpoint per ``passes``."""
+    if passes(avail):
+        return avail
+    t_ok, t_bad = 0.0, avail
+    for _ in range(BISECTION_STEPS):
+        mid = 0.5 * (t_ok + t_bad)
+        if t_bad <= floor or mid in (t_ok, t_bad):
+            break
+        t_ok, t_bad = (mid, t_bad) if passes(mid) else (t_ok, mid)
+    return t_ok
 
 
 def _compose_search(first, second, bounds, lattice, images, evaluable, affine):
@@ -375,8 +396,8 @@ def _compose_search(first, second, bounds, lattice, images, evaluable, affine):
     ``_bisect_stretch``).  Each yield is the (C, 2, d) array of the lo and
     hi corners of the candidate boxes it needs; it expects back their (C,)
     verdicts: True where ``first`` evaluates the box's whole lattice into
-    ``bounds``.  When ``affine`` (``first`` is diagonal affine), the search
-    decides its candidates by ``_corner_verdicts`` and never yields.
+    ``bounds``.  When ``affine`` (``first`` is diagonal affine), each side
+    is a ``_sequential_stretch`` by ``_corner_passes``, which never yields.
     Returns the composite; raises CompositionError when no lattice point
     maps into the second domain or the region found has no interior.
     """
@@ -405,9 +426,9 @@ def _compose_search(first, second, bounds, lattice, images, evaluable, affine):
             break
         idle += 1
         if side == 0:
-            avail = box[0, d] - dom_lo[d]
+            avail = float(box[0, d] - dom_lo[d])
         else:
-            avail = dom_hi[d] - box[1, d]
+            avail = float(dom_hi[d] - box[1, d])
         if avail <= growth_tol:
             continue
 
@@ -422,12 +443,11 @@ def _compose_search(first, second, bounds, lattice, images, evaluable, affine):
                 boxes[:, 1, d] = box[1, d] + t
             return boxes
 
-        def probe(ts):
-            if affine:
-                return _corner_verdicts(first, bounds, box, d, side, ts)
-            return (yield stretched(ts))
-
-        best = yield from _bisect_stretch(avail, probe, growth_tol)
+        if affine:
+            best = _sequential_stretch(avail, lambda t: _corner_passes(
+                first, bounds, box, d, side, t), growth_tol)
+        else:
+            best = yield from _bisect_stretch(avail, stretched, growth_tol)
         if best > growth_tol:
             box = stretched(best)[0]
             idle = 0

@@ -114,7 +114,8 @@ def main(argv=None):
                         help="first seed; each pair takes the next one")
     parser.add_argument("--trace-workload", default="solve")
     parser.add_argument("--trace-prefix", default="crsolve.",
-                        help="record traced counters whose names start so")
+                        help="record traced counters whose names start with "
+                             "one of these comma-separated prefixes")
     parser.add_argument("--what", required=True)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
@@ -151,7 +152,7 @@ def main(argv=None):
         traced = {side: _bench(roots[side], args.trace_workload, seed, 4, 1)[0]
                   for side in SIDES}
         names = sorted(k for k in traced["parent"]["metrics"]
-                       if k.startswith(args.trace_prefix))
+                       if k.startswith(tuple(args.trace_prefix.split(","))))
         doc["traced_counts"] = {
             "command": (f"python3 bench/run.py --workload {args.trace_workload} "
                         f"--seed {seed} --seconds 4 --trace 1"),
