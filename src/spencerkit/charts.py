@@ -8,15 +8,22 @@ fits it, overlapping charts are compared by fitted transition maps, and
 triples of charts are checked for the cocycle identity.  Each fit is its own
 holomorphy witness: a conjugate component, or a value that differs between
 two points of one fiber, cannot be fitted away and stays in the residual.
+
+Every chart function samples a lattice of a box at a density.  Calls given
+one ``samples`` dictionary share the lattices used last and what was
+evaluated on them: J, chart coordinates and fit matrices (and the latest
+chart's field gradients, see ``Sample``).  Without one, each call samples
+afresh; the results are the same bits either way.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import defaults
-from .crsolve import cr_residual, independence_rank, jacobian_rows
+from .crsolve import Sample, cr_residual, independence_rank, jacobian_rows
 from .errors import (ChartError, ConfigurationError, FitError,
                      IndependenceError, NumericalError, OverlapError)
 from .poly import PolyMap, Polynomial, monomials_upto
@@ -57,10 +64,56 @@ class SpencerChart:
         return PolyMap(self.fields).evaluate(np.asarray(points, dtype=float))
 
 
+class Lattice(Sample):
+    """The lattice of a box at density grid_k as a ``Sample`` of a
+    structure, which also keeps each chart's coordinates and each fit
+    matrix on it once computed."""
+
+    def __init__(self, structure, box, grid_k):
+        super().__init__(structure, box.lattice(grid_k))
+        self._values = {}       # field ids -> (fields, coordinates)
+        self._fits = {}         # (field ids, fit_degree) -> (matrix, monomials, cond)
+
+    def values(self, chart):
+        """The chart's coordinates at the points, (P, m)."""
+        key = tuple(map(id, chart.fields))
+        if key not in self._values:
+            self._values[key] = (chart.fields, chart.evaluate(self.points))
+        return self._values[key][1]
+
+    def fit_matrix(self, chart, fit_degree, what):
+        """``_fit_matrix`` of the chart's coordinates; a refused fit is not
+        kept."""
+        key = (tuple(map(id, chart.fields)), fit_degree)
+        if key not in self._fits:
+            self._fits[key] = _fit_matrix(self.values(chart), fit_degree, what)
+        return self._fits[key]
+
+
+def _lattice(samples, structure, box, grid_k):
+    """The Lattice of box at grid_k: the one in ``samples``, or a new one.
+
+    ``samples`` keeps the ``defaults.SAMPLES_KEPT`` lattices used last, in
+    order of use, so what shared calls hold does not grow with the number
+    of chart boxes: each lattice holds J, 9 MB at n = 3 and grid 5.
+    """
+    if samples is None:
+        return Lattice(structure, box, grid_k)
+    # The lattice holds the structure, so its id is not reused meanwhile;
+    # the bound bytes tell 0.0 from -0.0, which give different points.
+    key = (id(structure), np.array(box.lo + box.hi).tobytes(), int(grid_k))
+    lattice = samples.pop(key, None) or Lattice(structure, box, grid_k)
+    samples[key] = lattice
+    while len(samples) > defaults.SAMPLES_KEPT:
+        del samples[next(iter(samples))]
+    return lattice
+
+
 def build_spencer_chart(structure, fields, box=None,
                         grid_k=defaults.GRID_PER_AXIS,
                         tol_cr=defaults.TOL_CR, tol_det=defaults.TOL_DET,
-                        svd_rel_tol=defaults.SVD_REL_TOL, label="chart"):
+                        svd_rel_tol=defaults.SVD_REL_TOL, label="chart", *,
+                        samples=None):
     """Validate chart data and choose the passive completion.
 
     The fields must be almost holomorphic and functionally independent on the
@@ -68,7 +121,9 @@ def build_spencer_chart(structure, fields, box=None,
     Gram volume of the growing Jacobian; the completed Jacobian must have a
     determinant that is bounded away from zero with constant sign.  A
     non-finite CR residual, Jacobian row or determinant raises
-    NumericalError: no comparison against a tolerance can judge it.
+    NumericalError: no comparison against a tolerance can judge it.  J, or
+    the lattice's J from ``samples``, and each field's gradient are
+    evaluated once for the CR residual and the Jacobian rows together.
     """
     if box is None:
         box = structure.box
@@ -78,8 +133,8 @@ def build_spencer_chart(structure, fields, box=None,
     n = structure.n
     if not 1 <= len(fields) <= n:
         raise ChartError(f"chart needs between 1 and {n} fields, got {len(fields)}")
-    pts = box.lattice(grid_k)
-    for i, res in enumerate(cr_residual(structure, fields, pts)):
+    lattice = _lattice(samples, structure, box, grid_k)
+    for i, res in enumerate(cr_residual(structure, fields, lattice)):
         if not np.isfinite(res):
             raise NumericalError(
                 f"field {i} has a non-finite CR residual on the chart box")
@@ -88,7 +143,7 @@ def build_spencer_chart(structure, fields, box=None,
                 f"field {i} is not almost holomorphic on the chart box: "
                 f"residual {res:.3e} > {tol_cr:g}")
     m = len(fields)
-    rows = jacobian_rows(fields, pts)
+    rows = jacobian_rows(fields, lattice)
     rank = independence_rank(rows, svd_rel_tol)
     if rank < 2 * m:
         raise IndependenceError(
@@ -97,7 +152,7 @@ def build_spencer_chart(structure, fields, box=None,
     available = list(range(n))
     chosen = []
     while len(chosen) < n - m:
-        trials = {j: np.concatenate([rows, _pair_rows(len(pts), n, j)], axis=1)
+        trials = {j: np.concatenate([rows, _pair_rows(len(rows), n, j)], axis=1)
                   for j in available}
         # On equal scores max keeps the first, the lowest pair index.
         best = max(available, key=lambda j: _min_volume(trials[j]))
@@ -123,36 +178,50 @@ def build_spencer_chart(structure, fields, box=None,
 
 def _vandermonde(w, fit_degree):
     """Columns of holomorphic monomials of w up to fit_degree, constant first."""
-    if fit_degree < 0:
-        raise ConfigurationError(f"fit_degree must be nonnegative, got {fit_degree}")
     m = w.shape[1]
     monomials = monomials_upto(m, fit_degree, include_constant=True)
     return PolyMap([Polynomial(m, {e: 1.0}) for e in monomials]).evaluate(w), monomials
 
 
-def _fit(w, rhs, fit_degree, what):
-    """Least-squares fit of rhs by the holomorphic monomials of w up to
-    fit_degree: the Vandermonde matrix, its monomials, the coefficients and
-    the condition number.
+def _fit_matrix(w, fit_degree, what):
+    """What fits over the values w share, whatever their targets: the
+    Vandermonde matrix of the holomorphic monomials of w up to fit_degree,
+    the monomials and the matrix's condition number.
 
-    A fit with at least as many monomials as distinct rows of w (distinct
-    by bits) could interpolate any target, so its residual would witness
-    nothing; it is refused, and so is an ill-conditioned fit.
+    Refused before the matrix is built: a fit with at least as many
+    monomials, C(m + fit_degree, m), as distinct rows of w (distinct by
+    bits), which could interpolate any target, so its residual would
+    witness nothing; and a matrix of more than ``defaults.FIT_ENTRY_CAP``
+    entries.  An ill-conditioned fit is refused after its singular values.
     """
-    matrix, monomials = _vandermonde(w, fit_degree)
+    if fit_degree < 0:
+        raise ConfigurationError(f"fit_degree must be nonnegative, got {fit_degree}")
+    rows, m = w.shape
+    columns = math.comb(m + fit_degree, m)
     bits = np.ascontiguousarray(w).view(np.int64)
     bits = bits[np.lexsort(bits.T)]
     distinct = 1 + int(np.count_nonzero((bits[1:] != bits[:-1]).any(axis=1)))
-    if distinct <= len(monomials):
+    if distinct <= columns:
         raise ConfigurationError(
-            f"fit_degree {fit_degree} gives {len(monomials)} monomials for "
+            f"fit_degree {fit_degree} gives {columns} monomials for "
             f"{distinct} distinct chart values; the fit could interpolate")
+    if rows * columns > defaults.FIT_ENTRY_CAP:
+        raise ConfigurationError(
+            f"fit_degree {fit_degree} gives a {rows} x {columns} fit matrix, "
+            f"above the cap of {defaults.FIT_ENTRY_CAP} entries")
+    matrix, monomials = _vandermonde(w, fit_degree)
     sigma = np.linalg.svd(matrix, compute_uv=False)
     if sigma[-1] == 0 or sigma[0] / sigma[-1] > defaults.FIT_COND_CAP:
         raise FitError(f"{what} is too ill-conditioned to fit "
                        f"(condition number above {defaults.FIT_COND_CAP:g})")
+    return matrix, monomials, float(sigma[0] / sigma[-1])
+
+
+def _fit(matrix, rhs):
+    """Least-squares coefficients of rhs in the columns of matrix, and the
+    max-norm residual."""
     solution, _, _, _ = np.linalg.lstsq(matrix, rhs, rcond=None)
-    return matrix, monomials, solution, float(sigma[0] / sigma[-1])
+    return solution, float(np.max(np.abs(matrix @ solution - rhs)))
 
 
 @dataclass
@@ -166,18 +235,16 @@ class Factorization:
 
 
 def factorize(chart, h, grid_k=defaults.GRID_PER_AXIS,
-              fit_degree=defaults.FIT_DEGREE):
+              fit_degree=defaults.FIT_DEGREE, *, samples=None):
     """Fit h as a holomorphic polynomial of the chart coordinates.
 
     The max-norm residual of the fit is the verdict: where two lattice
     points share a fiber, it is at least half the spread of h there.
     """
-    pts = chart.box.lattice(grid_k)
-    w = chart.evaluate(pts)
-    h_vals = h.evaluate(pts)
-    matrix, monomials, coeffs, cond = _fit(w, h_vals, fit_degree,
-                                           "chart Vandermonde system")
-    fit_residual = float(np.max(np.abs(matrix @ coeffs - h_vals)))
+    lattice = _lattice(samples, chart.structure, chart.box, grid_k)
+    matrix, monomials, cond = lattice.fit_matrix(chart, fit_degree,
+                                                 "chart Vandermonde system")
+    coeffs, fit_residual = _fit(matrix, h.evaluate(lattice.points))
     return Factorization(coefficients=coeffs, monomials=tuple(monomials),
                          fit_residual=fit_residual, cond=cond)
 
@@ -193,7 +260,7 @@ class TransitionMap:
 
 
 def transition_map(chart_a, chart_b, grid_k=defaults.GRID_PER_AXIS,
-                   fit_degree=defaults.FIT_DEGREE):
+                   fit_degree=defaults.FIT_DEGREE, *, samples=None):
     """Fit the map taking chart_a coordinates to chart_b coordinates.
 
     The fit is holomorphic in chart_a's coordinates, so a conjugate
@@ -206,18 +273,15 @@ def transition_map(chart_a, chart_b, grid_k=defaults.GRID_PER_AXIS,
     if overlap is None:
         raise OverlapError(
             f"charts {chart_a.label} and {chart_b.label} do not overlap")
-    pts = overlap.lattice(grid_k)
-    wa = chart_a.evaluate(pts)
-    wb = chart_b.evaluate(pts)
-    matrix, monomials, coeffs, cond = _fit(wa, wb, fit_degree,
-                                           "transition Vandermonde system")
-    fit_residual = float(np.max(np.abs(matrix @ coeffs - wb)))
+    lattice = _lattice(samples, chart_a.structure, overlap, grid_k)
+    matrix, monomials, cond = lattice.fit_matrix(
+        chart_a, fit_degree, "transition Vandermonde system")
+    coeffs, fit_residual = _fit(matrix, lattice.values(chart_b))
     m = chart_a.m
     components = [Polynomial(m, dict(zip(monomials, coeffs[:, j])))
                   for j in range(m)]
     fitted = PolyMap(components)
-    jac = fitted.jacobian(wa)
-    dets = np.linalg.det(jac)
+    dets = np.linalg.det(fitted.jacobian(lattice.values(chart_a)))
     return TransitionMap(
         map=fitted, fit_residual=fit_residual,
         jacobian_min_det=float(np.min(np.abs(dets))), cond=cond)
@@ -234,17 +298,21 @@ class CocycleResult:
 
 
 def cocycle_check(chart_a, chart_b, chart_c, grid_k=defaults.GRID_PER_AXIS,
-                  fit_degree=defaults.FIT_DEGREE):
+                  fit_degree=defaults.FIT_DEGREE, *, samples=None):
     """Composition defect of the three pairwise transitions on the triple
-    overlap: max |t_bc(t_ab(w)) - t_ac(w)|."""
-    ab = transition_map(chart_a, chart_b, grid_k=grid_k, fit_degree=fit_degree)
-    bc = transition_map(chart_b, chart_c, grid_k=grid_k, fit_degree=fit_degree)
-    ac = transition_map(chart_a, chart_c, grid_k=grid_k, fit_degree=fit_degree)
+    overlap: max |t_bc(t_ab(w)) - t_ac(w)|.  The transitions share their
+    lattices, and ab and ac one fit matrix where the overlaps agree."""
+    if samples is None:
+        samples = {}
+    ab, bc, ac = (transition_map(x, y, grid_k=grid_k, fit_degree=fit_degree,
+                                 samples=samples)
+                  for x, y in ((chart_a, chart_b), (chart_b, chart_c),
+                               (chart_a, chart_c)))
     triple = chart_a.box.intersect(chart_b.box)
     triple = triple.intersect(chart_c.box) if triple is not None else None
     if triple is None:
         raise OverlapError("charts have no common triple overlap")
-    wa = chart_a.evaluate(triple.lattice(grid_k))
+    wa = _lattice(samples, chart_a.structure, triple, grid_k).values(chart_a)
     via_b = bc.map.evaluate(ab.map.evaluate(wa))
     direct = ac.map.evaluate(wa)
     defect = float(np.max(np.abs(via_b - direct)))

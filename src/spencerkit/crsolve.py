@@ -21,20 +21,65 @@ from .poly import Polynomial, monomials_upto
 from .report import make_report
 
 
-def cr_residual(structure, fields, points):
-    """Max-norm of J* df - i df over a batch of points, one float per field.
+class Sample:
+    """A point batch with J and field gradients on it, each evaluated on
+    first use: J is kept for the sample's life, gradients until other
+    fields are asked for.
 
-    J is evaluated and made complex once for all fields; the gradients are
-    taken one field at a time, so memory does not grow with the field count.
+    ``cr_residual`` and ``jacobian_rows`` take a Sample where they take a
+    batch.  Then J is evaluated once however many charts the sample serves,
+    and the two calls of one chart build take each gradient once.  Keeping
+    one chart's gradients, not every chart's, bounds what a shared sample
+    holds: the fields of different charts are rarely the same objects.
     """
-    pts = np.asarray(points, dtype=float)
-    j = eval_j(structure, pts).astype(complex)
-    out = []
-    for f in fields:
-        grad = f.gradient(pts)
-        out.append(float(np.max(np.abs(
-            np.einsum("pi,pij->pj", grad, j) - 1j * grad))))
-    return out
+
+    def __init__(self, structure, points):
+        self.structure = structure
+        self.points = np.asarray(points, dtype=float)
+        self._j = None
+        self._gradients = ((), [])      # (fields, their gradients)
+
+    @property
+    def j(self):
+        """J at the points, complex (P, 2n, 2n)."""
+        if self._j is None:
+            self._j = eval_j(self.structure, self.points).astype(complex)
+        return self._j
+
+    def gradients(self, fields):
+        """Each field's gradient at the points, (P, 2n), in field order."""
+        fields = tuple(fields)
+        kept, grads = self._gradients
+        if tuple(map(id, kept)) != tuple(map(id, fields)):
+            grads = [f.gradient(self.points) for f in fields]
+            self._gradients = (fields, grads)
+        return grads
+
+
+def _gradients(fields, points):
+    """Each field's gradient at a batch, one at a time, or from a Sample."""
+    if isinstance(points, Sample):
+        return points.gradients(fields)
+    return (f.gradient(points) for f in fields)
+
+
+def cr_residual(structure, fields, points):
+    """Max-norm of J* df - i df over a batch of points or a ``Sample`` of
+    ``structure``, one float per field.
+
+    J is evaluated and made complex once for all fields.  On a batch the
+    gradients are taken one field at a time, so memory does not grow with
+    the field count; a Sample keeps those of the fields last asked for.
+    """
+    if isinstance(points, Sample):
+        if points.structure is not structure:
+            raise ConfigurationError("the sample belongs to another structure")
+        j = points.j
+    else:
+        points = np.asarray(points, dtype=float)
+        j = eval_j(structure, points).astype(complex)
+    return [float(np.max(np.abs(np.einsum("pi,pij->pj", grad, j) - 1j * grad)))
+            for grad in _gradients(fields, points)]
 
 
 def cr_equations_check(structure, field, grid_k=defaults.GRID_PER_AXIS,
@@ -219,10 +264,10 @@ def solve_ah_polynomials(structure, degree, *,
 # ---------------------------------------------------------------------------
 
 def jacobian_rows(fields, points):
-    """Stacked real Jacobian rows (P, 2m, 2n): Re, then Im, of each field's gradient."""
+    """Stacked real Jacobian rows (P, 2m, 2n): Re, then Im, of each field's
+    gradient at a batch or a ``Sample``."""
     blocks = []
-    for f in fields:
-        grad = f.gradient(points)
+    for grad in _gradients(fields, points):
         blocks.append(grad.real)
         blocks.append(grad.imag)
     return np.stack(blocks, axis=1)

@@ -409,7 +409,8 @@ def _validate_task(spec, tables, n, where):
 @dataclass
 class _Run:
     """What the tasks of one ``run_scenario`` call share, as ``run``: the
-    tolerances in force and the charts and CR solves done so far."""
+    tolerances in force, and the charts, lattice samples and CR solves done
+    so far."""
 
     scenario: Scenario
     tols: dict
@@ -417,6 +418,9 @@ class _Run:
     # raised.  The tolerances are fixed within a run, so they are no part
     # of the key.
     charts: dict = dc_field(default_factory=dict)
+    # The chart functions' ``samples``: the lattices used last, with J,
+    # chart coordinates and fit matrices on them.
+    samples: dict = dc_field(default_factory=dict)
     # degree -> the AHSolutionSet solved at it.
     solutions: dict = dc_field(default_factory=dict)
 
@@ -442,7 +446,8 @@ class _Run:
                     self.scenario.structure, fields, box=spec.box,
                     grid_k=grid_k, tol_cr=self.tols["tol_cr"],
                     tol_det=self.tols["tol_det"],
-                    svd_rel_tol=self.tols["svd_rel_tol"], label=label)
+                    svd_rel_tol=self.tols["svd_rel_tol"], label=label,
+                    samples=self.samples)
             except CHECK_FAILURES as exc:
                 # Without its traceback the error keeps no frame, and no
                 # sample lattice, alive for the rest of the run.
@@ -546,7 +551,8 @@ def _run_factorize(scenario, spec, run):
     h = scenario.functions[spec["function"]]
     result = factorize(chart, h,
                        grid_k=spec.get("grid", defaults.GRID_PER_AXIS),
-                       fit_degree=int(spec.get("fit_degree", defaults.FIT_DEGREE)))
+                       fit_degree=int(spec.get("fit_degree", defaults.FIT_DEGREE)),
+                       samples=run.samples)
     return make_report(
         task="factorize",
         metrics={"fit_residual": result.fit_residual, "cond": result.cond},
@@ -561,7 +567,8 @@ def _run_transition(scenario, spec, run):
     result = transition_map(chart_a, chart_b,
                             grid_k=spec.get("grid", defaults.GRID_PER_AXIS),
                             fit_degree=int(spec.get("fit_degree",
-                                                    defaults.FIT_DEGREE)))
+                                                    defaults.FIT_DEGREE)),
+                            samples=run.samples)
     return make_report(
         task="transition",
         metrics={"fit_residual": result.fit_residual,
@@ -580,7 +587,8 @@ def _run_cocycle(scenario, spec, run):
     result = cocycle_check(*charts,
                            grid_k=spec.get("grid", defaults.GRID_PER_AXIS),
                            fit_degree=int(spec.get("fit_degree",
-                                                   defaults.FIT_DEGREE)))
+                                                   defaults.FIT_DEGREE)),
+                           samples=run.samples)
     return make_report(
         task="cocycle",
         metrics={"cocycle_defect": result.defect},
@@ -704,7 +712,8 @@ def run_scenario(scenario, tol_overrides=None, grid_override=None,
     Overrides replace the named tolerances everywhere, the grid density of
     every task that takes a ``grid`` key and the degree of the solver tasks.
     Each chart is built once per run, at each density a task asks for, and
-    shared by every task that names it.
+    shared by every task that names it; the chart tasks share the lattices
+    they sample and what was evaluated on them.
     """
     started = time.perf_counter()
     tols = _with_tolerances(scenario.tolerances, tol_overrides)

@@ -242,3 +242,171 @@ def test_cocycle_identity_triple_is_exact(std1, z_field):
     chart = build_spencer_chart(std1, [z_field])
     res = cocycle_check(chart, chart, chart, fit_degree=2)
     assert res.defect <= 1e-13
+
+
+SHARING_SCENARIO = {
+    "name": "sharing", "n": 2,
+    "box": {"lo": [-1.0] * 4, "hi": [1.0] * 4},
+    "functions": {"z1": "x1 + (0+1i)*x2", "z2": "x3 + (0+1i)*x4",
+                  "z1_shift": "x1 + 0.5*x3 + (0+1i)*x2 + (0+0.5i)*x4",
+                  "z2_shift": "x3 + 0.25*x1 + (0+1i)*x4 + (0+0.25i)*x2",
+                  "mix": "x1^2 - x2^2 + (0+2i)*x1*x2 + x3 + (0+1i)*x4",
+                  "z1_bar": "x1 - (0+1i)*x2"},
+    "charts": {"a": {"functions": ["z1", "z2"]},
+               "b": {"functions": ["z1_shift", "z2"]},
+               "c": {"functions": ["z1", "z2_shift"],
+                     "box": {"lo": [-0.5] * 4, "hi": [0.25] * 4}}},
+    "tasks": [{"task": "chart", "chart": "a"},
+              {"task": "factorize", "chart": "a", "function": "mix"},
+              {"task": "factorize", "chart": "a", "function": "z1_bar",
+               "expect": "fail"},
+              {"task": "factorize", "chart": "a", "function": "mix",
+               "fit_degree": 2},
+              {"task": "cocycle", "charts": ["a", "b", "c"]}],
+}
+
+
+def test_a_run_samples_each_lattice_once(monkeypatch):
+    """J once per (box, grid_k) lattice that a chart is built on, each
+    field gradient once per build, each chart's coordinates once per
+    lattice, and each fit matrix with its singular values once per
+    (coordinates, fit_degree)."""
+    from spencerkit.scenario import parse_scenario, run_scenario
+    j_calls, gradients, values, matrices, sigmas = [], [], [], [], []
+    eval_j, gradient = crsolve.eval_j, Polynomial.gradient
+    evaluate, vandermonde, svd = (charts.SpencerChart.evaluate,
+                                  charts._vandermonde, np.linalg.svd)
+
+    def counting_j(structure, points):
+        j_calls.append(points.tobytes())
+        return eval_j(structure, points)
+
+    def counting_gradient(self, points):
+        gradients.append((id(self), points.tobytes()))
+        return gradient(self, points)
+
+    def counting_evaluate(self, points):
+        values.append((self.fields, points.tobytes()))
+        return evaluate(self, points)
+
+    def counting_vandermonde(w, fit_degree):
+        matrix, monomials = vandermonde(w, fit_degree)
+        matrices.append((w.tobytes(), fit_degree))
+        sigmas.append([matrix, 0])
+        return matrix, monomials
+
+    def counting_svd(a, *args, **kwargs):
+        for entry in sigmas:
+            entry[1] += entry[0] is a
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(crsolve, "eval_j", counting_j)
+    monkeypatch.setattr(Polynomial, "gradient", counting_gradient)
+    monkeypatch.setattr(charts.SpencerChart, "evaluate", counting_evaluate)
+    monkeypatch.setattr(charts, "_vandermonde", counting_vandermonde)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    result = run_scenario(parse_scenario(SHARING_SCENARIO))
+    assert [r.status for r in result.reports] == ["pass"] * 5
+    # a and b on the box, c on the sub-box.
+    assert len(j_calls) == len(set(j_calls)) == 2
+    # Two fields per build, for the CR residual and the Jacobian rows.
+    assert len(gradients) == 6
+    assert len(set(gradients)) == 5         # z2 is in a and b
+    # The box: a (both fits and a to b) and b.  The sub-box: b and c (b to
+    # c), and a (a to c and the triple overlap).
+    assert len(values) == len(set(values)) == 5
+    # a on the box at fit_degree 4 (two fits and a to b) and 2, and b and
+    # a on the sub-box.
+    assert len(matrices) == len(set(matrices)) == 4
+    assert [count for _, count in sigmas] == [1, 1, 1, 1]
+
+
+def _standalone_metrics(data, spec):
+    """The metrics of one chart task from standalone calls on objects of a
+    fresh parse, or the note of the check failure they raise."""
+    from spencerkit.scenario import CHECK_FAILURES, parse_scenario
+    scen = parse_scenario(data)
+    tols = scen.tolerances
+
+    def chart(label, grid_k=defaults.GRID_PER_AXIS):
+        chart_spec = scen.chart_specs[label]
+        return build_spencer_chart(
+            scen.structure, [scen.functions[f] for f in chart_spec.function_names],
+            box=chart_spec.box, grid_k=grid_k, tol_cr=tols["tol_cr"],
+            tol_det=tols["tol_det"], svd_rel_tol=tols["svd_rel_tol"],
+            label=label)
+
+    fit = {"grid_k": spec.get("grid", defaults.GRID_PER_AXIS),
+           "fit_degree": spec.get("fit_degree", defaults.FIT_DEGREE)}
+    try:
+        if spec["task"] == "chart":
+            built = chart(spec["chart"], fit["grid_k"])
+            return {"certificate": built.certificate, "m": float(built.m)}
+        if spec["task"] == "factorize":
+            result = factorize(chart(spec["chart"]),
+                               scen.functions[spec["function"]], **fit)
+            return {"cond": result.cond, "fit_residual": result.fit_residual}
+        if spec["task"] == "transition":
+            result = transition_map(*map(chart, spec["charts"]), **fit)
+            return {"cond": result.cond, "fit_residual": result.fit_residual,
+                    "jacobian_min_det": result.jacobian_min_det}
+        result = cocycle_check(*map(chart, spec["charts"]), **fit)
+        return {"cocycle_defect": result.defect}
+    except CHECK_FAILURES as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _chart_scenarios():
+    import random
+    import sys
+    from pathlib import Path
+    from spencerkit.scenario import builtin_scenarios
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        import scenarios
+    finally:
+        sys.path.pop(0)
+    sheared = scenarios._solve_sheared(random.Random("solve:3"), 3, (1,), 2)
+    return list(builtin_scenarios().values()) + [sheared, SHARING_SCENARIO]
+
+
+@pytest.mark.parametrize("data", _chart_scenarios(),
+                         ids=lambda data: data["name"])
+def test_shared_samples_give_the_bits_of_standalone_calls(data):
+    """Every metric of every chart task in a run equals, bit for bit, the one
+    a standalone call on fresh objects gives."""
+    from spencerkit.scenario import parse_scenario, run_scenario
+    result = run_scenario(parse_scenario(data))
+    checked = 0
+    for spec, report in zip(data["tasks"], result.reports):
+        if spec["task"] not in ("chart", "factorize", "transition", "cocycle"):
+            continue
+        expected = _standalone_metrics(data, spec)
+        if isinstance(expected, str):
+            assert report.notes[0] == expected
+        else:
+            assert {k: float(v).hex() for k, v in report.metrics.items()} == \
+                {k: v.hex() for k, v in expected.items()}, report.task
+        checked += 1
+    assert checked >= 3
+
+
+def test_a_sample_serves_its_own_structure_only(std1, std2, z_field):
+    sample = crsolve.Sample(std2, std2.box.lattice(2))
+    with pytest.raises(ConfigurationError):
+        crsolve.cr_residual(std1, [z_field], sample)
+
+
+def test_shared_samples_keep_the_lattices_used_last(std1, z_field):
+    samples = {}
+    built = [build_spencer_chart(std1, [z_field], box=Box((lo, -1.0), (1.0, 1.0)),
+                                 samples=samples) for lo in (-1.0, -0.5, 0.0)]
+
+    def kept():
+        return [float(lattice.points[0, 0]) for lattice in samples.values()]
+
+    assert kept() == [-0.5, 0.0]
+    factorize(built[1], z_field, fit_degree=1, samples=samples)
+    assert kept() == [0.0, -0.5]
+    factorize(built[0], z_field, fit_degree=1, samples=samples)
+    assert kept() == [-0.5, -1.0]

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import spencerkit
+from spencerkit import charts as charts_module
 from spencerkit import cli, crsolve, defaults
 from spencerkit import scenario as scenario_module
 from spencerkit.errors import NumericalError, ScenarioError
@@ -485,6 +486,34 @@ def test_a_fit_with_fewer_monomials_than_chart_values_runs():
     result = run_scenario(parse_scenario(data))
     assert result.reports[0].status == "fail"
     assert result.reports[0].metrics["fit_residual"] > 0.3
+
+
+STD_C3 = minimal_scenario(
+    n=3, box={"lo": [-1.0] * 6, "hi": [1.0] * 6},
+    functions={"z1": "x1 + (0+1i)*x2", "z2": "x3 + (0+1i)*x4",
+               "z3": "x5 + (0+1i)*x6", "h": "x1"},
+    charts={"c": {"functions": ["z1", "z2", "z3"]}})
+
+
+@pytest.mark.parametrize("fit_degree, message", [
+    # 12,341 monomials, fewer than the 15,625 distinct chart values: only
+    # the cap refuses the 2.9 GiB complex matrix.
+    (40, "fit_degree 40 gives a 15625 x 12341 fit matrix, above the cap of "
+         f"{defaults.FIT_ENTRY_CAP} entries"),
+    # C(1003, 3) monomials, counted without enumerating them.
+    (1000, "fit_degree 1000 gives 167668501 monomials for 15625 distinct "
+           "chart values; the fit could interpolate"),
+])
+def test_cli_refuses_an_oversized_fit_before_building_it(
+        scenario_file, capsys, monkeypatch, fit_degree, message):
+    def unreachable(w, fit_degree):
+        raise AssertionError("the fit matrix was built")
+
+    monkeypatch.setattr(charts_module, "_vandermonde", unreachable)
+    data = dict(STD_C3, tasks=[{"task": "factorize", "chart": "c",
+                                "function": "h", "fit_degree": fit_degree}])
+    assert cli.main(["run", scenario_file(data)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cli_refuses_transitions_and_cocycles_that_can_interpolate(
