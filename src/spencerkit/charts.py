@@ -9,11 +9,11 @@ triples of charts are checked for the cocycle identity.  Each fit is its own
 holomorphy witness: a conjugate component, or a value that differs between
 two points of one fiber, cannot be fitted away and stays in the residual.
 
-Every chart function samples a lattice of a box at a density.  Calls given
-one ``samples`` dictionary share the lattices used last and what was
-evaluated on them: J, chart coordinates and fit matrices (and the latest
-chart's field gradients, see ``Sample``).  Without one, each call samples
-afresh; the results are the same bits either way.
+Every chart function samples a lattice of a box at a density.  A scenario
+run passes its chart calls one ``Lattices`` holder, in the private
+``_lattices`` keyword, so that consecutive calls on one lattice share J,
+chart coordinates and the latest fit matrix.  A call on its own samples
+afresh; the bits are the same.
 """
 from __future__ import annotations
 
@@ -66,13 +66,13 @@ class SpencerChart:
 
 class Lattice(Sample):
     """The lattice of a box at density grid_k as a ``Sample`` of a
-    structure, which also keeps each chart's coordinates and each fit
-    matrix on it once computed."""
+    structure, which also keeps each chart's coordinates on it and the
+    latest fit matrix, once computed."""
 
     def __init__(self, structure, box, grid_k):
         super().__init__(structure, box.lattice(grid_k))
-        self._values = {}       # field ids -> (fields, coordinates)
-        self._fits = {}         # (field ids, fit_degree) -> (matrix, monomials, cond)
+        self._values = {}           # field ids -> (fields, coordinates)
+        self._fit = (None, None)    # ((field ids, fit_degree), fit matrix)
 
     def values(self, chart):
         """The chart's coordinates at the points, (P, m)."""
@@ -82,38 +82,40 @@ class Lattice(Sample):
         return self._values[key][1]
 
     def fit_matrix(self, chart, fit_degree, what):
-        """``_fit_matrix`` of the chart's coordinates; a refused fit is not
-        kept."""
+        """``_fit_matrix`` of the chart's coordinates, kept until another
+        is asked for; a refused fit is not kept."""
+        # _values keeps the fields, so their ids are not reused meanwhile.
         key = (tuple(map(id, chart.fields)), fit_degree)
-        if key not in self._fits:
-            self._fits[key] = _fit_matrix(self.values(chart), fit_degree, what)
-        return self._fits[key]
+        if self._fit[0] != key:
+            self._fit = (None, None)                # freed before the next
+            self._fit = (key, _fit_matrix(self.values(chart), fit_degree, what))
+        return self._fit[1]
 
 
-def _lattice(samples, structure, box, grid_k):
-    """The Lattice of box at grid_k: the one in ``samples``, or a new one.
+class Lattices:
+    """The lattice that chart calls sampled last: a call on the same
+    structure, box and density shares it, with what was evaluated on it,
+    and a call on another replaces it.  One lattice serves a run's chart
+    tasks, whose uses of a lattice follow one another."""
 
-    ``samples`` keeps the ``defaults.SAMPLES_KEPT`` lattices used last, in
-    order of use, so what shared calls hold does not grow with the number
-    of chart boxes: each lattice holds J, 9 MB at n = 3 and grid 5.
-    """
-    if samples is None:
-        return Lattice(structure, box, grid_k)
-    # The lattice holds the structure, so its id is not reused meanwhile;
-    # the bound bytes tell 0.0 from -0.0, which give different points.
-    key = (id(structure), np.array(box.lo + box.hi).tobytes(), int(grid_k))
-    lattice = samples.pop(key, None) or Lattice(structure, box, grid_k)
-    samples[key] = lattice
-    while len(samples) > defaults.SAMPLES_KEPT:
-        del samples[next(iter(samples))]
-    return lattice
+    def __init__(self):
+        self._key, self._lattice = None, None
+
+    def __call__(self, structure, box, grid_k):
+        # The lattice holds the structure, so its id is not reused meanwhile;
+        # the bound bytes tell 0.0 from -0.0, which give different points.
+        key = (id(structure), np.array(box.lo + box.hi).tobytes(), int(grid_k))
+        if key != self._key:
+            self._key, self._lattice = None, None   # freed before the next
+            self._key, self._lattice = key, Lattice(structure, box, grid_k)
+        return self._lattice
 
 
 def build_spencer_chart(structure, fields, box=None,
                         grid_k=defaults.GRID_PER_AXIS,
                         tol_cr=defaults.TOL_CR, tol_det=defaults.TOL_DET,
                         svd_rel_tol=defaults.SVD_REL_TOL, label="chart", *,
-                        samples=None):
+                        _lattices=None):
     """Validate chart data and choose the passive completion.
 
     The fields must be almost holomorphic and functionally independent on the
@@ -121,9 +123,9 @@ def build_spencer_chart(structure, fields, box=None,
     Gram volume of the growing Jacobian; the completed Jacobian must have a
     determinant that is bounded away from zero with constant sign.  A
     non-finite CR residual, Jacobian row or determinant raises
-    NumericalError: no comparison against a tolerance can judge it.  J, or
-    the lattice's J from ``samples``, and each field's gradient are
-    evaluated once for the CR residual and the Jacobian rows together.
+    NumericalError: no comparison against a tolerance can judge it.  J and
+    each field's gradient are evaluated once for the CR residual and the
+    Jacobian rows together.
     """
     if box is None:
         box = structure.box
@@ -133,7 +135,7 @@ def build_spencer_chart(structure, fields, box=None,
     n = structure.n
     if not 1 <= len(fields) <= n:
         raise ChartError(f"chart needs between 1 and {n} fields, got {len(fields)}")
-    lattice = _lattice(samples, structure, box, grid_k)
+    lattice = (_lattices or Lattices())(structure, box, grid_k)
     for i, res in enumerate(cr_residual(structure, fields, lattice)):
         if not np.isfinite(res):
             raise NumericalError(
@@ -144,6 +146,7 @@ def build_spencer_chart(structure, fields, box=None,
                 f"residual {res:.3e} > {tol_cr:g}")
     m = len(fields)
     rows = jacobian_rows(fields, lattice)
+    lattice.forget_gradients()
     rank = independence_rank(rows, svd_rel_tol)
     if rank < 2 * m:
         raise IndependenceError(
@@ -235,13 +238,13 @@ class Factorization:
 
 
 def factorize(chart, h, grid_k=defaults.GRID_PER_AXIS,
-              fit_degree=defaults.FIT_DEGREE, *, samples=None):
+              fit_degree=defaults.FIT_DEGREE, *, _lattices=None):
     """Fit h as a holomorphic polynomial of the chart coordinates.
 
     The max-norm residual of the fit is the verdict: where two lattice
     points share a fiber, it is at least half the spread of h there.
     """
-    lattice = _lattice(samples, chart.structure, chart.box, grid_k)
+    lattice = (_lattices or Lattices())(chart.structure, chart.box, grid_k)
     matrix, monomials, cond = lattice.fit_matrix(chart, fit_degree,
                                                  "chart Vandermonde system")
     coeffs, fit_residual = _fit(matrix, h.evaluate(lattice.points))
@@ -260,7 +263,7 @@ class TransitionMap:
 
 
 def transition_map(chart_a, chart_b, grid_k=defaults.GRID_PER_AXIS,
-                   fit_degree=defaults.FIT_DEGREE, *, samples=None):
+                   fit_degree=defaults.FIT_DEGREE, *, _lattices=None):
     """Fit the map taking chart_a coordinates to chart_b coordinates.
 
     The fit is holomorphic in chart_a's coordinates, so a conjugate
@@ -273,7 +276,7 @@ def transition_map(chart_a, chart_b, grid_k=defaults.GRID_PER_AXIS,
     if overlap is None:
         raise OverlapError(
             f"charts {chart_a.label} and {chart_b.label} do not overlap")
-    lattice = _lattice(samples, chart_a.structure, overlap, grid_k)
+    lattice = (_lattices or Lattices())(chart_a.structure, overlap, grid_k)
     matrix, monomials, cond = lattice.fit_matrix(
         chart_a, fit_degree, "transition Vandermonde system")
     coeffs, fit_residual = _fit(matrix, lattice.values(chart_b))
@@ -298,21 +301,20 @@ class CocycleResult:
 
 
 def cocycle_check(chart_a, chart_b, chart_c, grid_k=defaults.GRID_PER_AXIS,
-                  fit_degree=defaults.FIT_DEGREE, *, samples=None):
+                  fit_degree=defaults.FIT_DEGREE, *, _lattices=None):
     """Composition defect of the three pairwise transitions on the triple
-    overlap: max |t_bc(t_ab(w)) - t_ac(w)|.  The transitions share their
-    lattices, and ab and ac one fit matrix where the overlaps agree."""
-    if samples is None:
-        samples = {}
+    overlap: max |t_bc(t_ab(w)) - t_ac(w)|.  The transitions and the
+    triple overlap share a lattice where their boxes agree."""
+    lattices = _lattices or Lattices()
     ab, bc, ac = (transition_map(x, y, grid_k=grid_k, fit_degree=fit_degree,
-                                 samples=samples)
+                                 _lattices=lattices)
                   for x, y in ((chart_a, chart_b), (chart_b, chart_c),
                                (chart_a, chart_c)))
     triple = chart_a.box.intersect(chart_b.box)
     triple = triple.intersect(chart_c.box) if triple is not None else None
     if triple is None:
         raise OverlapError("charts have no common triple overlap")
-    wa = _lattice(samples, chart_a.structure, triple, grid_k).values(chart_a)
+    wa = lattices(chart_a.structure, triple, grid_k).values(chart_a)
     via_b = bc.map.evaluate(ab.map.evaluate(wa))
     direct = ac.map.evaluate(wa)
     defect = float(np.max(np.abs(via_b - direct)))

@@ -24,7 +24,7 @@ from .report import make_report
 class Sample:
     """A point batch with J and field gradients on it, each evaluated on
     first use: J is kept for the sample's life, gradients until other
-    fields are asked for.
+    fields are asked for or ``forget_gradients`` is called.
 
     ``cr_residual`` and ``jacobian_rows`` take a Sample where they take a
     batch.  Then J is evaluated once however many charts the sample serves,
@@ -54,6 +54,10 @@ class Sample:
             grads = [f.gradient(self.points) for f in fields]
             self._gradients = (fields, grads)
         return grads
+
+    def forget_gradients(self):
+        """Drop the kept gradients, once the calls that share them are done."""
+        self._gradients = ((), [])
 
 
 def _gradients(fields, points):

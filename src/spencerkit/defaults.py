@@ -29,10 +29,9 @@ NEWTON_STOP_TOL = 1e-13     # Newton residual at which a point stops iterating
 NEWTON_ACCEPT_TOL = 1e-9    # Newton residual up to which a point is accepted
 GROWTH_TOL = 1e-12          # smallest domain growth ``compose`` still pursues
 FIT_COND_CAP = 1e12         # largest condition number of a fit matrix
-FIT_ENTRY_CAP = 2_000_000   # largest lattice points x monomials of a fit matrix
-# Lattices that shared chart calls keep sampled, the most recently used:
-# a transition or cocycle samples its charts' lattice and its fit lattice.
-SAMPLES_KEPT = 2
+# Largest lattice points x monomials of a fit matrix: 1 GiB as complex128,
+# and its SVD takes about as much again.
+FIT_ENTRY_CAP = 2 ** 26
 # solve_ah's solver_residual bound is this * svd_rel_tol * max(sigma_max, 1).
 SOLVER_RESIDUAL_FACTOR = 10.0
 DIAGRAM_SKIP_SHARE = 0.2    # largest share of diagram points off its domains

@@ -18,7 +18,8 @@ import time
 from dataclasses import dataclass, field as dc_field
 
 from . import defaults
-from .charts import build_spencer_chart, cocycle_check, factorize, transition_map
+from .charts import (Lattices, build_spencer_chart, cocycle_check, factorize,
+                     transition_map)
 from .crsolve import (cr_equations_check, estimate_spencer_type,
                       solve_ah_polynomials)
 from .errors import (ChartError, CompositionError, ConfigurationError,
@@ -409,8 +410,8 @@ def _validate_task(spec, tables, n, where):
 @dataclass
 class _Run:
     """What the tasks of one ``run_scenario`` call share, as ``run``: the
-    tolerances in force, and the charts, lattice samples and CR solves done
-    so far."""
+    tolerances in force, and the charts, lattice and CR solves done so
+    far."""
 
     scenario: Scenario
     tols: dict
@@ -418,9 +419,8 @@ class _Run:
     # raised.  The tolerances are fixed within a run, so they are no part
     # of the key.
     charts: dict = dc_field(default_factory=dict)
-    # The chart functions' ``samples``: the lattices used last, with J,
-    # chart coordinates and fit matrices on them.
-    samples: dict = dc_field(default_factory=dict)
+    # The lattice the chart tasks sampled last, with what was evaluated on it.
+    lattices: Lattices = dc_field(default_factory=Lattices)
     # degree -> the AHSolutionSet solved at it.
     solutions: dict = dc_field(default_factory=dict)
 
@@ -447,7 +447,7 @@ class _Run:
                     grid_k=grid_k, tol_cr=self.tols["tol_cr"],
                     tol_det=self.tols["tol_det"],
                     svd_rel_tol=self.tols["svd_rel_tol"], label=label,
-                    samples=self.samples)
+                    _lattices=self.lattices)
             except CHECK_FAILURES as exc:
                 # Without its traceback the error keeps no frame, and no
                 # sample lattice, alive for the rest of the run.
@@ -552,7 +552,7 @@ def _run_factorize(scenario, spec, run):
     result = factorize(chart, h,
                        grid_k=spec.get("grid", defaults.GRID_PER_AXIS),
                        fit_degree=int(spec.get("fit_degree", defaults.FIT_DEGREE)),
-                       samples=run.samples)
+                       _lattices=run.lattices)
     return make_report(
         task="factorize",
         metrics={"fit_residual": result.fit_residual, "cond": result.cond},
@@ -568,7 +568,7 @@ def _run_transition(scenario, spec, run):
                             grid_k=spec.get("grid", defaults.GRID_PER_AXIS),
                             fit_degree=int(spec.get("fit_degree",
                                                     defaults.FIT_DEGREE)),
-                            samples=run.samples)
+                            _lattices=run.lattices)
     return make_report(
         task="transition",
         metrics={"fit_residual": result.fit_residual,
@@ -588,7 +588,7 @@ def _run_cocycle(scenario, spec, run):
                            grid_k=spec.get("grid", defaults.GRID_PER_AXIS),
                            fit_degree=int(spec.get("fit_degree",
                                                    defaults.FIT_DEGREE)),
-                           samples=run.samples)
+                           _lattices=run.lattices)
     return make_report(
         task="cocycle",
         metrics={"cocycle_defect": result.defect},
@@ -712,8 +712,8 @@ def run_scenario(scenario, tol_overrides=None, grid_override=None,
     Overrides replace the named tolerances everywhere, the grid density of
     every task that takes a ``grid`` key and the degree of the solver tasks.
     Each chart is built once per run, at each density a task asks for, and
-    shared by every task that names it; the chart tasks share the lattices
-    they sample and what was evaluated on them.
+    shared by every task that names it; consecutive chart tasks on one
+    lattice share it and what was evaluated on it.
     """
     started = time.perf_counter()
     tols = _with_tolerances(scenario.tolerances, tol_overrides)

@@ -256,12 +256,16 @@ SHARING_SCENARIO = {
                "b": {"functions": ["z1_shift", "z2"]},
                "c": {"functions": ["z1", "z2_shift"],
                      "box": {"lo": [-0.5] * 4, "hi": [0.25] * 4}}},
-    "tasks": [{"task": "chart", "chart": "a"},
+    # Each lattice's uses follow one another, as in the bench scenarios: a
+    # run keeps the lattice it sampled last.
+    "tasks": [{"task": "chart", "chart": "c"},
+              {"task": "chart", "chart": "a"},
+              {"task": "chart", "chart": "b"},
+              {"task": "factorize", "chart": "a", "function": "mix",
+               "fit_degree": 2},
               {"task": "factorize", "chart": "a", "function": "mix"},
               {"task": "factorize", "chart": "a", "function": "z1_bar",
                "expect": "fail"},
-              {"task": "factorize", "chart": "a", "function": "mix",
-               "fit_degree": 2},
               {"task": "cocycle", "charts": ["a", "b", "c"]}],
 }
 
@@ -306,17 +310,17 @@ def test_a_run_samples_each_lattice_once(monkeypatch):
     monkeypatch.setattr(charts, "_vandermonde", counting_vandermonde)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     result = run_scenario(parse_scenario(SHARING_SCENARIO))
-    assert [r.status for r in result.reports] == ["pass"] * 5
-    # a and b on the box, c on the sub-box.
+    assert [r.status for r in result.reports] == ["pass"] * 7
+    # c on the sub-box, a and b on the box.
     assert len(j_calls) == len(set(j_calls)) == 2
     # Two fields per build, for the CR residual and the Jacobian rows.
     assert len(gradients) == 6
     assert len(set(gradients)) == 5         # z2 is in a and b
-    # The box: a (both fits and a to b) and b.  The sub-box: b and c (b to
+    # The box: a (the fits and a to b) and b.  The sub-box: b and c (b to
     # c), and a (a to c and the triple overlap).
     assert len(values) == len(set(values)) == 5
-    # a on the box at fit_degree 4 (two fits and a to b) and 2, and b and
-    # a on the sub-box.
+    # a on the box at fit_degree 2, and at 4 (two fits and a to b); b and a
+    # on the sub-box.
     assert len(matrices) == len(set(matrices)) == 4
     assert [count for _, count in sigmas] == [1, 1, 1, 1]
 
@@ -397,16 +401,16 @@ def test_a_sample_serves_its_own_structure_only(std1, std2, z_field):
         crsolve.cr_residual(std1, [z_field], sample)
 
 
-def test_shared_samples_keep_the_lattices_used_last(std1, z_field):
-    samples = {}
-    built = [build_spencer_chart(std1, [z_field], box=Box((lo, -1.0), (1.0, 1.0)),
-                                 samples=samples) for lo in (-1.0, -0.5, 0.0)]
-
-    def kept():
-        return [float(lattice.points[0, 0]) for lattice in samples.values()]
-
-    assert kept() == [-0.5, 0.0]
-    factorize(built[1], z_field, fit_degree=1, samples=samples)
-    assert kept() == [0.0, -0.5]
-    factorize(built[0], z_field, fit_degree=1, samples=samples)
-    assert kept() == [-0.5, -1.0]
+def test_shared_calls_keep_one_lattice_and_one_fit_matrix(std1, z_field):
+    lattices = charts.Lattices()
+    box, half = std1.box, Box((-0.5, -1.0), (1.0, 1.0))
+    lattice = lattices(std1, box, 5)
+    assert lattices(std1, Box(box.lo, box.hi), 5) is lattice
+    assert lattices(std1, box, 4) is not lattice
+    assert lattices(std1, half, 5) is not lattice
+    assert lattices(std1, box, 5) is not lattice        # not kept
+    chart = build_spencer_chart(std1, [z_field])
+    fit = lattice.fit_matrix(chart, 1, "fit")
+    assert lattice.fit_matrix(chart, 1, "fit") is fit
+    lattice.fit_matrix(chart, 2, "fit")
+    assert lattice.fit_matrix(chart, 1, "fit") is not fit
