@@ -13,11 +13,11 @@ from .crsolve import (AHSolutionSet, TypeEstimate, cr_equations_check,
                       cr_residual, estimate_spencer_type, independence_rank,
                       solve_ah_polynomials)
 from .defaults import TOOLKIT_VERSION
-from .errors import (ChartError, CompositionError, ConfigurationError,
-                     DegenerateStructureError, DomainError, FitError,
-                     IndependenceError, InversionError, NumericalError,
-                     OverlapError, PolynomialParseError, ScenarioError,
-                     SpencerKitError)
+from .errors import (ChartError, CheckFailure, CompositionError,
+                     ConfigurationError, DegenerateStructureError,
+                     DomainError, FitError, IndependenceError,
+                     InversionError, NumericalError, OverlapError,
+                     PolynomialParseError, ScenarioError, SpencerKitError)
 from .jfield import (ACStructure, Box, SplitTypeResult, check_acs, eval_j,
                      integrability_report, nijenhuis, split_type,
                      standard_structure)
@@ -34,7 +34,8 @@ from .scenario import (RunResult, Scenario, builtin_scenarios, emit_json,
 __version__ = TOOLKIT_VERSION
 
 __all__ = [
-    "ACStructure", "AHSolutionSet", "Box", "ChartError", "CocycleResult",
+    "ACStructure", "AHSolutionSet", "Box", "ChartError", "CheckFailure",
+    "CocycleResult",
     "CompositionError", "ConfigurationError", "DegenerateStructureError",
     "DomainError", "Factorization", "FitError", "GlueTest",
     "IndependenceError", "InversionError", "LocalMap", "NumericalError",

@@ -9,11 +9,12 @@ triples of charts are checked for the cocycle identity.  Each fit is its own
 holomorphy witness: a conjugate component, or a value that differs between
 two points of one fiber, cannot be fitted away and stays in the residual.
 
-Every chart function samples a lattice of a box at a density.  A scenario
-run passes its chart calls one ``Lattices`` holder, in the private
-``_lattices`` keyword, so that consecutive calls on one lattice share J,
-chart coordinates and the latest fit matrix.  A call on its own samples
-afresh; the bits are the same.
+Every chart function samples a lattice of a box at a density, as a
+``crsolve.Sample``.  A scenario run passes its chart calls one dict, in the
+private ``_lattices`` keyword, that keeps the latest sample by the rule of
+``crsolve.keep``, so consecutive calls on one lattice share J, chart
+coordinates and the latest fit matrix.  A call on its own samples afresh;
+the bits are the same.
 """
 from __future__ import annotations
 
@@ -23,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import defaults
-from .crsolve import Sample, cr_residual, independence_rank, jacobian_rows
+from .crsolve import (Sample, cr_residual, independence_rank,
+                      jacobian_rows, keep)
 from .errors import (ChartError, ConfigurationError, FitError,
                      IndependenceError, NumericalError, OverlapError)
 from .poly import PolyMap, Polynomial, monomials_upto
@@ -64,51 +66,31 @@ class SpencerChart:
         return PolyMap(self.fields).evaluate(np.asarray(points, dtype=float))
 
 
-class Lattice(Sample):
-    """The lattice of a box at density grid_k as a ``Sample`` of a
-    structure, which also keeps each chart's coordinates on it and the
-    latest fit matrix, once computed."""
-
-    def __init__(self, structure, box, grid_k):
-        super().__init__(structure, box.lattice(grid_k))
-        self._values = {}           # field ids -> (fields, coordinates)
-        self._fit = (None, None)    # ((field ids, fit_degree), fit matrix)
-
-    def values(self, chart):
-        """The chart's coordinates at the points, (P, m)."""
-        key = tuple(map(id, chart.fields))
-        if key not in self._values:
-            self._values[key] = (chart.fields, chart.evaluate(self.points))
-        return self._values[key][1]
-
-    def fit_matrix(self, chart, fit_degree, what):
-        """``_fit_matrix`` of the chart's coordinates, kept until another
-        is asked for; a refused fit is not kept."""
-        # _values keeps the fields, so their ids are not reused meanwhile.
-        key = (tuple(map(id, chart.fields)), fit_degree)
-        if self._fit[0] != key:
-            self._fit = (None, None)                # freed before the next
-            self._fit = (key, _fit_matrix(self.values(chart), fit_degree, what))
-        return self._fit[1]
-
-
-class Lattices:
-    """The lattice that chart calls sampled last: a call on the same
-    structure, box and density shares it, with what was evaluated on it,
-    and a call on another replaces it.  One lattice serves a run's chart
+def _sample(lattices, structure, box, grid_k):
+    """The ``Sample`` of the box's lattice at density grid_k, kept in the
+    holder ``lattices`` until a call asks for another structure, box or
+    density; without a holder, a fresh one.  One sample serves a run's chart
     tasks, whose uses of a lattice follow one another."""
+    # The sample holds the structure, so its id is not reused meanwhile;
+    # the bound bytes tell 0.0 from -0.0, which give different points.
+    key = (id(structure), np.array(box.lo + box.hi).tobytes(), int(grid_k))
+    return keep({} if lattices is None else lattices, "lattice", key,
+                lambda: Sample(structure, box.lattice(grid_k)))
 
-    def __init__(self):
-        self._key, self._lattice = None, None
 
-    def __call__(self, structure, box, grid_k):
-        # The lattice holds the structure, so its id is not reused meanwhile;
-        # the bound bytes tell 0.0 from -0.0, which give different points.
-        key = (id(structure), np.array(box.lo + box.hi).tobytes(), int(grid_k))
-        if key != self._key:
-            self._key, self._lattice = None, None   # freed before the next
-            self._key, self._lattice = key, Lattice(structure, box, grid_k)
-        return self._lattice
+def _values(sample, chart):
+    """The chart's coordinates at the sample's points, (P, m), kept for
+    the sample's life under the ids of the fields, which the key holds."""
+    return keep(sample.kept, tuple(map(id, chart.fields)), chart.fields,
+                lambda: chart.evaluate(sample.points))
+
+
+def _kept_fit_matrix(sample, chart, fit_degree, what):
+    """``_fit_matrix`` of the chart's coordinates on the sample, kept until
+    another is asked for; a refused fit is not kept."""
+    # _values keeps the fields, so their ids are not reused meanwhile.
+    return keep(sample.kept, "fit", (tuple(map(id, chart.fields)), fit_degree),
+                lambda: _fit_matrix(_values(sample, chart), fit_degree, what))
 
 
 def build_spencer_chart(structure, fields, box=None,
@@ -135,8 +117,8 @@ def build_spencer_chart(structure, fields, box=None,
     n = structure.n
     if not 1 <= len(fields) <= n:
         raise ChartError(f"chart needs between 1 and {n} fields, got {len(fields)}")
-    lattice = (_lattices or Lattices())(structure, box, grid_k)
-    for i, res in enumerate(cr_residual(structure, fields, lattice)):
+    sample = _sample(_lattices, structure, box, grid_k)
+    for i, res in enumerate(cr_residual(structure, fields, sample)):
         if not np.isfinite(res):
             raise NumericalError(
                 f"field {i} has a non-finite CR residual on the chart box")
@@ -145,8 +127,8 @@ def build_spencer_chart(structure, fields, box=None,
                 f"field {i} is not almost holomorphic on the chart box: "
                 f"residual {res:.3e} > {tol_cr:g}")
     m = len(fields)
-    rows = jacobian_rows(fields, lattice)
-    lattice.forget_gradients()
+    rows = jacobian_rows(fields, sample)
+    del sample.kept["gradients"]    # once the two calls that share them are done
     rank = independence_rank(rows, svd_rel_tol)
     if rank < 2 * m:
         raise IndependenceError(
@@ -244,10 +226,10 @@ def factorize(chart, h, grid_k=defaults.GRID_PER_AXIS,
     The max-norm residual of the fit is the verdict: where two lattice
     points share a fiber, it is at least half the spread of h there.
     """
-    lattice = (_lattices or Lattices())(chart.structure, chart.box, grid_k)
-    matrix, monomials, cond = lattice.fit_matrix(chart, fit_degree,
-                                                 "chart Vandermonde system")
-    coeffs, fit_residual = _fit(matrix, h.evaluate(lattice.points))
+    sample = _sample(_lattices, chart.structure, chart.box, grid_k)
+    matrix, monomials, cond = _kept_fit_matrix(sample, chart, fit_degree,
+                                               "chart Vandermonde system")
+    coeffs, fit_residual = _fit(matrix, h.evaluate(sample.points))
     return Factorization(coefficients=coeffs, monomials=tuple(monomials),
                          fit_residual=fit_residual, cond=cond)
 
@@ -276,15 +258,15 @@ def transition_map(chart_a, chart_b, grid_k=defaults.GRID_PER_AXIS,
     if overlap is None:
         raise OverlapError(
             f"charts {chart_a.label} and {chart_b.label} do not overlap")
-    lattice = (_lattices or Lattices())(chart_a.structure, overlap, grid_k)
-    matrix, monomials, cond = lattice.fit_matrix(
-        chart_a, fit_degree, "transition Vandermonde system")
-    coeffs, fit_residual = _fit(matrix, lattice.values(chart_b))
+    sample = _sample(_lattices, chart_a.structure, overlap, grid_k)
+    matrix, monomials, cond = _kept_fit_matrix(
+        sample, chart_a, fit_degree, "transition Vandermonde system")
+    coeffs, fit_residual = _fit(matrix, _values(sample, chart_b))
     m = chart_a.m
     components = [Polynomial(m, dict(zip(monomials, coeffs[:, j])))
                   for j in range(m)]
     fitted = PolyMap(components)
-    dets = np.linalg.det(fitted.jacobian(lattice.values(chart_a)))
+    dets = np.linalg.det(fitted.jacobian(_values(sample, chart_a)))
     return TransitionMap(
         map=fitted, fit_residual=fit_residual,
         jacobian_min_det=float(np.min(np.abs(dets))), cond=cond)
@@ -305,7 +287,7 @@ def cocycle_check(chart_a, chart_b, chart_c, grid_k=defaults.GRID_PER_AXIS,
     """Composition defect of the three pairwise transitions on the triple
     overlap: max |t_bc(t_ab(w)) - t_ac(w)|.  The transitions and the
     triple overlap share a lattice where their boxes agree."""
-    lattices = _lattices or Lattices()
+    lattices = {} if _lattices is None else _lattices
     ab, bc, ac = (transition_map(x, y, grid_k=grid_k, fit_degree=fit_degree,
                                  _lattices=lattices)
                   for x, y in ((chart_a, chart_b), (chart_b, chart_c),
@@ -314,7 +296,7 @@ def cocycle_check(chart_a, chart_b, chart_c, grid_k=defaults.GRID_PER_AXIS,
     triple = triple.intersect(chart_c.box) if triple is not None else None
     if triple is None:
         raise OverlapError("charts have no common triple overlap")
-    wa = lattices(chart_a.structure, triple, grid_k).values(chart_a)
+    wa = _values(_sample(lattices, chart_a.structure, triple, grid_k), chart_a)
     via_b = bc.map.evaluate(ab.map.evaluate(wa))
     direct = ac.map.evaluate(wa)
     defect = float(np.max(np.abs(via_b - direct)))

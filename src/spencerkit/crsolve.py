@@ -21,10 +21,22 @@ from .poly import Polynomial, monomials_upto
 from .report import make_report
 
 
+def keep(kept, slot, key, make):
+    """The value ``kept`` holds in ``slot`` if it was made under ``key``;
+    otherwise ``make()``, kept there under ``key``.  The old value is freed
+    before the new one is made, and a ``make`` that raises leaves the slot
+    empty."""
+    if slot not in kept or kept[slot][0] != key:
+        kept.pop(slot, None)
+        kept[slot] = (key, make())
+    return kept[slot][1]
+
+
 class Sample:
-    """A point batch with J and field gradients on it, each evaluated on
-    first use: J is kept for the sample's life, gradients until other
-    fields are asked for or ``forget_gradients`` is called.
+    """A point batch of one structure, and what was evaluated on it, in
+    ``kept`` (see ``keep``): J for the sample's life, the gradients of the
+    fields last asked for until other fields are, and what the chart
+    functions keep there.
 
     ``cr_residual`` and ``jacobian_rows`` take a Sample where they take a
     batch.  Then J is evaluated once however many charts the sample serves,
@@ -36,28 +48,20 @@ class Sample:
     def __init__(self, structure, points):
         self.structure = structure
         self.points = np.asarray(points, dtype=float)
-        self._j = None
-        self._gradients = ((), [])      # (fields, their gradients)
+        self.kept = {}
 
     @property
     def j(self):
         """J at the points, complex (P, 2n, 2n)."""
-        if self._j is None:
-            self._j = eval_j(self.structure, self.points).astype(complex)
-        return self._j
+        return keep(self.kept, "j", None, lambda: eval_j(
+            self.structure, self.points).astype(complex))
 
     def gradients(self, fields):
         """Each field's gradient at the points, (P, 2n), in field order."""
         fields = tuple(fields)
-        kept, grads = self._gradients
-        if tuple(map(id, kept)) != tuple(map(id, fields)):
-            grads = [f.gradient(self.points) for f in fields]
-            self._gradients = (fields, grads)
-        return grads
-
-    def forget_gradients(self):
-        """Drop the kept gradients, once the calls that share them are done."""
-        self._gradients = ((), [])
+        # Kept with the fields, so their ids are not reused meanwhile.
+        return keep(self.kept, "gradients", tuple(map(id, fields)), lambda: (
+            fields, [f.gradient(self.points) for f in fields]))[1]
 
 
 def _gradients(fields, points):

@@ -3,8 +3,8 @@
 Scenario-level problems (bad JSON, bad references, under-determined solver
 configurations) are reported as ScenarioError / ConfigurationError and map to
 CLI exit code 2.  Hard numeric breakdowns map to NumericalError and exit code
-3.  Everything else describes a check that failed on valid input; task runners
-turn those into failing reports instead of aborting a run.
+3.  A CheckFailure describes a check that failed on valid input; task
+runners turn those into failing reports instead of aborting a run.
 """
 
 
@@ -12,35 +12,39 @@ class SpencerKitError(Exception):
     """Base class for all toolkit errors."""
 
 
-class DomainError(SpencerKitError):
+class CheckFailure(SpencerKitError):
+    """A check that failed on valid input: a failing report, not an abort."""
+
+
+class DomainError(CheckFailure):
     """A point or box fell outside the region where an object is defined."""
 
 
-class DegenerateStructureError(SpencerKitError):
+class DegenerateStructureError(CheckFailure):
     """Eigenstructure of J(p) does not split into the expected (n, n) pair."""
 
 
-class IndependenceError(SpencerKitError):
+class IndependenceError(CheckFailure):
     """Candidate coordinate functions are functionally dependent."""
 
 
-class ChartError(SpencerKitError):
+class ChartError(CheckFailure):
     """No nondegenerate Spencer chart exists for the requested data."""
 
 
-class OverlapError(SpencerKitError):
+class OverlapError(CheckFailure):
     """Two charts have empty overlap."""
 
 
-class FitError(SpencerKitError):
+class FitError(CheckFailure):
     """A least-squares fit is too ill-conditioned to trust."""
 
 
-class CompositionError(SpencerKitError):
+class CompositionError(CheckFailure):
     """Two local maps have no composable sub-domain."""
 
 
-class InversionError(SpencerKitError):
+class InversionError(CheckFailure):
     """A local map could not be inverted (degenerate Jacobian or failed root find)."""
 
 

@@ -18,14 +18,11 @@ import time
 from dataclasses import dataclass, field as dc_field
 
 from . import defaults
-from .charts import (Lattices, build_spencer_chart, cocycle_check, factorize,
+from .charts import (build_spencer_chart, cocycle_check, factorize,
                      transition_map)
 from .crsolve import (cr_equations_check, estimate_spencer_type,
                       solve_ah_polynomials)
-from .errors import (ChartError, CompositionError, ConfigurationError,
-                     DegenerateStructureError, DomainError, FitError,
-                     IndependenceError, InversionError, OverlapError,
-                     ScenarioError)
+from .errors import CheckFailure, DomainError, ScenarioError
 from .jfield import (ACStructure, Box, check_acs,
                      integrability_report, split_type, standard_structure)
 from .poly import parse_polynomial
@@ -33,16 +30,12 @@ from .pseudogroup import (GlueTest, LocalMap, OverDiagram, check_ah_map,
                           check_over_diagram, generate, validate_axioms)
 from .report import Report, make_report
 
-CHECK_FAILURES = (ChartError, IndependenceError, FitError, OverlapError,
-                  CompositionError, InversionError, DomainError,
-                  DegenerateStructureError)
-
 
 @dataclass
 class ChartSpec:
     label: str
     function_names: tuple
-    box: object  # Box or None for the structure box
+    box: Box  # the scenario box when the chart gives none
 
 
 # The keys each JSON object of a scenario may carry, as in the README tables.
@@ -243,7 +236,9 @@ def parse_scenario(data):
             if not isinstance(fn, str) or fn not in functions:
                 raise ScenarioError(f"chart {cname!r} references unknown function {fn!r}")
         cbox = (_parse_box(cdata["box"], f"chart {cname!r} box", 2 * n)
-                if "box" in cdata else None)
+                if "box" in cdata else box)
+        if not box.contains_box(cbox):
+            raise ScenarioError(f"{where}: box is not inside the scenario box")
         chart_specs[cname] = ChartSpec(cname, fnames, cbox)
 
     family_specs = {}
@@ -364,7 +359,8 @@ def _validate_task(spec, tables, n, where):
     """Check one task object's keys, integers and references against TASKS.
 
     An expectation no result can meet is refused: with ``expect: fail`` it
-    would pass whatever the structure is.
+    would pass whatever the structure is.  So are the charts of a
+    ``transition`` or ``cocycle`` that share no interior.
     """
     kind = _require(_json_object(spec, where), "task", where)
     if not isinstance(kind, str) or kind not in TASKS:
@@ -401,6 +397,14 @@ def _validate_task(spec, tables, n, where):
         for label in labels:
             if not isinstance(label, str) or label not in tables[table]:
                 raise ScenarioError(f"{where}: unknown {table} {label!r}")
+    if kind in ("transition", "cocycle"):
+        # A common interior of all the charts is one of each pair too.
+        common = tables["chart"][spec["charts"][0]].box
+        for label in spec["charts"][1:]:
+            common = common and common.intersect(tables["chart"][label].box)
+        if common is None:
+            raise ScenarioError(f"{where}: charts {spec['charts']} have no "
+                                f"common interior")
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +423,8 @@ class _Run:
     # raised.  The tolerances are fixed within a run, so they are no part
     # of the key.
     charts: dict = dc_field(default_factory=dict)
-    # The lattice the chart tasks sampled last, with what was evaluated on it.
-    lattices: Lattices = dc_field(default_factory=Lattices)
+    # The chart tasks' holder of the sample they took last (charts._sample).
+    lattices: dict = dc_field(default_factory=dict)
     # degree -> the AHSolutionSet solved at it.
     solutions: dict = dc_field(default_factory=dict)
 
@@ -448,12 +452,12 @@ class _Run:
                     tol_det=self.tols["tol_det"],
                     svd_rel_tol=self.tols["svd_rel_tol"], label=label,
                     _lattices=self.lattices)
-            except CHECK_FAILURES as exc:
+            except CheckFailure as exc:
                 # Without its traceback the error keeps no frame, and no
                 # sample lattice, alive for the rest of the run.
                 self.charts[key] = exc.with_traceback(None)
         chart = self.charts[key]
-        if isinstance(chart, CHECK_FAILURES):
+        if isinstance(chart, CheckFailure):
             raise chart.with_traceback(None)
         return chart
 
@@ -690,7 +694,7 @@ def _run_one_task(scenario, spec, run):
     label = spec.get("label", kind)
     try:
         report = TASKS[kind][0](scenario, spec, run)
-    except CHECK_FAILURES as exc:
+    except CheckFailure as exc:
         report = Report(task=label, status="fail",
                         notes=[f"{type(exc).__name__}: {exc}"])
     report.task = label

@@ -13,8 +13,8 @@ from spencerkit import (
     transition_map,
 )
 from spencerkit import charts, crsolve, defaults
-from spencerkit.errors import (ChartError, ConfigurationError, NumericalError,
-                               OverlapError)
+from spencerkit.errors import (ChartError, CheckFailure, ConfigurationError,
+                               NumericalError, OverlapError)
 from spencerkit.poly import Polynomial, monomials_upto
 
 
@@ -328,7 +328,7 @@ def test_a_run_samples_each_lattice_once(monkeypatch):
 def _standalone_metrics(data, spec):
     """The metrics of one chart task from standalone calls on objects of a
     fresh parse, or the note of the check failure they raise."""
-    from spencerkit.scenario import CHECK_FAILURES, parse_scenario
+    from spencerkit.scenario import parse_scenario
     scen = parse_scenario(data)
     tols = scen.tolerances
 
@@ -356,7 +356,7 @@ def _standalone_metrics(data, spec):
                     "jacobian_min_det": result.jacobian_min_det}
         result = cocycle_check(*map(chart, spec["charts"]), **fit)
         return {"cocycle_defect": result.defect}
-    except CHECK_FAILURES as exc:
+    except CheckFailure as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
@@ -402,15 +402,59 @@ def test_a_sample_serves_its_own_structure_only(std1, std2, z_field):
 
 
 def test_shared_calls_keep_one_lattice_and_one_fit_matrix(std1, z_field):
-    lattices = charts.Lattices()
+    lattices = {}
     box, half = std1.box, Box((-0.5, -1.0), (1.0, 1.0))
-    lattice = lattices(std1, box, 5)
-    assert lattices(std1, Box(box.lo, box.hi), 5) is lattice
-    assert lattices(std1, box, 4) is not lattice
-    assert lattices(std1, half, 5) is not lattice
-    assert lattices(std1, box, 5) is not lattice        # not kept
+    sample = charts._sample(lattices, std1, box, 5)
+    assert isinstance(sample, crsolve.Sample)
+    assert charts._sample(lattices, std1, Box(box.lo, box.hi), 5) is sample
+    assert charts._sample(lattices, std1, box, 4) is not sample
+    assert charts._sample(lattices, std1, half, 5) is not sample
+    assert charts._sample(lattices, std1, box, 5) is not sample     # not kept
     chart = build_spencer_chart(std1, [z_field])
-    fit = lattice.fit_matrix(chart, 1, "fit")
-    assert lattice.fit_matrix(chart, 1, "fit") is fit
-    lattice.fit_matrix(chart, 2, "fit")
-    assert lattice.fit_matrix(chart, 1, "fit") is not fit
+    fit = charts._kept_fit_matrix(sample, chart, 1, "fit")
+    assert charts._kept_fit_matrix(sample, chart, 1, "fit") is fit
+    charts._kept_fit_matrix(sample, chart, 2, "fit")
+    assert charts._kept_fit_matrix(sample, chart, 1, "fit") is not fit
+    fit = charts._kept_fit_matrix(sample, chart, 1, "fit")
+    # Another chart with the same field objects shares the fit matrix; one
+    # with other fields does not.
+    same = build_spencer_chart(std1, [z_field], label="same")
+    assert charts._kept_fit_matrix(sample, same, 1, "fit") is fit
+    other = build_spencer_chart(std1, [z_field * 2.0])
+    assert charts._kept_fit_matrix(sample, other, 1, "fit") is not fit
+
+
+def test_keep_frees_the_old_value_before_making_the_next():
+    kept, made = {}, []
+
+    def make(value):
+        made.append((value, dict(kept)))
+        return value
+
+    assert crsolve.keep(kept, "slot", 1, lambda: make("a")) == "a"
+    assert crsolve.keep(kept, "slot", 1, lambda: make("b")) == "a"
+    assert crsolve.keep(kept, "slot", 2, lambda: make("c")) == "c"
+    assert made == [("a", {}), ("c", {})]
+
+    def refuse():
+        raise ConfigurationError("refused")
+
+    with pytest.raises(ConfigurationError):
+        crsolve.keep(kept, "slot", 3, refuse)
+    assert kept == {}                   # a refused value is not kept
+
+
+def test_a_sample_frees_old_gradients_before_taking_new(
+        monkeypatch, std1, z_field, zbar_field):
+    sample = crsolve.Sample(std1, std1.box.lattice(3))
+    first = sample.gradients([z_field])
+    assert sample.gradients([z_field]) is first
+    seen, gradient = [], Polynomial.gradient
+
+    def watching(self, points):
+        seen.append("gradients" in sample.kept)
+        return gradient(self, points)
+
+    monkeypatch.setattr(Polynomial, "gradient", watching)
+    assert sample.gradients([zbar_field]) is not first
+    assert seen == [False]

@@ -262,6 +262,22 @@ def test_package_exports_resolve_once():
     assert [n for n in names if not hasattr(spencerkit, n)] == []
 
 
+def test_check_failures_share_one_base_and_input_errors_do_not():
+    from spencerkit import errors
+    failures = ("ChartError", "IndependenceError", "FitError", "OverlapError",
+                "CompositionError", "InversionError", "DomainError",
+                "DegenerateStructureError")
+    for name in failures:
+        assert issubclass(getattr(errors, name), spencerkit.CheckFailure), name
+    for name in ("NumericalError", "ScenarioError", "ConfigurationError",
+                 "PolynomialParseError"):
+        assert not issubclass(getattr(errors, name), errors.CheckFailure), name
+    # No other class is a check failure.
+    kinds = {cls.__name__ for cls in vars(errors).values()
+             if isinstance(cls, type) and issubclass(cls, errors.CheckFailure)}
+    assert kinds == {"CheckFailure", *failures}
+
+
 def test_cli_task_filter_and_text_format():
     code, out, err = run_cli("builtin", "std_c2", "--task", "chart",
                              "--format", "text")
@@ -363,6 +379,41 @@ def test_cli_rejects_malformed_scenarios_with_exit_two(scenario_file, capsys,
     data.update(overrides)
     assert cli.main(["run", scenario_file(data)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+LEFT = {"lo": [-1.0, -1.0], "hi": [-0.5, 1.0]}
+RIGHT = {"lo": [0.5, -1.0], "hi": [1.0, 1.0]}
+
+
+@pytest.mark.parametrize("charts, tasks, message", [
+    ({"c": {"functions": ["z"], "box": {"lo": [0, 0], "hi": [2, 2]}}},
+     [{"task": "chart", "chart": "c", "expect": "fail"},
+      {"task": "factorize", "chart": "c", "function": "z", "expect": "fail"}],
+     "chart 'c': box is not inside the scenario box"),
+    ({"a": {"functions": ["z"], "box": LEFT},
+      "b": {"functions": ["z"], "box": RIGHT}},
+     [{"task": "transition", "charts": ["a", "b"], "expect": "fail"}],
+     "task 0: charts ['a', 'b'] have no common interior"),
+    # a and c overlap, b meets neither.
+    ({"a": {"functions": ["z"], "box": LEFT},
+      "b": {"functions": ["z"], "box": RIGHT},
+      "c": {"functions": ["z"]}},
+     [{"task": "transition", "charts": ["a", "c"]},
+      {"task": "cocycle", "charts": ["a", "b", "c"], "expect": "fail"}],
+     "task 1: charts ['a', 'b', 'c'] have no common interior"),
+    # Boxes that share only a face have no common interior either.
+    ({"a": {"functions": ["z"], "box": {"lo": [-1, -1], "hi": [0, 1]}},
+      "b": {"functions": ["z"], "box": {"lo": [0, -1], "hi": [1, 1]}}},
+     [{"task": "transition", "charts": ["b", "a"], "expect": "fail"}],
+     "task 0: charts ['b', 'a'] have no common interior"),
+], ids=["box_outside", "transition_apart", "cocycle_apart", "faces_touch"])
+def test_cli_refuses_charts_that_no_structure_can_satisfy(
+        scenario_file, capsys, charts, tasks, message):
+    # Each task failed with a ChartError or OverlapError whatever J was, so
+    # expect: fail passed and the run exited 0.
+    data = minimal_scenario(charts=charts, tasks=tasks)
+    assert cli.main(["run", scenario_file(data)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("overrides", [
