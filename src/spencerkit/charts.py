@@ -118,17 +118,20 @@ def build_spencer_chart(structure, fields, box=None,
     if not 1 <= len(fields) <= n:
         raise ChartError(f"chart needs between 1 and {n} fields, got {len(fields)}")
     sample = _sample(_lattices, structure, box, grid_k)
-    for i, res in enumerate(cr_residual(structure, fields, sample)):
-        if not np.isfinite(res):
-            raise NumericalError(
-                f"field {i} has a non-finite CR residual on the chart box")
-        if res > tol_cr:
-            raise ChartError(
-                f"field {i} is not almost holomorphic on the chart box: "
-                f"residual {res:.3e} > {tol_cr:g}")
+    try:
+        for i, res in enumerate(cr_residual(structure, fields, sample)):
+            if not np.isfinite(res):
+                raise NumericalError(
+                    f"field {i} has a non-finite CR residual on the chart box")
+            if res > tol_cr:
+                raise ChartError(
+                    f"field {i} is not almost holomorphic on the chart box: "
+                    f"residual {res:.3e} > {tol_cr:g}")
+        rows = jacobian_rows(fields, sample)
+    finally:
+        # Only the two calls above share the gradients, whatever they raise.
+        sample.kept.pop("gradients", None)
     m = len(fields)
-    rows = jacobian_rows(fields, sample)
-    del sample.kept["gradients"]    # once the two calls that share them are done
     rank = independence_rank(rows, svd_rel_tol)
     if rank < 2 * m:
         raise IndependenceError(
@@ -286,16 +289,15 @@ def cocycle_check(chart_a, chart_b, chart_c, grid_k=defaults.GRID_PER_AXIS,
                   fit_degree=defaults.FIT_DEGREE, *, _lattices=None):
     """Composition defect of the three pairwise transitions on the triple
     overlap: max |t_bc(t_ab(w)) - t_ac(w)|.  The transitions and the
-    triple overlap share a lattice where their boxes agree."""
+    triple overlap share a lattice where their boxes agree.  Once the three
+    transitions have found their overlaps, the triple overlap is not empty:
+    on each axis open intervals that meet pairwise share a point."""
     lattices = {} if _lattices is None else _lattices
     ab, bc, ac = (transition_map(x, y, grid_k=grid_k, fit_degree=fit_degree,
                                  _lattices=lattices)
                   for x, y in ((chart_a, chart_b), (chart_b, chart_c),
                                (chart_a, chart_c)))
-    triple = chart_a.box.intersect(chart_b.box)
-    triple = triple.intersect(chart_c.box) if triple is not None else None
-    if triple is None:
-        raise OverlapError("charts have no common triple overlap")
+    triple = chart_a.box.intersect(chart_b.box).intersect(chart_c.box)
     wa = _values(_sample(lattices, chart_a.structure, triple, grid_k), chart_a)
     via_b = bc.map.evaluate(ab.map.evaluate(wa))
     direct = ac.map.evaluate(wa)

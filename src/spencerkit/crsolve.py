@@ -188,13 +188,13 @@ def _reduce_rows(rows, monomials, pivot_tol):
     Pivots are chosen scanning monomial positions in graded order, taking the
     row with the largest entry at each position; an entry at or below
     ``pivot_tol`` is no pivot.  Pivots are normalized to a unit leading
-    coefficient and eliminated from every other row.  Small coefficients are
-    snapped to zero so bases are reproducible.
+    coefficient and eliminated from every other row.  Each position takes at
+    most one pivot, so the rows come out in the order of their pivots.  Real
+    and imaginary parts at or below the snap are set to zero, so bases are
+    reproducible; an entry whose modulus is at or below it loses both.
     """
-    rows = [r / np.max(np.abs(r)) for r in rows]
+    remaining = [r / np.max(np.abs(r)) for r in rows]
     reduced = []
-    remaining = list(rows)
-    pivots = []
     for pos in range(len(monomials)):
         if not remaining:
             break
@@ -208,18 +208,11 @@ def _reduce_rows(rows, monomials, pivot_tol):
             other -= other[pos] * row
         remaining = [r - r[pos] * row for r in remaining]
         reduced.append(row)
-        pivots.append(pos)
-    order = np.argsort(pivots)
-    out = []
-    for idx in order:
-        row = reduced[idx].copy()
+    for row in reduced:
         snap = defaults.REDUCE_SNAP_TOL * np.max(np.abs(row))
-        row[np.abs(row) <= snap] = 0.0
-        # drop negligible imaginary or real parts left over from elimination
         row.real[np.abs(row.real) <= snap] = 0.0
         row.imag[np.abs(row.imag) <= snap] = 0.0
-        out.append(row)
-    return out
+    return reduced
 
 
 def solve_ah_polynomials(structure, degree, *,

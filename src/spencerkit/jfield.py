@@ -219,7 +219,7 @@ class SplitTypeResult:
     dims: tuple                 # (dim of i-eigenspace, dim of -i-eigenspace)
     eigen_residual: float       # worst |J v -/+ i v| over all basis vectors
     bases_plus: np.ndarray      # (P, n, 2n) complex, rows are basis vectors
-    bases_minus: np.ndarray     # (P, n, 2n)
+    bases_minus: np.ndarray     # (P, n, 2n), np.conj(bases_plus)
     points: np.ndarray
 
 
@@ -267,7 +267,10 @@ def split_type(structure, points, svd_rel_tol=defaults.SVD_REL_TOL):
     result is deterministic.  One SVD over the stack of all points finds
     the i eigenspace; J is real, so J v = iv exactly when J conj(v) =
     -i conj(v), and the -i eigenspace is its conjugate, of the same
-    dimension and with the conjugate residual.
+    dimension and with the conjugate residual.  ``bases_minus`` is
+    ``np.conj(bases_plus)``, row for row: scaling to unit max-norm, the
+    choice of the phase component and the phase rotation all commute with
+    conjugation.
     """
     pts = np.asarray(points, dtype=float)
     n, size = structure.n, structure.real_dim
@@ -281,14 +284,13 @@ def split_type(structure, points, svd_rel_tol=defaults.SVD_REL_TOL):
             f"eigenspace dimensions ({dims[p]}, {dims[p]}) != ({n}, {n}) "
             f"at point {tuple(map(float, pts[p]))}")
     plus = _canonical_bases(vh[:, n:])
-    minus = _canonical_bases(np.conj(vh[:, n:]))
     res_plus = np.einsum("pij,pkj->pki", j, plus) - 1j * plus
     residual = float(np.max(np.abs(res_plus)))
     return SplitTypeResult(
         dims=(n, n),
         eigen_residual=residual,
         bases_plus=plus,
-        bases_minus=minus,
+        bases_minus=np.conj(plus),
         points=pts,
     )
 

@@ -1,5 +1,6 @@
 """``tools/bench_pairs.py`` condenses alternating pair records into the
-summary that a ``BENCH_*.json`` file reports."""
+summary that a ``BENCH_*.json`` file reports, and counts each side's
+package lines."""
 from __future__ import annotations
 
 import importlib.util
@@ -8,11 +9,15 @@ from pathlib import Path
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 
 
-def _summary(pairs):
+def _tool():
     spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module._summary(pairs)
+    return module
+
+
+def _summary(pairs):
+    return _tool()._summary(pairs)
 
 
 def _record(parent_run_s, change_run_s):
@@ -44,3 +49,14 @@ def test_summary_adds_quartiles_from_five_pairs():
     assert summary["run_s"]["parent_quartiles"] == [2.0, 4.0]
     assert summary["run_s"]["change_quartiles"] == [1.5, 3.5]
     assert summary["setup_s"]["parent_quartiles"] == [0.4, 0.4]
+
+
+def test_src_lines_counts_the_package_modules_only(tmp_path):
+    package = tmp_path / "src" / "spencerkit"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("import os\n")
+    (package / "kernel.py").write_text("a = 1\n\nb = 2\n")
+    (package / "notes.txt").write_text("not\ncounted\n")
+    (package / "sub").mkdir()
+    (tmp_path / "src" / "other.py").write_text("not counted\n")
+    assert _tool()._src_lines(tmp_path) == 4

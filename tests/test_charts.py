@@ -123,6 +123,21 @@ def test_chart_build_evaluates_j_and_jacobian_rows_once(monkeypatch, std2):
     assert row_calls == [1]
 
 
+def test_a_failed_chart_build_frees_its_gradients(std1):
+    lattices = {}
+    zbar = parse_polynomial("x1 - (0+1i)*x2", 2)
+    with pytest.raises(ChartError, match="not almost holomorphic"):
+        build_spencer_chart(std1, [zbar], _lattices=lattices)
+    assert list(lattices["lattice"][1].kept) == ["j"]
+    # The gradient overflows at x1 = 1.2, so the CR residual is not finite.
+    wide = standard_structure(1, Box((0.0, 0.0), (1.2, 1.0)))
+    overflowing = parse_polynomial("x1 + (0+1i)*x2 + 5e307*x1^3", 2)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match="non-finite CR residual"):
+        build_spencer_chart(wide, [overflowing], _lattices=lattices)
+    assert list(lattices["lattice"][1].kept) == ["j"]
+
+
 def test_factorize_recovers_exact_polynomial(chart_z, z_field):
     h = z_field * z_field * (0.5 - 2.0j) + z_field * 3.0 + (1.0 + 1.0j)
     fac = factorize(chart_z, h, grid_k=7, fit_degree=3)

@@ -26,6 +26,24 @@ from spencerkit.scenario import builtin_scenarios, parse_scenario
 from conftest import poly_identity_matrix, poly_matmul
 
 
+@pytest.mark.parametrize("dim", [2, 4])
+def test_boxes_that_meet_pairwise_meet_all_together(dim):
+    # On each axis the largest of three lower bounds is the lower bound of
+    # one pair, and below that pair's and the other pairs' upper bounds.
+    # Bounds from a coarse grid give shared faces, which are no overlap.
+    rng = np.random.default_rng(3000 + dim)
+    lo = rng.integers(0, 5, size=(20_000, 3, dim)) / 4.0
+    hi = lo + rng.integers(1, 7, size=lo.shape) / 4.0
+    met = 0
+    for triple in zip(lo, hi):
+        a, b, c = (Box(*bounds) for bounds in zip(*triple))
+        if None in (a.intersect(b), b.intersect(c), a.intersect(c)):
+            continue
+        met += 1
+        assert isinstance(a.intersect(b).intersect(c), Box)
+    assert met > 1000
+
+
 def test_box_validation():
     with pytest.raises(ConfigurationError):
         Box((0.0, 0.0), (0.0, 1.0))
@@ -465,6 +483,26 @@ def test_split_type_is_bit_identical_to_the_per_point_loop(case, std1, std2, twi
     # conjugates the +i kernel: only the sign of a zero component may differ.
     assert ((res.bases_minus + 0.0).view(float).tobytes()
             == (minus + 0.0).view(float).tobytes())
+
+
+@pytest.mark.parametrize("case", ["std1", "std2", "std3", "twisted", "sheared3"])
+def test_the_minus_i_basis_is_the_conjugate_of_the_plus_i_basis(
+        case, std1, std2, twisted):
+    structure, k = {
+        "std1": (std1, 5),
+        "std2": (std2, 5),
+        "std3": (standard_structure(3), 3),
+        "twisted": (twisted, 5),
+        "sheared3": (_sheared_n3(), 4),
+    }[case]
+    pts = structure.box.lattice(k)
+    res = split_type(structure, pts)
+    # Row for row and bit for bit, the signs of zero components included.
+    assert res.bases_minus.tobytes() == np.conj(res.bases_plus).tobytes()
+    j = eval_j(structure, pts).astype(complex)
+    minus = res.bases_minus
+    res_minus = np.einsum("pij,pkj->pki", j, minus) + 1j * minus
+    assert np.max(np.abs(res_minus)) <= res.eigen_residual
 
 
 def test_split_type_takes_one_svd(monkeypatch, std2):

@@ -15,6 +15,7 @@ digests.  An optional traced run per side records per-layer counters.
 Standard library only; run from the repository root.
 """
 import argparse
+import glob
 import io
 import json
 import os
@@ -47,6 +48,15 @@ def _checkout(parent, workdir):
             os.makedirs(os.path.dirname(target), exist_ok=True)
             shutil.copy2(name, target)
     return roots
+
+
+def _src_lines(root):
+    """Lines of the package's modules, ``src/spencerkit/*.py``, in ``root``."""
+    total = 0
+    for path in glob.glob(os.path.join(root, "src", "spencerkit", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def _bench(root, workload, seed, seconds, trace):
@@ -125,6 +135,7 @@ def main(argv=None):
     doc = {"what": args.what, "parent_commit": parent,
            "change_commit": "the commit that adds this file",
            "source_sha256": {},
+           "src_lines": {side: _src_lines(roots[side]) for side in SIDES},
            "command": (f"python3 bench/run.py --workload W --seed S --seconds "
                        f"{args.seconds:g} --trace 0, run from a fresh copy of "
                        f"each commit's files in sibling directories 'parent' "
