@@ -8,7 +8,8 @@ DEGREE_CAP = 6         # largest polynomial total degree handled symbolically
 
 # Named tolerances.  Scenario tasks and the CLI --tol flag override by name.
 TOL_ACS = 1e-10        # max-norm of J(p)^2 + I over a verification grid
-TOL_EIGEN = 1e-8       # eigen-residual for the (1,0)/(0,1) splitting
+TOL_EIGEN = 1e-8       # max |J P - iP| = max |J^2 + I| / 2 of the (1,0)
+                       # projector P = (I - iJ)/2 over a grid
 TOL_CR = 1e-10         # Cauchy-Riemann residual for pass/fail checks
 TOL_INTEGRABILITY = 1e-6   # max-norm of the Nijenhuis tensor over a grid
 TOL_DET = 1e-6         # smallest acceptable |det| of a chart Jacobian
@@ -35,10 +36,6 @@ FIT_ENTRY_CAP = 2 ** 26
 # solve_ah's solver_residual bound is this * svd_rel_tol * max(sigma_max, 1).
 SOLVER_RESIDUAL_FACTOR = 10.0
 DIAGRAM_SKIP_SHARE = 0.2    # largest share of diagram points off its domains
-
-# Canonical eigenvector phase: the first component of a unit max-norm vector
-# whose modulus exceeds this is rotated to the positive real axis.
-PHASE_THRESHOLD = 1e-9
 
 # Relative factors resolved against a box diameter at call time.
 DEDUP_TOL_FACTOR = 1e-9     # map-equality tolerance inside a family

@@ -214,12 +214,11 @@ def check_acs(structure, grid_k=defaults.GRID_PER_AXIS, tol=defaults.TOL_ACS):
 
 @dataclass
 class SplitTypeResult:
-    """Pointwise eigenspace splitting of J into i and -i parts."""
+    """Pointwise splitting of C^{2n} into the i and -i eigenspaces of J."""
 
     dims: tuple                 # (dim of i-eigenspace, dim of -i-eigenspace)
-    eigen_residual: float       # worst |J v -/+ i v| over all basis vectors
-    bases_plus: np.ndarray      # (P, n, 2n) complex, rows are basis vectors
-    bases_minus: np.ndarray     # (P, n, 2n), np.conj(bases_plus)
+    eigen_residual: float       # worst |J P - i P| over all points
+    projector: np.ndarray       # (P, 2n, 2n) complex, (I - iJ)/2 at each point
     points: np.ndarray
 
 
@@ -236,46 +235,28 @@ def numerical_rank(sigma, svd_rel_tol):
     return (sigma > cutoff).sum(axis=-1)
 
 
-def _canonical_bases(vh):
-    """Canonical kernel bases from stacked SVD rows ``vh`` (P, k, 2n).
-
-    Each vector is scaled to unit max-norm and its first component above
-    ``defaults.PHASE_THRESHOLD`` is rotated to the positive real axis; each
-    point's vectors are then sorted by their components rounded to 9 digits.
-    Magnitudes that decide a phase come from ``np.hypot``, which gives the
-    bits of the scalar ``abs``; ``np.abs`` over a complex array does not.
-    """
-    v = np.conj(vh)
-    v = v / np.max(np.abs(v), axis=-1, keepdims=True)
-    first = np.argmax(np.hypot(v.real, v.imag) > defaults.PHASE_THRESHOLD, axis=-1)
-    lead = np.take_along_axis(v, first[..., None], axis=-1)
-    v = v * (np.hypot(lead.real, lead.imag) / lead)
-    count, k, size = v.shape
-    flat = v.reshape(count * k, size)
-    # lexsort reads its last key first: the point, then the rounded real and
-    # imaginary parts of component 0, component 1 and so on.
-    keys = np.round(flat.view(float), 9).T[::-1]
-    order = np.lexsort(np.vstack([keys, np.repeat(np.arange(count), k)]))
-    return flat[order].reshape(count, k, size)
-
-
 def split_type(structure, points, svd_rel_tol=defaults.SVD_REL_TOL):
     """Split C^{2n} into the i and -i eigenspaces of J at each point.
 
-    Raises DegenerateStructureError unless both spaces have dimension n
-    everywhere.  Basis vectors are canonically normalized and sorted, so the
-    result is deterministic.  One SVD over the stack of all points finds
-    the i eigenspace; J is real, so J v = iv exactly when J conj(v) =
-    -i conj(v), and the -i eigenspace is its conjugate, of the same
-    dimension and with the conjugate residual.  ``bases_minus`` is
-    ``np.conj(bases_plus)``, row for row: scaling to unit max-norm, the
-    choice of the phase component and the phase rotation all commute with
-    conjugation.
+    Where J^2 = -I, P = (I - iJ)/2 is the projector onto the i eigenspace,
+    the (1,0) bundle, along the -i eigenspace; the complementary projector
+    I - P is conj(P).  The singular values of the stacked J - iI, one SVD
+    without factors, give the dimension of the i eigenspace; J is real, so
+    the -i eigenspace is its conjugate, of the same dimension.  Raises
+    NumericalError where J is not finite and DegenerateStructureError
+    unless both spaces have dimension n everywhere, each at the first such
+    point.  ``eigen_residual`` is the largest |J P - i P|, which is
+    |J^2 + I| / 2.
     """
     pts = np.asarray(points, dtype=float)
     n, size = structure.n, structure.real_dim
-    j = eval_j(structure, pts).astype(complex)
-    _, sigma, vh = np.linalg.svd(j - 1j * np.eye(size))
+    j = eval_j(structure, pts)
+    finite = np.isfinite(j).all(axis=(1, 2))
+    if not finite.all():
+        raise NumericalError(
+            f"J is not finite at point {tuple(map(float, pts[np.argmin(finite)]))}")
+    eye = np.eye(size)
+    sigma = np.linalg.svd(j - 1j * eye, compute_uv=False)
     dims = size - numerical_rank(sigma, svd_rel_tol)
     bad = np.flatnonzero(dims != n)
     if bad.size:
@@ -283,14 +264,12 @@ def split_type(structure, points, svd_rel_tol=defaults.SVD_REL_TOL):
         raise DegenerateStructureError(
             f"eigenspace dimensions ({dims[p]}, {dims[p]}) != ({n}, {n}) "
             f"at point {tuple(map(float, pts[p]))}")
-    plus = _canonical_bases(vh[:, n:])
-    res_plus = np.einsum("pij,pkj->pki", j, plus) - 1j * plus
-    residual = float(np.max(np.abs(res_plus)))
+    projector = (eye - 1j * j) / 2
+    defect = np.einsum("pik,pkj->pij", j, projector) - 1j * projector
     return SplitTypeResult(
         dims=(n, n),
-        eigen_residual=residual,
-        bases_plus=plus,
-        bases_minus=np.conj(plus),
+        eigen_residual=float(np.max(np.abs(defect))),
+        projector=projector,
         points=pts,
     )
 

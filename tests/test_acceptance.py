@@ -74,7 +74,7 @@ def test_acceptance_02_type_splitting(std1, std2, twisted):
         res = split_type(structure, structure.box.lattice())
         n = structure.n
         assert res.dims == (n, n)
-        assert res.bases_plus.shape == (len(res.points), n, 2 * n)
+        assert res.projector.shape == (len(res.points), 2 * n, 2 * n)
         assert res.eigen_residual <= 1e-8
     _passed(2, "eigenspace splitting is (n, n) with residual <= 1e-8 "
                "at every grid point")

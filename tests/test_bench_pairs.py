@@ -1,9 +1,10 @@
 """``tools/bench_pairs.py`` condenses alternating pair records into the
-summary that a ``BENCH_*.json`` file reports, and counts each side's
-package lines."""
+summary that a ``BENCH_*.json`` file reports, counts each side's package
+lines and lists the report fields that differ between the sides."""
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
@@ -60,3 +61,51 @@ def test_src_lines_counts_the_package_modules_only(tmp_path):
     (package / "sub").mkdir()
     (tmp_path / "src" / "other.py").write_text("not counted\n")
     assert _tool()._src_lines(tmp_path) == 4
+
+
+def _report(status, residual, notes=()):
+    return json.dumps({
+        "scenario": "s", "version": "0.1.0", "overall": status,
+        "tasks": [{"task": "check_acs", "status": "pass",
+                   "metrics": {"acs_residual": 0.0}, "tolerances": {},
+                   "notes": []},
+                  {"task": "split_type", "status": status,
+                   "metrics": {"eigen_residual": residual},
+                   "tolerances": {"eigen_residual": 1e-8},
+                   "notes": list(notes)}]})
+
+
+def test_report_changes_names_every_changed_field():
+    changes = _tool()._report_changes(
+        {"w/00-s": _report("pass", 2e-16), "w/01-t": _report("pass", 0.0)},
+        {"w/00-s": _report("pass", 0.0),
+         "w/01-t": _report("fail", -0.0, ["late"])})
+    assert changes == [
+        {"scenario": "w/00-s", "task": "split_type",
+         "field": "metrics.eigen_residual", "parent": 2e-16, "change": 0.0},
+        {"scenario": "w/01-t", "task": None, "field": "overall",
+         "parent": "pass", "change": "fail"},
+        {"scenario": "w/01-t", "task": "split_type", "field": "status",
+         "parent": "pass", "change": "fail"},
+        # Equal as floats, not as report bytes.
+        {"scenario": "w/01-t", "task": "split_type",
+         "field": "metrics.eigen_residual", "parent": 0.0, "change": -0.0},
+        {"scenario": "w/01-t", "task": "split_type", "field": "notes",
+         "parent": [], "change": ["late"]},
+    ]
+
+
+def test_report_changes_lists_a_scenario_one_side_lacks():
+    changes = _tool()._report_changes({}, {"w/00-s": _report("pass", 0.0)})
+    assert {c["parent"] for c in changes} == {None}
+    # Three report fields; the tasks have 4 and 5 (no leaf in {}).
+    assert len(changes) == 12
+
+
+def test_reports_run_the_packaged_scenarios_from_the_given_root():
+    tool = _tool()
+    reports = tool._reports(str(TOOL.parents[1]), 1, [])
+    assert list(reports) == ["builtin/std_c1", "builtin/std_c2",
+                             "builtin/twisted_r4"]
+    assert json.loads(reports["builtin/std_c2"])["overall"] == "pass"
+    assert tool._report_changes(reports, reports) == []

@@ -10,12 +10,15 @@ import sympy
 from spencerkit import (
     ACStructure,
     Box,
+    check_acs,
     cr_equations_check,
     cr_residual,
     estimate_spencer_type,
     independence_rank,
+    integrability_report,
     parse_polynomial,
     solve_ah_polynomials,
+    split_type,
     standard_structure,
 )
 from spencerkit import crsolve, defaults
@@ -102,6 +105,16 @@ def test_scaled_twist_keeps_the_closed_form_solution_space(twisted, k, degree):
     sol = solve_ah_polynomials(structure, degree=degree)
     assert sol.nullity == degree
     assert estimate_spencer_type(structure, sol).m == 1
+    # The Nijenhuis components are +/-eps and +/-eps^2 x1, so sup |N| on
+    # [-0.5, 0.5]^4 is eps: the check fails while eps > tol_integrability,
+    # and at k = 12 eps = 1e-6 passes, since it compares with <=.
+    rep = integrability_report(structure)
+    assert rep.metrics["integrability_residual"] == eps
+    assert (rep.status == "fail") == (k <= 11)
+    assert (rep.status == "fail") == (eps > defaults.TOL_INTEGRABILITY)
+    # J P - i P = -i (J^2 + I) / 2 for P = (I - iJ)/2.
+    acs = check_acs(structure).metrics["acs_residual"]
+    assert split_type(structure, structure.box.lattice()).eigen_residual == acs / 2
 
 
 def test_solver_twisted_degree2_basis_is_w_span(twisted, w_field):

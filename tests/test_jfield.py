@@ -178,11 +178,10 @@ def test_split_type_dimensions_and_bases(std1, std2, twisted):
 
 
 def test_split_type_standard_basis_vector(std1):
+    # The flat J sends e1 to e2; its i eigenspace is spanned by (1, -i).
     res = split_type(std1, points=np.array([[0.0, 0.0]]))
-    v = res.bases_plus[0][0]
-    j = np.array([[0.0, -1.0], [1.0, 0.0]])
-    assert np.allclose(j @ v, 1j * v, atol=1e-12)
-    assert np.allclose(v / v[0], [1.0, -1.0j], atol=1e-12)
+    assert res.projector.tolist() == [[[0.5, 0.5j], [-0.5j, 0.5]]]
+    assert np.array_equal(res.projector[0] @ [1.0, -1.0j], [1.0, -1.0j])
 
 
 def test_split_type_rejects_non_structure():
@@ -418,53 +417,29 @@ def test_numerical_rank_counts_above_the_cutoff_per_row():
     assert [int(numerical_rank(row, 1e-3)) for row in sigma] == [2, 0, 1]
 
 
-# The per-point split_type loop that the stacked version replaced, kept
-# verbatim as the bit-identity reference.
-def _reference_canonical_vector(v):
-    scale = np.max(np.abs(v))
-    v = v / scale
-    for c in v:
-        if abs(c) > 1e-9:
-            v = v * (abs(c) / c)
-            break
-    return v
-
-
-def _reference_eigenspace_basis(j_matrix, eigenvalue, svd_rel_tol):
+# The per-point loop that the stacked split_type replaced, cut to the
+# eigenspace dimensions it found and the first point where they fail.
+def _reference_dimension(j_matrix, eigenvalue, svd_rel_tol):
     a = j_matrix.astype(complex) - eigenvalue * np.eye(j_matrix.shape[0])
-    _, sigma, vh = np.linalg.svd(a)
-    rank = int(numerical_rank(sigma, svd_rel_tol))
-    basis = [_reference_canonical_vector(v) for v in np.conj(vh[rank:])]
-    basis.sort(key=lambda v: tuple(x for c in v for x in (round(c.real, 9), round(c.imag, 9))))
-    return basis
+    _, sigma, _ = np.linalg.svd(a)
+    return j_matrix.shape[0] - int(numerical_rank(sigma, svd_rel_tol))
 
 
 def _reference_split_type(structure, pts, svd_rel_tol=1e-8):
-    n, size = structure.n, structure.real_dim
+    n = structure.n
     j = eval_j(structure, pts)
-    plus = np.zeros((pts.shape[0], n, size), dtype=complex)
-    minus = np.zeros((pts.shape[0], n, size), dtype=complex)
     for p in range(pts.shape[0]):
-        b_plus = _reference_eigenspace_basis(j[p], 1j, svd_rel_tol)
-        b_minus = _reference_eigenspace_basis(j[p], -1j, svd_rel_tol)
-        if len(b_plus) != n or len(b_minus) != n:
+        dims = (_reference_dimension(j[p], 1j, svd_rel_tol),
+                _reference_dimension(j[p], -1j, svd_rel_tol))
+        if dims != (n, n):
             raise DegenerateStructureError(
-                f"eigenspace dimensions ({len(b_plus)}, {len(b_minus)}) != ({n}, {n}) "
+                f"eigenspace dimensions {dims} != ({n}, {n}) "
                 f"at point {tuple(pts[p])}")
-        plus[p] = np.array(b_plus)
-        minus[p] = np.array(b_minus)
-    res_plus = np.einsum("pij,pkj->pki", j.astype(complex), plus) - 1j * plus
-    res_minus = np.einsum("pij,pkj->pki", j.astype(complex), minus) + 1j * minus
-    residual = float(max(np.max(np.abs(res_plus)), np.max(np.abs(res_minus))))
-    return plus, minus, residual
+    return (n, n)
 
 
 @pytest.mark.parametrize("case", ["std1", "std2", "std3", "twisted", "sheared3"])
 def test_split_type_is_bit_identical_to_the_per_point_loop(case, std1, std2, twisted):
-    # The standard structures put exact zeros and ties into the sort keys.
-    # On the sheared lattice at k = 4, some leading components get a phase
-    # factor whose bits differ when their modulus comes from np.abs over an
-    # array instead of the scalar abs.
     structure, k = {
         "std1": (std1, 5),
         "std2": (std2, 5),
@@ -474,35 +449,13 @@ def test_split_type_is_bit_identical_to_the_per_point_loop(case, std1, std2, twi
     }[case]
     pts = structure.box.lattice(k)
     res = split_type(structure, pts)
-    plus, minus, residual = _reference_split_type(structure, pts)
-    assert np.array_equal(res.bases_plus, plus)
-    assert np.array_equal(res.bases_minus, minus)
-    assert res.eigen_residual == residual
-    assert res.bases_plus.view(float).tobytes() == plus.view(float).tobytes()
-    # The reference takes the -i kernel from an SVD of J + iI, split_type
-    # conjugates the +i kernel: only the sign of a zero component may differ.
-    assert ((res.bases_minus + 0.0).view(float).tobytes()
-            == (minus + 0.0).view(float).tobytes())
-
-
-@pytest.mark.parametrize("case", ["std1", "std2", "std3", "twisted", "sheared3"])
-def test_the_minus_i_basis_is_the_conjugate_of_the_plus_i_basis(
-        case, std1, std2, twisted):
-    structure, k = {
-        "std1": (std1, 5),
-        "std2": (std2, 5),
-        "std3": (standard_structure(3), 3),
-        "twisted": (twisted, 5),
-        "sheared3": (_sheared_n3(), 4),
-    }[case]
-    pts = structure.box.lattice(k)
-    res = split_type(structure, pts)
-    # Row for row and bit for bit, the signs of zero components included.
-    assert res.bases_minus.tobytes() == np.conj(res.bases_plus).tobytes()
-    j = eval_j(structure, pts).astype(complex)
-    minus = res.bases_minus
-    res_minus = np.einsum("pij,pkj->pki", j, minus) + 1j * minus
-    assert np.max(np.abs(res_minus)) <= res.eigen_residual
+    assert res.dims == _reference_split_type(structure, pts)
+    eye = np.eye(structure.real_dim)
+    for p, j in enumerate(eval_j(structure, pts)):
+        assert res.projector[p].tobytes() == ((eye - 1j * j) / 2).tobytes()
+    # J P - i P = -i (J^2 + I) / 2, and halving is exact.
+    acs = check_acs(structure, grid_k=k).metrics["acs_residual"]
+    assert res.eigen_residual == acs / 2
 
 
 def test_split_type_takes_one_svd(monkeypatch, std2):
@@ -510,11 +463,11 @@ def test_split_type_takes_one_svd(monkeypatch, std2):
     svd = np.linalg.svd
 
     def counting_svd(*args, **kwargs):
-        calls.append(1)
+        calls.append(kwargs)
         return svd(*args, **kwargs)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     split_type(std2, std2.box.lattice(3))
-    assert len(calls) == 1
+    assert calls == [{"compute_uv": False}]
 
 
 def test_split_type_reports_the_first_degenerate_point_as_the_loop_does():
@@ -534,9 +487,9 @@ def test_split_type_reports_the_first_degenerate_point_as_the_loop_does():
 
 
 def test_split_type_bases_span_the_exact_projector_images():
-    # With J^2 = -I, the columns of (I -/+ iJ)/2 span the +/-i eigenspace.
-    # The sheared n = 3 structure squares to -I exactly in sympy, and its
-    # 3-dimensional eigenspaces move from point to point.
+    # With J^2 = -I, P = (I - iJ)/2 is idempotent and its image is the i
+    # eigenspace.  The sheared n = 3 structure squares to -I exactly in
+    # sympy, and its 3-dimensional eigenspaces move from point to point.
     r = sympy.Rational
     data = builtin_scenarios()["twisted_r4"]
     xs4, xs6 = sympy.symbols("x1:5"), sympy.symbols("x1:7")
@@ -557,12 +510,15 @@ def test_split_type_bases_span_the_exact_projector_images():
         n, size = structure.n, structure.real_dim
         pts = np.array([[float(c) for c in pt] for pt in rational_points])
         res = split_type(structure, pts)
+        assert res.projector.shape == (len(pts), size, size)
         for p, pt in enumerate(rational_points):
             j_at = j_sym.subs(dict(zip(xs, pt)))
-            for sign, bases in ((1, res.bases_plus), (-1, res.bases_minus)):
-                projector = (sympy.eye(size) - sign * sympy.I * j_at) / 2
-                assert projector.rank() == n
-                columns = np.array(projector.T.evalf(), dtype=complex)
-                stacked = np.vstack([columns, bases[p]])
-                assert np.linalg.matrix_rank(bases[p], tol=1e-9) == n
-                assert np.linalg.matrix_rank(stacked, tol=1e-9) == n
+            exact = (sympy.eye(size) - sympy.I * j_at) / 2
+            assert (exact * exact - exact).expand() == sympy.zeros(size)
+            assert (j_at * exact - sympy.I * exact).expand() == sympy.zeros(size)
+            assert exact.rank() == n
+            oracle = np.array(exact.evalf(), dtype=complex)
+            proj, j = res.projector[p], eval_j(structure, pts[p:p + 1])[0]
+            assert np.max(np.abs(proj - oracle)) <= 1e-15
+            assert np.max(np.abs(proj @ proj - proj)) <= 1e-15
+            assert np.max(np.abs(j @ proj - 1j * proj)) <= 1e-15

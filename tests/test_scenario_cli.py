@@ -728,6 +728,23 @@ def test_cli_exit_three_on_non_finite_j_in_integrability(scenario_file, capsys):
     assert captured.out == ""
 
 
+def test_cli_exit_three_on_non_finite_j_in_split_type(scenario_file, capsys):
+    # J^2 = -I holds symbolically, but x1^6 overflows to inf at x1 = -1e60.
+    # The SVD of J - iI there has NaN singular values, which count as zero:
+    # the task would report a degenerate splitting, and "expect": "fail"
+    # would turn that into a pass.
+    data = {"name": "overflow", "n": 1,
+            "box": {"lo": [-1e60, -1.0], "hi": [1e60, 1.0]},
+            "J": [["x1^3", "-1"], ["1 + x1^6", "-x1^3"]],
+            "tasks": [{"task": "split_type", "expect": "fail"}]}
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["run", scenario_file(data)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "J is not finite at point (-1e+60, -1.0)" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_exit_three_on_non_finite_chart_residual(scenario_file, capsys):
     # The gradient of 5e307*x1^3 overflows at x1 = 1.2: the CR residual is
     # not finite, and no comparison with tol_cr can judge it.

@@ -6,7 +6,10 @@ have equal length (``parent`` and ``change``), since the peak RSS that
 ``bench/run.py`` reports moves with the length of the checkout path.  Each
 pair runs ``python3 bench/run.py --trace 0`` once per side, back to back,
 alternating which side runs first, and compares the sides' canonical report
-digests.  An optional traced run per side records per-layer counters.
+digests.  An optional traced run per side records per-layer counters.  A
+child process per side runs the packaged scenarios and every scenario of
+the paired workloads at the first seed in-process, and ``report_changes``
+lists each report field whose value differs between the sides.
 
     python3 tools/bench_pairs.py --parent HEAD --workdir /tmp/pairs \\
         --pairs solve=5,closure=3,pointwise=3 --seconds 8 --seed 2501 \\
@@ -27,6 +30,25 @@ import tarfile
 
 SIDES = ("parent", "change")
 END_TO_END = ("setup_s", "cold_run_s", "run_s", "peak_rss_mb")
+# Child of ``_reports``: argv is ROOT SEED WORKLOAD...; prints a JSON object
+# from scenario label to canonical report, with ROOT's src/ and bench/ first
+# on sys.path.
+REPORTS = """\
+import json, os, sys
+root, seed, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
+sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
+import scenarios
+from spencerkit.scenario import (builtin_scenarios, emit_json, parse_scenario,
+                                 run_scenario)
+builtins = builtin_scenarios()
+named = [(f"builtin/{name}", data) for name, data in builtins.items()]
+for workload in workloads:
+    built = scenarios.build(workload, seed, "full", builtins)
+    named += [(f"{workload}/{k:02d}-{data['name']}", data)
+              for k, data in enumerate(built)]
+json.dump({label: emit_json(run_scenario(parse_scenario(data)))
+           for label, data in named}, sys.stdout)
+"""
 
 
 def _git(*args):
@@ -72,6 +94,56 @@ def _bench(root, workload, seed, seconds, trace):
                         f"{workload}-seed{seed}-trace{trace}", "summary.json")
     with open(path, encoding="utf-8") as fh:
         return result, json.load(fh)
+
+
+def _reports(root, seed, workloads):
+    """Scenario label -> canonical JSON report, from the code in ``root``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", REPORTS, root, str(seed), *workloads],
+        cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"reports failed in {root}:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def _leaves(doc, prefix=""):
+    """Dotted path -> value of every field of a JSON object that is not an
+    object itself."""
+    out = {}
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            out.update(_leaves(value, f"{prefix}{key}."))
+        else:
+            out[prefix + key] = value
+    return out
+
+
+def _report_fields(text):
+    """(task position, task label, field) -> value over one report; the
+    report's own fields have position -1 and label None."""
+    doc = json.loads(text)
+    tasks = doc.pop("tasks")
+    fields = {(-1, None, f): v for f, v in _leaves(doc).items()}
+    for k, task in enumerate(tasks):
+        fields.update({(k, task["task"], f): v for f, v in _leaves(task).items()})
+    return fields
+
+
+def _report_changes(parent, change):
+    """Every field whose JSON text differs between the sides' reports, as
+    {scenario, task, field, parent, change}; a side without the field reads
+    None.  Empty exactly when the reports have the same bytes."""
+    changes = []
+    for scenario in dict.fromkeys([*parent, *change]):
+        sides = [_report_fields(reports[scenario]) if scenario in reports
+                 else {} for reports in (parent, change)]
+        for key in dict.fromkeys([*sides[0], *sides[1]]):
+            values = [side.get(key) for side in sides]
+            if json.dumps(values[0]) != json.dumps(values[1]):
+                changes.append({"scenario": scenario, "task": key[1],
+                                "field": key[2], "parent": values[0],
+                                "change": values[1]})
+    return changes
 
 
 def _pair(roots, workload, seed, seconds, first):
@@ -143,6 +215,15 @@ def main(argv=None):
                        f"back, alternating which runs first"),
            "metrics_from": "the last line of bench/run.py's standard output",
            "environment": None, "traced_counts": None, "workloads": {}}
+    workloads = [item.split("=")[0] for item in args.pairs.split(",")]
+    reports = {side: _reports(roots[side], args.seed, workloads)
+               for side in SIDES}
+    doc["report_changes_from"] = (
+        f"run_scenario and emit_json in one process per side, over the "
+        f"packaged scenarios and every scenario of {', '.join(workloads)} "
+        f"at seed {args.seed}")
+    doc["report_changes"] = _report_changes(reports["parent"],
+                                            reports["change"])
     seed = args.seed
     for item in args.pairs.split(","):
         workload, count = item.split("=")
