@@ -12,9 +12,10 @@ two points of one fiber, cannot be fitted away and stays in the residual.
 Every chart function samples a lattice of a box at a density, as a
 ``crsolve.Sample``.  A scenario run passes its chart calls one dict, in the
 private ``_lattices`` keyword, that keeps the latest sample by the rule of
-``crsolve.keep``, so consecutive calls on one lattice share J, chart
-coordinates and the latest fit matrix.  A call on its own samples afresh;
-the bits are the same.
+``crsolve.keep`` (``crsolve.lattice_sample``), so consecutive calls on one
+lattice share J, chart coordinates and the latest fit matrix, with each
+other and with the run's sampled checks.  A call on its own samples
+afresh; the bits are the same.
 """
 from __future__ import annotations
 
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import defaults
-from .crsolve import (Sample, cr_residual, independence_rank,
-                      jacobian_rows, keep)
+from .crsolve import (cr_residual, independence_rank, jacobian_rows, keep,
+                      lattice_sample)
 from .errors import (ChartError, ConfigurationError, FitError,
                      IndependenceError, NumericalError, OverlapError)
 from .poly import PolyMap, Polynomial, monomials_upto
@@ -64,18 +65,6 @@ class SpencerChart:
     def evaluate(self, points):
         """Chart coordinates w in C^m at a batch (P, 2n), shape (P, m)."""
         return PolyMap(self.fields).evaluate(np.asarray(points, dtype=float))
-
-
-def _sample(lattices, structure, box, grid_k):
-    """The ``Sample`` of the box's lattice at density grid_k, kept in the
-    holder ``lattices`` until a call asks for another structure, box or
-    density; without a holder, a fresh one.  One sample serves a run's chart
-    tasks, whose uses of a lattice follow one another."""
-    # The sample holds the structure, so its id is not reused meanwhile;
-    # the bound bytes tell 0.0 from -0.0, which give different points.
-    key = (id(structure), np.array(box.lo + box.hi).tobytes(), int(grid_k))
-    return keep({} if lattices is None else lattices, "lattice", key,
-                lambda: Sample(structure, box.lattice(grid_k)))
 
 
 def _values(sample, chart):
@@ -117,7 +106,7 @@ def build_spencer_chart(structure, fields, box=None,
     n = structure.n
     if not 1 <= len(fields) <= n:
         raise ChartError(f"chart needs between 1 and {n} fields, got {len(fields)}")
-    sample = _sample(_lattices, structure, box, grid_k)
+    sample = lattice_sample(_lattices, structure, box, grid_k)
     try:
         for i, res in enumerate(cr_residual(structure, fields, sample)):
             if not np.isfinite(res):
@@ -229,7 +218,7 @@ def factorize(chart, h, grid_k=defaults.GRID_PER_AXIS,
     The max-norm residual of the fit is the verdict: where two lattice
     points share a fiber, it is at least half the spread of h there.
     """
-    sample = _sample(_lattices, chart.structure, chart.box, grid_k)
+    sample = lattice_sample(_lattices, chart.structure, chart.box, grid_k)
     matrix, monomials, cond = _kept_fit_matrix(sample, chart, fit_degree,
                                                "chart Vandermonde system")
     coeffs, fit_residual = _fit(matrix, h.evaluate(sample.points))
@@ -261,7 +250,7 @@ def transition_map(chart_a, chart_b, grid_k=defaults.GRID_PER_AXIS,
     if overlap is None:
         raise OverlapError(
             f"charts {chart_a.label} and {chart_b.label} do not overlap")
-    sample = _sample(_lattices, chart_a.structure, overlap, grid_k)
+    sample = lattice_sample(_lattices, chart_a.structure, overlap, grid_k)
     matrix, monomials, cond = _kept_fit_matrix(
         sample, chart_a, fit_degree, "transition Vandermonde system")
     coeffs, fit_residual = _fit(matrix, _values(sample, chart_b))
@@ -298,7 +287,8 @@ def cocycle_check(chart_a, chart_b, chart_c, grid_k=defaults.GRID_PER_AXIS,
                   for x, y in ((chart_a, chart_b), (chart_b, chart_c),
                                (chart_a, chart_c)))
     triple = chart_a.box.intersect(chart_b.box).intersect(chart_c.box)
-    wa = _values(_sample(lattices, chart_a.structure, triple, grid_k), chart_a)
+    wa = _values(lattice_sample(lattices, chart_a.structure, triple, grid_k),
+                 chart_a)
     via_b = bc.map.evaluate(ab.map.evaluate(wa))
     direct = ac.map.evaluate(wa)
     defect = float(np.max(np.abs(via_b - direct)))

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import defaults
 from .errors import ConfigurationError, NumericalError
-from .jfield import eval_j, numerical_rank
+from .jfield import acs_residual, eval_j, numerical_rank
 from .poly import Polynomial, monomials_upto
 from .report import make_report
 
@@ -34,15 +34,19 @@ def keep(kept, slot, key, make):
 
 class Sample:
     """A point batch of one structure, and what was evaluated on it, in
-    ``kept`` (see ``keep``): J for the sample's life, the gradients of the
-    fields last asked for until other fields are, and what the chart
-    functions keep there.
+    ``kept`` (see ``keep``): J and its ACS residual for the sample's life,
+    the gradients of the fields last asked for until other fields are, and
+    what the chart functions keep there.
 
     ``cr_residual`` and ``jacobian_rows`` take a Sample where they take a
-    batch.  Then J is evaluated once however many charts the sample serves,
-    and the two calls of one chart build take each gradient once.  Keeping
-    one chart's gradients, not every chart's, bounds what a shared sample
-    holds: the fields of different charts are rarely the same objects.
+    batch, and ``check_acs``, ``split_type``, ``nijenhuis``,
+    ``integrability_report`` and ``cr_equations_check`` take the sample of
+    their points as ``_sample``.  Then J is evaluated once however many
+    checks and charts the sample serves, and the two calls of one chart
+    build take each gradient once.  J is kept once, complex: the real
+    checks read its real parts, which are J's bits.  Keeping one chart's
+    gradients, not every chart's, bounds what a shared sample holds: the
+    fields of different charts are rarely the same objects.
     """
 
     def __init__(self, structure, points):
@@ -56,12 +60,30 @@ class Sample:
         return keep(self.kept, "j", None, lambda: eval_j(
             self.structure, self.points).astype(complex))
 
+    @property
+    def acs_residual(self):
+        """max |J^2 + I| over the points, ``jfield.acs_residual``."""
+        return keep(self.kept, "acs", None, lambda: acs_residual(
+            self.structure, self.j.real))
+
     def gradients(self, fields):
         """Each field's gradient at the points, (P, 2n), in field order."""
         fields = tuple(fields)
         # Kept with the fields, so their ids are not reused meanwhile.
         return keep(self.kept, "gradients", tuple(map(id, fields)), lambda: (
             fields, [f.gradient(self.points) for f in fields]))[1]
+
+
+def lattice_sample(lattices, structure, box, grid_k):
+    """The ``Sample`` of the box's lattice at density grid_k, kept in the
+    holder ``lattices`` until a call asks for another structure, box or
+    density; without a holder, a fresh one.  One sample serves a run's
+    tasks, whose uses of a lattice follow one another."""
+    # The sample holds the structure, so its id is not reused meanwhile;
+    # the bound bytes tell 0.0 from -0.0, which give different points.
+    key = (id(structure), np.array(box.lo + box.hi).tobytes(), int(grid_k))
+    return keep({} if lattices is None else lattices, "lattice", key,
+                lambda: Sample(structure, box.lattice(grid_k)))
 
 
 def _gradients(fields, points):
@@ -91,13 +113,16 @@ def cr_residual(structure, fields, points):
 
 
 def cr_equations_check(structure, field, grid_k=defaults.GRID_PER_AXIS,
-                       tol=defaults.TOL_CR):
-    """Report on almost-holomorphicity of one scalar function."""
-    pts = structure.box.lattice(grid_k)
-    residual, = cr_residual(structure, [field], pts)
+                       tol=defaults.TOL_CR, *, _sample=None):
+    """Report on almost-holomorphicity of one scalar function.  A run
+    passes its ``Sample`` of the lattice as ``_sample``."""
+    sample = (Sample(structure, structure.box.lattice(grid_k))
+              if _sample is None else _sample)
+    residual, = cr_residual(structure, [field], sample)
     return make_report(
         task="cr_check",
-        metrics={"cr_residual": residual, "grid_points": float(len(pts))},
+        metrics={"cr_residual": residual,
+                 "grid_points": float(len(sample.points))},
         tolerances={"cr_residual": tol},
     )
 

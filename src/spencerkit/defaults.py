@@ -33,6 +33,9 @@ FIT_COND_CAP = 1e12         # largest condition number of a fit matrix
 # Largest lattice points x monomials of a fit matrix: 1 GiB as complex128,
 # and its SVD takes about as much again.
 FIT_ENTRY_CAP = 2 ** 26
+# Largest lattice points x (2n)^3 of a Nijenhuis tensor: 512 MiB as float64.
+# At n=4 and grid 5 the tensor would take 1.6 GB.
+NIJENHUIS_ENTRY_CAP = 2 ** 26
 # solve_ah's solver_residual bound is this * svd_rel_tol * max(sigma_max, 1).
 SOLVER_RESIDUAL_FACTOR = 10.0
 DIAGRAM_SKIP_SHARE = 0.2    # largest share of diagram points off its domains

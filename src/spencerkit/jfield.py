@@ -198,13 +198,50 @@ def standard_structure(n, box=None):
     return ACStructure(n, box, matrix)
 
 
-def check_acs(structure, grid_k=defaults.GRID_PER_AXIS, tol=defaults.TOL_ACS):
-    """Verify J(p)^2 = -I over a lattice; metric is the worst max-norm defect."""
-    pts = structure.box.lattice(grid_k)
-    j = eval_j(structure, pts)
-    eye = np.eye(structure.real_dim)
-    defect = np.einsum("pik,pkj->pij", j, j) + eye
-    residual = float(np.max(np.abs(defect)))
+def _j_at(structure, points, sample):
+    """J at a batch (P, 2n, 2n): evaluated here, real, or the J of the
+    run's ``crsolve.Sample`` of these points, complex with exact real
+    parts."""
+    return eval_j(structure, points) if sample is None else sample.j
+
+
+def acs_residual(structure, j):
+    """max |J^2 + I| over a batch, from J at it, (P, 2n, 2n) real.
+
+    Each entry of J^2 is contracted component-major, by ``nijenhuis``'s
+    rule: a sum from zero over ascending k of only the products of two
+    nonzero polynomial entries, then I added.  A skipped product of
+    finite values is an exact zero, so the maximum has the bits of the
+    dense contraction.  NaN where J is not finite, as a skipped inf * 0
+    would have made it.
+    """
+    if not np.isfinite(j).all():
+        return float("nan")
+    m, size = structure.matrix, structure.real_dim
+    j = np.ascontiguousarray(j.transpose(1, 2, 0))
+    worst = []
+    for i, a in itertools.product(range(size), repeat=2):
+        entry = 0.0
+        for k in range(size):
+            if not (m[i][k].is_zero or m[k][a].is_zero):
+                entry = entry + j[i, k] * j[k, a]
+        if i == a:
+            entry = entry + 1.0
+        worst.append(np.max(np.abs(entry)))
+    return float(np.max(worst))
+
+
+def check_acs(structure, grid_k=defaults.GRID_PER_AXIS, tol=defaults.TOL_ACS,
+              *, _sample=None):
+    """Verify J(p)^2 = -I over a lattice; metric is the worst max-norm
+    defect, ``acs_residual``, which is NaN (exit 3) where J is not finite.
+    A run passes its ``crsolve.Sample`` of the lattice as ``_sample``, which
+    keeps the residual."""
+    if _sample is None:
+        pts = structure.box.lattice(grid_k)
+        residual = acs_residual(structure, eval_j(structure, pts))
+    else:
+        pts, residual = _sample.points, _sample.acs_residual
     return make_report(
         task="check_acs",
         metrics={"acs_residual": residual, "grid_points": float(len(pts))},
@@ -235,7 +272,8 @@ def numerical_rank(sigma, svd_rel_tol):
     return (sigma > cutoff).sum(axis=-1)
 
 
-def split_type(structure, points, svd_rel_tol=defaults.SVD_REL_TOL):
+def split_type(structure, points, svd_rel_tol=defaults.SVD_REL_TOL, *,
+               _sample=None):
     """Split C^{2n} into the i and -i eigenspaces of J at each point.
 
     Where J^2 = -I, P = (I - iJ)/2 is the projector onto the i eigenspace,
@@ -246,11 +284,12 @@ def split_type(structure, points, svd_rel_tol=defaults.SVD_REL_TOL):
     NumericalError where J is not finite and DegenerateStructureError
     unless both spaces have dimension n everywhere, each at the first such
     point.  ``eigen_residual`` is the largest |J P - i P|, which is
-    |J^2 + I| / 2.
+    |J^2 + I| / 2: half ``acs_residual``, which a run's ``crsolve.Sample``
+    of the points, passed as ``_sample``, keeps for its ``check_acs``.
     """
     pts = np.asarray(points, dtype=float)
     n, size = structure.n, structure.real_dim
-    j = eval_j(structure, pts)
+    j = _j_at(structure, pts, _sample)
     finite = np.isfinite(j).all(axis=(1, 2))
     if not finite.all():
         raise NumericalError(
@@ -264,17 +303,29 @@ def split_type(structure, points, svd_rel_tol=defaults.SVD_REL_TOL):
         raise DegenerateStructureError(
             f"eigenspace dimensions ({dims[p]}, {dims[p]}) != ({n}, {n}) "
             f"at point {tuple(map(float, pts[p]))}")
-    projector = (eye - 1j * j) / 2
-    defect = np.einsum("pik,pkj->pij", j, projector) - 1j * projector
+    residual = (acs_residual(structure, j) if _sample is None
+                else _sample.acs_residual)
     return SplitTypeResult(
         dims=(n, n),
-        eigen_residual=float(np.max(np.abs(defect))),
-        projector=projector,
+        eigen_residual=residual / 2,
+        projector=(eye - 1j * j) / 2,
         points=pts,
     )
 
 
-def nijenhuis(structure, points):
+def check_nijenhuis_size(structure, count):
+    """Refuse a Nijenhuis tensor at ``count`` points of more than
+    ``defaults.NIJENHUIS_ENTRY_CAP`` entries, P (2n)^3, before it or J is
+    allocated."""
+    entries = count * structure.real_dim ** 3
+    if entries > defaults.NIJENHUIS_ENTRY_CAP:
+        raise ConfigurationError(
+            f"the Nijenhuis tensor at {count} points of a structure with "
+            f"n = {structure.n} has {entries} entries, above the cap of "
+            f"{defaults.NIJENHUIS_ENTRY_CAP}")
+
+
+def nijenhuis(structure, points, *, _sample=None):
     """Nijenhuis tensor on coordinate fields, exact derivatives throughout.
 
     At a batch (P, 2n), returns N with shape (P, 2n, 2n, 2n): N[p, i, a, b]
@@ -287,13 +338,17 @@ def nijenhuis(structure, points):
     whose J entry and whose partial are nonzero polynomials.  A skipped
     product of finite values is an exact zero, so N has the bits of the
     full contraction.  Raises NumericalError where J or a nonzero partial is
-    not finite, which a skipped product would otherwise hide.  N is a view
-    of component-major (2n, 2n, 2n, P) storage.
+    not finite, which a skipped product would otherwise hide, and
+    ConfigurationError over ``check_nijenhuis_size``'s cap.  N is a view of
+    component-major (2n, 2n, 2n, P) storage.  J is the run's
+    ``crsolve.Sample``'s when it passes the sample of the points.
     """
     pts = np.asarray(points, dtype=float)
+    check_nijenhuis_size(structure, len(pts))
     size, m = structure.real_dim, structure.matrix
     # Component-major storage: j[k, a] and half[i, a, b] are (P,) rows.
-    j = np.ascontiguousarray(eval_j(structure, pts).transpose(1, 2, 0))
+    j = np.ascontiguousarray(
+        _j_at(structure, pts, _sample).real.transpose(1, 2, 0))
     dj = {}         # (k, i, b) -> d_k J_{ib} at the points, nonzero only
     for i, row in enumerate(m):
         for b, entry in enumerate(row):
@@ -322,15 +377,18 @@ def nijenhuis(structure, points):
 
 
 def integrability_report(structure, grid_k=defaults.GRID_PER_AXIS,
-                         tol=defaults.TOL_INTEGRABILITY):
+                         tol=defaults.TOL_INTEGRABILITY, *, _sample=None):
     """Largest Nijenhuis component over a lattice, compared against ``tol``.
 
     The check passes when the tensor vanishes to tolerance (an integrable
     structure); scenarios that expect obstruction flip the expectation.
+    The maximum is taken one component slab of the tensor's storage at a
+    time, so no |N| of the tensor's size is made.  A run passes its
+    ``crsolve.Sample`` of the lattice as ``_sample``.
     """
-    pts = structure.box.lattice(grid_k)
-    n_tensor = nijenhuis(structure, pts)
-    residual = float(np.max(np.abs(n_tensor)))
+    pts = structure.box.lattice(grid_k) if _sample is None else _sample.points
+    storage = nijenhuis(structure, pts, _sample=_sample).transpose(1, 2, 3, 0)
+    residual = float(np.max([np.max(np.abs(slab)) for slab in storage]))
     return make_report(
         task="integrability",
         metrics={"integrability_residual": residual, "grid_points": float(len(pts))},

@@ -21,9 +21,9 @@ from . import defaults
 from .charts import (build_spencer_chart, cocycle_check, factorize,
                      transition_map)
 from .crsolve import (cr_equations_check, estimate_spencer_type,
-                      solve_ah_polynomials)
+                      lattice_sample, solve_ah_polynomials)
 from .errors import CheckFailure, DomainError, ScenarioError
-from .jfield import (ACStructure, Box, check_acs,
+from .jfield import (ACStructure, Box, check_acs, check_nijenhuis_size,
                      integrability_report, split_type, standard_structure)
 from .poly import parse_polynomial
 from .pseudogroup import (GlueTest, LocalMap, OverDiagram, check_ah_map,
@@ -414,8 +414,8 @@ def _validate_task(spec, tables, n, where):
 @dataclass
 class _Run:
     """What the tasks of one ``run_scenario`` call share, as ``run``: the
-    tolerances in force, and the charts, lattice and CR solves done so
-    far."""
+    tolerances in force, and the charts, lattice sample and CR solves done
+    so far."""
 
     scenario: Scenario
     tols: dict
@@ -423,10 +423,18 @@ class _Run:
     # raised.  The tolerances are fixed within a run, so they are no part
     # of the key.
     charts: dict = dc_field(default_factory=dict)
-    # The chart tasks' holder of the sample they took last (charts._sample).
+    # The holder of the sample the sampled tasks took last
+    # (crsolve.lattice_sample).
     lattices: dict = dc_field(default_factory=dict)
     # degree -> the AHSolutionSet solved at it.
     solutions: dict = dc_field(default_factory=dict)
+
+    def sample(self, spec):
+        """The run's ``crsolve.Sample`` of the scenario box's lattice at the
+        ``grid`` of a sampled check task."""
+        structure = self.scenario.structure
+        return lattice_sample(self.lattices, structure, structure.box,
+                              spec.get("grid", defaults.GRID_PER_AXIS))
 
     def solution(self, spec):
         """The CR solve a ``solve_ah`` or ``spencer_type`` task asks for,
@@ -474,13 +482,13 @@ def _build_family(scenario, label, tols):
 def _run_check_acs(scenario, spec, run):
     return check_acs(scenario.structure,
                      grid_k=spec.get("grid", defaults.GRID_PER_AXIS),
-                     tol=run.tols["tol_acs"])
+                     tol=run.tols["tol_acs"], _sample=run.sample(spec))
 
 
 def _run_split_type(scenario, spec, run):
-    pts = scenario.structure.box.lattice(spec.get("grid", defaults.GRID_PER_AXIS))
-    result = split_type(scenario.structure, pts,
-                        svd_rel_tol=run.tols["svd_rel_tol"])
+    sample = run.sample(spec)
+    result = split_type(scenario.structure, sample.points,
+                        svd_rel_tol=run.tols["svd_rel_tol"], _sample=sample)
     return make_report(
         task="split_type",
         metrics={"eigen_residual": result.eigen_residual,
@@ -493,14 +501,15 @@ def _run_split_type(scenario, spec, run):
 def _run_integrability(scenario, spec, run):
     return integrability_report(scenario.structure,
                                 grid_k=spec.get("grid", defaults.GRID_PER_AXIS),
-                                tol=run.tols["tol_integrability"])
+                                tol=run.tols["tol_integrability"],
+                                _sample=run.sample(spec))
 
 
 def _run_cr_check(scenario, spec, run):
     field = scenario.functions[spec["function"]]
     return cr_equations_check(scenario.structure, field,
                               grid_k=spec.get("grid", defaults.GRID_PER_AXIS),
-                              tol=run.tols["tol_cr"])
+                              tol=run.tols["tol_cr"], _sample=run.sample(spec))
 
 
 def _run_solve_ah(scenario, spec, run):
@@ -716,8 +725,10 @@ def run_scenario(scenario, tol_overrides=None, grid_override=None,
     Overrides replace the named tolerances everywhere, the grid density of
     every task that takes a ``grid`` key and the degree of the solver tasks.
     Each chart is built once per run, at each density a task asks for, and
-    shared by every task that names it; consecutive chart tasks on one
-    lattice share it and what was evaluated on it.
+    shared by every task that names it; consecutive sampled tasks on one
+    lattice share it and what was evaluated on it.  An ``integrability``
+    task whose Nijenhuis tensor would exceed its cap is refused before any
+    task samples.
     """
     started = time.perf_counter()
     tols = _with_tolerances(scenario.tolerances, tol_overrides)
@@ -735,6 +746,12 @@ def run_scenario(scenario, tol_overrides=None, grid_override=None,
     if not specs:
         raise ScenarioError(
             f"task filter {task_filter!r} matches no task in {scenario.name!r}")
+    for spec in specs:
+        grid = spec.get("grid", defaults.GRID_PER_AXIS)
+        # A grid below 2 is refused by the lattice, with its own message.
+        if spec["task"] == "integrability" and grid >= 2:
+            check_nijenhuis_size(scenario.structure,
+                                 grid ** scenario.structure.real_dim)
 
     run = _Run(scenario, tols)
     reports = [_run_one_task(scenario, spec, run) for spec in specs]

@@ -1,11 +1,14 @@
 """``tools/bench_pairs.py`` condenses alternating pair records into the
 summary that a ``BENCH_*.json`` file reports, counts each side's package
-lines and lists the report fields that differ between the sides."""
+lines, lists the report fields that differ between the sides and runs a
+bench call again once when the CPU-speed probe divides by zero."""
 from __future__ import annotations
 
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 
@@ -109,3 +112,76 @@ def test_reports_run_the_packaged_scenarios_from_the_given_root():
                              "builtin/twisted_r4"]
     assert json.loads(reports["builtin/std_c2"])["overall"] == "pass"
     assert tool._report_changes(reports, reports) == []
+
+
+SPEED_ERROR = ("error: measure-0: worker exited 1:\n"
+               "Traceback (most recent call last):\n"
+               '  File "bench/speed.py", line 90, in sample\n'
+               "ZeroDivisionError: float division by zero\n")
+
+
+def _fake_bench_runs(tool, monkeypatch, root, errors):
+    """bench/run.py calls in ``root`` whose error output is each of
+    ``errors`` in turn, None for a call that succeeds; returns the calls."""
+    out = root / ".bench_out" / "pointwise-seed7-trace0"
+    out.mkdir(parents=True)
+    (out / "summary.json").write_text(json.dumps({"report_sha256": {}}))
+    calls = []
+
+    def run(cmd, **kwargs):
+        calls.append(cmd)
+        error = errors[len(calls) - 1]
+        if error is None:
+            return tool.subprocess.CompletedProcess(
+                cmd, 0, stdout='# summary\n{"correct": true}\n', stderr="")
+        return tool.subprocess.CompletedProcess(cmd, 1, stdout="", stderr=error)
+
+    monkeypatch.setattr(tool.subprocess, "run", run)
+    return calls
+
+
+def test_bench_retries_the_speed_probe_division_once(monkeypatch, tmp_path):
+    tool = _tool()
+    calls = _fake_bench_runs(tool, monkeypatch, tmp_path, [SPEED_ERROR, None])
+    result, summary, retried = tool._bench(str(tmp_path), "pointwise", 7, 8, 0)
+    assert len(calls) == 2
+    assert result == {"correct": True}
+    assert summary == {"report_sha256": {}}
+    assert retried == "ZeroDivisionError: float division by zero"
+
+
+def test_bench_aborts_on_other_failures_and_on_a_second_division(
+        monkeypatch, tmp_path):
+    tool = _tool()
+    calls = _fake_bench_runs(tool, monkeypatch, tmp_path / "a",
+                             ["error: worker exited 1:\nMemoryError\n", None])
+    with pytest.raises(SystemExit, match="MemoryError"):
+        tool._bench(str(tmp_path / "a"), "pointwise", 7, 8, 0)
+    assert len(calls) == 1
+    calls = _fake_bench_runs(tool, monkeypatch, tmp_path / "b",
+                             [SPEED_ERROR, SPEED_ERROR, None])
+    with pytest.raises(SystemExit, match="ZeroDivisionError"):
+        tool._bench(str(tmp_path / "b"), "pointwise", 7, 8, 0)
+    assert len(calls) == 2
+    calls = _fake_bench_runs(tool, monkeypatch, tmp_path / "c", [None])
+    assert tool._bench(str(tmp_path / "c"), "pointwise", 7, 8, 0)[2] is None
+
+
+def test_a_pair_records_the_retried_side(monkeypatch):
+    tool = _tool()
+    side = {"setup_s": 0.4, "cold_run_s": 0.5, "run_s": 0.1,
+            "peak_rss_mb": 50.0}
+    result = {"correct": True, "failed": 0, "attempted": 9,
+              "metrics": {k: {"value": v} for k, v in side.items()}}
+
+    def bench(root, workload, seed, seconds, trace):
+        return (result, {"report_sha256": {"a": "0"}},
+                "ZeroDivisionError: float division by zero"
+                if root == "c" else None)
+
+    monkeypatch.setattr(tool, "_bench", bench)
+    record, _ = tool._pair({"parent": "p", "change": "c"}, "pointwise", 7,
+                           8, "parent")
+    assert record["retried"] == {
+        "change": "ZeroDivisionError: float division by zero"}
+    assert record["parent"] == side and record["report_sha256_equal"]

@@ -6,13 +6,17 @@ import pytest
 from spencerkit import (
     Box,
     build_spencer_chart,
+    check_acs,
     cocycle_check,
+    cr_equations_check,
     factorize,
+    integrability_report,
     parse_polynomial,
+    split_type,
     standard_structure,
     transition_map,
 )
-from spencerkit import charts, crsolve, defaults
+from spencerkit import charts, crsolve, defaults, jfield
 from spencerkit.errors import (ChartError, CheckFailure, ConfigurationError,
                                NumericalError, OverlapError)
 from spencerkit.poly import Polynomial, monomials_upto
@@ -272,8 +276,13 @@ SHARING_SCENARIO = {
                "c": {"functions": ["z1", "z2_shift"],
                      "box": {"lo": [-0.5] * 4, "hi": [0.25] * 4}}},
     # Each lattice's uses follow one another, as in the bench scenarios: a
-    # run keeps the lattice it sampled last.
+    # run keeps the lattice it sampled last.  The sampled checks take the
+    # box's lattice at density 5, which charts a and b are built on.
     "tasks": [{"task": "chart", "chart": "c"},
+              {"task": "check_acs"},
+              {"task": "split_type"},
+              {"task": "integrability"},
+              {"task": "cr_check", "function": "z1"},
               {"task": "chart", "chart": "a"},
               {"task": "chart", "chart": "b"},
               {"task": "factorize", "chart": "a", "function": "mix",
@@ -286,13 +295,13 @@ SHARING_SCENARIO = {
 
 
 def test_a_run_samples_each_lattice_once(monkeypatch):
-    """J once per (box, grid_k) lattice that a chart is built on, each
-    field gradient once per build, each chart's coordinates once per
-    lattice, and each fit matrix with its singular values once per
-    (coordinates, fit_degree)."""
+    """J once per (box, grid_k) lattice that a chart or a sampled check
+    uses, each field gradient once per build or CR check, each chart's
+    coordinates once per lattice, and each fit matrix with its singular
+    values once per (coordinates, fit_degree)."""
     from spencerkit.scenario import parse_scenario, run_scenario
     j_calls, gradients, values, matrices, sigmas = [], [], [], [], []
-    eval_j, gradient = crsolve.eval_j, Polynomial.gradient
+    eval_j, gradient = jfield.eval_j, Polynomial.gradient
     evaluate, vandermonde, svd = (charts.SpencerChart.evaluate,
                                   charts._vandermonde, np.linalg.svd)
 
@@ -320,17 +329,19 @@ def test_a_run_samples_each_lattice_once(monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(crsolve, "eval_j", counting_j)
+    monkeypatch.setattr(jfield, "eval_j", counting_j)
     monkeypatch.setattr(Polynomial, "gradient", counting_gradient)
     monkeypatch.setattr(charts.SpencerChart, "evaluate", counting_evaluate)
     monkeypatch.setattr(charts, "_vandermonde", counting_vandermonde)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     result = run_scenario(parse_scenario(SHARING_SCENARIO))
-    assert [r.status for r in result.reports] == ["pass"] * 7
-    # c on the sub-box, a and b on the box.
+    assert [r.status for r in result.reports] == ["pass"] * 11
+    # c on the sub-box; the four checks, a and b on the box.
     assert len(j_calls) == len(set(j_calls)) == 2
-    # Two fields per build, for the CR residual and the Jacobian rows.
-    assert len(gradients) == 6
-    assert len(set(gradients)) == 5         # z2 is in a and b
+    # Two fields per build, for the CR residual and the Jacobian rows, and
+    # z1 for the CR check.
+    assert len(gradients) == 7
+    assert len(set(gradients)) == 5         # z1 and z2 are in a, z2 in b
     # The box: a (the fits and a to b) and b.  The sub-box: b and c (b to
     # c), and a (a to c and the triple overlap).
     assert len(values) == len(set(values)) == 5
@@ -341,11 +352,13 @@ def test_a_run_samples_each_lattice_once(monkeypatch):
 
 
 def _standalone_metrics(data, spec):
-    """The metrics of one chart task from standalone calls on objects of a
-    fresh parse, or the note of the check failure they raise."""
+    """The metrics of one chart or sampled check task from standalone calls
+    on objects of a fresh parse, or the note of the check failure they
+    raise."""
     from spencerkit.scenario import parse_scenario
     scen = parse_scenario(data)
     tols = scen.tolerances
+    structure, grid_k = scen.structure, spec.get("grid", defaults.GRID_PER_AXIS)
 
     def chart(label, grid_k=defaults.GRID_PER_AXIS):
         chart_spec = scen.chart_specs[label]
@@ -358,6 +371,21 @@ def _standalone_metrics(data, spec):
     fit = {"grid_k": spec.get("grid", defaults.GRID_PER_AXIS),
            "fit_degree": spec.get("fit_degree", defaults.FIT_DEGREE)}
     try:
+        if spec["task"] == "check_acs":
+            return check_acs(structure, grid_k, tols["tol_acs"]).metrics
+        if spec["task"] == "split_type":
+            result = split_type(structure, structure.box.lattice(grid_k),
+                                tols["svd_rel_tol"])
+            return {"dim_minus": float(result.dims[1]),
+                    "dim_plus": float(result.dims[0]),
+                    "eigen_residual": result.eigen_residual}
+        if spec["task"] == "integrability":
+            return integrability_report(structure, grid_k,
+                                        tols["tol_integrability"]).metrics
+        if spec["task"] == "cr_check":
+            return cr_equations_check(structure,
+                                      scen.functions[spec["function"]],
+                                      grid_k, tols["tol_cr"]).metrics
         if spec["task"] == "chart":
             built = chart(spec["chart"], fit["grid_k"])
             return {"certificate": built.certificate, "m": float(built.m)}
@@ -375,30 +403,47 @@ def _standalone_metrics(data, spec):
         return f"{type(exc).__name__}: {exc}"
 
 
-def _chart_scenarios():
-    import random
+def _bench_scenarios():
+    """The bench's scenario generators (``bench/scenarios.py``)."""
     import sys
     from pathlib import Path
-    from spencerkit.scenario import builtin_scenarios
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
     try:
         import scenarios
     finally:
         sys.path.pop(0)
-    sheared = scenarios._solve_sheared(random.Random("solve:3"), 3, (1,), 2)
-    return list(builtin_scenarios().values()) + [sheared, SHARING_SCENARIO]
+    return scenarios
 
 
-@pytest.mark.parametrize("data", _chart_scenarios(),
+def _pointwise_scenarios(seed):
+    from spencerkit.scenario import builtin_scenarios
+    return _bench_scenarios().build("pointwise", seed, "full",
+                                    builtin_scenarios())
+
+
+def _sampling_scenarios():
+    import random
+    from spencerkit.scenario import builtin_scenarios
+    sheared = _bench_scenarios()._solve_sheared(random.Random("solve:3"), 3,
+                                                (1,), 2)
+    return (list(builtin_scenarios().values()) + [sheared, SHARING_SCENARIO]
+            + _pointwise_scenarios(3))
+
+
+SAMPLED_KINDS = ("check_acs", "split_type", "integrability", "cr_check",
+                 "chart", "factorize", "transition", "cocycle")
+
+
+@pytest.mark.parametrize("data", _sampling_scenarios(),
                          ids=lambda data: data["name"])
 def test_shared_samples_give_the_bits_of_standalone_calls(data):
-    """Every metric of every chart task in a run equals, bit for bit, the one
-    a standalone call on fresh objects gives."""
+    """Every metric of every chart and sampled check task in a run equals,
+    bit for bit, the one a standalone call on fresh objects gives."""
     from spencerkit.scenario import parse_scenario, run_scenario
     result = run_scenario(parse_scenario(data))
     checked = 0
     for spec, report in zip(data["tasks"], result.reports):
-        if spec["task"] not in ("chart", "factorize", "transition", "cocycle"):
+        if spec["task"] not in SAMPLED_KINDS:
             continue
         expected = _standalone_metrics(data, spec)
         if isinstance(expected, str):
@@ -410,6 +455,28 @@ def test_shared_samples_give_the_bits_of_standalone_calls(data):
     assert checked >= 3
 
 
+@pytest.mark.parametrize("data", _pointwise_scenarios(5),
+                         ids=lambda data: data["name"])
+def test_a_pointwise_run_evaluates_j_once_per_lattice(monkeypatch, data):
+    """check_acs, split_type, integrability and every cr_check of a bench
+    pointwise scenario share one sample of their one lattice."""
+    from spencerkit.scenario import parse_scenario, run_scenario
+    calls = []
+
+    def counting(eval_j):
+        def wrapper(structure, points):
+            calls.append(len(points))
+            return eval_j(structure, points)
+        return wrapper
+
+    monkeypatch.setattr(crsolve, "eval_j", counting(crsolve.eval_j))
+    monkeypatch.setattr(jfield, "eval_j", counting(jfield.eval_j))
+    result = run_scenario(parse_scenario(data))
+    assert result.overall == "pass"
+    assert len(result.reports) >= 5
+    assert len(calls) == 1
+
+
 def test_a_sample_serves_its_own_structure_only(std1, std2, z_field):
     sample = crsolve.Sample(std2, std2.box.lattice(2))
     with pytest.raises(ConfigurationError):
@@ -419,12 +486,12 @@ def test_a_sample_serves_its_own_structure_only(std1, std2, z_field):
 def test_shared_calls_keep_one_lattice_and_one_fit_matrix(std1, z_field):
     lattices = {}
     box, half = std1.box, Box((-0.5, -1.0), (1.0, 1.0))
-    sample = charts._sample(lattices, std1, box, 5)
+    sample = crsolve.lattice_sample(lattices, std1, box, 5)
     assert isinstance(sample, crsolve.Sample)
-    assert charts._sample(lattices, std1, Box(box.lo, box.hi), 5) is sample
-    assert charts._sample(lattices, std1, box, 4) is not sample
-    assert charts._sample(lattices, std1, half, 5) is not sample
-    assert charts._sample(lattices, std1, box, 5) is not sample     # not kept
+    assert crsolve.lattice_sample(lattices, std1, Box(box.lo, box.hi), 5) is sample
+    assert crsolve.lattice_sample(lattices, std1, box, 4) is not sample
+    assert crsolve.lattice_sample(lattices, std1, half, 5) is not sample
+    assert crsolve.lattice_sample(lattices, std1, box, 5) is not sample     # not kept
     chart = build_spencer_chart(std1, [z_field])
     fit = charts._kept_fit_matrix(sample, chart, 1, "fit")
     assert charts._kept_fit_matrix(sample, chart, 1, "fit") is fit

@@ -17,9 +17,10 @@ from spencerkit import (
     split_type,
     standard_structure,
 )
+from spencerkit import defaults, jfield
 from spencerkit.errors import (ConfigurationError, DegenerateStructureError,
                                NumericalError)
-from spencerkit.jfield import lattice_points, numerical_rank
+from spencerkit.jfield import acs_residual, lattice_points, numerical_rank
 from spencerkit.poly import Polynomial, monomials_upto
 from spencerkit.scenario import builtin_scenarios, parse_scenario
 
@@ -378,6 +379,89 @@ def test_nijenhuis_refuses_non_finite_j_or_partials(entry, point):
         with pytest.raises(NumericalError) as exc:
             nijenhuis(s, pts)
     assert str(exc.value).endswith(f"not finite at point {point}")
+
+
+def test_integrability_report_peak_memory_stays_below_1_6_times_the_tensor():
+    # The maximum is taken one storage slab at a time: no |N| of the
+    # tensor's size is made.
+    structure = _sheared_n3()
+    integrability_report(structure, grid_k=2)   # builds the cached partials
+    tracemalloc.start()
+    try:
+        integrability_report(structure)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tensor = 5 ** 6 * 6 ** 3 * 8                # 27 MB of float64
+    assert peak < 1.6 * tensor
+
+
+def test_nijenhuis_refuses_a_tensor_over_the_cap_before_evaluating_j(
+        monkeypatch, std2):
+    def refuse(*args):
+        raise AssertionError("J was evaluated")
+
+    pts = std2.box.lattice(3)                   # 81 points x 64 entries
+    monkeypatch.setattr(defaults, "NIJENHUIS_ENTRY_CAP", 81 * 64)
+    assert integrability_report(std2, grid_k=3).passed
+    monkeypatch.setattr(defaults, "NIJENHUIS_ENTRY_CAP", 81 * 64 - 1)
+    monkeypatch.setattr(jfield, "eval_j", refuse)
+    with pytest.raises(ConfigurationError, match="5184 entries"):
+        nijenhuis(std2, pts)
+    with pytest.raises(ConfigurationError, match="above the cap of 5183"):
+        integrability_report(std2, grid_k=3)
+
+
+def _random_sparse_structure(n, seed):
+    """About half the entries of J the zero polynomial, the others one to
+    three terms of degree <= 2 with dyadic coefficients."""
+    rng = np.random.default_rng(seed)
+    size = 2 * n
+    monomials = monomials_upto(size, 2, include_constant=True)
+
+    def entry():
+        if rng.random() < 0.5:
+            return Polynomial.zero(size)
+        picks = rng.choice(len(monomials), rng.integers(1, 4), replace=False)
+        coefs = rng.integers(1, 9, len(picks)) * rng.choice([-1, 1], len(picks))
+        return Polynomial(size, {monomials[p]: c / 8.0
+                                 for p, c in zip(picks, coefs)})
+
+    matrix = [[entry() for _ in range(size)] for _ in range(size)]
+    return ACStructure(n, Box((-1.0,) * size, (1.0,) * size), matrix)
+
+
+@pytest.mark.parametrize("n, seed", [(n, seed) for n in (1, 2, 3)
+                                     for seed in range(3)])
+def test_acs_residual_is_bit_identical_to_the_dense_contraction(n, seed):
+    structure = _random_sparse_structure(n, seed)
+    j = eval_j(structure, structure.box.lattice(5))
+    expected = float(np.max(np.abs(
+        np.einsum("pik,pkj->pij", j, j) + np.eye(2 * n)))).hex()
+    assert acs_residual(structure, j).hex() == expected
+    # The real parts of a complex J, as a run's sample keeps it.
+    assert acs_residual(structure, j.astype(complex).real).hex() == expected
+    assert check_acs(structure).metrics["acs_residual"].hex() == expected
+    # A zero polynomial evaluates to +0.0; a nonzero one may give -0.0.
+    nonzero = np.array([[not e.is_zero for e in row]
+                        for row in structure.matrix])
+    rng = np.random.default_rng(seed)
+    j[(rng.random(j.shape) < 0.2) & nonzero] = -0.0
+    dense = np.einsum("pik,pkj->pij", j, j) + np.eye(2 * n)
+    assert acs_residual(structure, j).hex() == \
+        float(np.max(np.abs(dense))).hex()
+
+
+def test_acs_residual_is_nan_where_j_is_not_finite():
+    # Every product that meets the infinite entry is skipped as 0 * inf.
+    box = Box((-1.0, -1e5), (1.0, 1e5))
+    matrix = [[parse_polynomial(e, 2) for e in row]
+              for row in [["0", "1e300*x2^2"], ["0", "0"]]]
+    s = ACStructure(1, box, matrix)
+    with np.errstate(over="ignore"):
+        j = eval_j(s, box.lattice(3))
+    assert not np.isfinite(j).all()
+    assert np.isnan(acs_residual(s, j))
 
 
 def test_integrability_reports(std2, twisted):

@@ -728,6 +728,51 @@ def test_cli_exit_three_on_non_finite_j_in_integrability(scenario_file, capsys):
     assert captured.out == ""
 
 
+def test_cli_exit_three_on_non_finite_j_in_check_acs(scenario_file, capsys):
+    # J_01 overflows to inf at x2 = +-1e5.  Every product of J^2 that meets
+    # it has a zero polynomial as its other factor, so the sparse
+    # contraction skips it as 0 * inf; check_acs must refuse the non-finite
+    # J itself, or the report reads a finite 1.0 and the run exits 1.
+    data = {"name": "overflow_acs", "n": 1,
+            "box": {"lo": [-1, -1e5], "hi": [1, 1e5]},
+            "J": [["0", "1e300*x2^2"], ["0", "0"]],
+            "tasks": [{"task": "check_acs"}]}
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["run", scenario_file(data)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "check_acs: metrics are not all finite" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_exit_two_on_a_nijenhuis_tensor_over_the_cap(
+        scenario_file, capsys, monkeypatch):
+    # The refusal comes before any task samples, so the check_acs task
+    # ahead of it evaluates no J either.
+    def refuse(*args):
+        raise AssertionError("J was evaluated")
+
+    monkeypatch.setattr(defaults, "NIJENHUIS_ENTRY_CAP", 3 ** 4 * 4 ** 3 - 1)
+    monkeypatch.setattr(crsolve, "eval_j", refuse)
+    monkeypatch.setattr(spencerkit.jfield, "eval_j", refuse)
+    data = minimal_scenario(n=2, box={"lo": [-1.0] * 4, "hi": [1.0] * 4},
+                            functions={},
+                            tasks=[{"task": "check_acs", "grid": 3},
+                                   {"task": "integrability", "grid": 3}])
+    assert cli.main(["run", scenario_file(data)]) == 2
+    assert "has 5184 entries, above the cap of 5183" in capsys.readouterr().err
+
+
+def test_cli_exit_two_on_the_n4_nijenhuis_tensor_at_grid_5(scenario_file, capsys):
+    # 5^8 points x 8^3 entries is 1.6 GB of float64, refused at once.
+    data = minimal_scenario(n=4, box={"lo": [-1.0] * 8, "hi": [1.0] * 8},
+                            functions={}, tasks=[{"task": "integrability"}])
+    start = time.perf_counter()
+    assert cli.main(["run", scenario_file(data)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "has 200000000 entries" in capsys.readouterr().err
+
+
 def test_cli_exit_three_on_non_finite_j_in_split_type(scenario_file, capsys):
     # J^2 = -I holds symbolically, but x1^6 overflows to inf at x1 = -1e60.
     # The SVD of J - iI there has NaN singular values, which count as zero:

@@ -81,19 +81,40 @@ def _src_lines(root):
     return total
 
 
+def _zero_division(stderr):
+    """The last ``ZeroDivisionError`` line of a failed run's error output,
+    or None."""
+    lines = [line.strip() for line in stderr.splitlines()
+             if line.strip().startswith("ZeroDivisionError")]
+    return lines[-1] if lines else None
+
+
 def _bench(root, workload, seed, seconds, trace):
-    """(last-line result, summary.json) of one bench/run.py call in ``root``."""
-    proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=root, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise SystemExit(f"bench/run.py failed in {root}:\n{proc.stderr}")
+    """(last-line result, summary.json, retried) of one bench/run.py call in
+    ``root``.  The CPU-speed probe of ``bench/speed.py`` divides by a thread
+    time that can read 0; a call that dies of that ``ZeroDivisionError`` is
+    run once more, and ``retried`` is the error's line (else None).  Any
+    other failure, or a second one, aborts."""
+    retried = None
+    while True:
+        proc = subprocess.run(
+            [sys.executable, "bench/run.py", "--workload", workload,
+             "--seed", str(seed), "--seconds", str(seconds),
+             "--trace", str(trace)],
+            cwd=root, capture_output=True, text=True)
+        if proc.returncode == 0:
+            break
+        error = _zero_division(proc.stderr)
+        if error is None or retried is not None:
+            raise SystemExit(f"bench/run.py failed in {root}:\n{proc.stderr}")
+        print(f"# {workload} seed {seed} in {root}: retrying after {error}",
+              flush=True)
+        retried = error
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     path = os.path.join(root, ".bench_out",
                         f"{workload}-seed{seed}-trace{trace}", "summary.json")
     with open(path, encoding="utf-8") as fh:
-        return result, json.load(fh)
+        return result, json.load(fh), retried
 
 
 def _reports(root, seed, workloads):
@@ -159,6 +180,7 @@ def _pair(roots, workload, seed, seconds, first):
     record["attempted"] = [runs[s][0]["attempted"] for s in SIDES]
     record["report_sha256_equal"] = (runs["parent"][1]["report_sha256"]
                                      == runs["change"][1]["report_sha256"])
+    record["retried"] = {side: runs[side][2] for side in SIDES if runs[side][2]}
     print(f"# {workload} seed {seed}: run_s {record['parent']['run_s']:.3f} -> "
           f"{record['change']['run_s']:.3f}, rss "
           f"{record['parent']['peak_rss_mb']:.2f} -> "
