@@ -29,6 +29,7 @@ from .crsolve import (cr_residual, independence_rank, jacobian_rows, keep,
                       lattice_sample)
 from .errors import (ChartError, ConfigurationError, FitError,
                      IndependenceError, NumericalError, OverlapError)
+from .jfield import check_entries
 from .poly import PolyMap, Polynomial, monomials_upto
 
 
@@ -168,8 +169,8 @@ def _fit_matrix(w, fit_degree, what):
     Refused before the matrix is built: a fit with at least as many
     monomials, C(m + fit_degree, m), as distinct rows of w (distinct by
     bits), which could interpolate any target, so its residual would
-    witness nothing; and a matrix of more than ``defaults.FIT_ENTRY_CAP``
-    entries.  An ill-conditioned fit is refused after its singular values.
+    witness nothing; and a matrix over ``check_entries``'s cap.  An
+    ill-conditioned fit is refused after its singular values.
     """
     if fit_degree < 0:
         raise ConfigurationError(f"fit_degree must be nonnegative, got {fit_degree}")
@@ -182,10 +183,8 @@ def _fit_matrix(w, fit_degree, what):
         raise ConfigurationError(
             f"fit_degree {fit_degree} gives {columns} monomials for "
             f"{distinct} distinct chart values; the fit could interpolate")
-    if rows * columns > defaults.FIT_ENTRY_CAP:
-        raise ConfigurationError(
-            f"fit_degree {fit_degree} gives a {rows} x {columns} fit matrix, "
-            f"above the cap of {defaults.FIT_ENTRY_CAP} entries")
+    check_entries(rows * columns, "the {} x {} fit matrix of fit_degree {}",
+                  rows, columns, fit_degree)
     matrix, monomials = _vandermonde(w, fit_degree)
     sigma = np.linalg.svd(matrix, compute_uv=False)
     if sigma[-1] == 0 or sigma[0] / sigma[-1] > defaults.FIT_COND_CAP:
@@ -278,14 +277,15 @@ def cocycle_check(chart_a, chart_b, chart_c, grid_k=defaults.GRID_PER_AXIS,
                   fit_degree=defaults.FIT_DEGREE, *, _lattices=None):
     """Composition defect of the three pairwise transitions on the triple
     overlap: max |t_bc(t_ab(w)) - t_ac(w)|.  The transitions and the
-    triple overlap share a lattice where their boxes agree.  Once the three
+    triple overlap share a lattice where their boxes agree; ab and ac,
+    fitted first, also share chart a's fit matrix.  Once the three
     transitions have found their overlaps, the triple overlap is not empty:
     on each axis open intervals that meet pairwise share a point."""
     lattices = {} if _lattices is None else _lattices
-    ab, bc, ac = (transition_map(x, y, grid_k=grid_k, fit_degree=fit_degree,
+    ab, ac, bc = (transition_map(x, y, grid_k=grid_k, fit_degree=fit_degree,
                                  _lattices=lattices)
-                  for x, y in ((chart_a, chart_b), (chart_b, chart_c),
-                               (chart_a, chart_c)))
+                  for x, y in ((chart_a, chart_b), (chart_a, chart_c),
+                               (chart_b, chart_c)))
     triple = chart_a.box.intersect(chart_b.box).intersect(chart_c.box)
     wa = _values(lattice_sample(lattices, chart_a.structure, triple, grid_k),
                  chart_a)

@@ -20,6 +20,15 @@ from .poly import Polynomial
 from .report import make_report
 
 
+def check_entries(entries, what, *args):
+    """Refuse an array of ``entries`` entries over ``defaults.ENTRY_CAP``,
+    before it is allocated, naming it ``what.format(*args)``: the name is
+    made only for the refusal, off the hot paths that pass the check."""
+    if entries > defaults.ENTRY_CAP:
+        raise ConfigurationError(f"{what.format(*args)} has {entries} entries, "
+                                 f"above the cap of {defaults.ENTRY_CAP}")
+
+
 @dataclass(frozen=True)
 class Box:
     """Closed axis-aligned box, the common domain type of the toolkit."""
@@ -114,6 +123,8 @@ def lattice_points(lo, hi, k):
     if lo.ndim == 1:
         return lattice_points(lo[None, :], hi[None, :], k)[0]
     count, dim = lo.shape
+    points = count * int(k) ** dim
+    check_entries(points * dim, "the lattice of {} points in R^{}", points, dim)
     axes = _linspace_rows(lo.ravel(), hi.ravel(), k).reshape(count, dim, k)
     out = np.empty((count,) + (k,) * dim + (dim,))
     for e in range(dim):
@@ -176,13 +187,21 @@ class ACStructure:
 
 
 def eval_j(structure, points):
-    """Evaluate J at a batch (P, 2n); real output (P, 2n, 2n)."""
+    """Evaluate J at a batch (P, 2n); real output (P, 2n, 2n).  Every J
+    reader takes J from here: one over ``check_entries``'s cap is refused
+    before it is allocated, one that is not finite at its first such point."""
     pts = np.asarray(points, dtype=float)
     size = structure.real_dim
+    check_entries(len(pts) * size * size, "J at {} points of a structure "
+                  "with n = {}", len(pts), structure.n)
     out = np.empty((len(pts), size, size))
     for i in range(size):
         for j in range(size):
             out[:, i, j] = structure.matrix[i][j].evaluate(pts)
+    finite = np.isfinite(out).all(axis=(1, 2))
+    if not finite.all():
+        raise NumericalError(
+            f"J is not finite at point {tuple(map(float, pts[np.argmin(finite)]))}")
     return out
 
 
@@ -206,17 +225,15 @@ def _j_at(structure, points, sample):
 
 
 def acs_residual(structure, j):
-    """max |J^2 + I| over a batch, from J at it, (P, 2n, 2n) real.
+    """max |J^2 + I| over a batch, from J at it, (P, 2n, 2n) real and
+    finite, as ``eval_j`` returns it.
 
     Each entry of J^2 is contracted component-major, by ``nijenhuis``'s
     rule: a sum from zero over ascending k of only the products of two
     nonzero polynomial entries, then I added.  A skipped product of
     finite values is an exact zero, so the maximum has the bits of the
-    dense contraction.  NaN where J is not finite, as a skipped inf * 0
-    would have made it.
+    dense contraction.
     """
-    if not np.isfinite(j).all():
-        return float("nan")
     m, size = structure.matrix, structure.real_dim
     j = np.ascontiguousarray(j.transpose(1, 2, 0))
     worst = []
@@ -234,9 +251,8 @@ def acs_residual(structure, j):
 def check_acs(structure, grid_k=defaults.GRID_PER_AXIS, tol=defaults.TOL_ACS,
               *, _sample=None):
     """Verify J(p)^2 = -I over a lattice; metric is the worst max-norm
-    defect, ``acs_residual``, which is NaN (exit 3) where J is not finite.
-    A run passes its ``crsolve.Sample`` of the lattice as ``_sample``, which
-    keeps the residual."""
+    defect, ``acs_residual``.  A run passes its ``crsolve.Sample`` of the
+    lattice as ``_sample``, which keeps the residual."""
     if _sample is None:
         pts = structure.box.lattice(grid_k)
         residual = acs_residual(structure, eval_j(structure, pts))
@@ -281,19 +297,14 @@ def split_type(structure, points, svd_rel_tol=defaults.SVD_REL_TOL, *,
     I - P is conj(P).  The singular values of the stacked J - iI, one SVD
     without factors, give the dimension of the i eigenspace; J is real, so
     the -i eigenspace is its conjugate, of the same dimension.  Raises
-    NumericalError where J is not finite and DegenerateStructureError
-    unless both spaces have dimension n everywhere, each at the first such
-    point.  ``eigen_residual`` is the largest |J P - i P|, which is
-    |J^2 + I| / 2: half ``acs_residual``, which a run's ``crsolve.Sample``
-    of the points, passed as ``_sample``, keeps for its ``check_acs``.
+    DegenerateStructureError at the first point where it is not n.
+    ``eigen_residual`` is the largest |J P - i P|, which is |J^2 + I| / 2:
+    half ``acs_residual``, which a run's ``crsolve.Sample`` of the points,
+    passed as ``_sample``, keeps for its ``check_acs``.
     """
     pts = np.asarray(points, dtype=float)
     n, size = structure.n, structure.real_dim
     j = _j_at(structure, pts, _sample)
-    finite = np.isfinite(j).all(axis=(1, 2))
-    if not finite.all():
-        raise NumericalError(
-            f"J is not finite at point {tuple(map(float, pts[np.argmin(finite)]))}")
     eye = np.eye(size)
     sigma = np.linalg.svd(j - 1j * eye, compute_uv=False)
     dims = size - numerical_rank(sigma, svd_rel_tol)
@@ -313,18 +324,6 @@ def split_type(structure, points, svd_rel_tol=defaults.SVD_REL_TOL, *,
     )
 
 
-def check_nijenhuis_size(structure, count):
-    """Refuse a Nijenhuis tensor at ``count`` points of more than
-    ``defaults.NIJENHUIS_ENTRY_CAP`` entries, P (2n)^3, before it or J is
-    allocated."""
-    entries = count * structure.real_dim ** 3
-    if entries > defaults.NIJENHUIS_ENTRY_CAP:
-        raise ConfigurationError(
-            f"the Nijenhuis tensor at {count} points of a structure with "
-            f"n = {structure.n} has {entries} entries, above the cap of "
-            f"{defaults.NIJENHUIS_ENTRY_CAP}")
-
-
 def nijenhuis(structure, points, *, _sample=None):
     """Nijenhuis tensor on coordinate fields, exact derivatives throughout.
 
@@ -337,15 +336,16 @@ def nijenhuis(structure, points, *, _sample=None):
     Each sum starts from zero and adds, over ascending k, only the products
     whose J entry and whose partial are nonzero polynomials.  A skipped
     product of finite values is an exact zero, so N has the bits of the
-    full contraction.  Raises NumericalError where J or a nonzero partial is
-    not finite, which a skipped product would otherwise hide, and
-    ConfigurationError over ``check_nijenhuis_size``'s cap.  N is a view of
-    component-major (2n, 2n, 2n, P) storage.  J is the run's
-    ``crsolve.Sample``'s when it passes the sample of the points.
+    full contraction.  Raises NumericalError where a nonzero partial is not
+    finite, which a skipped product would hide, and ConfigurationError over
+    ``check_entries``'s cap.  N is a view of component-major (2n, 2n, 2n, P)
+    storage.  J is the run's ``crsolve.Sample``'s when it passes the sample
+    of the points.
     """
     pts = np.asarray(points, dtype=float)
-    check_nijenhuis_size(structure, len(pts))
     size, m = structure.real_dim, structure.matrix
+    check_entries(len(pts) * size ** 3, "the Nijenhuis tensor at {} points "
+                  "of a structure with n = {}", len(pts), structure.n)
     # Component-major storage: j[k, a] and half[i, a, b] are (P,) rows.
     j = np.ascontiguousarray(
         _j_at(structure, pts, _sample).real.transpose(1, 2, 0))
@@ -355,12 +355,12 @@ def nijenhuis(structure, points, *, _sample=None):
             for k, partial in enumerate(entry.partials()):
                 if not partial.is_zero:
                     dj[k, i, b] = partial.evaluate(pts)
-    bad = ~np.isfinite(j).all(axis=(0, 1))
+    bad = np.zeros(len(pts), dtype=bool)
     for values in dj.values():
         bad |= ~np.isfinite(values)
     if bad.any():
         raise NumericalError(
-            "J or one of its partials is not finite at point "
+            "a partial of J is not finite at point "
             f"{tuple(map(float, pts[np.argmax(bad)]))}")
     half = np.empty((size, size, size, len(pts)))
     for i, a, b in itertools.product(range(size), repeat=3):

@@ -23,7 +23,7 @@ from .charts import (build_spencer_chart, cocycle_check, factorize,
 from .crsolve import (cr_equations_check, estimate_spencer_type,
                       lattice_sample, solve_ah_polynomials)
 from .errors import CheckFailure, DomainError, ScenarioError
-from .jfield import (ACStructure, Box, check_acs, check_nijenhuis_size,
+from .jfield import (ACStructure, Box, check_acs, check_entries,
                      integrability_report, split_type, standard_structure)
 from .poly import parse_polynomial
 from .pseudogroup import (GlueTest, LocalMap, OverDiagram, check_ah_map,
@@ -750,8 +750,9 @@ def run_scenario(scenario, tol_overrides=None, grid_override=None,
         grid = spec.get("grid", defaults.GRID_PER_AXIS)
         # A grid below 2 is refused by the lattice, with its own message.
         if spec["task"] == "integrability" and grid >= 2:
-            check_nijenhuis_size(scenario.structure,
-                                 grid ** scenario.structure.real_dim)
+            size = scenario.structure.real_dim
+            check_entries(grid ** size * size ** 3, "the Nijenhuis tensor "
+                          "of an integrability task at grid {}", grid)
 
     run = _Run(scenario, tols)
     reports = [_run_one_task(scenario, spec, run) for spec in specs]

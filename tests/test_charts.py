@@ -257,6 +257,26 @@ def test_cocycle_frozen_triple(std1, z_field):
     assert coeffs[(1,)] == pytest.approx(2.0, abs=1e-9)
 
 
+def test_a_cocycle_on_one_box_builds_two_fit_matrices(monkeypatch, std1,
+                                                     z_field):
+    # a to b and a to c share a's matrix; b to c builds b's.
+    double = parse_polynomial("2*x1 + (0+2i)*x2", 2)
+    chart_a, chart_b, chart_c = (build_spencer_chart(std1, [f], label=label)
+                                 for f, label in ((z_field, "a"),
+                                                  (double, "b"),
+                                                  (z_field, "c")))
+    built, vandermonde = [], charts._vandermonde
+
+    def counting_vandermonde(w, fit_degree):
+        built.append(w.tobytes())
+        return vandermonde(w, fit_degree)
+
+    monkeypatch.setattr(charts, "_vandermonde", counting_vandermonde)
+    res = cocycle_check(chart_a, chart_b, chart_c, fit_degree=2)
+    assert res.defect <= 1e-13
+    assert len(built) == len(set(built)) == 2
+
+
 def test_cocycle_identity_triple_is_exact(std1, z_field):
     chart = build_spencer_chart(std1, [z_field])
     res = cocycle_check(chart, chart, chart, fit_degree=2)

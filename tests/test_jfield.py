@@ -402,9 +402,9 @@ def test_nijenhuis_refuses_a_tensor_over_the_cap_before_evaluating_j(
         raise AssertionError("J was evaluated")
 
     pts = std2.box.lattice(3)                   # 81 points x 64 entries
-    monkeypatch.setattr(defaults, "NIJENHUIS_ENTRY_CAP", 81 * 64)
+    monkeypatch.setattr(defaults, "ENTRY_CAP", 81 * 64)
     assert integrability_report(std2, grid_k=3).passed
-    monkeypatch.setattr(defaults, "NIJENHUIS_ENTRY_CAP", 81 * 64 - 1)
+    monkeypatch.setattr(defaults, "ENTRY_CAP", 81 * 64 - 1)
     monkeypatch.setattr(jfield, "eval_j", refuse)
     with pytest.raises(ConfigurationError, match="5184 entries"):
         nijenhuis(std2, pts)
@@ -452,16 +452,19 @@ def test_acs_residual_is_bit_identical_to_the_dense_contraction(n, seed):
         float(np.max(np.abs(dense))).hex()
 
 
-def test_acs_residual_is_nan_where_j_is_not_finite():
-    # Every product that meets the infinite entry is skipped as 0 * inf.
-    box = Box((-1.0, -1e5), (1.0, 1e5))
+def test_eval_j_names_the_first_non_finite_point_in_lattice_order():
+    # 1e300*x2^2 overflows at x2 = 5e4 and 1e5, on 6 of the 9 points.
+    box = Box((-1.0, 0.0), (1.0, 1e5))
     matrix = [[parse_polynomial(e, 2) for e in row]
               for row in [["0", "1e300*x2^2"], ["0", "0"]]]
     s = ACStructure(1, box, matrix)
+    pts = box.lattice(3)
     with np.errstate(over="ignore"):
-        j = eval_j(s, box.lattice(3))
-    assert not np.isfinite(j).all()
-    assert np.isnan(acs_residual(s, j))
+        for batch, point in ((pts, (-1.0, 50000.0)),
+                             (pts[::-1], (1.0, 100000.0))):
+            with pytest.raises(NumericalError) as exc:
+                eval_j(s, batch)
+            assert str(exc.value) == f"J is not finite at point {point}"
 
 
 def test_integrability_reports(std2, twisted):

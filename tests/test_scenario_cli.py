@@ -549,8 +549,9 @@ STD_C3 = minimal_scenario(
 @pytest.mark.parametrize("fit_degree, message", [
     # 12,341 monomials, fewer than the 15,625 distinct chart values: only
     # the cap refuses the 2.9 GiB complex matrix.
-    (40, "fit_degree 40 gives a 15625 x 12341 fit matrix, above the cap of "
-         f"{defaults.FIT_ENTRY_CAP} entries"),
+    pytest.param(40, "the 15625 x 12341 fit matrix of fit_degree 40 has "
+                 f"192828125 entries, above the cap of {defaults.ENTRY_CAP}",
+                 id="40-fit_degree 40 gives a fit matrix over the cap"),
     # C(1003, 3) monomials, counted without enumerating them.
     (1000, "fit_degree 1000 gives 167668501 monomials for 15625 distinct "
            "chart values; the fit could interpolate"),
@@ -699,23 +700,25 @@ def test_cli_refuses_nan_dedup_tol_before_any_closure(scenario_file, capsys):
 
 
 def test_cli_exit_three_on_non_finite_metric(scenario_file, capsys):
+    # J is finite, but the gradient of 5e307*x1^3 overflows at x1 = 1.2:
+    # only the report's own check catches the NaN CR residual.
     data = minimal_scenario(
-        J=[["1e300*x1^2", "-1"], ["1", "0"]],
-        box={"lo": [-1.0, -1.0], "hi": [1e200, 1.0]},
-        tasks=[{"task": "check_acs"}])
+        box={"lo": [0.0, 0.0], "hi": [1.2, 1.0]},
+        functions={"z": "x1 + (0+1i)*x2 + 5e307*x1^3"},
+        tasks=[{"task": "cr_check", "function": "z"}])
     with np.errstate(over="ignore", invalid="ignore"):
         code = cli.main(["run", scenario_file(data)])
     captured = capsys.readouterr()
     assert code == 3
-    assert "not all finite" in captured.err
+    assert "cr_check: metrics are not all finite" in captured.err
     assert captured.out == ""
 
 
 def test_cli_exit_three_on_non_finite_j_in_integrability(scenario_file, capsys):
     # J_01 overflows to -inf at x2 = -100 while its partial stays finite.
     # No nonzero product of the Nijenhuis sums meets the infinite entry, so
-    # the kernel must refuse it itself; otherwise the report reads a finite
-    # 6.000000000000001e+307 and the run exits 1.
+    # the sparse contraction would read a finite 6.000000000000001e+307 and
+    # the run would exit 1; eval_j refuses J first.
     data = {"name": "overflow_j", "n": 1,
             "box": {"lo": [-100, -100], "hi": [100, 100]},
             "J": [["0", "-1 - 1e297*x2^6"], ["1", "0"]],
@@ -724,15 +727,15 @@ def test_cli_exit_three_on_non_finite_j_in_integrability(scenario_file, capsys):
         code = cli.main(["run", scenario_file(data)])
     captured = capsys.readouterr()
     assert code == 3
-    assert "J or one of its partials is not finite at point" in captured.err
+    assert "J is not finite at point (-100.0, -100.0)" in captured.err
     assert captured.out == ""
 
 
 def test_cli_exit_three_on_non_finite_j_in_check_acs(scenario_file, capsys):
     # J_01 overflows to inf at x2 = +-1e5.  Every product of J^2 that meets
     # it has a zero polynomial as its other factor, so the sparse
-    # contraction skips it as 0 * inf; check_acs must refuse the non-finite
-    # J itself, or the report reads a finite 1.0 and the run exits 1.
+    # contraction would skip it as 0 * inf and read a finite 1.0, and the
+    # run would exit 1; eval_j refuses J first.
     data = {"name": "overflow_acs", "n": 1,
             "box": {"lo": [-1, -1e5], "hi": [1, 1e5]},
             "J": [["0", "1e300*x2^2"], ["0", "0"]],
@@ -741,8 +744,48 @@ def test_cli_exit_three_on_non_finite_j_in_check_acs(scenario_file, capsys):
         code = cli.main(["run", scenario_file(data)])
     captured = capsys.readouterr()
     assert code == 3
-    assert "check_acs: metrics are not all finite" in captured.err
+    assert "J is not finite at point (-1.0, -100000.0)" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("task", [
+    {"task": "cr_check", "function": "z"},
+    {"task": "chart", "chart": "c"},
+    {"task": "factorize", "chart": "c", "function": "z"},
+    {"task": "ah_map", "map": "m"},
+])
+def test_cli_exit_three_on_non_finite_j_in_every_task_that_reads_it(
+        scenario_file, capsys, task):
+    # J^2 = -I holds symbolically, but x1^6 overflows to inf at x1 = -1e60,
+    # the first lattice point.
+    data = minimal_scenario(
+        box={"lo": [-1e60, -1.0], "hi": [1e60, 1.0]},
+        J=[["x1^3", "-1"], ["1 + x1^6", "-x1^3"]],
+        charts={"c": {"functions": ["z"]}},
+        maps={"m": {"components": ["x1", "x2"]}},
+        tasks=[task])
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["run", scenario_file(data)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == \
+        "numerical error: J is not finite at point (-1e+60, -1.0)\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("cap, message", [
+    # 7^4 points x 4 coordinates.
+    (9603, "the lattice of 2401 points in R^4 has 9604 entries"),
+    # 7^4 points x 4^2 entries of J.
+    (38415, "J at 2401 points of a structure with n = 2 has 38416 entries"),
+])
+def test_cli_exit_two_on_a_lattice_or_j_over_the_cap(
+        capsys, monkeypatch, cap, message):
+    monkeypatch.setattr(defaults, "ENTRY_CAP", cap)
+    assert cli.main(["builtin", "std_c2", "--grid", "7",
+                     "--task", "check_acs"]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {message}, above the cap of {cap}\n"
 
 
 def test_cli_exit_two_on_a_nijenhuis_tensor_over_the_cap(
@@ -752,7 +795,7 @@ def test_cli_exit_two_on_a_nijenhuis_tensor_over_the_cap(
     def refuse(*args):
         raise AssertionError("J was evaluated")
 
-    monkeypatch.setattr(defaults, "NIJENHUIS_ENTRY_CAP", 3 ** 4 * 4 ** 3 - 1)
+    monkeypatch.setattr(defaults, "ENTRY_CAP", 3 ** 4 * 4 ** 3 - 1)
     monkeypatch.setattr(crsolve, "eval_j", refuse)
     monkeypatch.setattr(spencerkit.jfield, "eval_j", refuse)
     data = minimal_scenario(n=2, box={"lo": [-1.0] * 4, "hi": [1.0] * 4},

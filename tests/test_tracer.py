@@ -6,11 +6,14 @@ in a traced benchmark run.
 """
 from __future__ import annotations
 
+import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import numpy.linalg  # noqa: F401  (a tracer target)
+import pytest
 
 import spencerkit.scenario  # noqa: F401  (loads every package module)
 from spencerkit import cli
@@ -89,3 +92,58 @@ def test_builtin_closure_reaches_the_pseudogroup_layers(capsys):
                  "pseudogroup.compose.calls", "pseudogroup.generate.calls",
                  "pseudogroup.invert.calls"):
         assert metrics[name] > 0, name
+
+
+BENCH = TRACER.parent
+
+
+def _load_bench_modules(monkeypatch):
+    """``bench/scenarios.py`` and ``bench/selfcheck.py``, imported from their
+    files with ``bench/`` first on ``sys.path``, as the benchmark runs them."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    names = ("polys", "scenarios", "tracer", "selfcheck")
+    for name in names:
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    try:
+        return (importlib.import_module("scenarios"),
+                importlib.import_module("selfcheck"))
+    finally:
+        for name in names:
+            sys.modules.pop(name, None)
+
+
+WORKLOADS = ("closure", "pointwise", "solve")
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_tiny_workload_exercises_what_the_selfcheck_requires(
+        workload, monkeypatch, tmp_path, capsys):
+    """Each tiny bench workload at seed 1 exits 0 through the CLI under the
+    tracer, its ``selfcheck.EXERCISED`` counters are nonzero and its
+    ``selfcheck.BYPASSED`` counters zero: a refactor that routes work
+    around a traced name fails here, not only in ``bench/selfcheck.py``."""
+    from spencerkit.scenario import builtin_scenarios
+    scenarios, selfcheck = _load_bench_modules(monkeypatch)
+    assert tuple(scenarios.WORKLOADS) == WORKLOADS
+    built = scenarios.build(workload, 1, "tiny", builtin_scenarios())
+    files = []
+    for k, data in enumerate(built):
+        path = tmp_path / f"{k:02d}-{data['name']}.json"
+        path.write_text(json.dumps(data))
+        files.append(str(path))
+    t = selfcheck.tracer.Tracer()
+    t.install()
+    try:
+        codes = []
+        for k, path in enumerate(files):
+            with t.root(k):
+                codes.append(cli.main(["run", path]))
+    finally:
+        t.uninstall()
+    capsys.readouterr()
+    assert codes == [0] * len(files)
+    metrics = t.metrics()
+    for name in selfcheck.EXERCISED[workload]:
+        assert metrics[name] > 0, name
+    for name in selfcheck.BYPASSED.get(workload, ()):
+        assert metrics[name] == 0, name
