@@ -16,7 +16,7 @@ import numpy as np
 
 from . import defaults
 from .errors import ConfigurationError, NumericalError
-from .jfield import acs_residual, eval_j, numerical_rank
+from .jfield import _j_at, acs_residual, eval_j, numerical_rank
 from .poly import Polynomial, monomials_upto
 from .report import make_report
 
@@ -102,9 +102,7 @@ def cr_residual(structure, fields, points):
     the field count; a Sample keeps those of the fields last asked for.
     """
     if isinstance(points, Sample):
-        if points.structure is not structure:
-            raise ConfigurationError("the sample belongs to another structure")
-        j = points.j
+        j = _j_at(structure, points.points, points)
     else:
         points = np.asarray(points, dtype=float)
         j = eval_j(structure, points).astype(complex)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -220,8 +221,14 @@ def standard_structure(n, box=None):
 def _j_at(structure, points, sample):
     """J at a batch (P, 2n, 2n): evaluated here, real, or the J of the
     run's ``crsolve.Sample`` of these points, complex with exact real
-    parts."""
-    return eval_j(structure, points) if sample is None else sample.j
+    parts.  A sample of another structure or of other points is refused."""
+    if sample is None:
+        return eval_j(structure, points)
+    if sample.structure is not structure:
+        raise ConfigurationError("the sample belongs to another structure")
+    if points is not sample.points and not np.array_equal(points, sample.points):
+        raise ConfigurationError("the sample holds other points")
+    return sample.j
 
 
 def acs_residual(structure, j):
@@ -257,6 +264,7 @@ def check_acs(structure, grid_k=defaults.GRID_PER_AXIS, tol=defaults.TOL_ACS,
         pts = structure.box.lattice(grid_k)
         residual = acs_residual(structure, eval_j(structure, pts))
     else:
+        _j_at(structure, _sample.points, _sample)   # refuses another's sample
         pts, residual = _sample.points, _sample.acs_residual
     return make_report(
         task="check_acs",
@@ -271,8 +279,13 @@ class SplitTypeResult:
 
     dims: tuple                 # (dim of i-eigenspace, dim of -i-eigenspace)
     eigen_residual: float       # worst |J P - i P| over all points
-    projector: np.ndarray       # (P, 2n, 2n) complex, (I - iJ)/2 at each point
     points: np.ndarray
+    j: np.ndarray               # J at the points
+
+    @cached_property
+    def projector(self):
+        """(P, 2n, 2n) complex, (I - iJ)/2 at each point, built when read."""
+        return (np.eye(self.j.shape[-1]) - 1j * self.j) / 2
 
 
 def numerical_rank(sigma, svd_rel_tol):
@@ -305,8 +318,7 @@ def split_type(structure, points, svd_rel_tol=defaults.SVD_REL_TOL, *,
     pts = np.asarray(points, dtype=float)
     n, size = structure.n, structure.real_dim
     j = _j_at(structure, pts, _sample)
-    eye = np.eye(size)
-    sigma = np.linalg.svd(j - 1j * eye, compute_uv=False)
+    sigma = np.linalg.svd(j - 1j * np.eye(size), compute_uv=False)
     dims = size - numerical_rank(sigma, svd_rel_tol)
     bad = np.flatnonzero(dims != n)
     if bad.size:
@@ -316,79 +328,74 @@ def split_type(structure, points, svd_rel_tol=defaults.SVD_REL_TOL, *,
             f"at point {tuple(map(float, pts[p]))}")
     residual = (acs_residual(structure, j) if _sample is None
                 else _sample.acs_residual)
-    return SplitTypeResult(
-        dims=(n, n),
-        eigen_residual=residual / 2,
-        projector=(eye - 1j * j) / 2,
-        points=pts,
-    )
+    return SplitTypeResult(dims=(n, n), eigen_residual=residual / 2,
+                           points=pts, j=j)
 
 
 def nijenhuis(structure, points, *, _sample=None):
     """Nijenhuis tensor on coordinate fields, exact derivatives throughout.
 
-    At a batch (P, 2n), returns N with shape (P, 2n, 2n, 2n): N[p, i, a, b]
-    is component i of N(d/dx^a, d/dx^b) at point p.  With
+    Returns {(i, a, b): N[:, i, a, b]} over a <= b at a batch (P, 2n), for
+    each component i of N(d/dx^a, d/dx^b) with a product term.  With
 
         h[i, a, b] = sum_k J_{ka} d_k J_{ib} + sum_k J_{ik} d_b J_{ka},
 
-    N[i, a, b] = h[i, a, b] - h[i, b, a], so antisymmetry in (a, b) is exact.
-    Each sum starts from zero and adds, over ascending k, only the products
-    whose J entry and whose partial are nonzero polynomials.  A skipped
-    product of finite values is an exact zero, so N has the bits of the
-    full contraction.  Raises NumericalError where a nonzero partial is not
-    finite, which a skipped product would hide, and ConfigurationError over
-    ``check_entries``'s cap.  N is a view of component-major (2n, 2n, 2n, P)
-    storage.  J is the run's ``crsolve.Sample``'s when it passes the sample
-    of the points.
+    N[i, a, b] = h[i, a, b] - h[i, b, a]; the omitted components are 0, and
+    N[i, a, a] = h - h is kept, NaN where h overflows.  Each sum adds, from
+    zero over ascending k, only the products whose J entry and partial are
+    nonzero polynomials; a skipped product of finite values is an exact
+    zero, so N has the bits of the full contraction.  Raises NumericalError
+    where a nonzero partial is not finite, which a skipped product would
+    hide, and ConfigurationError where the dense tensor is over
+    ``check_entries``'s cap.  ``_sample`` is the run's ``crsolve.Sample`` of
+    the points.
     """
     pts = np.asarray(points, dtype=float)
     size, m = structure.real_dim, structure.matrix
     check_entries(len(pts) * size ** 3, "the Nijenhuis tensor at {} points "
                   "of a structure with n = {}", len(pts), structure.n)
-    # Component-major storage: j[k, a] and half[i, a, b] are (P,) rows.
-    j = np.ascontiguousarray(
-        _j_at(structure, pts, _sample).real.transpose(1, 2, 0))
-    dj = {}         # (k, i, b) -> d_k J_{ib} at the points, nonzero only
-    for i, row in enumerate(m):
-        for b, entry in enumerate(row):
-            for k, partial in enumerate(entry.partials()):
-                if not partial.is_zero:
-                    dj[k, i, b] = partial.evaluate(pts)
-    bad = np.zeros(len(pts), dtype=bool)
-    for values in dj.values():
-        bad |= ~np.isfinite(values)
-    if bad.any():
+    j = _j_at(structure, pts, _sample).real
+    rows = {(k, a): np.ascontiguousarray(j[:, k, a]) for k, a in  # J_{ka}
+            itertools.product(range(size), repeat=2) if not m[k][a].is_zero}
+    del j
+    dj = {(k, i, b): partial.evaluate(pts)                  # d_k J_{ib}
+          for i, row in enumerate(m) for b, entry in enumerate(row)
+          for k, partial in enumerate(entry.partials()) if not partial.is_zero}
+    finite = np.all([np.isfinite(values) for values in dj.values()], axis=0)
+    if not np.all(finite):
         raise NumericalError(
             "a partial of J is not finite at point "
-            f"{tuple(map(float, pts[np.argmax(bad)]))}")
-    half = np.empty((size, size, size, len(pts)))
-    for i, a, b in itertools.product(range(size), repeat=3):
+            f"{tuple(map(float, pts[np.argmin(finite)]))}")
+
+    def half(i, a, b):      # h[i, a, b]; the float 0.0 without a product
         h1 = h2 = 0.0
         for k in range(size):
-            if not m[k][a].is_zero and (k, i, b) in dj:
-                h1 = h1 + j[k, a] * dj[k, i, b]
-            if not m[i][k].is_zero and (b, k, a) in dj:
-                h2 = h2 + j[i, k] * dj[b, k, a]
-        half[i, a, b] = h1 + h2
-    for h in half:
-        h[...] = h - h.transpose(1, 0, 2)
-    return half.transpose(3, 0, 1, 2)
+            if (k, a) in rows and (k, i, b) in dj:
+                h1 = h1 + rows[k, a] * dj[k, i, b]
+            if (i, k) in rows and (b, k, a) in dj:
+                h2 = h2 + rows[i, k] * dj[b, k, a]
+        return h1 + h2
+
+    out = {}
+    for i, a in itertools.product(range(size), repeat=2):
+        for b in range(a, size):
+            h_ab = half(i, a, b)
+            h_ba = h_ab if a == b else half(i, b, a)
+            if np.ndim(h_ab) or np.ndim(h_ba):
+                out[i, a, b] = h_ab - h_ba
+    return out
 
 
 def integrability_report(structure, grid_k=defaults.GRID_PER_AXIS,
                          tol=defaults.TOL_INTEGRABILITY, *, _sample=None):
     """Largest Nijenhuis component over a lattice, compared against ``tol``.
 
-    The check passes when the tensor vanishes to tolerance (an integrable
-    structure); scenarios that expect obstruction flip the expectation.
-    The maximum is taken one component slab of the tensor's storage at a
-    time, so no |N| of the tensor's size is made.  A run passes its
-    ``crsolve.Sample`` of the lattice as ``_sample``.
+    The maximum is ``np.max`` over ``nijenhuis``'s components, which keeps
+    a NaN.  A run passes its ``crsolve.Sample`` of the lattice as ``_sample``.
     """
     pts = structure.box.lattice(grid_k) if _sample is None else _sample.points
-    storage = nijenhuis(structure, pts, _sample=_sample).transpose(1, 2, 3, 0)
-    residual = float(np.max([np.max(np.abs(slab)) for slab in storage]))
+    residual = float(np.max([np.max(np.abs(c)) for c in nijenhuis(
+        structure, pts, _sample=_sample).values()], initial=0.0))
     return make_report(
         task="integrability",
         metrics={"integrability_residual": residual, "grid_points": float(len(pts))},

@@ -1,7 +1,8 @@
 """``tools/bench_pairs.py`` condenses alternating pair records into the
 summary that a ``BENCH_*.json`` file reports, counts each side's package
-lines, lists the report fields that differ between the sides and runs a
-bench call again once when the CPU-speed probe divides by zero."""
+lines, lists the report fields that differ between the sides, names the
+scenario with each workload's highest memory peak and runs a bench call
+again once when the CPU-speed probe divides by zero."""
 from __future__ import annotations
 
 import importlib.util
@@ -107,11 +108,26 @@ def test_report_changes_lists_a_scenario_one_side_lacks():
 
 def test_reports_run_the_packaged_scenarios_from_the_given_root():
     tool = _tool()
-    reports = tool._reports(str(TOOL.parents[1]), 1, [])
+    reports, peaks = tool._reports(str(TOOL.parents[1]), 1, [])
     assert list(reports) == ["builtin/std_c1", "builtin/std_c2",
                              "builtin/twisted_r4"]
     assert json.loads(reports["builtin/std_c2"])["overall"] == "pass"
     assert tool._report_changes(reports, reports) == []
+    # Each scenario's own tracemalloc peak, in MB: a run allocates.
+    assert list(peaks) == list(reports)
+    assert all(0.0 < peak < 100.0 for peak in peaks.values())
+
+
+def test_peak_scenarios_name_each_workloads_highest_peak_per_side():
+    peaks = {"parent": {"builtin/std_c1": 3.0, "solve/00-a": 20.5,
+                        "solve/01-b": 20.0, "closure/00-c": 1.0},
+             "change": {"builtin/std_c1": 3.0, "solve/00-a": 9.0,
+                        "solve/01-b": 12.0, "closure/00-c": 1.0}}
+    assert _tool()._peak_scenarios(peaks) == {
+        "builtin": {"parent": "builtin/std_c1", "change": "builtin/std_c1"},
+        "solve": {"parent": "solve/00-a", "change": "solve/01-b"},
+        "closure": {"parent": "closure/00-c", "change": "closure/00-c"},
+    }
 
 
 SPEED_ERROR = ("error: measure-0: worker exited 1:\n"

@@ -18,6 +18,7 @@ from spencerkit import (
     standard_structure,
 )
 from spencerkit import defaults, jfield
+from spencerkit.crsolve import Sample
 from spencerkit.errors import (ConfigurationError, DegenerateStructureError,
                                NumericalError)
 from spencerkit.jfield import acs_residual, lattice_points, numerical_rank
@@ -194,15 +195,31 @@ def test_split_type_rejects_non_structure():
         split_type(s, box.lattice())
 
 
+def _dense_nijenhuis(structure, points):
+    """N as a dense (P, 2n, 2n, 2n) tensor, from ``nijenhuis``'s components:
+    N[i, a, b] for a <= b as returned, N[i, b, a] its negative, 0 where no
+    component is returned."""
+    size = structure.real_dim
+    out = np.zeros((len(points), size, size, size))
+    for (i, a, b), values in nijenhuis(structure, points).items():
+        assert a <= b and values.shape == (len(points),)
+        out[:, i, a, b] = values
+        if a != b:
+            out[:, i, b, a] = -values
+    return out
+
+
 def test_nijenhuis_standard_vanishes(std2):
     pts = np.random.default_rng(4).uniform(-1, 1, size=(5, 4))
-    n = nijenhuis(std2, pts)
+    # Constant entries have no nonzero partial: no component has a term.
+    assert nijenhuis(std2, pts) == {}
+    n = _dense_nijenhuis(std2, pts)
     assert np.max(np.abs(n)) == 0.0
 
 
 def test_nijenhuis_twisted_components(twisted):
     pts = np.array([[0.3, 0.0, 0.0, 0.0]])
-    n = nijenhuis(twisted, pts)[0]
+    n = _dense_nijenhuis(twisted, pts)[0]
     assert np.allclose(n[:, 0, 2], [0.0, 1.0, 0.0, 0.0])
     assert np.allclose(n[:, 0, 3], [1.0, 0.0, 0.0, 0.0])
     assert np.allclose(n[:, 1, 2], [1.0, 0.0, 0.0, 0.0])
@@ -211,7 +228,7 @@ def test_nijenhuis_twisted_components(twisted):
 
 def test_nijenhuis_is_antisymmetric(twisted):
     pts = np.random.default_rng(5).uniform(-0.5, 0.5, size=(7, 4))
-    n = nijenhuis(twisted, pts)
+    n = _dense_nijenhuis(twisted, pts)
     assert np.array_equal(n, -n.transpose(0, 1, 3, 2))
 
 
@@ -294,7 +311,7 @@ def _assert_matches_symbolic_brackets(structure, j, xs):
 
     e = [sympy.Matrix([1 if i == k else 0 for i in range(4)]) for k in range(4)]
     pts = np.random.default_rng(6).uniform(-0.5, 0.5, size=(3, 4))
-    num = nijenhuis(structure, pts)
+    num = _dense_nijenhuis(structure, pts)
     for a in range(4):
         for b in range(4):
             ja, jb = j * e[a], j * e[b]
@@ -330,10 +347,12 @@ def _reference_nijenhuis(structure, points):
     return half - half.transpose(0, 1, 3, 2)
 
 
-@pytest.mark.parametrize("case", ["std1", "std2", "std3", "twisted", "sheared2",
-                                  "sheared3", "dense2", "dense3"])
-def test_nijenhuis_is_bit_identical_to_the_dense_contraction(case, std1, std2, twisted):
-    structure = {
+CASES = ["std1", "std2", "std3", "twisted", "sheared2", "sheared3", "dense2",
+         "dense3"]
+
+
+def _case(case, std1, std2, twisted):
+    return {
         "std1": std1,
         "std2": std2,
         "std3": standard_structure(3),
@@ -343,25 +362,63 @@ def test_nijenhuis_is_bit_identical_to_the_dense_contraction(case, std1, std2, t
         "dense2": _random_dense_structure(2, seed=12),
         "dense3": _random_dense_structure(3, seed=13),
     }[case]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_nijenhuis_is_bit_identical_to_the_dense_contraction(case, std1, std2, twisted):
+    structure = _case(case, std1, std2, twisted)
     pts = structure.box.lattice(5)
-    new = nijenhuis(structure, pts)
+    new = _dense_nijenhuis(structure, pts)
     ref = _reference_nijenhuis(structure, pts)
     assert new.shape == ref.shape
     assert np.array_equal(new, ref)
     assert np.abs(new).tobytes() == np.abs(ref).tobytes()
 
 
-def test_nijenhuis_peak_memory_stays_below_twice_its_output():
+def _overflowing_products(corner):
+    """J and every partial are finite on [-2, 2]^2, but J_01 * d_1 J_01
+    reaches 2e200 * 1e200: the Nijenhuis sums overflow, and N[0, 1, 1] =
+    h - h is NaN.  With ``corner`` "x2" as J_00, finite components come
+    before it, and Python's ``max`` over the components would drop it."""
+    box = Box((-2.0, -2.0), (2.0, 2.0))
+    matrix = [[parse_polynomial(e, 2) for e in row]
+              for row in [[corner, "-1 - 1e200*x1"], ["1", "0"]]]
+    return ACStructure(1, box, matrix)
+
+
+OVERFLOWS = {"overflow": "0", "overflow_late": "x2"}
+
+
+@pytest.mark.parametrize("case", CASES + list(OVERFLOWS))
+def test_integrability_residual_has_the_bits_of_the_dense_maximum(
+        case, monkeypatch, std1, std2, twisted):
+    structure = (_overflowing_products(OVERFLOWS[case]) if case in OVERFLOWS
+                 else _case(case, std1, std2, twisted))
+    # The metrics before make_report, which refuses a NaN one.
+    monkeypatch.setattr(jfield, "make_report",
+                        lambda task, metrics, tolerances: metrics)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = integrability_report(structure)["integrability_residual"]
+        dense = np.max(np.abs(_reference_nijenhuis(structure,
+                                                   structure.box.lattice(5))))
+    assert np.isnan(residual) == (case in OVERFLOWS)
+    assert np.float64(residual).tobytes() == dense.tobytes()
+
+
+DENSE_TENSOR = 5 ** 6 * 6 ** 3 * 8              # 27 MB of float64
+
+
+def test_nijenhuis_peak_memory_stays_below_half_the_dense_tensor():
     structure = _sheared_n3()
     pts = structure.box.lattice(5)
     nijenhuis(structure, pts[:1])       # builds the cached partials
     tracemalloc.start()
     try:
-        out = nijenhuis(structure, pts)
+        nijenhuis(structure, pts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * out.nbytes
+    assert peak < 0.5 * DENSE_TENSOR
 
 
 @pytest.mark.parametrize("entry, point", [
@@ -381,9 +438,9 @@ def test_nijenhuis_refuses_non_finite_j_or_partials(entry, point):
     assert str(exc.value).endswith(f"not finite at point {point}")
 
 
-def test_integrability_report_peak_memory_stays_below_1_6_times_the_tensor():
-    # The maximum is taken one storage slab at a time: no |N| of the
-    # tensor's size is made.
+def test_integrability_report_peak_memory_stays_below_half_the_dense_tensor():
+    # Only the components with a product term are made, and no |N| of
+    # the dense tensor's size.
     structure = _sheared_n3()
     integrability_report(structure, grid_k=2)   # builds the cached partials
     tracemalloc.start()
@@ -392,8 +449,26 @@ def test_integrability_report_peak_memory_stays_below_1_6_times_the_tensor():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    tensor = 5 ** 6 * 6 ** 3 * 8                # 27 MB of float64
-    assert peak < 1.6 * tensor
+    assert peak < 0.5 * DENSE_TENSOR
+
+
+def test_a_sample_of_another_structure_or_other_points_is_refused(std2, twisted):
+    pts = twisted.box.lattice(3)
+    sample = Sample(twisted, pts)
+    for kernel in (split_type, nijenhuis):
+        with pytest.raises(ConfigurationError,
+                           match="the sample belongs to another structure"):
+            kernel(std2, pts, _sample=sample)
+        with pytest.raises(ConfigurationError,
+                           match="the sample holds other points"):
+            kernel(twisted, pts[::-1], _sample=sample)
+        with pytest.raises(ConfigurationError,
+                           match="the sample holds other points"):
+            kernel(twisted, pts[:4], _sample=sample)
+        kernel(twisted, pts.copy(), _sample=sample)     # equal points
+    with pytest.raises(ConfigurationError,
+                       match="the sample belongs to another structure"):
+        check_acs(std2, _sample=sample)
 
 
 def test_nijenhuis_refuses_a_tensor_over_the_cap_before_evaluating_j(

@@ -731,6 +731,25 @@ def test_cli_exit_three_on_non_finite_j_in_integrability(scenario_file, capsys):
     assert captured.out == ""
 
 
+def test_cli_exit_three_on_an_overflowing_nijenhuis_product(scenario_file, capsys):
+    # J and every partial are finite, but J_01 * d_1 J_01 overflows to inf
+    # at x1 = +-2, and N[0, 1, 1] = h - h is NaN there.  A maximum that
+    # dropped that component, or the NaN, would read a finite residual,
+    # and "expect": "fail" would pass.
+    data = {"name": "overflow_products", "n": 1,
+            "box": {"lo": [-2, -2], "hi": [2, 2]},
+            "J": [["0", "-1 - 1e200*x1"], ["1", "0"]],
+            "tasks": [{"task": "integrability", "expect": "fail"}]}
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["run", scenario_file(data)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == (
+        "numerical error: integrability: metrics are not all finite: "
+        "{'integrability_residual': nan, 'grid_points': 25.0}\n")
+    assert captured.out == ""
+
+
 def test_cli_exit_three_on_non_finite_j_in_check_acs(scenario_file, capsys):
     # J_01 overflows to inf at x2 = +-1e5.  Every product of J^2 that meets
     # it has a zero polynomial as its other factor, so the sparse

@@ -9,7 +9,10 @@ alternating which side runs first, and compares the sides' canonical report
 digests.  An optional traced run per side records per-layer counters.  A
 child process per side runs the packaged scenarios and every scenario of
 the paired workloads at the first seed in-process, and ``report_changes``
-lists each report field whose value differs between the sides.
+lists each report field whose value differs between the sides.  The same
+child records each scenario's ``tracemalloc`` peak as ``memory_peaks``,
+and ``memory_peak_scenarios`` names the scenario with the highest peak of
+each workload on each side: the one that likely sets its ``peak_rss_mb``.
 
     python3 tools/bench_pairs.py --parent HEAD --workdir /tmp/pairs \\
         --pairs solve=5,closure=3,pointwise=3 --seconds 8 --seed 2501 \\
@@ -31,10 +34,11 @@ import tarfile
 SIDES = ("parent", "change")
 END_TO_END = ("setup_s", "cold_run_s", "run_s", "peak_rss_mb")
 # Child of ``_reports``: argv is ROOT SEED WORKLOAD...; prints a JSON object
-# from scenario label to canonical report, with ROOT's src/ and bench/ first
-# on sys.path.
+# {"reports": {label: canonical report}, "memory_peaks": {label: tracemalloc
+# peak in MB}} over the scenarios, with ROOT's src/ and bench/ first on
+# sys.path.
 REPORTS = """\
-import json, os, sys
+import json, os, sys, tracemalloc
 root, seed, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
 sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
 import scenarios
@@ -46,8 +50,13 @@ for workload in workloads:
     built = scenarios.build(workload, seed, "full", builtins)
     named += [(f"{workload}/{k:02d}-{data['name']}", data)
               for k, data in enumerate(built)]
-json.dump({label: emit_json(run_scenario(parse_scenario(data)))
-           for label, data in named}, sys.stdout)
+reports, peaks = {}, {}
+for label, data in named:
+    tracemalloc.start()
+    reports[label] = emit_json(run_scenario(parse_scenario(data)))
+    peaks[label] = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    tracemalloc.stop()
+json.dump({"reports": reports, "memory_peaks": peaks}, sys.stdout)
 """
 
 
@@ -118,13 +127,28 @@ def _bench(root, workload, seed, seconds, trace):
 
 
 def _reports(root, seed, workloads):
-    """Scenario label -> canonical JSON report, from the code in ``root``."""
+    """(label -> canonical JSON report, label -> tracemalloc peak in MB)
+    over the scenarios, from the code in ``root``."""
     proc = subprocess.run(
         [sys.executable, "-c", REPORTS, root, str(seed), *workloads],
         cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"reports failed in {root}:\n{proc.stderr}")
-    return json.loads(proc.stdout)
+    doc = json.loads(proc.stdout)
+    return doc["reports"], doc["memory_peaks"]
+
+
+def _peak_scenarios(peaks):
+    """Workload -> side -> the label of its scenario with the highest
+    tracemalloc peak, from side -> label -> peak; a label's workload is
+    the part before its first '/'."""
+    out = {}
+    for side, by_label in peaks.items():
+        for label, peak in by_label.items():
+            top = out.setdefault(label.split("/")[0], {})
+            if side not in top or peak > by_label[top[side]]:
+                top[side] = label
+    return out
 
 
 def _leaves(doc, prefix=""):
@@ -238,14 +262,24 @@ def main(argv=None):
            "metrics_from": "the last line of bench/run.py's standard output",
            "environment": None, "traced_counts": None, "workloads": {}}
     workloads = [item.split("=")[0] for item in args.pairs.split(",")]
-    reports = {side: _reports(roots[side], args.seed, workloads)
-               for side in SIDES}
+    reports, peaks = {}, {}
+    for side in SIDES:
+        reports[side], peaks[side] = _reports(roots[side], args.seed,
+                                              workloads)
     doc["report_changes_from"] = (
         f"run_scenario and emit_json in one process per side, over the "
         f"packaged scenarios and every scenario of {', '.join(workloads)} "
         f"at seed {args.seed}")
     doc["report_changes"] = _report_changes(reports["parent"],
                                             reports["change"])
+    doc["memory_peaks"] = {label: {side: round(peaks[side][label], 3)
+                                   for side in SIDES if label in peaks[side]}
+                           for label in dict.fromkeys([*peaks["parent"],
+                                                       *peaks["change"]])}
+    doc["memory_peaks_from"] = (
+        "the tracemalloc peak, in MB of 2**20 bytes, of each scenario's "
+        "run_scenario and emit_json in the same processes")
+    doc["memory_peak_scenarios"] = _peak_scenarios(peaks)
     seed = args.seed
     for item in args.pairs.split(","):
         workload, count = item.split("=")
