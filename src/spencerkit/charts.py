@@ -10,9 +10,9 @@ holomorphy witness: a conjugate component, or a value that differs between
 two points of one fiber, cannot be fitted away and stays in the residual.
 
 Every chart function samples a lattice of a box at a density, as a
-``crsolve.Sample``.  A scenario run passes its chart calls one dict, in the
+``jfield.Sample``.  A scenario run passes its chart calls one dict, in the
 private ``_lattices`` keyword, that keeps the latest sample by the rule of
-``crsolve.keep`` (``crsolve.lattice_sample``), so consecutive calls on one
+``jfield.keep`` (``jfield.lattice_sample``), so consecutive calls on one
 lattice share J, chart coordinates and the latest fit matrix, with each
 other and with the run's sampled checks.  A call on its own samples
 afresh; the bits are the same.
@@ -20,16 +20,16 @@ afresh; the bits are the same.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
 from . import defaults
-from .crsolve import (cr_residual, independence_rank, jacobian_rows, keep,
-                      lattice_sample)
+from .crsolve import cr_residual, independence_rank, jacobian_rows
 from .errors import (ChartError, ConfigurationError, FitError,
                      IndependenceError, NumericalError, OverlapError)
-from .jfield import check_entries
+from .jfield import check_entries, keep, lattice_sample
 from .poly import PolyMap, Polynomial, monomials_upto
 
 
@@ -231,8 +231,14 @@ class TransitionMap:
 
     map: PolyMap                # holomorphic polynomial fit in w
     fit_residual: float         # max-norm defect of the holomorphic fit
-    jacobian_min_det: float     # min |det| of the fitted map over the cloud
     cond: float
+    w: np.ndarray = dc_field(repr=False)   # chart a's coordinates, the cloud
+
+    @cached_property
+    def jacobian_min_det(self):
+        """min |det| of the fitted map's Jacobian over the cloud, taken
+        when read."""
+        return float(np.min(np.abs(np.linalg.det(self.map.jacobian(self.w)))))
 
 
 def transition_map(chart_a, chart_b, grid_k=defaults.GRID_PER_AXIS,
@@ -256,11 +262,8 @@ def transition_map(chart_a, chart_b, grid_k=defaults.GRID_PER_AXIS,
     m = chart_a.m
     components = [Polynomial(m, dict(zip(monomials, coeffs[:, j])))
                   for j in range(m)]
-    fitted = PolyMap(components)
-    dets = np.linalg.det(fitted.jacobian(_values(sample, chart_a)))
-    return TransitionMap(
-        map=fitted, fit_residual=fit_residual,
-        jacobian_min_det=float(np.min(np.abs(dets))), cond=cond)
+    return TransitionMap(map=PolyMap(components), fit_residual=fit_residual,
+                         cond=cond, w=_values(sample, chart_a))
 
 
 @dataclass

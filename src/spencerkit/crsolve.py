@@ -16,74 +16,9 @@ import numpy as np
 
 from . import defaults
 from .errors import ConfigurationError, NumericalError
-from .jfield import _j_at, acs_residual, eval_j, numerical_rank
+from .jfield import Sample, eval_j, lattice_sample, numerical_rank
 from .poly import Polynomial, monomials_upto
 from .report import make_report
-
-
-def keep(kept, slot, key, make):
-    """The value ``kept`` holds in ``slot`` if it was made under ``key``;
-    otherwise ``make()``, kept there under ``key``.  The old value is freed
-    before the new one is made, and a ``make`` that raises leaves the slot
-    empty."""
-    if slot not in kept or kept[slot][0] != key:
-        kept.pop(slot, None)
-        kept[slot] = (key, make())
-    return kept[slot][1]
-
-
-class Sample:
-    """A point batch of one structure, and what was evaluated on it, in
-    ``kept`` (see ``keep``): J and its ACS residual for the sample's life,
-    the gradients of the fields last asked for until other fields are, and
-    what the chart functions keep there.
-
-    ``cr_residual`` and ``jacobian_rows`` take a Sample where they take a
-    batch, and ``check_acs``, ``split_type``, ``nijenhuis``,
-    ``integrability_report`` and ``cr_equations_check`` take the sample of
-    their points as ``_sample``.  Then J is evaluated once however many
-    checks and charts the sample serves, and the two calls of one chart
-    build take each gradient once.  J is kept once, complex: the real
-    checks read its real parts, which are J's bits.  Keeping one chart's
-    gradients, not every chart's, bounds what a shared sample holds: the
-    fields of different charts are rarely the same objects.
-    """
-
-    def __init__(self, structure, points):
-        self.structure = structure
-        self.points = np.asarray(points, dtype=float)
-        self.kept = {}
-
-    @property
-    def j(self):
-        """J at the points, complex (P, 2n, 2n)."""
-        return keep(self.kept, "j", None, lambda: eval_j(
-            self.structure, self.points).astype(complex))
-
-    @property
-    def acs_residual(self):
-        """max |J^2 + I| over the points, ``jfield.acs_residual``."""
-        return keep(self.kept, "acs", None, lambda: acs_residual(
-            self.structure, self.j.real))
-
-    def gradients(self, fields):
-        """Each field's gradient at the points, (P, 2n), in field order."""
-        fields = tuple(fields)
-        # Kept with the fields, so their ids are not reused meanwhile.
-        return keep(self.kept, "gradients", tuple(map(id, fields)), lambda: (
-            fields, [f.gradient(self.points) for f in fields]))[1]
-
-
-def lattice_sample(lattices, structure, box, grid_k):
-    """The ``Sample`` of the box's lattice at density grid_k, kept in the
-    holder ``lattices`` until a call asks for another structure, box or
-    density; without a holder, a fresh one.  One sample serves a run's
-    tasks, whose uses of a lattice follow one another."""
-    # The sample holds the structure, so its id is not reused meanwhile;
-    # the bound bytes tell 0.0 from -0.0, which give different points.
-    key = (id(structure), np.array(box.lo + box.hi).tobytes(), int(grid_k))
-    return keep({} if lattices is None else lattices, "lattice", key,
-                lambda: Sample(structure, box.lattice(grid_k)))
 
 
 def _gradients(fields, points):
@@ -102,7 +37,9 @@ def cr_residual(structure, fields, points):
     the field count; a Sample keeps those of the fields last asked for.
     """
     if isinstance(points, Sample):
-        j = _j_at(structure, points.points, points)
+        if points.structure is not structure:
+            raise ConfigurationError("the sample belongs to another structure")
+        j = points.complex_j
     else:
         points = np.asarray(points, dtype=float)
         j = eval_j(structure, points).astype(complex)
@@ -111,11 +48,10 @@ def cr_residual(structure, fields, points):
 
 
 def cr_equations_check(structure, field, grid_k=defaults.GRID_PER_AXIS,
-                       tol=defaults.TOL_CR, *, _sample=None):
+                       tol=defaults.TOL_CR, *, _lattices=None):
     """Report on almost-holomorphicity of one scalar function.  A run
-    passes its ``Sample`` of the lattice as ``_sample``."""
-    sample = (Sample(structure, structure.box.lattice(grid_k))
-              if _sample is None else _sample)
+    passes its holder as ``_lattices`` (``jfield.lattice_sample``)."""
+    sample = lattice_sample(_lattices, structure, structure.box, grid_k)
     residual, = cr_residual(structure, [field], sample)
     return make_report(
         task="cr_check",

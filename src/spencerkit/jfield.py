@@ -206,6 +206,83 @@ def eval_j(structure, points):
     return out
 
 
+def keep(kept, slot, key, make):
+    """The value ``kept`` holds in ``slot`` if it was made under ``key``;
+    otherwise ``make()``, kept there under ``key``.  The old value is freed
+    before the new one is made, and a ``make`` that raises leaves the slot
+    empty."""
+    if slot not in kept or kept[slot][0] != key:
+        kept.pop(slot, None)
+        kept[slot] = (key, make())
+    return kept[slot][1]
+
+
+class Sample:
+    """A point batch of one structure, and what was evaluated on it, in
+    ``kept`` (see ``keep``): J and its ACS residual for the sample's life,
+    the gradients of the fields last asked for until other fields are, and
+    what the chart functions keep there.  J is kept real, as ``eval_j``
+    returns it, until ``complex_j`` is first read; ``j`` is its real part,
+    J's bits either way.  Keeping one chart's gradients, not every
+    chart's, bounds what a shared sample holds.
+    """
+
+    def __init__(self, structure, points):
+        self.structure = structure
+        self.points = np.asarray(points, dtype=float)
+        self.kept = {}
+
+    @property
+    def j(self):
+        """J at the points, real (P, 2n, 2n)."""
+        return keep(self.kept, "j", None, lambda: eval_j(
+            self.structure, self.points)).real
+
+    @property
+    def complex_j(self):
+        """J at the points, complex; the first read replaces the kept real
+        J with its complex copy."""
+        j = self.j
+        if not np.iscomplexobj(self.kept["j"][1]):
+            self.kept["j"] = (None, j.astype(complex))
+        return self.kept["j"][1]
+
+    @property
+    def acs_residual(self):
+        """max |J^2 + I| over the points, ``acs_residual``."""
+        return keep(self.kept, "acs", None, lambda: acs_residual(
+            self.structure, self.j))
+
+    def gradients(self, fields):
+        """Each field's gradient at the points, (P, 2n), in field order."""
+        fields = tuple(fields)
+        # Kept with the fields, so their ids are not reused meanwhile.
+        return keep(self.kept, "gradients", tuple(map(id, fields)), lambda: (
+            fields, [f.gradient(self.points) for f in fields]))[1]
+
+
+def lattice_sample(lattices, structure, box, grid_k):
+    """The ``Sample`` of the box's lattice at density grid_k, kept in the
+    holder ``lattices`` until a call asks for another structure, box or
+    density; without a holder, a fresh one.  One sample serves a run's
+    tasks, whose uses of a lattice follow one another."""
+    # The sample holds the structure, so its id is not reused meanwhile;
+    # the bound bytes tell 0.0 from -0.0, which give different points.
+    key = (id(structure), np.array(box.lo + box.hi).tobytes(), int(grid_k))
+    return keep({} if lattices is None else lattices, "lattice", key,
+                lambda: Sample(structure, box.lattice(grid_k)))
+
+
+def _sample_at(lattices, structure, points):
+    """The holder's sample if it is of ``structure`` at this very
+    ``points`` array, else a fresh ``Sample`` of the points."""
+    _, sample = (lattices or {}).get("lattice", (None, None))
+    if (sample is None or sample.structure is not structure
+            or sample.points is not points):
+        sample = Sample(structure, points)
+    return sample
+
+
 def standard_structure(n, box=None):
     """The flat structure: each adjacent pair (x^{2j-1}, x^{2j}) is one z^j."""
     if box is None:
@@ -216,19 +293,6 @@ def standard_structure(n, box=None):
         matrix[2 * j + 1][2 * j] = Polynomial.constant(size, 1.0)
         matrix[2 * j][2 * j + 1] = Polynomial.constant(size, -1.0)
     return ACStructure(n, box, matrix)
-
-
-def _j_at(structure, points, sample):
-    """J at a batch (P, 2n, 2n): evaluated here, real, or the J of the
-    run's ``crsolve.Sample`` of these points, complex with exact real
-    parts.  A sample of another structure or of other points is refused."""
-    if sample is None:
-        return eval_j(structure, points)
-    if sample.structure is not structure:
-        raise ConfigurationError("the sample belongs to another structure")
-    if points is not sample.points and not np.array_equal(points, sample.points):
-        raise ConfigurationError("the sample holds other points")
-    return sample.j
 
 
 def acs_residual(structure, j):
@@ -256,19 +320,15 @@ def acs_residual(structure, j):
 
 
 def check_acs(structure, grid_k=defaults.GRID_PER_AXIS, tol=defaults.TOL_ACS,
-              *, _sample=None):
+              *, _lattices=None):
     """Verify J(p)^2 = -I over a lattice; metric is the worst max-norm
-    defect, ``acs_residual``.  A run passes its ``crsolve.Sample`` of the
-    lattice as ``_sample``, which keeps the residual."""
-    if _sample is None:
-        pts = structure.box.lattice(grid_k)
-        residual = acs_residual(structure, eval_j(structure, pts))
-    else:
-        _j_at(structure, _sample.points, _sample)   # refuses another's sample
-        pts, residual = _sample.points, _sample.acs_residual
+    defect, ``acs_residual``.  A run passes its holder as ``_lattices``
+    (``lattice_sample``)."""
+    sample = lattice_sample(_lattices, structure, structure.box, grid_k)
     return make_report(
         task="check_acs",
-        metrics={"acs_residual": residual, "grid_points": float(len(pts))},
+        metrics={"acs_residual": sample.acs_residual,
+                 "grid_points": float(len(sample.points))},
         tolerances={"acs_residual": tol},
     )
 
@@ -302,7 +362,7 @@ def numerical_rank(sigma, svd_rel_tol):
 
 
 def split_type(structure, points, svd_rel_tol=defaults.SVD_REL_TOL, *,
-               _sample=None):
+               _lattices=None):
     """Split C^{2n} into the i and -i eigenspaces of J at each point.
 
     Where J^2 = -I, P = (I - iJ)/2 is the projector onto the i eigenspace,
@@ -312,12 +372,14 @@ def split_type(structure, points, svd_rel_tol=defaults.SVD_REL_TOL, *,
     the -i eigenspace is its conjugate, of the same dimension.  Raises
     DegenerateStructureError at the first point where it is not n.
     ``eigen_residual`` is the largest |J P - i P|, which is |J^2 + I| / 2:
-    half ``acs_residual``, which a run's ``crsolve.Sample`` of the points,
-    passed as ``_sample``, keeps for its ``check_acs``.
+    half ``acs_residual``.  The holder ``_lattices`` of a run lends its
+    sample, and with it J and the residual, when the sample is of this
+    structure at this very points array.
     """
     pts = np.asarray(points, dtype=float)
     n, size = structure.n, structure.real_dim
-    j = _j_at(structure, pts, _sample)
+    sample = _sample_at(_lattices, structure, pts)
+    j = sample.j
     sigma = np.linalg.svd(j - 1j * np.eye(size), compute_uv=False)
     dims = size - numerical_rank(sigma, svd_rel_tol)
     bad = np.flatnonzero(dims != n)
@@ -326,13 +388,11 @@ def split_type(structure, points, svd_rel_tol=defaults.SVD_REL_TOL, *,
         raise DegenerateStructureError(
             f"eigenspace dimensions ({dims[p]}, {dims[p]}) != ({n}, {n}) "
             f"at point {tuple(map(float, pts[p]))}")
-    residual = (acs_residual(structure, j) if _sample is None
-                else _sample.acs_residual)
-    return SplitTypeResult(dims=(n, n), eigen_residual=residual / 2,
+    return SplitTypeResult(dims=(n, n), eigen_residual=sample.acs_residual / 2,
                            points=pts, j=j)
 
 
-def nijenhuis(structure, points, *, _sample=None):
+def nijenhuis(structure, points, *, _lattices=None):
     """Nijenhuis tensor on coordinate fields, exact derivatives throughout.
 
     Returns {(i, a, b): N[:, i, a, b]} over a <= b at a batch (P, 2n), for
@@ -347,17 +407,17 @@ def nijenhuis(structure, points, *, _sample=None):
     zero, so N has the bits of the full contraction.  Raises NumericalError
     where a nonzero partial is not finite, which a skipped product would
     hide, and ConfigurationError where the dense tensor is over
-    ``check_entries``'s cap.  ``_sample`` is the run's ``crsolve.Sample`` of
-    the points.
+    ``check_entries``'s cap.  J comes from the holder ``_lattices`` by
+    ``split_type``'s rule.
     """
     pts = np.asarray(points, dtype=float)
     size, m = structure.real_dim, structure.matrix
     check_entries(len(pts) * size ** 3, "the Nijenhuis tensor at {} points "
                   "of a structure with n = {}", len(pts), structure.n)
-    j = _j_at(structure, pts, _sample).real
+    j = _sample_at(_lattices, structure, pts).j
     rows = {(k, a): np.ascontiguousarray(j[:, k, a]) for k, a in  # J_{ka}
             itertools.product(range(size), repeat=2) if not m[k][a].is_zero}
-    del j
+    del j                   # a fresh sample's J with it
     dj = {(k, i, b): partial.evaluate(pts)                  # d_k J_{ib}
           for i, row in enumerate(m) for b, entry in enumerate(row)
           for k, partial in enumerate(entry.partials()) if not partial.is_zero}
@@ -387,15 +447,15 @@ def nijenhuis(structure, points, *, _sample=None):
 
 
 def integrability_report(structure, grid_k=defaults.GRID_PER_AXIS,
-                         tol=defaults.TOL_INTEGRABILITY, *, _sample=None):
+                         tol=defaults.TOL_INTEGRABILITY, *, _lattices=None):
     """Largest Nijenhuis component over a lattice, compared against ``tol``.
 
     The maximum is ``np.max`` over ``nijenhuis``'s components, which keeps
-    a NaN.  A run passes its ``crsolve.Sample`` of the lattice as ``_sample``.
+    a NaN.  A run passes its holder as ``_lattices`` (``lattice_sample``).
     """
-    pts = structure.box.lattice(grid_k) if _sample is None else _sample.points
+    pts = lattice_sample(_lattices, structure, structure.box, grid_k).points
     residual = float(np.max([np.max(np.abs(c)) for c in nijenhuis(
-        structure, pts, _sample=_sample).values()], initial=0.0))
+        structure, pts, _lattices=_lattices).values()], initial=0.0))
     return make_report(
         task="integrability",
         metrics={"integrability_residual": residual, "grid_points": float(len(pts))},

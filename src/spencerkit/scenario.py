@@ -21,10 +21,11 @@ from . import defaults
 from .charts import (build_spencer_chart, cocycle_check, factorize,
                      transition_map)
 from .crsolve import (cr_equations_check, estimate_spencer_type,
-                      lattice_sample, solve_ah_polynomials)
+                      solve_ah_polynomials)
 from .errors import CheckFailure, DomainError, ScenarioError
 from .jfield import (ACStructure, Box, check_acs, check_entries,
-                     integrability_report, split_type, standard_structure)
+                     integrability_report, lattice_sample, split_type,
+                     standard_structure)
 from .poly import parse_polynomial
 from .pseudogroup import (GlueTest, LocalMap, OverDiagram, check_ah_map,
                           check_over_diagram, generate, validate_axioms)
@@ -424,17 +425,10 @@ class _Run:
     # of the key.
     charts: dict = dc_field(default_factory=dict)
     # The holder of the sample the sampled tasks took last
-    # (crsolve.lattice_sample).
+    # (jfield.lattice_sample).
     lattices: dict = dc_field(default_factory=dict)
     # degree -> the AHSolutionSet solved at it.
     solutions: dict = dc_field(default_factory=dict)
-
-    def sample(self, spec):
-        """The run's ``crsolve.Sample`` of the scenario box's lattice at the
-        ``grid`` of a sampled check task."""
-        structure = self.scenario.structure
-        return lattice_sample(self.lattices, structure, structure.box,
-                              spec.get("grid", defaults.GRID_PER_AXIS))
 
     def solution(self, spec):
         """The CR solve a ``solve_ah`` or ``spencer_type`` task asks for,
@@ -482,13 +476,15 @@ def _build_family(scenario, label, tols):
 def _run_check_acs(scenario, spec, run):
     return check_acs(scenario.structure,
                      grid_k=spec.get("grid", defaults.GRID_PER_AXIS),
-                     tol=run.tols["tol_acs"], _sample=run.sample(spec))
+                     tol=run.tols["tol_acs"], _lattices=run.lattices)
 
 
 def _run_split_type(scenario, spec, run):
-    sample = run.sample(spec)
-    result = split_type(scenario.structure, sample.points,
-                        svd_rel_tol=run.tols["svd_rel_tol"], _sample=sample)
+    structure = scenario.structure
+    points = lattice_sample(run.lattices, structure, structure.box,
+                            spec.get("grid", defaults.GRID_PER_AXIS)).points
+    result = split_type(structure, points, svd_rel_tol=run.tols["svd_rel_tol"],
+                        _lattices=run.lattices)
     return make_report(
         task="split_type",
         metrics={"eigen_residual": result.eigen_residual,
@@ -502,14 +498,14 @@ def _run_integrability(scenario, spec, run):
     return integrability_report(scenario.structure,
                                 grid_k=spec.get("grid", defaults.GRID_PER_AXIS),
                                 tol=run.tols["tol_integrability"],
-                                _sample=run.sample(spec))
+                                _lattices=run.lattices)
 
 
 def _run_cr_check(scenario, spec, run):
     field = scenario.functions[spec["function"]]
     return cr_equations_check(scenario.structure, field,
                               grid_k=spec.get("grid", defaults.GRID_PER_AXIS),
-                              tol=run.tols["tol_cr"], _sample=run.sample(spec))
+                              tol=run.tols["tol_cr"], _lattices=run.lattices)
 
 
 def _run_solve_ah(scenario, spec, run):

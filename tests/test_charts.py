@@ -100,7 +100,7 @@ def test_chart_field_count_bounds(std1, std2, z_field):
 
 def test_chart_build_evaluates_j_and_jacobian_rows_once(monkeypatch, std2):
     j_calls, row_calls = [], []
-    eval_j, jacobian_rows = crsolve.eval_j, crsolve.jacobian_rows
+    eval_j, jacobian_rows = jfield.eval_j, crsolve.jacobian_rows
 
     def counting_j(structure, points):
         j_calls.append(len(points))
@@ -110,7 +110,7 @@ def test_chart_build_evaluates_j_and_jacobian_rows_once(monkeypatch, std2):
         row_calls.append(len(fields))
         return jacobian_rows(fields, points)
 
-    monkeypatch.setattr(crsolve, "eval_j", counting_j)
+    monkeypatch.setattr(jfield, "eval_j", counting_j)
     monkeypatch.setattr(crsolve, "jacobian_rows", counting_rows)
     monkeypatch.setattr(charts, "jacobian_rows", counting_rows)
     z1 = parse_polynomial("x1 + (0+1i)*x2", 4)
@@ -271,10 +271,23 @@ def test_a_cocycle_on_one_box_builds_two_fit_matrices(monkeypatch, std1,
         built.append(w.tobytes())
         return vandermonde(w, fit_degree)
 
+    dets, det = [], np.linalg.det
+
+    def counting_det(a):
+        dets.append(len(a))
+        return det(a)
+
     monkeypatch.setattr(charts, "_vandermonde", counting_vandermonde)
+    monkeypatch.setattr(np.linalg, "det", counting_det)
     res = cocycle_check(chart_a, chart_b, chart_c, fit_degree=2)
     assert res.defect <= 1e-13
     assert len(built) == len(set(built)) == 2
+    # The defect needs no transition's determinant; one is taken when read.
+    assert dets == []
+    expected = transition_map(chart_a, chart_b, fit_degree=2).jacobian_min_det
+    dets.clear()
+    assert res.ab.jacobian_min_det == res.ab.jacobian_min_det == expected
+    assert dets == [25]
 
 
 def test_cocycle_identity_triple_is_exact(std1, z_field):
@@ -498,7 +511,7 @@ def test_a_pointwise_run_evaluates_j_once_per_lattice(monkeypatch, data):
 
 
 def test_a_sample_serves_its_own_structure_only(std1, std2, z_field):
-    sample = crsolve.Sample(std2, std2.box.lattice(2))
+    sample = jfield.Sample(std2, std2.box.lattice(2))
     with pytest.raises(ConfigurationError):
         crsolve.cr_residual(std1, [z_field], sample)
 
@@ -506,12 +519,12 @@ def test_a_sample_serves_its_own_structure_only(std1, std2, z_field):
 def test_shared_calls_keep_one_lattice_and_one_fit_matrix(std1, z_field):
     lattices = {}
     box, half = std1.box, Box((-0.5, -1.0), (1.0, 1.0))
-    sample = crsolve.lattice_sample(lattices, std1, box, 5)
-    assert isinstance(sample, crsolve.Sample)
-    assert crsolve.lattice_sample(lattices, std1, Box(box.lo, box.hi), 5) is sample
-    assert crsolve.lattice_sample(lattices, std1, box, 4) is not sample
-    assert crsolve.lattice_sample(lattices, std1, half, 5) is not sample
-    assert crsolve.lattice_sample(lattices, std1, box, 5) is not sample     # not kept
+    sample = jfield.lattice_sample(lattices, std1, box, 5)
+    assert isinstance(sample, jfield.Sample)
+    assert jfield.lattice_sample(lattices, std1, Box(box.lo, box.hi), 5) is sample
+    assert jfield.lattice_sample(lattices, std1, box, 4) is not sample
+    assert jfield.lattice_sample(lattices, std1, half, 5) is not sample
+    assert jfield.lattice_sample(lattices, std1, box, 5) is not sample     # not kept
     chart = build_spencer_chart(std1, [z_field])
     fit = charts._kept_fit_matrix(sample, chart, 1, "fit")
     assert charts._kept_fit_matrix(sample, chart, 1, "fit") is fit
@@ -533,22 +546,22 @@ def test_keep_frees_the_old_value_before_making_the_next():
         made.append((value, dict(kept)))
         return value
 
-    assert crsolve.keep(kept, "slot", 1, lambda: make("a")) == "a"
-    assert crsolve.keep(kept, "slot", 1, lambda: make("b")) == "a"
-    assert crsolve.keep(kept, "slot", 2, lambda: make("c")) == "c"
+    assert jfield.keep(kept, "slot", 1, lambda: make("a")) == "a"
+    assert jfield.keep(kept, "slot", 1, lambda: make("b")) == "a"
+    assert jfield.keep(kept, "slot", 2, lambda: make("c")) == "c"
     assert made == [("a", {}), ("c", {})]
 
     def refuse():
         raise ConfigurationError("refused")
 
     with pytest.raises(ConfigurationError):
-        crsolve.keep(kept, "slot", 3, refuse)
+        jfield.keep(kept, "slot", 3, refuse)
     assert kept == {}                   # a refused value is not kept
 
 
 def test_a_sample_frees_old_gradients_before_taking_new(
         monkeypatch, std1, z_field, zbar_field):
-    sample = crsolve.Sample(std1, std1.box.lattice(3))
+    sample = jfield.Sample(std1, std1.box.lattice(3))
     first = sample.gradients([z_field])
     assert sample.gradients([z_field]) is first
     seen, gradient = [], Polynomial.gradient

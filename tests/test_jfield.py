@@ -18,7 +18,6 @@ from spencerkit import (
     standard_structure,
 )
 from spencerkit import defaults, jfield
-from spencerkit.crsolve import Sample
 from spencerkit.errors import (ConfigurationError, DegenerateStructureError,
                                NumericalError)
 from spencerkit.jfield import acs_residual, lattice_points, numerical_rank
@@ -452,23 +451,48 @@ def test_integrability_report_peak_memory_stays_below_half_the_dense_tensor():
     assert peak < 0.5 * DENSE_TENSOR
 
 
-def test_a_sample_of_another_structure_or_other_points_is_refused(std2, twisted):
-    pts = twisted.box.lattice(3)
-    sample = Sample(twisted, pts)
+def _bits(result):
+    """The bits of a ``split_type`` or ``nijenhuis`` result."""
+    if isinstance(result, dict):
+        return {key: value.tobytes() for key, value in result.items()}
+    return (result.dims, float(result.eigen_residual).hex(),
+            result.j.tobytes())
+
+
+def test_a_holder_lends_its_sample_to_its_own_structure_and_points_only(
+        monkeypatch, std2, twisted):
+    """The holder's sample serves a kernel of its structure at its very
+    points array; any other call evaluates J afresh, with the bits of a
+    call without a holder."""
+    lattices = {}
+    sample = jfield.lattice_sample(lattices, twisted, twisted.box, 3)
+    pts = sample.points
+    sample.j                                    # evaluated before counting
+    calls = []
+    eval_j = jfield.eval_j
+
+    def counting(structure, points):
+        calls.append(len(points))
+        return eval_j(structure, points)
+
+    cases = [(std2, pts), (twisted, pts[::-1]), (twisted, pts[:4]),
+             (twisted, pts.copy())]
     for kernel in (split_type, nijenhuis):
-        with pytest.raises(ConfigurationError,
-                           match="the sample belongs to another structure"):
-            kernel(std2, pts, _sample=sample)
-        with pytest.raises(ConfigurationError,
-                           match="the sample holds other points"):
-            kernel(twisted, pts[::-1], _sample=sample)
-        with pytest.raises(ConfigurationError,
-                           match="the sample holds other points"):
-            kernel(twisted, pts[:4], _sample=sample)
-        kernel(twisted, pts.copy(), _sample=sample)     # equal points
-    with pytest.raises(ConfigurationError,
-                       match="the sample belongs to another structure"):
-        check_acs(std2, _sample=sample)
+        expected = [_bits(kernel(s, p)) for s, p in [(twisted, pts)] + cases]
+        monkeypatch.setattr(jfield, "eval_j", counting)
+        calls.clear()
+        assert _bits(kernel(twisted, pts, _lattices=lattices)) == expected[0]
+        assert calls == []
+        for (structure, points), bits in zip(cases, expected[1:]):
+            calls.clear()
+            assert _bits(kernel(structure, points, _lattices=lattices)) == bits
+            assert calls == [len(points)]
+        monkeypatch.setattr(jfield, "eval_j", eval_j)
+    expected = check_acs(std2, grid_k=3).metrics
+    monkeypatch.setattr(jfield, "eval_j", counting)
+    calls.clear()
+    assert check_acs(std2, grid_k=3, _lattices=lattices).metrics == expected
+    assert calls == [3 ** 4]
 
 
 def test_nijenhuis_refuses_a_tensor_over_the_cap_before_evaluating_j(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -573,12 +574,55 @@ def test_affine_closure_matches_the_lattice_verdicts(monkeypatch):
     assert len(fast) == 14
 
 
-def test_glue_check_evaluates_each_piece_once(monkeypatch):
+@pytest.fixture(scope="module")
+def std_c1_fam():
+    """std_c1's family ``fam`` and its declared glue tests."""
     scen = parse_scenario(builtin_scenarios()["std_c1"])
     spec = scen.family_specs["fam"]
-    fam = generate([scen.maps[m] for m in spec.member_names], scen.box,
-                   depth=spec.depth, dedup_tol=spec.dedup_tol)
-    test, = spec.glue_tests
+    return generate([scen.maps[m] for m in spec.member_names], scen.box,
+                    depth=spec.depth, dedup_tol=spec.dedup_tol), spec.glue_tests
+
+
+def _square(x_lo, x_hi):
+    """[x_lo, x_hi] x [0.2, 0.45], a part of the domain [0.2, 0.45]^2 of s."""
+    return Box((x_lo, 0.2), (x_hi, 0.45))
+
+
+IDENTITY_ON_S = "id[0.2,0.45]x[0.2,0.45]"
+
+
+@pytest.mark.parametrize("labels, boxes, failures", [
+    # s is 2x and the identity x: they differ on their common strip, by
+    # up to |(0.35, 0.45)|_inf.
+    ((("s", IDENTITY_ON_S), (_square(0.2, 0.35), _square(0.3, 0.45)),
+      [r"pieces s\|\S+ and id\S+ disagree by 4\.500e-01",
+       r"no member represents the glued map on \[0\.2,0\.45\]x"])),
+    # The column x1 = 0.325 of the target's lattice lies between the pieces.
+    ((("s", "s"), (_square(0.2, 0.3), _square(0.35, 0.45)),
+      [r"5 target lattice points not covered by any glue piece"])),
+    # Pieces that meet only on an edge never disagree, but s is 2x on the
+    # first and x on the second, which no member is.
+    ((("s", IDENTITY_ON_S), (_square(0.2, 0.3), _square(0.3, 0.45)),
+      [r"no member represents the glued map on \[0\.2,0\.45\]x"])),
+    ((("s", "s"), (_square(0.2, 0.35), Box((-1.0, -1.0), (-0.5, -0.5))),
+      [r"glue piece s: restriction box does not meet the domain of s"])),
+], ids=["disagree", "uncovered", "unrepresented", "missed"])
+def test_each_gluing_failure_is_reported(std_c1_fam, labels, boxes,
+                                         failures):
+    fam, _ = std_c1_fam
+    glue = GlueTest(labels, boxes, _square(0.2, 0.45))
+    reports = {r.task: r for r in validate_axioms(fam, glue_tests=[glue])}
+    gluing = reports.pop("axiom5_gluing")
+    assert all(r.passed for r in reports.values())
+    assert not gluing.passed
+    assert gluing.metrics["failures"] == len(failures)
+    assert len(gluing.notes) == len(failures)
+    for note, pattern in zip(gluing.notes, failures):
+        assert re.match("not represented: " + pattern, note), note
+
+
+def test_glue_check_evaluates_each_piece_once(monkeypatch, std_c1_fam):
+    fam, (test,) = std_c1_fam
     calls = []
     original = LocalMap.evaluate
 

@@ -1,6 +1,7 @@
 """The README's library examples run as written."""
 from __future__ import annotations
 
+import importlib
 import re
 from pathlib import Path
 
@@ -14,3 +15,26 @@ def test_readme_python_blocks_run_in_order():
     namespace = {}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
+
+
+def test_module_map_names_resolve_in_their_modules():
+    """Every backticked name of a module map row is defined in that row's
+    module; a dotted name resolves attribute by attribute."""
+    text = README.read_text("utf-8")
+    table = text[text.index("## Module map"):].split("\n\n")[1]
+    rows = re.findall(r"^\| `(spencerkit\.\w+)` \| (.*) \|$", table,
+                      flags=re.MULTILINE)
+    assert len(rows) >= 7
+    missing = []
+    for module_name, contents in rows:
+        module = importlib.import_module(module_name)
+        for name in re.findall(r"`([\w.]+)`", contents):
+            first, *rest = name.split(".")
+            owner = getattr(module, first, None)
+            if getattr(owner, "__module__", module_name) != module_name:
+                owner = None            # imported, not defined, here
+            for part in rest:
+                owner = getattr(owner, part, None)
+            if owner is None:
+                missing.append(f"{module_name}: {name}")
+    assert missing == []

@@ -656,6 +656,77 @@ def test_tol_det_reaches_the_family_closure(scenario_file, capsys):
     assert json.loads(out)["tasks"][0]["metrics"]["members"] == 3.0
 
 
+def test_cli_axioms_fail_on_a_glue_test_that_leaves_a_gap(scenario_file,
+                                                          capsys):
+    # std_c1's fam passes every axiom with its own glue test; with pieces
+    # that leave the column x1 = 0.325 of the target's lattice uncovered,
+    # gluing alone fails.
+    data = builtin_scenarios()["std_c1"]
+    glue, = data["families"]["fam"]["glue_tests"]
+    glue["boxes"] = [{"lo": [0.2, 0.2], "hi": [0.3, 0.45]},
+                     {"lo": [0.35, 0.2], "hi": [0.45, 0.45]}]
+    data["tasks"] = [{"task": "axioms", "family": "fam", "expect": "fail"}]
+    assert cli.main(["run", scenario_file(data)]) == 0
+    report, = json.loads(capsys.readouterr().out)["tasks"]
+    assert {k: v for k, v in report["metrics"].items()
+            if k.endswith("_failures")} == {
+        "axiom1_composition_failures": 0.0, "axiom2_inversion_failures": 0.0,
+        "axiom3_identity_failures": 0.0, "axiom4_restriction_failures": 0.0,
+        "axiom5_gluing_failures": 1.0}
+    assert report["notes"] == [
+        "axiom5_gluing: not represented: 5 target lattice points not covered "
+        "by any glue piece", "expected failure observed"]
+
+
+def test_ah_map_family_names_failed_and_unchecked_members():
+    # conj is not almost holomorphic; far maps its whole lattice outside
+    # the box, so it is not checked, but it is counted.
+    data = minimal_scenario(
+        maps={"conj": {"components": ["x1", "-x2"]},
+              "far": {"components": ["x1 + 3", "x2"],
+                      "domain": {"lo": [-1.0, -1.0], "hi": [-0.9, 1.0]}}},
+        families={"f": {"members": ["conj", "far"], "depth": 0}},
+        tasks=[{"task": "ah_map", "family": "f"}])
+    report, = run_scenario(parse_scenario(data)).reports
+    assert report.status == "fail"
+    assert report.metrics["members"] == 3.0     # and the identity on the box
+    assert report.notes == [
+        "checked 2 of 3 members", "failed: conj",
+        "failed: far: no lattice point of far stays inside both structure "
+        "boxes"]
+    assert report.metrics["ah_map_residual"] == 2.0
+
+
+def test_cli_fit_condition_cap_refuses_a_chart_on_a_tiny_box(
+        monkeypatch, scenario_file, capsys):
+    # On a box of side 1e-3 the chart values are nearly equal, so the
+    # Vandermonde matrix of degree 4 is too ill-conditioned; that of degree
+    # 2 has a condition number of about 8.2e6.
+    data = minimal_scenario(
+        functions={"z": "x1 + (0+1i)*x2",
+                   "zsq": "x1^2 - x2^2 + (0+2i)*x1*x2"},
+        charts={"c": {"functions": ["z"],
+                      "box": {"lo": [0.5, 0.5], "hi": [0.501, 0.501]}}},
+        tasks=[{"task": "factorize", "chart": "c", "function": "zsq"},
+               {"task": "factorize", "chart": "c", "function": "zsq",
+                "fit_degree": 2}])
+    path = scenario_file(data)
+    assert cli.main(["run", path]) == 1
+    refused, fitted = json.loads(capsys.readouterr().out)["tasks"]
+    assert (refused["status"], refused["metrics"]) == ("fail", {})
+    assert refused["notes"] == [
+        "FitError: chart Vandermonde system is too ill-conditioned to fit "
+        "(condition number above 1e+12)"]
+    assert fitted["status"] == "pass"
+    assert 8.1e6 < fitted["metrics"]["cond"] < 8.3e6
+    monkeypatch.setattr(defaults, "FIT_COND_CAP", 1e6)
+    assert cli.main(["run", path, "--task", "factorize"]) == 1
+    assert [task["notes"] for task in json.loads(
+        capsys.readouterr().out)["tasks"]] == [[
+            "FitError: chart Vandermonde system is too ill-conditioned to "
+            "fit (condition number above 1e+06)"]] * 2
+
+
 def test_holomorphic_transition_passes_on_its_fit_alone():
     # c_b -> c_c is w -> 2 q^-1(w) with q the z_quad polynomial: holomorphic,
     # and its truncated degree-6 fit is within tol_fit.  Conjugate
