@@ -13,9 +13,9 @@ Every chart function samples a lattice of a box at a density, as a
 ``jfield.Sample``.  A scenario run passes its chart calls one dict, in the
 private ``_lattices`` keyword, that keeps the latest sample by the rule of
 ``jfield.keep`` (``jfield.lattice_sample``), so consecutive calls on one
-lattice share J, chart coordinates and the latest fit matrix, with each
-other and with the run's sampled checks.  A call on its own samples
-afresh; the bits are the same.
+lattice share chart coordinates and the latest fit matrix, and J where a
+chart build samples its CR gate, with each other and with the run's
+sampled checks.  A call on its own samples afresh; the bits are the same.
 """
 from __future__ import annotations
 
@@ -26,7 +26,8 @@ from functools import cached_property
 import numpy as np
 
 from . import defaults
-from .crsolve import cr_residual, independence_rank, jacobian_rows
+from .crsolve import (cr_defect_bound, cr_residual, independence_rank,
+                      jacobian_rows)
 from .errors import (ChartError, ConfigurationError, FitError,
                      IndependenceError, NumericalError, OverlapError)
 from .jfield import check_entries, keep, lattice_sample
@@ -83,6 +84,44 @@ def _kept_fit_matrix(sample, chart, fit_degree, what):
                 lambda: _fit_matrix(_values(sample, chart), fit_degree, what))
 
 
+def _certified(structure, fields, box, tol_cr):
+    """Whether every field passes the CR gate from its exact defect bound
+    over the box (``crsolve.cr_defect_bound``): the bound plus one rounding
+    unit of its scale is finite and at most tol_cr.  Nothing is bounded,
+    and the fields take the sampled gate, when a field has another number
+    of variables (which the sampled gate refuses) or when the coefficient
+    system, at most M^2 (2n + the terms of J) entries for M monomials,
+    could exceed ``defaults.ENTRY_CAP``."""
+    size = structure.real_dim
+    monomials = len(set().union(*(f.terms for f in fields)))
+    j_terms = sum(len(entry.terms) for row in structure.matrix for entry in row)
+    if (any(f.nvars != size for f in fields)
+            or monomials ** 2 * (size + j_terms) > defaults.ENTRY_CAP):
+        return False
+    # A bound that overflows is not finite, and certifies nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound, scale = cr_defect_bound(structure, fields, box)
+        total = bound + np.finfo(float).eps * scale
+    return bool(np.all(np.isfinite(total) & (total <= tol_cr)))
+
+
+def _sampled_gate(structure, fields, sample, tol_cr):
+    """The CR gate on the sample, field by field, then the Jacobian rows."""
+    try:
+        for i, res in enumerate(cr_residual(structure, fields, sample)):
+            if not np.isfinite(res):
+                raise NumericalError(
+                    f"field {i} has a non-finite CR residual on the chart box")
+            if res > tol_cr:
+                raise ChartError(
+                    f"field {i} is not almost holomorphic on the chart box: "
+                    f"residual {res:.3e} > {tol_cr:g}")
+        return jacobian_rows(fields, sample)
+    finally:
+        # Only the two calls above share the gradients, whatever they raise.
+        sample.kept.pop("gradients", None)
+
+
 def build_spencer_chart(structure, fields, box=None,
                         grid_k=defaults.GRID_PER_AXIS,
                         tol_cr=defaults.TOL_CR, tol_det=defaults.TOL_DET,
@@ -93,11 +132,14 @@ def build_spencer_chart(structure, fields, box=None,
     The fields must be almost holomorphic and functionally independent on the
     box.  Passive coordinate pairs are chosen greedily to maximize the worst
     Gram volume of the growing Jacobian; the completed Jacobian must have a
-    determinant that is bounded away from zero with constant sign.  A
-    non-finite CR residual, Jacobian row or determinant raises
-    NumericalError: no comparison against a tolerance can judge it.  J and
-    each field's gradient are evaluated once for the CR residual and the
-    Jacobian rows together.
+    determinant that is bounded away from zero with constant sign.
+
+    When the fields are ``_certified`` the CR gate reads no J, and only the
+    Jacobian rows are sampled.  Otherwise every field takes the sampled
+    gate, in field order, and J and each field's gradient are evaluated
+    once for the CR residual and the Jacobian rows together.  A non-finite
+    CR residual, Jacobian row or determinant raises NumericalError: no
+    comparison against a tolerance can judge it.
     """
     if box is None:
         box = structure.box
@@ -108,19 +150,10 @@ def build_spencer_chart(structure, fields, box=None,
     if not 1 <= len(fields) <= n:
         raise ChartError(f"chart needs between 1 and {n} fields, got {len(fields)}")
     sample = lattice_sample(_lattices, structure, box, grid_k)
-    try:
-        for i, res in enumerate(cr_residual(structure, fields, sample)):
-            if not np.isfinite(res):
-                raise NumericalError(
-                    f"field {i} has a non-finite CR residual on the chart box")
-            if res > tol_cr:
-                raise ChartError(
-                    f"field {i} is not almost holomorphic on the chart box: "
-                    f"residual {res:.3e} > {tol_cr:g}")
-        rows = jacobian_rows(fields, sample)
-    finally:
-        # Only the two calls above share the gradients, whatever they raise.
-        sample.kept.pop("gradients", None)
+    if _certified(structure, fields, box, tol_cr):
+        rows = jacobian_rows(fields, sample.points)
+    else:
+        rows = _sampled_gate(structure, fields, sample, tol_cr)
     m = len(fields)
     rank = independence_rank(rows, svd_rel_tol)
     if rank < 2 * m:
@@ -161,6 +194,13 @@ def _vandermonde(w, fit_degree):
     return PolyMap([Polynomial(m, {e: 1.0}) for e in monomials]).evaluate(w), monomials
 
 
+def _distinct_rows(w):
+    """The number of distinct rows of w, distinct by bits."""
+    bits = np.ascontiguousarray(w).view(np.int64)
+    bits = bits[np.lexsort(bits.T)]
+    return 1 + int(np.count_nonzero((bits[1:] != bits[:-1]).any(axis=1)))
+
+
 def _fit_matrix(w, fit_degree, what):
     """What fits over the values w share, whatever their targets: the
     Vandermonde matrix of the holomorphic monomials of w up to fit_degree,
@@ -176,9 +216,11 @@ def _fit_matrix(w, fit_degree, what):
         raise ConfigurationError(f"fit_degree must be nonnegative, got {fit_degree}")
     rows, m = w.shape
     columns = math.comb(m + fit_degree, m)
-    bits = np.ascontiguousarray(w).view(np.int64)
-    bits = bits[np.lexsort(bits.T)]
-    distinct = 1 + int(np.count_nonzero((bits[1:] != bits[:-1]).any(axis=1)))
+    # A prefix with more distinct rows than monomials settles it; else all
+    # rows are counted, for the refusal's number.
+    distinct = _distinct_rows(w[:2 * columns])
+    if distinct <= columns:
+        distinct = _distinct_rows(w)
     if distinct <= columns:
         raise ConfigurationError(
             f"fit_degree {fit_degree} gives {columns} monomials for "

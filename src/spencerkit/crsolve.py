@@ -32,18 +32,22 @@ def cr_residual(structure, fields, points):
     """Max-norm of J* df - i df over a batch of points or a ``Sample`` of
     ``structure``, one float per field.
 
-    J is evaluated and made complex once for all fields.  On a batch the
-    gradients are taken one field at a time, so memory does not grow with
-    the field count; a Sample keeps those of the fields last asked for.
+    J is evaluated once for all fields and stays real: the real and the
+    imaginary part of each gradient are contracted with it separately.  On
+    a batch the gradients are taken one field at a time, so memory does not
+    grow with the field count; a Sample keeps those of the fields last
+    asked for.
     """
     if isinstance(points, Sample):
         if points.structure is not structure:
             raise ConfigurationError("the sample belongs to another structure")
-        j = points.complex_j
+        j = points.j
     else:
         points = np.asarray(points, dtype=float)
-        j = eval_j(structure, points).astype(complex)
-    return [float(np.max(np.abs(np.einsum("pi,pij->pj", grad, j) - 1j * grad)))
+        j = eval_j(structure, points)
+    return [float(np.max(np.abs(np.einsum("pi,pij->pj", grad.real, j)
+                                + 1j * np.einsum("pi,pij->pj", grad.imag, j)
+                                - 1j * grad)))
             for grad in _gradients(fields, points)]
 
 
@@ -125,20 +129,38 @@ def _cr_system_matrix(structure, monomials):
 
 
 def _defect_bound(a, keys, coefficients, box):
-    """Per basis field, a bound of its CR defect over the box, relative to
-    its largest coefficient.
+    """Per field, a row c of ``coefficients``: a bound of its CR defect
+    max |J* df - i df| over the box, and the bound's scale.
 
-    The defect of the field with coefficients c is the polynomial with
-    coefficients A c, keyed by (component j, monomial e).  On the box
-    |x^e| <= r^e with r_k = max(|lo_k|, |hi_k|), so the largest component
-    is at most max_j sum_e |(A c)_{j,e}| r^e, up to rounding.
+    The defect of the field is the polynomial with coefficients A c, keyed
+    by (component j, monomial e).  On the box |x^e| <= r^e with
+    r_k = max(|lo_k|, |hi_k|), so the largest component is at most
+    max_j sum_e |(A c)_{j,e}| r^e, up to rounding.  The scale is the same
+    sum over |A| |c|, the size of the terms whose cancellation leaves the
+    defect: eps times it is one rounding unit of the bound, and of a
+    sampled residual.
     """
     radius = np.maximum(np.abs(box.lo), np.abs(box.hi))
     weights = np.prod(radius ** keys[:, 1:], axis=1)
-    terms = np.abs(a @ coefficients.T) * weights[:, None]
-    per_component = np.zeros((box.dim, len(coefficients)))
-    np.add.at(per_component, keys[:, 0], terms)
-    return np.max(per_component, axis=0) / np.max(np.abs(coefficients), axis=1)
+
+    def sup(terms):
+        per_component = np.zeros((box.dim, len(coefficients)))
+        np.add.at(per_component, keys[:, 0], terms * weights[:, None])
+        return np.max(per_component, axis=0)
+
+    return (sup(np.abs(a @ coefficients.T)),
+            sup(np.abs(a) @ np.abs(coefficients).T))
+
+
+def cr_defect_bound(structure, fields, box):
+    """``_defect_bound`` of each field over a box, as arrays (bound,
+    scale), from the exact coefficient map of the fields' monomials:
+    nothing is sampled and J is not evaluated."""
+    monomials = tuple(dict.fromkeys(e for f in fields for e in f.terms))
+    a, keys = _cr_system_matrix(structure, monomials)
+    coefficients = np.array([[f.terms.get(e, 0) for e in monomials]
+                             for f in fields], dtype=complex)
+    return _defect_bound(a, keys, coefficients, box)
 
 
 def _reduce_rows(rows, monomials, pivot_tol):
@@ -180,7 +202,8 @@ def solve_ah_polynomials(structure, degree, *,
 
     Constants are trivially almost holomorphic and are excluded from the
     ansatz.  Nothing is sampled: the residual is the worst
-    ``_defect_bound`` over the basis, from the coefficient map itself.
+    ``_defect_bound`` over the basis, from the coefficient map itself,
+    relative to each field's largest coefficient.
     """
     if not 1 <= degree <= defaults.DEGREE_CAP:
         raise ConfigurationError(
@@ -206,8 +229,8 @@ def solve_ah_polynomials(structure, degree, *,
               else np.zeros((0, len(monomials)), dtype=complex))
     fields = tuple(
         Polynomial(size, dict(zip(monomials, row))) for row in coeffs)
-    residual = float(max(_defect_bound(a, keys, coeffs, structure.box),
-                         default=0.0))
+    bound, _ = _defect_bound(a, keys, coeffs, structure.box)
+    residual = float(max(bound / np.max(np.abs(coeffs), axis=1), default=0.0))
     return AHSolutionSet(
         degree=int(degree),
         monomials=monomials,

@@ -219,12 +219,11 @@ def keep(kept, slot, key, make):
 
 class Sample:
     """A point batch of one structure, and what was evaluated on it, in
-    ``kept`` (see ``keep``): J and its ACS residual for the sample's life,
-    the gradients of the fields last asked for until other fields are, and
-    what the chart functions keep there.  J is kept real, as ``eval_j``
-    returns it, until ``complex_j`` is first read; ``j`` is its real part,
-    J's bits either way.  Keeping one chart's gradients, not every
-    chart's, bounds what a shared sample holds.
+    ``kept`` (see ``keep``): J, real as ``eval_j`` returns it, and its ACS
+    residual for the sample's life, the gradients of the fields last asked
+    for until other fields are, and what the chart functions keep there.
+    Keeping one chart's gradients, not every chart's, bounds what a shared
+    sample holds.
     """
 
     def __init__(self, structure, points):
@@ -236,16 +235,7 @@ class Sample:
     def j(self):
         """J at the points, real (P, 2n, 2n)."""
         return keep(self.kept, "j", None, lambda: eval_j(
-            self.structure, self.points)).real
-
-    @property
-    def complex_j(self):
-        """J at the points, complex; the first read replaces the kept real
-        J with its complex copy."""
-        j = self.j
-        if not np.iscomplexobj(self.kept["j"][1]):
-            self.kept["j"] = (None, j.astype(complex))
-        return self.kept["j"][1]
+            self.structure, self.points))
 
     @property
     def acs_residual(self):

@@ -1,8 +1,9 @@
 """``tools/bench_pairs.py`` condenses alternating pair records into the
 summary that a ``BENCH_*.json`` file reports, counts each side's package
 lines, lists the report fields that differ between the sides, names the
-scenario with each workload's highest memory peak and runs a bench call
-again once when the CPU-speed probe divides by zero."""
+scenario with each workload's highest memory peak, counts the minor page
+faults of a warm pass per workload and runs a bench call again once when
+the CPU-speed probe divides by zero."""
 from __future__ import annotations
 
 import importlib.util
@@ -108,7 +109,7 @@ def test_report_changes_lists_a_scenario_one_side_lacks():
 
 def test_reports_run_the_packaged_scenarios_from_the_given_root():
     tool = _tool()
-    reports, peaks = tool._reports(str(TOOL.parents[1]), 1, [])
+    reports, peaks, _ = tool._reports(str(TOOL.parents[1]), 1, [])
     assert list(reports) == ["builtin/std_c1", "builtin/std_c2",
                              "builtin/twisted_r4"]
     assert json.loads(reports["builtin/std_c2"])["overall"] == "pass"
@@ -116,6 +117,16 @@ def test_reports_run_the_packaged_scenarios_from_the_given_root():
     # Each scenario's own tracemalloc peak, in MB: a run allocates.
     assert list(peaks) == list(reports)
     assert all(0.0 < peak < 100.0 for peak in peaks.values())
+
+
+def test_reports_count_the_minor_faults_of_a_warm_pass_per_workload():
+    tool = _tool()
+    reports, _, faults = tool._reports(str(TOOL.parents[1]), 1, ["pointwise"])
+    assert any(label.startswith("pointwise/") for label in reports)
+    # One count per workload, the packaged scenarios being "builtin".
+    assert list(faults) == ["builtin", "pointwise"]
+    assert all(isinstance(count, int) and count >= 0
+               for count in faults.values())
 
 
 def test_peak_scenarios_name_each_workloads_highest_peak_per_side():

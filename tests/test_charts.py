@@ -98,7 +98,8 @@ def test_chart_field_count_bounds(std1, std2, z_field):
     assert chart.passive_pairs == ()
 
 
-def test_chart_build_evaluates_j_and_jacobian_rows_once(monkeypatch, std2):
+def test_a_certified_chart_build_reads_no_j(monkeypatch, std1, std2,
+                                            z_field, zbar_field):
     j_calls, row_calls = [], []
     eval_j, jacobian_rows = jfield.eval_j, crsolve.jacobian_rows
 
@@ -111,20 +112,56 @@ def test_chart_build_evaluates_j_and_jacobian_rows_once(monkeypatch, std2):
         return jacobian_rows(fields, points)
 
     monkeypatch.setattr(jfield, "eval_j", counting_j)
+    monkeypatch.setattr(crsolve, "eval_j", counting_j)
     monkeypatch.setattr(crsolve, "jacobian_rows", counting_rows)
     monkeypatch.setattr(charts, "jacobian_rows", counting_rows)
     z1 = parse_polynomial("x1 + (0+1i)*x2", 4)
     z2 = parse_polynomial("x3 + (0+1i)*x4", 4)
     chart = build_spencer_chart(std2, [z1, z2], grid_k=4)
     assert chart.m == 2
-    assert j_calls == [4 ** 4]
+    assert j_calls == []
     assert row_calls == [2]
     # The passive completion extends the same rows.
-    j_calls.clear()
     row_calls.clear()
     assert build_spencer_chart(std2, [z1], grid_k=4).passive_pairs == (1,)
-    assert j_calls == [4 ** 4]
+    assert j_calls == []
     assert row_calls == [1]
+    # A field that does not certify sends the build to the sampled gate,
+    # which evaluates J once: zbar fails it, and 1e10*z, whose defect
+    # cancels exactly, passes it, since one rounding unit of its scale is
+    # about 4e-6.
+    row_calls.clear()
+    with pytest.raises(ChartError, match="not almost holomorphic"):
+        build_spencer_chart(std1, [zbar_field], grid_k=4)
+    assert j_calls == [4 ** 2]
+    assert row_calls == []
+    j_calls.clear()
+    assert build_spencer_chart(std1, [z_field * 1e10], grid_k=4).m == 1
+    assert j_calls == [4 ** 2]
+    assert row_calls == [1]
+
+
+def test_a_field_that_does_not_certify_fails_with_the_sampled_text(
+        std1, z_field, zbar_field):
+    nearly = z_field + zbar_field * 1e-6
+    assert not charts._certified(std1, [nearly], std1.box, defaults.TOL_CR)
+    with pytest.raises(ChartError) as exc:
+        build_spencer_chart(std1, [nearly])
+    assert str(exc.value) == ("field 0 is not almost holomorphic on the chart "
+                              "box: residual 2.000e-06 > 1e-10")
+
+
+def test_a_coefficient_system_that_could_exceed_the_cap_is_not_built(
+        monkeypatch, std1, z_field):
+    # z has 2 monomials; std1 has real dimension 2 and 2 terms in J.  The
+    # system has at most 2^2 * (2 + 2) = 16 entries, and is not built over
+    # the cap.
+    monkeypatch.setattr(defaults, "ENTRY_CAP", 15)
+    monkeypatch.setattr(crsolve, "_cr_system_matrix", None)
+    assert not charts._certified(std1, [z_field], std1.box, defaults.TOL_CR)
+    monkeypatch.undo()
+    monkeypatch.setattr(defaults, "ENTRY_CAP", 16)
+    assert charts._certified(std1, [z_field], std1.box, defaults.TOL_CR)
 
 
 def test_a_failed_chart_build_frees_its_gradients(std1):
@@ -328,10 +365,11 @@ SHARING_SCENARIO = {
 
 
 def test_a_run_samples_each_lattice_once(monkeypatch):
-    """J once per (box, grid_k) lattice that a chart or a sampled check
-    uses, each field gradient once per build or CR check, each chart's
-    coordinates once per lattice, and each fit matrix with its singular
-    values once per (coordinates, fit_degree)."""
+    """J once per (box, grid_k) lattice that a sampled check uses, and not
+    for the charts, whose CR gates certify; each field gradient once per
+    build or CR check, each chart's coordinates once per lattice, and each
+    fit matrix with its singular values once per (coordinates,
+    fit_degree)."""
     from spencerkit.scenario import parse_scenario, run_scenario
     j_calls, gradients, values, matrices, sigmas = [], [], [], [], []
     eval_j, gradient = jfield.eval_j, Polynomial.gradient
@@ -369,10 +407,9 @@ def test_a_run_samples_each_lattice_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     result = run_scenario(parse_scenario(SHARING_SCENARIO))
     assert [r.status for r in result.reports] == ["pass"] * 11
-    # c on the sub-box; the four checks, a and b on the box.
-    assert len(j_calls) == len(set(j_calls)) == 2
-    # Two fields per build, for the CR residual and the Jacobian rows, and
-    # z1 for the CR check.
+    # The four checks on the box; the charts read no J.
+    assert len(j_calls) == 1
+    # Two fields per build, for the Jacobian rows, and z1 for the CR check.
     assert len(gradients) == 7
     assert len(set(gradients)) == 5         # z1 and z2 are in a, z2 in b
     # The box: a (the fits and a to b) and b.  The sub-box: b and c (b to
@@ -461,6 +498,38 @@ def _sampling_scenarios():
                                                 (1,), 2)
     return (list(builtin_scenarios().values()) + [sheared, SHARING_SCENARIO]
             + _pointwise_scenarios(3))
+
+
+def _chart_cases():
+    """Every chart of the packaged scenarios and of the bench's ``solve``
+    scenarios at seed 1: its structure, fields, box and ``tol_cr``."""
+    from spencerkit.scenario import builtin_scenarios, parse_scenario
+    builtins = builtin_scenarios()
+    named = [("builtin", data) for data in builtins.values()]
+    named += [("solve1", data) for data in
+              _bench_scenarios().build("solve", 1, "full", builtins)]
+    cases = []
+    for source, data in named:
+        scen = parse_scenario(data)
+        cases += [pytest.param(
+            scen.structure, [scen.functions[f] for f in spec.function_names],
+            spec.box, scen.tolerances["tol_cr"],
+            id=f"{source}-{data['name']}-{label}")
+            for label, spec in scen.chart_specs.items()]
+    return cases
+
+
+@pytest.mark.parametrize("structure, fields, box, tol_cr", _chart_cases())
+def test_chart_defect_bound_covers_the_sampled_residual(structure, fields,
+                                                        box, tol_cr):
+    """The bound of each field, plus one rounding unit of its scale,
+    encloses the residual the sampled gate reads on the chart's lattice;
+    and every chart certifies, so no build of these charts reads J."""
+    bound, scale = crsolve.cr_defect_bound(structure, fields, box)
+    sampled = crsolve.cr_residual(structure, fields,
+                                  box.lattice(defaults.GRID_PER_AXIS))
+    assert np.all(sampled <= bound + np.finfo(float).eps * scale)
+    assert charts._certified(structure, fields, box, tol_cr)
 
 
 SAMPLED_KINDS = ("check_acs", "split_type", "integrability", "cr_check",

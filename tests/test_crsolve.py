@@ -384,15 +384,15 @@ def _lattice_residuals(structure, solution):
 
 
 def _defect_bounds(structure, solution, coefficients=None):
-    """The solver's bound per basis field, and the same bound from |A| and
-    |c|: the size of the terms whose cancellation leaves the defect, so
-    eps times it bounds the rounding of either residual."""
+    """The solver's bound per basis field and its scale, the same bound
+    from |A| and |c| (``_defect_bound``), both relative to the field's
+    largest coefficient, as the solver's residual is."""
     if coefficients is None:
         coefficients = solution.coefficients
     a, keys = crsolve._cr_system_matrix(structure, solution.monomials)
-    return (crsolve._defect_bound(a, keys, coefficients, structure.box),
-            crsolve._defect_bound(np.abs(a), keys, np.abs(coefficients),
-                                  structure.box))
+    bound, scale = crsolve._defect_bound(a, keys, coefficients, structure.box)
+    top = np.max(np.abs(coefficients), axis=1)
+    return bound / top, scale / top
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])

@@ -538,7 +538,7 @@ def test_acs_residual_is_bit_identical_to_the_dense_contraction(n, seed):
     expected = float(np.max(np.abs(
         np.einsum("pik,pkj->pij", j, j) + np.eye(2 * n)))).hex()
     assert acs_residual(structure, j).hex() == expected
-    # The real parts of a complex J, as a run's sample keeps it.
+    # A strided view of J, the real part of a complex copy, reads the same.
     assert acs_residual(structure, j.astype(complex).real).hex() == expected
     assert check_acs(structure).metrics["acs_residual"].hex() == expected
     # A zero polynomial evaluates to +0.0; a nonzero one may give -0.0.

@@ -838,6 +838,25 @@ def test_cli_exit_three_on_non_finite_j_in_check_acs(scenario_file, capsys):
     assert captured.out == ""
 
 
+def test_cli_exit_three_on_non_finite_j_in_a_chart_that_does_not_certify(
+        scenario_file, capsys):
+    # The structure of the check_acs case above: z's CR defect is -i in its
+    # first component, so the chart takes the sampled gate, and eval_j
+    # refuses J at the first lattice point.
+    data = minimal_scenario(
+        box={"lo": [-1, -1e5], "hi": [1, 1e5]},
+        J=[["0", "1e300*x2^2"], ["0", "0"]],
+        charts={"c": {"functions": ["z"]}},
+        tasks=[{"task": "chart", "chart": "c"}])
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["run", scenario_file(data)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == ("numerical error: J is not finite at point "
+                            "(-1.0, -100000.0)\n")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("task", [
     {"task": "cr_check", "function": "z"},
     {"task": "chart", "chart": "c"},

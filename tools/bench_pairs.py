@@ -13,6 +13,11 @@ lists each report field whose value differs between the sides.  The same
 child records each scenario's ``tracemalloc`` peak as ``memory_peaks``,
 and ``memory_peak_scenarios`` names the scenario with the highest peak of
 each workload on each side: the one that likely sets its ``peak_rss_mb``.
+It then runs every scenario once more, warm and untraced, and records
+the minor page faults (``ru_minflt``) of that pass per workload as
+``minor_faults``: a change that frees memory the allocator then returns
+to the system can show a compute saving as no ``run_s`` gain, and the
+faults show that churn.
 
     python3 tools/bench_pairs.py --parent HEAD --workdir /tmp/pairs \\
         --pairs solve=5,closure=3,pointwise=3 --seconds 8 --seed 2501 \\
@@ -35,10 +40,11 @@ SIDES = ("parent", "change")
 END_TO_END = ("setup_s", "cold_run_s", "run_s", "peak_rss_mb")
 # Child of ``_reports``: argv is ROOT SEED WORKLOAD...; prints a JSON object
 # {"reports": {label: canonical report}, "memory_peaks": {label: tracemalloc
-# peak in MB}} over the scenarios, with ROOT's src/ and bench/ first on
-# sys.path.
+# peak in MB}, "minor_faults": {workload: ru_minflt of a second, warm pass}}
+# over the scenarios, with ROOT's src/ and bench/ first on sys.path; the
+# packaged scenarios are the workload "builtin".
 REPORTS = """\
-import json, os, sys, tracemalloc
+import json, os, resource, sys, tracemalloc
 root, seed, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
 sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
 import scenarios
@@ -56,7 +62,15 @@ for label, data in named:
     reports[label] = emit_json(run_scenario(parse_scenario(data)))
     peaks[label] = tracemalloc.get_traced_memory()[1] / 2 ** 20
     tracemalloc.stop()
-json.dump({"reports": reports, "memory_peaks": peaks}, sys.stdout)
+faults = {}
+for label, data in named:
+    workload = label.split("/")[0]
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    emit_json(run_scenario(parse_scenario(data)))
+    faults[workload] = (faults.get(workload, 0) - before
+                        + resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+json.dump({"reports": reports, "memory_peaks": peaks, "minor_faults": faults},
+          sys.stdout)
 """
 
 
@@ -127,15 +141,16 @@ def _bench(root, workload, seed, seconds, trace):
 
 
 def _reports(root, seed, workloads):
-    """(label -> canonical JSON report, label -> tracemalloc peak in MB)
-    over the scenarios, from the code in ``root``."""
+    """(label -> canonical JSON report, label -> tracemalloc peak in MB,
+    workload -> minor page faults of one warm pass) over the scenarios,
+    from the code in ``root``."""
     proc = subprocess.run(
         [sys.executable, "-c", REPORTS, root, str(seed), *workloads],
         cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"reports failed in {root}:\n{proc.stderr}")
     doc = json.loads(proc.stdout)
-    return doc["reports"], doc["memory_peaks"]
+    return doc["reports"], doc["memory_peaks"], doc["minor_faults"]
 
 
 def _peak_scenarios(peaks):
@@ -262,10 +277,10 @@ def main(argv=None):
            "metrics_from": "the last line of bench/run.py's standard output",
            "environment": None, "traced_counts": None, "workloads": {}}
     workloads = [item.split("=")[0] for item in args.pairs.split(",")]
-    reports, peaks = {}, {}
+    reports, peaks, faults = {}, {}, {}
     for side in SIDES:
-        reports[side], peaks[side] = _reports(roots[side], args.seed,
-                                              workloads)
+        reports[side], peaks[side], faults[side] = _reports(
+            roots[side], args.seed, workloads)
     doc["report_changes_from"] = (
         f"run_scenario and emit_json in one process per side, over the "
         f"packaged scenarios and every scenario of {', '.join(workloads)} "
@@ -280,6 +295,12 @@ def main(argv=None):
         "the tracemalloc peak, in MB of 2**20 bytes, of each scenario's "
         "run_scenario and emit_json in the same processes")
     doc["memory_peak_scenarios"] = _peak_scenarios(peaks)
+    doc["minor_faults"] = {workload: {side: faults[side][workload]
+                                      for side in SIDES}
+                           for workload in faults["parent"]}
+    doc["minor_faults_from"] = (
+        "ru_minflt over a second, untraced pass of each workload's "
+        "scenarios in the same processes, after the traced one")
     seed = args.seed
     for item in args.pairs.split(","):
         workload, count = item.split("=")
