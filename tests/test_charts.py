@@ -98,8 +98,7 @@ def test_chart_field_count_bounds(std1, std2, z_field):
     assert chart.passive_pairs == ()
 
 
-def test_a_certified_chart_build_reads_no_j(monkeypatch, std1, std2,
-                                            z_field, zbar_field):
+def test_a_certified_chart_build_reads_no_j(monkeypatch, std2):
     j_calls, row_calls = [], []
     eval_j, jacobian_rows = jfield.eval_j, crsolve.jacobian_rows
 
@@ -126,11 +125,29 @@ def test_a_certified_chart_build_reads_no_j(monkeypatch, std1, std2,
     assert build_spencer_chart(std2, [z1], grid_k=4).passive_pairs == (1,)
     assert j_calls == []
     assert row_calls == [1]
-    # A field that does not certify sends the build to the sampled gate,
-    # which evaluates J once: zbar fails it, and 1e10*z, whose defect
-    # cancels exactly, passes it, since one rounding unit of its scale is
-    # about 4e-6.
-    row_calls.clear()
+
+
+def test_chart_build_evaluates_j_and_jacobian_rows_once(monkeypatch, std1,
+                                                        z_field, zbar_field):
+    """A field that does not certify sends the build to the sampled gate,
+    which evaluates J once: zbar fails it, and 1e10*z, whose defect cancels
+    exactly, passes it, since one rounding unit of its scale is about
+    4e-6."""
+    j_calls, row_calls = [], []
+    eval_j, jacobian_rows = jfield.eval_j, crsolve.jacobian_rows
+
+    def counting_j(structure, points):
+        j_calls.append(len(points))
+        return eval_j(structure, points)
+
+    def counting_rows(fields, points):
+        row_calls.append(len(fields))
+        return jacobian_rows(fields, points)
+
+    monkeypatch.setattr(jfield, "eval_j", counting_j)
+    monkeypatch.setattr(crsolve, "eval_j", counting_j)
+    monkeypatch.setattr(crsolve, "jacobian_rows", counting_rows)
+    monkeypatch.setattr(charts, "jacobian_rows", counting_rows)
     with pytest.raises(ChartError, match="not almost holomorphic"):
         build_spencer_chart(std1, [zbar_field], grid_k=4)
     assert j_calls == [4 ** 2]
