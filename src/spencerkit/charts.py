@@ -118,8 +118,8 @@ def _sampled_gate(structure, fields, sample, tol_cr):
                     f"residual {res:.3e} > {tol_cr:g}")
         return jacobian_rows(fields, sample)
     finally:
-        # Only the two calls above share the gradients, whatever they raise.
-        sample.kept.pop("gradients", None)
+        # Only the two calls above share the rows, whatever they raise.
+        sample.kept.pop("rows", None)
 
 
 def build_spencer_chart(structure, fields, box=None,
@@ -136,8 +136,8 @@ def build_spencer_chart(structure, fields, box=None,
 
     When the fields are ``_certified`` the CR gate reads no J, and only the
     Jacobian rows are sampled.  Otherwise every field takes the sampled
-    gate, in field order, and J and each field's gradient are evaluated
-    once for the CR residual and the Jacobian rows together.  A non-finite
+    gate, in field order, and J and the fields' Jacobian rows are
+    evaluated once for the CR residuals and the rank together.  A non-finite
     CR residual, Jacobian row or determinant raises NumericalError: no
     comparison against a tolerance can judge it.
     """

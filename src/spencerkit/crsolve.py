@@ -17,38 +17,37 @@ import numpy as np
 from . import defaults
 from .errors import ConfigurationError, NumericalError
 from .jfield import Sample, eval_j, lattice_sample, numerical_rank
-from .poly import Polynomial, monomials_upto
+from .poly import Polynomial, monomials_upto, real_jacobian
 from .report import make_report
-
-
-def _gradients(fields, points):
-    """Each field's gradient at a batch, one at a time, or from a Sample."""
-    if isinstance(points, Sample):
-        return points.gradients(fields)
-    return (f.gradient(points) for f in fields)
 
 
 def cr_residual(structure, fields, points):
     """Max-norm of J* df - i df over a batch of points or a ``Sample`` of
     ``structure``, one float per field.
 
-    J is evaluated once for all fields and stays real: the real and the
-    imaginary part of each gradient are contracted with it separately.  On
-    a batch the gradients are taken one field at a time, so memory does not
-    grow with the field count; a Sample keeps those of the fields last
-    asked for.
+    J is evaluated once for all fields and stays real: each field's Re and
+    Im rows (``poly.real_jacobian``) are contracted with it into the parts
+    of one complex buffer, with the bits of the complex contraction.  On a
+    batch the rows are taken one field at a time, so memory does not grow
+    with the field count; a Sample keeps those of the fields last asked for.
     """
     if isinstance(points, Sample):
         if points.structure is not structure:
             raise ConfigurationError("the sample belongs to another structure")
-        j = points.j
+        j, kept = points.j, points.jacobian_rows(fields)
+        per_field = (kept[:, 2 * f:2 * f + 2] for f in range(len(fields)))
     else:
-        points = np.asarray(points, dtype=float)
         j = eval_j(structure, points)
-    return [float(np.max(np.abs(np.einsum("pi,pij->pj", grad.real, j)
-                                + 1j * np.einsum("pi,pij->pj", grad.imag, j)
-                                - 1j * grad)))
-            for grad in _gradients(fields, points)]
+        per_field = (real_jacobian([f], points) for f in fields)
+    defect = np.empty(j.shape[:2], dtype=complex)
+    residuals = []
+    for rows in per_field:
+        np.einsum("pi,pij->pj", rows[:, 0], j, out=defect.real)
+        np.einsum("pi,pij->pj", rows[:, 1], j, out=defect.imag)
+        defect.real += rows[:, 1]
+        defect.imag -= rows[:, 0]
+        residuals.append(float(np.max(np.abs(defect))))
+    return residuals
 
 
 def cr_equations_check(structure, field, grid_k=defaults.GRID_PER_AXIS,
@@ -97,28 +96,31 @@ def _cr_system_matrix(structure, monomials):
 
     The monomial x^e contributes -i e_j at (j, e - u_j) and, for each i and
     each term c x^t of J_ij, e_i c at (j, e - u_i + t).  The contributions
-    are gathered for all columns from exponent arrays and summed into each
-    entry in one fixed order: the -i e_j term first, then i ascending, each
-    J_ij in its term order.  Rows whose entries all cancel are dropped.
+    are gathered for all columns from exponent arrays, a row of J at a time,
+    and summed into each entry in one fixed order: the -i e_j term first,
+    then i ascending, each J_ij in its term order.  Rows whose entries all
+    cancel are dropped.
     """
     size = structure.real_dim
     exps = np.array(monomials, dtype=np.int64).reshape(len(monomials), size)
     shifts = np.eye(size, dtype=np.int64)
     comps, targets, cols, values = [], [], [], []
 
-    def gather(axis, j, offset, coef):
+    def gather(axis, terms):     # a block per term (j, t, c), in order
+        if not terms:
+            return
+        js, offsets, coefs = (np.array(v) for v in zip(*terms))
         live = np.flatnonzero(exps[:, axis])
-        comps.append(np.full(len(live), j))
-        targets.append(exps[live] + (offset - shifts[axis]))
-        cols.append(live)
-        values.append(exps[live, axis].astype(complex) * coef)
+        comps.append(np.repeat(js, len(live)))
+        targets.append((exps[live] - shifts[axis] + offsets[:, None]).reshape(-1, size))
+        cols.append(np.tile(live, len(js)))
+        values.append((exps[live, axis].astype(complex) * coefs[:, None]).ravel())
 
     for j in range(size):
-        gather(j, j, 0, -1j)
-    for i in range(size):
-        for j in range(size):
-            for t, coef in structure.matrix[i][j].terms.items():
-                gather(i, j, np.array(t), coef)
+        gather(j, [(j, (0,) * size, -1j)])
+    for i, row in enumerate(structure.matrix):
+        gather(i, [(j, t, coef) for j, entry in enumerate(row)
+                   for t, coef in entry.terms.items()])
     targets = np.concatenate(targets)
     keys = np.column_stack([np.concatenate(comps), targets.sum(axis=1), targets])
     keys, rows = np.unique(keys, axis=0, return_inverse=True)
@@ -247,13 +249,11 @@ def solve_ah_polynomials(structure, degree, *,
 # ---------------------------------------------------------------------------
 
 def jacobian_rows(fields, points):
-    """Stacked real Jacobian rows (P, 2m, 2n): Re, then Im, of each field's
-    gradient at a batch or a ``Sample``."""
-    blocks = []
-    for grad in _gradients(fields, points):
-        blocks.append(grad.real)
-        blocks.append(grad.imag)
-    return np.stack(blocks, axis=1)
+    """Real Jacobian rows (P, 2m, 2n), Re then Im of each field's gradient,
+    at a batch or a ``Sample``: those of ``poly.real_jacobian``."""
+    if isinstance(points, Sample):
+        return points.jacobian_rows(fields)
+    return real_jacobian(fields, points)
 
 
 def independence_rank(rows, svd_rel_tol=defaults.SVD_REL_TOL):

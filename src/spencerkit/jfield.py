@@ -17,7 +17,7 @@ import numpy as np
 from . import defaults
 from .errors import (ConfigurationError, DegenerateStructureError, DomainError,
                      NumericalError)
-from .poly import Polynomial
+from .poly import Polynomial, real_jacobian
 from .report import make_report
 
 
@@ -220,10 +220,10 @@ def keep(kept, slot, key, make):
 class Sample:
     """A point batch of one structure, and what was evaluated on it, in
     ``kept`` (see ``keep``): J, real as ``eval_j`` returns it, and its ACS
-    residual for the sample's life, the gradients of the fields last asked
-    for until other fields are, and what the chart functions keep there.
-    Keeping one chart's gradients, not every chart's, bounds what a shared
-    sample holds.
+    residual for the sample's life, the Jacobian rows of the fields last
+    asked for until other fields are, and what the chart functions keep
+    there.  Keeping one chart's rows, not every chart's, bounds what a
+    shared sample holds.
     """
 
     def __init__(self, structure, points):
@@ -243,12 +243,12 @@ class Sample:
         return keep(self.kept, "acs", None, lambda: acs_residual(
             self.structure, self.j))
 
-    def gradients(self, fields):
-        """Each field's gradient at the points, (P, 2n), in field order."""
+    def jacobian_rows(self, fields):
+        """The fields' real Jacobian rows at the points, ``real_jacobian``."""
         fields = tuple(fields)
         # Kept with the fields, so their ids are not reused meanwhile.
-        return keep(self.kept, "gradients", tuple(map(id, fields)), lambda: (
-            fields, [f.gradient(self.points) for f in fields]))[1]
+        return keep(self.kept, "rows", tuple(map(id, fields)), lambda: (
+            fields, real_jacobian(fields, self.points)))[1]
 
 
 def lattice_sample(lattices, structure, box, grid_k):

@@ -440,6 +440,39 @@ class PolyMap:
         return f"PolyMap({list(self.to_strings())})"
 
 
+def real_jacobian(fields, points):
+    """Real Jacobian rows of m scalar fields at a real batch (P, nvars):
+    the (P, 2m, nvars) view, rows Re then Im of each field's gradient, of
+    one contiguous (m, 2, nvars, P) buffer.
+
+    Each term of each partial carries its coefficient's real and imaginary
+    parts, as a (2, 1) array, through ``_values``'s powers and factor order
+    in real arithmetic, and is added to a zero start.  So where an entry of
+    ``Polynomial.gradient`` is finite, its Re and Im rows have the bits of
+    its real and imaginary parts; where it is not, they are not both
+    finite either.
+    """
+    pts = np.asarray(points, dtype=float)
+    for field in fields:
+        if pts.ndim != 2 or pts.shape[1] != field.nvars:
+            raise ValueError(f"points must be a (P, {field.nvars}) array, "
+                             f"got shape {pts.shape}")
+    nvars = pts.shape[-1]
+    out = np.zeros((len(fields), 2, nvars, len(pts)))
+    powers = {}
+    for f, field in enumerate(fields):
+        for k, partial in enumerate(field.partials()):
+            for e, c in partial.terms.items():
+                term = np.array([[c.real], [c.imag]])
+                for d, power in enumerate(e):
+                    if power:
+                        if (d, power) not in powers:
+                            powers[d, power] = pts[:, d] ** power
+                        term = term * powers[d, power]
+                out[f, :, k] += term
+    return out.reshape(2 * len(fields), nvars, len(pts)).transpose(2, 0, 1)
+
+
 def _values(polys, points):
     """Values (P, len(polys)) of polynomials in nvars variables at a batch
     (P, nvars), which must have that shape; the one evaluation loop.

@@ -19,7 +19,7 @@ from spencerkit import (
 from spencerkit import charts, crsolve, defaults, jfield
 from spencerkit.errors import (ChartError, CheckFailure, ConfigurationError,
                                NumericalError, OverlapError)
-from spencerkit.poly import Polynomial, monomials_upto
+from spencerkit.poly import monomials_upto
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +166,51 @@ def test_a_field_that_does_not_certify_fails_with_the_sampled_text(
         build_spencer_chart(std1, [nearly])
     assert str(exc.value) == ("field 0 is not almost holomorphic on the chart "
                               "box: residual 2.000e-06 > 1e-10")
+
+
+def _stacked_chart(structure, fields, grid_k):
+    """Passive pairs and certificate of a chart on its structure's box as
+    they were found from rows stacked from complex gradients, verbatim."""
+    points = structure.box.lattice(grid_k)
+    blocks = []
+    for grad in (f.gradient(points) for f in fields):
+        blocks.append(grad.real)
+        blocks.append(grad.imag)
+    rows = np.stack(blocks, axis=1)
+    n = structure.n
+    available, chosen = list(range(n)), []
+    while len(chosen) < n - len(fields):
+        trials = {j: np.concatenate([rows, charts._pair_rows(len(rows), n, j)],
+                                    axis=1) for j in available}
+        best = max(available, key=lambda j: charts._min_volume(trials[j]))
+        rows = trials[best]
+        chosen.append(best)
+        available.remove(best)
+    return tuple(chosen), float(np.min(np.abs(np.linalg.det(rows))))
+
+
+def test_chart_certificates_keep_the_bits_of_the_stacked_rows(
+        std1, std2, twisted, z_field, w_field):
+    std3 = standard_structure(3)
+    z1, z2, z3 = (parse_polynomial(f"x{2 * k + 1} + (0+1i)*x{2 * k + 2}", 6)
+                  for k in range(3))
+    u1, u2 = (parse_polynomial(f"x{2 * k + 1} + (0+1i)*x{2 * k + 2}", 4)
+              for k in range(2))
+    cases = [(std1, [z_field * 1e10], 4),       # sampled: does not certify
+             (std1, [z_field + z_field * z_field * (0.2 - 0.1j)], 5),
+             (std2, [u1 + u2 * u2 * 0.3, u2 - u1 * u2 * 0.25j], 4),
+             (std2, [u2 + u1 * u1 * (0.5 + 0.5j)], 5),
+             (twisted, [w_field], 5),
+             (std3, [z2 + z1 * z3 * 0.2], 3),
+             (std3, [z3 * 0.5, z1 + z2 * z2 * 0.1j], 3)]
+    completions = []
+    for structure, fields, grid_k in cases:
+        chart = build_spencer_chart(structure, fields, grid_k=grid_k)
+        pairs, certificate = _stacked_chart(structure, fields, grid_k)
+        assert chart.passive_pairs == pairs
+        assert chart.certificate.hex() == certificate.hex()
+        completions.append(len(pairs))
+    assert completions == [0, 0, 0, 1, 1, 2, 1]
 
 
 def test_a_coefficient_system_that_could_exceed_the_cap_is_not_built(
@@ -383,13 +428,13 @@ SHARING_SCENARIO = {
 
 def test_a_run_samples_each_lattice_once(monkeypatch):
     """J once per (box, grid_k) lattice that a sampled check uses, and not
-    for the charts, whose CR gates certify; each field gradient once per
-    build or CR check, each chart's coordinates once per lattice, and each
-    fit matrix with its singular values once per (coordinates,
+    for the charts, whose CR gates certify; each field's Jacobian rows once
+    per build or CR check, each chart's coordinates once per lattice, and
+    each fit matrix with its singular values once per (coordinates,
     fit_degree)."""
     from spencerkit.scenario import parse_scenario, run_scenario
-    j_calls, gradients, values, matrices, sigmas = [], [], [], [], []
-    eval_j, gradient = jfield.eval_j, Polynomial.gradient
+    j_calls, rows, values, matrices, sigmas = [], [], [], [], []
+    eval_j, real_jacobian = jfield.eval_j, jfield.real_jacobian
     evaluate, vandermonde, svd = (charts.SpencerChart.evaluate,
                                   charts._vandermonde, np.linalg.svd)
 
@@ -397,9 +442,9 @@ def test_a_run_samples_each_lattice_once(monkeypatch):
         j_calls.append(points.tobytes())
         return eval_j(structure, points)
 
-    def counting_gradient(self, points):
-        gradients.append((id(self), points.tobytes()))
-        return gradient(self, points)
+    def counting_rows(fields, points):
+        rows.extend((id(f), points.tobytes()) for f in fields)
+        return real_jacobian(fields, points)
 
     def counting_evaluate(self, points):
         values.append((self.fields, points.tobytes()))
@@ -418,7 +463,8 @@ def test_a_run_samples_each_lattice_once(monkeypatch):
 
     monkeypatch.setattr(crsolve, "eval_j", counting_j)
     monkeypatch.setattr(jfield, "eval_j", counting_j)
-    monkeypatch.setattr(Polynomial, "gradient", counting_gradient)
+    monkeypatch.setattr(jfield, "real_jacobian", counting_rows)
+    monkeypatch.setattr(crsolve, "real_jacobian", counting_rows)
     monkeypatch.setattr(charts.SpencerChart, "evaluate", counting_evaluate)
     monkeypatch.setattr(charts, "_vandermonde", counting_vandermonde)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
@@ -427,8 +473,8 @@ def test_a_run_samples_each_lattice_once(monkeypatch):
     # The four checks on the box; the charts read no J.
     assert len(j_calls) == 1
     # Two fields per build, for the Jacobian rows, and z1 for the CR check.
-    assert len(gradients) == 7
-    assert len(set(gradients)) == 5         # z1 and z2 are in a, z2 in b
+    assert len(rows) == 7
+    assert len(set(rows)) == 5              # z1 and z2 are in a, z2 in b
     # The box: a (the fits and a to b) and b.  The sub-box: b and c (b to
     # c), and a (a to c and the triple overlap).
     assert len(values) == len(set(values)) == 5
@@ -645,17 +691,17 @@ def test_keep_frees_the_old_value_before_making_the_next():
     assert kept == {}                   # a refused value is not kept
 
 
-def test_a_sample_frees_old_gradients_before_taking_new(
+def test_a_sample_frees_old_rows_before_taking_new(
         monkeypatch, std1, z_field, zbar_field):
     sample = jfield.Sample(std1, std1.box.lattice(3))
-    first = sample.gradients([z_field])
-    assert sample.gradients([z_field]) is first
-    seen, gradient = [], Polynomial.gradient
+    first = sample.jacobian_rows([z_field])
+    assert sample.jacobian_rows([z_field]) is first
+    seen, real_jacobian = [], jfield.real_jacobian
 
-    def watching(self, points):
-        seen.append("gradients" in sample.kept)
-        return gradient(self, points)
+    def watching(fields, points):
+        seen.append("rows" in sample.kept)
+        return real_jacobian(fields, points)
 
-    monkeypatch.setattr(Polynomial, "gradient", watching)
-    assert sample.gradients([zbar_field]) is not first
+    monkeypatch.setattr(jfield, "real_jacobian", watching)
+    assert sample.jacobian_rows([zbar_field]) is not first
     assert seen == [False]

@@ -23,7 +23,7 @@ from spencerkit import (
 )
 from spencerkit import crsolve, defaults
 from spencerkit.errors import ConfigurationError, NumericalError
-from spencerkit.jfield import eval_j, numerical_rank
+from spencerkit.jfield import Sample, eval_j, numerical_rank
 from spencerkit.poly import Polynomial, monomial_key, monomials_upto
 from spencerkit.scenario import builtin_scenarios, parse_scenario
 
@@ -372,6 +372,141 @@ def test_cr_system_matrix_matches_the_polynomial_reference_bit_for_bit(name):
         ref = _reference_cr_system_matrix(structure, monomials)
         assert a.shape == ref.shape, (name, degree)
         assert a.tobytes() == ref.tobytes(), (name, degree)
+
+
+# The exponent-array assembly that gathered J's contributions one term at a
+# time, before they were gathered a row of J at a time; kept verbatim as the
+# bit-identity reference, keys included.
+def _per_term_cr_system_matrix(structure, monomials):
+    size = structure.real_dim
+    exps = np.array(monomials, dtype=np.int64).reshape(len(monomials), size)
+    shifts = np.eye(size, dtype=np.int64)
+    comps, targets, cols, values = [], [], [], []
+
+    def gather(axis, j, offset, coef):
+        live = np.flatnonzero(exps[:, axis])
+        comps.append(np.full(len(live), j))
+        targets.append(exps[live] + (offset - shifts[axis]))
+        cols.append(live)
+        values.append(exps[live, axis].astype(complex) * coef)
+
+    for j in range(size):
+        gather(j, j, 0, -1j)
+    for i in range(size):
+        for j in range(size):
+            for t, coef in structure.matrix[i][j].terms.items():
+                gather(i, j, np.array(t), coef)
+    targets = np.concatenate(targets)
+    keys = np.column_stack([np.concatenate(comps), targets.sum(axis=1), targets])
+    keys, rows = np.unique(keys, axis=0, return_inverse=True)
+    a = np.zeros((len(keys), len(monomials)), dtype=complex)
+    np.add.at(a, (rows.ravel(), np.concatenate(cols)), np.concatenate(values))
+    kept = np.any(a != 0, axis=1)
+    return a[kept], np.delete(keys[kept], 1, axis=1)
+
+
+def _random_structure(seed, n):
+    """Seeded matrix in 2n variables whose entries have 0 to 9 real terms
+    of degree <= 2, with coefficients of both signs and many magnitudes, so
+    the contributions to one entry round differently in another order; with
+    an odd seed, row 1 has no terms at all.  The assembly does not need
+    J^2 = -I."""
+    rng = np.random.default_rng(seed)
+    size = 2 * n
+    exps = monomials_upto(size, 2, include_constant=True)
+    matrix = []
+    for i in range(size):
+        row = []
+        for _ in range(size):
+            picks = rng.choice(len(exps), size=min(rng.integers(0, 10), len(exps)),
+                               replace=False)
+            row.append(Polynomial(size, {exps[k]: rng.uniform(-1.0, 1.0)
+                                         * 10.0 ** rng.integers(-3, 4)
+                                         for k in picks}))
+        matrix.append([Polynomial.zero(size)] * size if seed % 2 and i == 1
+                      else row)
+    return ACStructure(n, standard_structure(n).box, matrix)
+
+
+@pytest.mark.parametrize("name", sorted(ASSEMBLY_STRUCTURES)
+                         + [f"random_{seed}" for seed in range(6)])
+def test_cr_system_matrix_matches_the_per_term_gather_bit_for_bit(name):
+    if name.startswith("random_"):
+        seed = int(name.split("_")[1])
+        structure = _random_structure(seed, 1 + seed % 3)
+    else:
+        structure = ASSEMBLY_STRUCTURES[name]()
+    for degree in range(1, 3 if structure.n == 3 else 5):
+        monomials = tuple(monomials_upto(structure.real_dim, degree))
+        a, keys = crsolve._cr_system_matrix(structure, monomials)
+        ref, ref_keys = _per_term_cr_system_matrix(structure, monomials)
+        assert a.shape == ref.shape, (name, degree)
+        assert a.tobytes() == ref.tobytes(), (name, degree)
+        assert keys.dtype == ref_keys.dtype
+        assert keys.tobytes() == ref_keys.tobytes(), (name, degree)
+
+
+def _complex_cr_residual(structure, fields, points):
+    """The CR residual as it was taken from complex gradients, verbatim."""
+    j = eval_j(structure, points)
+    return [float(np.max(np.abs(np.einsum("pi,pij->pj", grad.real, j)
+                                + 1j * np.einsum("pi,pij->pj", grad.imag, j)
+                                - 1j * grad)))
+            for grad in (f.gradient(points) for f in fields)]
+
+
+def _same_floats(a, b):
+    """Equal lists of floats, bit for bit; NaN matches NaN."""
+    return np.array(a).tobytes() == np.array(b).tobytes()
+
+
+@pytest.mark.parametrize("name", ["std_c1", "std_c2", "twisted_r4",
+                                  "sheared_n2", "sheared_n3"])
+def test_cr_residual_keeps_the_bits_of_the_complex_contraction(name):
+    structure = ASSEMBLY_STRUCTURES[name]()
+    size = structure.real_dim
+    rng = np.random.default_rng(size)
+    solved = solve_ah_polynomials(structure, degree=2).fields
+    exps = monomials_upto(size, 3, include_constant=True)
+    noisy = [Polynomial(size, {e: complex(*rng.uniform(-2.0, 2.0, 2))
+                               * (rng.random() < 0.5) for e in exps})
+             for _ in range(3)]
+    real = [Polynomial(size, {e: rng.uniform(-2.0, 2.0) for e in exps[:6]})]
+    fields = list(solved) + noisy + real + [Polynomial.zero(size)]
+    for k in (3, 4):
+        points = structure.box.lattice(k)
+        expected = _complex_cr_residual(structure, fields, points)
+        assert _same_floats(cr_residual(structure, fields, points), expected)
+        sample = Sample(structure, points)
+        assert _same_floats(cr_residual(structure, fields, sample), expected)
+        # The sample keeps the rows of the fields, the batch none.
+        assert list(sample.kept) == ["j", "rows"]
+
+
+def test_cr_residual_keeps_its_bits_and_non_finite_values(std1, z_field,
+                                                          zbar_field):
+    points = std1.box.lattice()
+    # Does not certify (charts._certified): the residual is sampled.
+    nearly = z_field + zbar_field * 1e-6
+    expected = _complex_cr_residual(std1, [nearly, zbar_field], points)
+    for where in (points, Sample(std1, points)):
+        assert _same_floats(cr_residual(std1, [nearly, zbar_field], where),
+                            expected)
+    assert f"{expected[0]:.3e}" == "2.000e-06"
+    # The gradient overflows at x1 = 1.2: both residuals are infinite.
+    wide = standard_structure(1, Box((0.0, 0.0), (1.2, 1.0)))
+    overflowing = parse_polynomial("x1 + (0+1i)*x2 + 5e307*x1^3", 2)
+    points = wide.box.lattice()
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = _complex_cr_residual(wide, [overflowing], points)
+        for where in (points, Sample(wide, points)):
+            assert _same_floats(cr_residual(wide, [overflowing], where),
+                                expected)
+        rows = crsolve.jacobian_rows([overflowing], points)
+    assert expected == [np.inf]
+    with pytest.raises(NumericalError, match="^field gradients are not all "
+                       "finite on the points$"):
+        independence_rank(rows)
 
 
 # The residual the solver took before it stopped sampling, kept as the

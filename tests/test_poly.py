@@ -14,6 +14,7 @@ from spencerkit.poly import (
     format_polynomial,
     monomial_key,
     monomials_upto,
+    real_jacobian,
 )
 
 
@@ -386,6 +387,99 @@ def test_one_kernel_keeps_the_bits_of_the_parent_loops(nvars):
         # start, as Polynomial.evaluate always did: a zero part the column
         # loop left as -0.0 reads +0.0.
         assert matrix.tobytes() == (reference + 0.0).tobytes()
+
+
+def _stacked_rows(fields, points):
+    """The Jacobian rows as they were stacked from complex gradients before
+    ``real_jacobian``, verbatim: Re, then Im, of each field's gradient."""
+    blocks = []
+    for grad in (f.gradient(points) for f in fields):
+        blocks.append(grad.real)
+        blocks.append(grad.imag)
+    return np.stack(blocks, axis=1)
+
+
+def _random_field(rng, nvars):
+    """A seeded scalar field: real, purely imaginary, complex, mixed (some
+    partials real, some complex), constant or zero."""
+    a, b = (_random_real_polynomial(rng, nvars) for _ in range(2))
+    kind = rng.integers(6)
+    if kind == 0:
+        return a
+    if kind == 1:
+        return a * 1j
+    if kind == 2:
+        return a + b * complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+    if kind == 3:
+        return a + Polynomial.variable(nvars, 0) * (0.5 - 1.5j)
+    if kind == 4:
+        return Polynomial.constant(nvars, complex(*rng.uniform(-2.0, 2.0, 2)))
+    return Polynomial.zero(nvars)
+
+
+def _assert_same_rows(rows, reference):
+    """Both parts bit for bit where the reference's complex gradient entry
+    is finite; where it is not, the rows have a non-finite part too (the
+    complex loop can spread a NaN into the other part).  Returns the
+    (finite, non-finite) entry counts."""
+    assert rows.shape == reference.shape
+    pairs = np.ascontiguousarray(rows).reshape(len(rows), -1, 2, rows.shape[2])
+    ref_pairs = reference.reshape(pairs.shape)
+    finite = np.isfinite(ref_pairs).all(axis=2)
+    assert np.array_equal(np.isfinite(pairs).all(axis=2), finite)
+    mask = np.broadcast_to(finite[:, :, None], pairs.shape)
+    assert pairs[mask].tobytes() == ref_pairs[mask].tobytes()
+    return int(finite.sum()), int((~finite).sum())
+
+
+@pytest.mark.parametrize("nvars", [2, 4, 6])
+def test_real_jacobian_keeps_the_bits_of_the_stacked_gradients(nvars):
+    rng = np.random.default_rng(300 + nvars)
+    finite_entries = non_finite_entries = 0
+    for _ in range(60):
+        fields = [_random_field(rng, nvars)
+                  for _ in range(rng.integers(1, nvars // 2 + 1))]
+        pts = rng.uniform(-3.0, 3.0, size=(40, nvars))
+        pts[rng.random(pts.shape) < 0.1] = -0.0
+        pts[rng.random(pts.shape) < 0.05] *= 1e60
+        with np.errstate(all="ignore"):
+            rows = real_jacobian(fields, pts)
+            reference = _stacked_rows(fields, pts)
+        assert rows.shape == (40, 2 * len(fields), nvars)
+        # One contiguous (m, 2, n, P) buffer, seen as (P, 2m, n).
+        assert rows.base is not None and rows.base.flags.c_contiguous
+        assert rows.base.shape == (len(fields), 2, nvars, 40)
+        finite, non_finite = _assert_same_rows(rows, reference)
+        finite_entries += finite
+        non_finite_entries += non_finite
+    assert finite_entries > 3000 and non_finite_entries > 20
+
+
+def test_real_jacobian_view_gives_the_bits_of_its_copy():
+    """det, svd and concatenate read the transposed view as they read a
+    contiguous copy."""
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3):
+        fields = [_random_field(rng, 2 * n) + Polynomial.variable(2 * n, 2 * k)
+                  + Polynomial.variable(2 * n, 2 * k + 1) * 1j for k in range(n)]
+        rows = real_jacobian(fields, rng.uniform(-1.0, 1.0, size=(30, 2 * n)))
+        copy = np.ascontiguousarray(rows)
+        assert not rows.flags.c_contiguous
+        assert np.linalg.det(rows).tobytes() == np.linalg.det(copy).tobytes()
+        assert (np.linalg.svd(rows, compute_uv=False).tobytes()
+                == np.linalg.svd(copy, compute_uv=False).tobytes())
+        pair = np.zeros((30, 2, 2 * n))
+        assert (np.concatenate([rows, pair], axis=1).tobytes()
+                == np.concatenate([copy, pair], axis=1).tobytes())
+
+
+def test_real_jacobian_refuses_points_of_another_shape():
+    z = parse_polynomial("x1 + (0+1i)*x2", 2)
+    w = parse_polynomial("x1 + (0+1i)*x2", 4)
+    with pytest.raises(ValueError, match=r"^points must be a \(P, 4\) array, "
+                       r"got shape \(3, 2\)$"):
+        real_jacobian([z, w], np.zeros((3, 2)))
+    assert real_jacobian([], np.zeros((3, 2))).shape == (3, 0, 2)
 
 
 def test_kernel_dtype_rule():
