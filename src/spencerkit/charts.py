@@ -26,12 +26,11 @@ from functools import cached_property
 import numpy as np
 
 from . import defaults
-from .crsolve import (cr_defect_bound, cr_residual, independence_rank,
-                      jacobian_rows)
+from .crsolve import cr_defect_bound, cr_residual, independence_rank
 from .errors import (ChartError, ConfigurationError, FitError,
                      IndependenceError, NumericalError, OverlapError)
 from .jfield import check_entries, keep, lattice_sample
-from .poly import PolyMap, Polynomial, monomials_upto
+from .poly import PolyMap, Polynomial, monomials_upto, real_jacobian
 
 
 def _pair_rows(count, n, j):
@@ -116,7 +115,7 @@ def _sampled_gate(structure, fields, sample, tol_cr):
                 raise ChartError(
                     f"field {i} is not almost holomorphic on the chart box: "
                     f"residual {res:.3e} > {tol_cr:g}")
-        return jacobian_rows(fields, sample)
+        return sample.jacobian_rows(fields)
     finally:
         # Only the two calls above share the rows, whatever they raise.
         sample.kept.pop("rows", None)
@@ -151,7 +150,7 @@ def build_spencer_chart(structure, fields, box=None,
         raise ChartError(f"chart needs between 1 and {n} fields, got {len(fields)}")
     sample = lattice_sample(_lattices, structure, box, grid_k)
     if _certified(structure, fields, box, tol_cr):
-        rows = jacobian_rows(fields, sample.points)
+        rows = real_jacobian(fields, sample.points)
     else:
         rows = _sampled_gate(structure, fields, sample, tol_cr)
     m = len(fields)

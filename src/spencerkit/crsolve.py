@@ -248,19 +248,11 @@ def solve_ah_polynomials(structure, degree, *,
 # functional independence and the type estimate
 # ---------------------------------------------------------------------------
 
-def jacobian_rows(fields, points):
-    """Real Jacobian rows (P, 2m, 2n), Re then Im of each field's gradient,
-    at a batch or a ``Sample``: those of ``poly.real_jacobian``."""
-    if isinstance(points, Sample):
-        return points.jacobian_rows(fields)
-    return real_jacobian(fields, points)
-
-
 def independence_rank(rows, svd_rel_tol=defaults.SVD_REL_TOL):
     """Largest pointwise rank of stacked real Jacobian rows (P, 2m, 2n).
 
     Each complex function contributes two real rows (real and imaginary part
-    of its gradient, see ``jacobian_rows``); the returned rank is the
+    of its gradient, see ``poly.real_jacobian``); the returned rank is the
     maximum over the sample points, so it counts functions that are
     independent somewhere.  When the first point already has full rank no
     point can exceed it, and the other points are not decomposed.  The
@@ -287,20 +279,18 @@ class TypeEstimate:
     notes: list = dc_field(default_factory=list)
 
 
-def estimate_spencer_type(structure, solution, grid_k=None,
+def estimate_spencer_type(structure, solution,
                           svd_rel_tol=defaults.SVD_REL_TOL):
     """Estimate the number of independent almost-holomorphic coordinates.
 
     Greedily keeps the canonical basis fields of ``solution`` (an
     ``AHSolutionSet`` of ``structure``) while each one raises the real
-    Jacobian rank by two, at some point of the box's lattice of density
-    ``grid_k`` (by default ``defaults.default_solver_grid(degree)``).  At
-    most the complex dimension n: the rank of rows with 2n columns is at
-    most 2n, and the search stops there.
+    Jacobian rank by two at some point of ``Box.generic_points``, where
+    polynomial fields attain their generic rank.  At most the complex
+    dimension n: the rank of rows with 2n columns is at most 2n, and the
+    search stops there.
     """
-    if grid_k is None:
-        grid_k = defaults.default_solver_grid(solution.degree)
-    pts = structure.box.lattice(grid_k)
+    pts = structure.box.generic_points()
     notes = [f"solution space dimension {solution.nullity} at degree {solution.degree}"]
     selected = []
     rows = np.zeros((len(pts), 0, structure.real_dim))
@@ -309,7 +299,7 @@ def estimate_spencer_type(structure, solution, grid_k=None,
         if rank >= 2 * structure.n:
             break
         trial_rows = np.concatenate(
-            [rows, jacobian_rows([candidate], pts)], axis=1)
+            [rows, real_jacobian([candidate], pts)], axis=1)
         trial = independence_rank(trial_rows, svd_rel_tol)
         gain = trial - rank
         if gain == 2:

@@ -49,10 +49,11 @@ COMPOSE_MARGIN = 1e-12
 # Fit and grid defaults.
 FIT_DEGREE = 4
 GRID_PER_AXIS = 5           # lattice density for map/axiom checks
+RANK_POINTS = 8             # points of the type estimate (``Box.generic_points``)
 
 
 def default_solver_grid(degree):
-    """Lattice density of the type estimate's rank check when none is given."""
+    """The type estimate's former lattice density; ``bench/tracer.py`` reads it."""
     return 2 * degree + 1
 
 

@@ -110,6 +110,18 @@ class Box:
         pts.flags.writeable = False
         return pts
 
+    def generic_points(self):
+        """``defaults.RANK_POINTS`` read-only points in general position in
+        the box's middle 90%: lo + (0.05 + 0.9 frac(i sqrt(p_k))) (hi - lo)
+        for i = 1, 2, ... on axis k, p_k the k-th prime.  No random stream,
+        and every step rounds correctly: the same bits on every platform."""
+        i = np.arange(1.0, defaults.RANK_POINTS + 1.0)[:, None]
+        primes = np.array([2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0, 19.0])
+        frac = np.modf(i * np.sqrt(primes[:self.dim]))[0]
+        pts = self.lo + (0.05 + 0.9 * frac) * np.subtract(self.hi, self.lo)
+        pts.flags.writeable = False
+        return pts
+
 
 def lattice_points(lo, hi, k):
     """k points per axis from ``lo`` to ``hi``, in lexicographic order, as a

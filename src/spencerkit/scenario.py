@@ -530,7 +530,6 @@ def _run_solve_ah(scenario, spec, run):
 
 def _run_spencer_type(scenario, spec, run):
     estimate = estimate_spencer_type(scenario.structure, run.solution(spec),
-                                     grid_k=spec.get("grid"),
                                      svd_rel_tol=run.tols["svd_rel_tol"])
     expected = int(spec.get("expect_m", scenario.n))
     return make_report(
@@ -673,8 +672,7 @@ TASKS = {
     "integrability": (_run_integrability, {"grid": "int"}),
     "cr_check": (_run_cr_check, {"function": "function", "grid": "int"}),
     "solve_ah": (_run_solve_ah, {"degree": "int", "expect_dim": "int"}),
-    "spencer_type": (_run_spencer_type, {"degree": "int", "grid": "int",
-                                         "expect_m": "int"}),
+    "spencer_type": (_run_spencer_type, {"degree": "int", "expect_m": "int"}),
     "chart": (_run_chart, {"chart": "chart", "grid": "int"}),
     "factorize": (_run_factorize, {"chart": "chart", "function": "function",
                                    "grid": "int", "fit_degree": "int"}),

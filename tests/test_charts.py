@@ -100,7 +100,7 @@ def test_chart_field_count_bounds(std1, std2, z_field):
 
 def test_a_certified_chart_build_reads_no_j(monkeypatch, std2):
     j_calls, row_calls = [], []
-    eval_j, jacobian_rows = jfield.eval_j, crsolve.jacobian_rows
+    eval_j, real_jacobian = jfield.eval_j, jfield.real_jacobian
 
     def counting_j(structure, points):
         j_calls.append(len(points))
@@ -108,12 +108,12 @@ def test_a_certified_chart_build_reads_no_j(monkeypatch, std2):
 
     def counting_rows(fields, points):
         row_calls.append(len(fields))
-        return jacobian_rows(fields, points)
+        return real_jacobian(fields, points)
 
     monkeypatch.setattr(jfield, "eval_j", counting_j)
     monkeypatch.setattr(crsolve, "eval_j", counting_j)
-    monkeypatch.setattr(crsolve, "jacobian_rows", counting_rows)
-    monkeypatch.setattr(charts, "jacobian_rows", counting_rows)
+    monkeypatch.setattr(jfield, "real_jacobian", counting_rows)
+    monkeypatch.setattr(charts, "real_jacobian", counting_rows)
     z1 = parse_polynomial("x1 + (0+1i)*x2", 4)
     z2 = parse_polynomial("x3 + (0+1i)*x4", 4)
     chart = build_spencer_chart(std2, [z1, z2], grid_k=4)
@@ -130,11 +130,12 @@ def test_a_certified_chart_build_reads_no_j(monkeypatch, std2):
 def test_chart_build_evaluates_j_and_jacobian_rows_once(monkeypatch, std1,
                                                         z_field, zbar_field):
     """A field that does not certify sends the build to the sampled gate,
-    which evaluates J once: zbar fails it, and 1e10*z, whose defect cancels
-    exactly, passes it, since one rounding unit of its scale is about
-    4e-6."""
+    which evaluates J and the Jacobian rows once: zbar fails it, and
+    1e10*z, whose defect cancels exactly, passes it, since one rounding
+    unit of its scale is about 4e-6.  The CR residual and the rank share
+    the rows."""
     j_calls, row_calls = [], []
-    eval_j, jacobian_rows = jfield.eval_j, crsolve.jacobian_rows
+    eval_j, real_jacobian = jfield.eval_j, jfield.real_jacobian
 
     def counting_j(structure, points):
         j_calls.append(len(points))
@@ -142,17 +143,18 @@ def test_chart_build_evaluates_j_and_jacobian_rows_once(monkeypatch, std1,
 
     def counting_rows(fields, points):
         row_calls.append(len(fields))
-        return jacobian_rows(fields, points)
+        return real_jacobian(fields, points)
 
     monkeypatch.setattr(jfield, "eval_j", counting_j)
     monkeypatch.setattr(crsolve, "eval_j", counting_j)
-    monkeypatch.setattr(crsolve, "jacobian_rows", counting_rows)
-    monkeypatch.setattr(charts, "jacobian_rows", counting_rows)
+    monkeypatch.setattr(jfield, "real_jacobian", counting_rows)
+    monkeypatch.setattr(charts, "real_jacobian", counting_rows)
     with pytest.raises(ChartError, match="not almost holomorphic"):
         build_spencer_chart(std1, [zbar_field], grid_k=4)
     assert j_calls == [4 ** 2]
-    assert row_calls == []
+    assert row_calls == [1]
     j_calls.clear()
+    row_calls.clear()
     assert build_spencer_chart(std1, [z_field * 1e10], grid_k=4).m == 1
     assert j_calls == [4 ** 2]
     assert row_calls == [1]
@@ -465,6 +467,7 @@ def test_a_run_samples_each_lattice_once(monkeypatch):
     monkeypatch.setattr(jfield, "eval_j", counting_j)
     monkeypatch.setattr(jfield, "real_jacobian", counting_rows)
     monkeypatch.setattr(crsolve, "real_jacobian", counting_rows)
+    monkeypatch.setattr(charts, "real_jacobian", counting_rows)
     monkeypatch.setattr(charts.SpencerChart, "evaluate", counting_evaluate)
     monkeypatch.setattr(charts, "_vandermonde", counting_vandermonde)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from spencerkit import (
 from spencerkit import crsolve, defaults
 from spencerkit.errors import ConfigurationError, NumericalError
 from spencerkit.jfield import Sample, eval_j, numerical_rank
-from spencerkit.poly import Polynomial, monomial_key, monomials_upto
+from spencerkit.poly import (Polynomial, monomial_key, monomials_upto,
+                            real_jacobian)
 from spencerkit.scenario import builtin_scenarios, parse_scenario
 
 from conftest import (TWISTED_ROWS, _poly_matrix, poly_identity_matrix,
@@ -80,7 +82,7 @@ def test_solver_std2_degree1_spans_coordinates(std2):
     assert f2[(0, 1, 0, 0)] == pytest.approx(1.0)
     assert f2[(1, 0, 0, 0)] == pytest.approx(-1.0j)
     assert sol.residual <= 1e-12
-    rows = crsolve.jacobian_rows(sol.fields, std2.box.lattice())
+    rows = real_jacobian(sol.fields, std2.box.lattice())
     assert independence_rank(rows) == 4
 
 
@@ -502,7 +504,7 @@ def test_cr_residual_keeps_its_bits_and_non_finite_values(std1, z_field,
         for where in (points, Sample(wide, points)):
             assert _same_floats(cr_residual(wide, [overflowing], where),
                                 expected)
-        rows = crsolve.jacobian_rows([overflowing], points)
+        rows = real_jacobian([overflowing], points)
     assert expected == [np.inf]
     with pytest.raises(NumericalError, match="^field gradients are not all "
                        "finite on the points$"):
@@ -579,7 +581,7 @@ def test_solver_rejects_bad_configurations(std1):
 
 
 def _rank(fields, points, svd_rel_tol=defaults.SVD_REL_TOL):
-    return independence_rank(crsolve.jacobian_rows(fields, points), svd_rel_tol)
+    return independence_rank(real_jacobian(fields, points), svd_rel_tol)
 
 
 def test_independence_rank_counts_complex_pairs(std1, z_field):
@@ -624,7 +626,7 @@ def test_independence_rank_matches_one_svd_of_every_point(name):
     nvars, texts, points, rank = RANK_STACKS[name]
     fields = [parse_polynomial(t, nvars) for t in texts]
     points = np.asarray(points, dtype=float)
-    rows = crsolve.jacobian_rows(fields, points)
+    rows = real_jacobian(fields, points)
     assert independence_rank(rows) == _rank_by_one_svd(rows) == rank
 
 
@@ -717,3 +719,107 @@ def test_estimate_reports_rank_evidence(std2):
     est = estimate_spencer_type(std2, solve_ah_polynomials(std2, 2))
     assert est.rank_evidence == 2 * est.m
     assert len(est.selected) == est.m
+
+
+def _r6(a):
+    """The type ladder on [-0.5, 0.5]^6 at c = x3: J = [[J0, a K, (a c / 2)
+    J0], [0, J0, c K], [0, 0, J0]] with J0 = [[0, -1], [1, 0]] and
+    K = diag(1, -1), so J^2 = -I for every a.  a = x1 chains the twist
+    (type 1); a = 0 is C times a twisted R^4 (type 2)."""
+    corner = "0.5*x1*x3" if a == "x1" else "0"
+    minus = {"0": "0", "x1": "-x1", "x3": "-x3", corner: "-" + corner}
+    rows = [["0", "-1", a, "0", "0", minus[corner]],
+            ["1", "0", "0", minus[a], corner, "0"],
+            ["0", "0", "0", "-1", "x3", "0"],
+            ["0", "0", "1", "0", "0", "-x3"],
+            ["0", "0", "0", "0", "0", "-1"],
+            ["0", "0", "0", "0", "1", "0"]]
+    return ACStructure(3, Box((-0.5,) * 6, (0.5,) * 6), _poly_matrix(rows, 6))
+
+
+@pytest.mark.parametrize("a, m, nullities", [("x1", 1, (1, 2, 3)),
+                                             ("0", 2, (2, 5, 9))])
+def test_type_ladder_on_r6_to_degree_three(a, m, nullities):
+    structure = _r6(a)
+    assert check_acs(structure).status == "pass"
+    assert integrability_report(structure).status == "fail"
+    for degree, nullity in zip((1, 2, 3), nullities):
+        solution = solve_ah_polynomials(structure, degree)
+        assert solution.nullity == nullity
+        start = time.perf_counter()
+        estimate = estimate_spencer_type(structure, solution)
+        # Over the (2D + 1)^6 lattice, degree 3 took 0.4 s (m = 1) and
+        # 2 s (m = 2).
+        assert time.perf_counter() - start < 0.25
+        assert (estimate.m, estimate.rank_evidence) == (m, 2 * m)
+
+
+def _generic_rank(fields, nvars):
+    """Rank over Q(x) of the fields' real Jacobian rows, in sympy: each
+    float coefficient is read as the rational it is."""
+    xs = sympy.symbols(f"x1:{nvars + 1}")
+    rows = []
+    for f in fields:
+        for part in (np.real, np.imag):
+            u = sum((sympy.Rational(float(part(c)))
+                     * sympy.Mul(*[x ** k for x, k in zip(xs, e)])
+                     for e, c in f.terms.items()), sympy.Integer(0))
+            rows.append([sympy.diff(u, x) for x in xs])
+    return sympy.Matrix(rows).rank()
+
+
+@pytest.mark.parametrize("name", ["std_c2", "r6_type2"])
+def test_type_is_the_generic_rank_of_the_fields(std2, name):
+    structure, degree = {"std_c2": (std2, 2),
+                         "r6_type2": (_r6("0"), 3)}[name]
+    solution = solve_ah_polynomials(structure, degree)
+    estimate = estimate_spencer_type(structure, solution)
+    assert estimate.m == 2
+    # The selection is independent, and no basis field adds to it.
+    assert _generic_rank(estimate.selected, structure.real_dim) == 2 * estimate.m
+    assert _generic_rank(solution.fields, structure.real_dim) == 2 * estimate.m
+
+
+@pytest.mark.parametrize("dim", range(1, 2 * defaults.DIM_CAP + 1))
+def test_generic_points_follow_their_formula_in_the_box_middle(dim):
+    primes = (2, 3, 5, 7, 11, 13, 17, 19)
+    lo = tuple(-0.5 - k for k in range(dim))
+    hi = tuple(0.25 * k + 1.0 for k in range(dim))
+    points = Box(lo, hi).generic_points()
+    assert points.shape == (defaults.RANK_POINTS, dim)
+    assert not points.flags.writeable
+    # The same bits as the formula in Python floats, and on every call.
+    expected = [[a + (0.05 + 0.9 * math.modf(i * math.sqrt(p))[0]) * (b - a)
+                 for a, b, p in zip(lo, hi, primes)]
+                for i in range(1, defaults.RANK_POINTS + 1)]
+    assert points.tolist() == expected
+    assert Box(lo, hi).generic_points().tobytes() == points.tobytes()
+    widths = np.subtract(hi, lo)
+    inner = (points - lo) / widths
+    assert np.all((inner >= 0.05) & (inner <= 0.95))
+    assert len(np.unique(points, axis=0)) == defaults.RANK_POINTS
+    assert all(len(set(column)) == defaults.RANK_POINTS
+               for column in points.T.tolist())
+
+
+def test_type_estimate_takes_rows_at_the_fixed_points_only(
+        monkeypatch, std1, std2, twisted):
+    calls = []
+    rows_of = crsolve.real_jacobian
+
+    def counting(fields, points):
+        calls.append((len(fields), len(points)))
+        return rows_of(fields, points)
+
+    monkeypatch.setattr(crsolve, "real_jacobian", counting)
+    for structure in (std1, std2, twisted, _r6("x1"), _r6("0")):
+        for degree in (1, 2, 3):
+            solution = solve_ah_polynomials(structure, degree)
+            calls.clear()
+            estimate = estimate_spencer_type(structure, solution)
+            # The search stops once the rank reaches 2n.
+            tried = solution.nullity
+            if estimate.m == structure.n:
+                tried = 1 + next(i for i, f in enumerate(solution.fields)
+                                 if f is estimate.selected[-1])
+            assert calls == [(1, defaults.RANK_POINTS)] * tried

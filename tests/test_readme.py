@@ -38,3 +38,20 @@ def test_module_map_names_resolve_in_their_modules():
             if owner is None:
                 missing.append(f"{module_name}: {name}")
     assert missing == []
+
+
+def test_task_table_lists_each_kinds_keys():
+    """The README's task table gives every kind in ``scenario.TASKS`` with
+    exactly its keys, marking ``?`` the optional integers."""
+    from spencerkit.scenario import TASKS
+    text = README.read_text("utf-8")
+    table = text[text.index("Task kinds and their specific keys"):]
+    table = table.split("\n\n")[1]
+    rows = dict(re.findall(r"^\| `(\w+)` \| (.*) \|$", table,
+                           flags=re.MULTILINE))
+    listed = {kind: {key.rstrip("?"): key.endswith("?")
+                     for key in re.findall(r"`(\w+\??)`", keys)}
+              for kind, keys in rows.items()}
+    assert listed == {kind: {key: kind_of == "int"
+                             for key, kind_of in keys.items()}
+                      for kind, (_, keys) in TASKS.items()}

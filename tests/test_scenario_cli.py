@@ -1146,13 +1146,34 @@ def test_spencer_type_reuses_the_solve_of_a_solve_ah_task(monkeypatch):
     data = minimal_scenario(tasks=[
         {"task": "solve_ah", "degree": 2, "expect_dim": 2},
         {"task": "spencer_type", "degree": 2, "expect_m": 1},
-        {"task": "spencer_type", "degree": 2, "grid": 4, "expect_m": 1},
+        {"task": "spencer_type", "degree": 2, "label": "again"},
         {"task": "spencer_type", "degree": 1, "expect_m": 1}])
     result = run_scenario(parse_scenario(data))
     assert result.overall == "pass"
-    # grid sets only the rank lattice of spencer_type: one solve per degree.
+    # One solve per degree, whichever task asks for it first.
     assert solves == [2, 1]
     assert result.reports[-1].notes[0] == "solution space dimension 1 at degree 1"
+
+
+def test_spencer_type_refuses_a_grid_key(scenario_file, capsys):
+    # The type estimate samples no lattice, so a grid would set nothing.
+    data = minimal_scenario(tasks=[
+        {"task": "spencer_type", "degree": 2, "grid": 4, "expect_m": 1}])
+    assert cli.main(["run", scenario_file(data)]) == 2
+    assert capsys.readouterr().err == (
+        "error: task 0 (spencer_type) takes none of ['grid']; its keys are "
+        "['task', 'label', 'expect', 'degree', 'expect_m']\n")
+
+
+@pytest.mark.parametrize("name", ["std_c1", "std_c2", "twisted_r4"])
+@pytest.mark.parametrize("grid", ["7", "1"])
+def test_grid_flag_does_not_reach_spencer_type(capsys, name, grid):
+    # A --grid below 2 exits 2 only when it reaches a task.
+    assert cli.main(["builtin", name, "--task", "spencer_type"]) == 0
+    plain = capsys.readouterr()
+    assert cli.main(["builtin", name, "--task", "spencer_type",
+                     "--grid", grid]) == 0
+    assert capsys.readouterr() == plain
 
 
 def test_small_twist_keeps_type_one(scenario_file, capsys):
