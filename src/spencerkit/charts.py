@@ -29,7 +29,7 @@ from . import defaults
 from .crsolve import cr_defect_bound, cr_residual, independence_rank
 from .errors import (ChartError, ConfigurationError, FitError,
                      IndependenceError, NumericalError, OverlapError)
-from .jfield import check_entries, keep, lattice_sample
+from .jfield import _distinct_rows, check_entries, keep, lattice_sample
 from .poly import PolyMap, Polynomial, monomials_upto, real_jacobian
 
 
@@ -105,20 +105,15 @@ def _certified(structure, fields, box, tol_cr):
 
 
 def _sampled_gate(structure, fields, sample, tol_cr):
-    """The CR gate on the sample, field by field, then the Jacobian rows."""
-    try:
-        for i, res in enumerate(cr_residual(structure, fields, sample)):
-            if not np.isfinite(res):
-                raise NumericalError(
-                    f"field {i} has a non-finite CR residual on the chart box")
-            if res > tol_cr:
-                raise ChartError(
-                    f"field {i} is not almost holomorphic on the chart box: "
-                    f"residual {res:.3e} > {tol_cr:g}")
-        return sample.jacobian_rows(fields)
-    finally:
-        # Only the two calls above share the rows, whatever they raise.
-        sample.kept.pop("rows", None)
+    """The CR gate on the sample, field by field."""
+    for i, res in enumerate(cr_residual(structure, fields, sample)):
+        if not np.isfinite(res):
+            raise NumericalError(
+                f"field {i} has a non-finite CR residual on the chart box")
+        if res > tol_cr:
+            raise ChartError(
+                f"field {i} is not almost holomorphic on the chart box: "
+                f"residual {res:.3e} > {tol_cr:g}")
 
 
 def build_spencer_chart(structure, fields, box=None,
@@ -133,10 +128,10 @@ def build_spencer_chart(structure, fields, box=None,
     Gram volume of the growing Jacobian; the completed Jacobian must have a
     determinant that is bounded away from zero with constant sign.
 
-    When the fields are ``_certified`` the CR gate reads no J, and only the
-    Jacobian rows are sampled.  Otherwise every field takes the sampled
-    gate, in field order, and J and the fields' Jacobian rows are
-    evaluated once for the CR residuals and the rank together.  A non-finite
+    When the fields are ``_certified`` the CR gate reads no J.  Otherwise
+    every field takes the sampled gate, in field order, which evaluates J
+    once.  Either way the fields' Jacobian rows are then taken once, for
+    the rank and the completion.  A non-finite
     CR residual, Jacobian row or determinant raises NumericalError: no
     comparison against a tolerance can judge it.
     """
@@ -149,10 +144,9 @@ def build_spencer_chart(structure, fields, box=None,
     if not 1 <= len(fields) <= n:
         raise ChartError(f"chart needs between 1 and {n} fields, got {len(fields)}")
     sample = lattice_sample(_lattices, structure, box, grid_k)
-    if _certified(structure, fields, box, tol_cr):
-        rows = real_jacobian(fields, sample.points)
-    else:
-        rows = _sampled_gate(structure, fields, sample, tol_cr)
+    if not _certified(structure, fields, box, tol_cr):
+        _sampled_gate(structure, fields, sample, tol_cr)
+    rows = real_jacobian(fields, sample.points)
     m = len(fields)
     rank = independence_rank(rows, svd_rel_tol)
     if rank < 2 * m:
@@ -193,13 +187,6 @@ def _vandermonde(w, fit_degree):
     return PolyMap([Polynomial(m, {e: 1.0}) for e in monomials]).evaluate(w), monomials
 
 
-def _distinct_rows(w):
-    """The number of distinct rows of w, distinct by bits."""
-    bits = np.ascontiguousarray(w).view(np.int64)
-    bits = bits[np.lexsort(bits.T)]
-    return 1 + int(np.count_nonzero((bits[1:] != bits[:-1]).any(axis=1)))
-
-
 def _fit_matrix(w, fit_degree, what):
     """What fits over the values w share, whatever their targets: the
     Vandermonde matrix of the holomorphic monomials of w up to fit_degree,
@@ -217,9 +204,9 @@ def _fit_matrix(w, fit_degree, what):
     columns = math.comb(m + fit_degree, m)
     # A prefix with more distinct rows than monomials settles it; else all
     # rows are counted, for the refusal's number.
-    distinct = _distinct_rows(w[:2 * columns])
+    distinct = len(_distinct_rows(w[:2 * columns])[0])
     if distinct <= columns:
-        distinct = _distinct_rows(w)
+        distinct = len(_distinct_rows(w)[0])
     if distinct <= columns:
         raise ConfigurationError(
             f"fit_degree {fit_degree} gives {columns} monomials for "

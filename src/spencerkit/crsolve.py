@@ -26,22 +26,21 @@ def cr_residual(structure, fields, points):
     ``structure``, one float per field.
 
     J is evaluated once for all fields and stays real: each field's Re and
-    Im rows (``poly.real_jacobian``) are contracted with it into the parts
-    of one complex buffer, with the bits of the complex contraction.  On a
-    batch the rows are taken one field at a time, so memory does not grow
-    with the field count; a Sample keeps those of the fields last asked for.
+    Im rows (``poly.real_jacobian``), taken one field at a time so memory
+    does not grow with the field count, are contracted with it into the
+    parts of one complex buffer, with the bits of the complex contraction.
+    A Sample lends its J; on a batch J is evaluated here.
     """
     if isinstance(points, Sample):
         if points.structure is not structure:
             raise ConfigurationError("the sample belongs to another structure")
-        j, kept = points.j, points.jacobian_rows(fields)
-        per_field = (kept[:, 2 * f:2 * f + 2] for f in range(len(fields)))
+        j, points = points.j, points.points
     else:
         j = eval_j(structure, points)
-        per_field = (real_jacobian([f], points) for f in fields)
     defect = np.empty(j.shape[:2], dtype=complex)
     residuals = []
-    for rows in per_field:
+    for f in fields:
+        rows = real_jacobian([f], points)
         np.einsum("pi,pij->pj", rows[:, 0], j, out=defect.real)
         np.einsum("pi,pij->pj", rows[:, 1], j, out=defect.imag)
         defect.real += rows[:, 1]

@@ -17,7 +17,7 @@ import numpy as np
 from . import defaults
 from .errors import (ConfigurationError, DegenerateStructureError, DomainError,
                      NumericalError)
-from .poly import Polynomial, real_jacobian
+from .poly import Polynomial
 from .report import make_report
 
 
@@ -28,6 +28,20 @@ def check_entries(entries, what, *args):
     if entries > defaults.ENTRY_CAP:
         raise ConfigurationError(f"{what.format(*args)} has {entries} entries, "
                                  f"above the cap of {defaults.ENTRY_CAP}")
+
+
+def _distinct_rows(a):
+    """The rows of a 2-D array of 8-byte items, distinct by bits: +0.0 and
+    -0.0, or two NaN payloads, stay apart.  Returns the index of one row
+    of each, in the order of their bits, and for each row the position of
+    its own among those."""
+    bits = np.ascontiguousarray(a).view(np.int64)
+    order = np.lexsort(bits.T)
+    repeat = np.zeros(len(bits), dtype=bool)
+    repeat[1:] = (bits[order[1:]] == bits[order[:-1]]).all(axis=1)
+    inverse = np.empty(len(bits), dtype=np.intp)
+    inverse[order] = np.cumsum(~repeat) - 1
+    return order[~repeat], inverse
 
 
 @dataclass(frozen=True)
@@ -232,10 +246,8 @@ def keep(kept, slot, key, make):
 class Sample:
     """A point batch of one structure, and what was evaluated on it, in
     ``kept`` (see ``keep``): J, real as ``eval_j`` returns it, and its ACS
-    residual for the sample's life, the Jacobian rows of the fields last
-    asked for until other fields are, and what the chart functions keep
-    there.  Keeping one chart's rows, not every chart's, bounds what a
-    shared sample holds.
+    residual for the sample's life, and what the chart functions keep
+    there.
     """
 
     def __init__(self, structure, points):
@@ -254,13 +266,6 @@ class Sample:
         """max |J^2 + I| over the points, ``acs_residual``."""
         return keep(self.kept, "acs", None, lambda: acs_residual(
             self.structure, self.j))
-
-    def jacobian_rows(self, fields):
-        """The fields' real Jacobian rows at the points, ``real_jacobian``."""
-        fields = tuple(fields)
-        # Kept with the fields, so their ids are not reused meanwhile.
-        return keep(self.kept, "rows", tuple(map(id, fields)), lambda: (
-            fields, real_jacobian(fields, self.points)))[1]
 
 
 def lattice_sample(lattices, structure, box, grid_k):

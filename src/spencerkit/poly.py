@@ -445,12 +445,11 @@ def real_jacobian(fields, points):
     the (P, 2m, nvars) view, rows Re then Im of each field's gradient, of
     one contiguous (m, 2, nvars, P) buffer.
 
-    Each term of each partial carries its coefficient's real and imaginary
-    parts, as a (2, 1) array, through ``_values``'s powers and factor order
-    in real arithmetic, and is added to a zero start.  So where an entry of
-    ``Polynomial.gradient`` is finite, its Re and Im rows have the bits of
-    its real and imaginary parts; where it is not, they are not both
-    finite either.
+    ``_add_terms`` carries each term's real and imaginary parts, as a
+    (2, 1) array, through ``_values``'s powers and factor order in real
+    arithmetic.  So where an entry of ``Polynomial.gradient`` is finite,
+    its Re and Im rows have the bits of its real and imaginary parts; where
+    it is not, they are not both finite either.
     """
     pts = np.asarray(points, dtype=float)
     for field in fields:
@@ -462,28 +461,21 @@ def real_jacobian(fields, points):
     powers = {}
     for f, field in enumerate(fields):
         for k, partial in enumerate(field.partials()):
-            for e, c in partial.terms.items():
-                term = np.array([[c.real], [c.imag]])
-                for d, power in enumerate(e):
-                    if power:
-                        if (d, power) not in powers:
-                            powers[d, power] = pts[:, d] ** power
-                        term = term * powers[d, power]
-                out[f, :, k] += term
+            _add_terms(out[f, :, k], partial.terms,
+                       lambda c: np.array([[c.real], [c.imag]]), pts, powers)
     return out.reshape(2 * len(fields), nvars, len(pts)).transpose(2, 0, 1)
 
 
 def _values(polys, points):
     """Values (P, len(polys)) of polynomials in nvars variables at a batch
-    (P, nvars), which must have that shape; the one evaluation loop.
+    (P, nvars), which must have that shape.
 
     float64 when every coefficient and every point is real, complex
-    otherwise.  Each x**p is computed once and shared by all terms and
-    polynomials; each term multiplies its coefficient by its factors in
-    exponent order and is added to a zero start.  So a complex value has the
-    bits of the term-by-term complex loop, and a real one has the bits of
-    that loop's real part wherever that is finite; where it is not, the
-    real value is not finite either (inf may stand where it reads nan).
+    otherwise; ``_add_terms`` adds each polynomial's terms into its column.
+    So a complex value has the bits of the term-by-term complex loop, and a
+    real one has the bits of that loop's real part wherever that is finite;
+    where it is not, the real value is not finite either (inf may stand
+    where it reads nan).
     """
     nvars = polys[0].nvars
     pts = np.asarray(points)
@@ -492,13 +484,23 @@ def _values(polys, points):
     real = pts.dtype.kind != "c" and all(p.is_real for p in polys)
     out = np.zeros((pts.shape[0], len(polys)), dtype=float if real else complex)
     powers = {}
+    coef = (lambda c: c.real) if real else (lambda c: c)
     for j, p in enumerate(polys):
-        for e, c in p.terms.items():
-            term = c.real if real else c
-            for k, power in enumerate(e):
-                if power:
-                    if (k, power) not in powers:
-                        powers[k, power] = pts[:, k] ** power
-                    term = term * powers[k, power]
-            out[:, j] += term
+        _add_terms(out[:, j], p.terms, coef, pts, powers)
     return out
+
+
+def _add_terms(target, terms, coef, pts, powers):
+    """The one term loop: add each term of ``terms`` (exponents ->
+    coefficient c) at the batch ``pts`` into the array ``target``, in term
+    order, as ``coef(c)`` multiplied by its factors x**p in exponent order.
+    ``powers`` keeps each x**p, computed once and shared by every call
+    given the same dict."""
+    for e, c in terms.items():
+        term = coef(c)
+        for k, power in enumerate(e):
+            if power:
+                if (k, power) not in powers:
+                    powers[k, power] = pts[:, k] ** power
+                term = term * powers[k, power]
+        target += term

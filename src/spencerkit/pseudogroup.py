@@ -30,7 +30,7 @@ import numpy as np
 from . import defaults
 from .errors import (CompositionError, ConfigurationError, DomainError,
                      InversionError, NumericalError)
-from .jfield import Box, eval_j, lattice_points
+from .jfield import Box, _distinct_rows, eval_j, lattice_points
 from .poly import PolyMap, Polynomial
 from .report import make_report
 
@@ -173,21 +173,16 @@ class LocalMap:
         as a NaN residual: a row whose seed masks stops as failed, and a
         trial step that masks does not improve its row.
 
-        Every row is solved on its own, so each distinct target is solved
-        once and its result copied to its repeats.  Rows are equal only when
-        their bits are: +0.0 and -0.0, or two NaN payloads, stay apart.
+        Every row is solved on its own, so each distinct target, distinct
+        by bits (``jfield._distinct_rows``), is solved once and its result
+        copied to its repeats.
         """
         ys = np.ascontiguousarray(ys, dtype=float)
         if ys.ndim != 2 or ys.shape[1] != self.dim:
             raise ValueError(
                 f"points must be a (P, {self.dim}) array, got shape {ys.shape}")
-        bits = ys.view(np.int64)
-        order = np.lexsort(bits.T)
-        repeat = np.zeros(len(ys), dtype=bool)
-        repeat[1:] = (bits[order[1:]] == bits[order[:-1]]).all(axis=1)
-        inverse = np.empty(len(ys), dtype=np.intp)
-        inverse[order] = np.cumsum(~repeat) - 1
-        ys = ys[order[~repeat]]
+        first, inverse = _distinct_rows(ys)
+        ys = ys[first]
         scale = np.maximum(1.0, np.max(np.abs(ys), axis=1))
         scale = np.maximum(scale, self.domain.diameter)
         # The nearest seed of each row in the max norm, in blocks of rows so

@@ -100,7 +100,7 @@ def test_chart_field_count_bounds(std1, std2, z_field):
 
 def test_a_certified_chart_build_reads_no_j(monkeypatch, std2):
     j_calls, row_calls = [], []
-    eval_j, real_jacobian = jfield.eval_j, jfield.real_jacobian
+    eval_j, real_jacobian = jfield.eval_j, charts.real_jacobian
 
     def counting_j(structure, points):
         j_calls.append(len(points))
@@ -112,7 +112,7 @@ def test_a_certified_chart_build_reads_no_j(monkeypatch, std2):
 
     monkeypatch.setattr(jfield, "eval_j", counting_j)
     monkeypatch.setattr(crsolve, "eval_j", counting_j)
-    monkeypatch.setattr(jfield, "real_jacobian", counting_rows)
+    monkeypatch.setattr(crsolve, "real_jacobian", counting_rows)
     monkeypatch.setattr(charts, "real_jacobian", counting_rows)
     z1 = parse_polynomial("x1 + (0+1i)*x2", 4)
     z2 = parse_polynomial("x3 + (0+1i)*x4", 4)
@@ -127,15 +127,15 @@ def test_a_certified_chart_build_reads_no_j(monkeypatch, std2):
     assert row_calls == [1]
 
 
-def test_chart_build_evaluates_j_and_jacobian_rows_once(monkeypatch, std1,
-                                                        z_field, zbar_field):
+def test_chart_build_evaluates_j_once_and_rows_per_gate_and_rank(
+        monkeypatch, std1, z_field, zbar_field):
     """A field that does not certify sends the build to the sampled gate,
-    which evaluates J and the Jacobian rows once: zbar fails it, and
-    1e10*z, whose defect cancels exactly, passes it, since one rounding
-    unit of its scale is about 4e-6.  The CR residual and the rank share
-    the rows."""
+    which evaluates J once: zbar fails it, and 1e10*z, whose defect cancels
+    exactly, passes it, since one rounding unit of its scale is about 4e-6.
+    The CR residual takes each field's Jacobian rows, and the rank takes
+    the fields' rows once more; the sample keeps none."""
     j_calls, row_calls = [], []
-    eval_j, real_jacobian = jfield.eval_j, jfield.real_jacobian
+    eval_j, real_jacobian = jfield.eval_j, charts.real_jacobian
 
     def counting_j(structure, points):
         j_calls.append(len(points))
@@ -147,7 +147,7 @@ def test_chart_build_evaluates_j_and_jacobian_rows_once(monkeypatch, std1,
 
     monkeypatch.setattr(jfield, "eval_j", counting_j)
     monkeypatch.setattr(crsolve, "eval_j", counting_j)
-    monkeypatch.setattr(jfield, "real_jacobian", counting_rows)
+    monkeypatch.setattr(crsolve, "real_jacobian", counting_rows)
     monkeypatch.setattr(charts, "real_jacobian", counting_rows)
     with pytest.raises(ChartError, match="not almost holomorphic"):
         build_spencer_chart(std1, [zbar_field], grid_k=4)
@@ -155,9 +155,12 @@ def test_chart_build_evaluates_j_and_jacobian_rows_once(monkeypatch, std1,
     assert row_calls == [1]
     j_calls.clear()
     row_calls.clear()
-    assert build_spencer_chart(std1, [z_field * 1e10], grid_k=4).m == 1
+    lattices = {}
+    assert build_spencer_chart(std1, [z_field * 1e10], grid_k=4,
+                               _lattices=lattices).m == 1
     assert j_calls == [4 ** 2]
-    assert row_calls == [1]
+    assert row_calls == [1, 1]
+    assert list(lattices["lattice"][1].kept) == ["j"]
 
 
 def test_a_field_that_does_not_certify_fails_with_the_sampled_text(
@@ -436,7 +439,7 @@ def test_a_run_samples_each_lattice_once(monkeypatch):
     fit_degree)."""
     from spencerkit.scenario import parse_scenario, run_scenario
     j_calls, rows, values, matrices, sigmas = [], [], [], [], []
-    eval_j, real_jacobian = jfield.eval_j, jfield.real_jacobian
+    eval_j, real_jacobian = jfield.eval_j, charts.real_jacobian
     evaluate, vandermonde, svd = (charts.SpencerChart.evaluate,
                                   charts._vandermonde, np.linalg.svd)
 
@@ -465,7 +468,6 @@ def test_a_run_samples_each_lattice_once(monkeypatch):
 
     monkeypatch.setattr(crsolve, "eval_j", counting_j)
     monkeypatch.setattr(jfield, "eval_j", counting_j)
-    monkeypatch.setattr(jfield, "real_jacobian", counting_rows)
     monkeypatch.setattr(crsolve, "real_jacobian", counting_rows)
     monkeypatch.setattr(charts, "real_jacobian", counting_rows)
     monkeypatch.setattr(charts.SpencerChart, "evaluate", counting_evaluate)
@@ -692,19 +694,3 @@ def test_keep_frees_the_old_value_before_making_the_next():
     with pytest.raises(ConfigurationError):
         jfield.keep(kept, "slot", 3, refuse)
     assert kept == {}                   # a refused value is not kept
-
-
-def test_a_sample_frees_old_rows_before_taking_new(
-        monkeypatch, std1, z_field, zbar_field):
-    sample = jfield.Sample(std1, std1.box.lattice(3))
-    first = sample.jacobian_rows([z_field])
-    assert sample.jacobian_rows([z_field]) is first
-    seen, real_jacobian = [], jfield.real_jacobian
-
-    def watching(fields, points):
-        seen.append("rows" in sample.kept)
-        return real_jacobian(fields, points)
-
-    monkeypatch.setattr(jfield, "real_jacobian", watching)
-    assert sample.jacobian_rows([zbar_field]) is not first
-    assert seen == [False]

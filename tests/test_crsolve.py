@@ -481,8 +481,8 @@ def test_cr_residual_keeps_the_bits_of_the_complex_contraction(name):
         assert _same_floats(cr_residual(structure, fields, points), expected)
         sample = Sample(structure, points)
         assert _same_floats(cr_residual(structure, fields, sample), expected)
-        # The sample keeps the rows of the fields, the batch none.
-        assert list(sample.kept) == ["j", "rows"]
+        # The sample keeps J, and no field's rows.
+        assert list(sample.kept) == ["j"]
 
 
 def test_cr_residual_keeps_its_bits_and_non_finite_values(std1, z_field,

@@ -708,3 +708,22 @@ def test_split_type_bases_span_the_exact_projector_images():
             assert np.max(np.abs(proj - oracle)) <= 1e-15
             assert np.max(np.abs(proj @ proj - proj)) <= 1e-15
             assert np.max(np.abs(j @ proj - 1j * proj)) <= 1e-15
+
+
+def test_distinct_rows_keeps_one_row_per_bit_pattern():
+    """Rows are distinct by bits: +0.0 and -0.0, and two NaN payloads,
+    stay apart; the inverse rebuilds the array, and the count of a
+    complex array is that of its real view."""
+    nan2 = np.frombuffer(np.array(0x7FF8000000000001, dtype=np.int64).tobytes())[0]
+    a = np.array([[1.0, 0.0], [1.0, -0.0], [np.nan, 2.0], [nan2, 2.0],
+                  [1.0, 0.0], [np.nan, 2.0], [-3.0, 5.0]])
+    first, inverse = jfield._distinct_rows(a)
+    assert len(first) == 5
+    assert a[first][inverse].tobytes() == a.tobytes()
+    assert sorted(inverse[[0, 4]]) == [inverse[0]] * 2
+    assert len(set(inverse[[0, 1, 2, 3, 6]])) == 5
+    # The first of each repeated row is the one kept.
+    assert set(first) == {0, 1, 2, 3, 6}
+    assert len(jfield._distinct_rows(a.view(complex))[0]) == 5
+    first, inverse = jfield._distinct_rows(np.empty((0, 3)))
+    assert len(first) == len(inverse) == 0
