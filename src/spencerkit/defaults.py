@@ -31,8 +31,9 @@ NEWTON_ACCEPT_TOL = 1e-9    # Newton residual up to which a point is accepted
 GROWTH_TOL = 1e-12          # smallest domain growth ``compose`` still pursues
 FIT_COND_CAP = 1e12         # largest condition number of a fit matrix
 # Most entries of one sampled array (``jfield.check_entries``): a lattice,
-# J on it, a Nijenhuis tensor (512 MiB as float64) or a fit matrix (1 GiB
-# as complex128, and its SVD takes about as much again).
+# J on it, a fit matrix (1 GiB as complex128, and its SVD takes about as
+# much again), or the dense Nijenhuis tensor (512 MiB as float64), which
+# is counted but not built: ``nijenhuis`` keeps only its nonzero components.
 ENTRY_CAP = 2 ** 26
 # solve_ah's solver_residual bound is this * svd_rel_tol * max(sigma_max, 1).
 SOLVER_RESIDUAL_FACTOR = 10.0

@@ -411,24 +411,41 @@ def nijenhuis(structure, points, *, _lattices=None):
     N[i, a, a] = h - h is kept, NaN where h overflows.  Each sum adds, from
     zero over ascending k, only the products whose J entry and partial are
     nonzero polynomials; a skipped product of finite values is an exact
-    zero, so N has the bits of the full contraction.  Raises NumericalError
-    where a nonzero partial is not finite, which a skipped product would
-    hide, and ConfigurationError where the dense tensor is over
-    ``check_entries``'s cap.  J comes from the holder ``_lattices`` by
-    ``split_type``'s rule.
+    zero, so N has the bits of the full contraction.  A constant partial
+    enters as its float coefficient, the value ``evaluate`` gives at every
+    point, so each product keeps its bits and each component is (P,).
+    Raises NumericalError where a nonzero partial is not finite, which a
+    skipped product would hide, and ConfigurationError where the dense
+    tensor is over ``check_entries``'s cap: it is counted, never built.
+
+    Only the columns J_{ka} of nonzero entries are kept, copied from J.
+    J is read from the holder ``_lattices`` by ``split_type``'s rule when
+    its sample already keeps it; otherwise it is evaluated here and freed
+    without filling the sample: J is kept by the readers that use all of
+    it, and a later one on the same lattice evaluates it again.
     """
     pts = np.asarray(points, dtype=float)
     size, m = structure.real_dim, structure.matrix
     check_entries(len(pts) * size ** 3, "the Nijenhuis tensor at {} points "
                   "of a structure with n = {}", len(pts), structure.n)
-    j = _sample_at(_lattices, structure, pts).j
+    sample = _sample_at(_lattices, structure, pts)
+    j = sample.j if "j" in sample.kept else eval_j(structure, pts)
     rows = {(k, a): np.ascontiguousarray(j[:, k, a]) for k, a in  # J_{ka}
             itertools.product(range(size), repeat=2) if not m[k][a].is_zero}
-    del j                   # a fresh sample's J with it
-    dj = {(k, i, b): partial.evaluate(pts)                  # d_k J_{ib}
+    del j
+
+    def values(partial):    # a constant as its one coefficient, real in J
+        if partial.degree:
+            return partial.evaluate(pts)
+        c, = partial.terms.values()
+        return c.real
+
+    dj = {(k, i, b): values(partial)                        # d_k J_{ib}
           for i, row in enumerate(m) for b, entry in enumerate(row)
           for k, partial in enumerate(entry.partials()) if not partial.is_zero}
-    finite = np.all([np.isfinite(values) for values in dj.values()], axis=0)
+    finite = np.ones(len(pts), dtype=bool)
+    for value in dj.values():
+        finite &= np.isfinite(value)
     if not np.all(finite):
         raise NumericalError(
             "a partial of J is not finite at point "

@@ -1,7 +1,8 @@
 """``tools/bench_pairs.py`` condenses alternating pair records into the
 summary that a ``BENCH_*.json`` file reports, counts each side's package
 lines, lists the report fields that differ between the sides, names the
-scenario with each workload's highest memory peak, counts the minor page
+scenario with each workload's highest memory peak and the task that
+reached each scenario's peak, counts the minor page
 faults of a warm pass per workload and runs a bench call again once when
 the CPU-speed probe divides by zero."""
 from __future__ import annotations
@@ -139,6 +140,62 @@ def test_peak_scenarios_name_each_workloads_highest_peak_per_side():
         "solve": {"parent": "solve/00-a", "change": "solve/01-b"},
         "closure": {"parent": "closure/00-c", "change": "closure/00-c"},
     }
+
+
+FAKE_SCENARIO = '''\
+"""A run whose tasks hold "mb" MiB each while they run, and which holds
+"outside" MiB itself before its first task."""
+import json
+
+
+def _run_one_task(scenario, spec, run):
+    return len(bytearray(spec["mb"] << 20))
+
+
+def run_scenario(scenario):
+    outside = bytearray(scenario["outside"] << 20)
+    del outside
+    return [_run_one_task(scenario, spec, None) for spec in scenario["tasks"]]
+
+
+def parse_scenario(data):
+    return data
+
+
+def emit_json(result):
+    return json.dumps(result)
+
+
+def builtin_scenarios():
+    return {
+        "labelled": {"outside": 1, "tasks": [
+            {"task": "check_acs", "mb": 2},
+            {"task": "chart", "label": "chart_big", "mb": 6},
+            {"task": "cocycle", "mb": 3}]},
+        "unlabelled": {"outside": 1, "tasks": [
+            {"task": "split_type", "mb": 2}, {"task": "transition", "mb": 4}]},
+        "outside": {"outside": 8, "tasks": [{"task": "chart", "mb": 4}]},
+    }
+'''
+
+
+def test_scenario_runs_name_the_task_that_reached_each_peak(tmp_path):
+    (tmp_path / "src" / "spencerkit").mkdir(parents=True)
+    (tmp_path / "src" / "spencerkit" / "__init__.py").write_text("")
+    (tmp_path / "src" / "spencerkit" / "scenario.py").write_text(FAKE_SCENARIO)
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "scenarios.py").write_text("")
+    doc = _tool()._scenario_runs(str(tmp_path), 1, [])
+    # A task's label, else its kind; None for a peak outside every task.
+    assert doc["memory_peak_tasks"] == {"builtin/labelled": "chart_big",
+                                        "builtin/unlabelled": "transition",
+                                        "builtin/outside": None}
+    # Each peak is the scenario's whole one, not its last task's.
+    peaks = doc["memory_peaks"]
+    assert 6.0 <= peaks["builtin/labelled"] < 6.5
+    assert 8.0 <= peaks["builtin/outside"] < 8.5
+    assert doc["reports"]["builtin/labelled"] == json.dumps(
+        [2 << 20, 6 << 20, 3 << 20])
 
 
 SPEED_ERROR = ("error: measure-0: worker exited 1:\n"

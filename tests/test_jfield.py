@@ -451,6 +451,65 @@ def test_integrability_report_peak_memory_stays_below_half_the_dense_tensor():
     assert peak < 0.5 * DENSE_TENSOR
 
 
+def test_integrability_report_on_a_run_holder_keeps_no_j_at_its_peak():
+    # The run's sample is left without J: 0.29x the dense tensor, against
+    # 0.47x when the sample kept it.
+    structure = _sheared_n3()
+    integrability_report(structure, grid_k=2)   # builds the cached partials
+    lattices = {}
+    tracemalloc.start()
+    try:
+        integrability_report(structure, _lattices=lattices)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.38 * DENSE_TENSOR
+
+
+@pytest.mark.parametrize("case", ["twisted", "sheared2", "sheared3"])
+def test_integrability_evaluates_j_once_and_no_constant_partial(
+        case, monkeypatch, std1, std2, twisted):
+    """J is kept on a run's sample by the readers that use all of it, and
+    ``nijenhuis`` reads it there but leaves a sample it finds without J as
+    it was; a constant partial is never evaluated."""
+    structure = _case(case, std1, std2, twisted)
+    pts = structure.box.lattice(3)
+    expected = _bits(nijenhuis(structure, pts))
+    partials = [p for row in structure.matrix for entry in row
+                for p in entry.partials() if not p.is_zero]
+    assert any(p.degree == 0 for p in partials)
+    calls, evaluated = [], []
+    eval_j, evaluate = jfield.eval_j, Polynomial.evaluate
+
+    def counting_eval_j(s, points):
+        calls.append(len(points))
+        return eval_j(s, points)
+
+    def counting_evaluate(poly, points):
+        evaluated.append(poly)
+        return evaluate(poly, points)
+
+    monkeypatch.setattr(jfield, "eval_j", counting_eval_j)
+    lattices = {}
+    integrability_report(structure, grid_k=3, _lattices=lattices)
+    sample = jfield.lattice_sample(lattices, structure, structure.box, 3)
+    assert calls == [len(pts)]
+    assert "j" not in sample.kept
+
+    lattices = {}
+    calls.clear()
+    check_acs(structure, grid_k=3, _lattices=lattices)
+    monkeypatch.setattr(Polynomial, "evaluate", counting_evaluate)
+    integrability_report(structure, grid_k=3, _lattices=lattices)
+    assert calls == [len(pts)]
+    assert sorted(map(id, evaluated)) == sorted(id(p) for p in partials
+                                                if p.degree)
+    sample = jfield.lattice_sample(lattices, structure, structure.box, 3)
+    assert _bits(nijenhuis(structure, sample.points,
+                           _lattices=lattices)) == expected
+    assert calls == [len(pts)]
+
+
 def _bits(result):
     """The bits of a ``split_type`` or ``nijenhuis`` result."""
     if isinstance(result, dict):

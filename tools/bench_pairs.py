@@ -12,7 +12,9 @@ the paired workloads at the first seed in-process, and ``report_changes``
 lists each report field whose value differs between the sides.  The same
 child records each scenario's ``tracemalloc`` peak as ``memory_peaks``,
 and ``memory_peak_scenarios`` names the scenario with the highest peak of
-each workload on each side: the one that likely sets its ``peak_rss_mb``.
+each workload on each side: the one that likely sets its ``peak_rss_mb``;
+``memory_peak_tasks`` names, per scenario and side, the task whose run
+reached the scenario's peak.
 It then runs every scenario once more, warm and untraced, and records
 the minor page faults (``ru_minflt``) of that pass per workload as
 ``minor_faults``: a change that frees memory the allocator then returns
@@ -38,16 +40,19 @@ import tarfile
 
 SIDES = ("parent", "change")
 END_TO_END = ("setup_s", "cold_run_s", "run_s", "peak_rss_mb")
-# Child of ``_reports``: argv is ROOT SEED WORKLOAD...; prints a JSON object
-# {"reports": {label: canonical report}, "memory_peaks": {label: tracemalloc
-# peak in MB}, "minor_faults": {workload: ru_minflt of a second, warm pass}}
-# over the scenarios, with ROOT's src/ and bench/ first on sys.path; the
-# packaged scenarios are the workload "builtin".
+# Child of ``_scenario_runs``: argv is ROOT SEED WORKLOAD...; prints a JSON
+# object {"reports": {label: canonical report}, "memory_peaks": {label:
+# tracemalloc peak in MB}, "memory_peak_tasks": {label: the label of the
+# task whose run set that peak, or None}, "minor_faults": {workload:
+# ru_minflt of a second, warm pass}} over the scenarios, with ROOT's src/
+# and bench/ first on sys.path; the packaged scenarios are the workload
+# "builtin".
 REPORTS = """\
 import json, os, resource, sys, tracemalloc
 root, seed, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
 sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
 import scenarios
+import spencerkit.scenario
 from spencerkit.scenario import (builtin_scenarios, emit_json, parse_scenario,
                                  run_scenario)
 builtins = builtin_scenarios()
@@ -56,12 +61,33 @@ for workload in workloads:
     built = scenarios.build(workload, seed, "full", builtins)
     named += [(f"{workload}/{k:02d}-{data['name']}", data)
               for k, data in enumerate(built)]
-reports, peaks = {}, {}
+# Each task's run is its own stretch of the trace: the peak is read and
+# reset at its start and end, and the scenario's peak is the highest
+# stretch's, set by that stretch's task (None outside every task).
+one_task, stretches = spencerkit.scenario._run_one_task, []
+
+def close_stretch(task):
+    stretches.append((tracemalloc.get_traced_memory()[1], task))
+    tracemalloc.reset_peak()
+
+def traced_task(scen, spec, run):
+    close_stretch(None)
+    try:
+        return one_task(scen, spec, run)
+    finally:
+        close_stretch(spec.get("label", spec["task"]))
+
+spencerkit.scenario._run_one_task = traced_task
+reports, peaks, peak_tasks = {}, {}, {}
 for label, data in named:
+    stretches.clear()
     tracemalloc.start()
     reports[label] = emit_json(run_scenario(parse_scenario(data)))
-    peaks[label] = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    close_stretch(None)
     tracemalloc.stop()
+    peak, peak_tasks[label] = max(stretches, key=lambda s: s[0])
+    peaks[label] = peak / 2 ** 20
+spencerkit.scenario._run_one_task = one_task
 faults = {}
 for label, data in named:
     workload = label.split("/")[0]
@@ -69,8 +95,8 @@ for label, data in named:
     emit_json(run_scenario(parse_scenario(data)))
     faults[workload] = (faults.get(workload, 0) - before
                         + resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
-json.dump({"reports": reports, "memory_peaks": peaks, "minor_faults": faults},
-          sys.stdout)
+json.dump({"reports": reports, "memory_peaks": peaks,
+           "memory_peak_tasks": peak_tasks, "minor_faults": faults}, sys.stdout)
 """
 
 
@@ -140,16 +166,21 @@ def _bench(root, workload, seed, seconds, trace):
         return result, json.load(fh), retried
 
 
-def _reports(root, seed, workloads):
-    """(label -> canonical JSON report, label -> tracemalloc peak in MB,
-    workload -> minor page faults of one warm pass) over the scenarios,
-    from the code in ``root``."""
+def _scenario_runs(root, seed, workloads):
+    """The JSON object of ``REPORTS`` over the scenarios, from the code in
+    ``root``."""
     proc = subprocess.run(
         [sys.executable, "-c", REPORTS, root, str(seed), *workloads],
         cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"reports failed in {root}:\n{proc.stderr}")
-    doc = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def _reports(root, seed, workloads):
+    """(label -> canonical JSON report, label -> tracemalloc peak in MB,
+    workload -> minor page faults of one warm pass) of ``_scenario_runs``."""
+    doc = _scenario_runs(root, seed, workloads)
     return doc["reports"], doc["memory_peaks"], doc["minor_faults"]
 
 
@@ -277,10 +308,12 @@ def main(argv=None):
            "metrics_from": "the last line of bench/run.py's standard output",
            "environment": None, "traced_counts": None, "workloads": {}}
     workloads = [item.split("=")[0] for item in args.pairs.split(",")]
-    reports, peaks, faults = {}, {}, {}
-    for side in SIDES:
-        reports[side], peaks[side], faults[side] = _reports(
-            roots[side], args.seed, workloads)
+    scenario_runs = {side: _scenario_runs(roots[side], args.seed, workloads)
+                     for side in SIDES}
+    reports, peaks, peak_tasks, faults = (
+        {side: scenario_runs[side][key] for side in SIDES}
+        for key in ("reports", "memory_peaks", "memory_peak_tasks",
+                    "minor_faults"))
     doc["report_changes_from"] = (
         f"run_scenario and emit_json in one process per side, over the "
         f"packaged scenarios and every scenario of {', '.join(workloads)} "
@@ -295,6 +328,13 @@ def main(argv=None):
         "the tracemalloc peak, in MB of 2**20 bytes, of each scenario's "
         "run_scenario and emit_json in the same processes")
     doc["memory_peak_scenarios"] = _peak_scenarios(peaks)
+    doc["memory_peak_tasks"] = {
+        label: {side: peak_tasks[side][label] for side in SIDES
+                if label in peak_tasks[side]} for label in doc["memory_peaks"]}
+    doc["memory_peak_tasks_from"] = (
+        "the label of the task during whose run each scenario's tracemalloc "
+        "peak was reached, the peak being read and reset around each task; "
+        "null where it was reached outside every task")
     doc["minor_faults"] = {workload: {side: faults[side][workload]
                                       for side in SIDES}
                            for workload in faults["parent"]}
