@@ -8,6 +8,7 @@ j-th coordinate field.
 """
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -214,22 +215,30 @@ class ACStructure:
 
 
 def eval_j(structure, points):
-    """Evaluate J at a batch (P, 2n); real output (P, 2n, 2n).  Every J
-    reader takes J from here: one over ``check_entries``'s cap is refused
-    before it is allocated, one that is not finite at its first such point."""
+    """J at a batch (P, 2n), real (P, 2n, 2n), for the readers of all of J;
+    refused before it is allocated over ``check_entries``'s cap, and at its
+    first point where it is not finite (``refuse_non_finite``)."""
     pts = np.asarray(points, dtype=float)
     size = structure.real_dim
     check_entries(len(pts) * size * size, "J at {} points of a structure "
                   "with n = {}", len(pts), structure.n)
     out = np.empty((len(pts), size, size))
-    for i in range(size):
-        for j in range(size):
-            out[:, i, j] = structure.matrix[i][j].evaluate(pts)
-    finite = np.isfinite(out).all(axis=(1, 2))
-    if not finite.all():
-        raise NumericalError(
-            f"J is not finite at point {tuple(map(float, pts[np.argmin(finite)]))}")
+    for i, j in itertools.product(range(size), repeat=2):
+        out[:, i, j] = structure.matrix[i][j].evaluate(pts)
+    refuse_non_finite("J", pts, [out])
     return out
+
+
+def refuse_non_finite(what, pts, values):
+    """Raise NumericalError at the first of the points ``pts`` where one of
+    ``values``, each a float or an array over the points, is not finite."""
+    finite = np.ones(len(pts), dtype=bool)
+    for value in values:
+        ok = np.isfinite(value)
+        finite &= ok if ok.ndim < 2 else ok.reshape(len(pts), -1).all(axis=1)
+    if not finite.all():
+        raise NumericalError(f"{what} is not finite at point "
+                             f"{tuple(map(float, pts[np.argmin(finite)]))}")
 
 
 def keep(kept, slot, key, make):
@@ -245,10 +254,9 @@ def keep(kept, slot, key, make):
 
 class Sample:
     """A point batch of one structure, and what was evaluated on it, in
-    ``kept`` (see ``keep``): J, real as ``eval_j`` returns it, and its ACS
-    residual for the sample's life, and what the chart functions keep
-    there.
-    """
+    ``kept`` (see ``keep``): J, real as ``eval_j`` returns it, for the
+    readers of all of J, and its ACS residual for the sample's life, and
+    what the chart functions keep there."""
 
     def __init__(self, structure, points):
         self.structure = structure
@@ -278,16 +286,6 @@ def lattice_sample(lattices, structure, box, grid_k):
     key = (id(structure), np.array(box.lo + box.hi).tobytes(), int(grid_k))
     return keep({} if lattices is None else lattices, "lattice", key,
                 lambda: Sample(structure, box.lattice(grid_k)))
-
-
-def _sample_at(lattices, structure, points):
-    """The holder's sample if it is of ``structure`` at this very
-    ``points`` array, else a fresh ``Sample`` of the points."""
-    _, sample = (lattices or {}).get("lattice", (None, None))
-    if (sample is None or sample.structure is not structure
-            or sample.points is not points):
-        sample = Sample(structure, points)
-    return sample
 
 
 def standard_structure(n, box=None):
@@ -379,13 +377,15 @@ def split_type(structure, points, svd_rel_tol=defaults.SVD_REL_TOL, *,
     the -i eigenspace is its conjugate, of the same dimension.  Raises
     DegenerateStructureError at the first point where it is not n.
     ``eigen_residual`` is the largest |J P - i P|, which is |J^2 + I| / 2:
-    half ``acs_residual``.  The holder ``_lattices`` of a run lends its
-    sample, and with it J and the residual, when the sample is of this
-    structure at this very points array.
-    """
+    half ``acs_residual``.  A run's holder ``_lattices`` lends its sample,
+    J and residual included, when it is of this structure at this very
+    points array."""
     pts = np.asarray(points, dtype=float)
     n, size = structure.n, structure.real_dim
-    sample = _sample_at(_lattices, structure, pts)
+    _, sample = (_lattices or {}).get("lattice", (None, None))
+    if (sample is None or sample.structure is not structure
+            or sample.points is not pts):
+        sample = Sample(structure, pts)
     j = sample.j
     sigma = np.linalg.svd(j - 1j * np.eye(size), compute_uv=False)
     dims = size - numerical_rank(sigma, svd_rel_tol)
@@ -399,7 +399,32 @@ def split_type(structure, points, svd_rel_tol=defaults.SVD_REL_TOL, *,
                            points=pts, j=j)
 
 
-def nijenhuis(structure, points, *, _lattices=None):
+def _nijenhuis_slots(structure):
+    """Each slot (i, a, b), a <= b, of ``nijenhuis`` with a product term, from
+    J's sparsity alone, with the keys of the factors of h[i, a, b] and of
+    h[i, b, a] (one h where a = b), per sum by ascending k."""
+    m, size = structure.matrix, structure.real_dim
+    keys = [(k, i, b) for i, row in enumerate(m) for k in range(size)
+            for b, entry in enumerate(row) if not entry.partials()[k].is_zero]
+    sums = collections.defaultdict(lambda: ([], []))
+    for (k, i, b), c in itertools.product(keys, range(size)):     # d_k J_{ib}
+        if not m[k][c].is_zero:         # J_{kc} d_k J_{ib}, in h[i, c, b]
+            sums[i, c, b][0].append(((k, c), (k, i, b)))
+        if not m[c][i].is_zero:         # J_{ci} d_k J_{ib}, in h[c, b, k]
+            sums[c, b, k][1].append(((c, i), (k, i, b)))
+    return {(i, a, b): (sums[i, a, b],) if a == b else (sums[i, a, b], sums[i, b, a])
+            for i, a, b in sorted({(i, min(a, b), max(a, b)) for i, a, b in sums})}
+
+
+def nijenhuis_arrays(structure):
+    """The (P,) arrays ``nijenhuis`` holds: J's non-constant entries and
+    partials, and its kept slots, counted from J's sparsity alone."""
+    polys = [p for row in structure.matrix for e in row if not e.is_zero
+             for p in (e,) + e.partials() if not p.is_zero]
+    return sum(p.degree > 0 for p in polys) + len(_nijenhuis_slots(structure))
+
+
+def nijenhuis(structure, points):
     """Nijenhuis tensor on coordinate fields, exact derivatives throughout.
 
     Returns {(i, a, b): N[:, i, a, b]} over a <= b at a batch (P, 2n), for
@@ -411,75 +436,50 @@ def nijenhuis(structure, points, *, _lattices=None):
     N[i, a, a] = h - h is kept, NaN where h overflows.  Each sum adds, from
     zero over ascending k, only the products whose J entry and partial are
     nonzero polynomials; a skipped product of finite values is an exact
-    zero, so N has the bits of the full contraction.  A constant partial
-    enters as its float coefficient, the value ``evaluate`` gives at every
-    point, so each product keeps its bits and each component is (P,).
-    Raises NumericalError where a nonzero partial is not finite, which a
-    skipped product would hide, and ConfigurationError where the dense
-    tensor is over ``check_entries``'s cap: it is counted, never built.
-
-    Only the columns J_{ka} of nonzero entries are kept, copied from J.
-    J is read from the holder ``_lattices`` by ``split_type``'s rule when
-    its sample already keeps it; otherwise it is evaluated here and freed
-    without filling the sample: J is kept by the readers that use all of
-    it, and a later one on the same lattice evaluates it again.
+    zero, so N has the bits of the full contraction.  A constant entry or
+    partial enters as its float coefficient, the value ``evaluate`` gives
+    at every point; each kept component is (P,), even of constants alone.
+    Raises NumericalError where J, then a nonzero partial, is not finite
+    (a skipped product would hide it), and ConfigurationError where
+    ``nijenhuis_arrays`` at the points is over ``check_entries``'s cap.
     """
-    pts = np.asarray(points, dtype=float)
-    size, m = structure.real_dim, structure.matrix
-    check_entries(len(pts) * size ** 3, "the Nijenhuis tensor at {} points "
-                  "of a structure with n = {}", len(pts), structure.n)
-    sample = _sample_at(_lattices, structure, pts)
-    j = sample.j if "j" in sample.kept else eval_j(structure, pts)
-    rows = {(k, a): np.ascontiguousarray(j[:, k, a]) for k, a in  # J_{ka}
-            itertools.product(range(size), repeat=2) if not m[k][a].is_zero}
-    del j
+    pts, m = np.asarray(points, dtype=float), structure.matrix
+    check_entries(len(pts) * nijenhuis_arrays(structure), "the Nijenhuis tensor "
+                  "at {} points of a structure with n = {}", len(pts), structure.n)
 
-    def values(partial):    # a constant as its one coefficient, real in J
-        if partial.degree:
-            return partial.evaluate(pts)
-        c, = partial.terms.values()
-        return c.real
+    def values(poly):       # a constant as its one coefficient, real in J
+        return poly.evaluate(pts) if poly.degree else \
+            next(iter(poly.terms.values())).real
 
-    dj = {(k, i, b): values(partial)                        # d_k J_{ib}
-          for i, row in enumerate(m) for b, entry in enumerate(row)
-          for k, partial in enumerate(entry.partials()) if not partial.is_zero}
-    finite = np.ones(len(pts), dtype=bool)
-    for value in dj.values():
-        finite &= np.isfinite(value)
-    if not np.all(finite):
-        raise NumericalError(
-            "a partial of J is not finite at point "
-            f"{tuple(map(float, pts[np.argmin(finite)]))}")
+    j = {(k, a): values(e) for k, row in enumerate(m)               # J_{ka}
+         for a, e in enumerate(row) if not e.is_zero}
+    refuse_non_finite("J", pts, j.values())
+    dj = {(k, i, b): values(p) for i, row in enumerate(m)           # d_k J_{ib}
+          for b, e in enumerate(row) for k, p in enumerate(e.partials())
+          if not p.is_zero}
+    refuse_non_finite("a partial of J", pts, dj.values())
 
-    def half(i, a, b):      # h[i, a, b]; the float 0.0 without a product
-        h1 = h2 = 0.0
-        for k in range(size):
-            if (k, a) in rows and (k, i, b) in dj:
-                h1 = h1 + rows[k, a] * dj[k, i, b]
-            if (i, k) in rows and (b, k, a) in dj:
-                h2 = h2 + rows[i, k] * dj[b, k, a]
-        return h1 + h2
+    def total(products):    # from zero over ascending k
+        h = 0.0
+        for entry, partial in products:
+            h = h + j[entry] * dj[partial]
+        return h
 
     out = {}
-    for i, a in itertools.product(range(size), repeat=2):
-        for b in range(a, size):
-            h_ab = half(i, a, b)
-            h_ba = h_ab if a == b else half(i, b, a)
-            if np.ndim(h_ab) or np.ndim(h_ba):
-                out[i, a, b] = h_ab - h_ba
+    for slot, halves in _nijenhuis_slots(structure).items():
+        h = [total(first) + total(second) for first, second in halves]
+        value = h[0] - h[-1]
+        out[slot] = value if np.ndim(value) else np.full(len(pts), value)
     return out
 
 
 def integrability_report(structure, grid_k=defaults.GRID_PER_AXIS,
-                         tol=defaults.TOL_INTEGRABILITY, *, _lattices=None):
-    """Largest Nijenhuis component over a lattice, compared against ``tol``.
-
-    The maximum is ``np.max`` over ``nijenhuis``'s components, which keeps
-    a NaN.  A run passes its holder as ``_lattices`` (``lattice_sample``).
-    """
-    pts = lattice_sample(_lattices, structure, structure.box, grid_k).points
+                         tol=defaults.TOL_INTEGRABILITY):
+    """Largest Nijenhuis component over a lattice, compared against ``tol``:
+    ``np.max`` over ``nijenhuis``'s components, which keeps a NaN."""
+    pts = structure.box.lattice(grid_k)
     residual = float(np.max([np.max(np.abs(c)) for c in nijenhuis(
-        structure, pts, _lattices=_lattices).values()], initial=0.0))
+        structure, pts).values()], initial=0.0))
     return make_report(
         task="integrability",
         metrics={"integrability_residual": residual, "grid_points": float(len(pts))},

@@ -24,8 +24,8 @@ from .crsolve import (cr_equations_check, estimate_spencer_type,
                       solve_ah_polynomials)
 from .errors import CheckFailure, DomainError, ScenarioError
 from .jfield import (ACStructure, Box, check_acs, check_entries,
-                     integrability_report, lattice_sample, split_type,
-                     standard_structure)
+                     integrability_report, lattice_sample, nijenhuis_arrays,
+                     split_type, standard_structure)
 from .poly import parse_polynomial
 from .pseudogroup import (GlueTest, LocalMap, OverDiagram, check_ah_map,
                           check_over_diagram, generate, validate_axioms)
@@ -497,8 +497,7 @@ def _run_split_type(scenario, spec, run):
 def _run_integrability(scenario, spec, run):
     return integrability_report(scenario.structure,
                                 grid_k=spec.get("grid", defaults.GRID_PER_AXIS),
-                                tol=run.tols["tol_integrability"],
-                                _lattices=run.lattices)
+                                tol=run.tols["tol_integrability"])
 
 
 def _run_cr_check(scenario, spec, run):
@@ -721,8 +720,8 @@ def run_scenario(scenario, tol_overrides=None, grid_override=None,
     Each chart is built once per run, at each density a task asks for, and
     shared by every task that names it; consecutive sampled tasks on one
     lattice share it and what was evaluated on it.  An ``integrability``
-    task whose Nijenhuis tensor would exceed its cap is refused before any
-    task samples.
+    task whose Nijenhuis arrays (``nijenhuis_arrays``) would exceed the cap
+    is refused before any task samples.
     """
     started = time.perf_counter()
     tols = _with_tolerances(scenario.tolerances, tol_overrides)
@@ -744,9 +743,9 @@ def run_scenario(scenario, tol_overrides=None, grid_override=None,
         grid = spec.get("grid", defaults.GRID_PER_AXIS)
         # A grid below 2 is refused by the lattice, with its own message.
         if spec["task"] == "integrability" and grid >= 2:
-            size = scenario.structure.real_dim
-            check_entries(grid ** size * size ** 3, "the Nijenhuis tensor "
-                          "of an integrability task at grid {}", grid)
+            check_entries(grid ** (2 * scenario.n) * nijenhuis_arrays(
+                scenario.structure), "the Nijenhuis tensor of an integrability "
+                "task at grid {}", grid)
 
     run = _Run(scenario, tols)
     reports = [_run_one_task(scenario, spec, run) for spec in specs]

@@ -198,6 +198,29 @@ def test_scenario_runs_name_the_task_that_reached_each_peak(tmp_path):
         [2 << 20, 6 << 20, 3 << 20])
 
 
+def test_scenario_runs_record_every_tasks_peak(tmp_path):
+    (tmp_path / "src" / "spencerkit").mkdir(parents=True)
+    (tmp_path / "src" / "spencerkit" / "__init__.py").write_text("")
+    (tmp_path / "src" / "spencerkit" / "scenario.py").write_text(FAKE_SCENARIO)
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "scenarios.py").write_text("")
+    doc = _tool()._scenario_runs(str(tmp_path), 1, [])
+    # Every task in run order, with the peak of its own run: a task under
+    # the scenario's peak keeps its own, and the peak outside every task
+    # (8 MiB in "outside") is no task's.
+    held = {"builtin/labelled": [("check_acs", 2), ("chart_big", 6),
+                                 ("cocycle", 3)],
+            "builtin/unlabelled": [("split_type", 2), ("transition", 4)],
+            "builtin/outside": [("chart", 4)]}
+    task_peaks = doc["memory_task_peaks"]
+    assert list(task_peaks) == list(held)
+    for label, tasks in held.items():
+        assert [task for task, _ in task_peaks[label]] == \
+            [task for task, _ in tasks]
+        for (_, mb), (_, mib) in zip(task_peaks[label], tasks):
+            assert mib <= mb < mib + 0.5
+
+
 SPEED_ERROR = ("error: measure-0: worker exited 1:\n"
                "Traceback (most recent call last):\n"
                '  File "bench/speed.py", line 90, in sample\n'

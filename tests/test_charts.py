@@ -628,8 +628,9 @@ def test_shared_samples_give_the_bits_of_standalone_calls(data):
 @pytest.mark.parametrize("data", _pointwise_scenarios(5),
                          ids=lambda data: data["name"])
 def test_a_pointwise_run_evaluates_j_once_per_lattice(monkeypatch, data):
-    """check_acs, split_type, integrability and every cr_check of a bench
-    pointwise scenario share one sample of their one lattice."""
+    """check_acs, split_type and every cr_check of a bench pointwise
+    scenario share one sample of their one lattice; integrability reads
+    J's entries from their polynomials and no sample."""
     from spencerkit.scenario import parse_scenario, run_scenario
     calls = []
 

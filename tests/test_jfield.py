@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import inspect
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -218,6 +220,12 @@ def test_nijenhuis_standard_vanishes(std2):
 
 def test_nijenhuis_twisted_components(twisted):
     pts = np.array([[0.3, 0.0, 0.0, 0.0]])
+    # N[0, 1, 2] = J_01 d_0 J_02 and N[1, 1, 3] = J_01 d_0 J_13 are products
+    # of two constants, and still come back as (P,) arrays.
+    result = nijenhuis(twisted, pts)
+    for slot, value in (((0, 1, 2), 1.0), ((1, 1, 3), -1.0)):
+        assert isinstance(result[slot], np.ndarray)
+        assert result[slot].shape == (1,) and result[slot][0] == value
     n = _dense_nijenhuis(twisted, pts)[0]
     assert np.allclose(n[:, 0, 2], [0.0, 1.0, 0.0, 0.0])
     assert np.allclose(n[:, 0, 3], [1.0, 0.0, 0.0, 0.0])
@@ -294,25 +302,48 @@ def test_nijenhuis_matches_symbolic_brackets(twisted):
         [0, 0, 1, 0],
     ])
     # The bracket formula holds for any matrix field, and a dense J gives
-    # every term of both sums a nonzero product.
+    # every term of both sums a nonzero product.  The chained R^6 structure
+    # mixes products of two non-constant values, of one and a constant, and
+    # of two constants.
     dense = _random_dense_structure(2, seed=11)
-    for structure, j in ((twisted, j_twisted), (dense, _sympy_matrix(dense, xs))):
-        _assert_matches_symbolic_brackets(structure, j, xs)
+    chained = _chained_r6()
+    xs6 = sympy.symbols("x1:7")
+    for structure, j, symbols in (
+            (twisted, j_twisted, xs), (dense, _sympy_matrix(dense, xs), xs),
+            (chained, _sympy_matrix(chained, xs6), xs6)):
+        _assert_matches_symbolic_brackets(structure, j, symbols)
+
+
+def _chained_r6():
+    """J = [[J0, a K, (a c / 2) J0], [0, J0, c K], [0, 0, J0]] on
+    [-0.5, 0.5]^6 with a = x1, c = x3, J0 = [[0, -1], [1, 0]] and
+    K = diag(1, -1): J^2 = -I, and N != 0."""
+    rows = [["0", "-1", "x1", "0", "0", "-0.5*x1*x3"],
+            ["1", "0", "0", "-x1", "0.5*x1*x3", "0"],
+            ["0", "0", "0", "-1", "x3", "0"],
+            ["0", "0", "1", "0", "0", "-x3"],
+            ["0", "0", "0", "0", "0", "-1"],
+            ["0", "0", "0", "0", "1", "0"]]
+    matrix = [[parse_polynomial(e, 6) for e in row] for row in rows]
+    return ACStructure(3, Box((-0.5,) * 6, (0.5,) * 6), matrix)
 
 
 def _assert_matches_symbolic_brackets(structure, j, xs):
+    size = structure.real_dim
+
     def bracket(u, v):
         return sympy.Matrix([
             sum(u[k] * sympy.diff(v[i], xs[k]) - v[k] * sympy.diff(u[i], xs[k])
-                for k in range(4))
-            for i in range(4)
+                for k in range(size))
+            for i in range(size)
         ])
 
-    e = [sympy.Matrix([1 if i == k else 0 for i in range(4)]) for k in range(4)]
-    pts = np.random.default_rng(6).uniform(-0.5, 0.5, size=(3, 4))
+    e = [sympy.Matrix([1 if i == k else 0 for i in range(size)])
+         for k in range(size)]
+    pts = np.random.default_rng(6).uniform(-0.5, 0.5, size=(3, size))
     num = _dense_nijenhuis(structure, pts)
-    for a in range(4):
-        for b in range(4):
+    for a in range(size):
+        for b in range(size):
             ja, jb = j * e[a], j * e[b]
             n_ab = (bracket(ja, jb) - j * bracket(ja, e[b])
                     - j * bracket(e[a], jb) - bracket(e[a], e[b]))
@@ -372,6 +403,30 @@ def test_nijenhuis_is_bit_identical_to_the_dense_contraction(case, std1, std2, t
     assert new.shape == ref.shape
     assert np.array_equal(new, ref)
     assert np.abs(new).tobytes() == np.abs(ref).tobytes()
+
+
+def test_nijenhuis_adds_each_sum_over_ascending_k():
+    """Each sum of h starts from 0 and adds its products over ascending k,
+    then h = sum_1 + sum_2.  Coefficients and points that are not dyadic
+    make the rounding depend on that order, which the dense contraction
+    above, exact on its dyadic inputs, does not see."""
+    dense = _random_dense_structure(2, seed=14)
+    matrix = [[Polynomial(4, {e: c.real * 0.3 + 0.0137
+                              for e, c in entry.terms.items()})
+               for entry in row] for row in dense.matrix]
+    structure = ACStructure(2, dense.box, matrix)
+    pts = np.random.default_rng(15).uniform(-1, 1, size=(50, 4))
+    j = eval_j(structure, pts)
+    dj = _reference_eval_j_derivatives(structure, pts)
+    h = np.empty((len(pts), 4, 4, 4))
+    for i, a, b in itertools.product(range(4), repeat=3):
+        first = second = 0.0
+        for k in range(4):
+            first = first + j[:, k, a] * dj[:, k, i, b]
+            second = second + j[:, i, k] * dj[:, b, k, a]
+        h[:, i, a, b] = first + second
+    expected = h - h.transpose(0, 1, 3, 2)
+    assert _dense_nijenhuis(structure, pts).tobytes() == expected.tobytes()
 
 
 def _overflowing_products(corner):
@@ -451,63 +506,49 @@ def test_integrability_report_peak_memory_stays_below_half_the_dense_tensor():
     assert peak < 0.5 * DENSE_TENSOR
 
 
-def test_integrability_report_on_a_run_holder_keeps_no_j_at_its_peak():
-    # The run's sample is left without J: 0.29x the dense tensor, against
-    # 0.47x when the sample kept it.
+def test_integrability_report_keeps_no_j_at_its_peak():
+    # J's entries are read one by one from its polynomials, the constant
+    # ones as floats, and no (P, 2n, 2n) J is made: 0.265x the dense
+    # tensor, against 0.288x when the kernel copied its entries out of J.
     structure = _sheared_n3()
     integrability_report(structure, grid_k=2)   # builds the cached partials
-    lattices = {}
     tracemalloc.start()
     try:
-        integrability_report(structure, _lattices=lattices)
+        integrability_report(structure)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.38 * DENSE_TENSOR
+    assert peak < 0.276 * DENSE_TENSOR
 
 
 @pytest.mark.parametrize("case", ["twisted", "sheared2", "sheared3"])
 def test_integrability_evaluates_j_once_and_no_constant_partial(
         case, monkeypatch, std1, std2, twisted):
-    """J is kept on a run's sample by the readers that use all of it, and
-    ``nijenhuis`` reads it there but leaves a sample it finds without J as
-    it was; a constant partial is never evaluated."""
+    """``nijenhuis`` reads J from its polynomials, not through ``eval_j``:
+    each non-constant entry and nonzero partial of J is evaluated once, and
+    a constant one never."""
     structure = _case(case, std1, std2, twisted)
     pts = structure.box.lattice(3)
     expected = _bits(nijenhuis(structure, pts))
-    partials = [p for row in structure.matrix for entry in row
-                for p in entry.partials() if not p.is_zero]
-    assert any(p.degree == 0 for p in partials)
-    calls, evaluated = [], []
-    eval_j, evaluate = jfield.eval_j, Polynomial.evaluate
+    polys = [p for row in structure.matrix for entry in row
+             for p in (entry,) + entry.partials() if not p.is_zero]
+    assert any(p.degree == 0 for p in polys)
+    evaluated = []
+    evaluate = Polynomial.evaluate
 
-    def counting_eval_j(s, points):
-        calls.append(len(points))
-        return eval_j(s, points)
+    def refuse(*args):
+        raise AssertionError("eval_j was called")
 
     def counting_evaluate(poly, points):
         evaluated.append(poly)
         return evaluate(poly, points)
 
-    monkeypatch.setattr(jfield, "eval_j", counting_eval_j)
-    lattices = {}
-    integrability_report(structure, grid_k=3, _lattices=lattices)
-    sample = jfield.lattice_sample(lattices, structure, structure.box, 3)
-    assert calls == [len(pts)]
-    assert "j" not in sample.kept
-
-    lattices = {}
-    calls.clear()
-    check_acs(structure, grid_k=3, _lattices=lattices)
+    monkeypatch.setattr(jfield, "eval_j", refuse)
     monkeypatch.setattr(Polynomial, "evaluate", counting_evaluate)
-    integrability_report(structure, grid_k=3, _lattices=lattices)
-    assert calls == [len(pts)]
-    assert sorted(map(id, evaluated)) == sorted(id(p) for p in partials
+    integrability_report(structure, grid_k=3)
+    assert sorted(map(id, evaluated)) == sorted(id(p) for p in polys
                                                 if p.degree)
-    sample = jfield.lattice_sample(lattices, structure, structure.box, 3)
-    assert _bits(nijenhuis(structure, sample.points,
-                           _lattices=lattices)) == expected
-    assert calls == [len(pts)]
+    assert _bits(nijenhuis(structure, pts)) == expected
 
 
 def _bits(result):
@@ -520,9 +561,10 @@ def _bits(result):
 
 def test_a_holder_lends_its_sample_to_its_own_structure_and_points_only(
         monkeypatch, std2, twisted):
-    """The holder's sample serves a kernel of its structure at its very
-    points array; any other call evaluates J afresh, with the bits of a
-    call without a holder."""
+    """The holder's sample serves ``split_type`` of its structure at its
+    very points array; any other call evaluates J afresh, with the bits of
+    a call without a holder.  ``nijenhuis`` and ``integrability_report``
+    take no holder."""
     lattices = {}
     sample = jfield.lattice_sample(lattices, twisted, twisted.box, 3)
     pts = sample.points
@@ -536,17 +578,17 @@ def test_a_holder_lends_its_sample_to_its_own_structure_and_points_only(
 
     cases = [(std2, pts), (twisted, pts[::-1]), (twisted, pts[:4]),
              (twisted, pts.copy())]
-    for kernel in (split_type, nijenhuis):
-        expected = [_bits(kernel(s, p)) for s, p in [(twisted, pts)] + cases]
-        monkeypatch.setattr(jfield, "eval_j", counting)
+    expected = [_bits(split_type(s, p)) for s, p in [(twisted, pts)] + cases]
+    monkeypatch.setattr(jfield, "eval_j", counting)
+    assert _bits(split_type(twisted, pts, _lattices=lattices)) == expected[0]
+    assert calls == []
+    for (structure, points), bits in zip(cases, expected[1:]):
         calls.clear()
-        assert _bits(kernel(twisted, pts, _lattices=lattices)) == expected[0]
-        assert calls == []
-        for (structure, points), bits in zip(cases, expected[1:]):
-            calls.clear()
-            assert _bits(kernel(structure, points, _lattices=lattices)) == bits
-            assert calls == [len(points)]
-        monkeypatch.setattr(jfield, "eval_j", eval_j)
+        assert _bits(split_type(structure, points, _lattices=lattices)) == bits
+        assert calls == [len(points)]
+    for kernel in (nijenhuis, integrability_report):
+        assert "_lattices" not in inspect.signature(kernel).parameters
+    monkeypatch.setattr(jfield, "eval_j", eval_j)
     expected = check_acs(std2, grid_k=3).metrics
     monkeypatch.setattr(jfield, "eval_j", counting)
     calls.clear()
@@ -555,19 +597,39 @@ def test_a_holder_lends_its_sample_to_its_own_structure_and_points_only(
 
 
 def test_nijenhuis_refuses_a_tensor_over_the_cap_before_evaluating_j(
-        monkeypatch, std2):
+        monkeypatch, twisted):
+    # The twisted J holds 8 arrays: its 2 non-constant entries and 6 kept
+    # slots; its partials are constants.
     def refuse(*args):
         raise AssertionError("J was evaluated")
 
-    pts = std2.box.lattice(3)                   # 81 points x 64 entries
-    monkeypatch.setattr(defaults, "ENTRY_CAP", 81 * 64)
-    assert integrability_report(std2, grid_k=3).passed
-    monkeypatch.setattr(defaults, "ENTRY_CAP", 81 * 64 - 1)
+    pts = twisted.box.lattice(3)                # 81 points x 8 arrays
+    assert jfield.nijenhuis_arrays(twisted) == 8
+    monkeypatch.setattr(defaults, "ENTRY_CAP", 81 * 8)
+    assert not integrability_report(twisted, grid_k=3).passed
+    monkeypatch.setattr(defaults, "ENTRY_CAP", 81 * 8 - 1)
     monkeypatch.setattr(jfield, "eval_j", refuse)
-    with pytest.raises(ConfigurationError, match="5184 entries"):
-        nijenhuis(std2, pts)
-    with pytest.raises(ConfigurationError, match="above the cap of 5183"):
-        integrability_report(std2, grid_k=3)
+    monkeypatch.setattr(Polynomial, "evaluate", refuse)
+    with pytest.raises(ConfigurationError, match="648 entries"):
+        nijenhuis(twisted, pts)
+    with pytest.raises(ConfigurationError, match="above the cap of 647"):
+        integrability_report(twisted, grid_k=3)
+
+
+@pytest.mark.parametrize("case, arrays", [
+    ("std3", 0), ("twisted", 2 + 0 + 6), ("sheared2", 4 + 6 + 14),
+    ("sheared3", 7 + 13 + 29), ("dense3", 36 + 216 + 126)])
+def test_nijenhuis_arrays_counts_what_the_kernel_holds(
+        case, arrays, std1, std2, twisted):
+    """Non-constant entries, non-constant partials and kept slots: a
+    dense degree-2 J has all 36 entries, all 216 partials and every one of
+    the 126 slots with a <= b."""
+    structure = _case(case, std1, std2, twisted)
+    assert jfield.nijenhuis_arrays(structure) == arrays
+    polys = [p for row in structure.matrix for entry in row
+             for p in (entry,) + entry.partials()]
+    slots = nijenhuis(structure, structure.box.lattice(2))
+    assert arrays == sum(p.degree > 0 for p in polys) + len(slots)
 
 
 def _random_sparse_structure(n, seed):

@@ -897,32 +897,68 @@ def test_cli_exit_two_on_a_lattice_or_j_over_the_cap(
         f"error: {message}, above the cap of {cap}\n"
 
 
-def test_cli_exit_two_on_a_nijenhuis_tensor_over_the_cap(
-        scenario_file, capsys, monkeypatch):
-    # The refusal comes before any task samples, so the check_acs task
-    # ahead of it evaluates no J either.
+def _twisted_rows(n):
+    """The flat J on R^{2n} with twisted_r4's twist in its first block:
+    J[1][3] = -x1 and J[2][4] = x1, counted from 1."""
+    rows = [["0"] * (2 * n) for _ in range(2 * n)]
+    for j in range(n):
+        rows[2 * j][2 * j + 1], rows[2 * j + 1][2 * j] = "-1", "1"
+    rows[0][2], rows[1][3] = "-x1", "x1"
+    return rows
+
+
+def _refuse_every_j_reader(monkeypatch):
     def refuse(*args):
         raise AssertionError("J was evaluated")
 
-    monkeypatch.setattr(defaults, "ENTRY_CAP", 3 ** 4 * 4 ** 3 - 1)
     monkeypatch.setattr(crsolve, "eval_j", refuse)
     monkeypatch.setattr(spencerkit.jfield, "eval_j", refuse)
+    monkeypatch.setattr(spencerkit.poly.Polynomial, "evaluate", refuse)
+
+
+def test_cli_exit_two_on_a_nijenhuis_tensor_over_the_cap(
+        scenario_file, capsys, monkeypatch):
+    # The twisted J holds 8 (P,) arrays.  The refusal comes before any task
+    # samples, so the check_acs task ahead of it evaluates no J either.
+    monkeypatch.setattr(defaults, "ENTRY_CAP", 3 ** 4 * 8 - 1)
+    _refuse_every_j_reader(monkeypatch)
     data = minimal_scenario(n=2, box={"lo": [-1.0] * 4, "hi": [1.0] * 4},
-                            functions={},
+                            functions={}, J=_twisted_rows(2),
                             tasks=[{"task": "check_acs", "grid": 3},
                                    {"task": "integrability", "grid": 3}])
     assert cli.main(["run", scenario_file(data)]) == 2
-    assert "has 5184 entries, above the cap of 5183" in capsys.readouterr().err
+    assert "has 648 entries, above the cap of 647" in capsys.readouterr().err
 
 
-def test_cli_exit_two_on_the_n4_nijenhuis_tensor_at_grid_5(scenario_file, capsys):
-    # 5^8 points x 8^3 entries is 1.6 GB of float64, refused at once.
-    data = minimal_scenario(n=4, box={"lo": [-1.0] * 8, "hi": [1.0] * 8},
-                            functions={}, tasks=[{"task": "integrability"}])
+def test_cli_exit_two_on_the_n4_nijenhuis_tensor_at_grid_5(
+        scenario_file, capsys, monkeypatch):
+    # 5^8 points x 8 arrays, refused at once under a lowered cap.
+    monkeypatch.setattr(defaults, "ENTRY_CAP", 5 ** 8 * 8 - 1)
+    _refuse_every_j_reader(monkeypatch)
+    data = minimal_scenario(n=4, box={"lo": [-0.5] * 8, "hi": [0.5] * 8},
+                            functions={}, J=_twisted_rows(4),
+                            tasks=[{"task": "integrability"}])
     start = time.perf_counter()
     assert cli.main(["run", scenario_file(data)]) == 2
     assert time.perf_counter() - start < 1.0
-    assert "has 200000000 entries" in capsys.readouterr().err
+    assert "has 3125000 entries" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("twisted, code, residual", [(False, 0, 0.0),
+                                                     (True, 1, 1.0)])
+def test_cli_runs_n4_integrability_at_the_default_grid(
+        scenario_file, capsys, twisted, code, residual):
+    # 5^8 = 390,625 points; the flat J holds no array, the twisted one 8.
+    data = minimal_scenario(n=4, box={"lo": [-0.5] * 8, "hi": [0.5] * 8},
+                            functions={}, tasks=[{"task": "integrability"}])
+    if twisted:
+        data["J"] = _twisted_rows(4)
+    start = time.perf_counter()
+    assert cli.main(["run", scenario_file(data)]) == code
+    assert time.perf_counter() - start < 1.0
+    report, = json.loads(capsys.readouterr().out)["tasks"]
+    assert report["metrics"] == {"grid_points": 390625.0,
+                                 "integrability_residual": residual}
 
 
 def test_cli_exit_three_on_non_finite_j_in_split_type(scenario_file, capsys):

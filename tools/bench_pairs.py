@@ -14,7 +14,9 @@ child records each scenario's ``tracemalloc`` peak as ``memory_peaks``,
 and ``memory_peak_scenarios`` names the scenario with the highest peak of
 each workload on each side: the one that likely sets its ``peak_rss_mb``;
 ``memory_peak_tasks`` names, per scenario and side, the task whose run
-reached the scenario's peak.
+reached the scenario's peak, and ``memory_task_peaks`` lists every task's
+own peak in run order, so a task's peak can fall under an unchanged
+scenario peak.
 It then runs every scenario once more, warm and untraced, and records
 the minor page faults (``ru_minflt``) of that pass per workload as
 ``minor_faults``: a change that frees memory the allocator then returns
@@ -43,10 +45,11 @@ END_TO_END = ("setup_s", "cold_run_s", "run_s", "peak_rss_mb")
 # Child of ``_scenario_runs``: argv is ROOT SEED WORKLOAD...; prints a JSON
 # object {"reports": {label: canonical report}, "memory_peaks": {label:
 # tracemalloc peak in MB}, "memory_peak_tasks": {label: the label of the
-# task whose run set that peak, or None}, "minor_faults": {workload:
-# ru_minflt of a second, warm pass}} over the scenarios, with ROOT's src/
-# and bench/ first on sys.path; the packaged scenarios are the workload
-# "builtin".
+# task whose run set that peak, or None}, "memory_task_peaks": {label:
+# [[task label, its run's peak in MB], ...] in run order}, "minor_faults":
+# {workload: ru_minflt of a second, warm pass}} over the scenarios, with
+# ROOT's src/ and bench/ first on sys.path; the packaged scenarios are the
+# workload "builtin".
 REPORTS = """\
 import json, os, resource, sys, tracemalloc
 root, seed, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
@@ -78,7 +81,7 @@ def traced_task(scen, spec, run):
         close_stretch(spec.get("label", spec["task"]))
 
 spencerkit.scenario._run_one_task = traced_task
-reports, peaks, peak_tasks = {}, {}, {}
+reports, peaks, peak_tasks, task_peaks = {}, {}, {}, {}
 for label, data in named:
     stretches.clear()
     tracemalloc.start()
@@ -87,6 +90,8 @@ for label, data in named:
     tracemalloc.stop()
     peak, peak_tasks[label] = max(stretches, key=lambda s: s[0])
     peaks[label] = peak / 2 ** 20
+    task_peaks[label] = [[task, mb / 2 ** 20] for mb, task in stretches
+                         if task is not None]
 spencerkit.scenario._run_one_task = one_task
 faults = {}
 for label, data in named:
@@ -96,7 +101,8 @@ for label, data in named:
     faults[workload] = (faults.get(workload, 0) - before
                         + resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
 json.dump({"reports": reports, "memory_peaks": peaks,
-           "memory_peak_tasks": peak_tasks, "minor_faults": faults}, sys.stdout)
+           "memory_peak_tasks": peak_tasks, "memory_task_peaks": task_peaks,
+           "minor_faults": faults}, sys.stdout)
 """
 
 
@@ -310,10 +316,10 @@ def main(argv=None):
     workloads = [item.split("=")[0] for item in args.pairs.split(",")]
     scenario_runs = {side: _scenario_runs(roots[side], args.seed, workloads)
                      for side in SIDES}
-    reports, peaks, peak_tasks, faults = (
+    reports, peaks, peak_tasks, task_peaks, faults = (
         {side: scenario_runs[side][key] for side in SIDES}
         for key in ("reports", "memory_peaks", "memory_peak_tasks",
-                    "minor_faults"))
+                    "memory_task_peaks", "minor_faults"))
     doc["report_changes_from"] = (
         f"run_scenario and emit_json in one process per side, over the "
         f"packaged scenarios and every scenario of {', '.join(workloads)} "
@@ -335,6 +341,13 @@ def main(argv=None):
         "the label of the task during whose run each scenario's tracemalloc "
         "peak was reached, the peak being read and reset around each task; "
         "null where it was reached outside every task")
+    doc["memory_task_peaks"] = {
+        label: {side: [[task, round(mb, 3)] for task, mb in task_peaks[side][label]]
+                for side in SIDES if label in task_peaks[side]}
+        for label in doc["memory_peaks"]}
+    doc["memory_task_peaks_from"] = (
+        "per scenario and side, each task's label and the tracemalloc peak, "
+        "in MB, of its own run, in run order, from the same reads and resets")
     doc["minor_faults"] = {workload: {side: faults[side][workload]
                                       for side in SIDES}
                            for workload in faults["parent"]}
