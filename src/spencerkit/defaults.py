@@ -31,9 +31,10 @@ NEWTON_ACCEPT_TOL = 1e-9    # Newton residual up to which a point is accepted
 GROWTH_TOL = 1e-12          # smallest domain growth ``compose`` still pursues
 FIT_COND_CAP = 1e12         # largest condition number of a fit matrix
 # Most entries of one sampled array (``jfield.check_entries``): a lattice,
-# J on it, a fit matrix (1 GiB as complex128, and its SVD takes about as
-# much again), or, all together, the (P,) arrays the Nijenhuis kernel holds
-# (``jfield.nijenhuis_arrays``, counted from J's sparsity; 512 MiB of float64).
+# a dense J on it, a fit matrix (1 GiB as complex128, and its SVD takes
+# about as much again), or, all together, the lattice and J's non-constant
+# entries that ``check_acs`` holds, or the (P,) arrays the Nijenhuis kernel
+# holds (``jfield.nijenhuis_arrays``, from J's sparsity; 512 MiB of float64).
 ENTRY_CAP = 2 ** 26
 # solve_ah's solver_residual bound is this * svd_rel_tol * max(sigma_max, 1).
 SOLVER_RESIDUAL_FACTOR = 10.0

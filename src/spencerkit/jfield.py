@@ -180,7 +180,7 @@ def _linspace_rows(a, b, k):
 class ACStructure:
     """Polynomial matrix field J on a box in R^{2n}."""
 
-    __slots__ = ("n", "box", "matrix")
+    __slots__ = ("n", "box", "matrix", "_nijenhuis_plan")
 
     def __init__(self, n, box, matrix):
         n = int(n)
@@ -205,6 +205,7 @@ class ACStructure:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "matrix", tuple(tuple(row) for row in matrix))
+        object.__setattr__(self, "_nijenhuis_plan", None)       # _slot_plan
 
     def __setattr__(self, name, value):
         raise AttributeError("ACStructure is immutable")
@@ -215,27 +216,49 @@ class ACStructure:
 
 
 def eval_j(structure, points):
-    """J at a batch (P, 2n), real (P, 2n, 2n), for the readers of all of J;
-    refused before it is allocated over ``check_entries``'s cap, and at its
-    first point where it is not finite (``refuse_non_finite``)."""
+    """J at a batch (P, 2n), real (P, 2n, 2n), for the readers of all of J:
+    its nonzero entries evaluated among zeros, refused before it is
+    allocated over ``check_entries``'s cap and by ``refuse_non_finite``."""
     pts = np.asarray(points, dtype=float)
     size = structure.real_dim
     check_entries(len(pts) * size * size, "J at {} points of a structure "
                   "with n = {}", len(pts), structure.n)
-    out = np.empty((len(pts), size, size))
-    for i, j in itertools.product(range(size), repeat=2):
-        out[:, i, j] = structure.matrix[i][j].evaluate(pts)
-    refuse_non_finite("J", pts, [out])
+    out = np.zeros((len(pts), size, size))
+    for (k, a), e in _nonzero(structure):
+        out[:, k, a] = e.evaluate(pts)
+    refuse_non_finite("J", pts, out.reshape(len(pts), -1).T)
+    return out
+
+
+def _nonzero(structure):
+    """J's nonzero entries, ((k, a), J_{ka}), row by row."""
+    return [((k, a), e) for k, row in enumerate(structure.matrix)
+            for a, e in enumerate(row) if not e.is_zero]
+
+
+def j_entries(structure, points):
+    """J's nonzero entries at a batch (P, 2n), {(k, a): J_{ka}}, by
+    ``_read``: the one reader of J's entries for the sparse contractions."""
+    return _read(_nonzero(structure), points, "J")
+
+
+def _read(polys, points, what):
+    """The nonzero ones of ``polys``, (key, real polynomial) pairs, at a
+    batch (P, d): {key: (P,) array, or a constant's float coefficient, the
+    value ``evaluate`` gives everywhere}, refused by ``refuse_non_finite``."""
+    pts = np.asarray(points, dtype=float)
+    out = {key: p.evaluate(pts) if p.degree else next(iter(p.terms.values())).real
+           for key, p in polys if not p.is_zero}
+    refuse_non_finite(what, pts, out.values())
     return out
 
 
 def refuse_non_finite(what, pts, values):
     """Raise NumericalError at the first of the points ``pts`` where one of
-    ``values``, each a float or an array over the points, is not finite."""
+    ``values``, each a float or a (P,) array over the points, is not finite."""
     finite = np.ones(len(pts), dtype=bool)
     for value in values:
-        ok = np.isfinite(value)
-        finite &= ok if ok.ndim < 2 else ok.reshape(len(pts), -1).all(axis=1)
+        finite &= np.isfinite(value)
     if not finite.all():
         raise NumericalError(f"{what} is not finite at point "
                              f"{tuple(map(float, pts[np.argmin(finite)]))}")
@@ -255,8 +278,7 @@ def keep(kept, slot, key, make):
 class Sample:
     """A point batch of one structure, and what was evaluated on it, in
     ``kept`` (see ``keep``): J, real as ``eval_j`` returns it, for the
-    readers of all of J, and its ACS residual for the sample's life, and
-    what the chart functions keep there."""
+    readers of all of J, and what the chart functions keep there."""
 
     def __init__(self, structure, points):
         self.structure = structure
@@ -268,12 +290,6 @@ class Sample:
         """J at the points, real (P, 2n, 2n)."""
         return keep(self.kept, "j", None, lambda: eval_j(
             self.structure, self.points))
-
-    @property
-    def acs_residual(self):
-        """max |J^2 + I| over the points, ``acs_residual``."""
-        return keep(self.kept, "acs", None, lambda: acs_residual(
-            self.structure, self.j))
 
 
 def lattice_sample(lattices, structure, box, grid_k):
@@ -301,22 +317,20 @@ def standard_structure(n, box=None):
 
 
 def acs_residual(structure, j):
-    """max |J^2 + I| over a batch, from J at it, (P, 2n, 2n) real and
-    finite, as ``eval_j`` returns it.
+    """max |J^2 + I| over a batch, from J's nonzero entries there, finite,
+    as ``j_entries`` reads them.
 
     Each entry of J^2 is contracted component-major, by ``nijenhuis``'s
     rule: a sum from zero over ascending k of only the products of two
-    nonzero polynomial entries, then I added.  A skipped product of
-    finite values is an exact zero, so the maximum has the bits of the
-    dense contraction.
+    entries in ``j``, then I added.  A skipped product of finite values is
+    an exact zero, so the maximum has the bits of the dense contraction.
     """
-    m, size = structure.matrix, structure.real_dim
-    j = np.ascontiguousarray(j.transpose(1, 2, 0))
+    size = structure.real_dim
     worst = []
     for i, a in itertools.product(range(size), repeat=2):
         entry = 0.0
         for k in range(size):
-            if not (m[i][k].is_zero or m[k][a].is_zero):
+            if (i, k) in j and (k, a) in j:
                 entry = entry + j[i, k] * j[k, a]
         if i == a:
             entry = entry + 1.0
@@ -324,16 +338,18 @@ def acs_residual(structure, j):
     return float(np.max(worst))
 
 
-def check_acs(structure, grid_k=defaults.GRID_PER_AXIS, tol=defaults.TOL_ACS,
-              *, _lattices=None):
+def check_acs(structure, grid_k=defaults.GRID_PER_AXIS, tol=defaults.TOL_ACS):
     """Verify J(p)^2 = -I over a lattice; metric is the worst max-norm
-    defect, ``acs_residual``.  A run passes its holder as ``_lattices``
-    (``lattice_sample``)."""
-    sample = lattice_sample(_lattices, structure, structure.box, grid_k)
+    defect, ``acs_residual``.  Refused before J is read where the lattice
+    and J's non-constant entries on it are over ``check_entries``'s cap."""
+    pts = structure.box.lattice(grid_k)
+    arrays = structure.real_dim + sum(e.degree > 0 for _, e in _nonzero(structure))
+    check_entries(len(pts) * arrays, "the J^2 = -I check at {} points of a "
+                  "structure with n = {}", len(pts), structure.n)
     return make_report(
         task="check_acs",
-        metrics={"acs_residual": sample.acs_residual,
-                 "grid_points": float(len(sample.points))},
+        metrics={"acs_residual": acs_residual(structure, j_entries(structure, pts)),
+                 "grid_points": float(len(pts))},
         tolerances={"acs_residual": tol},
     )
 
@@ -377,9 +393,9 @@ def split_type(structure, points, svd_rel_tol=defaults.SVD_REL_TOL, *,
     the -i eigenspace is its conjugate, of the same dimension.  Raises
     DegenerateStructureError at the first point where it is not n.
     ``eigen_residual`` is the largest |J P - i P|, which is |J^2 + I| / 2:
-    half ``acs_residual``.  A run's holder ``_lattices`` lends its sample,
-    J and residual included, when it is of this structure at this very
-    points array."""
+    half ``acs_residual`` of J's nonzero entries, read from J.  A run's
+    holder ``_lattices`` lends its sample, J included, when it is of this
+    structure at this very points array."""
     pts = np.asarray(points, dtype=float)
     n, size = structure.n, structure.real_dim
     _, sample = (_lattices or {}).get("lattice", (None, None))
@@ -395,8 +411,9 @@ def split_type(structure, points, svd_rel_tol=defaults.SVD_REL_TOL, *,
         raise DegenerateStructureError(
             f"eigenspace dimensions ({dims[p]}, {dims[p]}) != ({n}, {n}) "
             f"at point {tuple(map(float, pts[p]))}")
-    return SplitTypeResult(dims=(n, n), eigen_residual=sample.acs_residual / 2,
-                           points=pts, j=j)
+    entries = {(k, a): j[:, k, a] for (k, a), _ in _nonzero(structure)}
+    return SplitTypeResult(dims=(n, n), points=pts, j=j,
+                           eigen_residual=acs_residual(structure, entries) / 2)
 
 
 def _nijenhuis_slots(structure):
@@ -416,12 +433,19 @@ def _nijenhuis_slots(structure):
             for i, a, b in sorted({(i, min(a, b), max(a, b)) for i, a, b in sums})}
 
 
+def _slot_plan(structure):
+    """``_nijenhuis_slots``, built on first use and kept on the structure."""
+    if structure._nijenhuis_plan is None:
+        object.__setattr__(structure, "_nijenhuis_plan", _nijenhuis_slots(structure))
+    return structure._nijenhuis_plan
+
+
 def nijenhuis_arrays(structure):
     """The (P,) arrays ``nijenhuis`` holds: J's non-constant entries and
     partials, and its kept slots, counted from J's sparsity alone."""
     polys = [p for row in structure.matrix for e in row if not e.is_zero
              for p in (e,) + e.partials() if not p.is_zero]
-    return sum(p.degree > 0 for p in polys) + len(_nijenhuis_slots(structure))
+    return sum(p.degree > 0 for p in polys) + len(_slot_plan(structure))
 
 
 def nijenhuis(structure, points):
@@ -436,28 +460,20 @@ def nijenhuis(structure, points):
     N[i, a, a] = h - h is kept, NaN where h overflows.  Each sum adds, from
     zero over ascending k, only the products whose J entry and partial are
     nonzero polynomials; a skipped product of finite values is an exact
-    zero, so N has the bits of the full contraction.  A constant entry or
-    partial enters as its float coefficient, the value ``evaluate`` gives
-    at every point; each kept component is (P,), even of constants alone.
-    Raises NumericalError where J, then a nonzero partial, is not finite
-    (a skipped product would hide it), and ConfigurationError where
-    ``nijenhuis_arrays`` at the points is over ``check_entries``'s cap.
+    zero, so N has the bits of the full contraction.  J's entries and
+    partials are read by ``_read``; each kept component is (P,), even of
+    constants alone.  Raises NumericalError where J, then a nonzero partial,
+    is not finite (a skipped product would hide it), and ConfigurationError
+    where ``nijenhuis_arrays`` at the points is over ``check_entries``'s cap.
     """
     pts, m = np.asarray(points, dtype=float), structure.matrix
     check_entries(len(pts) * nijenhuis_arrays(structure), "the Nijenhuis tensor "
                   "at {} points of a structure with n = {}", len(pts), structure.n)
 
-    def values(poly):       # a constant as its one coefficient, real in J
-        return poly.evaluate(pts) if poly.degree else \
-            next(iter(poly.terms.values())).real
-
-    j = {(k, a): values(e) for k, row in enumerate(m)               # J_{ka}
-         for a, e in enumerate(row) if not e.is_zero}
-    refuse_non_finite("J", pts, j.values())
-    dj = {(k, i, b): values(p) for i, row in enumerate(m)           # d_k J_{ib}
-          for b, e in enumerate(row) for k, p in enumerate(e.partials())
-          if not p.is_zero}
-    refuse_non_finite("a partial of J", pts, dj.values())
+    j = j_entries(structure, pts)                                   # J_{ka}
+    dj = _read([((k, i, b), p) for i, row in enumerate(m)           # d_k J_{ib}
+                for b, e in enumerate(row) for k, p in enumerate(e.partials())],
+               pts, "a partial of J")
 
     def total(products):    # from zero over ascending k
         h = 0.0
@@ -466,7 +482,7 @@ def nijenhuis(structure, points):
         return h
 
     out = {}
-    for slot, halves in _nijenhuis_slots(structure).items():
+    for slot, halves in _slot_plan(structure).items():
         h = [total(first) + total(second) for first, second in halves]
         value = h[0] - h[-1]
         out[slot] = value if np.ndim(value) else np.full(len(pts), value)

@@ -476,7 +476,7 @@ def _build_family(scenario, label, tols):
 def _run_check_acs(scenario, spec, run):
     return check_acs(scenario.structure,
                      grid_k=spec.get("grid", defaults.GRID_PER_AXIS),
-                     tol=run.tols["tol_acs"], _lattices=run.lattices)
+                     tol=run.tols["tol_acs"])
 
 
 def _run_split_type(scenario, spec, run):

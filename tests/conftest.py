@@ -123,6 +123,17 @@ def minimal_scenario(**overrides):
     return data
 
 
+def bench_scenarios():
+    """The bench's scenario generators (``bench/scenarios.py``)."""
+    import sys
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        import scenarios
+    finally:
+        sys.path.pop(0)
+    return scenarios
+
+
 def cli_env():
     """Environment for a ``python -m spencerkit`` child process that imports
     the same package as this test session."""

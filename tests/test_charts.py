@@ -21,6 +21,8 @@ from spencerkit.errors import (ChartError, CheckFailure, ConfigurationError,
                                NumericalError, OverlapError)
 from spencerkit.poly import monomials_upto
 
+from conftest import bench_scenarios
+
 
 @pytest.fixture(scope="module")
 def chart_z(std1, z_field):
@@ -541,28 +543,16 @@ def _standalone_metrics(data, spec):
         return f"{type(exc).__name__}: {exc}"
 
 
-def _bench_scenarios():
-    """The bench's scenario generators (``bench/scenarios.py``)."""
-    import sys
-    from pathlib import Path
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-    try:
-        import scenarios
-    finally:
-        sys.path.pop(0)
-    return scenarios
-
-
 def _pointwise_scenarios(seed):
     from spencerkit.scenario import builtin_scenarios
-    return _bench_scenarios().build("pointwise", seed, "full",
+    return bench_scenarios().build("pointwise", seed, "full",
                                     builtin_scenarios())
 
 
 def _sampling_scenarios():
     import random
     from spencerkit.scenario import builtin_scenarios
-    sheared = _bench_scenarios()._solve_sheared(random.Random("solve:3"), 3,
+    sheared = bench_scenarios()._solve_sheared(random.Random("solve:3"), 3,
                                                 (1,), 2)
     return (list(builtin_scenarios().values()) + [sheared, SHARING_SCENARIO]
             + _pointwise_scenarios(3))
@@ -575,7 +565,7 @@ def _chart_cases():
     builtins = builtin_scenarios()
     named = [("builtin", data) for data in builtins.values()]
     named += [("solve1", data) for data in
-              _bench_scenarios().build("solve", 1, "full", builtins)]
+              bench_scenarios().build("solve", 1, "full", builtins)]
     cases = []
     for source, data in named:
         scen = parse_scenario(data)
@@ -628,9 +618,9 @@ def test_shared_samples_give_the_bits_of_standalone_calls(data):
 @pytest.mark.parametrize("data", _pointwise_scenarios(5),
                          ids=lambda data: data["name"])
 def test_a_pointwise_run_evaluates_j_once_per_lattice(monkeypatch, data):
-    """check_acs, split_type and every cr_check of a bench pointwise
-    scenario share one sample of their one lattice; integrability reads
-    J's entries from their polynomials and no sample."""
+    """split_type and every cr_check of a bench pointwise scenario share
+    one sample of their one lattice; check_acs and integrability read J's
+    entries from their polynomials and no sample."""
     from spencerkit.scenario import parse_scenario, run_scenario
     calls = []
 

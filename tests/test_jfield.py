@@ -24,9 +24,9 @@ from spencerkit.errors import (ConfigurationError, DegenerateStructureError,
                                NumericalError)
 from spencerkit.jfield import acs_residual, lattice_points, numerical_rank
 from spencerkit.poly import Polynomial, monomials_upto
-from spencerkit.scenario import builtin_scenarios, parse_scenario
+from spencerkit.scenario import builtin_scenarios, parse_scenario, run_scenario
 
-from conftest import poly_identity_matrix, poly_matmul
+from conftest import bench_scenarios, poly_identity_matrix, poly_matmul
 
 
 @pytest.mark.parametrize("dim", [2, 4])
@@ -563,8 +563,8 @@ def test_a_holder_lends_its_sample_to_its_own_structure_and_points_only(
         monkeypatch, std2, twisted):
     """The holder's sample serves ``split_type`` of its structure at its
     very points array; any other call evaluates J afresh, with the bits of
-    a call without a holder.  ``nijenhuis`` and ``integrability_report``
-    take no holder."""
+    a call without a holder.  ``nijenhuis``, ``integrability_report`` and
+    ``check_acs`` take no holder, and ``check_acs`` calls no ``eval_j``."""
     lattices = {}
     sample = jfield.lattice_sample(lattices, twisted, twisted.box, 3)
     pts = sample.points
@@ -586,14 +586,12 @@ def test_a_holder_lends_its_sample_to_its_own_structure_and_points_only(
         calls.clear()
         assert _bits(split_type(structure, points, _lattices=lattices)) == bits
         assert calls == [len(points)]
-    for kernel in (nijenhuis, integrability_report):
+    for kernel in (nijenhuis, integrability_report, check_acs):
         assert "_lattices" not in inspect.signature(kernel).parameters
-    monkeypatch.setattr(jfield, "eval_j", eval_j)
-    expected = check_acs(std2, grid_k=3).metrics
-    monkeypatch.setattr(jfield, "eval_j", counting)
     calls.clear()
-    assert check_acs(std2, grid_k=3, _lattices=lattices).metrics == expected
-    assert calls == [3 ** 4]
+    for structure in (std2, twisted):
+        assert check_acs(structure, grid_k=3).metrics["grid_points"] == 3 ** 4
+    assert calls == []
 
 
 def test_nijenhuis_refuses_a_tensor_over_the_cap_before_evaluating_j(
@@ -655,21 +653,101 @@ def _random_sparse_structure(n, seed):
                                      for seed in range(3)])
 def test_acs_residual_is_bit_identical_to_the_dense_contraction(n, seed):
     structure = _random_sparse_structure(n, seed)
-    j = eval_j(structure, structure.box.lattice(5))
+    pts = structure.box.lattice(5)
+    entries = jfield.j_entries(structure, pts)
+    j = eval_j(structure, pts)
     expected = float(np.max(np.abs(
         np.einsum("pik,pkj->pij", j, j) + np.eye(2 * n)))).hex()
-    assert acs_residual(structure, j).hex() == expected
-    # A strided view of J, the real part of a complex copy, reads the same.
-    assert acs_residual(structure, j.astype(complex).real).hex() == expected
+    assert acs_residual(structure, entries).hex() == expected
+    # Strided views of the dense J, as split_type passes them, read the same.
+    views = {(k, a): j[:, k, a] for k, a in entries}
+    assert acs_residual(structure, views).hex() == expected
     assert check_acs(structure).metrics["acs_residual"].hex() == expected
-    # A zero polynomial evaluates to +0.0; a nonzero one may give -0.0.
-    nonzero = np.array([[not e.is_zero for e in row]
-                        for row in structure.matrix])
+    # A nonzero entry at -0.0 is kept apart from the skipped zero ones.
     rng = np.random.default_rng(seed)
-    j[(rng.random(j.shape) < 0.2) & nonzero] = -0.0
-    dense = np.einsum("pik,pkj->pij", j, j) + np.eye(2 * n)
-    assert acs_residual(structure, j).hex() == \
+    for key, value in entries.items():
+        if np.ndim(value):
+            entries[key] = np.where(rng.random(len(pts)) < 0.2, -0.0, value)
+    dense = np.zeros_like(j)
+    for (k, a), value in entries.items():
+        dense[:, k, a] = value
+    dense = np.einsum("pik,pkj->pij", dense, dense) + np.eye(2 * n)
+    assert acs_residual(structure, entries).hex() == \
         float(np.max(np.abs(dense))).hex()
+
+
+def _bench_structures():
+    """The structures of the bench's ``pointwise`` and ``solve`` scenarios
+    at seed 1."""
+    built = [data for workload in ("pointwise", "solve") for data in
+             bench_scenarios().build(workload, 1, "full", builtin_scenarios())]
+    return [parse_scenario(data).structure for data in built]
+
+
+# J_00 = -x1*x2 vanishes on the axes, where its term is -1 * 0.0 = -0.0,
+# which evaluate adds to its +0.0.
+VANISHING = ACStructure(1, Box((-1.0, -1.0), (1.0, 1.0)), [
+    [parse_polynomial(e, 2) for e in row]
+    for row in [["-x1*x2", "-1 - x1*x2"], ["1", "x1*x2"]]])
+
+
+def _eval_j_cases():
+    builtins = [parse_scenario(data).structure
+                for data in builtin_scenarios().values()]
+    return (builtins + _bench_structures() + [VANISHING]
+            + [_random_sparse_structure(n, seed) for n in (1, 2, 3)
+               for seed in range(3)])
+
+
+def test_eval_j_has_the_bits_of_a_per_entry_evaluate_fill(monkeypatch):
+    """``eval_j`` is the fill of all (2n)^2 entries by
+    ``Polynomial.evaluate``, byte for byte, and evaluates each nonzero
+    entry once and no zero entry."""
+    evaluated = []
+    evaluate = Polynomial.evaluate
+
+    def counting(poly, points):
+        evaluated.append(poly)
+        return evaluate(poly, points)
+
+    cases = _eval_j_cases()
+    assert len(cases) > 20
+    for structure in cases:
+        pts = structure.box.lattice(3)
+        size = structure.real_dim
+        fill = np.empty((len(pts), size, size))
+        for k, a in itertools.product(range(size), repeat=2):
+            fill[:, k, a] = structure.matrix[k][a].evaluate(pts)
+        monkeypatch.setattr(Polynomial, "evaluate", counting)
+        evaluated.clear()
+        assert eval_j(structure, pts).tobytes() == fill.tobytes()
+        monkeypatch.setattr(Polynomial, "evaluate", evaluate)
+        assert sorted(map(id, evaluated)) == sorted(
+            id(e) for row in structure.matrix for e in row if not e.is_zero)
+    j00 = eval_j(VANISHING, VANISHING.box.lattice(3))[:, 0, 0]
+    assert (j00 == 0).sum() == 5 and not np.signbit(j00[j00 == 0]).any()
+
+
+def test_the_nijenhuis_slots_are_planned_once_per_integrability_run(
+        monkeypatch):
+    """The slot plan is built on the structure's first use and kept on it:
+    once for a run's cap check and its ``integrability`` task, and not
+    again for a second run; a flat J's empty plan is kept too."""
+    builds = []
+    plan = jfield._nijenhuis_slots
+
+    def counting(structure):
+        builds.append(structure)
+        return plan(structure)
+
+    monkeypatch.setattr(jfield, "_nijenhuis_slots", counting)
+    for data in builtin_scenarios().values():
+        builds.clear()
+        scenario = parse_scenario(data)
+        run_scenario(scenario, task_filter="integrability", grid_override=3)
+        assert builds == [scenario.structure]
+        run_scenario(scenario, task_filter="integrability", grid_override=3)
+        assert builds == [scenario.structure]
 
 
 def test_eval_j_names_the_first_non_finite_point_in_lattice_order():

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -825,7 +826,7 @@ def test_cli_exit_three_on_non_finite_j_in_check_acs(scenario_file, capsys):
     # J_01 overflows to inf at x2 = +-1e5.  Every product of J^2 that meets
     # it has a zero polynomial as its other factor, so the sparse
     # contraction would skip it as 0 * inf and read a finite 1.0, and the
-    # run would exit 1; eval_j refuses J first.
+    # run would exit 1; J's reader (jfield.j_entries) refuses J first.
     data = {"name": "overflow_acs", "n": 1,
             "box": {"lo": [-1, -1e5], "hi": [1, 1e5]},
             "J": [["0", "1e300*x2^2"], ["0", "0"]],
@@ -882,19 +883,32 @@ def test_cli_exit_three_on_non_finite_j_in_every_task_that_reads_it(
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("cap, message", [
+def _cap_case(cap, message, builtin, task):
+    return pytest.param(cap, message, builtin, task, id=f"{cap}-{message}")
+
+
+@pytest.mark.parametrize("cap, message, builtin, task", [
     # 7^4 points x 4 coordinates.
-    (9603, "the lattice of 2401 points in R^4 has 9604 entries"),
-    # 7^4 points x 4^2 entries of J.
-    (38415, "J at 2401 points of a structure with n = 2 has 38416 entries"),
+    _cap_case(9603, "the lattice of 2401 points in R^4 has 9604 entries",
+              "std_c2", "check_acs"),
+    # 7^4 points x 4^2 entries of the dense J split_type takes.
+    _cap_case(38415, "J at 2401 points of a structure with n = 2 has 38416 "
+              "entries", "std_c2", "split_type"),
+    # 7^4 points x (4 coordinates + 2 non-constant entries of J).
+    _cap_case(14405, "the J^2 = -I check at 2401 points of a structure with "
+              "n = 2 has 14406 entries", "twisted_r4", "check_acs"),
 ])
 def test_cli_exit_two_on_a_lattice_or_j_over_the_cap(
-        capsys, monkeypatch, cap, message):
+        capsys, monkeypatch, cap, message, builtin, task):
+    argv = ["builtin", builtin, "--grid", "7", "--task", task]
     monkeypatch.setattr(defaults, "ENTRY_CAP", cap)
-    assert cli.main(["builtin", "std_c2", "--grid", "7",
-                     "--task", "check_acs"]) == 2
+    assert cli.main(argv) == 2
     assert capsys.readouterr().err == \
         f"error: {message}, above the cap of {cap}\n"
+    # At the cap the task runs: check_acs holds no dense J.
+    if task == "check_acs":
+        monkeypatch.setattr(defaults, "ENTRY_CAP", cap + 1)
+        assert cli.main(argv) == 0
 
 
 def _twisted_rows(n):
@@ -959,6 +973,36 @@ def test_cli_runs_n4_integrability_at_the_default_grid(
     report, = json.loads(capsys.readouterr().out)["tasks"]
     assert report["metrics"] == {"grid_points": 390625.0,
                                  "integrability_residual": residual}
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+def test_n4_check_acs_at_the_default_grid_holds_no_dense_j(
+        monkeypatch, twisted):
+    # 5^8 = 390,625 points: the lattice takes 25 MB and each non-constant
+    # entry of J 3.1 MB, where a dense J would take 200 MB.
+    data = minimal_scenario(n=4, box={"lo": [-0.5] * 8, "hi": [0.5] * 8},
+                            functions={}, tasks=[{"task": "check_acs"}])
+    if twisted:
+        data["J"] = _twisted_rows(4)
+    scenario = parse_scenario(data)
+
+    def refuse(*args):
+        raise AssertionError("eval_j was called")
+
+    monkeypatch.setattr(spencerkit.jfield, "eval_j", refuse)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        result = run_scenario(scenario)
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    report, = result.reports
+    assert report.passed
+    assert report.metrics == {"acs_residual": 0.0, "grid_points": 390625.0}
+    assert seconds < 1.0
+    assert peak < 50 * 2 ** 20
 
 
 def test_cli_exit_three_on_non_finite_j_in_split_type(scenario_file, capsys):
