@@ -29,7 +29,8 @@ from . import defaults
 from .crsolve import cr_defect_bound, cr_residual, independence_rank
 from .errors import (ChartError, ConfigurationError, FitError,
                      IndependenceError, NumericalError, OverlapError)
-from .jfield import _distinct_rows, check_entries, keep, lattice_sample
+from .jfield import (_distinct_rows, check_entries, distinct_points, keep,
+                     lattice_sample)
 from .poly import PolyMap, Polynomial, monomials_upto, real_jacobian
 
 
@@ -130,10 +131,10 @@ def build_spencer_chart(structure, fields, box=None,
 
     When the fields are ``_certified`` the CR gate reads no J.  Otherwise
     every field takes the sampled gate, in field order, which evaluates J
-    once.  Either way the fields' Jacobian rows are then taken once, for
-    the rank and the completion.  A non-finite
-    CR residual, Jacobian row or determinant raises NumericalError: no
-    comparison against a tolerance can judge it.
+    once.  Either way the fields' Jacobian rows are then taken once, at the
+    ``distinct_points`` of their partials, for the rank and the completion.
+    A non-finite CR residual, Jacobian row or determinant raises
+    NumericalError: no comparison against a tolerance can judge it.
     """
     if box is None:
         box = structure.box
@@ -146,7 +147,11 @@ def build_spencer_chart(structure, fields, box=None,
     sample = lattice_sample(_lattices, structure, box, grid_k)
     if not _certified(structure, fields, box, tol_cr):
         _sampled_gate(structure, fields, sample, tol_cr)
-    rows = real_jacobian(fields, sample.points)
+    # Rank, volumes and dets enter only by their max, min and finiteness,
+    # which one row of each class gives as well as every row.
+    first, _ = distinct_points(sample.points,
+                               [p for f in fields for p in f.partials()])
+    rows = real_jacobian(fields, sample.points[first])
     m = len(fields)
     rank = independence_rank(rows, svd_rel_tol)
     if rank < 2 * m:

@@ -45,6 +45,21 @@ def _distinct_rows(a):
     return order[~repeat], inverse
 
 
+def distinct_points(points, polys):
+    """The points of a batch (P, d) that ``polys`` can tell apart, as
+    ``(first, inverse)`` of ``_distinct_rows``: the rows distinct by bits in
+    the columns of the variables that some term of ``polys`` raises to a
+    nonzero power, the only columns ``poly._add_terms`` reads.  Without such
+    a variable every point is in one class, that of the first point; without
+    points there is no class."""
+    pts = np.asarray(points, dtype=float)
+    used = sorted({k for p in polys for e in p.terms
+                   for k, power in enumerate(e) if power})
+    if not used:
+        return np.arange(min(len(pts), 1)), np.zeros(len(pts), dtype=np.intp)
+    return _distinct_rows(pts[:, used])
+
+
 @dataclass(frozen=True)
 class Box:
     """Closed axis-aligned box, the common domain type of the toolkit."""
@@ -389,9 +404,10 @@ def split_type(structure, points, svd_rel_tol=defaults.SVD_REL_TOL, *,
     Where J^2 = -I, P = (I - iJ)/2 is the projector onto the i eigenspace,
     the (1,0) bundle, along the -i eigenspace; the complementary projector
     I - P is conj(P).  The singular values of the stacked J - iI, one SVD
-    without factors, give the dimension of the i eigenspace; J is real, so
-    the -i eigenspace is its conjugate, of the same dimension.  Raises
-    DegenerateStructureError at the first point where it is not n.
+    without factors at the ``distinct_points`` of J's nonzero entries, give
+    the dimension of the i eigenspace; J is real, so the -i eigenspace is
+    its conjugate, of the same dimension.  Raises DegenerateStructureError
+    at the first point where it is not n.
     ``eigen_residual`` is the largest |J P - i P|, which is |J^2 + I| / 2:
     half ``acs_residual`` of J's nonzero entries, read from J.  A run's
     holder ``_lattices`` lends its sample, J included, when it is of this
@@ -402,16 +418,17 @@ def split_type(structure, points, svd_rel_tol=defaults.SVD_REL_TOL, *,
     if (sample is None or sample.structure is not structure
             or sample.points is not pts):
         sample = Sample(structure, pts)
-    j = sample.j
-    sigma = np.linalg.svd(j - 1j * np.eye(size), compute_uv=False)
-    dims = size - numerical_rank(sigma, svd_rel_tol)
+    j, nonzero = sample.j, _nonzero(structure)
+    first, inverse = distinct_points(pts, [e for _, e in nonzero])
+    sigma = np.linalg.svd(j[first] - 1j * np.eye(size), compute_uv=False)
+    dims = (size - numerical_rank(sigma, svd_rel_tol))[inverse]
     bad = np.flatnonzero(dims != n)
     if bad.size:
         p = bad[0]
         raise DegenerateStructureError(
             f"eigenspace dimensions ({dims[p]}, {dims[p]}) != ({n}, {n}) "
             f"at point {tuple(map(float, pts[p]))}")
-    entries = {(k, a): j[:, k, a] for (k, a), _ in _nonzero(structure)}
+    entries = {(k, a): j[:, k, a] for (k, a), _ in nonzero}
     return SplitTypeResult(dims=(n, n), points=pts, j=j,
                            eigen_residual=acs_residual(structure, entries) / 2)
 

@@ -4,6 +4,7 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spencerkit
@@ -132,6 +133,24 @@ def bench_scenarios():
     finally:
         sys.path.pop(0)
     return scenarios
+
+
+def canonical_scenarios():
+    """(source, scenario data) of the packaged scenarios and of the bench's
+    ``pointwise`` and ``solve`` scenarios at seeds 1-3, source naming the
+    workload and seed ("builtin", "pointwise1", ...)."""
+    from spencerkit.scenario import builtin_scenarios
+    builtins = builtin_scenarios()
+    return [("builtin", data) for data in builtins.values()] + [
+        (f"{workload}{seed}", data) for seed in (1, 2, 3)
+        for workload in ("pointwise", "solve")
+        for data in bench_scenarios().build(workload, seed, "full", builtins)]
+
+
+def every_point(points, polys):
+    """``jfield.distinct_points`` with each point its own class: the full
+    stack, for reference."""
+    return np.arange(len(points)), np.arange(len(points))
 
 
 def cli_env():

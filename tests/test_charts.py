@@ -21,7 +21,7 @@ from spencerkit.errors import (ChartError, CheckFailure, ConfigurationError,
                                NumericalError, OverlapError)
 from spencerkit.poly import monomials_upto
 
-from conftest import bench_scenarios
+from conftest import bench_scenarios, canonical_scenarios, every_point
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +218,64 @@ def test_chart_certificates_keep_the_bits_of_the_stacked_rows(
         assert chart.certificate.hex() == certificate.hex()
         completions.append(len(pairs))
     assert completions == [0, 0, 0, 1, 1, 2, 1]
+
+
+def _chart_build_cases():
+    """Every chart of the packaged scenarios and of the bench's
+    ``pointwise`` and ``solve`` scenarios at seeds 1-3, at the default
+    density and at each of its chart tasks' ``grid``; and two charts of the
+    flat structure whose partials read every variable, so that no lattice
+    point repeats."""
+    from spencerkit.scenario import parse_scenario
+    cases = []
+    for source, data in canonical_scenarios():
+        scen = parse_scenario(data)
+        for label, spec in scen.chart_specs.items():
+            grids = {defaults.GRID_PER_AXIS} | {
+                task.get("grid", defaults.GRID_PER_AXIS)
+                for task in data["tasks"]
+                if task["task"] == "chart" and task["chart"] == label}
+            cases += [pytest.param(
+                scen.structure, [scen.functions[f] for f in spec.function_names],
+                spec.box, k, scen.tolerances,
+                id=f"{source}-{data['name']}-{label}-{k}") for k in sorted(grids)]
+    std2 = standard_structure(2)
+    u1, u2 = (parse_polynomial(f"x{2 * k + 1} + (0+1i)*x{2 * k + 2}", 4)
+              for k in range(2))
+    for name, fields in (("dense", [u1 + u1 * u2 * 0.3, u2 - u2 * u2 * 0.2j]),
+                         ("dense-passive", [u1 + (u1 * u1 + u2 * u2) * 0.25])):
+        cases.append(pytest.param(std2, fields, std2.box, 4, {
+            "tol_cr": defaults.TOL_CR, "tol_det": defaults.TOL_DET,
+            "svd_rel_tol": defaults.SVD_REL_TOL}, id=name))
+    return cases
+
+
+def _chart_outcome(structure, fields, box, grid_k, tols):
+    try:
+        chart = build_spencer_chart(
+            structure, fields, box=box, grid_k=grid_k, tol_cr=tols["tol_cr"],
+            tol_det=tols["tol_det"], svd_rel_tol=tols["svd_rel_tol"])
+    except CheckFailure as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return chart.certificate.hex(), chart.passive_pairs
+
+
+@pytest.mark.parametrize("structure, fields, box, grid_k, tols",
+                         _chart_build_cases())
+def test_chart_builds_at_distinct_points_keep_the_bits_of_every_point(
+        monkeypatch, structure, fields, box, grid_k, tols):
+    """The rows at the distinct points, spread back, have the bits of the
+    rows at every point; and the certificate and passive pairs, or the
+    error class and text, are those of a build at every point."""
+    pts = box.lattice(grid_k)
+    first, inverse = jfield.distinct_points(
+        pts, [p for f in fields for p in f.partials()])
+    rows = charts.real_jacobian(fields, pts)
+    assert charts.real_jacobian(fields, pts[first])[inverse].tobytes() == \
+        rows.tobytes()
+    outcome = _chart_outcome(structure, fields, box, grid_k, tols)
+    monkeypatch.setattr(charts, "distinct_points", every_point)
+    assert outcome == _chart_outcome(structure, fields, box, grid_k, tols)
 
 
 def test_a_coefficient_system_that_could_exceed_the_cap_is_not_built(
@@ -436,7 +494,8 @@ SHARING_SCENARIO = {
 def test_a_run_samples_each_lattice_once(monkeypatch):
     """J once per (box, grid_k) lattice that a sampled check uses, and not
     for the charts, whose CR gates certify; each field's Jacobian rows once
-    per build or CR check, each chart's coordinates once per lattice, and
+    per build, at its distinct points, or CR check, each chart's
+    coordinates once per lattice, and
     each fit matrix with its singular values once per (coordinates,
     fit_degree)."""
     from spencerkit.scenario import parse_scenario, run_scenario
@@ -450,7 +509,7 @@ def test_a_run_samples_each_lattice_once(monkeypatch):
         return eval_j(structure, points)
 
     def counting_rows(fields, points):
-        rows.extend((id(f), points.tobytes()) for f in fields)
+        rows.append((tuple(map(id, fields)), len(points)))
         return real_jacobian(fields, points)
 
     def counting_evaluate(self, points):
@@ -479,9 +538,10 @@ def test_a_run_samples_each_lattice_once(monkeypatch):
     assert [r.status for r in result.reports] == ["pass"] * 11
     # The four checks on the box; the charts read no J.
     assert len(j_calls) == 1
-    # Two fields per build, for the Jacobian rows, and z1 for the CR check.
-    assert len(rows) == 7
-    assert len(set(rows)) == 5              # z1 and z2 are in a, z2 in b
+    # Builds c, a and b take their two fields' rows at one point, the one
+    # class of their linear fields; the CR check takes z1's on its lattice.
+    assert [(len(ids), len(set(ids)), count) for ids, count in rows] == [
+        (2, 2, 1), (1, 1, 5 ** 4), (2, 2, 1), (2, 2, 1)]
     # The box: a (the fits and a to b) and b.  The sub-box: b and c (b to
     # c), and a (a to c and the triple overlap).
     assert len(values) == len(set(values)) == 5

@@ -26,7 +26,8 @@ from spencerkit.jfield import acs_residual, lattice_points, numerical_rank
 from spencerkit.poly import Polynomial, monomials_upto
 from spencerkit.scenario import builtin_scenarios, parse_scenario, run_scenario
 
-from conftest import bench_scenarios, poly_identity_matrix, poly_matmul
+from conftest import (bench_scenarios, canonical_scenarios, every_point,
+                      poly_identity_matrix, poly_matmul)
 
 
 @pytest.mark.parametrize("dim", [2, 4])
@@ -869,6 +870,106 @@ def test_split_type_reports_the_first_degenerate_point_as_the_loop_does():
     assert str(ref.value).endswith(f"at point {tuple(pts[2])}")
     assert str(new.value) == (
         "eigenspace dimensions (0, 0) != (1, 1) at point (-1.0, -1.0)")
+
+
+def test_split_type_names_the_first_degenerate_point_before_its_class():
+    # J = [[0, -1], [x1, 0]] is degenerate where x1 != 1.  Point 1 is the
+    # first degenerate point in lattice order, but the bits of x1 = -1.0
+    # sort first, so the first degenerate class decomposed is point 2's.
+    box = Box((-1.0, -1.0), (1.0, 1.0))
+    s = ACStructure(1, box, [[parse_polynomial(e, 2) for e in row]
+                             for row in [["0", "-1"], ["x1", "0"]]])
+    pts = np.array([[1.0, 0.5], [0.5, 0.0], [-1.0, -1.0], [0.5, 1.0]])
+    first, inverse = jfield.distinct_points(pts, [s.matrix[1][0]])
+    assert len(first) == 3 and first[0] == 2
+    assert inverse[1] == inverse[3] != inverse[2]
+    with pytest.raises(DegenerateStructureError) as ref:
+        _reference_split_type(s, pts)
+    with pytest.raises(DegenerateStructureError) as new:
+        split_type(s, pts)
+    assert str(ref.value).endswith(f"at point {tuple(pts[1])}")
+    assert str(new.value) == (
+        "eigenspace dimensions (0, 0) != (1, 1) at point (0.5, 0.0)")
+
+
+def test_distinct_points_reads_only_the_variables_of_the_terms():
+    pts = np.array([[1.0, 2.0, 0.0], [1.0, 3.0, -0.0], [1.0, 2.0, 0.0],
+                    [4.0, 5.0, 0.0]])
+    x2 = parse_polynomial("x2^2", 3)
+    first, inverse = jfield.distinct_points(pts, [x2, Polynomial.zero(3)])
+    assert pts[first, 1].tolist() == [2.0, 3.0, 5.0]
+    assert inverse.tolist() == [0, 1, 0, 2]
+    # +0.0 and -0.0 stay apart.
+    first, inverse = jfield.distinct_points(pts, [parse_polynomial("x1*x3", 3)])
+    assert len(first) == 3 and inverse[0] == inverse[2]
+    assert len(set(inverse[[0, 1, 3]])) == 3
+    # No variable, so one class; and no points, no class.
+    constants = [Polynomial.constant(3, 2.0), Polynomial.zero(3)]
+    for polys in ([], constants):
+        first, inverse = jfield.distinct_points(pts, polys)
+        assert first.tolist() == [0] and inverse.tolist() == [0] * 4
+    for polys in ([], constants, [x2]):
+        first, inverse = jfield.distinct_points(np.empty((0, 3)), polys)
+        assert len(first) == len(inverse) == 0
+
+
+@pytest.mark.parametrize("twisted_j", [False, True])
+def test_split_type_of_no_points_fails_as_the_full_stack_did(twisted_j,
+                                                             std2, twisted):
+    with pytest.raises(ValueError, match="cannot reshape array of size 0"):
+        split_type(twisted if twisted_j else std2, np.empty((0, 4)))
+
+
+def _split_outcome(structure, pts):
+    try:
+        res = split_type(structure, pts)
+    except DegenerateStructureError as exc:
+        return str(exc)
+    return res.dims, res.eigen_residual.hex()
+
+
+def _split_type_cases():
+    """Each structure of the packaged scenarios and of the bench's
+    ``pointwise`` and ``solve`` scenarios at seeds 1-3, with the lattice of
+    each of its split_type tasks and the default one; a dense J, which
+    reads every variable; and twisted_r4's J at a lattice holding both
+    +0.0 and -0.0 in x1."""
+    cases = []
+    for source, data in canonical_scenarios():
+        structure = parse_scenario(data).structure
+        grids = {defaults.GRID_PER_AXIS} | {
+            spec.get("grid", defaults.GRID_PER_AXIS) for spec in data["tasks"]
+            if spec["task"] == "split_type"}
+        cases += [pytest.param(structure, structure.box.lattice(k),
+                               id=f"{source}-{data['name']}-{k}")
+                  for k in sorted(grids)]
+    dense = _random_dense_structure(2, 0)
+    twisted_r4 = parse_scenario(builtin_scenarios()["twisted_r4"]).structure
+    signed = twisted_r4.box.lattice(3)
+    signed = np.concatenate([signed, signed * np.array([-1.0, 1.0, 1.0, 1.0])])
+    return cases + [pytest.param(dense, dense.box.lattice(4), id="dense"),
+                    pytest.param(_sheared_n3(), _sheared_n3().box.lattice(4),
+                                 id="sheared3"),
+                    pytest.param(twisted_r4, signed, id="signed-zeros")]
+
+
+@pytest.mark.parametrize("structure, pts", _split_type_cases())
+def test_split_type_at_distinct_points_has_the_bits_of_the_full_stack(
+        monkeypatch, structure, pts):
+    """The singular values at the distinct points, spread back, have the
+    bits of the SVD at every point; and split_type's dims, eigen_residual
+    or degenerate point are those of the full stack."""
+    size = structure.real_dim
+    j = eval_j(structure, pts)
+    first, inverse = jfield.distinct_points(
+        pts, [e for row in structure.matrix for e in row])
+    assert j[first][inverse].tobytes() == j.tobytes()
+    shifted = j - 1j * np.eye(size)
+    assert (np.linalg.svd(shifted[first], compute_uv=False)[inverse].tobytes()
+            == np.linalg.svd(shifted, compute_uv=False).tobytes())
+    outcome = _split_outcome(structure, pts)
+    monkeypatch.setattr(jfield, "distinct_points", every_point)
+    assert outcome == _split_outcome(structure, pts)
 
 
 def test_split_type_bases_span_the_exact_projector_images():

@@ -1005,6 +1005,33 @@ def test_n4_check_acs_at_the_default_grid_holds_no_dense_j(
     assert peak < 50 * 2 ** 20
 
 
+@pytest.mark.parametrize("twisted", [False, True])
+def test_n4_split_type_at_the_default_grid_decomposes_each_distinct_j_once(
+        twisted):
+    # 5^8 = 390,625 points: J takes 200 MB, and the SVD of J - iI runs at
+    # the points J's entries tell apart, 1 for the flat J and 5 (the
+    # values of x1) for the twisted one, where an SVD at every point took
+    # 3 s and held 400 MB of complex matrices besides J.
+    data = minimal_scenario(n=4, box={"lo": [-0.5] * 8, "hi": [0.5] * 8},
+                            functions={}, tasks=[{"task": "split_type"}])
+    if twisted:
+        data["J"] = _twisted_rows(4)
+    structure = parse_scenario(data).structure
+    pts = structure.box.lattice(defaults.GRID_PER_AXIS)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        result = spencerkit.split_type(structure, pts)
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.dims == (4, 4)
+    assert result.eigen_residual == 0.0
+    assert seconds < 1.5
+    assert peak < 1.2 * result.j.nbytes
+
+
 def test_cli_exit_three_on_non_finite_j_in_split_type(scenario_file, capsys):
     # J^2 = -I holds symbolically, but x1^6 overflows to inf at x1 = -1e60.
     # The SVD of J - iI there has NaN singular values, which count as zero:
